@@ -300,8 +300,7 @@ func BenchmarkParallelismScaling(b *testing.B) {
 // and warm-starts the solver from the previous solution. full/ measures
 // the from-scratch cost a stateless client pays per update; update/
 // measures the delta path on a session that toggles one fact per
-// iteration. The emitter (cmd/tecore-bench) records both in
-// BENCH_incremental.json; the delta path is expected ≥5× faster.
+// iteration; the delta path is expected ≥5× faster.
 
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 2000, NoiseRatio: 0.05, Seed: 9})
@@ -365,8 +364,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 // (a few merged by bridges). components/cold solves them with
 // per-component engines in parallel; components/update additionally
 // reuses cached component solutions so a single-fact toggle re-solves
-// only the component it dirtied. cmd/tecore-bench records the same
-// comparison in BENCH_components.json across cluster counts.
+// only the component it dirtied.
 
 func BenchmarkComponentSolve(b *testing.B) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{
@@ -489,68 +487,57 @@ func BenchmarkRepairStage(b *testing.B) {
 }
 
 // BenchmarkOutcomeStage isolates the Outcome production stage of
-// incremental component re-solves: the sort/merge assembly of every
-// component's read-out unit (AssembledOutcome) against the live
-// delta-patched outcome, on single-fact update toggles of a warm
-// clustered session. The live path splices one component of ~150 into
-// the maintained lists instead of rebuilding them.
+// incremental component re-solves: the live delta-patched outcome on
+// single-fact update toggles of a warm clustered session, which splices
+// one component of ~150 into the maintained lists instead of rebuilding
+// them.
 func BenchmarkOutcomeStage(b *testing.B) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{
 		Clusters: 150, ClusterSize: 6, BridgeRate: 0.1, Seed: 11})
 	probe := tecore.NewQuad("player/00001", "playsFor", "club/00001/probe",
 		tecore.MustInterval(1991, 1993), 0.55)
-	for _, assembled := range []bool{true, false} {
-		mode := tecore.OutcomeLive
-		if assembled {
-			mode = tecore.OutcomeAssembled
-		}
-		opts := tecore.SolveOptions{
-			Solver: tecore.SolverMLN, ComponentSolve: true, AssembledOutcome: assembled}
-		b.Run("update/"+mode, func(b *testing.B) {
-			s := tecore.NewSession()
-			if err := s.LoadGraph(ds.Graph); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Solve(opts); err != nil {
-				b.Fatal(err)
-			}
-			var outcomeNS float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					if err := s.AddFact(probe); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					s.RemoveFact(probe)
-				}
-				res, err := s.Solve(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ocs := res.Stats.Outcome
-				if ocs == nil || ocs.Mode != mode {
-					b.Fatalf("solve reported outcome stats %+v, want mode %s", ocs, mode)
-				}
-				outcomeNS += float64(ocs.Total.Nanoseconds())
-				if !assembled && ocs.Reused == 0 {
-					b.Fatal("live outcome reused nothing on an incremental update")
-				}
-			}
-			b.ReportMetric(outcomeNS/float64(b.N), "outcome-ns/op")
-		})
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	s := tecore.NewSession()
+	if err := s.LoadGraph(ds.Graph); err != nil {
+		b.Fatal(err)
 	}
+	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Solve(opts); err != nil {
+		b.Fatal(err)
+	}
+	var outcomeNS float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			if err := s.AddFact(probe); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			s.RemoveFact(probe)
+		}
+		res, err := s.Solve(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ocs := res.Stats.Outcome
+		if ocs == nil || ocs.Mode != tecore.OutcomeLive {
+			b.Fatalf("solve reported outcome stats %+v, want mode %s", ocs, tecore.OutcomeLive)
+		}
+		outcomeNS += float64(ocs.Total.Nanoseconds())
+		if ocs.Reused == 0 {
+			b.Fatal("live outcome reused nothing on an incremental update")
+		}
+	}
+	b.ReportMetric(outcomeNS/float64(b.N), "outcome-ns/op")
 }
 
 // --- Concurrent session serving: the HTTP session API under load ---
 // K sessions, each its own clustered dataset, all applying one batch
-// toggle + component re-solve per iteration concurrently. The emitter
-// (cmd/tecore-bench -scenario serve) records the full serial-vs-
-// concurrent and per-fact-vs-batch comparison in BENCH_serve.json;
-// this benchmark keeps the concurrent path itself on the perf radar.
+// toggle + component re-solve per iteration concurrently; bench/'s
+// mixed-rw and stream-durable workloads measure the same path against
+// the real server process.
 func BenchmarkServeConcurrentSessions(b *testing.B) {
 	const nSessions = 4
 	srv := server.NewWithConfig(server.Config{MaxQueuedSolves: 2 * nSessions})

@@ -364,11 +364,7 @@ func printOutcomeSummary(w io.Writer, ocs *tecore.OutcomeStats) {
 // (indices into the rule body as written), the estimated candidate
 // count that drove each pick, and the actual candidate/emitted counts.
 func printGroundSummary(w io.Writer, gs *tecore.GroundStats) {
-	path := "compiled"
-	if !gs.Compiled {
-		path = "legacy"
-	}
-	fmt.Fprintf(w, "grounding:         %s path in %v (%d rules)\n", path, gs.Total, len(gs.Rules))
+	fmt.Fprintf(w, "grounding:         %v (%d rules)\n", gs.Total, len(gs.Rules))
 	for i := range gs.Rules {
 		rs := &gs.Rules[i]
 		fmt.Fprintf(w, "  %-20s order %v", rs.Rule, rs.Order)

@@ -154,30 +154,6 @@ type SolveOptions struct {
 	// local-search or ADMM instances may settle on equally-valid
 	// near-identical states.
 	ColdStart bool
-	// LegacyGrounding forces the grounder's pre-compilation path
-	// (boundness-ordered join plans, string-keyed joins) instead of the
-	// selectivity-planned compiled pipeline. The solver input is
-	// identical either way; the knob exists to benchmark and
-	// differential-test the compiled path against the one it replaced.
-	LegacyGrounding bool
-	// RebuildPlan forces the component solve plan (canonical order +
-	// component partition) to be rebuilt from scratch for this solve
-	// instead of delta-maintained on the session engine. The maintained
-	// plan is byte-identical to the rebuilt one; the knob exists to
-	// benchmark and differential-test the incremental plan maintenance
-	// against the full rebuild it replaced (like LegacyGrounding for the
-	// grounder).
-	RebuildPlan bool
-	// AssembledOutcome forces the component read-out to rebuild the
-	// Outcome from scratch (the sort/merge assembly of every
-	// component's unit) instead of delta-patching the session's live
-	// outcome. The live outcome is the default on the component path
-	// and produces byte-identical results; this knob exists to
-	// benchmark and debug the patched read-out against the assembly it
-	// replaced. It also suppresses Resolution.Delta for the solve and
-	// resets the live outcome, so the next live solve re-patches from
-	// scratch.
-	AssembledOutcome bool
 	// DeltaOnly skips materializing the Outcome's global fact and
 	// cluster lists on the live read-out path: the Resolution carries
 	// exact counts, violation totals and the Delta changelog, but nil
@@ -187,7 +163,7 @@ type SolveOptions struct {
 	// byte-identical to running them all full. For update-heavy serving
 	// that consumes only Delta, this removes the O(n) list copy from
 	// every solve. Ignored off the live outcome path (whole-graph
-	// repair, AssembledOutcome).
+	// repair).
 	DeltaOnly bool
 	// Advanced exposes full backend tuning.
 	Advanced translate.Options
@@ -204,10 +180,9 @@ type Resolution struct {
 	// Delta is the Outcome's changelog relative to the session's
 	// previous component-path solve: the facts and conflict clusters
 	// that entered or left each list. Only the component-decomposed
-	// incremental path maintains it (nil otherwise, and nil under
-	// AssembledOutcome); after a read-out cache invalidation —
-	// ColdStart, threshold, solver or solver-tuning change — it reports
-	// the full outcome as added.
+	// incremental path maintains it (nil otherwise); after a read-out
+	// cache invalidation — ColdStart, threshold, solver or solver-tuning
+	// change — it reports the full outcome as added.
 	Delta *repair.OutcomeDelta
 }
 
@@ -231,7 +206,6 @@ func (s *Session) Solve(opts SolveOptions) (*Resolution, error) {
 	if topts.MLN.ComponentExactLimit == 0 {
 		topts.MLN.ComponentExactLimit = opts.ComponentExactLimit
 	}
-	topts.LegacyGrounding = topts.LegacyGrounding || opts.LegacyGrounding
 	incrementalOK := (opts.Solver == translate.SolverMLN || opts.Solver == translate.SolverPSL) &&
 		!topts.MLN.CuttingPlane
 	if incrementalOK {

@@ -80,18 +80,13 @@ type solveEngine struct {
 	// planner maintains the component solve plan (canonical order +
 	// partition) across solves, patching it from the grounder's atom
 	// journal and the union-find's change log instead of rebuilding it
-	// per solve. Solves with SolveOptions.RebuildPlan bypass it; the
-	// deltas they leave behind are drained by the next maintained sync.
+	// per solve.
 	planner *engine.Planner
 
 	// liveOutcome is the session's delta-maintained Outcome: component
 	// solves patch only the components the delta dirtied instead of
 	// re-assembling the full fact and cluster lists. It shares
-	// compRepair's validity conditions and is dropped with it; it is
-	// also dropped whenever a solve produces an Outcome without syncing
-	// it (the AssembledOutcome knob), because a stale live outcome
-	// would replay contributions the repair cache no longer vouches
-	// for.
+	// compRepair's validity conditions and is dropped with it.
 	liveOutcome *repair.LiveOutcome
 }
 
@@ -121,7 +116,6 @@ func (s *Session) RemoveFact(q rdf.Quad) bool {
 func (s *Session) syncEngine(eng *solveEngine, topts translate.Options, d store.Delta) error {
 	epoch := s.st.Epoch()
 	eng.g.Parallelism = topts.Parallelism
-	eng.g.Legacy = topts.LegacyGrounding
 	if err := eng.g.RetractFacts(eng.cs, d.Removed); err != nil {
 		return err
 	}
@@ -167,7 +161,6 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 		err := withStage("ground", func() error {
 			g := ground.New(s.st)
 			g.Parallelism = topts.Parallelism
-			g.Legacy = topts.LegacyGrounding
 			if _, err := g.Close(s.prog); err != nil {
 				return err
 			}
@@ -226,27 +219,15 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 	// solver stage and the repair read-out both consume it, so every
 	// stage sees the identical partition (and the partition cost is paid
 	// once). The plan is delta-maintained on the engine — the sync cost
-	// is proportional to the delta and the components it dirtied —
-	// unless RebuildPlan demands the from-scratch baseline.
+	// is proportional to the delta and the components it dirtied.
 	var plan *engine.Plan
 	var planStats *engine.PlanStats
 	if componentSolve {
-		if opts.RebuildPlan || !eng.cs.HasAtomIndex() {
-			planStart := time.Now()
-			plan = engine.NewPlan(eng.g.Atoms(), eng.cs)
-			planStats = &engine.PlanStats{
-				Mode:       "rebuilt",
-				Atoms:      len(plan.Order),
-				Components: len(plan.Comps),
-				Sync:       time.Since(planStart),
-			}
-		} else {
-			if eng.planner == nil {
-				eng.planner = engine.NewPlanner()
-			}
-			p, ps := eng.planner.Sync(eng.g.Atoms(), eng.cs)
-			plan, planStats = p, &ps
+		if eng.planner == nil {
+			eng.planner = engine.NewPlanner()
 		}
+		p, ps := eng.planner.Sync(eng.g.Atoms(), eng.cs)
+		plan, planStats = p, &ps
 	}
 
 	out := &translate.Output{Solver: solver, Grounder: eng.g, Clauses: eng.cs}
@@ -326,21 +307,10 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 				eng.compOptsKey)
 			if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {
 				eng.compRepair = repair.NewComponentCache()
-				eng.liveOutcome = nil
+				eng.liveOutcome = repair.NewLiveOutcome()
 				eng.repairKey = rkey
 			}
-			if opts.AssembledOutcome {
-				// The assembled path does not sync the live outcome; drop it
-				// so the next live solve rebuilds instead of patching state
-				// the caches moved past.
-				eng.liveOutcome = nil
-				run, err = repair.BeginComponents(out, s.prog, ropts, plan, eng.compRepair, nil)
-			} else {
-				if eng.liveOutcome == nil {
-					eng.liveOutcome = repair.NewLiveOutcome()
-				}
-				run, err = repair.BeginComponents(out, s.prog, ropts, plan, eng.compRepair, eng.liveOutcome)
-			}
+			run, err = repair.BeginComponents(out, s.prog, ropts, plan, eng.compRepair, eng.liveOutcome)
 		} else {
 			oc, err = repair.Resolve(out, s.prog, ropts)
 		}
@@ -350,9 +320,8 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 		return nil, err
 	}
 	if run != nil {
-		// The outcome read-out (live sync or sort/merge assembly) is its
-		// own pipeline stage, profiled apart from the per-component
-		// repair analysis.
+		// The live outcome sync is its own pipeline stage, profiled apart
+		// from the per-component repair analysis.
 		err := withStage("outcome", func() error {
 			var err error
 			oc, delta, err = run.Finish()

@@ -32,8 +32,7 @@ import (
 //
 // The maintained Plan is byte-identical — same Order, VarOf and Comps —
 // to what a fresh NewPlan over the same state returns; the differential
-// suites assert exactly that. SolveOptions.RebuildPlan keeps the
-// from-scratch path callable as the baseline.
+// suites assert exactly that.
 
 // PlanStats reports how one solve obtained its decomposition plan.
 type PlanStats struct {

@@ -2,6 +2,7 @@ package ground
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/logic"
 	"repro/internal/rdf"
@@ -9,48 +10,15 @@ import (
 	"repro/internal/temporal"
 )
 
-// Head resolution states reported by emitEnv.resolveHeadAtom.
+// Head resolution states reported by compiledEnv.resolveHeadAtom.
 const (
 	headStateMiss     uint8 = iota // empty time expression or unbound head: no obligation
 	headStateResolved              // head atom already interned; id is valid
 	headStatePending               // head not interned; key carries the statement
 )
 
-// emitEnv is the view of the current grounding handed to emit callbacks.
-// It abstracts over the legacy map binding and the compiled frame so
-// Close, CloseDelta and groundTasks each have a single emission path.
-type emitEnv interface {
-	// resolveHeadAtom instantiates the rule's head atom under the current
-	// grounding. Only meaningful for HeadAtom rules.
-	resolveHeadAtom() (uint8, AtomID, rdf.FactKey)
-	// evalHeadCond evaluates the rule's head condition under the current
-	// grounding. Only meaningful for HeadCond rules.
-	evalHeadCond() (bool, error)
-}
-
-// legacyEnv adapts the map-binding join to emitEnv.
-type legacyEnv struct {
-	g       *Grounder
-	rule    *logic.Rule
-	binding *logic.Binding
-}
-
-func (e *legacyEnv) resolveHeadAtom() (uint8, AtomID, rdf.FactKey) {
-	key, ok := e.rule.Head.Atom.Resolve(e.binding)
-	if !ok {
-		return headStateMiss, 0, rdf.FactKey{}
-	}
-	if id, seen := e.g.atoms.Lookup(key); seen {
-		return headStateResolved, id, rdf.FactKey{}
-	}
-	return headStatePending, 0, key
-}
-
-func (e *legacyEnv) evalHeadCond() (bool, error) {
-	return e.rule.Head.Cond.Eval(e.binding)
-}
-
-// compiledEnv adapts the frame join to emitEnv.
+// compiledEnv is the view of the current grounding handed to emit
+// callbacks: the compiled rule and the frame its join has bound so far.
 type compiledEnv struct {
 	g  *Grounder
 	cr *compiledRule
@@ -75,6 +43,8 @@ func headTerm(ct cterm, konst rdf.Term, fr *logic.Frame, d *store.Dict) rdf.Term
 	return konst
 }
 
+// resolveHeadAtom instantiates the rule's head atom under the current
+// grounding. Only meaningful for HeadAtom rules.
 func (e *compiledEnv) resolveHeadAtom() (uint8, AtomID, rdf.FactKey) {
 	h := &e.cr.head
 	if !h.valid {
@@ -99,6 +69,8 @@ func (e *compiledEnv) resolveHeadAtom() (uint8, AtomID, rdf.FactKey) {
 	}
 }
 
+// evalHeadCond evaluates the rule's head condition under the current
+// grounding. Only meaningful for HeadCond rules.
 func (e *compiledEnv) evalHeadCond() (bool, error) {
 	return e.cr.headCond(e.fr)
 }
@@ -114,7 +86,7 @@ type acodes struct {
 // toAtomCodes translates a stored fact's codes into atom-code space via
 // the given store->atom table and resolves the interned atom. ok is
 // false when any term is unpaired or the statement was never interned —
-// the fact is not part of the ground network (legacy: Lookup miss).
+// the fact is not part of the ground network.
 func (g *Grounder) toAtomCodes(fc store.FactCodes, toAtom []store.TermID) (acodes, bool) {
 	if int(fc.S) >= len(toAtom) || int(fc.P) >= len(toAtom) || int(fc.O) >= len(toAtom) {
 		return acodes{}, false
@@ -164,10 +136,20 @@ func codePatternAt(cq *cquad, fr *logic.Frame, toStore []store.TermID) (store.Co
 	return cp, true
 }
 
-// runJoinCompiled is runJoin over a compiled rule: frames and term codes
-// instead of map bindings and terms. Same read-only discipline — store
-// views, atom table and code maps only.
-func (g *Grounder) runJoinCompiled(t *joinTask, truth func(AtomID) bool, emit func(emitEnv, []AtomID) error) error {
+// runJoin enumerates all bindings of the task's compiled rule body over
+// its depth-0 chunk, invoking emit with the grounding environment and the
+// atom ids of the matched body facts. With truth set, only
+// currently-true atoms participate in matches. Safe to run concurrently
+// with other tasks: it reads the store views, the code maps and the atom
+// table only. It also records the task's wall time and emission count
+// for the grounder's stats.
+func (g *Grounder) runJoin(t *joinTask, truth func(AtomID) bool, emitFn func(*compiledEnv, []AtomID) error) error {
+	start := time.Now()
+	defer func() { t.elapsed += time.Since(start) }()
+	emit := func(env *compiledEnv, bodyAtoms []AtomID) error {
+		t.emitted++
+		return emitFn(env, bodyAtoms)
+	}
 	cr := t.cr
 	fr := logic.NewFrame(cr.sm)
 	env := &compiledEnv{g: g, cr: cr, fr: fr}
@@ -233,11 +215,11 @@ func unbindAll(fr *logic.Frame, slots *[3]int32, n int8, tslot int32) {
 	}
 }
 
-// bindCodes is bindQuad over codes: extend the frame with candidate m at
+// bindCodes extends the frame with candidate m at
 // depth, evaluate the conditions that just became fully bound, recurse,
 // undo exactly what this step bound.
 func (g *Grounder) bindCodes(t *joinTask, depth int, env *compiledEnv, m *acodes,
-	truth func(AtomID) bool, bodyAtoms []AtomID, emit func(emitEnv, []AtomID) error) error {
+	truth func(AtomID) bool, bodyAtoms []AtomID, emit func(*compiledEnv, []AtomID) error) error {
 
 	cr := t.cr
 	cq := &cr.quads[depth]
@@ -293,7 +275,7 @@ func (g *Grounder) bindCodes(t *joinTask, depth int, env *compiledEnv, m *acodes
 // (emitting when every atom is bound), translating each match into atom
 // codes and binding it in turn.
 func (g *Grounder) descendCodes(t *joinTask, depth int, env *compiledEnv,
-	truth func(AtomID) bool, bodyAtoms []AtomID, emit func(emitEnv, []AtomID) error) error {
+	truth func(AtomID) bool, bodyAtoms []AtomID, emit func(*compiledEnv, []AtomID) error) error {
 
 	if depth == len(t.cr.quads) {
 		return emit(env, bodyAtoms)

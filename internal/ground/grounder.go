@@ -41,12 +41,6 @@ type Grounder struct {
 	// setting.
 	Parallelism int
 
-	// Legacy forces the pre-compilation grounding path: boundness-scored
-	// join orders and map-binding joins over decoded terms. Kept as the
-	// benchmark baseline and differential-testing reference; the solver
-	// input is identical either way.
-	Legacy bool
-
 	// maps translate term codes between the store dictionaries and the
 	// atom table's; synced by refreshViews at sequential points.
 	maps codeMaps
@@ -87,35 +81,23 @@ func (g *Grounder) Atoms() *AtomTable { return g.atoms }
 // DerivedStore exposes the store of forward-chained facts.
 func (g *Grounder) DerivedStore() *store.Store { return g.derived }
 
-// joinTask is one unit of parallel grounding work: a rule with its
-// precomputed join order and condition schedule, restricted to a
-// contiguous chunk of the depth-0 candidate facts. Splitting at depth 0
-// lets a program with fewer rules than workers still saturate the pool;
+// joinTask is one unit of parallel grounding work: a compiled rule
+// restricted to a contiguous chunk of the depth-0 candidate facts.
+// Splitting at depth 0 lets a program with fewer rules than workers
+// still saturate the pool;
 // because chunks are contiguous and merged in order, chunk boundaries
 // never affect output. Candidates are carried as compact fact ids —
 // main-store ids first, then derived — and decoded by the worker, so a
 // chunk costs 8 bytes per candidate rather than a materialised quad.
 type joinTask struct {
-	rule *logic.Rule
-	// cr selects the compiled execution path; the legacy fields below
-	// (order, condAt, t0bound, seedQuads) drive the map-binding path and
-	// are unset when cr is non-nil.
-	cr     *compiledRule
-	order  []int
-	condAt [][]logic.Condition
-	// t0bound reports whether the depth-0 candidate source already
-	// enforces the first atom's temporal dimension, so the join need not
-	// re-derive it per task (it is a property of the atom, not the
-	// chunk).
-	t0bound    bool
+	rule       *logic.Rule
+	cr         *compiledRule
 	mainIDs    []store.FactID
 	derivedIDs []store.FactID
-	// seedQuads, when set, replaces the store scan as the depth-0
+	// seedAtoms, when set, replaces the store scan as the depth-0
 	// candidate source — the seminaive delta passes seed the join
-	// directly from the (small) delta instead of the full indexes.
-	seedQuads []rdf.Quad
-	// seedAtoms is seedQuads for the compiled path: the delta atoms
-	// themselves, whose interned codes seed the join with no decoding.
+	// directly from the (small) delta instead of the full indexes, and
+	// the atoms' interned codes need no decoding.
 	seedAtoms []AtomID
 	// mode restricts which atoms each body position may bind during the
 	// seminaive delta passes; nil for full grounding.
@@ -163,58 +145,35 @@ func (m *deltaMode) admits(bodyPos int, id AtomID) bool {
 func (g *Grounder) joinTasks(rules []*logic.Rule, workers int) ([]joinTask, error) {
 	g.refreshViews()
 	chunksPer := 1
-	if workers > 1 && len(rules) < workers {
+	if workers > 1 && len(rules) > 0 && len(rules) < workers {
 		// Oversplit to roughly two tasks per worker so one heavy rule
 		// cannot strand the pool.
 		chunksPer = (2*workers + len(rules) - 1) / len(rules)
 	}
 	tasks := make([]joinTask, 0, len(rules)*chunksPer)
-	empty := logic.NewBinding()
 	for _, r := range rules {
-		if !g.Legacy {
-			order, est, err := g.planSelective(r, -1)
-			if err != nil {
-				return nil, err
-			}
-			cr, err := g.compileRule(r, order, est)
-			if err != nil {
-				return nil, err
-			}
-			g.notePlan(r.Name, order, est)
-			t := joinTask{rule: r, cr: cr}
-			// Materialise the depth-0 candidate ids: main-store matches
-			// first, then derived, mirroring the per-depth visit order
-			// of the join. A pattern miss (constant absent from that
-			// store) means no candidates there at all.
-			fr := logic.NewFrame(cr.sm)
-			if cp, ok := codePatternAt(&cr.quads[0], fr, g.maps.atomToMain); ok {
-				t.mainIDs = g.mainView.MatchCodeIDs(cp)
-			}
-			if g.derivedView.Len() > 0 {
-				if cp, ok := codePatternAt(&cr.quads[0], fr, g.maps.atomToDerived); ok {
-					t.derivedIDs = g.derivedView.MatchCodeIDs(cp)
-				}
-			}
-			tasks = splitTask(tasks, t, chunksPer)
-			continue
-		}
-		order, err := planOrder(r)
+		order, est, err := g.planSelective(r, -1)
 		if err != nil {
 			return nil, err
 		}
-		condAt, err := scheduleConds(r, order)
+		cr, err := g.compileRule(r, order, est)
 		if err != nil {
 			return nil, err
 		}
-		g.notePlan(r.Name, order, nil)
-		pat, t0bound, err := g.patternFor(r.Body[order[0]], empty)
-		if err != nil {
-			return nil, err
+		g.notePlan(r.Name, order, est)
+		t := joinTask{rule: r, cr: cr}
+		// Materialise the depth-0 candidate ids: main-store matches
+		// first, then derived, mirroring the per-depth visit order of the
+		// join. A pattern miss (constant absent from that store) means no
+		// candidates there at all.
+		fr := logic.NewFrame(cr.sm)
+		if cp, ok := codePatternAt(&cr.quads[0], fr, g.maps.atomToMain); ok {
+			t.mainIDs = g.mainView.MatchCodeIDs(cp)
 		}
-		t := joinTask{rule: r, order: order, condAt: condAt, t0bound: t0bound,
-			mainIDs: g.mainView.MatchIDs(pat)}
 		if g.derivedView.Len() > 0 {
-			t.derivedIDs = g.derivedView.MatchIDs(pat)
+			if cp, ok := codePatternAt(&cr.quads[0], fr, g.maps.atomToDerived); ok {
+				t.derivedIDs = g.derivedView.MatchCodeIDs(cp)
+			}
 		}
 		tasks = splitTask(tasks, t, chunksPer)
 	}
@@ -295,7 +254,7 @@ func (g *Grounder) Close(prog *logic.Program) (int, error) {
 			// first-emission order is exactly the merge's intern order.
 			added := 0
 			for i := range tasks {
-				err := g.runJoin(&tasks[i], nil, func(env emitEnv, _ []AtomID) error {
+				err := g.runJoin(&tasks[i], nil, func(env *compiledEnv, _ []AtomID) error {
 					state, _, key := env.resolveHeadAtom()
 					if state != headStatePending {
 						return nil
@@ -329,7 +288,7 @@ func (g *Grounder) Close(prog *logic.Program) (int, error) {
 		errs := make([]error, len(tasks))
 		par.Do(len(tasks), workers, func(i int) {
 			t := &tasks[i]
-			errs[i] = g.runJoin(t, nil, func(env emitEnv, _ []AtomID) error {
+			errs[i] = g.runJoin(t, nil, func(env *compiledEnv, _ []AtomID) error {
 				if state, _, key := env.resolveHeadAtom(); state == headStatePending {
 					newKeys[i] = append(newKeys[i], key)
 				}
@@ -455,7 +414,7 @@ func (g *Grounder) groundTasks(tasks []joinTask, truth func(AtomID) bool, onlyVi
 	errs := make([]error, len(tasks))
 	par.Do(len(tasks), workers, func(i int) {
 		t := &tasks[i]
-		errs[i] = g.runJoin(t, truth, func(env emitEnv, bodyAtoms []AtomID) error {
+		errs[i] = g.runJoin(t, truth, func(env *compiledEnv, bodyAtoms []AtomID) error {
 			pc := pendingClause{lits: make([]Lit, 0, len(bodyAtoms)+1)}
 			for _, a := range bodyAtoms {
 				pc.lits = append(pc.lits, Lit{Atom: a, Neg: true})
@@ -535,7 +494,7 @@ func (g *Grounder) groundTasksSeq(tasks []joinTask, truth func(AtomID) bool, onl
 	var scratch []Lit
 	for i := range tasks {
 		t := &tasks[i]
-		err := g.runJoin(t, truth, func(env emitEnv, bodyAtoms []AtomID) error {
+		err := g.runJoin(t, truth, func(env *compiledEnv, bodyAtoms []AtomID) error {
 			if cap(scratch) < len(bodyAtoms)+1 {
 				scratch = make([]Lit, 0, len(bodyAtoms)+16)
 			}
@@ -582,244 +541,12 @@ func (g *Grounder) groundTasksSeq(tasks []joinTask, truth func(AtomID) bool, onl
 
 // refreshViews re-pins the grounder's store views at the current
 // epochs; a sequential point between mutation and the next join phase.
-// The compiled path also brings the code translation tables up to date
-// here, so workers read them lock-free for the rest of the phase.
+// The code translation tables are brought up to date here too, so
+// workers read them lock-free for the rest of the phase.
 func (g *Grounder) refreshViews() {
 	g.mainView = g.main.ReadView()
 	g.derivedView = g.derived.ReadView()
-	if !g.Legacy {
-		g.syncCodeMaps()
-	}
-}
-
-// runJoin enumerates all bindings of the task's rule body over its
-// depth-0 chunk, invoking emit with the grounding environment and the
-// atom ids of the matched body facts. With truth set, only
-// currently-true atoms participate in matches. Safe to run concurrently
-// with other tasks: it reads the store views, the code maps and the atom
-// table only. It also records the task's wall time and emission count
-// for the grounder's stats.
-func (g *Grounder) runJoin(t *joinTask, truth func(AtomID) bool, emit func(emitEnv, []AtomID) error) error {
-	start := time.Now()
-	defer func() { t.elapsed += time.Since(start) }()
-	counted := func(env emitEnv, bodyAtoms []AtomID) error {
-		t.emitted++
-		return emit(env, bodyAtoms)
-	}
-	if t.cr != nil {
-		return g.runJoinCompiled(t, truth, counted)
-	}
-	return g.runJoinLegacy(t, truth, counted)
-}
-
-// runJoinLegacy is the map-binding join over decoded terms.
-func (g *Grounder) runJoinLegacy(t *joinTask, truth func(AtomID) bool, emit func(emitEnv, []AtomID) error) error {
-	env := &legacyEnv{g: g, rule: t.rule, binding: logic.NewBinding()}
-	bodyAtoms := make([]AtomID, len(t.order))
-	atom := t.rule.Body[t.order[0]]
-	for i := range t.seedQuads {
-		if err := g.bindQuad(t, 0, atom, t.t0bound, &t.seedQuads[i],
-			env, bodyAtoms, truth, emit); err != nil {
-			return err
-		}
-	}
-	for _, id := range t.mainIDs {
-		q := g.mainView.Fact(id)
-		if err := g.bindQuad(t, 0, atom, t.t0bound, &q,
-			env, bodyAtoms, truth, emit); err != nil {
-			return err
-		}
-	}
-	for _, id := range t.derivedIDs {
-		q := g.derivedView.Fact(id)
-		if err := g.bindQuad(t, 0, atom, t.t0bound, &q,
-			env, bodyAtoms, truth, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// bindQuad extends the binding with quad q matched at depth, evaluates
-// the conditions that just became fully bound, recurses to the next join
-// level, and undoes exactly the variables this step bound.
-func (g *Grounder) bindQuad(t *joinTask, depth int,
-	atom logic.QuadAtom, timeBound bool, q *rdf.Quad,
-	env *legacyEnv, bodyAtoms []AtomID, truth func(AtomID) bool,
-	emit func(emitEnv, []AtomID) error) error {
-
-	binding := env.binding
-	r, order, condAt := t.rule, t.order, t.condAt
-	id, ok := g.atoms.Lookup(q.Fact())
-	if !ok {
-		return nil // fact added after setup; not part of the network
-	}
-	if !t.mode.admits(order[depth], id) {
-		return nil // outside this seminaive pass's stratum
-	}
-	if truth != nil && !truth(id) {
-		return nil
-	}
-	var boundObjs []string
-	var boundTime string
-	undo := func() {
-		for _, v := range boundObjs {
-			delete(binding.Objs, v)
-		}
-		if boundTime != "" {
-			delete(binding.Times, boundTime)
-		}
-	}
-	bindObj := func(t logic.Term, val rdf.Term) bool {
-		if !t.IsVar() {
-			return t.Const == val
-		}
-		if cur, ok := binding.Objs[t.Var]; ok {
-			return cur == val
-		}
-		binding.Objs[t.Var] = val
-		boundObjs = append(boundObjs, t.Var)
-		return true
-	}
-	okb := bindObj(atom.S, q.Subject) && bindObj(atom.P, q.Predicate) && bindObj(atom.O, q.Object)
-	if okb && !timeBound && atom.T.IsVar() {
-		if cur, bound := binding.Times[atom.T.Var]; bound {
-			okb = cur == q.Interval
-		} else {
-			binding.Times[atom.T.Var] = q.Interval
-			boundTime = atom.T.Var
-		}
-	}
-	if !okb {
-		undo()
-		return nil
-	}
-	for _, cond := range condAt[depth] {
-		holds, err := cond.Eval(binding)
-		if err != nil {
-			undo()
-			return fmt.Errorf("ground: rule %s: %w", r.Name, err)
-		}
-		if !holds {
-			undo()
-			return nil
-		}
-	}
-	bodyAtoms[depth] = id
-	err := g.descend(t, depth+1, env, bodyAtoms, truth, emit)
-	undo()
-	return err
-}
-
-// descend enumerates store matches for the body atom at depth (emitting
-// when every atom is bound), binding each matched quad in turn.
-func (g *Grounder) descend(t *joinTask, depth int,
-	env *legacyEnv, bodyAtoms []AtomID, truth func(AtomID) bool,
-	emit func(emitEnv, []AtomID) error) error {
-
-	if depth == len(t.order) {
-		return emit(env, bodyAtoms)
-	}
-	atom := t.rule.Body[t.order[depth]]
-	pat, timeBound, err := g.patternFor(atom, env.binding)
-	if err != nil {
-		return err
-	}
-	var innerErr error
-	visit := func(_ store.FactID, q rdf.Quad) bool {
-		if err := g.bindQuad(t, depth, atom, timeBound, &q,
-			env, bodyAtoms, truth, emit); err != nil {
-			innerErr = err
-			return false
-		}
-		return true
-	}
-	g.mainView.Match(pat, visit)
-	if innerErr != nil {
-		return innerErr
-	}
-	if g.derivedView.Len() > 0 {
-		g.derivedView.Match(pat, visit)
-	}
-	return innerErr
-}
-
-// patternFor builds the most selective store pattern for a body atom
-// under the current binding. timeBound reports whether the temporal
-// dimension is already enforced by the pattern.
-func (g *Grounder) patternFor(atom logic.QuadAtom, binding *logic.Binding) (store.Pattern, bool, error) {
-	var pat store.Pattern
-	fill := func(t logic.Term, dst *rdf.Term) {
-		if !t.IsVar() {
-			*dst = t.Const
-		} else if v, ok := binding.Objs[t.Var]; ok {
-			*dst = v
-		}
-	}
-	fill(atom.S, &pat.S)
-	fill(atom.P, &pat.P)
-	fill(atom.O, &pat.O)
-	switch atom.T.Kind {
-	case logic.TimeVar:
-		if iv, ok := binding.Times[atom.T.Var]; ok {
-			pat.Time = store.TimeFilter{Kind: store.TimeEquals, Interval: iv}
-			return pat, true, nil
-		}
-		return pat, false, nil
-	case logic.TimeConst:
-		pat.Time = store.TimeFilter{Kind: store.TimeEquals, Interval: atom.T.Const}
-		return pat, true, nil
-	default:
-		return pat, false, fmt.Errorf("ground: body atom %s: time expressions are only allowed in rule heads", atom)
-	}
-}
-
-// planOrder chooses a join order for the body atoms: greedily pick the
-// atom with the most bound positions (constants or already-bound
-// variables), breaking ties by original position. This sends selective
-// atoms (shared subjects, constant predicates) through the store indexes
-// first.
-func planOrder(r *logic.Rule) ([]int, error) {
-	n := len(r.Body)
-	if n == 0 {
-		return nil, fmt.Errorf("ground: rule %s has an empty body", r.Name)
-	}
-	used := make([]bool, n)
-	bound := make(map[string]bool)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best, bestScore := -1, -1
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			score := boundScore(r.Body[i], bound)
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, v := range r.Body[best].Vars(nil) {
-			bound[v] = true
-		}
-	}
-	return order, nil
-}
-
-func boundScore(a logic.QuadAtom, bound map[string]bool) int {
-	score := 0
-	terms := []logic.Term{a.S, a.P, a.O}
-	weights := []int{3, 2, 2} // bound subjects are the cheapest index path
-	for i, t := range terms {
-		if !t.IsVar() || bound[t.Var] {
-			score += weights[i]
-		}
-	}
-	if a.T.Kind == logic.TimeConst || a.T.Kind == logic.TimeVar && bound[a.T.Var] {
-		score++
-	}
-	return score
+	g.syncCodeMaps()
 }
 
 // scheduleConds assigns each condition to the earliest join depth at

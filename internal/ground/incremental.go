@@ -108,7 +108,7 @@ func (g *Grounder) CloseDelta(prog *logic.Program, delta []AtomID) ([]AtomID, er
 		errs := make([]error, len(tasks))
 		par.Do(len(tasks), workers, func(i int) {
 			t := &tasks[i]
-			errs[i] = g.runJoin(t, nil, func(env emitEnv, _ []AtomID) error {
+			errs[i] = g.runJoin(t, nil, func(env *compiledEnv, _ []AtomID) error {
 				switch state, id, key := env.resolveHeadAtom(); {
 				case state == headStatePending:
 					newKeys[i] = append(newKeys[i], key)
@@ -320,39 +320,17 @@ func (g *Grounder) deltaJoinTasks(rules []*logic.Rule, delta []AtomID) ([]joinTa
 					kind[j] = bindAny
 				}
 			}
-			mode := &deltaMode{set: set, kind: kind}
-			if !g.Legacy {
-				order, est, err := g.planSelective(r, i)
-				if err != nil {
-					return nil, err
-				}
-				cr, err := g.compileRule(r, order, est)
-				if err != nil {
-					return nil, err
-				}
-				g.notePlan(r.Name, order, est)
-				tasks = append(tasks, joinTask{
-					rule: r, cr: cr, seedAtoms: seedAtoms, mode: mode,
-				})
-				continue
-			}
-			seeds := make([]rdf.Quad, len(seedAtoms))
-			for j, a := range seedAtoms {
-				seeds[j] = keyQuad(g.atoms.Info(a).Key)
-			}
-			order := planOrderFrom(r, i)
-			condAt, err := scheduleConds(r, order)
+			order, est, err := g.planSelective(r, i)
 			if err != nil {
 				return nil, err
 			}
-			_, t0bound, err := g.patternFor(r.Body[i], logic.NewBinding())
+			cr, err := g.compileRule(r, order, est)
 			if err != nil {
 				return nil, err
 			}
+			g.notePlan(r.Name, order, est)
 			tasks = append(tasks, joinTask{
-				rule: r, order: order, condAt: condAt, t0bound: t0bound,
-				seedQuads: seeds,
-				mode:      mode,
+				rule: r, cr: cr, seedAtoms: seedAtoms, mode: &deltaMode{set: set, kind: kind},
 			})
 		}
 	}
@@ -376,37 +354,6 @@ func bodyMatchesKey(a logic.QuadAtom, k rdf.FactKey) bool {
 		return false
 	}
 	return true
-}
-
-// planOrderFrom plans a join order that starts at body position first,
-// then proceeds greedily by boundness like planOrder.
-func planOrderFrom(r *logic.Rule, first int) []int {
-	n := len(r.Body)
-	used := make([]bool, n)
-	bound := make(map[string]bool)
-	order := make([]int, 0, n)
-	used[first] = true
-	order = append(order, first)
-	for _, v := range r.Body[first].Vars(nil) {
-		bound[v] = true
-	}
-	for len(order) < n {
-		best, bestScore := -1, -1
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			if score := boundScore(r.Body[i], bound); score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, v := range r.Body[best].Vars(nil) {
-			bound[v] = true
-		}
-	}
-	return order
 }
 
 func keyQuad(k rdf.FactKey) rdf.Quad {

@@ -14,9 +14,6 @@ type GroundStats struct {
 	// forward-chaining rounds, clause emission, and seminaive delta
 	// passes (planning included).
 	Total time.Duration
-	// Compiled reports whether the selectivity-planned compiled pipeline
-	// ran (false = the legacy boundness-ordered, string-keyed path).
-	Compiled bool
 	// Rules is the per-rule breakdown, sorted by rule name.
 	Rules []RuleGroundStats
 }
@@ -29,7 +26,7 @@ type RuleGroundStats struct {
 	// join order (seminaive delta passes pin the delta position first).
 	Order []int
 	// Estimates are the planner's candidate-count estimates per join
-	// depth for that plan (empty under the legacy planner).
+	// depth for that plan.
 	Estimates []float64
 	// Candidates counts the depth-0 candidates fed into this rule's
 	// joins across all phases.
@@ -75,7 +72,7 @@ func (g *Grounder) noteTaskStats(tasks []joinTask) {
 		rs := g.ruleStat(t.rule.Name)
 		rs.Tasks++
 		rs.Time += t.elapsed
-		rs.Candidates += int64(len(t.mainIDs) + len(t.derivedIDs) + len(t.seedQuads) + len(t.seedAtoms))
+		rs.Candidates += int64(len(t.mainIDs) + len(t.derivedIDs) + len(t.seedAtoms))
 		rs.Emitted += t.emitted
 	}
 }
@@ -84,7 +81,7 @@ func (g *Grounder) noteTaskStats(tasks []joinTask) {
 // call and resets the counters. Never nil; a grounder that did no work
 // returns zero totals and no rules.
 func (g *Grounder) TakeStats() *GroundStats {
-	gs := &GroundStats{Total: g.statTotal, Compiled: !g.Legacy}
+	gs := &GroundStats{Total: g.statTotal}
 	names := make([]string, 0, len(g.statRules))
 	for n := range g.statRules {
 		names = append(names, n)

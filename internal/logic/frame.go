@@ -205,7 +205,7 @@ func CompileCondition(c Condition, sm *SlotMap, dec TermDecoder, enc TermEncoder
 // codeGetter produces the frame code of one comparison side; ok is false
 // when a constant is absent from the dictionary (it then equals nothing
 // bound). Unbound variables report an error through the returned term
-// getter instead — they indicate a scheduling bug, like legacy Eval.
+// getter instead — they indicate a scheduling bug, like Condition.Eval.
 func compileCompare(c CompareCond, sm *SlotMap, dec TermDecoder, enc TermEncoder) (CompiledCond, error) {
 	type side struct {
 		slot int    // -1 for constants

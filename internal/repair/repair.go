@@ -261,30 +261,25 @@ func liveAtoms(atoms *ground.AtomTable) []ground.AtomID {
 }
 
 // Resolve interprets the translator output as a conflict resolution —
-// one read-out unit over the whole graph. When the solve's clause set
-// is unavailable (the cutting-plane and greedy paths) the rule
-// groundings are recovered by re-grounding the program.
+// one read-out unit over the whole graph. When the solve kept no clause
+// set (the cutting-plane and greedy paths) the rule groundings are
+// recovered by grounding the program once.
 func Resolve(out *translate.Output, prog *logic.Program, opts Options) (*Outcome, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	oc := newOutcome(out)
 	rs := oc.Stats.Repair
 
-	atoms := out.Grounder.Atoms()
-	scope := liveAtoms(atoms)
-	conf := make([]float64, atoms.Len())
-
 	analysisStart := time.Now()
-	var u unit
-	if out.Clauses != nil {
-		u = resolveUnit(out, scope, out.Clauses.ForEachSlot, conf, opts)
-	} else {
+	cs := out.Clauses
+	if cs == nil {
 		var err error
-		u, err = resolveRegrounding(out, prog, scope, conf, opts)
-		if err != nil {
-			return nil, err
+		if cs, err = out.Grounder.GroundProgram(prog); err != nil {
+			return nil, fmt.Errorf("repair: %w", err)
 		}
 	}
+	atoms := out.Grounder.Atoms()
+	u := resolveUnit(out, liveAtoms(atoms), cs.ForEachSlot, make([]float64, atoms.Len()), opts)
 	rs.Analysis = time.Since(analysisStart)
 
 	mergeStart := time.Now()
@@ -599,44 +594,4 @@ func (s *conflictScan) clusters() []Cluster {
 		out = append(out, Cluster{Root: r, Keys: keys})
 	}
 	return out
-}
-
-// resolveRegrounding is the read-out for solver paths that keep no
-// clause set (cutting-plane, greedy): the rule groundings are recovered
-// by re-grounding — the full program for confidence propagation,
-// constraints against "everything asserted" for conflict analysis, and
-// the program against the final state for violation counts.
-func resolveRegrounding(out *translate.Output, prog *logic.Program, scope []ground.AtomID, conf []float64, opts Options) (unit, error) {
-	g := out.Grounder
-	atoms := g.Atoms()
-
-	cs, err := g.GroundProgram(prog)
-	if err != nil {
-		return unit{}, fmt.Errorf("repair: %w", err)
-	}
-	propagateConfidences(out, scope, cs.ForEachSlot, conf, opts)
-	u := classifyScope(out, scope, conf, opts)
-
-	allTrue := func(ground.AtomID) bool { return true }
-	constraints := &logic.Program{Rules: prog.Constraints()}
-	ccs, err := g.GroundViolated(constraints, allTrue)
-	if err != nil {
-		return unit{}, fmt.Errorf("repair: %w", err)
-	}
-	scan := newConflictScan(atoms, out.Truth)
-	ccs.ForEach(func(c *ground.Clause) bool {
-		scan.process(c)
-		return true
-	})
-	u.attachAnalysis(scan)
-
-	vcs, err := g.GroundViolated(prog, func(a ground.AtomID) bool { return out.Truth[a] })
-	if err != nil {
-		return unit{}, fmt.Errorf("repair: %w", err)
-	}
-	u.violations = make(map[string]int)
-	for _, c := range vcs.Clauses() {
-		u.violations[c.Rule]++
-	}
-	return u, nil
 }

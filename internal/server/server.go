@@ -9,7 +9,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -237,6 +239,35 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
+// maxBodyBytes bounds every request body the API decodes. Datasets are
+// uploaded inline, and a 10⁶-fact TQuads upload is about 100 MB.
+const maxBodyBytes = 256 << 20
+
+// decodeJSON decodes the request body into req, answering 413 when the
+// body exceeds maxBodyBytes and 400 when it is not JSON; ok is false
+// once an error reply was written. A declared oversize is refused
+// before anything is read; chunked bodies are cut off at the limit.
+// allowEmpty accepts an absent body as the zero request. Unknown fields
+// are ignored.
+func decodeJSON(w http.ResponseWriter, r *http.Request, req any, allowEmpty bool) (ok bool) {
+	tooLarge := r.ContentLength > maxBodyBytes
+	var err error
+	if !tooLarge {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+		var limitErr *http.MaxBytesError
+		tooLarge = errors.As(err, &limitErr)
+	}
+	switch {
+	case tooLarge:
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	case err == nil, allowEmpty && err == io.EOF:
+		return true
+	default:
+		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	}
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -281,8 +312,7 @@ type UploadRequest struct {
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req UploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	if req.Name == "" {
@@ -350,8 +380,7 @@ type ConstraintRequest struct {
 
 func (s *Server) handleConstraint(w http.ResponseWriter, r *http.Request) {
 	var req ConstraintRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	var (
@@ -383,8 +412,7 @@ type ValidateRequest struct {
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	var req ValidateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	prog, err := rulelang.Parse(req.Rules)
@@ -449,8 +477,7 @@ type SolveResponse struct {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	d, ok := s.dataset(req.Dataset)

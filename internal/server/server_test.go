@@ -308,3 +308,40 @@ func TestSuggestEndpoint(t *testing.T) {
 		t.Errorf("unknown dataset status %d", resp.StatusCode)
 	}
 }
+
+// endlessBody never ends: the oversize request below declares its
+// length and must be refused before a byte of it is buffered.
+type endlessBody struct{}
+
+func (endlessBody) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRequestBodyBounded: every decoding endpoint refuses a body over
+// maxBodyBytes with 413, and still ignores fields it does not know
+// (clients of older servers keep sending retired ones).
+func TestRequestBodyBounded(t *testing.T) {
+	srv := New()
+	for _, path := range []string{"/api/datasets", "/api/solve", "/api/validate", "/api/constraint", "/api/sessions"} {
+		req := httptest.NewRequest(http.MethodPost, path, endlessBody{})
+		req.ContentLength = maxBodyBytes + 1
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with an oversize body: status %d, want 413", path, rec.Code)
+		}
+	}
+
+	ts := newTestServer(t)
+	var info SessionInfo
+	postJSON(t, ts.URL+"/api/sessions", CreateSessionRequest{TQuads: "CR coach Chelsea [2000,2004] 0.9"}, &info)
+	var solve SessionSolveResponse
+	resp := doJSON(t, http.MethodPost, ts.URL+"/api/sessions/"+info.ID+"/solve",
+		`{"solver":"mln","componentSolve":true,"rebuildPlan":true}`, &solve)
+	if resp.StatusCode != http.StatusOK || solve.Stats.KeptFacts != 1 {
+		t.Errorf("solve with a retired field: status %d, stats %+v", resp.StatusCode, solve.Stats)
+	}
+}

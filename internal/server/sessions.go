@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,7 +30,7 @@ import (
 //	                                   adds+removes (+solve) in one request
 //	POST   /api/sessions/{id}/solve   {solver, threshold, parallelism,
 //	                                   componentSolve, componentExactLimit,
-//	                                   coldStart, rebuildPlan} → SolveResponse
+//	                                   coldStart} → SolveResponse
 //	DELETE /api/sessions/{id}         → drops the session
 //
 // Sessions live in a bounded LRU table; creating one past the capacity
@@ -204,8 +202,7 @@ type SessionInfo struct {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, true) {
 		return
 	}
 	sess := core.NewSession()
@@ -346,8 +343,7 @@ func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FactsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	g, err := rdf.ParseGraphString(req.TQuads)
@@ -412,8 +408,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	// Parse everything before taking any lock or slot.
@@ -494,11 +489,6 @@ type SessionSolveRequest struct {
 	// ColdStart disables warm-starting from the previous solution (and
 	// drops the per-component solution cache for this solve).
 	ColdStart bool `json:"coldStart,omitempty"`
-	// RebuildPlan forces this solve to build its component decomposition
-	// plan from scratch instead of patching the session's delta-maintained
-	// plan — the from-scratch baseline (stats.Plan reports which path
-	// ran and its timing).
-	RebuildPlan bool `json:"rebuildPlan,omitempty"`
 	// Delta requests changelog mode: the response carries only the
 	// facts and clusters that entered or left each Outcome list since
 	// the session's previous solve (plus statistics), not the full
@@ -585,7 +575,6 @@ func (s *Server) solveLocked(ss *session, solver translate.Solver, req SessionSo
 		ComponentSolve:      req.ComponentSolve,
 		ComponentExactLimit: req.ComponentExactLimit,
 		ColdStart:           req.ColdStart,
-		RebuildPlan:         req.RebuildPlan,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -614,8 +603,7 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionSolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req, true) {
 		return
 	}
 	solver, err := parseSolveSolver(&req)

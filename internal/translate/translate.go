@@ -119,13 +119,8 @@ type Options struct {
 	// settings (MLN.Parallelism, PSL.Parallelism) take precedence when
 	// non-zero. Results are identical at every setting.
 	Parallelism int
-	// LegacyGrounding forces the grounder's pre-compilation path
-	// (boundness-ordered, string-keyed joins) instead of the
-	// selectivity-planned compiled pipeline. Benchmark baseline and
-	// differential-testing knob; results are identical either way.
-	LegacyGrounding bool
-	MLN             mln.Options
-	PSL             psl.Options
+	MLN         mln.Options
+	PSL         psl.Options
 }
 
 // Output is the unified MAP result of either backend.
@@ -179,7 +174,6 @@ func Run(st *store.Store, prog *logic.Program, solver Solver, opts Options) (*Ou
 	// assignment here covers backends that do not manage parallelism
 	// themselves (the greedy baseline grounds with this grounder as-is).
 	g.Parallelism = opts.Parallelism
-	g.Legacy = opts.LegacyGrounding
 	out := &Output{Solver: solver, Grounder: g}
 	switch solver {
 	case SolverMLN:

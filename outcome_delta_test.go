@@ -435,10 +435,11 @@ func TestOutcomeDeltaClusterScoped(t *testing.T) {
 	}
 }
 
-// TestOutcomeAssembledKnob: AssembledOutcome forces the sort/merge
-// assembly (no changelog), and interleaving assembled and live solves
-// must not let the live outcome replay stale state afterwards.
-func TestOutcomeAssembledKnob(t *testing.T) {
+// TestLiveOutcomeMatchesAssembly: the session's delta-patched outcome
+// must equal the from-scratch sort/merge assembly of every component's
+// read-out unit (repair.ResolveComponents without a live outcome) over
+// the same solver output, on the first solve and after updates.
+func TestLiveOutcomeMatchesAssembly(t *testing.T) {
 	pool := componentPool(3, 3, 233)
 	s := tecore.NewSession()
 	if err := s.LoadProgramText(componentProgram); err != nil {
@@ -451,51 +452,36 @@ func TestOutcomeAssembledKnob(t *testing.T) {
 			}
 		}
 	}
-	live := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true})
-	assembled := live
-	assembled.AssembledOutcome = true
-
-	res, err := s.Solve(live)
-	if err != nil {
-		t.Fatal(err)
+	opts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true})
+	for step := 0; step < 3; step++ {
+		switch step {
+		case 1:
+			if err := s.AddFact(pool[1]); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			s.RemoveFact(pool[2])
+		}
+		res, err := s.Solve(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertLiveByteIdentical(t, step, res, s.Program(), 0)
+		assembled, err := repair.ResolveComponents(res.Output, s.Program(), repair.Options{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ocs := assembled.Stats.Outcome; ocs == nil || ocs.Mode != tecore.OutcomeAssembled {
+			t.Fatalf("step %d: ResolveComponents reported outcome stats %+v", step, ocs)
+		}
+		a, b := *res.Outcome, *assembled
+		a.Stats.Repair, b.Stats.Repair = nil, nil // stage stats differ by design
+		a.Stats.Outcome, b.Stats.Outcome = nil, nil
+		a.Stats.Ground, b.Stats.Ground = nil, nil
+		a.Stats.Plan, b.Stats.Plan = nil, nil
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("step %d: live outcome diverged from the component assembly\nlive:      %+v\nassembled: %+v",
+				step, a.Stats, b.Stats)
+		}
 	}
-	assertLiveByteIdentical(t, 0, res, s.Program(), 0)
-
-	// Assembled solve on the warm session: same Outcome, no delta.
-	res2, err := s.Solve(assembled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Delta != nil {
-		t.Fatal("assembled solve must not report a changelog")
-	}
-	if ocs := res2.Stats.Outcome; ocs == nil || ocs.Mode != tecore.OutcomeAssembled {
-		t.Fatalf("AssembledOutcome did not force assembly: %+v", res2.Stats.Outcome)
-	}
-	a, b := *res.Outcome, *res2.Outcome
-	a.Stats.Repair, b.Stats.Repair = nil, nil
-	a.Stats.Outcome, b.Stats.Outcome = nil, nil
-	a.Stats.Ground, b.Stats.Ground = nil, nil
-	a.Stats.Plan, b.Stats.Plan = nil, nil
-	a.Stats.Runtime, b.Stats.Runtime = 0, 0
-	a.Stats.Components, b.Stats.Components = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("assembled and live outcomes diverged on an unchanged session")
-	}
-
-	// Mutate while the live outcome is dropped, then go live again: the
-	// repair cache moved past the dropped live state, so the live path
-	// must rebuild, not replay.
-	if err := s.AddFact(pool[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(assembled); err != nil {
-		t.Fatal(err)
-	}
-	s.RemoveFact(pool[2])
-	res3, err := s.Solve(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLiveByteIdentical(t, 3, res3, s.Program(), 0)
 }

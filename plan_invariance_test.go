@@ -108,58 +108,3 @@ func TestPlanInvarianceUnderBodyPermutation(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyGroundingDifferential: the compiled pipeline and the legacy
-// string-keyed path it replaced must produce the identical Resolution —
-// fresh and across incremental updates. This is the contract that makes
-// the Legacy knob a valid benchmark baseline.
-func TestLegacyGroundingDifferential(t *testing.T) {
-	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 60, NoiseRatio: 0.3, Seed: 17})
-	prog, err := tecore.ParseRules(planProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := tecore.NewQuad("player_3", "playsFor", "diff_club",
-		tecore.MustInterval(1999, 2001), 0.6)
-
-	for _, solver := range []tecore.Solver{tecore.SolverMLN, tecore.SolverPSL} {
-		compiled := planSession(t, ds.Graph, prog)
-		legacy := planSession(t, ds.Graph, prog)
-		copts := tecore.SolveOptions{Solver: solver, Parallelism: 2}
-		lopts := copts
-		lopts.LegacyGrounding = true
-
-		step := func(label string) {
-			cres, err := compiled.Solve(copts)
-			if err != nil {
-				t.Fatalf("%v %s: compiled: %v", solver, label, err)
-			}
-			lres, err := legacy.Solve(lopts)
-			if err != nil {
-				t.Fatalf("%v %s: legacy: %v", solver, label, err)
-			}
-			if got, want := canonResolution(cres, 6), canonResolution(lres, 6); got != want {
-				t.Fatalf("%v %s: compiled and legacy grounding diverged\ncompiled: %s\nlegacy:   %s",
-					solver, label, got, want)
-			}
-			// The stats must attribute the path correctly.
-			if gs := cres.Stats.Ground; gs == nil || !gs.Compiled {
-				t.Fatalf("%v %s: compiled solve reported stats %+v", solver, label, cres.Stats.Ground)
-			}
-			if gs := lres.Stats.Ground; gs == nil || gs.Compiled {
-				t.Fatalf("%v %s: legacy solve reported stats %+v", solver, label, lres.Stats.Ground)
-			}
-		}
-		step("fresh")
-		for _, s := range []*tecore.Session{compiled, legacy} {
-			if err := s.AddFact(probe); err != nil {
-				t.Fatal(err)
-			}
-		}
-		step("add")
-		for _, s := range []*tecore.Session{compiled, legacy} {
-			s.RemoveFact(probe)
-		}
-		step("remove")
-	}
-}

@@ -164,9 +164,9 @@ type ComponentStats = ground.ComponentStats
 
 // PlanStats summarises the solve-plan stage of a component-decomposed
 // solve: whether the plan was patched in place ("maintained") or built
-// from scratch ("rebuilt"), the splice and partition-patch counts, and
-// the sync wall time; available as Stats.Plan (nil on monolithic
-// solves). SolveOptions.RebuildPlan forces the from-scratch baseline.
+// from scratch ("rebuilt", a session's first component solve), the
+// splice and partition-patch counts, and the sync wall time; available
+// as Stats.Plan (nil on monolithic solves).
 type PlanStats = engine.PlanStats
 
 // GroundStats summarises the grounding stage of a solve — total wall
@@ -177,17 +177,6 @@ type GroundStats = ground.GroundStats
 
 // RuleGroundStats is one rule's entry in GroundStats.
 type RuleGroundStats = ground.RuleGroundStats
-
-// GroundProfile runs one cold grounding pass over the session's store
-// and program on a throwaway grounder — without touching the cached
-// incremental engine — and returns the grounding statistics plus the
-// atom and clause counts of the resulting network. With legacy set it
-// uses the pre-compilation string-keyed path; the grounding benchmark
-// calls it both ways to compare the compiled pipeline against the
-// baseline on identical input.
-func GroundProfile(s *Session, legacy bool, parallelism int) (*GroundStats, int, int, error) {
-	return core.GroundProfile(s, legacy, parallelism)
-}
 
 // RepairStats summarises the conflict-resolution read-out stage — mode
 // (whole-graph or per-component), the repaired/reused component split,
@@ -201,9 +190,10 @@ const (
 )
 
 // OutcomeStats summarises how the final Outcome was produced —
-// assembled from scratch or delta-patched on the session's live
-// outcome — with the patched/reused component split and the index and
-// merge timings; available as Stats.Outcome.
+// assembled from scratch (whole-graph read-outs) or delta-patched on
+// the session's live outcome (component solves) — with the
+// patched/reused component split and the index and merge timings;
+// available as Stats.Outcome.
 type OutcomeStats = repair.OutcomeStats
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
