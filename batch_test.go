@@ -103,13 +103,8 @@ func TestBatchMatchesPerFactMLNExact(t *testing.T) {
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
 			opts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par, ComponentSolve: true})
+				Solver: tecore.SolverMLN, Parallelism: par})
 			runBatchVsPerFact(t, opts, 211, 10)
 		})
 	}
-}
-
-func TestBatchMatchesPerFactMonolithic(t *testing.T) {
-	opts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN})
-	runBatchVsPerFact(t, opts, 223, 8)
 }

@@ -359,12 +359,11 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	}
 }
 
-// --- Component-decomposed solving: monolithic vs per-component ---
+// --- Component-decomposed solving ---
 // The clustered workload splits into one conflict component per cluster
-// (a few merged by bridges). components/cold solves them with
-// per-component engines in parallel; components/update additionally
-// reuses cached component solutions so a single-fact toggle re-solves
-// only the component it dirtied.
+// (a few merged by bridges). cold solves them with per-component engines
+// in parallel; update additionally reuses cached component solutions so
+// a single-fact toggle re-solves only the component it dirtied.
 
 func BenchmarkComponentSolve(b *testing.B) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{
@@ -382,108 +381,88 @@ func BenchmarkComponentSolve(b *testing.B) {
 		}
 		return s
 	}
-	for _, component := range []bool{false, true} {
-		mode := "monolithic"
-		if component {
-			mode = "components"
-		}
-		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: component}
-		b.Run("cold/"+mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := newSession(b)
-				res, err := s.Solve(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if component {
-					b.ReportMetric(float64(res.Stats.Components.Count), "components")
-				}
-			}
-		})
-		b.Run("update/"+mode, func(b *testing.B) {
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
 			s := newSession(b)
-			if _, err := s.Solve(opts); err != nil {
+			res, err := s.Solve(opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					if err := s.AddFact(probe); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					s.RemoveFact(probe)
-				}
-				res, err := s.Solve(opts)
-				if err != nil {
+			b.ReportMetric(float64(res.Stats.Components.Count), "components")
+		}
+	})
+	b.Run("update", func(b *testing.B) {
+		s := newSession(b)
+		if _, err := s.Solve(opts); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				if err := s.AddFact(probe); err != nil {
 					b.Fatal(err)
 				}
-				if !res.Incremental {
-					b.Fatal("update solve did not take the delta path")
-				}
-				if component {
-					b.ReportMetric(float64(res.Stats.Components.Reused), "reused")
-				}
+			} else {
+				s.RemoveFact(probe)
 			}
-		})
-	}
+			res, err := s.Solve(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Incremental {
+				b.Fatal("update solve did not take the delta path")
+			}
+			b.ReportMetric(float64(res.Stats.Components.Reused), "reused")
+		}
+	})
 }
 
 // BenchmarkRepairStage isolates the conflict-resolution read-out stage
 // of incremental single-fact re-solves on the clustered workload: the
-// whole-graph pass (monolithic session) rescans every live clause per
-// update, the component-incremental pass (component session) re-analyses
-// only the dirtied component and replays the rest from the repair
-// cache. The reported metric is the repair stage's own timing, not the
-// whole solve.
+// component-incremental pass re-analyses only the dirtied component and
+// replays the rest from the repair cache. The reported metric is the
+// repair stage's own timing, not the whole solve.
 func BenchmarkRepairStage(b *testing.B) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{
 		Clusters: 150, ClusterSize: 6, BridgeRate: 0.1, Seed: 11})
 	probe := tecore.NewQuad("player/00001", "playsFor", "club/00001/probe",
 		tecore.MustInterval(1991, 1993), 0.55)
-	for _, component := range []bool{false, true} {
-		mode := "whole-graph"
-		if component {
-			mode = "components"
-		}
-		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: component}
-		b.Run("update/"+mode, func(b *testing.B) {
-			s := tecore.NewSession()
-			if err := s.LoadGraph(ds.Graph); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Solve(opts); err != nil {
-				b.Fatal(err)
-			}
-			var repairNS float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					if err := s.AddFact(probe); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					s.RemoveFact(probe)
-				}
-				res, err := s.Solve(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rs := res.Stats.Repair
-				if rs == nil {
-					b.Fatal("solve reported no repair stage stats")
-				}
-				repairNS += float64(rs.Total.Nanoseconds())
-				if component && rs.Reused == 0 {
-					b.Fatal("component repair reused nothing on an incremental update")
-				}
-			}
-			b.ReportMetric(repairNS/float64(b.N), "repair-ns/op")
-		})
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
+	s := tecore.NewSession()
+	if err := s.LoadGraph(ds.Graph); err != nil {
+		b.Fatal(err)
 	}
+	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Solve(opts); err != nil {
+		b.Fatal(err)
+	}
+	var repairNS float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			if err := s.AddFact(probe); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			s.RemoveFact(probe)
+		}
+		res, err := s.Solve(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs := res.Stats.Repair
+		if rs == nil {
+			b.Fatal("solve reported no repair stage stats")
+		}
+		repairNS += float64(rs.Total.Nanoseconds())
+		if rs.Reused == 0 {
+			b.Fatal("component repair reused nothing on an incremental update")
+		}
+	}
+	b.ReportMetric(repairNS/float64(b.N), "repair-ns/op")
 }
 
 // BenchmarkOutcomeStage isolates the Outcome production stage of
@@ -496,7 +475,7 @@ func BenchmarkOutcomeStage(b *testing.B) {
 		Clusters: 150, ClusterSize: 6, BridgeRate: 0.1, Seed: 11})
 	probe := tecore.NewQuad("player/00001", "playsFor", "club/00001/probe",
 		tecore.MustInterval(1991, 1993), 0.55)
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	s := tecore.NewSession()
 	if err := s.LoadGraph(ds.Graph); err != nil {
 		b.Fatal(err)
@@ -562,7 +541,7 @@ func BenchmarkServeConcurrentSessions(b *testing.B) {
 		}
 		return nil
 	}
-	solve := &server.SessionSolveRequest{Solver: "mln", ComponentSolve: true}
+	solve := &server.SessionSolveRequest{Solver: "mln"}
 	ids := make([]string, nSessions)
 	for i := range ids {
 		ds := tecore.GenerateClustered(tecore.ClusteredConfig{

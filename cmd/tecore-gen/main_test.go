@@ -113,7 +113,7 @@ func TestGenerateClustered(t *testing.T) {
 	if err := s.LoadProgramText(string(rl)); err != nil {
 		t.Fatalf("emitted rules unparseable: %v", err)
 	}
-	res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true})
+	res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,17 @@
 //	tecore stats    -data g.tq
 //	tecore validate -rules r.tcr [-solver mln|psl]
 //	tecore infer    -data g.tq -rules r.tcr [-solver mln|psl]
-//	                [-threshold 0.3] [-cpi] [-parallel N] [-components]
+//	                [-threshold 0.3] [-cpi] [-parallel N]
 //	                [-component-exact N] [-v] [-explain-plan] [-incremental]
 //	                [-out consistent.tq] [-removed removed.tq]
 //
 // With -incremental, infer enters a REPL that accepts add/remove/solve
-// commands on stdin and re-solves incrementally after each update. With
-// -components the ground network is partitioned into independent
-// conflict components solved — and conflict-resolved — separately (and,
-// in the REPL, cached per component across re-solves, for the solver
-// stage and the repair read-out alike); -v prints the component and
-// repair-stage summaries.
+// commands on stdin and re-solves incrementally after each update. The
+// mln (without -cpi) and psl solvers partition the ground network into
+// independent conflict components solved — and conflict-resolved —
+// separately (and, in the REPL, cached per component across re-solves,
+// for the solver stage and the repair read-out alike); -v prints the
+// plan, component, repair and outcome stage summaries.
 package main
 
 import (
@@ -64,13 +64,13 @@ func usage() {
   tecore validate -rules <rules file> [-solver mln|psl]
   tecore infer    -data <tquads file> -rules <rules file>
                   [-solver mln|psl] [-threshold t] [-cpi] [-parallel N]
-                  [-components] [-component-exact N] [-v] [-explain-plan]
+                  [-component-exact N] [-v] [-explain-plan]
                   [-incremental] [-data-dir DIR]
                   [-out consistent.tq] [-removed removed.tq]
 
   infer -incremental reads add/remove/solve commands from stdin and
-  re-solves only the delta after each update; with -components only the
-  conflict components the delta dirtied are re-solved. With -data-dir
+  re-solves only the delta after each update: only the conflict
+  components the delta dirtied are re-solved. With -data-dir
   the session is durable: updates are journaled, the checkpoint command
   compacts the journal, and a later run with the same -data-dir
   restores the session (snapshot + WAL replay) instead of loading
@@ -163,9 +163,8 @@ func runInfer(args []string) error {
 	threshold := fs.Float64("threshold", 0, "drop derived facts below this confidence")
 	cpi := fs.Bool("cpi", false, "cutting-plane inference (MLN)")
 	parallel := fs.Int("parallel", 0, "worker pool size for the solve pipeline (0 = all cores, 1 = sequential)")
-	components := fs.Bool("components", false, "solve independent conflict components separately (per-component engines, parallel, cached on -incremental)")
-	componentExact := fs.Int("component-exact", 0, "largest component handed to the exact MaxSAT engine with -components (0 = default 48)")
-	verbose := fs.Bool("v", false, "print the component summary (count, sizes, engines, cache hits)")
+	componentExact := fs.Int("component-exact", 0, "largest conflict component handed to the exact MaxSAT engine (0 = default 48)")
+	verbose := fs.Bool("v", false, "print the plan, component (count, sizes, engines, cache hits), repair and outcome stage summaries")
 	explain := fs.Bool("explain", false, "print each removed fact with the constraint grounding that removed it")
 	explainPlan := fs.Bool("explain-plan", false, "print the grounding stage's join plans: per rule, the chosen atom order with its selectivity estimates and candidate/emitted counts")
 	incremental := fs.Bool("incremental", false, "REPL mode: read add/remove/solve commands from stdin and re-solve incrementally")
@@ -225,7 +224,6 @@ func runInfer(args []string) error {
 			Solver:              solver,
 			Threshold:           *threshold,
 			Parallelism:         *parallel,
-			ComponentSolve:      *components,
 			ComponentExactLimit: *componentExact,
 		}, *verbose, os.Stdin, os.Stdout)
 	}
@@ -234,7 +232,6 @@ func runInfer(args []string) error {
 		Threshold:           *threshold,
 		CuttingPlane:        *cpi,
 		Parallelism:         *parallel,
-		ComponentSolve:      *components,
 		ComponentExactLimit: *componentExact,
 	})
 	if err != nil {
@@ -307,9 +304,6 @@ func runInfer(args []string) error {
 	return nil
 }
 
-// printComponentSummary renders the component-decomposed solve
-// statistics: component count and sizes, the engine each component ran
-// on, and the solved/reused (cache hit) split of incremental re-solves.
 // printPlanSummary renders the solve-plan stage: whether the canonical
 // order and component partition were patched in place from the delta or
 // rebuilt from scratch, the splice sizes, and the sync time.
@@ -323,6 +317,9 @@ func printPlanSummary(w io.Writer, ps *tecore.PlanStats) {
 	fmt.Fprintf(w, " in %v\n", ps.Sync)
 }
 
+// printComponentSummary renders the component-decomposed solve
+// statistics: component count and sizes, the engine each component ran
+// on, and the solved/reused (cache hit) split of incremental re-solves.
 func printComponentSummary(w io.Writer, cs *tecore.ComponentStats) {
 	fmt.Fprintf(w, "components:        %d (largest %d atoms; %d solved, %d reused",
 		cs.Count, cs.Largest, cs.Solved, cs.Reused)

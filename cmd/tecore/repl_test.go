@@ -107,7 +107,7 @@ quit
 `)
 	var out strings.Builder
 	err := runIncrementalREPL(s,
-		tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}, true, in, &out)
+		tecore.SolveOptions{Solver: tecore.SolverMLN}, true, in, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,19 @@ import (
 // network into independent conflict components and solving them
 // separately — with per-component engines, in parallel, and with
 // per-component solution caching on the incremental path — produces the
-// same Resolution as the monolithic solve. These tests drive randomized
-// add/remove/solve sequences whose deltas merge components (bridge facts
-// connecting two subjects' conflict chains) and split them (removing
-// chain or bridge facts), comparing against the monolithic path and the
-// from-scratch component path at parallelism 1 and N.
+// same Resolution as solving the whole network at once. These tests
+// drive randomized add/remove/solve sequences whose deltas merge
+// components (bridge facts connecting two subjects' conflict chains) and
+// split them (removing chain or bridge facts), comparing against an
+// independent whole-network reference and the from-scratch component
+// path at parallelism 1 and N.
+//
+// The whole-network ("monolithic") reference for MLN is cutting-plane
+// inference: lazy grounding, one exact MaxSAT over the whole network per
+// round and the whole-graph repair.Resolve read-out share no partition,
+// cache or kernel with the component path. PSL has no second back end;
+// its "monolithic = one component" oracle lives in internal/psl
+// (TestComponentsMatchOneComponent).
 
 // componentProgram has an inference rule (so components contain derived
 // atoms), a per-subject disjointness chain (intra-component conflicts)
@@ -60,9 +68,9 @@ func componentPool(subjects, spells int, seed int64) []tecore.Quad {
 	return pool
 }
 
-// exactEverywhere forces both the monolithic and the per-component path
-// onto the exact branch-and-bound engine, where the unique MAP optimum
-// makes results provably byte-identical.
+// exactEverywhere forces both the whole-network (cutting-plane) and the
+// per-component path onto the exact branch-and-bound engine, where the
+// unique MAP optimum makes results provably byte-identical.
 func exactEverywhere(opts tecore.SolveOptions) tecore.SolveOptions {
 	opts.Advanced.MLN.MaxSAT.ExactVarLimit = 4096
 	opts.ComponentExactLimit = 4096
@@ -71,17 +79,17 @@ func exactEverywhere(opts tecore.SolveOptions) tecore.SolveOptions {
 
 // TestComponentMatchesMonolithicMLNExact: randomized add/remove/solve
 // sequences; at each step the component-decomposed incremental session
-// must return a Resolution byte-identical to a monolithic from-scratch
-// solve over the same live graph. Both paths solve exactly, so the
-// unique optimum leaves no tie-breaking slack.
+// must return a Resolution byte-identical to a whole-network
+// cutting-plane solve over the same live graph. Both paths solve
+// exactly, so the unique optimum leaves no tie-breaking slack.
 func TestComponentMatchesMonolithicMLNExact(t *testing.T) {
 	pool := componentPool(4, 3, 41)
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
 			incOpts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par, ComponentSolve: true})
-			freshOpts := exactEverywhere(tecore.SolveOptions{
 				Solver: tecore.SolverMLN, Parallelism: par})
+			freshOpts := exactEverywhere(tecore.SolveOptions{
+				Solver: tecore.SolverMLN, Parallelism: par, CuttingPlane: true})
 			runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 43, 12, 17)
 		})
 	}
@@ -89,39 +97,26 @@ func TestComponentMatchesMonolithicMLNExact(t *testing.T) {
 
 // TestComponentMatchesMonolithicMLNCold compares cold component solves
 // (fresh sessions on both sides via ColdStart, so no cache or warm
-// state) against the monolithic exact path across the same mutation
-// stream.
+// state) against the whole-network exact cutting-plane path across the
+// same mutation stream.
 func TestComponentMatchesMonolithicMLNCold(t *testing.T) {
 	pool := componentPool(3, 3, 59)
 	incOpts := exactEverywhere(tecore.SolveOptions{
-		Solver: tecore.SolverMLN, ComponentSolve: true, ColdStart: true})
-	freshOpts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN})
+		Solver: tecore.SolverMLN, ColdStart: true})
+	freshOpts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true})
 	runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 61, 10, 17)
 }
 
-// TestComponentMatchesMonolithicPSL: the HL-MRF objective decomposes
-// exactly, but per-component ADMM stops on per-component residuals, so
-// soft values agree only to within the convergence tolerance — the
-// discrete resolution must match and confidences are compared
-// numerically.
-func TestComponentMatchesMonolithicPSL(t *testing.T) {
-	pool := componentPool(3, 3, 67)
-	incOpts := tecore.SolveOptions{Solver: tecore.SolverPSL, ComponentSolve: true, ColdStart: true}
-	freshOpts := tecore.SolveOptions{Solver: tecore.SolverPSL, ColdStart: true}
-	runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 71, 8, -1)
-}
-
-// TestComponentIncrementalMatchesFreshComponent: with ComponentSolve on
-// both sides, the cached incremental path (dirty components re-solved,
-// clean ones reused, warm starts on) must be byte-identical to a fresh
-// component-decomposed solve — the exact engine guarantees it even
-// through the solution cache.
+// TestComponentIncrementalMatchesFreshComponent: the cached incremental
+// path (dirty components re-solved, clean ones reused, warm starts on)
+// must be byte-identical to a fresh component-decomposed solve — the
+// exact engine guarantees it even through the solution cache.
 func TestComponentIncrementalMatchesFreshComponent(t *testing.T) {
 	pool := componentPool(4, 3, 73)
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("mln-exact/parallel=%d", par), func(t *testing.T) {
 			opts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par, ComponentSolve: true})
+				Solver: tecore.SolverMLN, Parallelism: par})
 			runTwoWaysProgram(t, componentProgram, pool, opts, opts, 79, 12, 17)
 		})
 	}
@@ -129,12 +124,12 @@ func TestComponentIncrementalMatchesFreshComponent(t *testing.T) {
 	// subproblems are byte-identical on both sides, so even the random
 	// walk reproduces exactly.
 	t.Run("mln-local-cold", func(t *testing.T) {
-		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true, ColdStart: true}
+		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ColdStart: true}
 		opts.Advanced.MLN.ComponentExactLimit = 1 // everything through local search
 		runTwoWaysProgram(t, componentProgram, componentPool(4, 4, 83), opts, opts, 89, 8, 17)
 	})
 	t.Run("psl-cold", func(t *testing.T) {
-		opts := tecore.SolveOptions{Solver: tecore.SolverPSL, ComponentSolve: true, ColdStart: true}
+		opts := tecore.SolveOptions{Solver: tecore.SolverPSL, ColdStart: true}
 		runTwoWaysProgram(t, componentProgram, componentPool(3, 3, 97), opts, opts, 101, 8, 17)
 	})
 }
@@ -185,7 +180,7 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 				// Exercise both engines: tiny exact limit shunts larger
 				// components to local search.
 				mk := func(parallelism int) tecore.SolveOptions {
-					o := tecore.SolveOptions{Solver: solver, Parallelism: parallelism, ComponentSolve: true}
+					o := tecore.SolveOptions{Solver: solver, Parallelism: parallelism}
 					o.ComponentExactLimit = 4
 					return o
 				}
@@ -225,7 +220,7 @@ func TestComponentEngineFallback(t *testing.T) {
 	if err := s.LoadProgramText(componentProgram); err != nil {
 		t.Fatal(err)
 	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	opts.ComponentExactLimit = 4096
 	opts.Advanced.MLN.MaxSAT.NodeLimit = 2
 	res, err := s.Solve(opts)
@@ -260,7 +255,7 @@ func TestComponentStatsShape(t *testing.T) {
 	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true})
+	res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +294,7 @@ func TestComponentCacheInvalidatedByOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(limit int) tecore.SolveOptions {
-		return tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true, ComponentExactLimit: limit}
+		return tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentExactLimit: limit}
 	}
 	if _, err := s.Solve(mk(1)); err != nil { // everything via local search
 		t.Fatal(err)
@@ -336,7 +331,7 @@ func TestComponentCacheSkipsUnconvergedPSL(t *testing.T) {
 	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverPSL, ComponentSolve: true}
+	opts := tecore.SolveOptions{Solver: tecore.SolverPSL}
 	opts.Advanced.PSL.MaxIter = 1
 	res, err := s.Solve(opts)
 	if err != nil {
@@ -370,7 +365,7 @@ func TestComponentCacheReuse(t *testing.T) {
 	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}

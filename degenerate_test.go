@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -20,6 +21,11 @@ import (
 // point at every worker count without panicking and come out as the
 // well-formed identity: every input fact accounted for, nothing removed
 // or inferred that the program does not call for.
+//
+// The components axis sends the retired component-solve switch: bench/
+// and older clients still set SolveOptions' deprecated field and the
+// "componentSolve" JSON key, and both must stay accepted and inert. It
+// goes when the deprecated fields do.
 
 const (
 	degenerateFacts = `
@@ -90,6 +96,29 @@ func checkDegenerate(t *testing.T, st tecore.Stats, nKept, nRemoved, nInferred i
 	}
 }
 
+// setLegacyComponentFlag sets the deprecated, ignored ComponentSolve
+// field of a SolveOptions by name, so this file is not one more
+// call site to clean up when the field is deleted.
+func setLegacyComponentFlag(opts *tecore.SolveOptions) {
+	reflect.ValueOf(opts).Elem().FieldByName("ComponentSolve").SetBool(true)
+}
+
+// withLegacyComponentKey re-encodes a request body with the retired
+// "componentSolve": true key.
+func withLegacyComponentKey(t *testing.T, body any) any {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(buf, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["componentSolve"] = true
+	return m
+}
+
 func forEachDegenerate(t *testing.T, fn func(t *testing.T, c degenerateCase, sv degenerateSolver, components bool, workers int)) {
 	for _, c := range degenerateCases {
 		for _, sv := range degenerateSolvers {
@@ -115,8 +144,10 @@ func TestDegenerateInputsSession(t *testing.T) {
 		if err := s.LoadProgramText(c.rules); err != nil {
 			t.Fatal(err)
 		}
-		opts := tecore.SolveOptions{Solver: sv.solver, CuttingPlane: sv.cpi,
-			ComponentSolve: components, Parallelism: workers}
+		opts := tecore.SolveOptions{Solver: sv.solver, CuttingPlane: sv.cpi, Parallelism: workers}
+		if components {
+			setLegacyComponentFlag(&opts)
+		}
 		res, err := s.Solve(opts)
 		if err != nil {
 			t.Fatalf("cold solve: %v", err)
@@ -175,9 +206,15 @@ func TestDegenerateInputsHTTP(t *testing.T) {
 		post(t, "/api/datasets", server.UploadRequest{Name: c.name, TQuads: c.facts}, &info)
 	}
 	forEachDegenerate(t, func(t *testing.T, c degenerateCase, sv degenerateSolver, components bool, workers int) {
+		legacy := func(body any) any {
+			if components {
+				return withLegacyComponentKey(t, body)
+			}
+			return body
+		}
 		var solved server.SolveResponse
-		post(t, "/api/solve", server.SolveRequest{Dataset: c.name, Rules: c.rules, Solver: sv.solver.String(),
-			CuttingPlane: sv.cpi, ComponentSolve: components, Parallelism: workers}, &solved)
+		post(t, "/api/solve", legacy(server.SolveRequest{Dataset: c.name, Rules: c.rules, Solver: sv.solver.String(),
+			CuttingPlane: sv.cpi, Parallelism: workers}), &solved)
 		checkResp(t, solved, c, sv, 0)
 		if sv.cpi {
 			return // the session API has no cutting-plane switch
@@ -186,9 +223,9 @@ func TestDegenerateInputsHTTP(t *testing.T) {
 		var info server.SessionInfo
 		post(t, "/api/sessions", server.CreateSessionRequest{TQuads: c.facts, Rules: c.rules}, &info)
 		base := "/api/sessions/" + info.ID
-		req := server.SessionSolveRequest{Solver: sv.solver.String(), ComponentSolve: components, Parallelism: workers}
+		req := server.SessionSolveRequest{Solver: sv.solver.String(), Parallelism: workers}
 		var ssolved server.SessionSolveResponse
-		post(t, base+"/solve", req, &ssolved)
+		post(t, base+"/solve", legacy(req), &ssolved)
 		checkResp(t, ssolved.SolveResponse, c, sv, 0)
 
 		var facts server.FactsResponse
@@ -197,7 +234,7 @@ func TestDegenerateInputsHTTP(t *testing.T) {
 			t.Fatalf("probe add: %+v", facts)
 		}
 		ssolved = server.SessionSolveResponse{}
-		post(t, base+"/solve", req, &ssolved)
+		post(t, base+"/solve", legacy(req), &ssolved)
 		checkResp(t, ssolved.SolveResponse, c, sv, 1)
 
 		var batch server.BatchResponse

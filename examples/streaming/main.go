@@ -5,11 +5,11 @@
 // seminaive re-grounding of the affected rules plus a warm-started
 // solver — instead of paying the full load-and-solve cost again.
 //
-// With ComponentSolve the session additionally maintains a live,
-// delta-patched Outcome and each Solve returns Resolution.Delta — the
-// changelog of facts and conflict clusters that entered or left the
-// repaired graph — so a streaming consumer processes diffs instead of
-// re-reading the full result every update.
+// The session additionally maintains a live, delta-patched Outcome and
+// each MLN/PSL Solve returns Resolution.Delta — the changelog of facts
+// and conflict clusters that entered or left the repaired graph — so a
+// streaming consumer processes diffs instead of re-reading the full
+// result every update.
 package main
 
 import (
@@ -41,9 +41,9 @@ func main() {
 	}
 
 	solve := func(label string) {
-		// ComponentSolve keeps the read-out live: res.Delta carries only
-		// what this update changed.
-		res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true})
+		// The read-out is live: res.Delta carries only what this update
+		// changed.
+		res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN})
 		if err != nil {
 			log.Fatal(err)
 		}

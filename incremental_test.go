@@ -31,8 +31,8 @@ func canonResolution(r *tecore.Resolution, confDigits int) string {
 	st.Runtime = 0
 	st.Solver = ""
 	// Component, repair-stage and outcome-stage statistics legitimately
-	// differ between the monolithic and component-decomposed paths (and
-	// between cold and cached component solves); the MAP state and
+	// differ between the cutting-plane and component-decomposed paths
+	// (and between cold and cached component solves); the MAP state and
 	// read-out they describe must not.
 	st.Components = nil
 	st.Repair = nil
@@ -150,8 +150,8 @@ func runIncrementalVsFreshProgram(t *testing.T, program string, pool []tecore.Qu
 // incremental session solved with incOpts and, at every step, a fresh
 // from-scratch session over the same live graph solved with freshOpts,
 // failing on the first divergence. With incOpts == freshOpts this is
-// the incremental-vs-fresh contract; with incOpts component-decomposed
-// and freshOpts monolithic it is the component-equivalence contract.
+// the incremental-vs-fresh contract; with freshOpts cutting-plane (one
+// whole-network exact solve) it is the component-equivalence contract.
 func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts, freshOpts tecore.SolveOptions, seed int64, nSteps int, confDigits int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

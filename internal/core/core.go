@@ -118,35 +118,36 @@ func (s *Session) MissingPredicates() []string {
 }
 
 // SolveOptions tunes a Solve call.
+//
+// The MLN (full grounding) and PSL backends always solve the ground
+// network per independent conflict component: each component gets the
+// engine its size calls for (exact branch-and-bound for small ones,
+// local search for large ones; ADMM under PSL), components solve
+// concurrently on the worker pool, and per-component solution, repair
+// and outcome caches make a re-solve cost proportional to the conflict
+// a delta actually dirtied, not the knowledge graph.
 type SolveOptions struct {
 	// Solver picks the backend (default SolverMLN).
 	Solver translate.Solver
 	// Threshold drops derived facts below this propagated confidence.
 	Threshold float64
-	// CuttingPlane enables lazy grounding on the MLN backend.
+	// CuttingPlane enables lazy grounding on the MLN backend: one
+	// whole-network MaxSAT per cutting-plane round, re-run from scratch
+	// on every Solve.
 	CuttingPlane bool
 	// Parallelism bounds the solve pipeline's worker pools (grounding,
-	// local-search restarts, ADMM sweeps): 0 uses GOMAXPROCS, 1 forces
+	// per-component solves and read-outs): 0 uses GOMAXPROCS, 1 forces
 	// the sequential path. Results are identical at every setting.
 	Parallelism int
-	// ComponentSolve partitions the ground network into independent
-	// conflict components and solves them separately instead of as one
-	// monolithic problem: each component gets the engine its size calls
-	// for (exact branch-and-bound for small ones, local search / ADMM
-	// for large ones), components solve concurrently on the worker pool,
-	// and on the incremental path a per-component solution cache makes a
-	// delta re-solve only the components it dirtied — re-solve cost is
-	// proportional to the conflict actually affected, not the knowledge
-	// graph. MLN and PSL backends only; ignored under CuttingPlane.
-	// Results are deterministic at every Parallelism setting.
+	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
 	// ComponentExactLimit is the largest component (in atoms) handed to
-	// the exact MaxSAT engine in component mode; larger components use
-	// local search (default 48; MLN backend only).
+	// the exact MaxSAT engine; larger components use local search
+	// (default 48; MLN backend only).
 	ComponentExactLimit int
 	// ColdStart disables warm-starting the solver from the previous
-	// solution on the incremental path, and in component mode also
-	// drops the per-component solution cache for this solve. Grounding
+	// solution on the incremental path and drops the per-component
+	// solution, repair and outcome caches for this solve. Grounding
 	// still reuses the cached delta state; only the solver starts from
 	// scratch. With ColdStart the incremental result is byte-identical
 	// to a fresh from-scratch solve by construction; with warm starts
@@ -155,15 +156,15 @@ type SolveOptions struct {
 	// near-identical states.
 	ColdStart bool
 	// DeltaOnly skips materializing the Outcome's global fact and
-	// cluster lists on the live read-out path: the Resolution carries
+	// cluster lists on MLN/PSL solves: the Resolution carries
 	// exact counts, violation totals and the Delta changelog, but nil
 	// Kept/Removed/Inferred/Clusters. The pending list splices stay on
 	// the session's live outcome and the next materializing solve
 	// flushes them, so alternating DeltaOnly and full solves stays
 	// byte-identical to running them all full. For update-heavy serving
 	// that consumes only Delta, this removes the O(n) list copy from
-	// every solve. Ignored off the live outcome path (whole-graph
-	// repair).
+	// every solve. Ignored under CuttingPlane and the greedy baseline
+	// (whole-graph repair).
 	DeltaOnly bool
 	// Advanced exposes full backend tuning.
 	Advanced translate.Options
@@ -178,30 +179,32 @@ type Resolution struct {
 	// the cached engine rather than re-grounding from scratch.
 	Incremental bool
 	// Delta is the Outcome's changelog relative to the session's
-	// previous component-path solve: the facts and conflict clusters
-	// that entered or left each list. Only the component-decomposed
-	// incremental path maintains it (nil otherwise); after a read-out
-	// cache invalidation — ColdStart, threshold, solver or solver-tuning
-	// change — it reports the full outcome as added.
+	// previous MLN/PSL solve: the facts and conflict clusters that
+	// entered or left each list. Set on every MLN (full grounding) and
+	// PSL solve, nil under CuttingPlane and the greedy baseline; on the
+	// first solve and after a read-out cache invalidation — ColdStart,
+	// threshold, solver or solver-tuning change — it reports the full
+	// outcome as added.
 	Delta *repair.OutcomeDelta
 }
 
 // Solve runs MAP inference and conflict resolution over the session.
 //
-// The MLN (full grounding) and PSL backends run on the session's cached
-// incremental engine: the first call grounds everything, later calls
-// consume only the store delta and warm-start from the prior solution.
-// The cutting-plane and greedy paths re-run from scratch every time —
-// lazy grounding and the baseline keep no reusable clause state.
+// The MLN (full grounding) and PSL backends run one pipeline on the
+// session's cached incremental engine — ground, sync the component
+// plan, solve per conflict component, repair per component, patch the
+// live outcome: the first call grounds and solves everything, later
+// calls consume only the store delta, warm-start from the prior
+// solution and touch only the components the delta dirtied.
+// Stats.Plan, Stats.Components and Resolution.Delta are set on every
+// such solve. The cutting-plane and greedy paths re-run from scratch
+// every time with a whole-graph read-out — lazy grounding and the
+// baseline keep no reusable clause state.
 func (s *Session) Solve(opts SolveOptions) (*Resolution, error) {
 	topts := opts.Advanced
 	topts.MLN.CuttingPlane = topts.MLN.CuttingPlane || opts.CuttingPlane
 	if topts.Parallelism == 0 {
 		topts.Parallelism = opts.Parallelism
-	}
-	if opts.ComponentSolve {
-		topts.MLN.ComponentSolve = true
-		topts.PSL.ComponentSolve = true
 	}
 	if topts.MLN.ComponentExactLimit == 0 {
 		topts.MLN.ComponentExactLimit = opts.ComponentExactLimit

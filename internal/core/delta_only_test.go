@@ -56,12 +56,12 @@ func testDeltaOnlyDifferential(t *testing.T, solver translate.Solver, threshold 
 		// The last step materializes on both sessions so the deferred
 		// splices accumulated across every DeltaOnly step must land.
 		deltaOnly := step < len(steps)-1
-		ra, err := sa.Solve(SolveOptions{Solver: solver, ComponentSolve: true,
+		ra, err := sa.Solve(SolveOptions{Solver: solver,
 			Threshold: threshold, DeltaOnly: deltaOnly})
 		if err != nil {
 			t.Fatalf("step %d (delta-only): %v", step, err)
 		}
-		rb, err := sb.Solve(SolveOptions{Solver: solver, ComponentSolve: true, Threshold: threshold})
+		rb, err := sb.Solve(SolveOptions{Solver: solver, Threshold: threshold})
 		if err != nil {
 			t.Fatalf("step %d (full): %v", step, err)
 		}
@@ -154,11 +154,11 @@ func TestDeltaOnlyAlternating(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ra, err := sa.Solve(SolveOptions{ComponentSolve: true, DeltaOnly: step%2 == 0})
+		ra, err := sa.Solve(SolveOptions{DeltaOnly: step%2 == 0})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		rb, err := sb.Solve(SolveOptions{ComponentSolve: true})
+		rb, err := sb.Solve(SolveOptions{})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}

@@ -77,7 +77,7 @@ func TestDurableRecoveryByteIdentical(t *testing.T) {
 	pool := equivPool(6, 3)
 	rng := rand.New(rand.NewSource(42))
 	live := make([]bool, len(pool))
-	opts := SolveOptions{Solver: translate.SolverMLN, ComponentSolve: true}
+	opts := SolveOptions{Solver: translate.SolverMLN}
 
 	reopen := func(graceful bool) {
 		if graceful {
@@ -175,7 +175,7 @@ func TestDurableWarmAdoption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := SolveOptions{Solver: translate.SolverMLN, ComponentSolve: true}
+	opts := SolveOptions{Solver: translate.SolverMLN}
 	before, err := s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestDurableWarmRejectedOnMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := SolveOptions{Solver: translate.SolverMLN, ComponentSolve: true}
+	opts := SolveOptions{Solver: translate.SolverMLN}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}

@@ -168,10 +168,9 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 			if err != nil {
 				return err
 			}
-			cs.EnableAtomIndex()
-			// Track conflict components from the start so ComponentSolve
-			// can be toggled per solve and generations stay warm either
-			// way.
+			// Track conflict components (and the atom index that implies)
+			// from the start: the planner patches its partition from the
+			// change log and generations key every per-component cache.
 			cs.EnableComponentIndex()
 			eng = &solveEngine{g: g, cs: cs, epoch: epoch, progVersion: s.progVersion}
 			return nil
@@ -204,47 +203,32 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 		warmTruth, warmPSL = eng.warmTruth, eng.warmPSL
 	}
 
-	componentSolve := (solver == translate.SolverMLN && topts.MLN.ComponentSolve) ||
-		(solver == translate.SolverPSL && topts.PSL.ComponentSolve)
-	if topts.MLN.ComponentSolve || topts.PSL.ComponentSolve {
-		mlnOpts, pslOpts := topts.MLN, topts.PSL
-		mlnOpts.Parallelism, pslOpts.Parallelism = 0, 0
-		if key := fmt.Sprintf("%+v|%+v", mlnOpts, pslOpts); key != eng.compOptsKey {
-			eng.compMLN, eng.compPSL = nil, nil
-			eng.compOptsKey = key
-		}
+	mlnOpts, pslOpts := topts.MLN, topts.PSL
+	mlnOpts.Parallelism, pslOpts.Parallelism = 0, 0
+	if key := fmt.Sprintf("%+v|%+v", mlnOpts, pslOpts); key != eng.compOptsKey {
+		eng.compMLN, eng.compPSL = nil, nil
+		eng.compOptsKey = key
 	}
 
-	// One shared decomposition per component-decomposed solve: the
-	// solver stage and the repair read-out both consume it, so every
-	// stage sees the identical partition (and the partition cost is paid
-	// once). The plan is delta-maintained on the engine — the sync cost
-	// is proportional to the delta and the components it dirtied.
-	var plan *engine.Plan
-	var planStats *engine.PlanStats
-	if componentSolve {
-		if eng.planner == nil {
-			eng.planner = engine.NewPlanner()
-		}
-		p, ps := eng.planner.Sync(eng.g.Atoms(), eng.cs)
-		plan, planStats = p, &ps
+	// One shared decomposition per solve: the solver stage and the repair
+	// read-out both consume it, so every stage sees the identical
+	// partition (and the partition cost is paid once). The plan is
+	// delta-maintained on the engine — the sync cost is proportional to
+	// the delta and the components it dirtied.
+	if eng.planner == nil {
+		eng.planner = engine.NewPlanner()
 	}
+	plan, planStats := eng.planner.Sync(eng.g.Atoms(), eng.cs)
 
 	out := &translate.Output{Solver: solver, Grounder: eng.g, Clauses: eng.cs}
 	var nextPSL *psl.Warm
 	solveErr := withStage("solve", func() error {
 		switch solver {
 		case translate.SolverMLN:
-			var res *mln.Result
-			var err error
-			if componentSolve {
-				if opts.ColdStart || eng.compMLN == nil {
-					eng.compMLN = mln.NewComponentCache()
-				}
-				res, err = mln.MAPGroundComponents(eng.g, eng.cs, topts.MLN, warmTruth, eng.compMLN, plan)
-			} else {
-				res, err = mln.MAPGround(eng.g, eng.cs, topts.MLN, warmTruth)
+			if opts.ColdStart || eng.compMLN == nil {
+				eng.compMLN = mln.NewComponentCache()
 			}
+			res, err := mln.MAPGroundComponents(eng.g, eng.cs, topts.MLN, warmTruth, eng.compMLN, plan)
 			if err != nil {
 				return err
 			}
@@ -254,17 +238,10 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 			out.MLN = res
 			out.Truth = res.Truth
 		case translate.SolverPSL:
-			var res *psl.Result
-			var next *psl.Warm
-			var err error
-			if componentSolve {
-				if opts.ColdStart || eng.compPSL == nil {
-					eng.compPSL = psl.NewComponentCache()
-				}
-				res, next, err = psl.MAPGroundComponents(eng.g, eng.cs, topts.PSL, warmPSL, eng.compPSL, plan)
-			} else {
-				res, next, err = psl.MAPGround(eng.g, eng.cs, topts.PSL, warmPSL)
+			if opts.ColdStart || eng.compPSL == nil {
+				eng.compPSL = psl.NewComponentCache()
 			}
+			res, next, err := psl.MAPGroundComponents(eng.g, eng.cs, topts.PSL, warmPSL, eng.compPSL, plan)
 			if err != nil {
 				return err
 			}
@@ -285,53 +262,44 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 	eng.warmTruth = out.Truth
 	eng.warmPSL = nextPSL
 
+	// The read-out decomposes along the same plan, with its own
+	// per-component cache: a delta re-repairs only the dirtied components.
+	// The cache is dropped on ColdStart and whenever the solver, its
+	// tuning, or the read-out options change — a cached unit embeds
+	// threshold-filtered facts and solver-specific confidences (PSL soft
+	// values can shift under new engine tuning without the discrete truth,
+	// which the per-entry check covers, moving at all). The live outcome
+	// replays those units into the global lists, so it is only valid under
+	// the same key and drops with the cache.
 	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: topts.Parallelism, DeltaOnly: opts.DeltaOnly}
-	var oc *repair.Outcome
-	var delta *repair.OutcomeDelta
+	rkey := fmt.Sprintf("%v|%+v|%s", solver,
+		repair.Options{Threshold: ropts.Threshold, ConfidenceRounds: ropts.ConfidenceRounds},
+		eng.compOptsKey)
+	if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {
+		eng.compRepair = repair.NewComponentCache()
+		eng.liveOutcome = repair.NewLiveOutcome()
+		eng.repairKey = rkey
+	}
 	var run *repair.ComponentRun
-	err := withStage("repair", func() error {
-		var err error
-		if componentSolve {
-			// The read-out decomposes along the same plan, with its own
-			// per-component cache: a delta re-repairs only the dirtied
-			// components. The cache is dropped on ColdStart and whenever the
-			// solver, its tuning, or the read-out options change — a cached
-			// unit embeds threshold-filtered facts and solver-specific
-			// confidences (PSL soft values can shift under new engine tuning
-			// without the discrete truth, which the per-entry check covers,
-			// moving at all). The live outcome replays those units into the
-			// global lists, so it is only valid under the same key and
-			// drops with the cache.
-			rkey := fmt.Sprintf("%v|%+v|%s", solver,
-				repair.Options{Threshold: ropts.Threshold, ConfidenceRounds: ropts.ConfidenceRounds},
-				eng.compOptsKey)
-			if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {
-				eng.compRepair = repair.NewComponentCache()
-				eng.liveOutcome = repair.NewLiveOutcome()
-				eng.repairKey = rkey
-			}
-			run, err = repair.BeginComponents(out, s.prog, ropts, plan, eng.compRepair, eng.liveOutcome)
-		} else {
-			oc, err = repair.Resolve(out, s.prog, ropts)
-		}
+	err := withStage("repair", func() (err error) {
+		run, err = repair.BeginComponents(out, ropts, plan, eng.compRepair, eng.liveOutcome)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if run != nil {
-		// The live outcome sync is its own pipeline stage, profiled apart
-		// from the per-component repair analysis.
-		err := withStage("outcome", func() error {
-			var err error
-			oc, delta, err = run.Finish()
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
+	// The live outcome sync is its own pipeline stage, profiled apart from
+	// the per-component repair analysis.
+	var oc *repair.Outcome
+	var delta *repair.OutcomeDelta
+	err = withStage("outcome", func() (err error) {
+		oc, delta, err = run.Finish()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	oc.Stats.Plan = planStats
+	oc.Stats.Plan = &planStats
 	attachGroundStats(oc, eng.g)
 	return &Resolution{Outcome: oc, Output: out, Incremental: incremental, Delta: delta}, nil
 }

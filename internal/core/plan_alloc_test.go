@@ -28,7 +28,7 @@ func TestPlannerSyncAllocsSingleFact(t *testing.T) {
 	if err := s.LoadProgramText(equivProgram); err != nil {
 		t.Fatalf("LoadProgramText: %v", err)
 	}
-	opts := SolveOptions{Solver: translate.SolverMLN, ComponentSolve: true, Parallelism: 1}
+	opts := SolveOptions{Solver: translate.SolverMLN, Parallelism: 1}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
@@ -38,7 +38,6 @@ func TestPlannerSyncAllocsSingleFact(t *testing.T) {
 	}
 
 	topts := translate.Options{Parallelism: 1}
-	topts.MLN.ComponentSolve = true
 	probe := rdf.NewQuad("P1", "coach", "Club_probe", temporal.MustNew(2000, 2002), 0.5)
 
 	// One steady-state single-fact update up to (and including) the plan

@@ -131,7 +131,7 @@ func testPlanMaintenanceDifferential(t *testing.T, solver translate.Solver, para
 		}
 	}
 
-	opts := SolveOptions{Solver: solver, ComponentSolve: true, Parallelism: parallelism}
+	opts := SolveOptions{Solver: solver, Parallelism: parallelism}
 	for step := 0; step < 30; step++ {
 		// 1–3 mutations per step: adds, removes, retract-then-revive.
 		for m := rng.Intn(3) + 1; m > 0; m-- {
@@ -220,7 +220,7 @@ func TestPlanMaintenanceMergeSplitOneDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := SolveOptions{Solver: translate.SolverMLN, ComponentSolve: true}
+	opts := SolveOptions{Solver: translate.SolverMLN}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +247,63 @@ func TestPlanMaintenanceMergeSplitOneDelta(t *testing.T) {
 	checkPlanMatchesFresh(t, s, 0)
 }
 
+// TestPlanMaintenancePatchOutOfKeyOrder patches two components whose
+// key order (smallest atom id) is the reverse of their canonical list
+// order in one delta. Retracting a fact before the first solve and
+// reviving it afterwards gives it the earliest fact id but the latest
+// atom id, so its component lists first under the larger key; growing
+// both components then takes the partition-merge path, which must drop
+// both old listings (it used to keep the first one stale, leaving its
+// atom in two components).
+func TestPlanMaintenancePatchOutOfKeyOrder(t *testing.T) {
+	s := NewSession()
+	if err := s.LoadProgramText(equivProgram); err != nil {
+		t.Fatal(err)
+	}
+	coach := func(subj, club string, from, to int64) rdf.Quad {
+		return rdf.NewQuad(subj, "coach", club, temporal.MustNew(from, to), 0.7)
+	}
+	early := coach("P0", "A", 2000, 2004)
+	add := func(q rdf.Quad) {
+		t.Helper()
+		if err := s.AddFact(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(early)
+	add(coach("P1", "B", 2000, 2004))
+	for i := 2; i < 12; i++ { // singletons: keep the delta small next to the table
+		add(coach(fmt.Sprintf("P%d", i), fmt.Sprintf("Club%d", i), 2000, 2004))
+	}
+	if !s.RemoveFact(early) {
+		t.Fatal("retraction missed")
+	}
+	opts := SolveOptions{Solver: translate.SolverMLN}
+	if _, err := s.Solve(opts); err != nil {
+		t.Fatal(err)
+	}
+	add(early)
+	if _, err := s.Solve(opts); err != nil {
+		t.Fatal(err)
+	}
+	checkPlanMatchesFresh(t, s, 0)
+	comps := s.engine.planner.Plan().Comps
+	if len(comps) < 2 || comps[0].Key < comps[1].Key {
+		t.Fatalf("fixture lost its key/list-order inversion: %+v", comps[:2])
+	}
+
+	add(coach("P0", "C", 2001, 2003))
+	add(coach("P1", "D", 2001, 2003))
+	res, err := s.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := res.Stats.Plan; ps.Mode != "maintained" || ps.PatchedComponents != 2 {
+		t.Fatalf("two-component delta: %+v", ps)
+	}
+	checkPlanMatchesFresh(t, s, 1)
+}
+
 // TestPlanMaintenanceRetractRevive retracts a fact, solves, re-adds the
 // identical fact (reviving the atom under its stable id) and solves
 // again; the maintained plan must track both transitions.
@@ -261,7 +318,7 @@ func TestPlanMaintenanceRetractRevive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := SolveOptions{Solver: translate.SolverMLN, ComponentSolve: true}
+	opts := SolveOptions{Solver: translate.SolverMLN}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +367,7 @@ func TestPlanMaintenanceEmptyDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := SolveOptions{Solver: translate.SolverMLN, ComponentSolve: true}
+	opts := SolveOptions{Solver: translate.SolverMLN}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}

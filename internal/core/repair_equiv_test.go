@@ -79,7 +79,7 @@ func testComponentRepairByteIdentical(t *testing.T, solver translate.Solver, thr
 				s.RemoveFact(pool[mv[0]])
 			}
 		}
-		res, err := s.Solve(SolveOptions{Solver: solver, ComponentSolve: true, Threshold: threshold})
+		res, err := s.Solve(SolveOptions{Solver: solver, Threshold: threshold})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -141,7 +141,7 @@ func TestComponentRepairUnconvergedPSL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := SolveOptions{Solver: translate.SolverPSL, ComponentSolve: true}
+	opts := SolveOptions{Solver: translate.SolverPSL}
 	// 10 sweeps: far from converged (values still move every re-solve)
 	// but close enough that the discretised truth is stable — the exact
 	// combination where a truth-only cache check would replay stale

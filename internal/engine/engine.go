@@ -9,8 +9,7 @@
 //
 //   - Plan: the decomposition of one solve — canonical atom order,
 //     component partition, and per-component clause gathering in dense
-//     local numbering (index-driven for incremental clause sets, a
-//     global canonical partition otherwise);
+//     local numbering, driven by the clause set's atom index;
 //   - Cache: a generic per-component payload cache keyed by (component
 //     key, generation, membership), the invariant under which a
 //     component's subproblem is provably unchanged;
@@ -43,13 +42,7 @@ type Plan struct {
 	Comps []ground.Component
 
 	cs         *ground.ClauseSet
-	compOfVar  []int32
 	localOfVar []int32
-	// gathered/slots hold the global partition of canonical clauses on
-	// the index-less path; nil when the atom index drives per-component
-	// gathering instead.
-	gathered [][]ground.Clause
-	slots    [][]int32
 
 	// localOfAtom is the Planner's atom-indexed local map — unlike
 	// localOfVar it does not shift when the canonical order is spliced,
@@ -70,12 +63,11 @@ type Plan struct {
 }
 
 // NewPlan partitions the clause set's ground network into conflict
-// components in canonical order. Without an atom index on cs the
-// per-component clauses are partitioned globally here (the one-shot
-// path); with one, Clauses gathers each component's own clauses on
-// demand, so incremental work stays proportional to the dirty
-// components.
+// components in canonical order. It switches on cs's atom index
+// (idempotent), which Clauses walks to gather each component's own
+// clauses on demand.
 func NewPlan(atoms *ground.AtomTable, cs *ground.ClauseSet) *Plan {
+	cs.EnableAtomIndex()
 	order := ground.CanonicalAtoms(atoms)
 	varOf := ground.CanonicalVarMap(atoms, order)
 	p := &Plan{
@@ -85,20 +77,14 @@ func NewPlan(atoms *ground.AtomTable, cs *ground.ClauseSet) *Plan {
 		Comps: cs.Components(order),
 		cs:    cs,
 	}
-	// Var → (component, local index); components list their atoms in
-	// canonical order, so local numbering is the canonical order
-	// restricted to the component.
-	p.compOfVar = make([]int32, len(order))
+	// Var → local index; components list their atoms in canonical order,
+	// so local numbering is the canonical order restricted to the
+	// component.
 	p.localOfVar = make([]int32, len(order))
 	for ci := range p.Comps {
 		for li, a := range p.Comps[ci].Atoms {
-			v := varOf[a]
-			p.compOfVar[v] = int32(ci)
-			p.localOfVar[v] = int32(li)
+			p.localOfVar[varOf[a]] = int32(li)
 		}
-	}
-	if !cs.HasAtomIndex() {
-		p.gatherGlobal()
 	}
 	return p
 }
@@ -148,37 +134,12 @@ func (p *Plan) RetractedAtoms() []ground.AtomID { return p.dead }
 
 // Clauses returns component i's live clauses in canonical order,
 // remapped into the component's dense local variable space, plus their
-// stable clause-set slots (for keying per-clause warm state). With the
-// atom index the gather walks only the component's own clauses —
-// incremental work stays proportional to what the delta dirtied — and
-// produces the same canonical clause sequence the index-less global
-// partition computes (ComponentClauses' contract). Safe to call
-// concurrently for different components.
+// stable clause-set slots (for keying per-clause warm state). The gather
+// walks only the component's own clauses, so incremental work stays
+// proportional to what the delta dirtied. Safe to call concurrently for
+// different components.
 func (p *Plan) Clauses(i int) ([]ground.Clause, []int32) {
-	if p.gathered != nil {
-		return p.gathered[i], p.slots[i]
-	}
 	return p.cs.ComponentClauses(p.Comps[i].Atoms, p.Local)
-}
-
-// gatherGlobal partitions the canonical clause list across components —
-// the index-less path, where per-component gathering has nothing to
-// walk. Canonical literals index canonical variable space; they are
-// remapped to the component-local numbering the subproblems use.
-func (p *Plan) gatherGlobal() {
-	canon, slots := ground.CanonicalClauses(p.cs, p.VarOf)
-	p.gathered = make([][]ground.Clause, len(p.Comps))
-	p.slots = make([][]int32, len(p.Comps))
-	for k, c := range canon {
-		ci := p.compOfVar[c.Lits[0].Atom]
-		remapped := make([]ground.Lit, len(c.Lits))
-		for i, l := range c.Lits {
-			remapped[i] = ground.Lit{Atom: ground.AtomID(p.localOfVar[l.Atom]), Neg: l.Neg}
-		}
-		c.Lits = remapped
-		p.gathered[ci] = append(p.gathered[ci], c)
-		p.slots[ci] = append(p.slots[ci], slots[k])
-	}
 }
 
 // Observe accounts component i into a component-decomposed solve's

@@ -516,7 +516,12 @@ func (pl *Planner) spliceComps(affected []ground.AtomID) {
 
 	// Patch the partition list. In-place when each re-listed group
 	// keeps its slot (same leading atom as the component it replaces);
-	// otherwise merge old list and groups into the spare buffer.
+	// otherwise merge old list and groups into the spare buffer. Both
+	// walk the replaced slots in list order, like the groups; up to here
+	// remIdx paralleled affected, which is in key order — and a
+	// component's key (its smallest atom id) need not follow its list
+	// position (its first atom's canonical rank).
+	slices.Sort(pl.remIdx)
 	if len(groups) == len(pl.remIdx) {
 		inPlace := true
 		for k := range groups {

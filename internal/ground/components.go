@@ -380,12 +380,13 @@ func (cs *ClauseSet) HasAtomIndex() bool { return cs.atomIndexed }
 // collecting the subproblems of the dirty components costs time
 // proportional to those components — not the clause set.
 //
-// Local variable numbering follows the component's canonical atom order,
-// so the comparator order here matches CanonicalClauses restricted to
-// the component: per component, both produce the identical clause
-// sequence, which is what keeps the incremental per-component solver
-// inputs byte-identical to the cold path's. The returned slots give each
-// clause's stable slot in cs, for keying warm-start state.
+// Local variable numbering follows the component's canonical atom order
+// and the clauses are sorted (literals within a clause by variable,
+// clauses lexicographically by literals then rule), so two clause sets
+// with equal live content yield the identical sequence regardless of
+// insertion history — which is what keeps the incremental per-component
+// solver inputs byte-identical to a cold solve's. The returned slots
+// give each clause's stable slot in cs, for keying warm-start state.
 func (cs *ClauseSet) ComponentClauses(atoms []AtomID, local func(AtomID) int32) ([]Clause, []int32) {
 	slots := cs.ComponentSlots(atoms)
 	out := make([]Clause, len(slots))

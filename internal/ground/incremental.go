@@ -399,44 +399,6 @@ func CanonicalVarMap(t *AtomTable, order []AtomID) []int32 {
 	return varOf
 }
 
-// CanonicalClauses maps the live clauses of cs into canonical variable
-// space and sorts them into a deterministic order (literals within a
-// clause by variable, clauses lexicographically by literals then rule).
-// Two clause sets with equal live content yield identical output
-// regardless of insertion history. The returned slots give each
-// canonical clause's stable slot in cs, for keying warm-start state.
-func CanonicalClauses(cs *ClauseSet, varOf []int32) ([]Clause, []int32) {
-	out := make([]Clause, 0, cs.Len())
-	slots := make([]int32, 0, cs.Len())
-	cs.ForEachSlot(func(at int32, c *Clause) bool {
-		mc := Clause{Lits: make([]Lit, len(c.Lits)), Weight: c.Weight, Rule: c.Rule}
-		for i, l := range c.Lits {
-			mc.Lits[i] = Lit{Atom: AtomID(varOf[l.Atom]), Neg: l.Neg}
-		}
-		sort.Slice(mc.Lits, func(i, j int) bool {
-			if mc.Lits[i].Atom != mc.Lits[j].Atom {
-				return mc.Lits[i].Atom < mc.Lits[j].Atom
-			}
-			return !mc.Lits[i].Neg && mc.Lits[j].Neg
-		})
-		out = append(out, mc)
-		slots = append(slots, at)
-		return true
-	})
-	perm := make([]int, len(out))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool { return canonicalClauseLess(&out[perm[i]], &out[perm[j]]) })
-	sorted := make([]Clause, len(out))
-	sortedSlots := make([]int32, len(out))
-	for i, p := range perm {
-		sorted[i] = out[p]
-		sortedSlots[i] = slots[p]
-	}
-	return sorted, sortedSlots
-}
-
 func canonicalClauseLess(a, b *Clause) bool {
 	na, nb := len(a.Lits), len(b.Lits)
 	n := na

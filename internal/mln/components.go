@@ -26,10 +26,11 @@ import (
 //     branch-and-bound (provably optimal), large ones to local search;
 //     a component whose exact search exhausts its node limit falls back
 //     to local search rather than keeping the partial result;
-//   - per-component subproblems built in the same canonical order as
-//     the monolithic path (solveGround) restricted to the component, so
-//     when both sides solve exactly — where the optimum is unique — the
-//     component-decomposed MAP state is identical to the monolithic one.
+//   - per-component subproblems built in canonical atom and clause
+//     order, so any two grounder states with equal live atoms and
+//     clauses produce byte-identical subproblems regardless of interning
+//     history, and wherever the exact engine runs — where the optimum is
+//     unique — the MAP state is that of the whole network solved at once.
 //
 // The solve-level read-out (violated soft weight, hard feasibility,
 // per-rule violation counts, component-size statistics) is likewise a
@@ -63,8 +64,7 @@ func (c *ComponentCache) store() *engine.Cache[compEntry] {
 
 // compEval is one component's contribution to the solve-level read-out:
 // its violated soft weight, hard feasibility and violation counts (viol
-// is nil when the component violates nothing), folded with the same
-// per-term arithmetic the monolithic evaluation uses — priors in the
+// is nil when the component violates nothing) — priors folded in the
 // component's canonical atom order, clauses in stable slot order.
 type compEval struct {
 	cost   float64
@@ -186,8 +186,9 @@ func (c *ComponentCache) deltaReady(plan *engine.Plan) bool {
 
 // MAPGroundComponents computes the MAP state over an already-closed
 // grounder and its persistent clause set by solving each conflict
-// component separately — the component-decomposed counterpart of
-// MAPGround. warm, when non-nil, is the previous MAP state by atom id
+// component separately — the incremental path; forward chaining and
+// grounding are the caller's responsibility (CloseDelta/GroundDelta).
+// warm, when non-nil, is the previous MAP state by atom id
 // (used as a per-component warm start); cache, when non-nil, is
 // consulted for unchanged components and updated with this solve's
 // solutions. plan, when non-nil, is the shared decomposition built by
@@ -202,19 +203,14 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 		return nil, err
 	}
 	res.Runtime = time.Since(start)
-	if res.RuleViolations == nil {
-		res.RuleViolations = violationsFromClauses(cs, res.Truth)
-	}
 	return res, nil
 }
 
 // solveComponents partitions the ground network, solves each component
 // with the engine its size calls for, and merges the assignments in
-// deterministic component order. The MAP state is identical to the
-// monolithic path's whenever both solve exactly; the reported cost can
-// differ from the monolithic number only in floating-point summation
-// order (contributions are folded per component rather than in the
-// monolithic problem order). When the plan is maintained and the cache
+// deterministic component order. The reported cost is the sum of the
+// per-component contributions folded in component order. When the plan
+// is maintained and the cache
 // aggregate is current, the dirty-only path handles just the components
 // the planner re-listed.
 func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan) (*Result, error) {
@@ -248,9 +244,14 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 		}
 		plan.Observe(stats, i, cached[i], r.engine, r.fallback)
 	}
+	// The full fold anchors the cache's aggregate (subsequent consecutive
+	// syncs maintain it dirty-only); without a cache to carry it the
+	// totals are folded locally.
+	agg := &stateAgg{}
 	// A maintained plan names the retired component keys, so the cache
 	// churns one entry per dirty component instead of rebuilding.
 	if store := cache.store(); store != nil {
+		agg = &cache.agg
 		if plan.Maintained() {
 			for _, key := range plan.Retired() {
 				store.Drop(key)
@@ -265,18 +266,8 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 				return compEntry{truth: results[i].truth, optimal: results[i].optimal, eval: results[i].eval}
 			})
 		}
-		// The full fold anchors the aggregate; subsequent consecutive
-		// syncs maintain it dirty-only.
-		cache.agg.reseed(results, plan.Gen())
 	}
-
-	agg := &cache.agg
-	if cache.store() == nil {
-		// No cache to carry the aggregate: fold the totals locally.
-		var local stateAgg
-		local.reseed(results, plan.Gen())
-		agg = &local
-	}
+	agg.reseed(results, plan.Gen())
 	return resultFromAgg(agg, cs, stats, truth), nil
 }
 
@@ -411,19 +402,8 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []g
 	n := len(comp.Atoms)
 	problem := &maxsat.Problem{NumVars: n}
 	for li, a := range comp.Atoms {
-		info := atoms.Info(a)
-		if info.Evidence {
-			w := Logit(info.Conf, opts.EvidenceClamp) + opts.KeepBias
-			switch {
-			case w > 0:
-				problem.Clauses = append(problem.Clauses, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(li)}}, Weight: w})
-			case w < 0:
-				problem.Clauses = append(problem.Clauses, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(li), Neg: true}}, Weight: -w})
-			}
-			continue
-		}
-		if opts.DerivedPrior > 0 {
-			problem.Clauses = append(problem.Clauses, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(li), Neg: true}}, Weight: opts.DerivedPrior})
+		if c, ok := priorClause(atoms.Info(a), int32(li), opts); ok {
+			problem.Clauses = append(problem.Clauses, c)
 		}
 	}
 	for _, c := range clauses {
@@ -477,10 +457,7 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []g
 
 // evalComponent computes the component's read-out contribution on the
 // local assignment: priors in the component's canonical atom order,
-// then the component's clauses in stable slot order — the same per-term
-// arithmetic the monolithic evaluation folds globally, so summing the
-// contributions in component order reproduces its numbers up to
-// floating-point summation order (and the integer counts exactly).
+// then the component's clauses in stable slot order.
 func evalComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []ground.Clause, truth []bool, opts Options) compEval {
 	ev := compEval{hardOK: true}
 	for li, a := range comp.Atoms {

@@ -5,8 +5,9 @@
 // carry log-odds priors derived from fact confidences, rule and
 // constraint groundings contribute weighted clauses. MAP — the most
 // probable world — is computed as weighted partial MaxSAT, either over
-// the fully grounded network or by cutting-plane inference (CPI): solve
-// with evidence priors only, lazily ground the formulas the current
+// the fully grounded network — one subproblem per independent conflict
+// component (see components.go) — or by cutting-plane inference (CPI):
+// solve with evidence priors only, lazily ground the formulas the current
 // solution violates, and repeat until nothing new is violated. CPI is the
 // same device RockIt uses to keep ground networks small.
 package mln
@@ -40,19 +41,17 @@ type Options struct {
 	// DerivedPrior is the closed-world penalty against deriving atoms
 	// with no rule support (default 0.01).
 	DerivedPrior float64
-	// Parallelism bounds the worker pools used for grounding and for
-	// local-search restarts: 0 means GOMAXPROCS, 1 forces the sequential
-	// path. The MAP state is identical at every setting.
+	// Parallelism bounds the worker pools used for grounding, for
+	// solving conflict components concurrently and, under CuttingPlane,
+	// for local-search restarts: 0 means GOMAXPROCS, 1 forces the
+	// sequential path. The MAP state is identical at every setting.
 	Parallelism int
-	// ComponentSolve partitions the ground network into independent
-	// conflict components and solves each with its own engine,
-	// concurrently, instead of one monolithic MaxSAT problem (see
-	// components.go). Ignored under CuttingPlane, which keeps no
-	// persistent clause set to partition.
+	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
-	// ComponentExactLimit is the largest component (in atoms) handed to
-	// the exact branch-and-bound engine in component mode; larger
-	// components use local search (default 48).
+	// ComponentExactLimit is the largest conflict component (in atoms)
+	// handed to the exact branch-and-bound engine; larger components use
+	// local search (default 48). Unused under CuttingPlane, which keeps
+	// no persistent clause set to partition.
 	ComponentExactLimit int
 	// MaxSAT tunes the underlying solver.
 	MaxSAT maxsat.Options
@@ -112,8 +111,8 @@ type Result struct {
 	// RuleViolations counts violated groundings per rule name in the
 	// final state (soft rules only; hard violations imply infeasibility).
 	RuleViolations map[string]int
-	// Components summarises the component-decomposed solve; nil when the
-	// monolithic path ran.
+	// Components summarises the component-decomposed solve; nil under
+	// CuttingPlane.
 	Components *ground.ComponentStats
 	// TruthDelta reports that Truth was produced by the dirty-only merge
 	// over a maintained plan: atoms outside the plan's DirtyComps carry
@@ -132,15 +131,15 @@ func (r *Result) TrueAtom(id ground.AtomID) bool { return r.Truth[id] }
 func MAP(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	g.Parallelism = opts.Parallelism
-	if opts.MaxSAT.Parallelism == 0 {
-		opts.MaxSAT.Parallelism = opts.Parallelism
-	}
 	start := time.Now()
 	if _, err := g.Close(prog); err != nil {
 		return nil, fmt.Errorf("mln: %w", err)
 	}
 
 	if opts.CuttingPlane {
+		if opts.MaxSAT.Parallelism == 0 {
+			opts.MaxSAT.Parallelism = opts.Parallelism
+		}
 		res, err := solveCPI(g, prog, evidenceClauses(g, opts), opts)
 		if err != nil {
 			return nil, err
@@ -157,139 +156,41 @@ func MAP(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("mln: %w", err)
 	}
-	var res *Result
-	if opts.ComponentSolve {
-		res, err = solveComponents(g, cs, opts, nil, nil, nil)
-	} else {
-		res, err = solveGround(g, cs, opts, nil)
-	}
+	res, err := solveComponents(g, cs, opts, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.Runtime = time.Since(start)
-	if res.RuleViolations == nil {
-		res.RuleViolations = violationsFromClauses(cs, res.Truth)
-	}
 	return res, nil
 }
 
-// MAPGround computes the MAP state over an already-closed grounder and
-// its persistent clause set — the incremental path. Forward chaining and
-// grounding are the caller's responsibility (CloseDelta/GroundDelta);
-// warm, when non-nil, is the previous MAP state indexed by atom id and
-// is handed to the MaxSAT engine as a warm start. The problem is built
-// in canonical atom order, so the result is identical to a fresh
-// solveGround over an equal atom/clause state.
-func MAPGround(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool) (*Result, error) {
-	opts = opts.withDefaults()
-	g.Parallelism = opts.Parallelism
-	if opts.MaxSAT.Parallelism == 0 {
-		opts.MaxSAT.Parallelism = opts.Parallelism
+// priorClause is the prior unit clause of an atom solved as variable v:
+// a log-odds unit for an evidence atom, the closed-world penalty for a
+// derived one. ok is false when the prior is zero.
+func priorClause(info ground.AtomInfo, v int32, opts Options) (c maxsat.Clause, ok bool) {
+	var w float64
+	if info.Evidence {
+		w = Logit(info.Conf, opts.EvidenceClamp) + opts.KeepBias
+	} else if opts.DerivedPrior > 0 {
+		w = -opts.DerivedPrior
 	}
-	start := time.Now()
-	res, err := solveGround(g, cs, opts, warm)
-	if err != nil {
-		return nil, err
+	switch {
+	case w > 0:
+		return maxsat.Clause{Lits: []maxsat.Lit{{Var: v}}, Weight: w}, true
+	case w < 0:
+		return maxsat.Clause{Lits: []maxsat.Lit{{Var: v, Neg: true}}, Weight: -w}, true
 	}
-	res.Runtime = time.Since(start)
-	res.RuleViolations = violationsFromClauses(cs, res.Truth)
-	return res, nil
+	return maxsat.Clause{}, false
 }
 
-// solveGround builds the weighted MaxSAT instance in canonical variable
-// order — live evidence atoms by fact id, derived atoms by statement key
-// — so that any two grounder states with equal live atoms and clauses
-// produce byte-identical problems, regardless of interning history. The
-// solution is mapped back to atom-id space (retracted atoms stay false).
-func solveGround(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool) (*Result, error) {
-	atoms := g.Atoms()
-	order := ground.CanonicalAtoms(atoms)
-	varOf := ground.CanonicalVarMap(atoms, order)
-	problem := &maxsat.Problem{NumVars: len(order)}
-	for v, a := range order {
-		info := atoms.Info(a)
-		if info.Evidence {
-			w := Logit(info.Conf, opts.EvidenceClamp) + opts.KeepBias
-			switch {
-			case w > 0:
-				problem.Clauses = append(problem.Clauses, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(v)}}, Weight: w})
-			case w < 0:
-				problem.Clauses = append(problem.Clauses, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(v), Neg: true}}, Weight: -w})
-			}
-			continue
-		}
-		if opts.DerivedPrior > 0 {
-			problem.Clauses = append(problem.Clauses, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(v), Neg: true}}, Weight: opts.DerivedPrior})
-		}
-	}
-	nClauses := cs.Len()
-	canon, _ := ground.CanonicalClauses(cs, varOf)
-	for _, c := range canon {
-		problem.Clauses = append(problem.Clauses, toMaxsatClause(c))
-	}
-	mopts := opts.MaxSAT
-	if warm != nil {
-		w := make([]bool, len(order))
-		for v, a := range order {
-			if int(a) < len(warm) {
-				w[v] = warm[a]
-			}
-		}
-		mopts.Warm = w
-	}
-	sol, err := maxsat.Solve(problem, mopts)
-	if err != nil {
-		return nil, fmt.Errorf("mln: %w", err)
-	}
-	truth := make([]bool, atoms.Len())
-	for v, a := range order {
-		truth[a] = sol.Assignment[v]
-	}
-	return &Result{
-		Truth:         truth,
-		Cost:          sol.Cost,
-		HardSatisfied: sol.HardSatisfied,
-		Optimal:       sol.Optimal,
-		Rounds:        1,
-		GroundClauses: nClauses,
-	}, nil
-}
-
-// violationsFromClauses counts the violated groundings per rule straight
-// off the clause set: a grounding is violated exactly when all its
-// literals are false, the same condition GroundViolated re-derives by
-// re-joining. Reading it from the clause set is O(clauses) and works on
-// the incremental path's persistent set.
-func violationsFromClauses(cs *ground.ClauseSet, truth []bool) map[string]int {
-	out := make(map[string]int)
-	cs.ForEach(func(c *ground.Clause) bool {
-		if !c.Satisfied(func(a ground.AtomID) bool { return truth[a] }) {
-			out[c.Rule]++
-		}
-		return true
-	})
-	return out
-}
-
-// evidenceClauses builds the prior unit clauses: log-odds units for
-// evidence atoms, closed-world penalties for derived atoms.
+// evidenceClauses builds the prior unit clauses of every atom, by atom
+// id — the base problem of cutting-plane inference.
 func evidenceClauses(g *ground.Grounder, opts Options) []maxsat.Clause {
 	atoms := g.Atoms()
 	out := make([]maxsat.Clause, 0, atoms.Len())
 	for i := 0; i < atoms.Len(); i++ {
-		info := atoms.Info(ground.AtomID(i))
-		if info.Evidence {
-			w := Logit(info.Conf, opts.EvidenceClamp) + opts.KeepBias
-			switch {
-			case w > 0:
-				out = append(out, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(i)}}, Weight: w})
-			case w < 0:
-				out = append(out, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(i), Neg: true}}, Weight: -w})
-			}
-			continue
-		}
-		if opts.DerivedPrior > 0 {
-			out = append(out, maxsat.Clause{Lits: []maxsat.Lit{{Var: int32(i), Neg: true}}, Weight: opts.DerivedPrior})
+		if c, ok := priorClause(atoms.Info(ground.AtomID(i)), int32(i), opts); ok {
+			out = append(out, c)
 		}
 	}
 	return out

@@ -92,6 +92,14 @@ func TestRunningExample(t *testing.T) {
 		if len(res.RuleViolations) != 0 {
 			t.Errorf("cpi=%v: final state violates %v", cpi, res.RuleViolations)
 		}
+		// The one-shot full-grounding solve is the component pipeline
+		// without a cache (it used to nil-deref there): it must report the
+		// decomposition and fill the violation map from its own fold.
+		if !cpi && (res.Components == nil || res.Components.Solved != res.Components.Count ||
+			res.Components.Count == 0 || res.RuleViolations == nil || !res.Optimal) {
+			t.Errorf("cache-less component solve: components %+v, violations %v, optimal %v",
+				res.Components, res.RuleViolations, res.Optimal)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package par provides the bounded worker pool shared by the solve
-// pipeline: rule grounding, local-search restarts and ADMM sweeps all
-// fan work items out across a fixed number of goroutines.
+// pipeline: rule grounding, per-component solves and read-outs, and
+// local-search restarts all fan work items out across a fixed number of
+// goroutines.
 //
 // The pool is deliberately minimal — deterministic output is the
 // caller's responsibility and every parallel stage in this repository

@@ -20,12 +20,10 @@ import (
 // component converges on its own residuals rather than waiting for a
 // global criterion.
 //
-// Because per-component ADMM stops on per-component residuals, the
-// converged soft values can differ from the monolithic solve's within
-// the residual tolerance — the discretised MAP state agrees except for
-// atoms balanced at the rounding threshold, the same caveat the warm
-// start already carries (the strictly convex objective has a unique
-// optimum; only the finite-tolerance approach to it differs).
+// The strictly convex objective has a unique optimum; a component's
+// ADMM stops once its residuals fall below the tolerance, and where that
+// is depends on the start (cold or warm). Discretisation therefore
+// allows the same tolerance below the threshold (see solveComponent).
 
 // ComponentCache carries per-component converged ADMM iterates across
 // the incremental engine's solves. Construct with NewComponentCache.
@@ -73,13 +71,13 @@ type compState struct {
 
 // MAPGroundComponents computes the HL-MRF MAP state over an
 // already-closed grounder and its persistent clause set by running ADMM
-// per conflict component — the component-decomposed counterpart of
-// MAPGround. warm, when non-nil, seeds dirty components from the
-// previous solve's iterates; cache, when non-nil, is consulted for
-// unchanged components and updated with this solve's iterates. plan,
-// when non-nil, is the shared decomposition built by the caller; nil
-// builds one here. The returned Warm feeds the next solve, exactly like
-// MAPGround's.
+// per conflict component — the incremental path; forward chaining and
+// grounding are the caller's responsibility. warm, when non-nil, seeds
+// dirty components from the previous solve's iterates; cache, when
+// non-nil, is consulted for unchanged components and updated with this
+// solve's iterates. plan, when non-nil, is the shared decomposition built
+// by the caller; nil builds one here. The returned Warm feeds the next
+// solve.
 func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm, cache *ComponentCache, plan *engine.Plan) (*Result, *Warm, error) {
 	opts = opts.withDefaults()
 	g.Parallelism = opts.Parallelism
@@ -194,8 +192,12 @@ func hinges(plan *engine.Plan, i int, opts Options) ([]hinge, []int32) {
 }
 
 // solveComponent runs consensus ADMM over one component's potentials
-// and priors, discretises, and repairs broken hard potentials — the
-// per-component slice of exactly what solveGround does monolithically.
+// and priors, discretises, and repairs broken hard potentials. Values
+// within the convergence tolerance below the threshold round up: ADMM
+// stops about that far short of the optimum, and an optimum exactly on
+// the threshold (Figure 7's worksFor: a confidence-0.5 fact held up only
+// by KeepBias, behind one soft rule) should not flip with the side it
+// was approached from.
 func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials []hinge, slots []int32, opts Options, warm *Warm) compState {
 	n := len(comp.Atoms)
 	target := make([]float64, n)
@@ -233,10 +235,8 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials 
 			}
 		}
 	}
-	inner := opts
-	inner.Parallelism = 1 // the pool parallelises across components
-	res, zs, us := runADMM(n, target, priorW, potentials, inner, init)
-	truth := discretize(res.Values, opts.Threshold)
+	res, zs, us := runADMM(n, target, priorW, potentials, opts, init)
+	truth := discretize(res.Values, opts.Threshold-opts.Eps)
 	flips := repairHard(truth, res.Values, potentials)
 
 	st := compState{

@@ -14,13 +14,12 @@
 //
 // # Concurrency model
 //
-// The ADMM sweeps are element-wise parallel: the proximal z-step runs
-// one task per potential, the consensus x-step gathers one task per
-// variable (each variable's contributions summed in a fixed potential
-// order), and residual reductions accumulate per-element partials in a
-// deterministic sequential pass. The converged values — and therefore
-// the discretised MAP state — are bitwise identical at every
-// Options.Parallelism setting.
+// The objective decomposes exactly across the conflict components of the
+// ground network (see components.go), so ADMM runs once per component
+// and the worker pool parallelises across components; each component's
+// sweeps are sequential with a fixed floating-point order. The converged
+// values — and therefore the discretised MAP state — are bitwise
+// identical at every Options.Parallelism setting.
 package psl
 
 import (
@@ -30,7 +29,6 @@ import (
 
 	"repro/internal/ground"
 	"repro/internal/logic"
-	"repro/internal/par"
 )
 
 // Options tunes ADMM and the discretisation.
@@ -60,13 +58,12 @@ type Options struct {
 	Squared bool
 	// Threshold discretises the soft truth values (default 0.5).
 	Threshold float64
-	// Parallelism bounds the worker pools used for grounding and the
-	// ADMM sweeps: 0 means GOMAXPROCS, 1 forces the sequential path.
-	// The MAP state is identical at every setting.
+	// Parallelism bounds the worker pools used for grounding and for
+	// running the per-component ADMM problems concurrently: 0 means
+	// GOMAXPROCS, 1 forces the sequential path. The MAP state is
+	// identical at every setting.
 	Parallelism int
-	// ComponentSolve partitions the ground HL-MRF into independent
-	// conflict components and runs ADMM per component, concurrently,
-	// instead of one monolithic consensus problem (see components.go).
+	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
 }
 
@@ -118,10 +115,9 @@ type Result struct {
 	Potentials int
 	// Runtime is the wall-clock inference time.
 	Runtime time.Duration
-	// Components summarises the component-decomposed solve; nil when the
-	// monolithic path ran. In component mode Iterations and the residual
-	// norms report the worst component re-run this solve (cached
-	// components run zero sweeps).
+	// Components summarises the component-decomposed solve. Iterations
+	// and the residual norms report the worst component re-run this solve
+	// (cached components run zero sweeps).
 	Components *ground.ComponentStats
 }
 
@@ -153,14 +149,9 @@ func MAP(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("psl: %w", err)
 	}
-	var res *Result
-	if opts.ComponentSolve {
-		res, _, err = solveComponents(g, cs, opts, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res, _ = solveGround(g, cs, opts, nil)
+	res, _, err := solveComponents(g, cs, opts, nil, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	res.Runtime = time.Since(start)
 	return res, nil
@@ -178,99 +169,6 @@ type Warm struct {
 	// Z and U hold each potential's local copy and scaled dual vector,
 	// keyed by clause-set slot.
 	Z, U map[int32][]float64
-}
-
-// MAPGround computes the HL-MRF MAP state over an already-closed
-// grounder and its persistent clause set — the incremental path. warm,
-// when non-nil, is the previous solve's Warm state; the returned Warm
-// feeds the next solve. The HL-MRF objective is strictly convex (every
-// atom carries a quadratic prior), so warm and cold starts converge to
-// the same optimum; finite tolerance can leave sub-Eps differences in
-// the soft values.
-func MAPGround(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm) (*Result, *Warm, error) {
-	opts = opts.withDefaults()
-	g.Parallelism = opts.Parallelism
-	start := time.Now()
-	res, next := solveGround(g, cs, opts, warm)
-	res.Runtime = time.Since(start)
-	return res, next, nil
-}
-
-// solveGround builds the ground HL-MRF in canonical atom order (the
-// same order the MLN side uses), runs ADMM, and maps values and truth
-// back to atom-id space. Equal live atom/clause states produce
-// byte-identical potentials and therefore bitwise-equal cold-start
-// iterates, whatever the interning history.
-func solveGround(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm) (*Result, *Warm) {
-	atoms := g.Atoms()
-	order := ground.CanonicalAtoms(atoms)
-	varOf := ground.CanonicalVarMap(atoms, order)
-	n := len(order)
-	// Quadratic priors: target value and weight per canonical variable.
-	target := make([]float64, n)
-	priorW := make([]float64, n)
-	for v, a := range order {
-		info := atoms.Info(a)
-		if info.Evidence {
-			target[v] = clamp01(info.Conf + opts.KeepBias)
-			priorW[v] = opts.EvidenceWeight
-		} else {
-			target[v] = 0
-			priorW[v] = opts.DerivedWeight
-		}
-	}
-	canon, slots := ground.CanonicalClauses(cs, varOf)
-	potentials := make([]hinge, 0, len(canon))
-	for _, c := range canon {
-		potentials = append(potentials, clauseToHinge(c, opts))
-	}
-	var init *admmInit
-	if warm != nil {
-		init = &admmInit{
-			x: make([]float64, n),
-			z: make([][]float64, len(potentials)),
-			u: make([][]float64, len(potentials)),
-		}
-		for v, a := range order {
-			if int(a) < len(warm.Values) {
-				init.x[v] = clamp01(warm.Values[a])
-			} else {
-				init.x[v] = target[v]
-			}
-		}
-		for k := range potentials {
-			if z, ok := warm.Z[slots[k]]; ok && len(z) == len(potentials[k].vars) {
-				init.z[k] = z
-			}
-			if u, ok := warm.U[slots[k]]; ok && len(u) == len(potentials[k].vars) {
-				init.u[k] = u
-			}
-		}
-	}
-
-	res, zs, us := runADMM(n, target, priorW, potentials, opts, init)
-	res.Potentials = len(potentials)
-	truth := discretize(res.Values, opts.Threshold)
-	res.RepairFlips = repairHard(truth, res.Values, potentials)
-
-	values := make([]float64, atoms.Len())
-	full := make([]bool, atoms.Len())
-	for v, a := range order {
-		values[a] = res.Values[v]
-		full[a] = truth[v]
-	}
-	next := &Warm{
-		Values: values,
-		Z:      make(map[int32][]float64, len(potentials)),
-		U:      make(map[int32][]float64, len(potentials)),
-	}
-	for k := range potentials {
-		next.Z[slots[k]] = zs[k]
-		next.U[slots[k]] = us[k]
-	}
-	res.Values = values
-	res.Truth = full
-	return res, next
 }
 
 // admmInit seeds runADMM from a previous solve's iterates. Nil entries
@@ -316,13 +214,11 @@ func clauseToHinge(c ground.Clause, opts Options) hinge {
 
 // runADMM performs consensus ADMM over the hinge potentials plus
 // per-atom quadratic priors (which act directly in the consensus update
-// since they are separable). Each sweep is element-wise parallel across
-// opts.Parallelism workers; every floating-point reduction keeps a fixed
-// order (per-variable gathers in potential order, residual partials
-// summed sequentially), so the iterates are bitwise identical at any
-// worker count.
+// since they are separable). The sweeps are sequential — the caller's
+// pool parallelises across components — and every floating-point
+// reduction keeps a fixed order (per-variable gathers in potential
+// order), so the iterates depend only on the inputs.
 func runADMM(n int, target, priorW []float64, potentials []hinge, opts Options, warm *admmInit) (res *Result, zOut, uOut [][]float64) {
-	workers := par.Workers(opts.Parallelism)
 	x := make([]float64, n)
 	if warm != nil {
 		copy(x, warm.x)
@@ -363,59 +259,49 @@ func runADMM(n int, target, priorW []float64, potentials []hinge, opts Options, 
 	}
 	rho := opts.Rho
 	xPrev := make([]float64, n)
-	primalK := make([]float64, len(potentials))
 	res = &Result{}
 
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		// z-step: proximal update per potential.
-		par.DoRange(len(potentials), workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				h := &potentials[k]
-				vloc := z[k] // reuse storage for v = x - u
-				for i, vi := range h.vars {
-					vloc[i] = x[vi] - u[k][i]
-				}
-				proxHinge(h, vloc, rho)
+		for k := range potentials {
+			h := &potentials[k]
+			vloc := z[k] // reuse storage for v = x - u
+			for i, vi := range h.vars {
+				vloc[i] = x[vi] - u[k][i]
 			}
-		})
+			proxHinge(h, vloc, rho)
+		}
 
 		// x-step: average local copies + duals, fold in the quadratic
 		// prior, clamp to [0,1].
 		copy(xPrev, x)
-		par.DoRange(n, workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				// argmin_x priorW (x-target)² + (ρ/2) Σ_k (x - (z+u))² =
-				// (2·priorW·target + ρ·Σ(z+u)) / (2·priorW + ρ·deg)
-				den := 2*priorW[v] + rho*deg[v]
-				if den == 0 {
-					continue
-				}
-				sum := 0.0
-				for _, s := range varPot[v] {
-					sum += z[s.k][s.i] + u[s.k][s.i]
-				}
-				xv := (2*priorW[v]*target[v] + rho*sum) / den
-				x[v] = clamp01(xv)
+		for v := 0; v < n; v++ {
+			// argmin_x priorW (x-target)² + (ρ/2) Σ_k (x - (z+u))² =
+			// (2·priorW·target + ρ·Σ(z+u)) / (2·priorW + ρ·deg)
+			den := 2*priorW[v] + rho*deg[v]
+			if den == 0 {
+				continue
 			}
-		})
+			sum := 0.0
+			for _, s := range varPot[v] {
+				sum += z[s.k][s.i] + u[s.k][s.i]
+			}
+			xv := (2*priorW[v]*target[v] + rho*sum) / den
+			x[v] = clamp01(xv)
+		}
 
-		// u-step: per-potential dual updates with primal partials.
-		par.DoRange(len(potentials), workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				h := &potentials[k]
-				pk := 0.0
-				for i, vi := range h.vars {
-					diff := z[k][i] - x[vi]
-					u[k][i] += diff
-					pk += diff * diff
-				}
-				primalK[k] = pk
-			}
-		})
-		// Residual reductions, in fixed order.
+		// u-step: per-potential dual updates, accumulating the primal
+		// residual one per-potential partial at a time.
 		var primal, dual float64
-		for k := range primalK {
-			primal += primalK[k]
+		for k := range potentials {
+			h := &potentials[k]
+			pk := 0.0
+			for i, vi := range h.vars {
+				diff := z[k][i] - x[vi]
+				u[k][i] += diff
+				pk += diff * diff
+			}
+			primal += pk
 		}
 		for v := 0; v < n; v++ {
 			d := x[v] - xPrev[v]

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/engine"
@@ -80,32 +81,17 @@ type compUnit struct {
 // assignment are unchanged. plan, when non-nil, is the shared
 // decomposition the solver stage already built; nil builds one here.
 // The merged Outcome is byte-identical to whole-graph Resolve over the
-// same state, at every Parallelism setting. Falls back to whole-graph
-// Resolve when the solve kept no indexed clause set.
-func ResolveComponents(out *translate.Output, prog *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache) (*Outcome, error) {
-	run, err := BeginComponents(out, prog, opts, plan, cache, nil)
+// same state, at every Parallelism setting. The output must carry the
+// solve's atom-indexed clause set (every MLN/PSL solve does); the
+// cutting-plane and greedy read-out is Resolve. The program is not
+// consulted — rule groundings are read from the clause set.
+func ResolveComponents(out *translate.Output, _ *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache) (*Outcome, error) {
+	run, err := BeginComponents(out, opts, plan, cache, nil)
 	if err != nil {
 		return nil, err
 	}
 	oc, _, err := run.Finish()
 	return oc, err
-}
-
-// ResolveComponentsLive is ResolveComponents with the Outcome
-// delta-patched on live instead of assembled from scratch: components
-// whose read-out is unchanged keep their contribution to the global
-// fact/cluster lists, dirtied ones are subtracted and re-spliced, and
-// the returned OutcomeDelta is the changelog of what entered or left
-// each list this solve. The materialized Outcome stays byte-identical
-// to whole-graph Resolve. live must be synced by every component solve
-// it survives (the session owns and invalidates it); on the whole-graph
-// fallback it is reset and the delta is nil.
-func ResolveComponentsLive(out *translate.Output, prog *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome) (*Outcome, *OutcomeDelta, error) {
-	run, err := BeginComponents(out, prog, opts, plan, cache, live)
-	if err != nil {
-		return nil, nil, err
-	}
-	return run.Finish()
 }
 
 // ComponentRun is a component read-out paused between its two phases:
@@ -119,7 +105,6 @@ type ComponentRun struct {
 	cached []bool
 	live   *LiveOutcome
 	start  time.Time
-	done   bool // whole-graph fallback: Finish has nothing left to do
 	// dirtyOnly marks an analysis restricted to the planner's change
 	// set: units/cached are indexed by position in dirty, not by
 	// component.
@@ -130,17 +115,14 @@ type ComponentRun struct {
 
 // BeginComponents runs the analysis phase of the component-decomposed
 // read-out — the per-component repair units, reusing cached ones —
-// leaving the Outcome to Finish. See ResolveComponents for semantics.
-func BeginComponents(out *translate.Output, prog *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome) (*ComponentRun, error) {
+// leaving the Outcome to Finish. With live non-nil, Finish delta-patches
+// the Outcome on it instead of assembling from scratch and returns the
+// changelog of what entered or left each list this solve; live must be
+// synced by every solve it survives (the session owns and invalidates
+// it). See ResolveComponents for semantics.
+func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome) (*ComponentRun, error) {
 	if out.Clauses == nil || !out.Clauses.HasAtomIndex() {
-		if live != nil {
-			live.Reset()
-		}
-		oc, err := Resolve(out, prog, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &ComponentRun{oc: oc, done: true}, nil
+		return nil, fmt.Errorf("repair: component read-out needs the solve's atom-indexed clause set (solver %v kept none)", out.Solver)
 	}
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -325,9 +307,6 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 // assembly when no live outcome is maintained, the delta-patched live
 // sync otherwise.
 func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta, error) {
-	if r.done {
-		return r.oc, nil, nil
-	}
 	oc, plan, units, cached, live := r.oc, r.plan, r.units, r.cached, r.live
 	rs := oc.Stats.Repair
 	start := r.start

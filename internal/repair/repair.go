@@ -11,10 +11,12 @@
 // classification, confidence propagation, conflict clusters,
 // explanations and violation counts — is computed per clause-connected
 // scope (resolveUnit) and merged deterministically (assembleOutcome).
-// Resolve runs one unit over the whole graph; ResolveComponents (see
-// components.go) runs one unit per conflict component with a
-// per-component cache, so an incremental update re-repairs only the
-// components it dirtied.
+// BeginComponents/Finish (see components.go) is the read-out of every
+// MLN/PSL solve: one unit per conflict component with a per-component
+// cache, so an incremental update re-repairs only the components it
+// dirtied. Resolve runs one unit over the whole graph — the read-out of
+// the cutting-plane and greedy paths, which keep no clause set to
+// partition.
 package repair
 
 import (
@@ -159,7 +161,7 @@ type Stats struct {
 	Ground *ground.GroundStats
 	// Components summarises the component-decomposed solve — component
 	// count, size histogram, solved/reused split and per-engine tallies.
-	// Nil when the monolithic path ran.
+	// Nil under cutting-plane inference and the greedy baseline.
 	Components *ground.ComponentStats
 	// Repair summarises the conflict-resolution read-out stage: how it
 	// ran (whole-graph or per-component), the repaired/reused component
@@ -173,7 +175,8 @@ type Stats struct {
 	// Plan summarises how the solve obtained its component decomposition
 	// plan: delta-maintained on the session engine or rebuilt from
 	// scratch, with splice/patch counts and the sync timing. Nil when no
-	// component plan was built (monolithic path).
+	// component plan was built (cutting-plane inference, the greedy
+	// baseline).
 	Plan *engine.PlanStats
 }
 

@@ -263,7 +263,7 @@ func TestSnapshotReadHistory(t *testing.T) {
 		defer close(done)
 		probe := "W coach Napoli [2001,2003] 0.6"
 		for i := 0; i < steps; i++ {
-			req := BatchRequest{Solve: &SessionSolveRequest{Solver: "mln", ComponentSolve: true}}
+			req := BatchRequest{Solve: &SessionSolveRequest{Solver: "mln"}}
 			if i%2 == 0 {
 				req.Remove = probe
 			} else {

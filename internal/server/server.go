@@ -452,12 +452,9 @@ type SolveRequest struct {
 	// Parallelism overrides the server's worker pool size for this
 	// solve (0 = server default).
 	Parallelism int `json:"parallelism,omitempty"`
-	// ComponentSolve partitions the ground network into independent
-	// conflict components solved separately (stats.Components reports
-	// the decomposition).
-	ComponentSolve bool `json:"componentSolve,omitempty"`
-	// ComponentExactLimit is the largest component handed to the exact
-	// MaxSAT engine in component mode (0 = default 48).
+	// ComponentExactLimit is the largest conflict component handed to
+	// the exact MaxSAT engine (0 = default 48); stats.Components reports
+	// the decomposition.
 	ComponentExactLimit int `json:"componentExactLimit,omitempty"`
 }
 
@@ -512,7 +509,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Threshold:           req.Threshold,
 		CuttingPlane:        req.CuttingPlane,
 		Parallelism:         s.solveParallelism(req.Parallelism),
-		ComponentSolve:      req.ComponentSolve,
 		ComponentExactLimit: req.ComponentExactLimit,
 	})
 	if err != nil {

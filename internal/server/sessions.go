@@ -29,8 +29,8 @@ import (
 //	POST   /api/sessions/{id}/batch   {add?, remove?, solve?} → batched
 //	                                   adds+removes (+solve) in one request
 //	POST   /api/sessions/{id}/solve   {solver, threshold, parallelism,
-//	                                   componentSolve, componentExactLimit,
-//	                                   coldStart} → SolveResponse
+//	                                   componentExactLimit, coldStart,
+//	                                   delta} → SolveResponse
 //	DELETE /api/sessions/{id}         → drops the session
 //
 // Sessions live in a bounded LRU table; creating one past the capacity
@@ -477,36 +477,32 @@ type SessionSolveRequest struct {
 	Solver      string  `json:"solver"`
 	Threshold   float64 `json:"threshold,omitempty"`
 	Parallelism int     `json:"parallelism,omitempty"`
-	// ComponentSolve partitions the ground network into independent
-	// conflict components; across session re-solves only the components
-	// a delta dirtied are re-solved and re-repaired (stats.Components
-	// reports the solver's solved/reused split, stats.Repair the
-	// read-out's repaired/reused split).
+	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool `json:"componentSolve,omitempty"`
-	// ComponentExactLimit is the largest component handed to the exact
-	// MaxSAT engine in component mode (0 = default 48).
+	// ComponentExactLimit is the largest conflict component handed to
+	// the exact MaxSAT engine (0 = default 48).
 	ComponentExactLimit int `json:"componentExactLimit,omitempty"`
 	// ColdStart disables warm-starting from the previous solution (and
-	// drops the per-component solution cache for this solve).
+	// drops the per-component caches for this solve).
 	ColdStart bool `json:"coldStart,omitempty"`
 	// Delta requests changelog mode: the response carries only the
 	// facts and clusters that entered or left each Outcome list since
 	// the session's previous solve (plus statistics), not the full
-	// lists. Requires componentSolve — the delta-patched live outcome
-	// is maintained on the component path only; without it the full
-	// response is returned. After a cache invalidation (coldStart,
-	// threshold or solver change) the delta reports the full outcome as
-	// added.
+	// lists. The first solve and any solve after a cache invalidation
+	// (coldStart, threshold or solver change) report the full outcome
+	// as added. The greedy baseline keeps no live outcome and returns
+	// the full response.
 	Delta bool `json:"delta,omitempty"`
 }
 
 // SessionSolveResponse is a SolveResponse plus incremental-path info.
-// With componentSolve, stats.Repair reports the conflict-resolution
-// read-out stage: its mode ("components"), the repaired/reused
-// component split of this re-solve, and stage timings — the read-out
-// counterpart of stats.Components — and stats.Outcome reports how the
-// final Outcome was produced (live delta-patching vs full assembly,
-// patched/reused split, index/merge timings).
+// Across session re-solves only the conflict components a delta dirtied
+// are re-solved and re-repaired: stats.Components reports the solver's
+// solved/reused split, stats.Repair the read-out stage — its mode
+// ("components"), the repaired/reused component split of this re-solve,
+// and stage timings — and stats.Outcome how the final Outcome was
+// produced (live delta-patching, patched/reused split, index/merge
+// timings).
 type SessionSolveResponse struct {
 	SolveResponse
 	// Incremental reports whether the solve consumed only the delta.
@@ -572,7 +568,6 @@ func (s *Server) solveLocked(ss *session, solver translate.Solver, req SessionSo
 		Solver:              solver,
 		Threshold:           req.Threshold,
 		Parallelism:         s.solveParallelism(req.Parallelism),
-		ComponentSolve:      req.ComponentSolve,
 		ComponentExactLimit: req.ComponentExactLimit,
 		ColdStart:           req.ColdStart,
 	})

@@ -120,9 +120,9 @@ func TestSessionFromDataset(t *testing.T) {
 	}
 }
 
-// TestSessionComponentSolve streams facts through a session with
-// componentSolve on: stats report the decomposition, and an incremental
-// re-solve reuses the cached solutions of untouched components.
+// TestSessionComponentSolve streams facts through a session: stats
+// report the component decomposition, and an incremental re-solve reuses
+// the cached solutions of untouched components.
 func TestSessionComponentSolve(t *testing.T) {
 	ts := newTestServer(t)
 	var info SessionInfo
@@ -141,20 +141,20 @@ MX coach Lyon [2003,2005] 0.7
 	base := ts.URL + "/api/sessions/" + info.ID
 
 	var solve SessionSolveResponse
-	resp = postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln", ComponentSolve: true}, &solve)
+	resp = postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln"}, &solve)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve: status %d", resp.StatusCode)
 	}
 	cs := solve.Stats.Components
 	if cs == nil || cs.Count < 2 {
-		t.Fatalf("componentSolve stats missing or trivial: %+v", cs)
+		t.Fatalf("component stats missing or trivial: %+v", cs)
 	}
 	if cs.Solved != cs.Count || cs.Reused != 0 {
 		t.Fatalf("first solve should solve every component: %+v", cs)
 	}
 	rs := solve.Stats.Repair
 	if rs == nil || rs.Mode != repair.RepairComponents {
-		t.Fatalf("componentSolve response missing component repair stats: %+v", rs)
+		t.Fatalf("response missing component repair stats: %+v", rs)
 	}
 	if rs.Repaired != rs.Components || rs.Reused != 0 {
 		t.Fatalf("first solve should repair every component: %+v", rs)
@@ -166,7 +166,7 @@ MX coach Lyon [2003,2005] 0.7
 	if resp.StatusCode != http.StatusOK || facts.Added != 1 {
 		t.Fatalf("add facts: status %d resp %+v", resp.StatusCode, facts)
 	}
-	resp = postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln", ComponentSolve: true}, &solve)
+	resp = postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln"}, &solve)
 	if resp.StatusCode != http.StatusOK || !solve.Incremental {
 		t.Fatalf("re-solve: status %d incremental=%v", resp.StatusCode, solve.Incremental)
 	}
@@ -202,7 +202,7 @@ MX coach Lyon [2003,2005] 0.7
 		t.Fatalf("create session: status %d", resp.StatusCode)
 	}
 	base := ts.URL + "/api/sessions/" + info.ID
-	req := SessionSolveRequest{Solver: "mln", ComponentSolve: true, Delta: true}
+	req := SessionSolveRequest{Solver: "mln", Delta: true}
 
 	var solve SessionSolveResponse
 	resp = postJSON(t, base+"/solve", req, &solve)
@@ -272,17 +272,17 @@ MX coach Lyon [2003,2005] 0.7
 		t.Fatalf("no-op solve produced a %d-entry changelog: %+v", n, d)
 	}
 
-	// Without componentSolve there is no live outcome: delta mode falls
-	// back to the full response.
-	var mono SessionSolveResponse
-	resp = postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln", Delta: true}, &mono)
+	// The greedy baseline keeps no live outcome: delta mode falls back
+	// to the full response.
+	var greedy SessionSolveResponse
+	resp = postJSON(t, base+"/solve", SessionSolveRequest{Solver: "greedy", Delta: true}, &greedy)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("monolithic solve: status %d", resp.StatusCode)
+		t.Fatalf("greedy solve: status %d", resp.StatusCode)
 	}
-	if mono.Delta != nil {
-		t.Fatal("monolithic solve fabricated a changelog")
+	if greedy.Delta != nil {
+		t.Fatal("greedy solve fabricated a changelog")
 	}
-	if len(mono.Kept) == 0 {
+	if len(greedy.Kept) == 0 {
 		t.Fatal("fallback response missing the full lists")
 	}
 }
@@ -310,7 +310,7 @@ CR coach Napoli [2001,2003] 0.6
 	resp = postJSON(t, base+"/batch", BatchRequest{
 		Add:    "CR coach Leeds [2003,2004] 0.5",
 		Remove: "CR coach Napoli [2001,2003] 0.6",
-		Solve:  &SessionSolveRequest{Solver: "mln", ComponentSolve: true},
+		Solve:  &SessionSolveRequest{Solver: "mln"},
 	}, &batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)

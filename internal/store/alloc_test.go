@@ -8,14 +8,21 @@ import (
 )
 
 // Allocation regression gates for the two hot read paths the scale work
-// rebuilt. These are run by CI next to the scale-bench smoke: a change
+// rebuilt. CI's non-race "allocation gates" step enforces them: a change
 // that reintroduces per-call maps or buffers fails here long before it
-// shows up on a memory profile.
+// shows up on a memory profile. Under -race they skip (see raceEnabled).
+
+func skipAllocGateUnderRace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+}
 
 // TestMatchAllocsSteadyState pins View.Match to zero steady-state
 // allocations: the match buffer comes from a pool and the quads are
 // decoded into the callback by value.
 func TestMatchAllocsSteadyState(t *testing.T) {
+	skipAllocGateUnderRace(t)
 	st := newFigure1Store(t)
 	v := st.ReadView()
 	pat := Pattern{S: rdf.NewIRI("CR"), P: rdf.NewIRI("coach")}
@@ -38,6 +45,7 @@ func TestMatchAllocsSteadyState(t *testing.T) {
 // a constant few allocations (the touched-id slice and the delta
 // bucket), not a per-call dedup map.
 func TestDeltaSinceAllocsSingleUpdate(t *testing.T) {
+	skipAllocGateUnderRace(t)
 	st := newFigure1Store(t)
 	before := st.Epoch()
 	if _, err := st.Add(rdf.NewQuad("CR", "coach", "Parma", temporal.MustNew(2007, 2009), 0.4)); err != nil {

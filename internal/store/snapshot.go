@@ -20,22 +20,18 @@ import (
 // Each term is kind(1B) + 3 length-prefixed strings (value, datatype,
 // lang), in dictionary-code order so Load reassigns identical codes.
 // Each fact is 3 term-id uvarints + 2 zig-zag varint chronons + 8-byte
-// LE confidence + addedAt/removedAt epoch uvarints. Unlike v1, facts are
-// written in dense id order *including tombstones*, so FactIDs — which
+// LE confidence + addedAt/removedAt epoch uvarints. Facts are written
+// in dense id order *including tombstones*, so FactIDs — which
 // the solver's canonical evidence ordering and the WAL's replay records
 // depend on — survive a save/load round trip exactly. The epoch
 // watermark is persisted so recovery knows where WAL replay resumes; the
 // trailer is CRC-32C over everything before it. The format is
 // independent of map iteration order and round-trips exactly.
 //
-// Version 1 ("TQS1") — live facts only, no epochs, no checksum — is
-// still readable; loading it re-Adds each fact into a fresh epoch
-// history.
+// Version 1 ("TQS1") — live facts only, no epochs, no checksum — has had
+// no writer since the WAL landed and is rejected as unsupported.
 
-var (
-	snapshotMagicV1 = [4]byte{'T', 'Q', 'S', '1'}
-	snapshotMagicV2 = [4]byte{'T', 'Q', 'S', '2'}
-)
+var snapshotMagicV2 = [4]byte{'T', 'Q', 'S', '2'}
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -252,67 +248,25 @@ func preallocCap(count uint64, cap int) int {
 	return cap
 }
 
-// Load reads a binary snapshot into a fresh store. Both snapshot
-// versions are accepted: TQS2 restores the exact fact table — ids,
-// tombstones and the epoch watermark (Epoch() and the compaction floor
-// equal the watermark; per-fact lifespans are preserved, revive history
-// below the watermark is not, so DeltaSince below it is conservative,
-// matching the documented CompactLog semantics) — and verifies the
-// checksum trailer; TQS1 re-Adds the live facts into a fresh epoch
-// history. Every structural field is validated (term kinds, id ranges,
-// epoch bounds, quad shape), so a corrupt or truncated snapshot yields
-// an error, never a malformed store.
+// Load reads a binary snapshot into a fresh store, restoring the exact
+// fact table — ids, tombstones and the epoch watermark (Epoch() and the
+// compaction floor equal the watermark; per-fact lifespans are
+// preserved, revive history below the watermark is not, so DeltaSince
+// below it is conservative, matching the documented CompactLog
+// semantics) — and verifying the checksum trailer. Every structural
+// field is validated (term kinds, id ranges, epoch bounds, quad shape),
+// so a corrupt or truncated snapshot yields an error, never a malformed
+// store.
 func Load(r io.Reader) (*Store, error) {
 	sr := &snapReader{br: bufio.NewReaderSize(r, 1<<16), crc: crc32.New(snapshotCRC)}
 	var magic [4]byte
 	if err := sr.ReadFull(magic[:]); err != nil {
 		return nil, fmt.Errorf("store: snapshot: %w", err)
 	}
-	switch magic {
-	case snapshotMagicV1:
-		return loadV1(sr)
-	case snapshotMagicV2:
-		return loadV2(sr)
+	if magic != snapshotMagicV2 {
+		return nil, fmt.Errorf("store: snapshot: unsupported snapshot version or bad magic %q", magic[:])
 	}
-	return nil, fmt.Errorf("store: snapshot: bad magic %q", magic[:])
-}
-
-// loadV1 reads the legacy live-facts-only format via the public Add
-// path, starting a fresh epoch history.
-func loadV1(sr *snapReader) (*Store, error) {
-	st := New()
-	termCount, err := binary.ReadUvarint(sr)
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot: %w", err)
-	}
-	for i := uint64(0); i < termCount; i++ {
-		t, err := sr.readTerm()
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot: term %d: %w", i, err)
-		}
-		st.dict.Encode(t)
-	}
-	factCount, err := binary.ReadUvarint(sr)
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot: %w", err)
-	}
-	for i := uint64(0); i < factCount; i++ {
-		f, err := readFactRecord(sr, st.dict.Len(), false)
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot: fact %d: %w", i, err)
-		}
-		q := rdf.Quad{
-			Subject:    st.dict.Decode(f.s),
-			Predicate:  st.dict.Decode(f.p),
-			Object:     st.dict.Decode(f.o),
-			Interval:   f.iv,
-			Confidence: f.conf,
-		}
-		if _, err := st.Add(q); err != nil {
-			return nil, fmt.Errorf("store: snapshot: fact %d: %w", i, err)
-		}
-	}
-	return st, nil
+	return loadV2(sr)
 }
 
 // loadV2 rebuilds the exact fact table — ids, tombstones, lifespans —
@@ -346,7 +300,7 @@ func loadV2(sr *snapReader) (*Store, error) {
 	}
 	st.facts = make([]fact, 0, preallocCap(factCount, 1<<20))
 	for i := uint64(0); i < factCount; i++ {
-		f, err := readFactRecord(sr, st.dict.Len(), true)
+		f, err := readFactRecord(sr, st.dict.Len())
 		if err != nil {
 			return nil, fmt.Errorf("store: snapshot: fact %d: %w", i, err)
 		}
@@ -397,9 +351,9 @@ func loadV2(sr *snapReader) (*Store, error) {
 	return st, nil
 }
 
-// readFactRecord decodes one fact record; withEpochs selects the v2
-// layout. Term ids are validated against the dictionary size.
-func readFactRecord(sr *snapReader, dictLen int, withEpochs bool) (fact, error) {
+// readFactRecord decodes one fact record. Term ids are validated against
+// the dictionary size.
+func readFactRecord(sr *snapReader, dictLen int) (fact, error) {
 	var f fact
 	readID := func() (TermID, error) {
 		v, err := binary.ReadUvarint(sr)
@@ -432,9 +386,6 @@ func readFactRecord(sr *snapReader, dictLen int, withEpochs bool) (fact, error) 
 		return f, err
 	}
 	f.conf = math.Float64frombits(binary.LittleEndian.Uint64(cb[:]))
-	if !withEpochs {
-		return f, nil
-	}
 	added, err := binary.ReadUvarint(sr)
 	if err != nil {
 		return f, err

@@ -114,10 +114,11 @@ func CheckPredicates(st *store.Store, prog *logic.Program) []string {
 // Options bundles per-backend tuning.
 type Options struct {
 	// Parallelism bounds the worker pools across the whole solve
-	// pipeline — grounding, local-search restarts, ADMM sweeps: 0 means
-	// GOMAXPROCS, 1 forces the sequential path. Backend-specific
-	// settings (MLN.Parallelism, PSL.Parallelism) take precedence when
-	// non-zero. Results are identical at every setting.
+	// pipeline — grounding, per-component solves, cutting-plane
+	// local-search restarts: 0 means GOMAXPROCS, 1 forces the sequential
+	// path. Backend-specific settings (MLN.Parallelism, PSL.Parallelism)
+	// take precedence when non-zero. Results are identical at every
+	// setting.
 	Parallelism int
 	MLN         mln.Options
 	PSL         psl.Options

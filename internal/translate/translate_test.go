@@ -114,8 +114,11 @@ func TestRunBothSolversAgreeOnFigure7(t *testing.T) {
 		if solver == SolverPSL && out.SoftValues == nil {
 			t.Error("PSL output should carry soft values")
 		}
-		if solver == SolverMLN && out.MLN == nil {
-			t.Error("MLN output should carry backend detail")
+		if solver == SolverMLN && (out.MLN == nil || out.MLN.Components == nil) {
+			t.Error("MLN output should carry backend detail, decomposition included")
+		}
+		if solver == SolverPSL && (out.PSL == nil || out.PSL.Components == nil) {
+			t.Error("PSL output should carry backend detail, decomposition included")
 		}
 	}
 }

@@ -206,7 +206,7 @@ func runLiveOutcomeDifferential(t *testing.T, solver tecore.Solver, threshold fl
 			}
 		}
 		res, err := s.Solve(tecore.SolveOptions{
-			Solver: solver, ComponentSolve: true, Threshold: curThreshold, Parallelism: par})
+			Solver: solver, Threshold: curThreshold, Parallelism: par})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -265,7 +265,7 @@ func TestLiveOutcomeSolverSwitch(t *testing.T) {
 	}
 	solvers := []tecore.Solver{tecore.SolverMLN, tecore.SolverPSL, tecore.SolverMLN}
 	for step, solver := range solvers {
-		res, err := s.Solve(tecore.SolveOptions{Solver: solver, ComponentSolve: true})
+		res, err := s.Solve(tecore.SolveOptions{Solver: solver})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -296,7 +296,7 @@ func TestOutcomeDeltaEmptyOnNoOpSolve(t *testing.T) {
 	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestOutcomeDeltaRevival(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	res, err := s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestOutcomeDeltaClusterScoped(t *testing.T) {
 	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	res, err := s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestLiveOutcomeMatchesAssembly(t *testing.T) {
 			}
 		}
 	}
-	opts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true})
+	opts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN})
 	for step := 0; step < 3; step++ {
 		switch step {
 		case 1:

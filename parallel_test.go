@@ -8,9 +8,9 @@ import (
 )
 
 // solveAt runs one full conflict-resolution pass at the given
-// parallelism and strips the wall-clock fields (solver runtime and
-// repair stage timings), the only parts of the outcome allowed to vary
-// between runs.
+// parallelism and strips the wall-clock fields (solver runtime, plan
+// sync time and the ground/repair/outcome stage timings), the only parts
+// of the outcome allowed to vary between runs.
 func solveAt(t *testing.T, ds *tecore.Dataset, program string, solver tecore.Solver,
 	parallelism int, cpi bool) *tecore.Outcome {
 	t.Helper()
@@ -34,6 +34,11 @@ func solveAt(t *testing.T, ds *tecore.Dataset, program string, solver tecore.Sol
 	oc.Stats.Repair = nil
 	oc.Stats.Outcome = nil
 	oc.Stats.Ground = nil
+	if oc.Stats.Plan != nil {
+		ps := *oc.Stats.Plan
+		ps.Sync = 0
+		oc.Stats.Plan = &ps
+	}
 	return &oc
 }
 

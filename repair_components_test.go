@@ -12,10 +12,12 @@ import (
 // incremental session's Outcome — kept/removed/derived facts,
 // Explanations, conflict clusters, per-constraint violation counts —
 // is identical to a fresh whole-graph repair.Resolve over the same live
-// graph, at parallelism 1 and N, for both MLN and PSL. The fresh
-// comparator solves monolithically, so its read-out runs the
-// whole-graph pass; the incremental side re-repairs only the components
-// each delta dirtied and replays the rest from the repair cache.
+// graph, at parallelism 1 and N. The fresh comparator solves by
+// cutting-plane inference, whose read-out is the whole-graph pass; the
+// incremental side re-repairs only the components each delta dirtied
+// and replays the rest from the repair cache. (On PSL output the same
+// contract is checked on identical solver output by
+// internal/core:TestComponentRepairByteIdenticalPSL.)
 
 // TestRepairComponentMatchesWholeGraphMLNExact: both sides solve
 // exactly, so the unique MAP optimum leaves no tie-breaking slack and
@@ -25,9 +27,9 @@ func TestRepairComponentMatchesWholeGraphMLNExact(t *testing.T) {
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
 			incOpts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par, ComponentSolve: true})
-			freshOpts := exactEverywhere(tecore.SolveOptions{
 				Solver: tecore.SolverMLN, Parallelism: par})
+			freshOpts := exactEverywhere(tecore.SolveOptions{
+				Solver: tecore.SolverMLN, Parallelism: par, CuttingPlane: true})
 			runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 127, 12, 17)
 		})
 	}
@@ -41,50 +43,37 @@ func TestRepairComponentMatchesWholeGraphMLNExact(t *testing.T) {
 func TestRepairComponentMatchesWholeGraphMLNThreshold(t *testing.T) {
 	pool := componentPool(4, 3, 131)
 	incOpts := exactEverywhere(tecore.SolveOptions{
-		Solver: tecore.SolverMLN, ComponentSolve: true, Threshold: 0.55})
-	freshOpts := exactEverywhere(tecore.SolveOptions{
 		Solver: tecore.SolverMLN, Threshold: 0.55})
+	freshOpts := exactEverywhere(tecore.SolveOptions{
+		Solver: tecore.SolverMLN, Threshold: 0.55, CuttingPlane: true})
 	runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 137, 10, 17)
 }
 
-// TestRepairComponentMatchesWholeGraphPSL: the discrete read-out must
-// match; derived confidences come from ADMM soft values, which agree
-// only to within the convergence tolerance across different
-// decompositions, so they are compared numerically.
-func TestRepairComponentMatchesWholeGraphPSL(t *testing.T) {
-	pool := componentPool(3, 3, 139)
-	incOpts := tecore.SolveOptions{Solver: tecore.SolverPSL, ComponentSolve: true, ColdStart: true}
-	freshOpts := tecore.SolveOptions{Solver: tecore.SolverPSL, ColdStart: true}
-	runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 149, 8, -1)
-}
-
 // TestRepairCacheReuse checks the incremental contract the repair cache
-// exists for: after a warm component solve, a single-fact delta
-// re-repairs only the dirtied component and replays every other cached
-// read-out, while a monolithic session reports the whole-graph mode.
+// exists for: after a warm solve, a single-fact delta re-repairs only
+// the dirtied component and replays every other cached read-out, while
+// a cutting-plane solve — which keeps no clause set to partition —
+// reports the whole-graph mode and an assembled outcome.
 func TestRepairCacheReuse(t *testing.T) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{Clusters: 20, ClusterSize: 5, Seed: 7})
-	mk := func(component bool) (*tecore.Session, tecore.SolveOptions) {
-		s := tecore.NewSession()
-		if err := s.LoadGraph(ds.Graph); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
-			t.Fatal(err)
-		}
-		return s, tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: component}
+	s := tecore.NewSession()
+	if err := s.LoadGraph(ds.Graph); err != nil {
+		t.Fatal(err)
 	}
+	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
+		t.Fatal(err)
+	}
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	probe := tecore.NewQuad("player/00003", "playsFor", "club/00003/0/probe",
 		tecore.MustInterval(1991, 1993), 0.55)
 
-	s, opts := mk(true)
 	res, err := s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs := res.Stats.Repair
 	if rs == nil || rs.Mode != tecore.RepairComponents {
-		t.Fatalf("component solve must use the component repair mode: %+v", rs)
+		t.Fatalf("a default MLN solve must use the component repair mode: %+v", rs)
 	}
 	if rs.Repaired != rs.Components || rs.Reused != 0 {
 		t.Fatalf("cold solve should repair every component: %+v", rs)
@@ -104,14 +93,17 @@ func TestRepairCacheReuse(t *testing.T) {
 		t.Errorf("the dirtied component was not re-repaired: %+v", rs)
 	}
 
-	s, opts = mk(false)
+	opts.CuttingPlane = true
 	res, err = s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs = res.Stats.Repair
 	if rs == nil || rs.Mode != tecore.RepairWholeGraph || rs.Repaired != 1 {
-		t.Fatalf("monolithic solve must report one whole-graph repair pass: %+v", rs)
+		t.Fatalf("cutting-plane solve must report one whole-graph repair pass: %+v", rs)
+	}
+	if os := res.Stats.Outcome; os == nil || os.Mode != tecore.OutcomeAssembled || res.Delta != nil {
+		t.Fatalf("cutting-plane solve must assemble its outcome and keep no changelog: %+v, delta %v", os, res.Delta)
 	}
 }
 
@@ -130,7 +122,7 @@ func TestRepairCacheInvalidatedByOptions(t *testing.T) {
 		}
 	}
 	mk := func(solver tecore.Solver, threshold float64) tecore.SolveOptions {
-		return tecore.SolveOptions{Solver: solver, ComponentSolve: true, Threshold: threshold}
+		return tecore.SolveOptions{Solver: solver, Threshold: threshold}
 	}
 	if _, err := s.Solve(mk(tecore.SolverMLN, 0)); err != nil {
 		t.Fatal(err)

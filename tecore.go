@@ -67,7 +67,7 @@ func OpenSession(dir string) (*Session, error) { return core.OpenSession(dir) }
 type RecoveryStats = wal.RecoveryStats
 
 // SolveOptions tunes a Solve call: backend, derived-fact threshold,
-// cutting-plane inference.
+// cutting-plane inference, parallelism.
 type SolveOptions = core.SolveOptions
 
 // Resolution is the outcome of conflict resolution: kept, removed and
@@ -158,15 +158,17 @@ type Outcome = repair.Outcome
 // Stats summarises a debugging run (Figure 8 of the paper).
 type Stats = repair.Stats
 
-// ComponentStats summarises a component-decomposed solve (see
-// SolveOptions.ComponentSolve); available as Stats.Components.
+// ComponentStats summarises the per-conflict-component solve of the MLN
+// (full grounding) and PSL backends — component count and sizes, the
+// engine each ran on, the solved/reused split; available as
+// Stats.Components (nil under CuttingPlane and the greedy baseline).
 type ComponentStats = ground.ComponentStats
 
-// PlanStats summarises the solve-plan stage of a component-decomposed
-// solve: whether the plan was patched in place ("maintained") or built
-// from scratch ("rebuilt", a session's first component solve), the
-// splice and partition-patch counts, and the sync wall time; available
-// as Stats.Plan (nil on monolithic solves).
+// PlanStats summarises the solve-plan stage of an MLN/PSL solve:
+// whether the plan was patched in place ("maintained") or built from
+// scratch ("rebuilt", a session's first solve), the splice and
+// partition-patch counts, and the sync wall time; available as
+// Stats.Plan (nil under CuttingPlane and the greedy baseline).
 type PlanStats = engine.PlanStats
 
 // GroundStats summarises the grounding stage of a solve — total wall
@@ -190,10 +192,10 @@ const (
 )
 
 // OutcomeStats summarises how the final Outcome was produced —
-// assembled from scratch (whole-graph read-outs) or delta-patched on
-// the session's live outcome (component solves) — with the
-// patched/reused component split and the index and merge timings;
-// available as Stats.Outcome.
+// delta-patched on the session's live outcome (every MLN/PSL solve) or
+// assembled from scratch (the whole-graph read-out of CuttingPlane and
+// the greedy baseline) — with the patched/reused component split and
+// the index and merge timings; available as Stats.Outcome.
 type OutcomeStats = repair.OutcomeStats
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
@@ -203,10 +205,9 @@ const (
 	OutcomeDeltaOnly = repair.OutcomeDeltaOnly
 )
 
-// OutcomeDelta is the changelog of an incremental component solve: the
-// facts and conflict clusters that entered or left each Outcome list
-// relative to the session's previous solve; available as
-// Resolution.Delta.
+// OutcomeDelta is the changelog of an MLN/PSL solve: the facts and
+// conflict clusters that entered or left each Outcome list relative to
+// the session's previous solve; available as Resolution.Delta.
 type OutcomeDelta = repair.OutcomeDelta
 
 // Fact is a resolved fact with provenance.

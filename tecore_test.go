@@ -46,6 +46,69 @@ func TestQuickstart(t *testing.T) {
 	}
 }
 
+// TestFigure7OnePipeline pins the paper's Figure 7 on Figure 1 + (f1,
+// c2) — 4 kept, Napoli removed, worksFor(CR, Palermo) inferred — with
+// default options, together with the shape of the pipeline that
+// produced it: MLN and PSL run the one component pipeline (plan,
+// per-component solve and repair, live outcome and changelog on every
+// solve); cutting-plane and the greedy baseline keep the whole-graph
+// read-out. PSL is the knife-edge: with the default weights worksFor's
+// optimum is exactly the 0.5 rounding threshold, so the answer must not
+// depend on which side ADMM stopped.
+func TestFigure7OnePipeline(t *testing.T) {
+	greedy, err := tecore.ParseSolver("greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		opts      tecore.SolveOptions
+		component bool
+		inferred  int
+	}{
+		{"mln", tecore.SolveOptions{Solver: tecore.SolverMLN}, true, 1},
+		{"psl", tecore.SolveOptions{Solver: tecore.SolverPSL}, true, 1},
+		{"mln-cpi", tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true}, false, 1},
+		{"greedy", tecore.SolveOptions{Solver: greedy}, false, 0}, // chains hard implications only
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tecore.NewSession()
+			if err := s.LoadGraphText(figure1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LoadProgramText(incrementalProgram); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Solve(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if st.KeptFacts != 4 || len(res.Removed) != 1 || res.Removed[0].Quad.Object.Value != "Napoli" {
+				t.Errorf("kept %d, removed %v; want 4 kept and Napoli removed", st.KeptFacts, res.Removed)
+			}
+			if len(res.Inferred) != tc.inferred ||
+				(tc.inferred == 1 && res.Inferred[0].Quad.Predicate.Value != "worksFor") {
+				t.Errorf("inferred %v, want %d worksFor fact(s)", res.Inferred, tc.inferred)
+			}
+			repairMode, outcomeMode := tecore.RepairWholeGraph, tecore.OutcomeAssembled
+			if tc.component {
+				repairMode, outcomeMode = tecore.RepairComponents, tecore.OutcomeLive
+			}
+			if st.Repair.Mode != repairMode || st.Outcome.Mode != outcomeMode {
+				t.Errorf("read-out ran %s/%s, want %s/%s", st.Repair.Mode, st.Outcome.Mode, repairMode, outcomeMode)
+			}
+			for _, set := range []bool{st.Components != nil, st.Plan != nil, res.Delta != nil} {
+				if set != tc.component {
+					t.Errorf("components %v, plan %v, delta %v; want each set = %v",
+						st.Components, st.Plan, res.Delta, tc.component)
+					break
+				}
+			}
+		})
+	}
+}
+
 func TestGraphRoundTripThroughFacade(t *testing.T) {
 	g, err := tecore.ParseGraphString(figure1)
 	if err != nil {
