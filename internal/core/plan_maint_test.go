@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/ground"
 	"repro/internal/rdf"
 	"repro/internal/repair"
 	"repro/internal/temporal"
@@ -55,7 +56,8 @@ func checkPlanMatchesFresh(t *testing.T, s *Session, step int) {
 
 // canonOutcome strips the stats that legitimately differ between two
 // solves of the same state (timings, plan mode, cache reuse) so the rest
-// of the Resolution can be compared bitwise.
+// of the Resolution can be compared bitwise. The component partition's
+// shape — Count, Largest, SizeHistogram — is path-independent and stays.
 func canonOutcome(r *Resolution) Resolution {
 	c := *r
 	oc := *r.Outcome
@@ -64,7 +66,9 @@ func canonOutcome(r *Resolution) Resolution {
 	oc.Stats.Repair = nil
 	oc.Stats.Outcome = nil
 	oc.Stats.Ground = nil
-	oc.Stats.Components = nil
+	if cs := oc.Stats.Components; cs != nil {
+		oc.Stats.Components = &ground.ComponentStats{Count: cs.Count, Largest: cs.Largest, SizeHistogram: cs.SizeHistogram}
+	}
 	c.Outcome = &oc
 	c.Output = nil
 	c.Delta = nil

@@ -1,0 +1,223 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/kgen"
+	"repro/internal/rdf"
+	"repro/internal/temporal"
+	"repro/internal/translate"
+)
+
+// The plan consumers' one pass, seen from the session: the running
+// aggregates a chain of change-set passes maintains must equal what a
+// fresh session folds from zero whatever solves ran in between, and the
+// change-set scope must actually engage on consecutive updates.
+
+// checkAggregatesMatchFresh compares the MLN solve-level aggregates of
+// res — the component partition's shape, hard feasibility, per-rule
+// violation counts and the subtract-and-add cost — against a fresh
+// session over s's current store state.
+func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts SolveOptions, step string) {
+	t.Helper()
+	fresh := freshResolution(t, s, opts)
+	got, want := res.Stats.Components, fresh.Stats.Components
+	if got.Count != want.Count || got.Largest != want.Largest || !reflect.DeepEqual(got.SizeHistogram, want.SizeHistogram) {
+		t.Fatalf("%s: components %d (largest %d, %v), fresh session %d (largest %d, %v)",
+			step, got.Count, got.Largest, got.SizeHistogram, want.Count, want.Largest, want.SizeHistogram)
+	}
+	gm, wm := res.Output.MLN, fresh.Output.MLN
+	if gm.HardSatisfied != wm.HardSatisfied || !reflect.DeepEqual(gm.RuleViolations, wm.RuleViolations) {
+		t.Fatalf("%s: hard-satisfied %v violations %v, fresh session %v %v",
+			step, gm.HardSatisfied, gm.RuleViolations, wm.HardSatisfied, wm.RuleViolations)
+	}
+	if d := math.Abs(gm.Cost - wm.Cost); d > 1e-9*math.Max(1, math.Abs(wm.Cost)) {
+		t.Fatalf("%s: cost %.12g, fresh session %.12g", step, gm.Cost, wm.Cost)
+	}
+}
+
+// TestSolverAlternationKeepsAggregates interleaves PSL solves between
+// MLN solves on one session, so the MLN cache repeatedly finds itself
+// more than one plan generation behind. Component keys the skipped
+// syncs retired must not survive in it: a later split re-creates such a
+// key, and a stale entry under it would be subtracted from totals it
+// was never added to.
+func TestSolverAlternationKeepsAggregates(t *testing.T) {
+	mlnOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverMLN, Parallelism: par} }
+	pslOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverPSL, Parallelism: par} }
+	solve := func(t *testing.T, s *Session, opts SolveOptions, step string) *Resolution {
+		t.Helper()
+		res, err := s.Solve(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if opts.Solver == translate.SolverMLN {
+			checkAggregatesMatchFresh(t, s, res, opts, step)
+		}
+		return res
+	}
+
+	// Two conflict pairs of one coach, far apart in time, and a spell
+	// overlapping one fact of each: adding it merges the two components
+	// (retiring the second's key), removing it splits them again.
+	t.Run("bridge", func(t *testing.T) {
+		s := NewSession()
+		if err := s.LoadProgramText(equivProgram); err != nil {
+			t.Fatal(err)
+		}
+		coach := func(club string, from, to int64, conf float64) rdf.Quad {
+			return rdf.NewQuad("P0", "coach", club, temporal.MustNew(from, to), conf)
+		}
+		for _, q := range []rdf.Quad{
+			coach("A", 2000, 2003, 0.9), coach("B", 2002, 2005, 0.6),
+			coach("C", 2010, 2013, 0.9), coach("D", 2012, 2015, 0.6),
+		} {
+			if err := s.AddFact(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bridge := coach("E", 2004, 2011, 0.55)
+
+		if res := solve(t, s, mlnOpts(1), "initial"); res.Stats.Components.Count != 2 {
+			t.Fatalf("fixture has %d components, want 2", res.Stats.Components.Count)
+		}
+		if err := s.AddFact(bridge); err != nil {
+			t.Fatal(err)
+		}
+		solve(t, s, pslOpts(1), "psl over the bridge")
+		if res := solve(t, s, mlnOpts(1), "mln after psl"); res.Stats.Components.Count != 1 {
+			t.Fatalf("bridge merged into %d components, want 1", res.Stats.Components.Count)
+		}
+		if !s.RemoveFact(bridge) {
+			t.Fatal("bridge retraction missed")
+		}
+		res := solve(t, s, mlnOpts(1), "mln after unbridge")
+		if !res.Output.MLN.TruthDelta {
+			t.Fatal("the split was not solved under the change-set scope; the schedule no longer exercises the chained pass")
+		}
+	})
+
+	for _, par := range []int{1, 0} {
+		t.Run(fmt.Sprintf("random/par%d", par), func(t *testing.T) {
+			s := NewSession()
+			if err := s.LoadProgramText(equivProgram); err != nil {
+				t.Fatal(err)
+			}
+			// equivPool's cross-subject facts are the bridges: toggling
+			// them merges and splits neighbouring subjects' components.
+			pool := equivPool(6, 3)
+			rng := rand.New(rand.NewSource(int64(97 + par)))
+			live := make([]bool, len(pool))
+			for step := 0; step < 60; step++ {
+				for m := rng.Intn(3) + 1; m > 0; m-- {
+					idx := rng.Intn(len(pool))
+					if live[idx] {
+						s.RemoveFact(pool[idx])
+					} else if err := s.AddFact(pool[idx]); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					live[idx] = !live[idx]
+				}
+				opts := mlnOpts(par)
+				if rng.Intn(3) == 0 {
+					opts = pslOpts(par)
+				}
+				solve(t, s, opts, fmt.Sprintf("step %d (%v)", step, opts.Solver))
+			}
+		})
+	}
+}
+
+// TestDeltaScopeEngages pins that consecutive single-fact MLN updates
+// run every stage under the planner's change set — a regression that
+// silently scoped every component would pass every equivalence suite —
+// and that each event breaking the chain (another solver's solve, a
+// ColdStart, a planner rebuild) costs exactly one all-component solve.
+func TestDeltaScopeEngages(t *testing.T) {
+	const clusters, size = 220, 4
+	ds := kgen.Clustered(kgen.ClusteredConfig{Clusters: clusters, ClusterSize: size, Seed: 5})
+	s := NewSession()
+	if err := s.LoadProgramText(kgen.ClusteredProgram); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadGraph(ds.Graph); err != nil {
+		t.Fatal(err)
+	}
+	mln := SolveOptions{Solver: translate.SolverMLN}
+	solve := func(step string, opts SolveOptions, wantDelta bool) *Resolution {
+		t.Helper()
+		res, err := s.Solve(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if opts.Solver != translate.SolverMLN {
+			return res
+		}
+		if got := res.Output.MLN.TruthDelta; got != wantDelta {
+			t.Fatalf("%s: TruthDelta = %v, want %v (plan %+v)", step, got, wantDelta, res.Stats.Plan)
+		}
+		if c, r, o := res.Stats.Components, res.Stats.Repair, res.Stats.Outcome; wantDelta &&
+			(c.Solved > 2 || r.Repaired > 2 || o.Patched > 2) {
+			t.Fatalf("%s: a single-fact update solved %d, repaired %d, patched %d components; want at most 2 each",
+				step, c.Solved, r.Repaired, o.Patched)
+		}
+		return res
+	}
+	// One update = one fact: a rival spell shadowing cluster c's first
+	// spell (dirtying exactly that cluster's component), added on even
+	// calls and retracted on odd ones.
+	updates := 0
+	update := func() {
+		t.Helper()
+		c := (updates / 2) % clusters
+		rival := ds.Graph[c*size]
+		rival.Object = rdf.NewIRI(fmt.Sprintf("club/rival/%d", c))
+		rival.Confidence = 0.4
+		if updates%2 == 0 {
+			if err := s.AddFact(rival); err != nil {
+				t.Fatal(err)
+			}
+		} else if !s.RemoveFact(rival) {
+			t.Fatal("rival retraction missed")
+		}
+		updates++
+	}
+
+	if res := solve("first solve", mln, false); res.Stats.Components.Count < 200 {
+		t.Fatalf("fixture has %d components, want at least 200", res.Stats.Components.Count)
+	}
+	for i := 0; i < 12; i++ {
+		update()
+		solve(fmt.Sprintf("update %d", i), mln, true)
+	}
+
+	solve("psl", SolveOptions{Solver: translate.SolverPSL}, false)
+	solve("first mln after psl", mln, false)
+	update()
+	solve("update after psl", mln, true)
+
+	cold := mln
+	cold.ColdStart = true
+	update()
+	solve("cold start", cold, false)
+	update()
+	solve("update after cold start", mln, true)
+
+	// Retracting more than a quarter of the atoms in one delta makes the
+	// planner rebuild instead of patching.
+	for c := 0; c < clusters; c++ {
+		s.RemoveFact(ds.Graph[c*size+size-1])
+		if c < 20 {
+			s.RemoveFact(ds.Graph[c*size+size-2])
+		}
+	}
+	if res := solve("planner rebuild", mln, false); res.Stats.Plan.Mode != "rebuilt" {
+		t.Fatalf("a delta over a quarter of the atoms was patched, not rebuilt: %+v", res.Stats.Plan)
+	}
+	update()
+	solve("update after rebuild", mln, true)
+}

@@ -9,14 +9,20 @@
 //
 //   - Plan: the decomposition of one solve — canonical atom order,
 //     component partition, and per-component clause gathering in dense
-//     local numbering, driven by the clause set's atom index;
+//     local numbering, driven by the clause set's atom index — and the
+//     one question every consumer asks it, Scope: which components must
+//     I visit, given the generation my state was settled against? The
+//     last sync's change set when exactly one delta-patching sync
+//     behind, every component otherwise; there is no separate full pass;
 //   - Cache: a generic per-component payload cache keyed by (component
 //     key, generation, membership), the invariant under which a
-//     component's subproblem is provably unchanged;
-//   - Run: the scheduling loop — split components into reusable and
-//     dirty, process dirty ones concurrently on the shared worker pool,
-//     return results in deterministic component order;
-//   - Observe: the stats accounting every consumer reports identically.
+//     component's subproblem is provably unchanged, carrying the
+//     generation cursor and ending every pass with Settle, which drops
+//     what left the partition;
+//   - Run: the scheduling loop over a scope — split its components into
+//     reusable and dirty, process dirty ones concurrently on the shared
+//     worker pool, return results in deterministic component order;
+//   - Observe: the stats accounting consumers report identically.
 package engine
 
 import (
@@ -41,95 +47,85 @@ type Plan struct {
 	// component listing its atoms in canonical order.
 	Comps []ground.Component
 
-	cs         *ground.ClauseSet
-	localOfVar []int32
-
-	// localOfAtom is the Planner's atom-indexed local map — unlike
-	// localOfVar it does not shift when the canonical order is spliced,
-	// so the planner patches only touched components' entries. When set
-	// it drives Local.
+	cs *ground.ClauseSet
+	// localOfAtom maps each live atom id to its index within its
+	// component. Being atom-indexed it does not shift when the canonical
+	// order is spliced, so the planner patches only touched components'
+	// entries.
 	localOfAtom []int32
 	// maintained marks a plan delta-patched by a Planner sync (as
-	// opposed to built from scratch); retired then lists the component
-	// keys that sync removed from the partition, so consumers can drop
-	// exactly those cache entries instead of rebuilding their caches.
+	// opposed to built from scratch). gen is the planner's sync
+	// generation — bumped on every Planner.Sync, including empty-delta
+	// and rebuild syncs (generation 1 is always a from-scratch build), and
+	// 0 for a NewPlan. dirty, retired and dead are that sync's change set
+	// (see Scope, Cache.Settle, RetractedAtoms).
 	maintained bool
+	gen        uint64
+	dirty      []int32
 	retired    []ground.AtomID
-	// gen is the planner's sync generation; dirty and dead describe the
-	// last sync's change set (see Gen, DirtyComps, RetractedAtoms).
-	gen   uint64
-	dirty []int32
-	dead  []ground.AtomID
+	dead       []ground.AtomID
 }
 
 // NewPlan partitions the clause set's ground network into conflict
 // components in canonical order. It switches on cs's atom index
 // (idempotent), which Clauses walks to gather each component's own
-// clauses on demand.
+// clauses on demand, and touches no other engine state. The plan has
+// generation 0 and scopes every component.
 func NewPlan(atoms *ground.AtomTable, cs *ground.ClauseSet) *Plan {
 	cs.EnableAtomIndex()
 	order := ground.CanonicalAtoms(atoms)
-	varOf := ground.CanonicalVarMap(atoms, order)
 	p := &Plan{
-		Atoms: atoms,
-		Order: order,
-		VarOf: varOf,
-		Comps: cs.Components(order),
-		cs:    cs,
+		Atoms:       atoms,
+		Order:       order,
+		VarOf:       ground.CanonicalVarMap(atoms, order),
+		Comps:       cs.Components(order),
+		cs:          cs,
+		localOfAtom: make([]int32, atoms.Len()),
 	}
-	// Var → local index; components list their atoms in canonical order,
-	// so local numbering is the canonical order restricted to the
-	// component.
-	p.localOfVar = make([]int32, len(order))
+	// Components list their atoms in canonical order, so local numbering
+	// is the canonical order restricted to the component.
 	for ci := range p.Comps {
 		for li, a := range p.Comps[ci].Atoms {
-			p.localOfVar[varOf[a]] = int32(li)
+			p.localOfAtom[a] = int32(li)
 		}
 	}
 	return p
 }
 
 // Local maps a global atom id to its component-local variable.
-func (p *Plan) Local(a ground.AtomID) int32 {
-	if p.localOfAtom != nil {
-		return p.localOfAtom[a]
+func (p *Plan) Local(a ground.AtomID) int32 { return p.localOfAtom[a] }
+
+// chained reports whether state derived from generation have is exactly
+// one delta-patching sync behind this plan, so that the sync's change
+// set (dirty, retired, dead) is everything that differs. Any gap means
+// intervening syncs whose change sets were never observed.
+func (p *Plan) chained(have uint64) bool { return p.maintained && have+1 == p.gen }
+
+// Scope returns the components (ascending indexes into Comps) a
+// consumer holding state settled against generation have must visit,
+// and whether that is a change set (delta) rather than the whole
+// partition. Chained on the previous generation it is the components
+// the last sync re-listed or generation-bumped: together with the
+// retired keys (see Cache.Settle) and RetractedAtoms a superset of
+// every change, so a component outside it has the same key, generation,
+// membership, atom truth domain and clause subproblem it had under the
+// previous plan. Otherwise — no state (have 0), a gap, a rebuilt plan, a
+// NewPlan — it is every component: a full pass is a pass in which every
+// component is dirty.
+func (p *Plan) Scope(have uint64) (scope []int32, delta bool) {
+	if p.chained(have) {
+		return p.dirty, true
 	}
-	return p.localOfVar[p.VarOf[a]]
+	scope = make([]int32, len(p.Comps))
+	for i := range scope {
+		scope[i] = int32(i)
+	}
+	return scope, false
 }
-
-// Maintained reports whether this plan was delta-patched by a Planner
-// sync; Retired then lists the component keys that sync removed from
-// the partition. Consumers use the pair to maintain their caches
-// entry-wise (Put the dirty, Drop the retired) instead of rebuilding
-// them with Replace.
-func (p *Plan) Maintained() bool { return p.maintained }
-
-// Retired returns the component keys the last Planner sync removed
-// from the partition. Only meaningful when Maintained reports true.
-func (p *Plan) Retired() []ground.AtomID { return p.retired }
-
-// Gen returns the plan's sync generation: bumped on every Planner.Sync
-// — including empty-delta and rebuild syncs — and 0 for a from-scratch
-// NewPlan. A consumer holding state derived from generation g may apply
-// only this sync's change set (DirtyComps, Retired, RetractedAtoms) iff
-// the plan is maintained and Gen() == g+1; any gap means intervening
-// syncs whose change sets were never observed, and the state must be
-// reseeded from a full pass.
-func (p *Plan) Gen() uint64 { return p.gen }
-
-// DirtyComps returns the indexes into Comps (ascending) of every
-// component the last Planner sync re-listed or generation-bumped.
-// Together with Retired and RetractedAtoms this is a superset of every
-// change since the previous generation: a component absent from all
-// three has the same key, generation, membership, atom truth domain and
-// clause subproblem it had under the previous plan. Only meaningful
-// when Maintained reports true.
-func (p *Plan) DirtyComps() []int32 { return p.dirty }
 
 // RetractedAtoms returns the atoms the last Planner sync removed from
 // the canonical order without reinserting them — their truth is pinned
-// false from this generation on. Only meaningful when Maintained
-// reports true.
+// false from this generation on. Only meaningful under a delta Scope.
 func (p *Plan) RetractedAtoms() []ground.AtomID { return p.dead }
 
 // Clauses returns component i's live clauses in canonical order,
@@ -162,11 +158,14 @@ func (p *Plan) Observe(stats *ground.ComponentStats, i int, cached bool, engine 
 
 // Cache carries per-component payloads across incremental solves, keyed
 // by (component key, generation, membership) — the triple under which a
-// component's subproblem is provably unchanged. The zero value is not
-// usable; construct with NewCache. A nil *Cache is valid and never
-// hits. Not safe for concurrent use.
+// component's subproblem is provably unchanged — plus the plan
+// generation its key set was last settled against (see Settle), the one
+// cursor every consumer chains its change-set passes on. The zero value
+// is not usable; construct with NewCache. A nil *Cache is valid, never
+// hits and has generation 0. Not safe for concurrent use.
 type Cache[V any] struct {
 	entries map[ground.AtomID]*cacheEntry[V]
+	gen     uint64
 }
 
 type cacheEntry[V any] struct {
@@ -206,11 +205,8 @@ func (c *Cache[V]) Lookup(comp *ground.Component) (V, bool) {
 }
 
 // Each visits every cached payload with its component key, in no
-// particular order. Consumers that must subtract stale contributions
-// (the live outcome retiring components that vanished from the
-// partition) use it to enumerate what the cache still holds; entry
-// generations are not exposed — Lookup remains the only way to prove an
-// entry current. A nil cache is a no-op.
+// particular order; entry generations are not exposed — Lookup remains
+// the only way to prove an entry current. A nil cache is a no-op.
 func (c *Cache[V]) Each(fn func(key ground.AtomID, value V)) {
 	if c == nil {
 		return
@@ -238,10 +234,7 @@ func (c *Cache[V]) Peek(key ground.AtomID) (V, bool) {
 
 // Put installs a single component's payload under the component's
 // current (key, generation, membership), overwriting any previous
-// entry in place. Together with Drop it lets an incremental consumer
-// maintain the cache entry-wise instead of rebuilding it with Replace
-// — on a single-component delta the cache churn is one entry, not the
-// whole table. A nil cache is a no-op.
+// entry in place. A nil cache is a no-op.
 func (c *Cache[V]) Put(comp *ground.Component, value V) {
 	if c == nil {
 		return
@@ -253,70 +246,86 @@ func (c *Cache[V]) Put(comp *ground.Component, value V) {
 	c.entries[comp.Key] = &cacheEntry[V]{gen: comp.Gen, atoms: comp.Atoms, value: value}
 }
 
-// Drop removes the entry stored under key, if any.
-func (c *Cache[V]) Drop(key ground.AtomID) {
-	if c == nil {
-		return
-	}
-	delete(c.entries, key)
-}
-
-// Len reports the number of cached entries.
-func (c *Cache[V]) Len() int {
+// Gen returns the plan generation the cache was last settled against; 0
+// before the first Settle and for a nil cache.
+func (c *Cache[V]) Gen() uint64 {
 	if c == nil {
 		return 0
 	}
-	return len(c.entries)
+	return c.gen
 }
 
-// Replace installs this solve's payloads, one per component; entries of
-// components that no longer exist are dropped. A nil cache is a no-op.
-func (c *Cache[V]) Replace(comps []ground.Component, value func(i int) V) {
+// Settle ends a consumer's pass over p: it drops the entries of
+// components that left the partition, handing each dropped payload to
+// gone (when non-nil) exactly once, and records p's generation. The
+// caller must have visited at least p.Scope(c.Gen()) and Put every
+// component it did not reuse, so every component of p is keyed. Chained
+// on the previous generation, what left is exactly the keys the sync
+// retired; across any gap retirements went unobserved, and the surplus
+// keys are found by enumeration — paid for only when there are any. A
+// nil cache is a no-op.
+func (c *Cache[V]) Settle(p *Plan, gone func(V)) {
 	if c == nil {
 		return
 	}
-	fresh := make(map[ground.AtomID]*cacheEntry[V], len(comps))
-	for i := range comps {
-		fresh[comps[i].Key] = &cacheEntry[V]{
-			gen:   comps[i].Gen,
-			atoms: comps[i].Atoms,
-			value: value(i),
+	drop := func(key ground.AtomID) {
+		if e, ok := c.entries[key]; ok {
+			if gone != nil {
+				gone(e.value)
+			}
+			delete(c.entries, key)
 		}
 	}
-	c.entries = fresh
+	if p.chained(c.gen) {
+		for _, key := range p.retired {
+			drop(key)
+		}
+	} else if len(c.entries) > len(p.Comps) {
+		current := make(map[ground.AtomID]struct{}, len(p.Comps))
+		for i := range p.Comps {
+			current[p.Comps[i].Key] = struct{}{}
+		}
+		for key := range c.entries {
+			if _, ok := current[key]; !ok {
+				drop(key)
+			}
+		}
+	}
+	c.gen = p.gen
 }
 
-// Run is the shared scheduling loop of a component-decomposed pass. For
-// every component it first offers the cached payload (if any) to reuse;
-// a false return — stale by the consumer's own criteria, e.g. an
-// unconverged ADMM iterate — demotes the component to dirty. Dirty
-// components are then processed concurrently on the shared worker pool
-// (each kernel call must itself be sequential; the pool parallelises
-// across components) and results land in deterministic component order.
-// The returned cached slice marks the components whose payload was
-// reused. Workers must only read shared state — all index maintenance
-// happens at sequential points.
-func Run[V, R any](p *Plan, parallelism int, cache *Cache[V],
+// Run is the shared scheduling loop of a component-decomposed pass
+// over scope (see Plan.Scope). For every component in it Run first
+// offers the cached payload (if any) to reuse; a false return — stale
+// by the consumer's own criteria, e.g. an unconverged ADMM iterate —
+// demotes the component to dirty. Dirty components are then processed
+// concurrently on the shared worker pool (each kernel call must itself
+// be sequential; the pool parallelises across components). reuse and
+// solve take the component's index into p.Comps; results and cached
+// (which marks the reused payloads) are indexed by position in scope,
+// so they land in deterministic component order. Workers must only read
+// shared state — all index maintenance happens at sequential points.
+func Run[V, R any](p *Plan, scope []int32, parallelism int, cache *Cache[V],
 	reuse func(i int, v V) (R, bool),
 	solve func(i int) (R, error),
 ) (results []R, cached []bool, err error) {
-	results = make([]R, len(p.Comps))
-	cached = make([]bool, len(p.Comps))
+	results = make([]R, len(scope))
+	cached = make([]bool, len(scope))
 	var dirty []int
-	for i := range p.Comps {
-		if v, ok := cache.Lookup(&p.Comps[i]); ok {
-			if r, fresh := reuse(i, v); fresh {
-				results[i] = r
-				cached[i] = true
+	for k, ci := range scope {
+		if v, ok := cache.Lookup(&p.Comps[ci]); ok {
+			if r, fresh := reuse(int(ci), v); fresh {
+				results[k] = r
+				cached[k] = true
 				continue
 			}
 		}
-		dirty = append(dirty, i)
+		dirty = append(dirty, k)
 	}
-	workers := par.Workers(parallelism)
 	errs := make([]error, len(dirty))
-	par.Do(len(dirty), workers, func(k int) {
-		results[dirty[k]], errs[k] = solve(dirty[k])
+	par.Do(len(dirty), par.Workers(parallelism), func(j int) {
+		k := dirty[j]
+		results[k], errs[j] = solve(int(scope[k]))
 	})
 	for _, err := range errs {
 		if err != nil {

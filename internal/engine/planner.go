@@ -103,9 +103,9 @@ type Planner struct {
 	dirty       []int32
 	dead        []ground.AtomID
 
-	// gen counts Sync calls; every returned plan carries it so delta-
-	// maintaining consumers can prove their state is exactly one sync
-	// behind (see Plan.Gen).
+	// gen counts Sync calls; every returned plan carries it so
+	// consumers can prove their state is exactly one sync behind (see
+	// Plan.Scope).
 	gen uint64
 
 	stats PlanStats
@@ -159,47 +159,31 @@ func (pl *Planner) rebuild() {
 	atoms, cs := pl.atoms, pl.cs
 	atoms.EnableJournal()
 	cs.EnableChangeLog()
-	order := ground.CanonicalAtoms(atoms)
-	varOf := ground.CanonicalVarMap(atoms, order)
-	comps := cs.Components(order)
+	p := NewPlan(atoms, cs)
 
-	nEv := 0
-	for nEv < len(order) && atoms.IsEvidence(order[nEv]) {
-		nEv++
+	pl.nEv = 0
+	for pl.nEv < len(p.Order) && atoms.IsEvidence(p.Order[pl.nEv]) {
+		pl.nEv++
 	}
-	pl.nEv = nEv
-
 	n := atoms.Len()
 	pl.fidOf = grow(pl.fidOf, n, store.FactID(-1))
 	for i := range pl.fidOf {
 		pl.fidOf[i] = atoms.BackingFact(ground.AtomID(i))
 	}
 	pl.compKeyOf = grow(pl.compKeyOf, n, ground.AtomID(-1))
-	local := grow[int32](nil, n, 0)
-	pl.firstOf = make(map[ground.AtomID]ground.AtomID, len(comps))
-	for ci := range comps {
-		c := &comps[ci]
+	pl.firstOf = make(map[ground.AtomID]ground.AtomID, len(p.Comps))
+	for ci := range p.Comps {
+		c := &p.Comps[ci]
 		pl.firstOf[c.Key] = c.Atoms[0]
-		for li, a := range c.Atoms {
+		for _, a := range c.Atoms {
 			pl.compKeyOf[a] = c.Key
-			local[a] = int32(li)
 		}
 	}
 
 	// The snapshot consumed everything the journal and change log held.
 	atoms.DrainJournal(func(ground.AtomID) {})
 	cs.DrainChangedRoots(func(ground.AtomID) {})
-
-	pl.plan = &Plan{
-		Atoms:       atoms,
-		Order:       order,
-		VarOf:       varOf,
-		Comps:       comps,
-		cs:          cs,
-		localOfAtom: local,
-		maintained:  false,
-		retired:     nil,
-	}
+	pl.plan = p
 }
 
 // sync patches the plan from the deltas accumulated since the last

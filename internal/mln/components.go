@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/maxsat"
-	"repro/internal/par"
 )
 
 // Component-decomposed MAP inference.
@@ -36,10 +35,11 @@ import (
 // per-rule violation counts, component-size statistics) is likewise a
 // sum of per-component contributions, so the cache carries each
 // component's contribution alongside its assignment and maintains the
-// running totals — a delta solve over a maintained plan touches only
-// the components the planner dirtied instead of re-folding every atom
-// and clause.
-
+// running totals. There is one pass: it visits the scope the plan
+// answers for the cache's generation (engine.Plan.Scope) — the planner's
+// change set when the cache is exactly one sync behind, every component
+// otherwise — and a full solve is simply the pass in which every
+// component is visited and the totals start from zero.
 // ComponentCache carries per-component MAP solutions across the
 // incremental engine's solves, plus the running solve-level aggregate
 // of their read-out contributions (see stateAgg). Construct with
@@ -88,15 +88,14 @@ type compResult struct {
 }
 
 // stateAgg is the running sum of every cached component's read-out
-// contribution, valid when it covers exactly the cache's entries for
-// the plan generation gen. Integer fields (hard violations, optimality,
-// violation counts, the size multiset) are maintained exactly; cost is
-// maintained by subtract-and-add and may drift from a fresh fold in the
-// last floating-point bits — the cost is never compared bitwise across
-// solve paths, and every full solve reseeds it from scratch.
+// contribution; it covers exactly the cache's entries as of the
+// generation the cache was last settled against. Integer fields (hard
+// violations, optimality, violation counts, the size multiset) are
+// maintained exactly; cost is maintained by subtract-and-add and may
+// drift from a fresh fold in the last floating-point bits — the cost is
+// never compared bitwise across solve paths, and every all-component
+// pass folds it from zero.
 type stateAgg struct {
-	valid      bool
-	gen        uint64
 	cost       float64
 	hardBad    int
 	nonOptimal int
@@ -148,18 +147,12 @@ func (g *stateAgg) remove(e *compEntry) {
 	g.count--
 }
 
-// reseed rebuilds the aggregate from this solve's per-component results
-// (in component order) and marks it valid for plan generation gen.
-func (g *stateAgg) reseed(results []compResult, gen uint64) {
+// reset empties the aggregate for an all-component pass to fold into.
+func (g *stateAgg) reset() {
 	*g = stateAgg{
-		valid: true,
-		gen:   gen,
-		viol:  make(map[string]int),
+		viol: make(map[string]int),
 		// Sizes cluster on few distinct values; the multiset stays tiny.
 		sizeCount: make(map[int]int),
-	}
-	for i := range results {
-		g.add(results[i].truth, results[i].optimal, &results[i].eval)
 	}
 }
 
@@ -174,14 +167,6 @@ func (g *stateAgg) histogram() map[string]int {
 		h[ground.SizeBucket(size)] += c
 	}
 	return h
-}
-
-// deltaReady reports whether the cache can drive a dirty-only solve
-// over plan: the aggregate (and therefore the entry set it covers) is
-// exactly one sync behind, so this sync's change set (DirtyComps,
-// Retired, RetractedAtoms) is the complete difference.
-func (c *ComponentCache) deltaReady(plan *engine.Plan) bool {
-	return c != nil && plan.Maintained() && c.agg.valid && c.agg.gen+1 == plan.Gen()
 }
 
 // MAPGroundComponents computes the MAP state over an already-closed
@@ -206,23 +191,32 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 	return res, nil
 }
 
-// solveComponents partitions the ground network, solves each component
-// with the engine its size calls for, and merges the assignments in
-// deterministic component order. The reported cost is the sum of the
-// per-component contributions folded in component order. When the plan
-// is maintained and the cache
-// aggregate is current, the dirty-only path handles just the components
-// the planner re-listed.
+// solveComponents solves the components in the plan's scope for the
+// cache's generation with the engine their size calls for, and merges
+// the assignments in deterministic component order. Under a change-set
+// scope (cache exactly one sync behind a maintained plan, previous MAP
+// state in hand) the planner bounds everything that can differ from the
+// previous solve: components outside the scope have the same
+// generation, membership and clause subproblem, so the previous truth
+// is carried forward, retracted atoms are pinned false, and only the
+// re-solved components' contributions are subtracted from and added to
+// the running totals (all-component passes prove the base case;
+// consecutive generations chain it). Otherwise every component is
+// visited and the totals — and so the reported cost — are folded from
+// zero in component order.
 func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan) (*Result, error) {
 	atoms := g.Atoms()
 	if plan == nil {
 		plan = engine.NewPlan(atoms, cs)
 	}
-	if warm != nil && cache.deltaReady(plan) {
-		return solveComponentsDelta(atoms, cs, opts, warm, cache, plan)
+	store := cache.store()
+	var have uint64
+	if warm != nil {
+		have = store.Gen()
 	}
+	scope, delta := plan.Scope(have)
 
-	results, cached, err := engine.Run(plan, opts.Parallelism, cache.store(),
+	results, cached, err := engine.Run(plan, scope, opts.Parallelism, store,
 		func(i int, e compEntry) (compResult, bool) {
 			return compResult{truth: e.truth, engine: "cached", optimal: e.optimal, eval: e.eval}, true
 		},
@@ -234,129 +228,55 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 		return nil, fmt.Errorf("mln: %w", err)
 	}
 
-	// Deterministic merge in component order + statistics.
 	truth := make([]bool, atoms.Len())
-	stats := &ground.ComponentStats{}
-	for i := range plan.Comps {
-		r := &results[i]
-		for li, a := range plan.Comps[i].Atoms {
-			truth[a] = r.truth[li]
-		}
-		plan.Observe(stats, i, cached[i], r.engine, r.fallback)
-	}
-	// The full fold anchors the cache's aggregate (subsequent consecutive
-	// syncs maintain it dirty-only); without a cache to carry it the
-	// totals are folded locally.
-	agg := &stateAgg{}
-	// A maintained plan names the retired component keys, so the cache
-	// churns one entry per dirty component instead of rebuilding.
-	if store := cache.store(); store != nil {
+	agg := &stateAgg{} // without a cache to carry them the totals are local
+	if cache != nil {
 		agg = &cache.agg
-		if plan.Maintained() {
-			for _, key := range plan.Retired() {
-				store.Drop(key)
+	}
+	if delta {
+		copy(truth, warm)
+		for _, a := range plan.RetractedAtoms() {
+			if int(a) < len(truth) {
+				truth[a] = false
 			}
-			for i := range plan.Comps {
-				if !cached[i] {
-					store.Put(&plan.Comps[i], compEntry{truth: results[i].truth, optimal: results[i].optimal, eval: results[i].eval})
-				}
-			}
-		} else {
-			store.Replace(plan.Comps, func(i int) compEntry {
-				return compEntry{truth: results[i].truth, optimal: results[i].optimal, eval: results[i].eval}
-			})
 		}
-	}
-	agg.reseed(results, plan.Gen())
-	return resultFromAgg(agg, cs, stats, truth), nil
-}
-
-// solveComponentsDelta is the dirty-only counterpart of the full merge.
-// With the plan maintained and the cache aggregate exactly one sync
-// behind, the planner's change set bounds everything that can differ
-// from the previous solve: components outside DirtyComps have the same
-// generation, membership and clause subproblem, so their cached truth
-// and read-out contribution are reused without being re-verified (the
-// full solves anchoring the aggregate prove the base case; consecutive
-// generations chain it). The previous MAP state is carried forward,
-// retracted atoms are pinned false, and only dirty components are
-// re-solved and merged.
-func solveComponentsDelta(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan) (*Result, error) {
-	dirty := plan.DirtyComps()
-	store := cache.comps
-	agg := &cache.agg
-
-	// Forward the previous MAP state into this solve's truth domain.
-	truth := make([]bool, atoms.Len())
-	copy(truth, warm)
-	for _, a := range plan.RetractedAtoms() {
-		if int(a) < len(truth) {
-			truth[a] = false
-		}
+	} else {
+		agg.reset()
 	}
 
-	// Retired components: subtract their contributions and drop them.
-	for _, key := range plan.Retired() {
-		if e, ok := store.Peek(key); ok {
-			agg.remove(&e)
-		}
-		store.Drop(key)
-	}
-
-	// Dirty components: reuse entries the generation proves unchanged,
-	// solve the rest concurrently — the same reusable/dirty split and
-	// kernel as the full path, restricted to the planner's change set.
-	results := make([]compResult, len(dirty))
-	cached := make([]bool, len(dirty))
-	var solve []int
-	for k, ci := range dirty {
-		if e, ok := store.Lookup(&plan.Comps[ci]); ok {
-			results[k] = compResult{truth: e.truth, engine: "cached", optimal: e.optimal, eval: e.eval}
-			cached[k] = true
-			continue
-		}
-		solve = append(solve, k)
-	}
-	workers := par.Workers(opts.Parallelism)
-	errs := make([]error, len(solve))
-	par.Do(len(solve), workers, func(j int) {
-		k := solve[j]
-		ci := int(dirty[k])
-		clauses, _ := plan.Clauses(ci)
-		results[k], errs[j] = solveComponent(atoms, &plan.Comps[ci], clauses, opts, warm)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mln: %w", err)
-		}
-	}
-
-	// Merge and maintain cache + aggregate, in component order.
+	// Deterministic merge in component order, maintaining cache and
+	// totals: a reused entry's contribution stands under a change set and
+	// is re-added after a reset; a re-solved component replaces its own.
 	stats := &ground.ComponentStats{}
-	for k, ci := range dirty {
-		comp := &plan.Comps[ci]
-		r := &results[k]
+	for k, ci := range scope {
+		comp, r := &plan.Comps[ci], &results[k]
 		for li, a := range comp.Atoms {
 			truth[a] = r.truth[li]
 		}
-		if cached[k] {
-			continue // entry and its aggregate contribution stand
+		if !cached[k] {
+			if delta {
+				if old, ok := store.Peek(comp.Key); ok {
+					agg.remove(&old)
+				}
+			}
+			store.Put(comp, compEntry{truth: r.truth, optimal: r.optimal, eval: r.eval})
+			stats.Solved++
+			stats.Engine(r.engine)
+			if r.fallback {
+				stats.Fallbacks++
+			}
 		}
-		if old, ok := store.Peek(comp.Key); ok {
-			agg.remove(&old)
-		}
-		e := compEntry{truth: r.truth, optimal: r.optimal, eval: r.eval}
-		agg.add(e.truth, e.optimal, &e.eval)
-		store.Put(comp, e)
-		stats.Solved++
-		stats.Engine(r.engine)
-		if r.fallback {
-			stats.Fallbacks++
+		if !cached[k] || !delta {
+			agg.add(r.truth, r.optimal, &r.eval)
 		}
 	}
-	agg.gen = plan.Gen()
+	store.Settle(plan, func(e compEntry) {
+		if delta {
+			agg.remove(&e)
+		}
+	})
 
-	// Every component outside the dirty set is an implicit cache reuse.
+	// Every component that was not re-solved is a cache reuse.
 	stats.Count = agg.count
 	stats.Largest = agg.largest
 	stats.SizeHistogram = agg.histogram()
@@ -368,7 +288,7 @@ func solveComponentsDelta(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Op
 		stats.Engines["cached"] += reused
 	}
 	res := resultFromAgg(agg, cs, stats, truth)
-	res.TruthDelta = true
+	res.TruthDelta = delta
 	return res, nil
 }
 

@@ -114,11 +114,11 @@ type Result struct {
 	// Components summarises the component-decomposed solve; nil under
 	// CuttingPlane.
 	Components *ground.ComponentStats
-	// TruthDelta reports that Truth was produced by the dirty-only merge
-	// over a maintained plan: atoms outside the plan's DirtyComps carry
-	// the previous solve's truth bit-for-bit, so downstream consumers
-	// with state keyed to the same plan generation may restrict their
-	// own passes to the planner's change set.
+	// TruthDelta reports that Truth was produced under the plan's
+	// change-set scope: atoms outside the components that scope names
+	// carry the previous solve's truth bit-for-bit, so downstream
+	// consumers with state settled against the same plan generation may
+	// restrict their own passes to the same scope.
 	TruthDelta bool
 }
 

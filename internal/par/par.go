@@ -78,28 +78,3 @@ func Share(n, k int) int {
 	}
 	return w
 }
-
-// DoRange splits [0, n) into one contiguous span per worker and runs
-// body(lo, hi) for each concurrently. Use it for element-wise loops too
-// fine-grained for a closure call per index; cross-element reductions
-// must still be per-element stores (or run after DoRange returns) to
-// stay deterministic across worker counts.
-func DoRange(n, workers int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	Do(workers, workers, func(w int) {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo < hi {
-			body(lo, hi)
-		}
-	})
-}

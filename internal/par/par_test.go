@@ -61,23 +61,6 @@ func TestDoZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestDoRangeCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		const n = 411
-		var counts [n]atomic.Int32
-		DoRange(n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				counts[i].Add(1)
-			}
-		})
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d covered %d times", workers, i, c)
-			}
-		}
-	}
-}
-
 func TestDoSequentialOrder(t *testing.T) {
 	// workers <= 1 must run inline, in index order.
 	var order []int

@@ -96,7 +96,11 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 		plan = engine.NewPlan(atoms, cs)
 	}
 
-	results, cached, err := engine.Run(plan, opts.Parallelism, cache.store(),
+	// ADMM keeps visiting every component: an unconverged one must be
+	// re-offered every solve, so the change set is not the whole story.
+	store := cache.store()
+	scope, _ := plan.Scope(0)
+	results, cached, err := engine.Run(plan, scope, opts.Parallelism, store,
 		func(i int, e compEntry) (compState, bool) {
 			if !e.converged {
 				// An unconverged solve is not a solution to reuse: treat
@@ -115,7 +119,8 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 		return nil, nil, err
 	}
 
-	// Deterministic merge in component order.
+	// Deterministic merge in component order (the scope is every
+	// component, so positions in it are component indexes).
 	values := make([]float64, atoms.Len())
 	truth := make([]bool, atoms.Len())
 	stats := &ground.ComponentStats{}
@@ -149,30 +154,14 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 		}
 		res.Converged = res.Converged && r.converged
 		res.RepairFlips += r.repairFlips
-	}
-	// A maintained plan names the retired component keys, so the cache
-	// churns one entry per dirty component instead of rebuilding.
-	if store := cache.store(); store != nil {
-		entry := func(i int) compEntry {
-			return compEntry{
-				values: results[i].values, truth: results[i].truth,
-				z: results[i].z, u: results[i].u,
-				converged: results[i].converged,
-			}
-		}
-		if plan.Maintained() {
-			for _, key := range plan.Retired() {
-				store.Drop(key)
-			}
-			for i := range plan.Comps {
-				if !cached[i] {
-					store.Put(&plan.Comps[i], entry(i))
-				}
-			}
-		} else {
-			store.Replace(plan.Comps, entry)
+		if !cached[i] {
+			store.Put(&plan.Comps[i], compEntry{
+				values: r.values, truth: r.truth, z: r.z, u: r.u,
+				converged: r.converged,
+			})
 		}
 	}
+	store.Settle(plan, nil)
 	res.Values = values
 	res.Truth = truth
 	res.Components = stats

@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/logic"
-	"repro/internal/par"
 	"repro/internal/translate"
 )
 
@@ -19,14 +18,17 @@ import (
 // computation followed by a deterministic merge. ResolveComponents is
 // the repair layer's counterpart of the solvers' MAPGroundComponents:
 // it runs one resolveUnit per component on the shared orchestration
-// layer (internal/engine), caches each component's finished read-out
+// layer (internal/engine) and caches each component's finished read-out
 // under (component key, generation, membership) plus the component's
-// MAP assignment, and on an incremental update re-repairs only the
-// components the delta dirtied. Reusing a cached unit is sound because
-// a unit depends only on the component's clauses, its atoms'
-// evidence/confidence state (both covered by the generation) and its
-// slice of the MAP state (checked explicitly against the cached
-// assignment).
+// MAP assignment. There is one analysis pass, over the scope the plan
+// answers for the unit cache's generation (engine.Plan.Scope): the
+// planner's change set when the solver, the unit cache and the live
+// outcome are all exactly one sync behind, every component otherwise.
+// Reusing a cached unit is sound because a unit depends only on the
+// component's clauses, its atoms' evidence/confidence state (both
+// covered by the generation) and its slice of the MAP state (checked
+// explicitly against the cached assignment for every visited component;
+// vouched for by the solver's TruthDelta outside a change-set scope).
 
 // ComponentCache carries per-component repair read-outs across the
 // incremental engine's solves, plus the reusable confidence scratch
@@ -38,13 +40,6 @@ import (
 type ComponentCache struct {
 	units *engine.Cache[compUnit]
 	conf  []float64 // scratch, indexed by atom id
-
-	// gen/complete gate the dirty-only analysis: complete means units
-	// holds, for every component of plan generation gen, a read-out
-	// verified against that solve's truth (set by the full pass,
-	// preserved by dirty-only ones).
-	gen      uint64
-	complete bool
 }
 
 // NewComponentCache returns an empty cache.
@@ -99,17 +94,15 @@ func ResolveComponents(out *translate.Output, _ *logic.Program, opts Options, pl
 // Outcome. The split lets the session profile and time the two under
 // their own pipeline stage labels ("repair" / "outcome").
 type ComponentRun struct {
-	oc     *Outcome
-	plan   *engine.Plan
-	units  []compUnit
-	cached []bool
-	live   *LiveOutcome
-	start  time.Time
-	// dirtyOnly marks an analysis restricted to the planner's change
-	// set: units/cached are indexed by position in dirty, not by
-	// component.
-	dirtyOnly bool
-	dirty     []int32
+	oc   *Outcome
+	plan *engine.Plan
+	// scope lists the components the analysis visited; units and cached
+	// are indexed by position in it.
+	scope     []int32
+	units     []compUnit
+	cached    []bool
+	live      *LiveOutcome
+	start     time.Time
 	deltaOnly bool
 }
 
@@ -135,29 +128,30 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	if plan == nil {
 		plan = engine.NewPlan(atoms, out.Clauses)
 	}
-	if live != nil {
-		live.deferSplices = opts.DeltaOnly
-	}
-	// The dirty-only analysis needs every link of the chain: the solver
-	// vouches that truth outside the plan's dirty components is
-	// bit-identical to the previous solve (TruthDelta), the unit cache
-	// covers the previous generation completely with verified units, and
-	// the live outcome holds every component of that generation. Any gap
-	// falls back to the full pass, which re-anchors all three cursors.
-	if cache != nil && live != nil && plan.Maintained() && out.TruthDelta() &&
-		cache.complete && cache.gen+1 == plan.Gen() && live.CurrentFor(plan) {
-		return beginComponentsDirty(out, opts, plan, cache, live, oc, start)
-	}
-	// Shared across units: each writes only its own component's atoms,
-	// so disjoint components repair concurrently.
-	conf := cache.confScratch(atoms.Len())
-
 	var unitCache *engine.Cache[compUnit]
 	if cache != nil {
 		unitCache = cache.units
 	}
+	// The change-set scope needs every link of the chain: the solver
+	// vouches that truth outside it is bit-identical to the previous solve
+	// (TruthDelta), and the unit cache and the live outcome were settled
+	// against the same generation, which Scope then requires to be the
+	// previous one. Any gap scopes every component — as does a read-out
+	// without a live outcome, whose assembly needs every unit.
+	var have uint64
+	if live != nil {
+		live.deferSplices = opts.DeltaOnly
+		if out.TruthDelta() && live.held.Gen() == unitCache.Gen() {
+			have = unitCache.Gen()
+		}
+	}
+	scope, _ := plan.Scope(have)
+	// Shared across units: each writes only its own component's atoms,
+	// so disjoint components repair concurrently.
+	conf := cache.confScratch(atoms.Len())
+
 	analysisStart := time.Now()
-	units, cached, err := engine.Run(plan, opts.Parallelism, unitCache,
+	units, cached, err := engine.Run(plan, scope, opts.Parallelism, unitCache,
 		func(i int, e compUnit) (compUnit, bool) {
 			// The generation covers clauses and evidence state; the MAP
 			// state is the solver's to change, so compare it explicitly
@@ -174,85 +168,17 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 		return nil, err
 	}
 	rs.Analysis = time.Since(analysisStart)
-	rs.Components = len(plan.Comps)
-	for _, c := range cached {
-		if c {
-			rs.Reused++
-		} else {
-			rs.Repaired++
-		}
-	}
-	// A maintained plan names exactly which component keys left the
-	// partition, so the cache churns one entry per dirty component
-	// instead of rebuilding the whole table.
-	if plan.Maintained() {
-		for _, key := range plan.Retired() {
-			unitCache.Drop(key)
-		}
-		for i := range plan.Comps {
-			if !cached[i] {
-				unitCache.Put(&plan.Comps[i], units[i])
-			}
-		}
-	} else {
-		unitCache.Replace(plan.Comps, func(i int) compUnit { return units[i] })
-	}
-	if cache != nil {
-		// The full pass verified (or recomputed) a unit for every
-		// component against this solve's truth: the cursor re-anchors.
-		cache.gen = plan.Gen()
-		cache.complete = true
-	}
-	return &ComponentRun{oc: oc, plan: plan, units: units, cached: cached, live: live, start: start, deltaOnly: opts.DeltaOnly}, nil
-}
-
-// beginComponentsDirty is the analysis phase restricted to the
-// planner's change set: only the plan's DirtyComps are verified against
-// the cache or recomputed — every other component's cached unit is
-// reused without a truth comparison, sound because the solver's
-// dirty-only merge carried its atoms' truth forward bit-for-bit and the
-// cache cursor proves the unit was verified against exactly that truth
-// one generation ago.
-func beginComponentsDirty(out *translate.Output, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome, oc *Outcome, start time.Time) (*ComponentRun, error) {
-	rs := oc.Stats.Repair
-	rs.Mode = RepairComponents
-	atoms := out.Grounder.Atoms()
-	conf := cache.confScratch(atoms.Len())
-	dirty := plan.DirtyComps()
-
-	analysisStart := time.Now()
-	units := make([]compUnit, len(dirty))
-	cached := make([]bool, len(dirty))
-	var solve []int
-	for k, ci := range dirty {
-		comp := &plan.Comps[ci]
-		if e, ok := cache.units.Lookup(comp); ok && unitMatches(&e, comp, out) {
-			units[k] = e
-			cached[k] = true
-			continue
-		}
-		solve = append(solve, k)
-	}
-	par.Do(len(solve), par.Workers(opts.Parallelism), func(j int) {
-		k := solve[j]
-		units[k] = computeUnit(out, &plan.Comps[dirty[k]], conf, opts)
-	})
-	rs.Analysis = time.Since(analysisStart)
-	rs.Components = len(plan.Comps)
-	rs.Repaired = len(solve)
-	rs.Reused = len(plan.Comps) - len(solve)
-
-	for _, key := range plan.Retired() {
-		cache.units.Drop(key)
-	}
-	for k, ci := range dirty {
+	for k, ci := range scope {
 		if !cached[k] {
-			cache.units.Put(&plan.Comps[ci], units[k])
+			rs.Repaired++
+			unitCache.Put(&plan.Comps[ci], units[k])
 		}
 	}
-	cache.gen = plan.Gen()
-	return &ComponentRun{oc: oc, plan: plan, units: units, cached: cached, live: live,
-		start: start, dirtyOnly: true, dirty: dirty, deltaOnly: opts.DeltaOnly}, nil
+	// Every component that was not re-repaired is a cache reuse.
+	rs.Components = len(plan.Comps)
+	rs.Reused = rs.Components - rs.Repaired
+	unitCache.Settle(plan, nil)
+	return &ComponentRun{oc: oc, plan: plan, scope: scope, units: units, cached: cached, live: live, start: start, deltaOnly: opts.DeltaOnly}, nil
 }
 
 // unitMatches reports whether the cached unit was computed under the
@@ -327,58 +253,27 @@ func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta, error) {
 		return oc, nil, nil
 	}
 
-	// Live path: dirty components subtract their previous contribution
-	// and splice in the new one; clean components' held patches stand.
-	// A repair-cache hit (cached[i]) proves the unit content unchanged
+	// Live path: visited components subtract their previous contribution
+	// and splice in the new one; every other held patch stands. A
+	// repair-cache hit (cached[k]) proves the unit content unchanged
 	// since the last component solve, and the engine-cache lookup inside
 	// sync proves the live outcome still holds that component — both
 	// must hold for a skip.
 	indexStart := time.Now()
-	if r.dirtyOnly {
-		// units/cached are indexed by position in r.dirty; only those
-		// components are touched, the rest of the live outcome stands
-		// without an engine-cache probe.
-		live.syncDirty(plan,
-			func(k int) bool { return cached[k] },
-			func(k int) *Patch {
-				u := &units[k].unit
-				return &Patch{
-					Component:         plan.Comps[r.dirty[k]].Key,
-					Kept:              u.kept,
-					Removed:           u.removed,
-					Inferred:          u.inferred,
-					Clusters:          u.clusters,
-					Violations:        u.violations,
-					ThresholdFiltered: u.thresholdFiltered,
-				}
-			})
-	} else {
-		var retired []ground.AtomID
-		if plan.Maintained() {
-			retired = plan.Retired()
-			if retired == nil {
-				retired = []ground.AtomID{}
+	live.sync(plan, r.scope,
+		func(k int) bool { return cached[k] },
+		func(k int) *Patch {
+			u := &units[k].unit
+			return &Patch{
+				Component:         plan.Comps[r.scope[k]].Key,
+				Kept:              u.kept,
+				Removed:           u.removed,
+				Inferred:          u.inferred,
+				Clusters:          u.clusters,
+				Violations:        u.violations,
+				ThresholdFiltered: u.thresholdFiltered,
 			}
-		}
-		live.sync(plan.Comps, retired,
-			func(i int) bool { return cached[i] },
-			func(i int) *Patch {
-				u := &units[i].unit
-				return &Patch{
-					Component:         plan.Comps[i].Key,
-					Kept:              u.kept,
-					Removed:           u.removed,
-					Inferred:          u.inferred,
-					Clusters:          u.clusters,
-					Violations:        u.violations,
-					ThresholdFiltered: u.thresholdFiltered,
-				}
-			})
-		// A full sync re-anchors the live cursor: every component of
-		// this generation was either patched in or verified held.
-		live.gen = plan.Gen()
-		live.complete = true
-	}
+		})
 	os.Index = time.Since(indexStart)
 	mergeStart := time.Now()
 	if r.deltaOnly {

@@ -17,14 +17,15 @@ import (
 // 3–4), assembling the final Outcome — the sort/merge of every
 // component's kept/removed/inferred facts and conflict clusters — was
 // the last whole-graph work on the update path. LiveOutcome removes it:
-// the session keeps one live outcome whose global fact lists, cluster
-// list and fact index stay sorted across solves, and each re-solve
-// applies a Patch per dirtied component (subtract the component's
-// previous contribution, splice in the new one) instead of rebuilding
-// everything. The materialized Outcome is byte-identical to what
-// whole-graph assembly produces over the same units, and every patch
-// also feeds an OutcomeDelta changelog so callers can consume diffs
-// instead of snapshots.
+// the session keeps one live outcome whose global fact lists and cluster
+// list stay sorted across solves, and each re-solve applies a Patch per
+// component in the analysis scope (subtract the component's previous
+// contribution, splice in the new one) — the planner's change set on a
+// chained update, every component on a first or re-anchoring solve, one
+// sync for both — instead of rebuilding everything. The materialized
+// Outcome is byte-identical to what whole-graph assembly produces over
+// the same units, and every patch also feeds an OutcomeDelta changelog
+// so callers can consume diffs instead of snapshots.
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
 const (
@@ -54,9 +55,9 @@ type OutcomeStats struct {
 	Patched int
 	Reused  int
 	// Index is the time spent maintaining the global indices (patch
-	// subtraction, splices, fact index, changelog); Merge is the
-	// materialization of the Outcome from them (assembled mode folds
-	// everything into Merge); Total is the whole stage.
+	// subtraction, splices, changelog); Merge is the materialization of
+	// the Outcome from them (assembled mode folds everything into Merge);
+	// Total is the whole stage.
 	Index time.Duration
 	Merge time.Duration
 	Total time.Duration
@@ -112,8 +113,7 @@ func (d *OutcomeDelta) Empty() bool {
 		len(d.AddedClusters) == 0 && len(d.RemovedClusters) == 0
 }
 
-// factClass names the outcome list a fact belongs to; the live
-// outcome's fact index maps every present FactKey to its class.
+// factClass names the outcome list a fact belongs to.
 type factClass uint8
 
 const (
@@ -124,16 +124,18 @@ const (
 
 // LiveOutcome is a delta-maintained conflict-resolution result: global
 // kept/removed/inferred lists sorted by atom id, the cluster list
-// sorted by root, a fact index keyed by rdf.FactKey, and per-component
-// held patches under the engine cache's (component key, generation,
-// membership) invariant — the fourth consumer of that invariant after
-// the MLN, PSL and repair caches. Construct with NewLiveOutcome. Not
-// safe for concurrent use. The owner must drop it whenever the repair
-// component cache is dropped (ColdStart, threshold/solver/tuning
-// changes) and whenever a solve bypasses the live sync.
+// sorted by root, and per-component held patches under the engine
+// cache's (component key, generation, membership) invariant — the
+// fourth consumer of that invariant after the MLN, PSL and repair
+// caches. Construct with NewLiveOutcome. Not safe for concurrent use.
+// The owner must drop it whenever the repair component cache is dropped
+// (ColdStart, threshold/solver/tuning changes) and whenever a solve
+// bypasses the live sync.
 type LiveOutcome struct {
 	// held stores each component's applied patch; Lookup hits prove the
-	// held contribution belongs to an unchanged component.
+	// held contribution belongs to an unchanged component, and its
+	// generation is the plan generation the live outcome was last synced
+	// against.
 	held *engine.Cache[*Patch]
 
 	// Global indices. The fact slices are copy-on-write: every sync
@@ -146,13 +148,6 @@ type LiveOutcome struct {
 	// common case on single-fact updates that dirty a cluster-free
 	// region).
 	clusterKeys [][]rdf.FactKey
-	// index maps every present statement to its list — the global
-	// fact index the per-component patches must agree with. It backs
-	// the structural invariant FuzzOutcomePatch and checkInvariants
-	// enforce (one class per statement, lists and patches in exact
-	// agreement) and gives future consumers O(1) fact classification
-	// without a scan.
-	index map[rdf.FactKey]factClass
 
 	violations        map[string]int
 	thresholdFiltered int
@@ -163,17 +158,11 @@ type LiveOutcome struct {
 	patched int
 	reused  int
 
-	// gen/complete gate the dirty-only sync: complete means the held
-	// patches cover every component of plan generation gen (set by the
-	// full sync, preserved by dirty-only ones). See CurrentFor.
-	gen      uint64
-	complete bool
-
 	// deferSplices, when set, makes apply accumulate each sync's churn
 	// into the pending lists below instead of splicing the global
 	// fact/cluster lists immediately — the delta-only serving mode,
 	// where per-update cost stays proportional to the churn while the
-	// index, violation counts and changelog remain exact and eager. The
+	// violation counts and changelog remain exact and eager. The
 	// next flush (any materializing solve) applies the composed pending
 	// splice; the resulting lists are element-identical to what
 	// step-by-step splicing would have produced.
@@ -202,25 +191,15 @@ func (lo *LiveOutcome) Reset() {
 	lo.kept, lo.removed, lo.inferred = []Fact{}, []Fact{}, []Fact{}
 	lo.clusters = []Cluster{}
 	lo.clusterKeys = [][]rdf.FactKey{}
-	lo.index = make(map[rdf.FactKey]factClass)
 	lo.violations = make(map[string]int)
 	lo.thresholdFiltered = 0
 	lo.delta = OutcomeDelta{}
 	lo.patched, lo.reused = 0, 0
-	lo.gen, lo.complete = 0, false
 	lo.pendRmK, lo.pendAdK = nil, nil
 	lo.pendRmR, lo.pendAdR = nil, nil
 	lo.pendRmI, lo.pendAdI = nil, nil
 	lo.pendRmC, lo.pendAdC = nil, nil
 	lo.removedWeight = 0
-}
-
-// CurrentFor reports whether the live outcome's held state covers every
-// change up to the previous planner sync of plan — the gate under which
-// a dirty-only sync (only the plan's DirtyComps re-offered, everything
-// else kept without re-proving) is sound.
-func (lo *LiveOutcome) CurrentFor(plan *engine.Plan) bool {
-	return lo.complete && lo.gen+1 == plan.Gen()
 }
 
 // Delta returns the changelog of the most recent sync. The returned
@@ -230,86 +209,23 @@ func (lo *LiveOutcome) Delta() *OutcomeDelta {
 	return &d
 }
 
-// sync reconciles the live outcome with one solve's component
-// partition: components whose read-out is provably unchanged (reusable
-// by the caller's criteria AND held under an unchanged (key,
-// generation, membership)) keep their contribution; every other
-// component is re-patched from fresh, and components that vanished from
-// the partition are retired. retired, when non-nil, names the vanished
-// components' keys exactly (a maintained plan knows them); nil falls
-// back to detecting surplus held entries by enumeration. fresh must be
-// callable for every index.
-func (lo *LiveOutcome) sync(comps []ground.Component, retired []ground.AtomID, reusable func(i int) bool, fresh func(i int) *Patch) {
-	lo.patched, lo.reused = 0, 0
+// sync reconciles the live outcome with one solve's plan over scope —
+// the components the repair analysis visited (see engine.Plan.Scope;
+// the caller established that the held patches were settled against the
+// generation the scope was asked for). A visited component whose
+// read-out is provably unchanged (reusable by the caller's criteria AND
+// held under an unchanged (key, generation, membership)) keeps its
+// contribution; every other visited component is re-patched from fresh,
+// components outside the scope stand without being re-proven, and
+// components that left the partition are retired. reusable and fresh
+// are indexed by position in scope.
+func (lo *LiveOutcome) sync(plan *engine.Plan, scope []int32, reusable func(k int) bool, fresh func(k int) *Patch) {
+	lo.patched = 0
 	var subtract, add []*Patch
-	for i := range comps {
-		if reusable(i) {
-			if _, ok := lo.held.Lookup(&comps[i]); ok {
-				lo.reused++
-				continue
-			}
-		}
-		p := fresh(i)
-		lo.patched++
-		if op, ok := lo.held.Peek(comps[i].Key); ok {
-			subtract = append(subtract, op)
-		}
-		add = append(add, p)
-		lo.held.Put(&comps[i], p)
-	}
-
-	if retired != nil {
-		// The plan sync already named what left the partition; a key the
-		// live outcome never held (dropped by an earlier sync, or a fresh
-		// live outcome) is a no-op.
-		for _, k := range retired {
-			if p, ok := lo.held.Peek(k); ok {
-				subtract = append(subtract, p)
-				lo.held.Drop(k)
-			}
-		}
-	} else if lo.held.Len() > len(comps) {
-		// After the loop every live component's key is held; surplus
-		// entries belong to components that vanished from the partition
-		// (merged away or fully retracted) — the rare structural case,
-		// paid for with one enumeration only when it happens.
-		current := make(map[ground.AtomID]bool, len(comps))
-		for i := range comps {
-			current[comps[i].Key] = true
-		}
-		var stale []ground.AtomID
-		lo.held.Each(func(k ground.AtomID, p *Patch) {
-			if !current[k] {
-				stale = append(stale, k)
-				subtract = append(subtract, p)
-			}
-		})
-		for _, k := range stale {
-			lo.held.Drop(k)
-		}
-	}
-
-	lo.apply(subtract, add)
-}
-
-// syncDirty is sync restricted to the planner's change set: only the
-// plan's dirty components are re-offered (reusable/fresh are indexed by
-// position in DirtyComps), retired keys are dropped, and every other
-// held patch stands without being re-proven. The caller must have
-// established CurrentFor(plan) and that the solver's truth outside the
-// dirty components is bit-identical to the previous solve (the full
-// syncs anchoring the cursor prove the base case; consecutive plan
-// generations chain it).
-func (lo *LiveOutcome) syncDirty(plan *engine.Plan, reusable func(k int) bool, fresh func(k int) *Patch) {
-	dirty := plan.DirtyComps()
-	comps := plan.Comps
-	lo.patched, lo.reused = 0, 0
-	var subtract, add []*Patch
-	for k, ci := range dirty {
-		comp := &comps[ci]
+	for k, ci := range scope {
+		comp := &plan.Comps[ci]
 		if reusable(k) {
 			if _, ok := lo.held.Lookup(comp); ok {
-				lo.reused++
 				continue
 			}
 		}
@@ -321,21 +237,14 @@ func (lo *LiveOutcome) syncDirty(plan *engine.Plan, reusable func(k int) bool, f
 		add = append(add, p)
 		lo.held.Put(comp, p)
 	}
-	for _, k := range plan.Retired() {
-		if p, ok := lo.held.Peek(k); ok {
-			subtract = append(subtract, p)
-			lo.held.Drop(k)
-		}
-	}
+	lo.held.Settle(plan, func(p *Patch) { subtract = append(subtract, p) })
+	lo.reused = len(plan.Comps) - lo.patched
 	lo.apply(subtract, add)
-	// Components outside the dirty set are implicit reuses.
-	lo.reused += len(comps) - len(dirty)
-	lo.gen = plan.Gen()
 }
 
 // apply removes the subtracted patches' contributions and splices in
-// the added ones, maintaining the sorted global lists, the fact index,
-// the violation counts and the changelog. With deferSplices set the
+// the added ones, maintaining the sorted global lists, the violation
+// counts and the changelog. With deferSplices set the
 // list splices are composed into the pending churn instead (flush
 // applies them); everything else stays eager.
 func (lo *LiveOutcome) apply(subtract, add []*Patch) {
@@ -377,28 +286,14 @@ func (lo *LiveOutcome) apply(subtract, add []*Patch) {
 	rmI, adI := collect(func(p *Patch) []Fact { return p.Inferred })
 
 	// Cancel the facts a re-patched component carries over unchanged:
-	// what remains is the true churn, which keeps the splice window —
-	// and the index traffic — proportional to the delta, not to the
-	// dirtied component. A fully-cancelled class skips its copy-on-
+	// what remains is the true churn, which keeps the splice window
+	// proportional to the delta, not to the dirtied component. A fully-cancelled class skips its copy-on-
 	// write rebuild entirely, the dominant per-update cost on large
 	// graphs.
 	factID := func(f Fact) ground.AtomID { return f.AtomID }
 	rmK, adK = cancelCommon(rmK, adK, factID)
 	rmR, adR = cancelCommon(rmR, adR, factID)
 	rmI, adI = cancelCommon(rmI, adI, factID)
-
-	// Index maintenance: all deletions before all insertions, so a fact
-	// moving between classes within one sync lands on its new class.
-	for _, fs := range [][]Fact{rmK, rmR, rmI} {
-		for i := range fs {
-			delete(lo.index, fs[i].Quad.Fact())
-		}
-	}
-	for cls, fs := range map[factClass][]Fact{classKept: adK, classRemoved: adR, classInferred: adI} {
-		for i := range fs {
-			lo.index[fs[i].Quad.Fact()] = cls
-		}
-	}
 
 	// RemovedWeight churn is ∝ delta; the exact sum re-anchors it on
 	// every materialization.
@@ -685,16 +580,16 @@ func (lo *LiveOutcome) materializeCounts(oc *Outcome) {
 	oc.Stats.ConflictClusters = len(lo.clusters) - len(lo.pendRmC) + len(lo.pendAdC)
 }
 
-// checkInvariants validates the live outcome's global-index and
-// deterministic-order invariants: each list strictly ascending in its
-// id, the fact index in exact agreement with the lists, and the held
-// per-component patches summing to the global state. Used by the tests
-// and FuzzOutcomePatch; not on the hot path.
+// checkInvariants validates the live outcome's deterministic-order and
+// agreement invariants: each list strictly ascending in its id, every
+// statement in exactly one list, and the held per-component patches
+// summing to the global state. Used by the tests and FuzzOutcomePatch;
+// not on the hot path.
 func (lo *LiveOutcome) checkInvariants() error {
 	// Pending deferred churn is not an invariant violation — land it
-	// first (a visible-state no-op) so lists and index agree.
+	// first (a visible-state no-op) so lists and patches agree.
 	lo.flush()
-	total := 0
+	classOf := make(map[rdf.FactKey]factClass)
 	for _, l := range []struct {
 		name  string
 		facts []Fact
@@ -709,15 +604,13 @@ func (lo *LiveOutcome) checkInvariants() error {
 				return fmt.Errorf("%s not strictly ascending at %d (atom %d after %d)",
 					l.name, i, f.AtomID, l.facts[i-1].AtomID)
 			}
-			if cls, ok := lo.index[f.Quad.Fact()]; !ok || cls != l.class {
-				return fmt.Errorf("%s fact %v missing or misclassified in index (%d)", l.name, f.Quad.Fact(), cls)
+			if cls, dup := classOf[f.Quad.Fact()]; dup {
+				return fmt.Errorf("%s fact %v is also listed under class %d", l.name, f.Quad.Fact(), cls)
 			}
+			classOf[f.Quad.Fact()] = l.class
 		}
-		total += len(l.facts)
 	}
-	if len(lo.index) != total {
-		return fmt.Errorf("index holds %d keys, lists hold %d facts", len(lo.index), total)
-	}
+	total := len(classOf)
 	for i := range lo.clusters {
 		if i > 0 && lo.clusters[i-1].Root >= lo.clusters[i].Root {
 			return fmt.Errorf("clusters not strictly ascending at %d", i)

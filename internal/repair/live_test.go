@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/rdf"
 	"repro/internal/temporal"
@@ -189,16 +190,19 @@ func expectClusterDelta(prev, cur map[ground.AtomID][]rdf.FactKey) (removed, add
 }
 
 // syncRef drives one live-outcome sync from the reference model,
-// marking only touched (or absent) components dirty.
+// marking only touched (or absent) components dirty. The hand-built plan
+// has generation 0, so every sync scopes every component and retires
+// vanished ones by enumeration.
 func syncRef(lo *LiveOutcome, ref map[ground.AtomID]*refHeld, touched ground.AtomID) {
 	keys := sortedKeys(ref)
-	comps := make([]ground.Component, len(keys))
+	plan := &engine.Plan{Comps: make([]ground.Component, len(keys))}
 	for i, k := range keys {
-		comps[i] = ground.Component{Key: k, Gen: ref[k].gen, Atoms: patchAtoms(ref[k].p)}
+		plan.Comps[i] = ground.Component{Key: k, Gen: ref[k].gen, Atoms: patchAtoms(ref[k].p)}
 	}
-	lo.sync(comps, nil,
-		func(i int) bool { return comps[i].Key != touched },
-		func(i int) *Patch { return ref[comps[i].Key].p })
+	scope, _ := plan.Scope(0)
+	lo.sync(plan, scope,
+		func(k int) bool { return plan.Comps[k].Key != touched },
+		func(k int) *Patch { return ref[plan.Comps[k].Key].p })
 }
 
 func FuzzOutcomePatch(f *testing.F) {
@@ -333,8 +337,8 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 	if err := lo.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if cls := lo.index[f.Quad.Fact()]; cls != classRemoved {
-		t.Fatalf("index did not follow the class move: %d", cls)
+	if len(lo.kept) != 0 || len(lo.removed) != 1 || lo.removed[0].Quad.Fact() != f.Quad.Fact() {
+		t.Fatalf("lists did not follow the class move: kept %v removed %v", lo.kept, lo.removed)
 	}
 	d := lo.delta
 	if len(d.RemovedKept) != 1 || len(d.AddedRemoved) != 1 || len(d.AddedClusters) != 1 {
@@ -384,7 +388,7 @@ func TestLiveOutcomeReset(t *testing.T) {
 	ref := map[ground.AtomID]*refHeld{key: {p: synthPatch(key, 9), gen: 1}}
 	syncRef(lo, ref, key)
 	lo.Reset()
-	if len(lo.kept)+len(lo.removed)+len(lo.inferred)+len(lo.index) != 0 {
+	if len(lo.kept)+len(lo.removed)+len(lo.inferred) != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	syncRef(lo, ref, ground.AtomID(-1)) // nothing touched, but held cache is empty

@@ -149,10 +149,11 @@ type Output struct {
 	Runtime time.Duration
 }
 
-// TruthDelta reports whether the solver produced Truth by a dirty-only
-// merge over a maintained plan: every atom outside the plan's
-// DirtyComps carries the previous solve's truth bit-for-bit. Always
-// false for PSL and the baselines, which recompute the full state.
+// TruthDelta reports whether the solver produced Truth under the
+// plan's change-set scope (engine.Plan.Scope): every atom outside the
+// scoped components carries the previous solve's truth bit-for-bit.
+// Always false for PSL and the baselines, which recompute the full
+// state.
 func (o *Output) TruthDelta() bool {
 	return o.MLN != nil && o.MLN.TruthDelta
 }

@@ -166,9 +166,14 @@ type ComponentStats = ground.ComponentStats
 
 // PlanStats summarises the solve-plan stage of an MLN/PSL solve:
 // whether the plan was patched in place ("maintained") or built from
-// scratch ("rebuilt", a session's first solve), the splice and
-// partition-patch counts, and the sync wall time; available as
-// Stats.Plan (nil under CuttingPlane and the greedy baseline).
+// scratch ("rebuilt", a session's first solve or a delta too large to
+// patch), the splice and partition-patch counts, and the sync wall
+// time; available as Stats.Plan (nil under CuttingPlane and the greedy
+// baseline). PatchedComponents and DroppedComponents are the change set
+// the solver, repair and outcome stages scope their one pass to when
+// their caches are exactly one maintained sync behind; after a rebuilt
+// plan — or any sync a stage did not see — that stage visits every
+// component.
 type PlanStats = engine.PlanStats
 
 // GroundStats summarises the grounding stage of a solve — total wall
