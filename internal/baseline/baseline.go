@@ -30,6 +30,9 @@ type Result struct {
 	Removed int
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
+	// Clauses is the ground clause set the sweep ran over, handed on so
+	// the read-out does not ground the program again.
+	Clauses *ground.ClauseSet
 }
 
 // TrueAtom reports the truth of atom id.
@@ -94,7 +97,7 @@ func Solve(g *ground.Grounder, prog *logic.Program) (*Result, error) {
 		}
 		return order[i] < order[j]
 	})
-	res := &Result{Truth: make([]bool, n)}
+	res := &Result{Truth: make([]bool, n), Clauses: cs}
 	for _, a := range order {
 		if violates(a, res.Truth, denials, byAtom) {
 			res.Removed++

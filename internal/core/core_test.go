@@ -224,6 +224,25 @@ func TestCuttingPlaneOption(t *testing.T) {
 	}
 }
 
+// TestGreedyGroundsOnce: the greedy baseline hands its clause set to the
+// whole-graph read-out, so one solve joins each rule exactly once.
+func TestGreedyGroundsOnce(t *testing.T) {
+	s := newFigure1Session(t)
+	if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(SolveOptions{Solver: translate.SolverGreedy, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Ground == nil || len(res.Stats.Ground.Rules) != 1 || res.Stats.Ground.Rules[0].Rule != "c2" {
+		t.Fatalf("ground stats = %+v, want one c2 entry", res.Stats.Ground)
+	}
+	if tasks := res.Stats.Ground.Rules[0].Tasks; tasks != 1 {
+		t.Errorf("c2 ran %d join tasks, want 1 (the program was grounded more than once)", tasks)
+	}
+}
+
 func TestThresholdOption(t *testing.T) {
 	s := newFigure1Session(t)
 	if err := s.LoadProgramText("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5"); err != nil {

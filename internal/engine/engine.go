@@ -67,12 +67,12 @@ type Plan struct {
 }
 
 // NewPlan partitions the clause set's ground network into conflict
-// components in canonical order. It switches on cs's atom index
-// (idempotent), which Clauses walks to gather each component's own
-// clauses on demand, and touches no other engine state. The plan has
-// generation 0 and scopes every component.
+// components in canonical order. Partitioning switches on cs's
+// component index and the atom index it implies (idempotent), which
+// Clauses walks to gather each component's own clauses on demand; no
+// other engine state is touched. The plan has generation 0 and scopes
+// every component.
 func NewPlan(atoms *ground.AtomTable, cs *ground.ClauseSet) *Plan {
-	cs.EnableAtomIndex()
 	order := ground.CanonicalAtoms(atoms)
 	p := &Plan{
 		Atoms:       atoms,

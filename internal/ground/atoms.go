@@ -14,24 +14,30 @@
 //
 // # Concurrency model
 //
-// Close, GroundProgram and GroundViolated fan their work out across a
-// bounded pool of Parallelism workers (one task per rule; a rule's
-// depth-0 join bindings are additionally split into chunks when the
-// program has fewer rules than workers). Every parallel stage follows a
-// strict two-phase discipline:
+// Every join phase — Close's full pass, each seminaive round of
+// CloseDelta, and the clause emission of GroundProgram, GroundViolated
+// and GroundDelta — runs through one runner (runPhase) over a task list:
+// one task per rule, or per rule and delta position on the seminaive
+// passes; a rule's depth-0 candidates are additionally split into
+// contiguous chunks when the program has fewer rules than workers. A
+// phase is two functions:
 //
-//   - Enumerate (parallel): workers join rule bodies against read-only
-//     store views, resolving atoms with AtomTable.Lookup only, and
-//     record groundings into private, task-indexed shards. Heads that
-//     are not yet interned are carried as pending fact keys.
-//   - Merge (sequential): shards are drained in task order — rule
-//     order, then chunk order, then join-enumeration order — interning
-//     pending heads and emitting clauses exactly as the sequential code
-//     would have.
+//   - emit resolves one grounding against read-only store views and the
+//     atom table (Lookup only) and decides what to keep: a head
+//     statement to derive, or a clause whose head, if not yet interned,
+//     travels as a pending fact key.
+//   - commit applies a kept item at a sequential point: intern or
+//     revive a head and add it to the derived store, or intern a
+//     pending head, apply the truth filter and add the clause.
 //
-// Because atom interning and clause emission happen only in the ordered
-// merge phase, atom ids, clause contents and clause order are
-// byte-identical for every Parallelism setting, including 1.
+// With one worker or one task the phase runs inline — commit follows
+// each emission directly, with no buffer and a reused literal scratch.
+// Otherwise Parallelism workers enumerate tasks concurrently into
+// private buffers (blocks that double from a small first block and are
+// never regrown), and a sequential merge commits them. Either way items
+// are committed in task order — rule order, then chunk order — then
+// join-enumeration order, so atom ids, clause contents and clause order
+// are byte-identical for every Parallelism setting, including 1.
 package ground
 
 import (
@@ -90,14 +96,14 @@ const (
 // stored key, so collisions cost time, never correctness. The public
 // surface still speaks rdf.FactKey; Info materialises it on demand.
 //
-// Concurrency follows the enumerate-then-intern two-phase protocol: the
+// Concurrency follows the grounder's emit/commit protocol: the
 // read-side methods (Lookup, Info, Len) are safe for any number of
 // concurrent readers, while Intern and InternEvidence may only run at
-// sequential points — the grounder's merge phases — with no reader in
+// sequential points — the grounder's commits — with no reader in
 // flight. Lookup is the hottest call in grounding (once per visited
 // quad), so the table carries no lock; the phase discipline, checked by
 // the race-detector suites, is what makes the sharing sound, and the
-// deterministic merge order is what keeps id assignment reproducible.
+// deterministic commit order is what keeps id assignment reproducible.
 type AtomTable struct {
 	dict  *store.Dict
 	ids   map[uint64]AtomID

@@ -161,8 +161,9 @@ type ClauseSet struct {
 	// EnableAtomIndex set atomIndexed.
 	byAtom      [][]int32
 	atomIndexed bool
-	// comps tracks conflict components incrementally; nil unless
-	// EnableComponentIndex was called (see components.go).
+	// comps tracks conflict components incrementally; nil until
+	// EnableComponentIndex or Components switches it on (see
+	// components.go).
 	comps *componentIndex
 }
 

@@ -118,8 +118,6 @@ type chead struct {
 // frozen, so rules are recompiled at each phase's sequential point.
 type compiledRule struct {
 	rule     *logic.Rule
-	order    []int
-	est      []float64
 	sm       *logic.SlotMap
 	quads    []cquad                // body atoms in join order
 	conds    [][]logic.CompiledCond // scheduled by join depth
@@ -138,11 +136,18 @@ func (g *Grounder) encodeAtomCode(t rdf.Term) (uint32, bool) {
 	return uint32(c), ok
 }
 
-// compileRule lowers a rule against the given join order: variables to
-// dense slots, constants to atom codes, conditions to closures.
-func (g *Grounder) compileRule(r *logic.Rule, order []int, est []float64) (*compiledRule, error) {
+// compileRule plans a rule's join order (body position first pinned to
+// the front when >= 0), records the plan in the grounder's stats, and
+// lowers the rule against it: variables to dense slots, constants to
+// atom codes, conditions to closures.
+func (g *Grounder) compileRule(r *logic.Rule, first int) (*compiledRule, error) {
+	order, est, err := g.planSelective(r, first)
+	if err != nil {
+		return nil, err
+	}
+	g.notePlan(r.Name, order, est)
 	sm := logic.BodySlots(r)
-	cr := &compiledRule{rule: r, order: order, est: est, sm: sm}
+	cr := &compiledRule{rule: r, sm: sm}
 	cobj := func(t logic.Term) cterm {
 		if t.IsVar() {
 			slot, _ := sm.ObjSlot(t.Var) // body variables always have slots

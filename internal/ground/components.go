@@ -99,9 +99,9 @@ func (s *ComponentStats) Engine(name string) {
 }
 
 // componentIndex is the incrementally maintained union-find over atoms.
-// All mutation happens at sequential points (clause-set merges, the
-// incremental engine's sync), matching the two-phase discipline of the
-// grounder; Components resolves pending splits lazily.
+// All mutation happens at sequential points (the grounder's clause
+// commits, the incremental engine's sync), matching the emit/commit
+// discipline of the grounder; Components resolves pending splits lazily.
 // Per-node state is 8 bytes — a 4-byte parent link and a 4-byte
 // generation — so the index stays a rounding error next to the clauses
 // it partitions even at millions of atoms. Generations are 32-bit: a
@@ -292,12 +292,6 @@ func (cs *ClauseSet) ResolveSplits(candidates []AtomID) {
 	cs.resplit(ci, candidates)
 }
 
-// HasPendingSplits reports whether component removals since the last
-// resolve left roots awaiting lazy re-derivation.
-func (cs *ClauseSet) HasPendingSplits() bool {
-	return cs.comps != nil && len(cs.comps.dirty) > 0
-}
-
 // Find returns the current component root of atom a (atoms in no clause
 // are their own root). Requires EnableComponentIndex; pending splits
 // must be resolved first for the answer to be final.
@@ -309,42 +303,21 @@ func (cs *ClauseSet) RootGen(root AtomID) uint64 {
 	return uint64(cs.comps.gen[root])
 }
 
-// HasComponentIndex reports whether EnableComponentIndex was called.
-func (cs *ClauseSet) HasComponentIndex() bool { return cs.comps != nil }
-
 // Components partitions the given live atoms (in canonical solve order)
 // into conflict components: atoms are connected when they co-occur in a
 // live clause; atoms in no clause are singletons. Components come back
 // ordered by their first atom in the input order, each listing its atoms
 // in input order.
 //
-// With EnableComponentIndex the partition is maintained incrementally
+// The partition is the component index's: Components switches it on
+// (EnableComponentIndex, idempotent), so it is maintained incrementally
 // and generations persist across calls — pending splits from clause
 // removals are resolved here, lazily, by re-deriving only the dirty
-// components from the atom index. Without it a transient partition is
-// computed from the live clauses (all generations zero).
+// components from the atom index.
 func (cs *ClauseSet) Components(order []AtomID) []Component {
+	cs.EnableComponentIndex()
 	ci := cs.comps
-	if ci == nil {
-		ci = newComponentIndex()
-		cs.ForEach(func(c *Clause) bool {
-			// Transient index: union only, generations stay zero.
-			if len(c.Lits) == 0 {
-				return true
-			}
-			root := ci.find(c.Lits[0].Atom)
-			for _, l := range c.Lits[1:] {
-				r := ci.find(l.Atom)
-				if r != root {
-					if r < root {
-						root, r = r, root
-					}
-					ci.parent[r] = root
-				}
-			}
-			return true
-		})
-	} else if len(ci.dirty) > 0 {
+	if len(ci.dirty) > 0 {
 		cs.resplit(ci, order)
 	}
 

@@ -15,25 +15,26 @@ import (
 // atom, Close forward-chains the inference rules to materialise derivable
 // head atoms, and GroundProgram / GroundViolated emit clauses.
 //
-// Grounding runs on a bounded worker pool (see the package comment for
-// the two-phase enumerate/merge discipline that keeps output identical
-// at every worker count).
+// Every join phase runs through one runner on a bounded worker pool (see
+// the package comment for the enumerate/commit discipline that keeps
+// output identical at every worker count).
 type Grounder struct {
 	main     *store.Store
 	mainView store.View
 	derived  *store.Store
-	// derivedView is refreshed at the start of every parallel phase (a
-	// sequential point), after which the derived store is not mutated
-	// until the next merge phase.
+	// derivedView is refreshed at the start of every phase (a sequential
+	// point); phases only add to the derived store in commit, which the
+	// pinned view does not see until the next phase.
 	derivedView store.View
 
 	atoms *AtomTable
 
-	// MaxRounds bounds forward-chaining iterations; rule cascades deeper
-	// than this report an error rather than looping (head time
-	// expressions can otherwise generate unboundedly many intervals).
-	// Rounds are Jacobi-style — each materialises one cascade depth —
-	// so the bound is the deepest rule chain supported.
+	// MaxRounds bounds the seminaive forward-chaining rounds of
+	// CloseDelta (and so of Close, which hands off to it after one full
+	// pass); rule cascades deeper than this report an error rather than
+	// looping (head time expressions can otherwise generate unboundedly
+	// many intervals). Each round materialises one cascade depth, so the
+	// bound is the deepest rule chain supported.
 	MaxRounds int
 
 	// Parallelism bounds the grounding worker pool: 0 means GOMAXPROCS,
@@ -85,7 +86,7 @@ func (g *Grounder) DerivedStore() *store.Store { return g.derived }
 // restricted to a contiguous chunk of the depth-0 candidate facts.
 // Splitting at depth 0 lets a program with fewer rules than workers
 // still saturate the pool;
-// because chunks are contiguous and merged in order, chunk boundaries
+// because chunks are contiguous and committed in order, chunk boundaries
 // never affect output. Candidates are carried as compact fact ids —
 // main-store ids first, then derived — and decoded by the worker, so a
 // chunk costs 8 bytes per candidate rather than a materialised quad.
@@ -104,7 +105,7 @@ type joinTask struct {
 	mode *deltaMode
 
 	// Per-task profiling, written by the task's worker and folded into
-	// the grounder's stats at the next sequential point.
+	// the grounder's stats at the end of the phase.
 	elapsed time.Duration
 	emitted int64
 }
@@ -139,28 +140,23 @@ func (m *deltaMode) admits(bodyPos int, id AtomID) bool {
 	return true
 }
 
-// joinTasks plans the task list for one parallel phase over the given
+// joinTasks plans the task list of one full join phase over the given
 // rules. It also refreshes both store views — callers must not mutate
-// either store until the phase's merge completes.
-func (g *Grounder) joinTasks(rules []*logic.Rule, workers int) ([]joinTask, error) {
+// either store until the phase's commits begin.
+func (g *Grounder) joinTasks(rules []*logic.Rule) ([]joinTask, error) {
 	g.refreshViews()
 	chunksPer := 1
-	if workers > 1 && len(rules) > 0 && len(rules) < workers {
+	if workers := par.Workers(g.Parallelism); workers > 1 && len(rules) > 0 && len(rules) < workers {
 		// Oversplit to roughly two tasks per worker so one heavy rule
 		// cannot strand the pool.
 		chunksPer = (2*workers + len(rules) - 1) / len(rules)
 	}
 	tasks := make([]joinTask, 0, len(rules)*chunksPer)
 	for _, r := range rules {
-		order, est, err := g.planSelective(r, -1)
+		cr, err := g.compileRule(r, -1)
 		if err != nil {
 			return nil, err
 		}
-		cr, err := g.compileRule(r, order, est)
-		if err != nil {
-			return nil, err
-		}
-		g.notePlan(r.Name, order, est)
 		t := joinTask{rule: r, cr: cr}
 		// Materialise the depth-0 candidate ids: main-store matches
 		// first, then derived, mirroring the per-depth visit order of the
@@ -182,7 +178,8 @@ func (g *Grounder) joinTasks(rules []*logic.Rule, workers int) ([]joinTask, erro
 
 // splitTask appends t to tasks, cut into up to chunksPer contiguous
 // windows over its main++derived depth-0 candidates. Because chunks are
-// contiguous and merged in order, chunk boundaries never affect output.
+// contiguous and committed in order, chunk boundaries never affect
+// output.
 func splitTask(tasks []joinTask, t joinTask, chunksPer int) []joinTask {
 	mainIDs, derivedIDs := t.mainIDs, t.derivedIDs
 	total := len(mainIDs) + len(derivedIDs)
@@ -219,114 +216,165 @@ func splitTask(tasks []joinTask, t joinTask, chunksPer int) []joinTask {
 	return tasks
 }
 
+// shardBlockSize caps one buffer block of the runner's buffered arm.
+// Appending millions of groundings to a single ever-regrown slice
+// re-zeroes gigabytes of fresh large spans — that zeroing, not the
+// joins, dominated cold-grounding profiles at 10⁶ facts. Blocks are
+// allocated once and never regrown, doubling from firstBlockSize, so a
+// task that emits a handful of groundings pays for a handful.
+const (
+	firstBlockSize = 16
+	shardBlockSize = 8192
+)
+
+// itemBuf is one task's private buffer of emitted items: a list of
+// never-regrown blocks.
+type itemBuf[T any] struct{ blocks [][]T }
+
+func (b *itemBuf[T]) add(x T) {
+	n := len(b.blocks)
+	if n == 0 || len(b.blocks[n-1]) == cap(b.blocks[n-1]) {
+		size := firstBlockSize
+		if n > 0 {
+			size = min(2*cap(b.blocks[n-1]), shardBlockSize)
+		}
+		b.blocks = append(b.blocks, make([]T, 0, size))
+		n++
+	}
+	b.blocks[n-1] = append(b.blocks[n-1], x)
+}
+
+// runPhase is the one driver of every join phase. Each task's groundings
+// come out of runJoin and go through emit, which resolves them against
+// the atom table read-only and reports whether to keep an item; commit
+// applies the kept items in task order, then enumeration order. Atom
+// ids, clause contents and clause order are therefore identical at every
+// worker count.
+//
+// With one worker or one task the phase runs inline: commit applies each
+// item as soon as it is emitted, and emit gets a literal scratch (lits,
+// empty with room for the body plus a head) that commit must copy if it
+// retains it. Otherwise workers enumerate their tasks concurrently into
+// private buffers — emit gets lits == nil and allocates what it keeps —
+// and a sequential merge commits them.
+func runPhase[T any](g *Grounder, tasks []joinTask, truth func(AtomID) bool,
+	emit func(t *joinTask, env *compiledEnv, body []AtomID, lits []Lit) (T, bool, error),
+	commit func(t *joinTask, item T) error) error {
+
+	defer g.noteTaskStats(tasks)
+	workers := par.Workers(g.Parallelism)
+	inline := workers == 1 || len(tasks) <= 1
+	bufs := make([]itemBuf[T], len(tasks))
+	errs := make([]error, len(tasks))
+	var scratch []Lit
+	run := func(i int) {
+		t := &tasks[i]
+		errs[i] = g.runJoin(t, truth, func(env *compiledEnv, body []AtomID) error {
+			var lits []Lit
+			if inline {
+				if cap(scratch) <= len(body) {
+					scratch = make([]Lit, 0, len(body)+1)
+				}
+				lits = scratch[:0]
+			}
+			item, ok, err := emit(t, env, body, lits)
+			switch {
+			case err != nil || !ok:
+				return err
+			case inline:
+				return commit(t, item)
+			}
+			bufs[i].add(item)
+			return nil
+		})
+	}
+	if !inline {
+		par.Do(len(tasks), workers, run)
+	}
+	for i := range tasks {
+		if inline {
+			run(i)
+		}
+		if errs[i] != nil {
+			return errs[i]
+		}
+		for _, blk := range bufs[i].blocks {
+			for _, item := range blk {
+				if err := commit(&tasks[i], item); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// derive runs one forward-chaining phase. Emit keeps the statement of
+// every head that is not live — pending (never interned) or retracted;
+// commit interns or revives the atom and adds the statement to the
+// derived store, where the next phase can match it. It returns the atoms
+// that became live, in commit order.
+func (g *Grounder) derive(tasks []joinTask) ([]AtomID, error) {
+	var fresh []AtomID
+	err := runPhase(g, tasks, nil,
+		func(_ *joinTask, env *compiledEnv, _ []AtomID, _ []Lit) (rdf.FactKey, bool, error) {
+			switch state, id, key := env.resolveHeadAtom(); {
+			case state == headStatePending:
+				return key, true, nil
+			case state == headStateResolved && g.atoms.IsRetracted(id):
+				return g.atoms.Info(id).Key, true, nil
+			}
+			return rdf.FactKey{}, false, nil
+		},
+		func(_ *joinTask, key rdf.FactKey) error {
+			id, seen := g.atoms.Lookup(key)
+			switch {
+			case !seen:
+				id = g.atoms.Intern(key)
+			case g.atoms.IsRetracted(id):
+				g.atoms.SetDerived(id)
+			default:
+				return nil // derived earlier in this phase
+			}
+			fresh = append(fresh, id)
+			if _, err := g.derived.Add(keyQuad(key)); err != nil {
+				return fmt.Errorf("ground: derived fact %v: %w", key, err)
+			}
+			return nil
+		})
+	return fresh, err
+}
+
 // Close forward-chains the program's inference rules until fixpoint,
 // interning every derivable head atom. It returns the number of derived
 // atoms added. Clauses are not emitted here; call GroundProgram after.
 //
-// Each round evaluates every rule against the store state at the start
-// of the round (Jacobi-style), so rules can run concurrently; a head
-// derived in round k becomes matchable in round k+1. The fixpoint is the
-// same as chaining rules one at a time, and the round-start snapshot
-// makes the intern order — and therefore every atom id — independent of
-// the worker count.
+// One full join pass over the store derives the first cascade depth;
+// CloseDelta, seeded with what that pass derived, runs the seminaive
+// rounds for the rest.
 func (g *Grounder) Close(prog *logic.Program) (int, error) {
 	rules := prog.InferenceRules()
 	if len(rules) == 0 {
 		return 0, nil
 	}
 	start := time.Now()
-	defer func() { g.statTotal += time.Since(start) }()
-	workers := par.Workers(g.Parallelism)
-	total := 0
-	for round := 0; ; round++ {
-		if round >= g.MaxRounds {
-			return total, fmt.Errorf("ground: forward chaining exceeded %d rounds; rule cascade may be unbounded", g.MaxRounds)
-		}
-		tasks, err := g.joinTasks(rules, workers)
-		if err != nil {
-			return total, err
-		}
-		if workers == 1 || len(tasks) <= 1 {
-			// Single worker: intern heads at first emission instead of
-			// buffering candidate keys. The views were pinned by joinTasks,
-			// so a head interned mid-round stays unmatchable until the next
-			// round — the Jacobi semantics the parallel merge provides — and
-			// first-emission order is exactly the merge's intern order.
-			added := 0
-			for i := range tasks {
-				err := g.runJoin(&tasks[i], nil, func(env *compiledEnv, _ []AtomID) error {
-					state, _, key := env.resolveHeadAtom()
-					if state != headStatePending {
-						return nil
-					}
-					g.atoms.Intern(key)
-					if _, err := g.derived.Add(rdf.Quad{
-						Subject: key.S, Predicate: key.P, Object: key.O,
-						Interval: key.Interval, Confidence: 1,
-					}); err != nil {
-						return fmt.Errorf("ground: derived fact %v: %w", key, err)
-					}
-					added++
-					return nil
-				})
-				if err != nil {
-					return total, err
-				}
-			}
-			g.noteTaskStats(tasks)
-			total += added
-			if added == 0 {
-				return total, nil
-			}
-			continue
-		}
-		// Enumerate phase: collect candidate head keys per task. Workers
-		// only read — resolveHeadAtom reports pending only for keys not
-		// interned before this round; the merge re-checks for keys
-		// produced by several tasks.
-		newKeys := make([][]rdf.FactKey, len(tasks))
-		errs := make([]error, len(tasks))
-		par.Do(len(tasks), workers, func(i int) {
-			t := &tasks[i]
-			errs[i] = g.runJoin(t, nil, func(env *compiledEnv, _ []AtomID) error {
-				if state, _, key := env.resolveHeadAtom(); state == headStatePending {
-					newKeys[i] = append(newKeys[i], key)
-				}
-				return nil
-			})
-		})
-		// Merge phase: intern fresh heads in task order.
-		g.noteTaskStats(tasks)
-		added := 0
-		for i := range tasks {
-			if errs[i] != nil {
-				return total, errs[i]
-			}
-			for _, key := range newKeys[i] {
-				if _, seen := g.atoms.Lookup(key); seen {
-					continue
-				}
-				g.atoms.Intern(key)
-				if _, err := g.derived.Add(rdf.Quad{
-					Subject: key.S, Predicate: key.P, Object: key.O,
-					Interval: key.Interval, Confidence: 1,
-				}); err != nil {
-					return total, fmt.Errorf("ground: derived fact %v: %w", key, err)
-				}
-				added++
-			}
-		}
-		total += added
-		if added == 0 {
-			return total, nil
-		}
+	tasks, err := g.joinTasks(rules)
+	var derived []AtomID
+	if err == nil {
+		derived, err = g.derive(tasks)
 	}
+	g.statTotal += time.Since(start) // CloseDelta accounts for itself
+	if err != nil {
+		return len(derived), err
+	}
+	more, err := g.CloseDelta(prog, derived)
+	return len(derived) + len(more), err
 }
 
 // GroundProgram grounds every rule and constraint, emitting the full
 // ground clause set (call Close first so rule cascades are complete).
 func (g *Grounder) GroundProgram(prog *logic.Program) (*ClauseSet, error) {
-	return g.ground(prog.Rules, nil, false)
+	return g.ground(prog.Rules, nil)
 }
 
 // GroundViolated grounds only the clauses violated under the given truth
@@ -334,218 +382,115 @@ func (g *Grounder) GroundProgram(prog *logic.Program) (*ClauseSet, error) {
 // clause is emitted only when its head fails. This is the cutting-plane
 // primitive used by the MLN solver.
 func (g *Grounder) GroundViolated(prog *logic.Program, truth func(AtomID) bool) (*ClauseSet, error) {
-	return g.ground(prog.Rules, truth, true)
+	return g.ground(prog.Rules, truth)
 }
 
-// Head resolution states of a pending clause.
-const (
-	headNone     uint8 = iota // condition or falsum head: body literals only
-	headResolved              // head atom already interned; id is in lits
-	headPending               // head atom needs interning at merge time
-)
-
-// pendingClause is one grounding enumerated during the parallel phase:
-// body literals are fully resolved, a head atom that is not yet interned
-// is carried as its fact key so the sequential merge can intern it in
-// deterministic order. The key is behind a pointer — it is rare (Close
-// interns every derivable head first) and inlining it tripled the size
-// of every buffered grounding.
-type pendingClause struct {
-	lits     []Lit
-	headKind uint8
-	headKey  *rdf.FactKey
-}
-
-// shardBlockSize bounds one contiguous shard allocation. Appending
-// millions of groundings to a single ever-regrown slice re-zeroes
-// gigabytes of fresh large spans — that zeroing, not the joins,
-// dominated cold-grounding profiles at 10⁶ facts. Fixed blocks are each
-// allocated once at full size and never copied.
-const shardBlockSize = 8192
-
-// clauseShard buffers one task's groundings as a list of fixed-size
-// blocks.
-type clauseShard struct{ blocks [][]pendingClause }
-
-func (s *clauseShard) add(pc pendingClause) {
-	n := len(s.blocks)
-	if n == 0 || len(s.blocks[n-1]) == cap(s.blocks[n-1]) {
-		s.blocks = append(s.blocks, make([]pendingClause, 0, shardBlockSize))
-		n++
-	}
-	s.blocks[n-1] = append(s.blocks[n-1], pc)
-}
-
-// ground joins every rule across the worker pool, emitting clause shards
-// that the merge phase combines in rule order. With onlyViolated,
-// satisfied groundings are skipped (and truth filters body matches).
-func (g *Grounder) ground(rules []*logic.Rule, truth func(AtomID) bool, onlyViolated bool) (*ClauseSet, error) {
+// ground runs one full clause-emission phase into a fresh clause set;
+// with truth set only violated groundings are emitted.
+func (g *Grounder) ground(rules []*logic.Rule, truth func(AtomID) bool) (*ClauseSet, error) {
 	start := time.Now()
 	defer func() { g.statTotal += time.Since(start) }()
-	workers := par.Workers(g.Parallelism)
-	tasks, err := g.joinTasks(rules, workers)
-	if err != nil {
-		return nil, err
-	}
 	hint := 0
-	if !onlyViolated {
+	if truth == nil {
 		// Full grounding yields on the order of one-to-two clauses per
-		// atom; cutting-plane calls (onlyViolated) yield far fewer and
-		// should not pay for a network-sized index.
+		// atom; cutting-plane calls yield far fewer and should not pay
+		// for a network-sized index.
 		hint = g.atoms.Len() + g.atoms.Len()/2
 	}
 	cs := NewClauseSetSized(hint)
-	if err := g.groundTasks(tasks, truth, onlyViolated, cs); err != nil {
+	tasks, err := g.joinTasks(rules)
+	if err == nil {
+		err = g.emitClauses(tasks, truth, cs)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return cs, nil
 }
 
-// groundTasks runs the enumerate/merge phases for a prepared task list,
-// merging emitted clauses into cs (which may already hold clauses from
-// earlier solves on the incremental path).
-func (g *Grounder) groundTasks(tasks []joinTask, truth func(AtomID) bool, onlyViolated bool, cs *ClauseSet) error {
-	workers := par.Workers(g.Parallelism)
-	if workers == 1 || len(tasks) <= 1 {
-		return g.groundTasksSeq(tasks, truth, onlyViolated, cs)
-	}
-	// Enumerate phase: private shard per task, Lookup-only atom access.
-	shards := make([]clauseShard, len(tasks))
-	errs := make([]error, len(tasks))
-	par.Do(len(tasks), workers, func(i int) {
-		t := &tasks[i]
-		errs[i] = g.runJoin(t, truth, func(env *compiledEnv, bodyAtoms []AtomID) error {
-			pc := pendingClause{lits: make([]Lit, 0, len(bodyAtoms)+1)}
-			for _, a := range bodyAtoms {
-				pc.lits = append(pc.lits, Lit{Atom: a, Neg: true})
-			}
-			switch t.rule.Head.Kind {
-			case logic.HeadAtom:
-				state, id, key := env.resolveHeadAtom()
-				switch state {
-				case headStateMiss:
-					return nil // empty head time expression: no obligation
-				case headStateResolved:
-					if onlyViolated && truth != nil && truth(id) {
-						return nil
-					}
-					pc.headKind = headResolved
-					pc.lits = append(pc.lits, Lit{Atom: id})
-				case headStatePending:
-					// Close was not run (or truth-filtered matching found
-					// a grounding whose head was never materialised);
-					// intern deterministically at merge time.
-					pc.headKind = headPending
-					k := key
-					pc.headKey = &k
-				}
-			case logic.HeadCond:
-				holds, err := env.evalHeadCond()
-				if err != nil {
-					return fmt.Errorf("ground: rule %s head: %w", t.rule.Name, err)
-				}
-				if holds {
-					return nil // grounding satisfied; no clause
-				}
-			case logic.HeadFalse:
-				// Always a violation clause over the body.
-			}
-			shards[i].add(pc)
-			return nil
-		})
-	})
-	// Merge phase: drain shards in task order, interning pending heads
-	// and deduplicating into the clause set exactly as sequential
-	// grounding would.
-	g.noteTaskStats(tasks)
-	for i := range tasks {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		r := tasks[i].rule
-		for _, blk := range shards[i].blocks {
-			for _, pc := range blk {
-				c := Clause{Lits: pc.lits, Weight: r.Weight, Rule: r.Name}
-				if pc.headKind == headPending {
-					id := g.atoms.Intern(*pc.headKey)
-					if onlyViolated && truth != nil && truth(id) {
-						continue
-					}
-					c.Lits = append(c.Lits, Lit{Atom: id})
-				}
-				if !cs.Add(c) {
-					return fmt.Errorf("ground: rule %s grounds to an unconditionally violated hard constraint", r.Name)
-				}
-			}
-		}
-	}
-	return nil
+// clauseItem is one grounding kept by clause emission: the body
+// literals, the head literal when the head atom is interned, and the
+// statement of a head that is not (commit interns it). The statement is
+// behind a pointer: it is rare (Close interns every derivable head
+// first) and inline it would make every buffered item seven times
+// larger.
+type clauseItem struct {
+	lits []Lit
+	head *rdf.FactKey
 }
 
-// groundTasksSeq is groundTasks for a single worker: tasks run inline in
-// order, so clauses go straight into the clause set with no
-// pendingClause buffering at all. A pending head is interned at its
-// first emission — exactly the (task, emission-order) position where the
-// parallel merge would intern it — so atom ids, clause order and the
-// dedup aggregation are byte-identical to the buffered path. One shared
-// literal scratch serves every emission; ClauseSet.Add copies literals
-// it retains.
-func (g *Grounder) groundTasksSeq(tasks []joinTask, truth func(AtomID) bool, onlyViolated bool, cs *ClauseSet) error {
-	var scratch []Lit
-	for i := range tasks {
-		t := &tasks[i]
-		err := g.runJoin(t, truth, func(env *compiledEnv, bodyAtoms []AtomID) error {
-			if cap(scratch) < len(bodyAtoms)+1 {
-				scratch = make([]Lit, 0, len(bodyAtoms)+16)
+// emitClauses runs one clause-emission phase over tasks, adding the
+// clauses into cs (which may already hold clauses from earlier solves on
+// the incremental path). With truth set, satisfied groundings are
+// skipped.
+func (g *Grounder) emitClauses(tasks []joinTask, truth func(AtomID) bool, cs *ClauseSet) error {
+	emit := func(t *joinTask, env *compiledEnv, body []AtomID, lits []Lit) (clauseItem, bool, error) {
+		var it clauseItem
+		head := AtomID(-1)
+		switch t.rule.Head.Kind {
+		case logic.HeadAtom:
+			state, id, key := env.resolveHeadAtom()
+			switch {
+			case state == headStateMiss:
+				return it, false, nil // empty head time expression: no obligation
+			case state == headStatePending:
+				// Close was not run (or a truth-filtered join found a
+				// grounding whose head was never materialised).
+				it.head = &key
+			case truth != nil && truth(id):
+				return it, false, nil
+			default:
+				head = id
 			}
-			lits := scratch[:0]
-			for _, a := range bodyAtoms {
-				lits = append(lits, Lit{Atom: a, Neg: true})
+		case logic.HeadCond:
+			holds, err := env.evalHeadCond()
+			if err != nil {
+				return it, false, fmt.Errorf("ground: rule %s head: %w", t.rule.Name, err)
 			}
-			switch t.rule.Head.Kind {
-			case logic.HeadAtom:
-				state, id, key := env.resolveHeadAtom()
-				switch state {
-				case headStateMiss:
-					return nil // empty head time expression: no obligation
-				case headStatePending:
-					id = g.atoms.Intern(key)
-				}
-				if onlyViolated && truth != nil && truth(id) {
-					return nil
-				}
-				lits = append(lits, Lit{Atom: id})
-			case logic.HeadCond:
-				holds, err := env.evalHeadCond()
-				if err != nil {
-					return fmt.Errorf("ground: rule %s head: %w", t.rule.Name, err)
-				}
-				if holds {
-					return nil // grounding satisfied; no clause
-				}
-			case logic.HeadFalse:
-				// Always a violation clause over the body.
+			if holds {
+				return it, false, nil // grounding satisfied; no clause
 			}
-			if !cs.Add(Clause{Lits: lits, Weight: t.rule.Weight, Rule: t.rule.Name}) {
-				return fmt.Errorf("ground: rule %s grounds to an unconditionally violated hard constraint", t.rule.Name)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
+		// A HeadFalse grounding is always a violation clause over the body.
+		if lits == nil {
+			lits = make([]Lit, 0, len(body)+1)
+		}
+		for _, a := range body {
+			lits = append(lits, Lit{Atom: a, Neg: true})
+		}
+		if head >= 0 {
+			lits = append(lits, Lit{Atom: head})
+		}
+		it.lits = lits
+		return it, true, nil
 	}
-	g.noteTaskStats(tasks)
-	return nil
+	commit := func(t *joinTask, it clauseItem) error {
+		if it.head != nil {
+			id := g.atoms.Intern(*it.head)
+			if truth != nil && truth(id) {
+				return nil
+			}
+			it.lits = append(it.lits, Lit{Atom: id})
+		}
+		if !cs.Add(Clause{Lits: it.lits, Weight: t.rule.Weight, Rule: t.rule.Name}) {
+			return fmt.Errorf("ground: rule %s grounds to an unconditionally violated hard constraint", t.rule.Name)
+		}
+		return nil
+	}
+	return runPhase(g, tasks, truth, emit, commit)
 }
 
 // refreshViews re-pins the grounder's store views at the current
 // epochs; a sequential point between mutation and the next join phase.
 // The code translation tables are brought up to date here too, so
-// workers read them lock-free for the rest of the phase.
+// workers read them lock-free for the rest of the phase. Nothing asks
+// the derived store for an older epoch or a DeltaSince, so its change
+// log is compacted to the pinned epoch: a streaming session's
+// derivations and retractions do not accumulate history.
 func (g *Grounder) refreshViews() {
 	g.mainView = g.main.ReadView()
 	g.derivedView = g.derived.ReadView()
+	g.derived.CompactLog(g.derivedView.Epoch())
 	g.syncCodeMaps()
 }
 

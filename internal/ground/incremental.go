@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/logic"
-	"repro/internal/par"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -93,56 +92,19 @@ func (g *Grounder) CloseDelta(prog *logic.Program, delta []AtomID) ([]AtomID, er
 	}
 	start := time.Now()
 	defer func() { g.statTotal += time.Since(start) }()
-	workers := par.Workers(g.Parallelism)
 	var allNew []AtomID
-	cur := append([]AtomID(nil), delta...)
-	for round := 0; len(cur) > 0; round++ {
+	for cur, round := delta, 0; len(cur) > 0; round++ {
 		if round >= g.MaxRounds {
-			return allNew, fmt.Errorf("ground: incremental forward chaining exceeded %d rounds; rule cascade may be unbounded", g.MaxRounds)
+			return allNew, fmt.Errorf("ground: forward chaining exceeded %d rounds; rule cascade may be unbounded", g.MaxRounds)
 		}
 		tasks, err := g.deltaJoinTasks(rules, cur)
 		if err != nil {
 			return allNew, err
 		}
-		newKeys := make([][]rdf.FactKey, len(tasks))
-		errs := make([]error, len(tasks))
-		par.Do(len(tasks), workers, func(i int) {
-			t := &tasks[i]
-			errs[i] = g.runJoin(t, nil, func(env *compiledEnv, _ []AtomID) error {
-				switch state, id, key := env.resolveHeadAtom(); {
-				case state == headStatePending:
-					newKeys[i] = append(newKeys[i], key)
-				case state == headStateResolved && g.atoms.Info(id).Retracted:
-					// A retracted head becomes derivable again; carry its
-					// key so the merge revives it.
-					newKeys[i] = append(newKeys[i], g.atoms.Info(id).Key)
-				}
-				return nil
-			})
-		})
-		g.noteTaskStats(tasks)
-		var next []AtomID
-		for i := range tasks {
-			if errs[i] != nil {
-				return allNew, errs[i]
-			}
-			for _, key := range newKeys[i] {
-				if id, seen := g.atoms.Lookup(key); seen {
-					if !g.atoms.Info(id).Retracted {
-						continue // already derived this round
-					}
-					g.atoms.SetDerived(id)
-					next = append(next, id)
-				} else {
-					next = append(next, g.atoms.Intern(key))
-				}
-				if _, err := g.derived.Add(keyQuad(key)); err != nil {
-					return allNew, fmt.Errorf("ground: derived fact %v: %w", key, err)
-				}
-			}
+		if cur, err = g.derive(tasks); err != nil {
+			return allNew, err
 		}
-		allNew = append(allNew, next...)
-		cur = next
+		allNew = append(allNew, cur...)
 	}
 	return allNew, nil
 }
@@ -163,7 +125,7 @@ func (g *Grounder) GroundDelta(prog *logic.Program, cs *ClauseSet, delta []AtomI
 	if err != nil {
 		return err
 	}
-	return g.groundTasks(tasks, nil, false, cs)
+	return g.emitClauses(tasks, nil, cs)
 }
 
 // RetractFacts reconciles the grounder with facts tombstoned in the main
@@ -320,15 +282,10 @@ func (g *Grounder) deltaJoinTasks(rules []*logic.Rule, delta []AtomID) ([]joinTa
 					kind[j] = bindAny
 				}
 			}
-			order, est, err := g.planSelective(r, i)
+			cr, err := g.compileRule(r, i)
 			if err != nil {
 				return nil, err
 			}
-			cr, err := g.compileRule(r, order, est)
-			if err != nil {
-				return nil, err
-			}
-			g.notePlan(r.Name, order, est)
 			tasks = append(tasks, joinTask{
 				rule: r, cr: cr, seedAtoms: seedAtoms, mode: &deltaMode{set: set, kind: kind},
 			})

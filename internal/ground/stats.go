@@ -64,8 +64,8 @@ func (g *Grounder) notePlan(name string, order []int, est []float64) {
 }
 
 // noteTaskStats folds per-task counters into the per-rule stats. Called
-// at merge time (a sequential point); each task was touched by exactly
-// one worker, so the reads need no synchronisation.
+// at the end of a phase (a sequential point); each task was touched by
+// exactly one worker, so the reads need no synchronisation.
 func (g *Grounder) noteTaskStats(tasks []joinTask) {
 	for i := range tasks {
 		t := &tasks[i]

@@ -145,10 +145,6 @@ func MAP(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error)
 			return nil, err
 		}
 		res.Runtime = time.Since(start)
-		res.RuleViolations, err = countViolations(g, prog, res.Truth)
-		if err != nil {
-			return nil, err
-		}
 		return res, nil
 	}
 
@@ -242,7 +238,13 @@ func solveCPI(g *ground.Grounder, prog *logic.Program, base []maxsat.Clause, opt
 			added++
 		}
 		if added == 0 {
+			// This round grounded exactly the groundings the final
+			// state violates.
 			res.GroundClauses = len(ruleClauses)
+			res.RuleViolations = make(map[string]int)
+			for _, c := range violated.Clauses() {
+				res.RuleViolations[c.Rule]++
+			}
 			return res, nil
 		}
 	}
@@ -263,18 +265,4 @@ func boolBit(v bool) uint32 {
 		return 1
 	}
 	return 0
-}
-
-// countViolations grounds the program against the final truth and counts
-// violated groundings per rule.
-func countViolations(g *ground.Grounder, prog *logic.Program, truth []bool) (map[string]int, error) {
-	violated, err := g.GroundViolated(prog, func(a ground.AtomID) bool { return truth[a] })
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int)
-	for _, c := range violated.Clauses() {
-		out[c.Rule]++
-	}
-	return out, nil
 }

@@ -133,7 +133,9 @@ type Output struct {
 	// Clauses, when non-nil, is the full ground clause set of the solve.
 	// The repair layer reads rule groundings from it instead of
 	// re-joining the program; the incremental engine keeps it alive
-	// across solves. Nil on the cutting-plane and greedy paths.
+	// across solves. Nil on the cutting-plane path, and from Run's
+	// full-grounding MLN and PSL solves, whose sets stay inside the
+	// backend.
 	Clauses *ground.ClauseSet
 	// Truth is the boolean MAP state per atom id.
 	Truth []bool
@@ -203,6 +205,7 @@ func Run(st *store.Store, prog *logic.Program, solver Solver, opts Options) (*Ou
 		}
 		out.Greedy = res
 		out.Truth = res.Truth
+		out.Clauses = res.Clauses
 	default:
 		return nil, fmt.Errorf("translate: unknown solver %v", solver)
 	}
