@@ -223,6 +223,7 @@ func runInfer(args []string) error {
 		return runIncrementalREPL(s, tecore.SolveOptions{
 			Solver:              solver,
 			Threshold:           *threshold,
+			CuttingPlane:        *cpi,
 			Parallelism:         *parallel,
 			ComponentExactLimit: *componentExact,
 		}, *verbose, os.Stdin, os.Stdout)
@@ -246,16 +247,12 @@ func runInfer(args []string) error {
 	fmt.Printf("inferred facts:    %d (threshold filtered %d)\n", st.InferredFacts, st.ThresholdFiltered)
 	fmt.Printf("conflict clusters: %d\n", st.ConflictClusters)
 	fmt.Printf("runtime:           %v\n", st.Runtime)
-	if *verbose && st.Plan != nil {
+	if *verbose {
 		printPlanSummary(os.Stdout, st.Plan)
-	}
-	if *verbose && st.Components != nil {
-		printComponentSummary(os.Stdout, st.Components)
-	}
-	if *verbose && st.Repair != nil {
+		if st.Components != nil {
+			printComponentSummary(os.Stdout, st.Components)
+		}
 		printRepairSummary(os.Stdout, st.Repair)
-	}
-	if *verbose && st.Outcome != nil {
 		printOutcomeSummary(os.Stdout, st.Outcome)
 	}
 	if *explainPlan {
@@ -332,28 +329,18 @@ func printComponentSummary(w io.Writer, cs *tecore.ComponentStats) {
 }
 
 // printRepairSummary renders the conflict-resolution read-out stage:
-// how it ran (whole-graph, or per conflict component with caching), the
-// repaired/reused split of a component-decomposed read-out, and the
-// stage timings.
+// the per-component repaired/reused split and the stage timings.
 func printRepairSummary(w io.Writer, rs *tecore.RepairStats) {
-	fmt.Fprintf(w, "repair:            %s", rs.Mode)
-	if rs.Mode == tecore.RepairComponents {
-		fmt.Fprintf(w, " (%d components; %d repaired, %d reused)",
-			rs.Components, rs.Repaired, rs.Reused)
-	}
-	fmt.Fprintf(w, " in %v (analysis %v, merge %v)\n", rs.Total, rs.Analysis, rs.Merge)
+	fmt.Fprintf(w, "repair:            %s (%d components; %d repaired, %d reused) in %v (analysis %v, merge %v)\n",
+		rs.Mode, rs.Components, rs.Repaired, rs.Reused, rs.Total, rs.Analysis, rs.Merge)
 }
 
-// printOutcomeSummary renders the Outcome production stage: whether
-// the result was assembled from scratch or delta-patched on the live
-// outcome, the patched/reused component split, and the index/merge
-// timings.
+// printOutcomeSummary renders the Outcome production stage: the
+// patched/reused component split of the live outcome and the
+// index/merge timings.
 func printOutcomeSummary(w io.Writer, ocs *tecore.OutcomeStats) {
-	fmt.Fprintf(w, "outcome:           %s", ocs.Mode)
-	if ocs.Mode == tecore.OutcomeLive {
-		fmt.Fprintf(w, " (%d patched, %d reused)", ocs.Patched, ocs.Reused)
-	}
-	fmt.Fprintf(w, " in %v (index %v, merge %v)\n", ocs.Total, ocs.Index, ocs.Merge)
+	fmt.Fprintf(w, "outcome:           %s (%d patched, %d reused) in %v (index %v, merge %v)\n",
+		ocs.Mode, ocs.Patched, ocs.Reused, ocs.Total, ocs.Index, ocs.Merge)
 }
 
 // printGroundSummary renders the grounding stage's join plans: per

@@ -96,11 +96,9 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 			fmt.Fprintf(out, "solved (%s, %s): kept %d / removed %d / inferred %d, %d conflict cluster(s), %v\n",
 				mode, st.Solver, st.KeptFacts, st.RemovedFacts, st.InferredFacts,
 				st.ConflictClusters, st.Runtime)
-			if st.Plan != nil {
-				fmt.Fprintf(out, "plan: %s (+%d/-%d atoms, %d patched, %d dropped, %v)\n",
-					st.Plan.Mode, st.Plan.InsertedAtoms, st.Plan.RemovedAtoms,
-					st.Plan.PatchedComponents, st.Plan.DroppedComponents, st.Plan.Sync)
-			}
+			fmt.Fprintf(out, "plan: %s (+%d/-%d atoms, %d patched, %d dropped, %v)\n",
+				st.Plan.Mode, st.Plan.InsertedAtoms, st.Plan.RemovedAtoms,
+				st.Plan.PatchedComponents, st.Plan.DroppedComponents, st.Plan.Sync)
 			if st.Components != nil {
 				fmt.Fprintf(out, "components: %d (%d solved, %d reused from cache)\n",
 					st.Components.Count, st.Components.Solved, st.Components.Reused)
@@ -108,23 +106,16 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 					printComponentSummary(out, st.Components)
 				}
 			}
-			if st.Repair != nil && st.Repair.Mode == tecore.RepairComponents {
-				fmt.Fprintf(out, "repair: %d repaired, %d reused from cache (%v)\n",
-					st.Repair.Repaired, st.Repair.Reused, st.Repair.Total)
-			}
-			if st.Outcome != nil && st.Outcome.Mode == tecore.OutcomeLive {
-				fmt.Fprintf(out, "outcome: %d patched, %d reused (live, %v)\n",
-					st.Outcome.Patched, st.Outcome.Reused, st.Outcome.Total)
-			}
-			if d := res.Delta; d != nil {
-				fmt.Fprintf(out, "delta: kept +%d/-%d, removed +%d/-%d, inferred +%d/-%d, clusters +%d/-%d\n",
-					len(d.AddedKept), len(d.RemovedKept), len(d.AddedRemoved), len(d.RemovedRemoved),
-					len(d.AddedInferred), len(d.RemovedInferred), len(d.AddedClusters), len(d.RemovedClusters))
-			}
-			if verbose && st.Repair != nil {
+			fmt.Fprintf(out, "repair: %d repaired, %d reused from cache (%v)\n",
+				st.Repair.Repaired, st.Repair.Reused, st.Repair.Total)
+			fmt.Fprintf(out, "outcome: %d patched, %d reused (%s, %v)\n",
+				st.Outcome.Patched, st.Outcome.Reused, st.Outcome.Mode, st.Outcome.Total)
+			d := res.Delta
+			fmt.Fprintf(out, "delta: kept +%d/-%d, removed +%d/-%d, inferred +%d/-%d, clusters +%d/-%d\n",
+				len(d.AddedKept), len(d.RemovedKept), len(d.AddedRemoved), len(d.RemovedRemoved),
+				len(d.AddedInferred), len(d.RemovedInferred), len(d.AddedClusters), len(d.RemovedClusters))
+			if verbose {
 				printRepairSummary(out, st.Repair)
-			}
-			if verbose && st.Outcome != nil {
 				printOutcomeSummary(out, st.Outcome)
 			}
 		case "stats":

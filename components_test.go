@@ -19,11 +19,12 @@ import (
 // independent whole-network reference and the from-scratch component
 // path at parallelism 1 and N.
 //
-// The whole-network ("monolithic") reference for MLN is cutting-plane
-// inference: lazy grounding, one exact MaxSAT over the whole network per
-// round and the whole-graph repair.Resolve read-out share no partition,
-// cache or kernel with the component path. PSL has no second back end;
-// its "monolithic = one component" oracle lives in internal/psl
+// The whole-network ("monolithic") reference for MLN is
+// wholeNetworkReference: a fresh grounder, cutting-plane inference (one
+// exact MaxSAT over the whole network per round) and the whole-graph
+// repair.Resolve read-out share no partition, cache or kernel with the
+// component path, and never run Session.Solve. PSL has no second back
+// end; its "monolithic = one component" oracle lives in internal/psl
 // (TestComponentsMatchOneComponent).
 
 // componentProgram has an inference rule (so components contain derived
@@ -68,9 +69,9 @@ func componentPool(subjects, spells int, seed int64) []tecore.Quad {
 	return pool
 }
 
-// exactEverywhere forces both the whole-network (cutting-plane) and the
-// per-component path onto the exact branch-and-bound engine, where the
-// unique MAP optimum makes results provably byte-identical.
+// exactEverywhere forces both the whole-network (cutting-plane) kernel
+// and the per-component path onto the exact branch-and-bound engine,
+// where the unique MAP optimum makes results provably byte-identical.
 func exactEverywhere(opts tecore.SolveOptions) tecore.SolveOptions {
 	opts.Advanced.MLN.MaxSAT.ExactVarLimit = 4096
 	opts.ComponentExactLimit = 4096
@@ -79,8 +80,8 @@ func exactEverywhere(opts tecore.SolveOptions) tecore.SolveOptions {
 
 // TestComponentMatchesMonolithicMLNExact: randomized add/remove/solve
 // sequences; at each step the component-decomposed incremental session
-// must return a Resolution byte-identical to a whole-network
-// cutting-plane solve over the same live graph. Both paths solve
+// must return a Resolution byte-identical to the whole-network
+// cutting-plane oracle over the same live graph. Both paths solve
 // exactly, so the unique optimum leaves no tie-breaking slack.
 func TestComponentMatchesMonolithicMLNExact(t *testing.T) {
 	pool := componentPool(4, 3, 41)
@@ -96,9 +97,8 @@ func TestComponentMatchesMonolithicMLNExact(t *testing.T) {
 }
 
 // TestComponentMatchesMonolithicMLNCold compares cold component solves
-// (fresh sessions on both sides via ColdStart, so no cache or warm
-// state) against the whole-network exact cutting-plane path across the
-// same mutation stream.
+// (ColdStart, so no cache or warm state) against the whole-network exact
+// cutting-plane oracle across the same mutation stream.
 func TestComponentMatchesMonolithicMLNCold(t *testing.T) {
 	pool := componentPool(3, 3, 59)
 	incOpts := exactEverywhere(tecore.SolveOptions{

@@ -134,7 +134,7 @@ func forEachDegenerate(t *testing.T, fn func(t *testing.T, c degenerateCase, sv 
 
 // TestDegenerateInputsSession drives the Go API: a one-shot solve on a
 // fresh session, then the same session through a delta pass in which
-// every rule is filtered out.
+// every rule is filtered out — incrementally, for every solver kernel.
 func TestDegenerateInputsSession(t *testing.T) {
 	forEachDegenerate(t, func(t *testing.T, c degenerateCase, sv degenerateSolver, components bool, workers int) {
 		s := tecore.NewSession()
@@ -165,8 +165,9 @@ func TestDegenerateInputsSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delta solve: %v", err)
 		}
-		if incremental := sv.solver != translate.SolverGreedy && !sv.cpi; res.Incremental != incremental {
-			t.Fatalf("delta solve reported Incremental=%v", res.Incremental)
+		if !res.Incremental || res.Delta == nil || res.Stats.Plan == nil {
+			t.Fatalf("delta solve left the session pipeline: incremental %v, delta %v, plan %v",
+				res.Incremental, res.Delta, res.Stats.Plan)
 		}
 		checkDegenerate(t, res.Stats, len(res.Kept), len(res.Removed), len(res.Inferred), c, sv, 1)
 	})

@@ -8,6 +8,12 @@ import (
 	"testing"
 
 	tecore "repro"
+	"repro/internal/baseline"
+	"repro/internal/ground"
+	"repro/internal/mln"
+	"repro/internal/repair"
+	"repro/internal/store"
+	"repro/internal/translate"
 )
 
 // The incremental engine's contract: after any sequence of fact adds,
@@ -31,7 +37,7 @@ func canonResolution(r *tecore.Resolution, confDigits int) string {
 	st.Runtime = 0
 	st.Solver = ""
 	// Component, repair-stage and outcome-stage statistics legitimately
-	// differ between the cutting-plane and component-decomposed paths
+	// differ between the whole-network reference and the session pipeline
 	// (and between cold and cached component solves); the MAP state and
 	// read-out they describe must not.
 	st.Components = nil
@@ -147,11 +153,15 @@ func runIncrementalVsFreshProgram(t *testing.T, program string, pool []tecore.Qu
 }
 
 // runTwoWaysProgram drives nSteps random mutations against a long-lived
-// incremental session solved with incOpts and, at every step, a fresh
-// from-scratch session over the same live graph solved with freshOpts,
-// failing on the first divergence. With incOpts == freshOpts this is
-// the incremental-vs-fresh contract; with freshOpts cutting-plane (one
-// whole-network exact solve) it is the component-equivalence contract.
+// incremental session solved with incOpts and, at every step, a
+// from-scratch reference over the same live graph solved with
+// freshOpts, failing on the first divergence. With a component kernel in
+// freshOpts the reference is a brand-new session — incOpts == freshOpts
+// is the incremental-vs-fresh contract. With a whole-network kernel
+// (CuttingPlane or the greedy baseline) it is wholeNetworkReference,
+// which never runs Session.Solve: against a component kernel that is
+// the component-equivalence contract, against the same kernel the
+// session-vs-oracle contract.
 func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts, freshOpts tecore.SolveOptions, seed int64, nSteps int, confDigits int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -204,16 +214,20 @@ func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts
 			t.Fatalf("step %d: solve did not take the delta path", step)
 		}
 
-		fresh := tecore.NewSession()
-		if err := fresh.LoadGraph(inc.Store().Graph()); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.LoadProgramText(program); err != nil {
-			t.Fatal(err)
-		}
-		freshRes, err := fresh.Solve(freshOpts)
-		if err != nil {
-			t.Fatalf("step %d: fresh solve: %v", step, err)
+		var freshRes *tecore.Resolution
+		if freshOpts.CuttingPlane || freshOpts.Solver == translate.SolverGreedy {
+			freshRes = wholeNetworkReference(t, program, inc.Store().Graph(), freshOpts)
+		} else {
+			fresh := tecore.NewSession()
+			if err := fresh.LoadGraph(inc.Store().Graph()); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.LoadProgramText(program); err != nil {
+				t.Fatal(err)
+			}
+			if freshRes, err = fresh.Solve(freshOpts); err != nil {
+				t.Fatalf("step %d: fresh solve: %v", step, err)
+			}
 		}
 
 		got, want := canonResolution(incRes, confDigits), canonResolution(freshRes, confDigits)
@@ -226,6 +240,57 @@ func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts
 			}
 		}
 	}
+}
+
+// wholeNetworkReference is the independent whole-network oracle: a
+// fresh store and grounder closed under the program, one cutting-plane
+// MaxSAT (opts.CuttingPlane, MLN) or the greedy sweep over the full
+// clause set (the greedy solver), and the whole-graph repair.Resolve
+// read-out. It shares no engine, plan, cache, kernel state or live
+// outcome with Session.Solve.
+func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts tecore.SolveOptions) *tecore.Resolution {
+	t.Helper()
+	prog, err := tecore.ParseRules(program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New()
+	if err := st.AddGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	gr := ground.New(st)
+	gr.Parallelism = opts.Parallelism
+	if _, err := gr.Close(prog); err != nil {
+		t.Fatal(err)
+	}
+	out := &translate.Output{Solver: opts.Solver, Grounder: gr}
+	switch {
+	case opts.Solver == translate.SolverGreedy:
+		if out.Clauses, err = gr.GroundProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		out.Greedy = baseline.Solve(gr.Atoms(), out.Clauses)
+		out.Truth = out.Greedy.Truth
+	case opts.Solver == translate.SolverMLN && opts.CuttingPlane:
+		mopts := opts.Advanced.MLN
+		if mopts.Parallelism == 0 {
+			mopts.Parallelism = opts.Parallelism
+		}
+		if out.MLN, err = mln.CuttingPlane(gr, prog, mopts); err != nil {
+			t.Fatal(err)
+		}
+		if !out.MLN.HardSatisfied {
+			t.Fatal("reference: no assignment satisfies the hard constraints")
+		}
+		out.Truth = out.MLN.Truth
+	default:
+		t.Fatalf("no whole-network reference for %v (cutting plane %v)", opts.Solver, opts.CuttingPlane)
+	}
+	oc, err := repair.Resolve(out, prog, repair.Options{Threshold: opts.Threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &tecore.Resolution{Outcome: oc, Output: out}
 }
 
 // confsClose compares the two resolutions' fact confidences by
@@ -322,4 +387,37 @@ func TestIncrementalMatchesFreshPSLWarm(t *testing.T) {
 	pool := factPool(3, 4)
 	runIncrementalVsFreshAt(t, pool,
 		tecore.SolveOptions{Solver: tecore.SolverPSL}, 17, 8, -1)
+}
+
+// greedyProgram is componentProgram with a hard inference rule: the
+// greedy baseline chains hard implications only, so this is the variant
+// under which its sweep derives facts (and drops premises whose
+// derivation a constraint forbids).
+const greedyProgram = `
+f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = inf
+c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf
+star: quad(x, coach, y, t) ^ quad(z, coach, y, t') ^ x != z -> disjoint(t, t') w = inf
+`
+
+// TestWholeNetworkKernelSessionsMatchOracle: cutting-plane and greedy
+// solves run inside the session pipeline — the engine's maintained
+// grounder and clause set, the maintained plan, component repair and the
+// live outcome — and must match the independent whole-network oracle at
+// every step of a randomized add/remove/revive stream, at parallelism 1
+// and N, under the default solver options: both kernels see the live
+// atoms in canonical order however the session interned them, so even
+// past the exact engine's variable limit the local-search walk and every
+// tie-break reproduce the oracle's.
+func TestWholeNetworkKernelSessionsMatchOracle(t *testing.T) {
+	for _, par := range []int{1, 0} {
+		t.Run(fmt.Sprintf("mln-cpi/parallel=%d", par), func(t *testing.T) {
+			opts := tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true, Parallelism: par}
+			// 63 statements: the live network grows past the exact limit.
+			runTwoWaysProgram(t, componentProgram, componentPool(16, 3, 163), opts, opts, 167, 24, 17)
+		})
+		t.Run(fmt.Sprintf("greedy/parallel=%d", par), func(t *testing.T) {
+			opts := tecore.SolveOptions{Solver: translate.SolverGreedy, Parallelism: par}
+			runTwoWaysProgram(t, greedyProgram, componentPool(4, 3, 173), opts, opts, 179, 12, 17)
+		})
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/ground"
-	"repro/internal/logic"
 )
 
 // Result is the greedy state over the ground network, shaped like the
@@ -30,27 +29,18 @@ type Result struct {
 	Removed int
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
-	// Clauses is the ground clause set the sweep ran over, handed on so
-	// the read-out does not ground the program again.
-	Clauses *ground.ClauseSet
 }
 
 // TrueAtom reports the truth of atom id.
 func (r *Result) TrueAtom(id ground.AtomID) bool { return r.Truth[id] }
 
-// Solve runs greedy repair: the grounder must be freshly constructed;
-// inference rules are forward-chained first so the atom table is
-// complete.
-func Solve(g *ground.Grounder, prog *logic.Program) (*Result, error) {
+// Solve runs greedy repair over a closed grounder's atom table and its
+// full ground clause set (Close forward-chained the inference rules, so
+// the table is complete). Retracted atoms stay false. Confidence ties
+// break by backing fact id, so the sweep order depends on the store
+// alone, not on the order the atoms were interned in.
+func Solve(atoms *ground.AtomTable, cs *ground.ClauseSet) *Result {
 	start := time.Now()
-	if _, err := g.Close(prog); err != nil {
-		return nil, err
-	}
-	cs, err := g.GroundProgram(prog)
-	if err != nil {
-		return nil, err
-	}
-	atoms := g.Atoms()
 	n := atoms.Len()
 
 	// Split clauses: all-negative hard clauses are constraints checked
@@ -63,9 +53,9 @@ func Solve(g *ground.Grounder, prog *logic.Program) (*Result, error) {
 	var denials []denial
 	var implications []implication
 	byAtom := make([][]int32, n) // atom -> denial indexes
-	for _, c := range cs.Clauses() {
+	cs.ForEach(func(c *ground.Clause) bool {
 		if !c.Hard() {
-			continue // greedy ignores soft structure beyond confidences
+			return true // greedy ignores soft structure beyond confidences
 		}
 		var pos []ground.AtomID
 		var neg []ground.AtomID
@@ -86,22 +76,23 @@ func Solve(g *ground.Grounder, prog *logic.Program) (*Result, error) {
 		case len(pos) == 1:
 			implications = append(implications, implication{body: neg, head: pos[0]})
 		}
-	}
+		return true
+	})
 
 	// Greedy sweep over evidence atoms, strongest first.
 	order := atoms.EvidenceAtoms()
 	sort.Slice(order, func(i, j int) bool {
-		ci, cj := atoms.Info(order[i]).Conf, atoms.Info(order[j]).Conf
+		ci, cj := atoms.Confidence(order[i]), atoms.Confidence(order[j])
 		if ci != cj {
 			return ci > cj
 		}
-		return order[i] < order[j]
+		return atoms.BackingFact(order[i]) < atoms.BackingFact(order[j])
 	})
-	res := &Result{Truth: make([]bool, n), Clauses: cs}
+	res := &Result{Truth: make([]bool, n)}
 	for _, a := range order {
 		if violates(a, res.Truth, denials, byAtom) {
 			res.Removed++
-			res.RemovedWeight += atoms.Info(a).Conf
+			res.RemovedWeight += atoms.Confidence(a)
 			continue
 		}
 		res.Truth[a] = true
@@ -147,7 +138,7 @@ func Solve(g *ground.Grounder, prog *logic.Program) (*Result, error) {
 		}
 	}
 	res.Runtime = time.Since(start)
-	return res, nil
+	return res
 }
 
 // denial is an all-negative hard clause: its members cannot all hold.

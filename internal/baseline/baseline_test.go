@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ground"
+	"repro/internal/logic"
 	"repro/internal/rdf"
 	"repro/internal/rulelang"
 	"repro/internal/store"
@@ -23,6 +24,20 @@ func loadStore(t testing.TB, text string) *store.Store {
 	return st
 }
 
+// solve closes g under the program's inference rules, grounds the full
+// program and runs the greedy sweep over the result.
+func solve(t testing.TB, g *ground.Grounder, prog *logic.Program) *Result {
+	t.Helper()
+	if _, err := g.Close(prog); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := g.GroundProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Solve(g.Atoms(), cs)
+}
+
 const c2 = "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"
 
 func TestGreedyRunningExample(t *testing.T) {
@@ -32,10 +47,7 @@ CR coach Napoli [2001,2003] 0.6
 CR coach Leicester [2015,2017] 0.7
 `)
 	g := ground.New(st)
-	res, err := Solve(g, rulelang.MustParse(c2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, g, rulelang.MustParse(c2))
 	if res.Removed != 1 || res.RemovedWeight != 0.6 {
 		t.Fatalf("removed=%d weight=%g, want Napoli only", res.Removed, res.RemovedWeight)
 	}
@@ -60,10 +72,7 @@ P coach B [2003,2004] 0.7
 P coach C [2006,2007] 0.7
 `)
 	g := ground.New(st)
-	res, err := Solve(g, rulelang.MustParse(c2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, g, rulelang.MustParse(c2))
 	if res.Removed != 3 {
 		t.Fatalf("greedy removed %d facts, want 3 (the spokes)", res.Removed)
 	}
@@ -81,10 +90,7 @@ func TestGreedyPropagatesInference(t *testing.T) {
 	st := loadStore(t, "CR playsFor Palermo [1984,1986] 0.5")
 	g := ground.New(st)
 	prog := rulelang.MustParse("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = inf")
-	res, err := Solve(g, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, g, prog)
 	derived, ok := g.Atoms().Lookup(rdf.FactKey{S: rdf.NewIRI("CR"), P: rdf.NewIRI("worksFor"),
 		O: rdf.NewIRI("Palermo"), Interval: temporal.MustNew(1984, 1986)})
 	if !ok || !res.Truth[derived] {
@@ -104,10 +110,7 @@ A bannedFrom X [2000,2001] 0.95
 f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = inf
 c:  quad(x, worksFor, y, t) ^ quad(x, bannedFrom, y, t') ^ overlap(t, t') -> false w = inf
 `)
-	res, err := Solve(g, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, g, prog)
 	plays, _ := g.Atoms().Lookup(rdf.FactKey{S: rdf.NewIRI("A"), P: rdf.NewIRI("playsFor"),
 		O: rdf.NewIRI("X"), Interval: temporal.MustNew(2000, 2001)})
 	banned, _ := g.Atoms().Lookup(rdf.FactKey{S: rdf.NewIRI("A"), P: rdf.NewIRI("bannedFrom"),
@@ -126,10 +129,7 @@ a rel1 b [1,2] 0.3
 a rel2 c [1,2] 0.9
 `)
 	g := ground.New(st)
-	res, err := Solve(g, rulelang.MustParse(""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, g, rulelang.MustParse(""))
 	if res.Removed != 0 {
 		t.Errorf("removed = %d", res.Removed)
 	}

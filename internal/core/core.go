@@ -119,25 +119,29 @@ func (s *Session) MissingPredicates() []string {
 
 // SolveOptions tunes a Solve call.
 //
-// The MLN (full grounding) and PSL backends always solve the ground
-// network per independent conflict component: each component gets the
-// engine its size calls for (exact branch-and-bound for small ones,
-// local search for large ones; ADMM under PSL), components solve
-// concurrently on the worker pool, and per-component solution, repair
-// and outcome caches make a re-solve cost proportional to the conflict
-// a delta actually dirtied, not the knowledge graph.
+// Every solve runs one pipeline on the session engine — ground, sync the
+// component plan, run the solver kernel, repair per conflict component,
+// patch the live outcome — so a re-solve costs in proportion to the
+// conflict a delta actually dirtied. The MLN (without CuttingPlane) and
+// PSL kernels also solve per component: each component gets the engine
+// its size calls for (exact branch-and-bound for small ones, local
+// search for large ones; ADMM under PSL), components solve concurrently
+// on the worker pool, and per-component solution caches skip the clean
+// ones.
 type SolveOptions struct {
 	// Solver picks the backend (default SolverMLN).
 	Solver translate.Solver
 	// Threshold drops derived facts below this propagated confidence.
 	Threshold float64
-	// CuttingPlane enables lazy grounding on the MLN backend: one
-	// whole-network MaxSAT per cutting-plane round, re-run from scratch
-	// on every Solve.
+	// CuttingPlane swaps the MLN backend's component kernel for
+	// cutting-plane inference: one whole-network MaxSAT per round over
+	// the evidence priors and the groundings violated so far, re-run from
+	// scratch on every Solve.
 	CuttingPlane bool
 	// Parallelism bounds the solve pipeline's worker pools (grounding,
-	// per-component solves and read-outs): 0 uses GOMAXPROCS, 1 forces
-	// the sequential path. Results are identical at every setting.
+	// per-component solves and read-outs) and is the default of the
+	// backends' own Parallelism: 0 uses GOMAXPROCS, 1 forces the
+	// sequential path. Results are identical at every setting.
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
@@ -156,15 +160,14 @@ type SolveOptions struct {
 	// near-identical states.
 	ColdStart bool
 	// DeltaOnly skips materializing the Outcome's global fact and
-	// cluster lists on MLN/PSL solves: the Resolution carries
-	// exact counts, violation totals and the Delta changelog, but nil
+	// cluster lists: the Resolution carries exact counts, violation
+	// totals and the Delta changelog, but nil
 	// Kept/Removed/Inferred/Clusters. The pending list splices stay on
 	// the session's live outcome and the next materializing solve
 	// flushes them, so alternating DeltaOnly and full solves stays
 	// byte-identical to running them all full. For update-heavy serving
 	// that consumes only Delta, this removes the O(n) list copy from
-	// every solve. Ignored under CuttingPlane and the greedy baseline
-	// (whole-graph repair).
+	// every solve.
 	DeltaOnly bool
 	// Advanced exposes full backend tuning.
 	Advanced translate.Options
@@ -179,51 +182,39 @@ type Resolution struct {
 	// the cached engine rather than re-grounding from scratch.
 	Incremental bool
 	// Delta is the Outcome's changelog relative to the session's
-	// previous MLN/PSL solve: the facts and conflict clusters that
-	// entered or left each list. Set on every MLN (full grounding) and
-	// PSL solve, nil under CuttingPlane and the greedy baseline; on the
-	// first solve and after a read-out cache invalidation — ColdStart,
-	// threshold, solver or solver-tuning change — it reports the full
-	// outcome as added.
+	// previous solve: the facts and conflict clusters that entered or
+	// left each list. Set on every solve; on the first solve and after a
+	// read-out cache invalidation — ColdStart, threshold, solver, kernel
+	// or solver-tuning change — it reports the full outcome as added.
 	Delta *repair.OutcomeDelta
 }
 
 // Solve runs MAP inference and conflict resolution over the session.
 //
-// The MLN (full grounding) and PSL backends run one pipeline on the
-// session's cached incremental engine — ground, sync the component
-// plan, solve per conflict component, repair per component, patch the
-// live outcome: the first call grounds and solves everything, later
-// calls consume only the store delta, warm-start from the prior
-// solution and touch only the components the delta dirtied.
-// Stats.Plan, Stats.Components and Resolution.Delta are set on every
-// such solve. The cutting-plane and greedy paths re-run from scratch
-// every time with a whole-graph read-out — lazy grounding and the
-// baseline keep no reusable clause state.
+// Every solver runs one pipeline on the session's cached engine —
+// ground, sync the component plan, run the solver kernel, repair per
+// conflict component, patch the live outcome: the first call grounds
+// and solves everything, later calls consume only the store delta. The
+// kernel is the one choice: per-component MaxSAT (MLN), per-component
+// ADMM (PSL), whole-network cutting-plane MaxSAT (MLN with
+// CuttingPlane) or the greedy sweep. The component kernels warm-start
+// from the prior solution and touch only the components the delta
+// dirtied; cutting-plane and greedy recompute the whole state, and the
+// read-out re-repairs the components whose truth moved. Stats.Plan and
+// Resolution.Delta are set on every solve, Stats.Components on the
+// component kernels' solves.
 func (s *Session) Solve(opts SolveOptions) (*Resolution, error) {
-	topts := opts.Advanced
-	topts.MLN.CuttingPlane = topts.MLN.CuttingPlane || opts.CuttingPlane
-	if topts.Parallelism == 0 {
-		topts.Parallelism = opts.Parallelism
+	adv := &opts.Advanced
+	if adv.MLN.Parallelism == 0 {
+		adv.MLN.Parallelism = opts.Parallelism
 	}
-	if topts.MLN.ComponentExactLimit == 0 {
-		topts.MLN.ComponentExactLimit = opts.ComponentExactLimit
+	if adv.PSL.Parallelism == 0 {
+		adv.PSL.Parallelism = opts.Parallelism
 	}
-	incrementalOK := (opts.Solver == translate.SolverMLN || opts.Solver == translate.SolverPSL) &&
-		!topts.MLN.CuttingPlane
-	if incrementalOK {
-		return s.solveIncremental(opts.Solver, topts, opts)
+	if adv.MLN.ComponentExactLimit == 0 {
+		adv.MLN.ComponentExactLimit = opts.ComponentExactLimit
 	}
-	out, err := translate.Run(s.st, s.prog, opts.Solver, topts)
-	if err != nil {
-		return nil, err
-	}
-	oc, err := repair.Resolve(out, s.prog, repair.Options{Threshold: opts.Threshold})
-	if err != nil {
-		return nil, err
-	}
-	attachGroundStats(oc, out.Grounder)
-	return &Resolution{Outcome: oc, Output: out}, nil
+	return s.solve(opts)
 }
 
 // AllenConstraint builds the hard constraint the Web UI's editor

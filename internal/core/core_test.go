@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/ground"
 	"repro/internal/logic"
 	"repro/internal/rdf"
 	"repro/internal/temporal"
@@ -224,8 +227,9 @@ func TestCuttingPlaneOption(t *testing.T) {
 	}
 }
 
-// TestGreedyGroundsOnce: the greedy baseline hands its clause set to the
-// whole-graph read-out, so one solve joins each rule exactly once.
+// TestGreedyGroundsOnce: the greedy sweep runs over the session engine's
+// clause set, which the read-out shares, so one solve joins each rule
+// exactly once.
 func TestGreedyGroundsOnce(t *testing.T) {
 	s := newFigure1Session(t)
 	if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {
@@ -243,6 +247,265 @@ func TestGreedyGroundsOnce(t *testing.T) {
 	}
 }
 
+// TestGreedySessionTieBreakMatchesFresh: the greedy sweep breaks
+// confidence ties by backing fact, not by atom id. A session interns a
+// statement when it is first derived, so a fact asserted later can own
+// an older atom than a fact asserted before it; a fresh grounding
+// interns facts in store order. Both must keep the same one of two
+// equally confident conflicting facts.
+func TestGreedySessionTieBreakMatchesFresh(t *testing.T) {
+	const program = `
+f: quad(x, playsFor, y, t) -> quad(x, coach, y, t) w = inf
+c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf
+`
+	opts := SolveOptions{Solver: translate.SolverGreedy}
+	s := NewSession()
+	if err := s.LoadProgramText(program); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []rdf.Quad{
+		rdf.NewQuad("P", "playsFor", "A", temporal.MustNew(2000, 2003), 0.9), // derives coach A
+		rdf.NewQuad("P", "coach", "B", temporal.MustNew(2002, 2005), 0.7),
+		rdf.NewQuad("P", "coach", "A", temporal.MustNew(2000, 2003), 0.7), // asserts the derived atom
+	} {
+		if err := s.AddFact(q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewSession()
+	if err := fresh.LoadProgramText(program); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadGraph(s.Store().Graph()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := canonDurable(res), canonDurable(want); !reflect.DeepEqual(a, b) {
+		t.Fatalf("greedy session diverged from a fresh session\nsession: %+v\nfresh:   %+v", a.Outcome, b.Outcome)
+	}
+}
+
+// TestCuttingPlaneSessionMatchesFresh: under the default solver options
+// a cutting-plane solve on a long-lived session hands MaxSAT the problem
+// a fresh grounding would — live atoms only, in canonical order. A
+// statement derived, retracted and later asserted owns an older atom than
+// an equally confident rival asserted before it, and the tie must break
+// as in a fresh session; statements the session interned and retracted
+// must not push the network past the exact engine's variable limit.
+func TestCuttingPlaneSessionMatchesFresh(t *testing.T) {
+	const program = `
+f: quad(x, playsFor, y, t) -> quad(x, coach, y, t) w = inf
+c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf
+`
+	opts := SolveOptions{Solver: translate.SolverMLN, CuttingPlane: true}
+	newSession := func(t *testing.T) *Session {
+		s := NewSession()
+		if err := s.LoadProgramText(program); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	step := func(t *testing.T, s *Session, add []rdf.Quad, remove []rdf.Quad) *Resolution {
+		t.Helper()
+		for _, q := range add {
+			if err := s.AddFact(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range remove {
+			if !s.RemoveFact(q) {
+				t.Fatalf("retraction of %v missed", q)
+			}
+		}
+		res, err := s.Solve(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	matchFresh := func(t *testing.T, s *Session, res *Resolution) {
+		t.Helper()
+		fresh := newSession(t)
+		if err := fresh.LoadGraph(s.Store().Graph()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Solve(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := canonDurable(res), canonDurable(want); !reflect.DeepEqual(a, b) {
+			t.Fatalf("cutting-plane session diverged from a fresh session\nsession: %+v\nfresh:   %+v", a.Outcome, b.Outcome)
+		}
+		got, wm := res.Output.MLN, want.Output.MLN
+		if got.Cost != wm.Cost || got.Optimal != wm.Optimal || got.GroundClauses != wm.GroundClauses ||
+			!reflect.DeepEqual(got.RuleViolations, wm.RuleViolations) {
+			t.Fatalf("session cost %g optimal %v clauses %d violations %v, fresh session %g %v %d %v",
+				got.Cost, got.Optimal, got.GroundClauses, got.RuleViolations,
+				wm.Cost, wm.Optimal, wm.GroundClauses, wm.RuleViolations)
+		}
+	}
+	coach := func(subject, club string, from, to int64) rdf.Quad {
+		return rdf.NewQuad(subject, "coach", club, temporal.MustNew(from, to), 0.7)
+	}
+
+	t.Run("derived-then-asserted tie", func(t *testing.T) {
+		s := newSession(t)
+		plays := rdf.NewQuad("P", "playsFor", "A", temporal.MustNew(2000, 2003), 0.9)
+		step(t, s, []rdf.Quad{plays}, nil) // interns coach A as derived
+		step(t, s, nil, []rdf.Quad{plays})
+		step(t, s, []rdf.Quad{coach("P", "B", 2002, 2005)}, nil)
+		res := step(t, s, []rdf.Quad{coach("P", "A", 2000, 2003)}, nil) // revives the older atom
+		if res.Stats.RemovedFacts != 1 {
+			t.Fatalf("removed %d facts, want one of the tied pair", res.Stats.RemovedFacts)
+		}
+		matchFresh(t, s, res)
+	})
+
+	t.Run("churned statements", func(t *testing.T) {
+		s := newSession(t)
+		for i := 0; i < 40; i++ {
+			q := coach(fmt.Sprintf("Q%d", i), "X", 2000, 2003)
+			step(t, s, []rdf.Quad{q}, nil)
+			step(t, s, nil, []rdf.Quad{q})
+		}
+		res := step(t, s, []rdf.Quad{
+			coach("P", "A", 2000, 2003), coach("P", "B", 2002, 2005),
+			coach("R", "A", 2000, 2003), coach("R", "B", 2002, 2005), coach("R", "C", 2004, 2007),
+		}, nil)
+		if !res.Output.MLN.Optimal {
+			t.Fatal("a 5-atom network was not solved exactly")
+		}
+		matchFresh(t, s, res)
+	})
+}
+
+// TestComponentKernelsAgreeOnFigure7: both component kernels remove
+// only the Napoli fact, and each output carries its backend detail,
+// decomposition included.
+func TestComponentKernelsAgreeOnFigure7(t *testing.T) {
+	s := newFigure1Session(t)
+	if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL} {
+		res, err := s.Solve(SolveOptions{Solver: solver})
+		if err != nil {
+			t.Fatalf("%v: %v", solver, err)
+		}
+		out := res.Output
+		if out.Solver != solver {
+			t.Errorf("solver tag = %v", out.Solver)
+		}
+		removed := 0
+		for i := 0; i < out.Grounder.Atoms().Len(); i++ {
+			info := out.Grounder.Atoms().Info(ground.AtomID(i))
+			if info.Evidence && !out.Truth[i] {
+				removed++
+				if !strings.Contains(info.Key.String(), "Napoli") {
+					t.Errorf("%v removed %s, want only Napoli", solver, info.Key)
+				}
+			}
+		}
+		if removed != 1 {
+			t.Errorf("%v removed %d facts, want 1", solver, removed)
+		}
+		if solver == translate.SolverPSL && out.SoftValues == nil {
+			t.Error("PSL output should carry soft values")
+		}
+		if solver == translate.SolverMLN && (out.MLN == nil || out.MLN.Components == nil) {
+			t.Error("MLN output should carry backend detail, decomposition included")
+		}
+		if solver == translate.SolverPSL && (out.PSL == nil || out.PSL.Components == nil) {
+			t.Error("PSL output should carry backend detail, decomposition included")
+		}
+	}
+}
+
+// TestSolveRejectsInvalidProgramForSolver: a PSL solve of a hard
+// inference rule fails the expressivity check before touching the
+// session engine, so the session stays usable for the MLN backend —
+// including its incremental path across the rejected solve.
+func TestSolveRejectsInvalidProgramForSolver(t *testing.T) {
+	s := newFigure1Session(t)
+	if err := s.LoadProgramText("f: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = inf"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(SolveOptions{Solver: translate.SolverPSL}); err == nil {
+		t.Fatal("Solve should propagate PSL expressivity errors")
+	}
+	res, err := s.Solve(SolveOptions{Solver: translate.SolverMLN})
+	if err != nil {
+		t.Fatalf("MLN solve after a rejected PSL solve: %v", err)
+	}
+	if res.Stats.InferredFacts != 1 {
+		t.Errorf("inferred = %d, want the worksFor fact", res.Stats.InferredFacts)
+	}
+	if _, err := s.Solve(SolveOptions{Solver: translate.SolverPSL}); err == nil {
+		t.Fatal("a second PSL solve should still be rejected")
+	}
+	if err := s.AddFact(rdf.NewQuad("CR", "coach", "Torino", temporal.MustNew(2010, 2012), 0.8)); err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Solve(SolveOptions{Solver: translate.SolverMLN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Incremental || res.Stats.KeptFacts != 6 {
+		t.Errorf("re-solve after the rejected PSL solve: incremental %v, kept %d; want incremental, 6 kept",
+			res.Incremental, res.Stats.KeptFacts)
+	}
+}
+
+// TestStoreLogCompactedEveryKernel: every solver kernel runs inside the
+// session pipeline, which compacts the store's change log up to the
+// epoch the engine reflects, so a long-lived session solved with any
+// kernel does not accumulate history.
+func TestStoreLogCompactedEveryKernel(t *testing.T) {
+	for _, opts := range []SolveOptions{
+		{Solver: translate.SolverMLN},
+		{Solver: translate.SolverPSL},
+		{Solver: translate.SolverMLN, CuttingPlane: true},
+		{Solver: translate.SolverGreedy},
+	} {
+		name := opts.Solver.String()
+		if opts.CuttingPlane {
+			name += "-cpi"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := newFigure1Session(t)
+			if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {
+				t.Fatal(err)
+			}
+			probe := rdf.NewQuad("CR", "coach", "Torino", temporal.MustNew(2010, 2012), 0.8)
+			for i := 0; i < 200; i++ {
+				if i%2 == 0 {
+					if err := s.AddFact(probe); err != nil {
+						t.Fatal(err)
+					}
+				} else if !s.RemoveFact(probe) {
+					t.Fatal("probe retraction missed")
+				}
+				if _, err := s.Solve(opts); err != nil {
+					t.Fatalf("solve %d: %v", i, err)
+				}
+			}
+			if lag := s.Store().Epoch() - s.Store().CompactedEpoch(); lag > 4 {
+				t.Fatalf("store change log lags %d epochs behind after 200 solved updates, want <= 4", lag)
+			}
+		})
+	}
+}
+
 func TestThresholdOption(t *testing.T) {
 	s := newFigure1Session(t)
 	if err := s.LoadProgramText("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5"); err != nil {
@@ -256,5 +519,3 @@ func TestThresholdOption(t *testing.T) {
 		t.Errorf("stats = %+v", res.Stats)
 	}
 }
-
-var _ = rdf.Graph{} // keep the rdf import for helper extensions

@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/mln"
@@ -31,9 +32,6 @@ func withStage(stage string, f func() error) error {
 // outcome; a solve that did no grounding work (an empty delta) leaves
 // Stats.Ground nil.
 func attachGroundStats(oc *repair.Outcome, g *ground.Grounder) {
-	if g == nil {
-		return
-	}
 	if gs := g.TakeStats(); gs.Total > 0 || len(gs.Rules) > 0 {
 		oc.Stats.Ground = gs
 	}
@@ -41,9 +39,12 @@ func attachGroundStats(oc *repair.Outcome, g *ground.Grounder) {
 
 // solveEngine is the session's cached incremental solve state: a
 // grounder and clause set kept alive across solves, the store epoch they
-// reflect, and the previous solution for warm-starting the solvers. The
-// grounder and clause set depend only on the store and program —
-// switching solvers reuses them and only resets the warm data.
+// reflect, and the previous component-kernel solution for warm-starting
+// the solvers. The grounder and clause set depend only on the store and
+// program — switching solvers reuses them and only resets the warm data.
+// Cutting-plane and greedy solves take no warm state and write none, so
+// the warm fields (and the persisted sidecar) only ever hold an MLN or
+// PSL component solution.
 type solveEngine struct {
 	g           *ground.Grounder
 	cs          *ground.ClauseSet
@@ -69,7 +70,7 @@ type solveEngine struct {
 	compOptsKey string
 
 	// compRepair caches per-component repair read-outs alongside the
-	// solver caches. Unlike them it is keyed per (solver, read-out
+	// solver caches. Unlike them it is keyed per (solver kernel, read-out
 	// options): a read-out computed from PSL soft values or under a
 	// different threshold is not the one the requested solve would
 	// produce, so repairKey changes drop it (the per-entry truth check
@@ -113,9 +114,9 @@ func (s *Session) RemoveFact(q rdf.Quad) bool {
 // syncEngine reconciles the cached engine with a store delta:
 // retraction first (delete/rederive), then evidence updates, seminaive
 // forward chaining, and delta grounding into the persistent clause set.
-func (s *Session) syncEngine(eng *solveEngine, topts translate.Options, d store.Delta) error {
+func (s *Session) syncEngine(eng *solveEngine, parallelism int, d store.Delta) error {
 	epoch := s.st.Epoch()
-	eng.g.Parallelism = topts.Parallelism
+	eng.g.Parallelism = parallelism
 	if err := eng.g.RetractFacts(eng.cs, d.Removed); err != nil {
 		return err
 	}
@@ -137,22 +138,19 @@ func (s *Session) syncEngine(eng *solveEngine, topts translate.Options, d store.
 	return nil
 }
 
-// solveIncremental runs MAP inference through the session's cached
-// engine: on the first solve (or after a program change) it grounds from
-// scratch and caches the state; afterwards it reconciles the store delta
-// with RetractFacts/ApplyUpdates/CloseDelta/GroundDelta and solves the
-// maintained clause set, warm-starting from the previous solution.
-func (s *Session) solveIncremental(solver translate.Solver, topts translate.Options, opts SolveOptions) (*Resolution, error) {
+// solve is Solve after option defaulting. On the first solve (or after
+// a program change) it grounds from scratch and caches the engine;
+// afterwards it reconciles the store delta with
+// RetractFacts/ApplyUpdates/CloseDelta/GroundDelta. Either way it syncs
+// the component plan, runs the solver kernel over the maintained clause
+// set and reads the result out per component onto the live outcome.
+func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
+	solver, topts := opts.Solver, opts.Advanced
 	if err := translate.ValidateFor(solver, s.prog); err != nil {
 		return nil, err
 	}
+	cpi := opts.CuttingPlane && solver == translate.SolverMLN
 	start := time.Now()
-	if topts.MLN.Parallelism == 0 {
-		topts.MLN.Parallelism = topts.Parallelism
-	}
-	if topts.PSL.Parallelism == 0 {
-		topts.PSL.Parallelism = topts.Parallelism
-	}
 
 	eng := s.engine
 	incremental := eng != nil && eng.progVersion == s.progVersion
@@ -160,7 +158,7 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 		epoch := s.st.Epoch()
 		err := withStage("ground", func() error {
 			g := ground.New(s.st)
-			g.Parallelism = topts.Parallelism
+			g.Parallelism = opts.Parallelism
 			if _, err := g.Close(s.prog); err != nil {
 				return err
 			}
@@ -183,7 +181,7 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 		s.adoptRecoveredWarm(eng)
 		s.engine = eng
 	} else if d := s.st.DeltaSince(eng.epoch); !d.Empty() {
-		if err := withStage("ground", func() error { return s.syncEngine(eng, topts, d) }); err != nil {
+		if err := withStage("ground", func() error { return s.syncEngine(eng, opts.Parallelism, d) }); err != nil {
 			// The engine may be partially mutated (atoms interned but not
 			// grounded); drop it so the next solve re-grounds from
 			// scratch instead of silently solving an incomplete network.
@@ -223,8 +221,17 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 	out := &translate.Output{Solver: solver, Grounder: eng.g, Clauses: eng.cs}
 	var nextPSL *psl.Warm
 	solveErr := withStage("solve", func() error {
-		switch solver {
-		case translate.SolverMLN:
+		switch {
+		case cpi:
+			res, err := mln.CuttingPlane(eng.g, s.prog, topts.MLN)
+			if err != nil {
+				return err
+			}
+			out.MLN, out.Truth = res, res.Truth
+		case solver == translate.SolverGreedy:
+			out.Greedy = baseline.Solve(eng.g.Atoms(), eng.cs)
+			out.Truth = out.Greedy.Truth
+		case solver == translate.SolverMLN:
 			if opts.ColdStart || eng.compMLN == nil {
 				eng.compMLN = mln.NewComponentCache()
 			}
@@ -232,12 +239,8 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 			if err != nil {
 				return err
 			}
-			if !res.HardSatisfied {
-				return fmt.Errorf("translate: MLN solver found no assignment satisfying the hard constraints")
-			}
-			out.MLN = res
-			out.Truth = res.Truth
-		case translate.SolverPSL:
+			out.MLN, out.Truth = res, res.Truth
+		case solver == translate.SolverPSL:
 			if opts.ColdStart || eng.compPSL == nil {
 				eng.compPSL = psl.NewComponentCache()
 			}
@@ -245,12 +248,12 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 			if err != nil {
 				return err
 			}
-			out.PSL = res
-			out.Truth = res.Truth
-			out.SoftValues = res.Values
-			nextPSL = next
+			out.PSL, out.Truth, out.SoftValues, nextPSL = res, res.Truth, res.Values, next
 		default:
-			return fmt.Errorf("core: solver %v has no incremental path", solver)
+			return fmt.Errorf("core: unknown solver %v", solver)
+		}
+		if out.MLN != nil && !out.MLN.HardSatisfied {
+			return fmt.Errorf("core: MLN solver found no assignment satisfying the hard constraints")
 		}
 		return nil
 	})
@@ -258,21 +261,22 @@ func (s *Session) solveIncremental(solver translate.Solver, topts translate.Opti
 		return nil, solveErr
 	}
 	out.Runtime = time.Since(start)
-	eng.warmSolver = solver
-	eng.warmTruth = out.Truth
-	eng.warmPSL = nextPSL
+	if !cpi && solver != translate.SolverGreedy {
+		eng.warmSolver, eng.warmTruth, eng.warmPSL = solver, out.Truth, nextPSL
+	}
 
 	// The read-out decomposes along the same plan, with its own
-	// per-component cache: a delta re-repairs only the dirtied components.
-	// The cache is dropped on ColdStart and whenever the solver, its
-	// tuning, or the read-out options change — a cached unit embeds
-	// threshold-filtered facts and solver-specific confidences (PSL soft
-	// values can shift under new engine tuning without the discrete truth,
-	// which the per-entry check covers, moving at all). The live outcome
-	// replays those units into the global lists, so it is only valid under
-	// the same key and drops with the cache.
-	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: topts.Parallelism, DeltaOnly: opts.DeltaOnly}
-	rkey := fmt.Sprintf("%v|%+v|%s", solver,
+	// per-component cache: a delta re-repairs only the components whose
+	// subproblem or truth moved. The cache is dropped on ColdStart and
+	// whenever the solver kernel, its tuning, or the read-out options
+	// change — a cached unit embeds threshold-filtered facts and
+	// solver-specific confidences (PSL soft values can shift under new
+	// engine tuning without the discrete truth, which the per-entry check
+	// covers, moving at all). The live outcome replays those units into
+	// the global lists, so it is only valid under the same key and drops
+	// with the cache.
+	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: opts.Parallelism, DeltaOnly: opts.DeltaOnly}
+	rkey := fmt.Sprintf("%v|%v|%+v|%s", solver, cpi,
 		repair.Options{Threshold: ropts.Threshold, ConfidenceRounds: ropts.ConfidenceRounds},
 		eng.compOptsKey)
 	if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {

@@ -37,7 +37,6 @@ func TestPlannerSyncAllocsSingleFact(t *testing.T) {
 		t.Fatal("cold solve did not leave a maintained planner behind")
 	}
 
-	topts := translate.Options{Parallelism: 1}
 	probe := rdf.NewQuad("P1", "coach", "Club_probe", temporal.MustNew(2000, 2002), 0.5)
 
 	// One steady-state single-fact update up to (and including) the plan
@@ -56,7 +55,7 @@ func TestPlannerSyncAllocsSingleFact(t *testing.T) {
 			t.Fatal("RemoveFact: probe was not live")
 		}
 		d := s.st.DeltaSince(eng.epoch)
-		if err := s.syncEngine(eng, topts, d); err != nil {
+		if err := s.syncEngine(eng, 1, d); err != nil {
 			t.Fatalf("syncEngine: %v", err)
 		}
 		runtime.ReadMemStats(&ms0)

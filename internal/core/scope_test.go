@@ -40,22 +40,33 @@ func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts S
 	}
 }
 
-// TestSolverAlternationKeepsAggregates interleaves PSL solves between
-// MLN solves on one session, so the MLN cache repeatedly finds itself
-// more than one plan generation behind. Component keys the skipped
-// syncs retired must not survive in it: a later split re-creates such a
-// key, and a stale entry under it would be subtracted from totals it
-// was never added to.
+// TestSolverAlternationKeepsAggregates interleaves PSL, cutting-plane
+// and greedy solves between MLN solves on one session, so the MLN cache
+// repeatedly finds itself more than one plan generation behind. Component
+// keys the skipped syncs retired must not survive in it: a later split
+// re-creates such a key, and a stale entry under it would be subtracted
+// from totals it was never added to. The whole-network kernels share the
+// session's plan, repair cache and live outcome with the component
+// kernels, so their answers must match a fresh session's too.
 func TestSolverAlternationKeepsAggregates(t *testing.T) {
 	mlnOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverMLN, Parallelism: par} }
 	pslOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverPSL, Parallelism: par} }
+	cpiOpts := func(par int) SolveOptions {
+		return SolveOptions{Solver: translate.SolverMLN, CuttingPlane: true, Parallelism: par}
+	}
+	greedyOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverGreedy, Parallelism: par} }
 	solve := func(t *testing.T, s *Session, opts SolveOptions, step string) *Resolution {
 		t.Helper()
 		res, err := s.Solve(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if opts.Solver == translate.SolverMLN {
+		switch {
+		case opts.CuttingPlane || opts.Solver == translate.SolverGreedy:
+			if a, b := canonDurable(res), canonDurable(freshResolution(t, s, opts)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: resolution diverged from a fresh session\nsession: %+v\nfresh:   %+v", step, a.Outcome, b.Outcome)
+			}
+		case opts.Solver == translate.SolverMLN:
 			checkAggregatesMatchFresh(t, s, res, opts, step)
 		}
 		return res
@@ -123,10 +134,15 @@ func TestSolverAlternationKeepsAggregates(t *testing.T) {
 					live[idx] = !live[idx]
 				}
 				opts := mlnOpts(par)
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(6) {
+				case 0, 1:
 					opts = pslOpts(par)
+				case 2:
+					opts = cpiOpts(par)
+				case 3:
+					opts = greedyOpts(par)
 				}
-				solve(t, s, opts, fmt.Sprintf("step %d (%v)", step, opts.Solver))
+				solve(t, s, opts, fmt.Sprintf("step %d (%v, cpi %v)", step, opts.Solver, opts.CuttingPlane))
 			}
 		})
 	}

@@ -72,8 +72,10 @@ func (op CmpOp) applyInt(l, r int64) bool {
 // between object terms, and arithmetic comparisons.
 type Condition interface {
 	fmt.Stringer
-	// Eval evaluates the condition under a binding. The error reports
-	// unbound variables or non-numeric operands.
+	// Eval evaluates the condition under a binding — the naive grounding
+	// oracle's evaluator (see Binding); grounding itself evaluates the
+	// compiled form. The error reports unbound variables or non-numeric
+	// operands.
 	Eval(b *Binding) (bool, error)
 	// CondVars appends the condition's variables to dst.
 	CondVars(dst []string) []string
@@ -182,7 +184,8 @@ func (c CompareCond) String() string {
 
 // NumExpr is an integer-valued expression over the binding: interval
 // endpoints, durations, numeric object values, constants, and sums and
-// differences thereof.
+// differences thereof. EvalNum is the naive grounding oracle's evaluator
+// (see Binding); grounding itself evaluates the compiled form.
 type NumExpr interface {
 	fmt.Stringer
 	EvalNum(b *Binding) (int64, error)

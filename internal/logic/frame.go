@@ -196,8 +196,8 @@ func CompileCondition(c Condition, sm *SlotMap, dec TermDecoder, enc TermEncoder
 			return op.applyInt(lv, rv), nil
 		}, nil
 	default:
-		// Unknown condition types fall back to map bindings; none exist
-		// today, but a third-party Condition must not silently misground.
+		// Unknown condition types have no compiled form; a third-party
+		// Condition must not silently misground.
 		return nil, fmt.Errorf("logic: cannot compile condition %s", c)
 	}
 }

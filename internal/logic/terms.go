@@ -155,7 +155,10 @@ func (t TimeTerm) Vars(dst []string) []string {
 }
 
 // Binding assigns constants to object variables and intervals to time
-// variables during grounding.
+// variables. It is the interpretive evaluator's state: the grounder runs
+// rules through compiled frames (see frame.go), and Binding together
+// with Condition.Eval, NumExpr.EvalNum and QuadAtom.Resolve serves only
+// the naive nested-loop grounding oracle the grounder is tested against.
 type Binding struct {
 	Objs  map[string]rdf.Term
 	Times map[string]temporal.Interval
@@ -243,9 +246,9 @@ func (a QuadAtom) Vars(dst []string) []string {
 	return a.T.Vars(dst)
 }
 
-// Resolve instantiates the atom under a binding into a ground fact key.
-// ok is false when any variable is unbound or the time expression is
-// empty.
+// Resolve instantiates the atom under a binding into a ground fact key
+// — the naive grounding oracle's head resolution (see Binding). ok is
+// false when any variable is unbound or the time expression is empty.
 func (a QuadAtom) Resolve(b *Binding) (rdf.FactKey, bool) {
 	s, ok := b.ResolveTerm(a.S)
 	if !ok {

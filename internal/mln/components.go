@@ -170,41 +170,33 @@ func (g *stateAgg) histogram() map[string]int {
 }
 
 // MAPGroundComponents computes the MAP state over an already-closed
-// grounder and its persistent clause set by solving each conflict
-// component separately — the incremental path; forward chaining and
-// grounding are the caller's responsibility (CloseDelta/GroundDelta).
-// warm, when non-nil, is the previous MAP state by atom id
-// (used as a per-component warm start); cache, when non-nil, is
+// grounder and its full clause set by solving each conflict component
+// separately; forward chaining and grounding are the caller's
+// responsibility (Close/GroundProgram, or CloseDelta/GroundDelta on a
+// session engine). warm, when non-nil, is the previous MAP state by atom
+// id (used as a per-component warm start); cache, when non-nil, is
 // consulted for unchanged components and updated with this solve's
 // solutions. plan, when non-nil, is the shared decomposition built by
 // the caller (so solver and repair stages see the identical partition);
 // nil builds one here.
+//
+// The components in the plan's scope for the cache's generation are
+// solved with the engine their size calls for, and the assignments
+// merged in deterministic component order. Under a change-set scope
+// (cache exactly one sync behind a maintained plan, previous MAP state in
+// hand) the planner bounds everything that can differ from the previous
+// solve: components outside the scope have the same generation,
+// membership and clause subproblem, so the previous truth is carried
+// forward, retracted atoms are pinned false, and only the re-solved
+// components' contributions are subtracted from and added to the running
+// totals (all-component passes prove the base case; consecutive
+// generations chain it). Otherwise every component is visited and the
+// totals — and so the reported cost — are folded from zero in component
+// order.
 func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan) (*Result, error) {
 	opts = opts.withDefaults()
 	g.Parallelism = opts.Parallelism
 	start := time.Now()
-	res, err := solveComponents(g, cs, opts, warm, cache, plan)
-	if err != nil {
-		return nil, err
-	}
-	res.Runtime = time.Since(start)
-	return res, nil
-}
-
-// solveComponents solves the components in the plan's scope for the
-// cache's generation with the engine their size calls for, and merges
-// the assignments in deterministic component order. Under a change-set
-// scope (cache exactly one sync behind a maintained plan, previous MAP
-// state in hand) the planner bounds everything that can differ from the
-// previous solve: components outside the scope have the same
-// generation, membership and clause subproblem, so the previous truth
-// is carried forward, retracted atoms are pinned false, and only the
-// re-solved components' contributions are subtracted from and added to
-// the running totals (all-component passes prove the base case;
-// consecutive generations chain it). Otherwise every component is
-// visited and the totals — and so the reported cost — are folded from
-// zero in component order.
-func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan) (*Result, error) {
 	atoms := g.Atoms()
 	if plan == nil {
 		plan = engine.NewPlan(atoms, cs)
@@ -289,6 +281,7 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 	}
 	res := resultFromAgg(agg, cs, stats, truth)
 	res.TruthDelta = delta
+	res.Runtime = time.Since(start)
 	return res, nil
 }
 
@@ -327,11 +320,7 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []g
 		}
 	}
 	for _, c := range clauses {
-		mc := maxsat.Clause{Weight: c.Weight, Lits: make([]maxsat.Lit, len(c.Lits))}
-		for i, l := range c.Lits {
-			mc.Lits[i] = maxsat.Lit{Var: int32(l.Atom), Neg: l.Neg}
-		}
-		problem.Clauses = append(problem.Clauses, mc)
+		problem.Clauses = append(problem.Clauses, toMaxsatClause(c))
 	}
 
 	mopts := opts.MaxSAT

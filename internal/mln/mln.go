@@ -6,10 +6,11 @@
 // constraint groundings contribute weighted clauses. MAP — the most
 // probable world — is computed as weighted partial MaxSAT, either over
 // the fully grounded network — one subproblem per independent conflict
-// component (see components.go) — or by cutting-plane inference (CPI):
-// solve with evidence priors only, lazily ground the formulas the current
-// solution violates, and repeat until nothing new is violated. CPI is the
-// same device RockIt uses to keep ground networks small.
+// component (see components.go) — or over the whole network by
+// cutting-plane inference (CPI): solve with evidence priors only, lazily
+// ground the formulas the current solution violates, and repeat until
+// nothing new is violated. CPI is the same device RockIt uses to keep
+// ground networks small.
 package mln
 
 import (
@@ -24,9 +25,6 @@ import (
 
 // Options tunes MAP inference.
 type Options struct {
-	// CuttingPlane enables lazy violation-driven grounding instead of
-	// grounding the full program up front.
-	CuttingPlane bool
 	// MaxCPIRounds bounds cutting-plane iterations (default 30).
 	MaxCPIRounds int
 	// EvidenceClamp bounds confidences away from 0 and 1 before the
@@ -42,16 +40,16 @@ type Options struct {
 	// with no rule support (default 0.01).
 	DerivedPrior float64
 	// Parallelism bounds the worker pools used for grounding, for
-	// solving conflict components concurrently and, under CuttingPlane,
-	// for local-search restarts: 0 means GOMAXPROCS, 1 forces the
-	// sequential path. The MAP state is identical at every setting.
+	// solving conflict components concurrently and, in CuttingPlane, for
+	// local-search restarts: 0 means GOMAXPROCS, 1 forces the sequential
+	// path. The MAP state is identical at every setting.
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
 	// ComponentExactLimit is the largest conflict component (in atoms)
 	// handed to the exact branch-and-bound engine; larger components use
-	// local search (default 48). Unused under CuttingPlane, which keeps
-	// no persistent clause set to partition.
+	// local search (default 48). Unused by CuttingPlane, which solves the
+	// whole network as one MaxSAT problem.
 	ComponentExactLimit int
 	// MaxSAT tunes the underlying solver.
 	MaxSAT maxsat.Options
@@ -101,8 +99,8 @@ type Result struct {
 	// Optimal reports whether the exact engine proved optimality of the
 	// final problem.
 	Optimal bool
-	// Rounds is the number of cutting-plane iterations (1 when CPI is
-	// off).
+	// Rounds is the number of cutting-plane iterations (1 for the
+	// component solve).
 	Rounds int
 	// GroundClauses is the number of distinct rule clauses grounded.
 	GroundClauses int
@@ -111,7 +109,7 @@ type Result struct {
 	// RuleViolations counts violated groundings per rule name in the
 	// final state (soft rules only; hard violations imply infeasibility).
 	RuleViolations map[string]int
-	// Components summarises the component-decomposed solve; nil under
+	// Components summarises the component-decomposed solve; nil from
 	// CuttingPlane.
 	Components *ground.ComponentStats
 	// TruthDelta reports that Truth was produced under the plan's
@@ -124,41 +122,6 @@ type Result struct {
 
 // TrueAtom reports the truth of atom id in the MAP state.
 func (r *Result) TrueAtom(id ground.AtomID) bool { return r.Truth[id] }
-
-// MAP computes the most probable world for the program over the
-// grounder's evidence. The grounder must be freshly constructed over the
-// evidence store; MAP forward-chains inference rules itself.
-func MAP(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	g.Parallelism = opts.Parallelism
-	start := time.Now()
-	if _, err := g.Close(prog); err != nil {
-		return nil, fmt.Errorf("mln: %w", err)
-	}
-
-	if opts.CuttingPlane {
-		if opts.MaxSAT.Parallelism == 0 {
-			opts.MaxSAT.Parallelism = opts.Parallelism
-		}
-		res, err := solveCPI(g, prog, evidenceClauses(g, opts), opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Runtime = time.Since(start)
-		return res, nil
-	}
-
-	cs, err := g.GroundProgram(prog)
-	if err != nil {
-		return nil, fmt.Errorf("mln: %w", err)
-	}
-	res, err := solveComponents(g, cs, opts, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Runtime = time.Since(start)
-	return res, nil
-}
 
 // priorClause is the prior unit clause of an atom solved as variable v:
 // a log-odds unit for an evidence atom, the closed-world penalty for a
@@ -179,19 +142,6 @@ func priorClause(info ground.AtomInfo, v int32, opts Options) (c maxsat.Clause, 
 	return maxsat.Clause{}, false
 }
 
-// evidenceClauses builds the prior unit clauses of every atom, by atom
-// id — the base problem of cutting-plane inference.
-func evidenceClauses(g *ground.Grounder, opts Options) []maxsat.Clause {
-	atoms := g.Atoms()
-	out := make([]maxsat.Clause, 0, atoms.Len())
-	for i := 0; i < atoms.Len(); i++ {
-		if c, ok := priorClause(atoms.Info(ground.AtomID(i)), int32(i), opts); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func toMaxsatClause(c ground.Clause) maxsat.Clause {
 	mc := maxsat.Clause{Weight: c.Weight, Lits: make([]maxsat.Lit, len(c.Lits))}
 	for i, l := range c.Lits {
@@ -200,54 +150,92 @@ func toMaxsatClause(c ground.Clause) maxsat.Clause {
 	return mc
 }
 
-func solveCPI(g *ground.Grounder, prog *logic.Program, base []maxsat.Clause, opts Options) (*Result, error) {
+// CuttingPlane computes the MAP state for the program over an
+// already-closed grounder (Close has forward-chained the inference
+// rules) by cutting-plane inference: one whole-network MaxSAT over the
+// evidence priors and the rule groundings collected so far per round,
+// each round grounding only the formulas the current solution violates,
+// until a round finds nothing new. It keeps no clause set and no state
+// between calls.
+//
+// The MaxSAT variables are the live atoms in canonical order
+// (ground.CanonicalAtoms, the order the component kernels and the solve
+// plan use) and each round's new groundings are appended in canonical
+// clause order, so two grounders holding the same live atoms and
+// groundings — a fresh one, or a long-lived session's that has interned
+// and retracted other atoms on the way — hand the solver the identical
+// problem: the same exact-vs-local choice, the same local-search walk and
+// the same tie-break among equal-cost optima. Close must have run:
+// every grounding's atoms are live.
+func CuttingPlane(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
+	g.Parallelism = opts.Parallelism
+	if opts.MaxSAT.Parallelism == 0 {
+		opts.MaxSAT.Parallelism = opts.Parallelism
+	}
+	start := time.Now()
+	atoms := g.Atoms()
+	order := ground.CanonicalAtoms(atoms)
+	varOf := ground.CanonicalVarMap(atoms, order)
+	canonical := func(a ground.AtomID) int32 { return varOf[a] }
+	var base []maxsat.Clause
+	for v, a := range order {
+		if c, ok := priorClause(atoms.Info(a), int32(v), opts); ok {
+			base = append(base, c)
+		}
+	}
 	seen := make(map[string]bool)
 	var ruleClauses []maxsat.Clause
-	res := &Result{}
-	for round := 1; ; round++ {
-		if round > opts.MaxCPIRounds {
-			return nil, fmt.Errorf("mln: cutting-plane inference did not converge in %d rounds", opts.MaxCPIRounds)
-		}
-		problem := &maxsat.Problem{NumVars: g.Atoms().Len(),
+	for round := 1; round <= opts.MaxCPIRounds; round++ {
+		problem := &maxsat.Problem{NumVars: len(order),
 			Clauses: append(append([]maxsat.Clause{}, base...), ruleClauses...)}
 		sol, err := maxsat.Solve(problem, opts.MaxSAT)
 		if err != nil {
 			return nil, fmt.Errorf("mln: %w", err)
 		}
-		res.Truth = sol.Assignment
-		res.Cost = sol.Cost
-		res.HardSatisfied = sol.HardSatisfied
-		res.Optimal = sol.Optimal
-		res.Rounds = round
-		res.GroundClauses = len(ruleClauses)
-
-		truth := func(a ground.AtomID) bool { return sol.Assignment[a] }
+		truth := func(a ground.AtomID) bool { return varOf[a] >= 0 && sol.Assignment[varOf[a]] }
 		violated, err := g.GroundViolated(prog, truth)
 		if err != nil {
 			return nil, fmt.Errorf("mln: %w", err)
 		}
+		// Gathering over every live atom remaps the violated groundings
+		// into canonical variables and sorts them canonically.
+		violated.EnableAtomIndex()
+		clauses, _ := violated.ComponentClauses(order, canonical)
 		added := 0
-		for _, c := range violated.Clauses() {
-			mc := toMaxsatClause(c)
+		for _, c := range clauses {
 			key := clauseKey(c)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			ruleClauses = append(ruleClauses, mc)
+			ruleClauses = append(ruleClauses, toMaxsatClause(c))
 			added++
 		}
-		if added == 0 {
-			// This round grounded exactly the groundings the final
-			// state violates.
-			res.GroundClauses = len(ruleClauses)
-			res.RuleViolations = make(map[string]int)
-			for _, c := range violated.Clauses() {
-				res.RuleViolations[c.Rule]++
-			}
-			return res, nil
+		if added > 0 {
+			continue
 		}
+		// This round grounded exactly the groundings the final state
+		// violates.
+		res := &Result{
+			Truth:          make([]bool, atoms.Len()),
+			Cost:           sol.Cost,
+			HardSatisfied:  sol.HardSatisfied,
+			Optimal:        sol.Optimal,
+			Rounds:         round,
+			GroundClauses:  len(ruleClauses),
+			RuleViolations: make(map[string]int),
+		}
+		for v, a := range order {
+			res.Truth[a] = sol.Assignment[v]
+		}
+		for _, c := range clauses {
+			res.RuleViolations[c.Rule]++
+		}
+		res.Runtime = time.Since(start)
+		return res, nil
 	}
+	return nil, fmt.Errorf("mln: cutting-plane inference did not converge in %d rounds", opts.MaxCPIRounds)
 }
 
 func clauseKey(c ground.Clause) string {

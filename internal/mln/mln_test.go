@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ground"
+	"repro/internal/logic"
 	"repro/internal/rdf"
 	"repro/internal/rulelang"
 	"repro/internal/store"
@@ -28,6 +29,28 @@ CR coach Napoli [2001,2003] 0.6
 		t.Fatal(err)
 	}
 	return st
+}
+
+// mapFull closes g under the program's inference rules, grounds the full
+// program and solves it per conflict component, without a cache.
+func mapFull(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
+	if _, err := g.Close(prog); err != nil {
+		return nil, err
+	}
+	cs, err := g.GroundProgram(prog)
+	if err != nil {
+		return nil, err
+	}
+	return MAPGroundComponents(g, cs, opts, nil, nil, nil)
+}
+
+// mapCPI closes g under the program's inference rules and solves it by
+// cutting-plane inference.
+func mapCPI(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
+	if _, err := g.Close(prog); err != nil {
+		return nil, err
+	}
+	return CuttingPlane(g, prog, opts)
 }
 
 func findAtom(t testing.TB, g *ground.Grounder, compact string) ground.AtomID {
@@ -68,7 +91,11 @@ func TestRunningExample(t *testing.T) {
 		g := ground.New(st)
 		prog := rulelang.MustParse(
 			"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
-		res, err := MAP(g, prog, Options{CuttingPlane: cpi})
+		solveMAP := mapFull
+		if cpi {
+			solveMAP = mapCPI
+		}
+		res, err := solveMAP(g, prog, Options{})
 		if err != nil {
 			t.Fatalf("cpi=%v: MAP: %v", cpi, err)
 		}
@@ -108,7 +135,7 @@ func TestInferenceExpandsKG(t *testing.T) {
 	st := figure1Store(t)
 	g := ground.New(st)
 	prog := rulelang.MustParse("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5")
-	res, err := MAP(g, prog, Options{})
+	res, err := mapFull(g, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +155,7 @@ func TestDerivedPriorSuppressesUnsupported(t *testing.T) {
 	prog := rulelang.MustParse("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5")
 	extra := g.Atoms().Intern(rdf.FactKey{S: rdf.NewIRI("CR"), P: rdf.NewIRI("ghost"),
 		O: rdf.NewIRI("X"), Interval: temporal.MustNew(1, 2)})
-	res, err := MAP(g, prog, Options{})
+	res, err := mapFull(g, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +176,7 @@ func TestConflictBetweenInferenceAndConstraint(t *testing.T) {
 f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = inf
 c:  quad(x, worksFor, y, t) ^ quad(x, bannedFrom, y, t') ^ overlap(t, t') -> false w = inf
 `)
-	res, err := MAP(g, prog, Options{})
+	res, err := mapFull(g, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +205,12 @@ func TestCPIMatchesFullGrounding(t *testing.T) {
 		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
 
 	gFull := ground.New(st)
-	full, err := MAP(gFull, prog, Options{})
+	full, err := mapFull(gFull, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gCPI := ground.New(st)
-	cpi, err := MAP(gCPI, prog, Options{CuttingPlane: true})
+	cpi, err := mapCPI(gCPI, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +237,7 @@ func TestRuleViolationsCounted(t *testing.T) {
 	g := ground.New(st)
 	prog := rulelang.MustParse(
 		"soft: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = 0.2")
-	res, err := MAP(g, prog, Options{})
+	res, err := mapFull(g, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +249,7 @@ func TestRuleViolationsCounted(t *testing.T) {
 func TestEmptyProgram(t *testing.T) {
 	st := figure1Store(t)
 	g := ground.New(st)
-	res, err := MAP(g, rulelang.MustParse(""), Options{})
+	res, err := mapFull(g, rulelang.MustParse(""), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +270,7 @@ func BenchmarkMAPFigure1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := ground.New(st)
-		if _, err := MAP(g, prog, Options{}); err != nil {
+		if _, err := mapFull(g, prog, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +283,7 @@ func TestKeepBiasKeepsBoundaryFacts(t *testing.T) {
 	st := figure1Store(t)
 	g := ground.New(st)
 	prog := rulelang.MustParse("")
-	res, err := MAP(g, prog, Options{KeepBias: 0.05})
+	res, err := mapFull(g, prog, Options{KeepBias: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +307,7 @@ func TestEvidenceClampBoundsCertainFacts(t *testing.T) {
 func TestMAPRuntimeRecorded(t *testing.T) {
 	st := figure1Store(t)
 	g := ground.New(st)
-	res, err := MAP(g, rulelang.MustParse(""), Options{})
+	res, err := mapFull(g, rulelang.MustParse(""), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

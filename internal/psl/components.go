@@ -70,27 +70,18 @@ type compState struct {
 }
 
 // MAPGroundComponents computes the HL-MRF MAP state over an
-// already-closed grounder and its persistent clause set by running ADMM
-// per conflict component — the incremental path; forward chaining and
-// grounding are the caller's responsibility. warm, when non-nil, seeds
-// dirty components from the previous solve's iterates; cache, when
-// non-nil, is consulted for unchanged components and updated with this
-// solve's iterates. plan, when non-nil, is the shared decomposition built
-// by the caller; nil builds one here. The returned Warm feeds the next
-// solve.
+// already-closed grounder and its full clause set by running ADMM per
+// conflict component; forward chaining and grounding are the caller's
+// responsibility (Close/GroundProgram, or CloseDelta/GroundDelta on a
+// session engine). warm, when non-nil, seeds dirty components from the
+// previous solve's iterates; cache, when non-nil, is consulted for
+// unchanged components and updated with this solve's iterates. plan,
+// when non-nil, is the shared decomposition built by the caller; nil
+// builds one here. The returned Warm feeds the next solve.
 func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm, cache *ComponentCache, plan *engine.Plan) (*Result, *Warm, error) {
 	opts = opts.withDefaults()
 	g.Parallelism = opts.Parallelism
 	start := time.Now()
-	res, next, err := solveComponents(g, cs, opts, warm, cache, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Runtime = time.Since(start)
-	return res, next, nil
-}
-
-func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm, cache *ComponentCache, plan *engine.Plan) (*Result, *Warm, error) {
 	atoms := g.Atoms()
 	if plan == nil {
 		plan = engine.NewPlan(atoms, cs)
@@ -165,6 +156,7 @@ func solveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 	res.Values = values
 	res.Truth = truth
 	res.Components = stats
+	res.Runtime = time.Since(start)
 	return res, next, nil
 }
 

@@ -67,7 +67,7 @@ func TestComponentsMatchOneComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := solveComponents(g, cs, opts, nil, nil, nil)
+		res, _, err := MAPGroundComponents(g, cs, opts, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

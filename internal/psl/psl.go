@@ -23,12 +23,10 @@
 package psl
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/ground"
-	"repro/internal/logic"
 )
 
 // Options tunes ADMM and the discretisation.
@@ -133,28 +131,6 @@ type hinge struct {
 	sq   bool
 	hard bool
 	rule string
-}
-
-// MAP computes the HL-MRF MAP state for the program over the grounder's
-// evidence. The grounder must be freshly constructed; MAP forward-chains
-// inference rules itself.
-func MAP(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	g.Parallelism = opts.Parallelism
-	start := time.Now()
-	if _, err := g.Close(prog); err != nil {
-		return nil, fmt.Errorf("psl: %w", err)
-	}
-	cs, err := g.GroundProgram(prog)
-	if err != nil {
-		return nil, fmt.Errorf("psl: %w", err)
-	}
-	res, _, err := solveComponents(g, cs, opts, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Runtime = time.Since(start)
-	return res, nil
 }
 
 // Warm carries one solve's converged ADMM iterates for warm-starting

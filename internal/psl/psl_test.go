@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ground"
+	"repro/internal/logic"
 	"repro/internal/rdf"
 	"repro/internal/rulelang"
 	"repro/internal/store"
@@ -30,6 +31,21 @@ CR coach Napoli [2001,2003] 0.6
 	return st
 }
 
+// mapFull closes g under the program's inference rules, grounds the full
+// program and solves it per conflict component, without warm state or a
+// cache.
+func mapFull(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
+	if _, err := g.Close(prog); err != nil {
+		return nil, err
+	}
+	cs, err := g.GroundProgram(prog)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := MAPGroundComponents(g, cs, opts, nil, nil, nil)
+	return res, err
+}
+
 func findAtom(t testing.TB, g *ground.Grounder, compact string) ground.AtomID {
 	t.Helper()
 	for i := 0; i < g.Atoms().Len(); i++ {
@@ -48,7 +64,7 @@ func TestRunningExample(t *testing.T) {
 	g := ground.New(st)
 	prog := rulelang.MustParse(
 		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
-	res, err := MAP(g, prog, Options{Squared: true})
+	res, err := mapFull(g, prog, Options{Squared: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +92,7 @@ func TestSoftValuesOrdered(t *testing.T) {
 	g := ground.New(st)
 	prog := rulelang.MustParse(
 		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
-	res, err := MAP(g, prog, Options{})
+	res, err := mapFull(g, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +110,7 @@ func TestSoftValuesOrdered(t *testing.T) {
 func TestConvergenceOnUnconstrained(t *testing.T) {
 	st := figure1Store(t)
 	g := ground.New(st)
-	res, err := MAP(g, rulelang.MustParse(""), Options{})
+	res, err := mapFull(g, rulelang.MustParse(""), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +132,7 @@ func TestInferenceRaisesDerivedAtom(t *testing.T) {
 	st := figure1Store(t)
 	g := ground.New(st)
 	prog := rulelang.MustParse("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 4")
-	res, err := MAP(g, prog, Options{Squared: true})
+	res, err := mapFull(g, prog, Options{Squared: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +153,7 @@ func TestHardRepairRestoresFeasibility(t *testing.T) {
 	g := ground.New(st)
 	prog := rulelang.MustParse(
 		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
-	res, err := MAP(g, prog, Options{})
+	res, err := mapFull(g, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +257,7 @@ func TestManyPotentials(t *testing.T) {
 	g := ground.New(st)
 	prog := rulelang.MustParse(
 		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
-	res, err := MAP(g, prog, Options{})
+	res, err := mapFull(g, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +280,7 @@ func BenchmarkMAPFigure1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := ground.New(st)
-		if _, err := MAP(g, prog, Options{}); err != nil {
+		if _, err := mapFull(g, prog, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,7 +292,7 @@ func TestSquaredVsLinearBothResolveConflict(t *testing.T) {
 		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
 	for _, squared := range []bool{false, true} {
 		g := ground.New(st)
-		res, err := MAP(g, prog, Options{Squared: squared})
+		res, err := mapFull(g, prog, Options{Squared: squared})
 		if err != nil {
 			t.Fatalf("squared=%v: %v", squared, err)
 		}
@@ -295,7 +311,7 @@ func TestHardWeightScalesPressure(t *testing.T) {
 		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
 	gap := func(hw float64) float64 {
 		g := ground.New(st)
-		res, err := MAP(g, prog, Options{HardWeight: hw})
+		res, err := mapFull(g, prog, Options{HardWeight: hw})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +328,7 @@ func TestHardWeightScalesPressure(t *testing.T) {
 func TestThresholdOptionChangesRounding(t *testing.T) {
 	st := figure1Store(t)
 	g := ground.New(st)
-	res, err := MAP(g, rulelang.MustParse(""), Options{Threshold: 0.99})
+	res, err := mapFull(g, rulelang.MustParse(""), Options{Threshold: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}

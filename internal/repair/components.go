@@ -36,7 +36,8 @@ import (
 // directly in repair-stage latency). Construct with NewComponentCache.
 // Not safe for concurrent use. The cache must be dropped when anything
 // outside the (generation, truth) invariant changes the read-out: a
-// threshold or solver change, or a ColdStart (core.Session does this).
+// threshold, solver kernel or tuning change, or a ColdStart
+// (core.Session does this).
 type ComponentCache struct {
 	units *engine.Cache[compUnit]
 	conf  []float64 // scratch, indexed by atom id
@@ -77,9 +78,9 @@ type compUnit struct {
 // decomposition the solver stage already built; nil builds one here.
 // The merged Outcome is byte-identical to whole-graph Resolve over the
 // same state, at every Parallelism setting. The output must carry the
-// solve's atom-indexed clause set (every MLN/PSL solve does); the
-// cutting-plane and greedy read-out is Resolve. The program is not
-// consulted — rule groundings are read from the clause set.
+// solve's atom-indexed clause set (every session solve does). The
+// program is not consulted — rule groundings are read from the clause
+// set.
 func ResolveComponents(out *translate.Output, _ *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache) (*Outcome, error) {
 	run, err := BeginComponents(out, opts, plan, cache, nil)
 	if err != nil {

@@ -31,7 +31,7 @@ import (
 const (
 	// OutcomeAssembled is the from-scratch sort/merge of every read-out
 	// unit (whole-graph Resolve, and ResolveComponents without a live
-	// outcome).
+	// outcome — the test oracle and one-shot callers outside a session).
 	OutcomeAssembled = "assembled"
 	// OutcomeLive is the delta-patched read-out: per-component patches
 	// applied to the session's live outcome.
@@ -129,8 +129,7 @@ const (
 // fourth consumer of that invariant after the MLN, PSL and repair
 // caches. Construct with NewLiveOutcome. Not safe for concurrent use.
 // The owner must drop it whenever the repair component cache is dropped
-// (ColdStart, threshold/solver/tuning changes) and whenever a solve
-// bypasses the live sync.
+// (ColdStart, threshold, solver kernel or tuning changes).
 type LiveOutcome struct {
 	// held stores each component's applied patch; Lookup hits prove the
 	// held contribution belongs to an unchanged component, and its
@@ -177,29 +176,18 @@ type LiveOutcome struct {
 	removedWeight float64
 }
 
-// NewLiveOutcome returns an empty live outcome.
+// NewLiveOutcome returns an empty live outcome; its first sync reports
+// the full state as added.
 func NewLiveOutcome() *LiveOutcome {
-	lo := &LiveOutcome{}
-	lo.Reset()
-	return lo
-}
-
-// Reset drops all held state; the next sync rebuilds from scratch (and
-// reports the full state as added in its changelog).
-func (lo *LiveOutcome) Reset() {
-	lo.held = engine.NewCache[*Patch]()
-	lo.kept, lo.removed, lo.inferred = []Fact{}, []Fact{}, []Fact{}
-	lo.clusters = []Cluster{}
-	lo.clusterKeys = [][]rdf.FactKey{}
-	lo.violations = make(map[string]int)
-	lo.thresholdFiltered = 0
-	lo.delta = OutcomeDelta{}
-	lo.patched, lo.reused = 0, 0
-	lo.pendRmK, lo.pendAdK = nil, nil
-	lo.pendRmR, lo.pendAdR = nil, nil
-	lo.pendRmI, lo.pendAdI = nil, nil
-	lo.pendRmC, lo.pendAdC = nil, nil
-	lo.removedWeight = 0
+	return &LiveOutcome{
+		held:        engine.NewCache[*Patch](),
+		kept:        []Fact{},
+		removed:     []Fact{},
+		inferred:    []Fact{},
+		clusters:    []Cluster{},
+		clusterKeys: [][]rdf.FactKey{},
+		violations:  make(map[string]int),
+	}
 }
 
 // Delta returns the changelog of the most recent sync. The returned

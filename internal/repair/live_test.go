@@ -380,16 +380,17 @@ func TestLiveOutcomeIdenticalRepatch(t *testing.T) {
 	}
 }
 
-// TestLiveOutcomeReset drops everything: the next sync rebuilds and
-// reports the full state as added.
+// TestLiveOutcomeReset replaces a synced live outcome with a new one
+// (what the session does on every cache invalidation): the next sync
+// rebuilds and reports the full state as added.
 func TestLiveOutcomeReset(t *testing.T) {
 	lo := NewLiveOutcome()
 	key := ground.AtomID(200)
 	ref := map[ground.AtomID]*refHeld{key: {p: synthPatch(key, 9), gen: 1}}
 	syncRef(lo, ref, key)
-	lo.Reset()
+	lo = NewLiveOutcome()
 	if len(lo.kept)+len(lo.removed)+len(lo.inferred) != 0 {
-		t.Fatal("Reset left state behind")
+		t.Fatal("a new live outcome holds state")
 	}
 	syncRef(lo, ref, ground.AtomID(-1)) // nothing touched, but held cache is empty
 	d := lo.delta

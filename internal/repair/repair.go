@@ -12,11 +12,12 @@
 // explanations and violation counts — is computed per clause-connected
 // scope (resolveUnit) and merged deterministically (assembleOutcome).
 // BeginComponents/Finish (see components.go) is the read-out of every
-// MLN/PSL solve: one unit per conflict component with a per-component
-// cache, so an incremental update re-repairs only the components it
-// dirtied. Resolve runs one unit over the whole graph — the read-out of
-// the cutting-plane and greedy paths, which keep no clause set to
-// partition.
+// session solve, whichever solver kernel produced the MAP state: one
+// unit per conflict component with a per-component cache, so an
+// incremental update re-repairs only the components it dirtied. Resolve
+// runs one unit over the whole graph; it shares no partition, cache or
+// live state with the component read-out and is kept as the
+// differential oracle the tests compare it against.
 package repair
 
 import (
@@ -156,12 +157,15 @@ type Stats struct {
 	// Runtime is the solver's inference time.
 	Runtime time.Duration
 	// Ground summarises the grounding stage: join wall time plus
-	// per-rule plans, candidate counts and emission counts. Nil when the
-	// solve path kept no grounder (the greedy baseline).
+	// per-rule plans, candidate counts and emission counts, including the
+	// violated-set groundings of cutting-plane rounds. Nil when the solve
+	// did no grounding work (an empty delta under the greedy or component
+	// kernels).
 	Ground *ground.GroundStats
-	// Components summarises the component-decomposed solve — component
+	// Components summarises the component kernels' solve — component
 	// count, size histogram, solved/reused split and per-engine tallies.
-	// Nil under cutting-plane inference and the greedy baseline.
+	// Nil for the whole-network kernels (cutting-plane inference and the
+	// greedy baseline), whose solves do not decompose.
 	Components *ground.ComponentStats
 	// Repair summarises the conflict-resolution read-out stage: how it
 	// ran (whole-graph or per-component), the repaired/reused component
@@ -174,9 +178,9 @@ type Stats struct {
 	Outcome *OutcomeStats
 	// Plan summarises how the solve obtained its component decomposition
 	// plan: delta-maintained on the session engine or rebuilt from
-	// scratch, with splice/patch counts and the sync timing. Nil when no
-	// component plan was built (cutting-plane inference, the greedy
-	// baseline).
+	// scratch, with splice/patch counts and the sync timing. Set on every
+	// session solve; nil only from the read-out entry points called
+	// outside a session (Resolve, ResolveComponents).
 	Plan *engine.PlanStats
 }
 
@@ -264,9 +268,11 @@ func liveAtoms(atoms *ground.AtomTable) []ground.AtomID {
 }
 
 // Resolve interprets the translator output as a conflict resolution —
-// one read-out unit over the whole graph. When the solve kept no clause
-// set (the cutting-plane and greedy paths) the rule groundings are
-// recovered by grounding the program once.
+// one read-out unit over the whole graph, the differential oracle of the
+// component read-out. When the output carries no clause set (a
+// cutting-plane solve over a fresh grounder, whose violated sets stay
+// inside the backend) the rule groundings are recovered by grounding the
+// program once.
 func Resolve(out *translate.Output, prog *logic.Program, opts Options) (*Outcome, error) {
 	opts = opts.withDefaults()
 	start := time.Now()

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/ground"
+	"repro/internal/mln"
+	"repro/internal/psl"
 	"repro/internal/rdf"
 	"repro/internal/rulelang"
 	"repro/internal/store"
@@ -38,16 +42,52 @@ func loadStore(t testing.TB, text string) *store.Store {
 
 func solve(t testing.TB, data, rules string, solver translate.Solver, opts Options) *Outcome {
 	t.Helper()
-	return solveWith(t, data, rules, solver, translate.Options{}, opts)
+	return solveWith(t, data, rules, solver, false, opts)
 }
 
-func solveWith(t testing.TB, data, rules string, solver translate.Solver, topts translate.Options, opts Options) *Outcome {
+// solveWith runs one solver kernel over a fresh grounder — the component
+// kernel over the full clause set, cutting-plane inference (cpi, MLN
+// only) or the greedy sweep — and reads its MAP state out whole-graph.
+func solveWith(t testing.TB, data, rules string, solver translate.Solver, cpi bool, opts Options) *Outcome {
 	t.Helper()
-	st := loadStore(t, data)
 	prog := rulelang.MustParse(rules)
-	out, err := translate.Run(st, prog, solver, topts)
-	if err != nil {
+	if err := translate.ValidateFor(solver, prog); err != nil {
 		t.Fatal(err)
+	}
+	g := ground.New(loadStore(t, data))
+	if _, err := g.Close(prog); err != nil {
+		t.Fatal(err)
+	}
+	out := &translate.Output{Solver: solver, Grounder: g}
+	var err error
+	if cpi {
+		out.MLN, err = mln.CuttingPlane(g, prog, mln.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Truth = out.MLN.Truth
+	} else {
+		if out.Clauses, err = g.GroundProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		switch solver {
+		case translate.SolverMLN:
+			out.MLN, err = mln.MAPGroundComponents(g, out.Clauses, mln.Options{}, nil, nil, nil)
+			if err == nil {
+				out.Truth = out.MLN.Truth
+			}
+		case translate.SolverPSL:
+			out.PSL, _, err = psl.MAPGroundComponents(g, out.Clauses, psl.Options{}, nil, nil, nil)
+			if err == nil {
+				out.Truth, out.SoftValues = out.PSL.Truth, out.PSL.Values
+			}
+		case translate.SolverGreedy:
+			out.Greedy = baseline.Solve(g.Atoms(), out.Clauses)
+			out.Truth = out.Greedy.Truth
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	oc, err := Resolve(out, prog, opts)
 	if err != nil {
@@ -57,28 +97,25 @@ func solveWith(t testing.TB, data, rules string, solver translate.Solver, topts 
 }
 
 // TestFigure7 reproduces the paper's result exactly: fact (5) removed,
-// facts (1)-(4) kept, worksFor derived from playsFor — on every solve
-// path, including the two that keep no clause set (cutting-plane MLN
-// and the greedy baseline), where Resolve grounds the program itself
-// for the cluster, explanation and violation read-out. The greedy
-// baseline chains hard implications only, so the soft f1 derives
-// nothing there.
+// facts (1)-(4) kept, worksFor derived from playsFor — for every solver
+// kernel, including cutting-plane MLN, whose output carries no clause
+// set, so Resolve grounds the program itself for the cluster,
+// explanation and violation read-out. The greedy baseline chains hard
+// implications only, so the soft f1 derives nothing there.
 func TestFigure7(t *testing.T) {
-	var cpi translate.Options
-	cpi.MLN.CuttingPlane = true
 	for _, tc := range []struct {
 		name     string
 		solver   translate.Solver
-		topts    translate.Options
+		cpi      bool
 		inferred int
 	}{
-		{"mln", translate.SolverMLN, translate.Options{}, 1},
-		{"psl", translate.SolverPSL, translate.Options{}, 1},
-		{"mln-cpi", translate.SolverMLN, cpi, 1},
-		{"greedy", translate.SolverGreedy, translate.Options{}, 0},
+		{"mln", translate.SolverMLN, false, 1},
+		{"psl", translate.SolverPSL, false, 1},
+		{"mln-cpi", translate.SolverMLN, true, 1},
+		{"greedy", translate.SolverGreedy, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			oc := solveWith(t, figure1, figure4and6, tc.solver, tc.topts, Options{})
+			oc := solveWith(t, figure1, figure4and6, tc.solver, tc.cpi, Options{})
 			if oc.Stats.TotalFacts != 5 || oc.Stats.KeptFacts != 4 || oc.Stats.RemovedFacts != 1 {
 				t.Fatalf("stats = %+v", oc.Stats)
 			}

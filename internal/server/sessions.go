@@ -490,8 +490,7 @@ type SessionSolveRequest struct {
 	// the session's previous solve (plus statistics), not the full
 	// lists. The first solve and any solve after a cache invalidation
 	// (coldStart, threshold or solver change) report the full outcome
-	// as added. The greedy baseline keeps no live outcome and returns
-	// the full response.
+	// as added.
 	Delta bool `json:"delta,omitempty"`
 }
 
@@ -582,7 +581,7 @@ func (s *Server) solveLocked(ss *session, solver translate.Solver, req SessionSo
 // session lock: the resolution's outcome is an immutable snapshot.
 func (s *Server) renderSessionSolve(res *core.Resolution, epoch uint64, delta bool) SessionSolveResponse {
 	resp := SessionSolveResponse{Incremental: res.Incremental, Epoch: epoch}
-	if delta && res.Delta != nil {
+	if delta {
 		// Changelog mode: statistics plus the diff, no full lists.
 		resp.SolveResponse = SolveResponse{Stats: res.Stats}
 		resp.Delta = s.deltaResponse(res.Delta)

@@ -272,18 +272,25 @@ MX coach Lyon [2003,2005] 0.7
 		t.Fatalf("no-op solve produced a %d-entry changelog: %+v", n, d)
 	}
 
-	// The greedy baseline keeps no live outcome: delta mode falls back
-	// to the full response.
+	// The greedy baseline runs the same pipeline: a solver switch drops
+	// the read-out caches, so its changelog reports the full outcome as
+	// added, still without the full lists.
 	var greedy SessionSolveResponse
 	resp = postJSON(t, base+"/solve", SessionSolveRequest{Solver: "greedy", Delta: true}, &greedy)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("greedy solve: status %d", resp.StatusCode)
 	}
-	if greedy.Delta != nil {
-		t.Fatal("greedy solve fabricated a changelog")
+	if greedy.Delta == nil {
+		t.Fatal("greedy delta solve returned no changelog")
 	}
-	if len(greedy.Kept) == 0 {
-		t.Fatal("fallback response missing the full lists")
+	if len(greedy.Kept) != 0 {
+		t.Fatalf("greedy delta solve returned full lists: %+v", greedy.SolveResponse)
+	}
+	if got := len(greedy.Delta.AddedKept); got != greedy.Stats.KeptFacts || got == 0 {
+		t.Fatalf("greedy delta after a solver switch added %d kept facts, stats report %d", got, greedy.Stats.KeptFacts)
+	}
+	if ocs := greedy.Stats.Outcome; ocs == nil || ocs.Mode != repair.OutcomeLive {
+		t.Fatalf("greedy solve did not run the live outcome: %+v", greedy.Stats.Outcome)
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package translate is the TeCoRe Translator: it takes an uncertain
-// temporal knowledge graph, inference rules and constraints, verifies
-// that the program adheres to the expressivity of the chosen solver, and
-// runs MAP inference on the corresponding probabilistic-FOL backend
-// (the MLN engine standing in for nRockIt, or the HL-MRF engine standing
-// in for the nPSL solver). Additional ProbFOL backends can be integrated
-// by implementing the same dispatch.
+// Package translate is the TeCoRe Translator's contract with its MAP
+// backends: the solver choice (the MLN engine standing in for nRockIt,
+// the HL-MRF engine standing in for the nPSL solver, or the greedy
+// baseline), the check that a program adheres to the chosen solver's
+// expressivity, per-backend tuning, and the unified MAP output every
+// backend produces. The session pipeline (internal/core) grounds the
+// program and runs the chosen backend as a kernel over the ground
+// network.
 package translate
 
 import (
@@ -113,29 +114,21 @@ func CheckPredicates(st *store.Store, prog *logic.Program) []string {
 
 // Options bundles per-backend tuning.
 type Options struct {
-	// Parallelism bounds the worker pools across the whole solve
-	// pipeline — grounding, per-component solves, cutting-plane
-	// local-search restarts: 0 means GOMAXPROCS, 1 forces the sequential
-	// path. Backend-specific settings (MLN.Parallelism, PSL.Parallelism)
-	// take precedence when non-zero. Results are identical at every
-	// setting.
-	Parallelism int
-	MLN         mln.Options
-	PSL         psl.Options
+	MLN mln.Options
+	PSL psl.Options
 }
 
-// Output is the unified MAP result of either backend.
+// Output is the unified MAP result of every backend.
 type Output struct {
 	// Solver is the backend that produced the result.
 	Solver Solver
 	// Grounder exposes the atom table the truth vector indexes.
 	Grounder *ground.Grounder
-	// Clauses, when non-nil, is the full ground clause set of the solve.
-	// The repair layer reads rule groundings from it instead of
-	// re-joining the program; the incremental engine keeps it alive
-	// across solves. Nil on the cutting-plane path, and from Run's
-	// full-grounding MLN and PSL solves, whose sets stay inside the
-	// backend.
+	// Clauses is the full ground clause set of the solve. The repair
+	// layer reads rule groundings from it instead of re-joining the
+	// program; a session engine keeps it alive across solves and sets it
+	// on every solve, whichever kernel ran. Only whole-graph
+	// repair.Resolve accepts nil, grounding the program itself.
 	Clauses *ground.ClauseSet
 	// Truth is the boolean MAP state per atom id.
 	Truth []bool
@@ -154,61 +147,8 @@ type Output struct {
 // TruthDelta reports whether the solver produced Truth under the
 // plan's change-set scope (engine.Plan.Scope): every atom outside the
 // scoped components carries the previous solve's truth bit-for-bit.
-// Always false for PSL and the baselines, which recompute the full
-// state.
+// Always false for PSL, cutting-plane inference and the greedy
+// baseline, which recompute the full state.
 func (o *Output) TruthDelta() bool {
 	return o.MLN != nil && o.MLN.TruthDelta
-}
-
-// Run validates the program for the solver and computes the MAP state
-// over the store's evidence.
-func Run(st *store.Store, prog *logic.Program, solver Solver, opts Options) (*Output, error) {
-	if err := ValidateFor(solver, prog); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if opts.MLN.Parallelism == 0 {
-		opts.MLN.Parallelism = opts.Parallelism
-	}
-	if opts.PSL.Parallelism == 0 {
-		opts.PSL.Parallelism = opts.Parallelism
-	}
-	g := ground.New(st)
-	// The MLN and PSL backends re-set this from their own options; the
-	// assignment here covers backends that do not manage parallelism
-	// themselves (the greedy baseline grounds with this grounder as-is).
-	g.Parallelism = opts.Parallelism
-	out := &Output{Solver: solver, Grounder: g}
-	switch solver {
-	case SolverMLN:
-		res, err := mln.MAP(g, prog, opts.MLN)
-		if err != nil {
-			return nil, err
-		}
-		if !res.HardSatisfied {
-			return nil, fmt.Errorf("translate: MLN solver found no assignment satisfying the hard constraints")
-		}
-		out.MLN = res
-		out.Truth = res.Truth
-	case SolverPSL:
-		res, err := psl.MAP(g, prog, opts.PSL)
-		if err != nil {
-			return nil, err
-		}
-		out.PSL = res
-		out.Truth = res.Truth
-		out.SoftValues = res.Values
-	case SolverGreedy:
-		res, err := baseline.Solve(g, prog)
-		if err != nil {
-			return nil, err
-		}
-		out.Greedy = res
-		out.Truth = res.Truth
-		out.Clauses = res.Clauses
-	default:
-		return nil, fmt.Errorf("translate: unknown solver %v", solver)
-	}
-	out.Runtime = time.Since(start)
-	return out, nil
 }

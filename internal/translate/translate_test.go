@@ -1,10 +1,8 @@
 package translate
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/ground"
 	"repro/internal/rdf"
 	"repro/internal/rulelang"
 	"repro/internal/store"
@@ -85,47 +83,5 @@ c9: quad(x, spouse, y, t) ^ quad(x, spouse, z, t') ^ y != z -> disjoint(t, t') w
 		if !want[m] {
 			t.Errorf("unexpected missing predicate %q", m)
 		}
-	}
-}
-
-func TestRunBothSolversAgreeOnFigure7(t *testing.T) {
-	prog := rulelang.MustParse(c2)
-	for _, solver := range []Solver{SolverMLN, SolverPSL} {
-		out, err := Run(figure1Store(t), prog, solver, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
-		}
-		if out.Solver != solver {
-			t.Errorf("solver tag = %v", out.Solver)
-		}
-		removed := 0
-		for i := 0; i < out.Grounder.Atoms().Len(); i++ {
-			info := out.Grounder.Atoms().Info(ground.AtomID(i))
-			if info.Evidence && !out.Truth[i] {
-				removed++
-				if !strings.Contains(info.Key.String(), "Napoli") {
-					t.Errorf("%v removed %s, want only Napoli", solver, info.Key)
-				}
-			}
-		}
-		if removed != 1 {
-			t.Errorf("%v removed %d facts, want 1", solver, removed)
-		}
-		if solver == SolverPSL && out.SoftValues == nil {
-			t.Error("PSL output should carry soft values")
-		}
-		if solver == SolverMLN && (out.MLN == nil || out.MLN.Components == nil) {
-			t.Error("MLN output should carry backend detail, decomposition included")
-		}
-		if solver == SolverPSL && (out.PSL == nil || out.PSL.Components == nil) {
-			t.Error("PSL output should carry backend detail, decomposition included")
-		}
-	}
-}
-
-func TestRunRejectsInvalidProgramForSolver(t *testing.T) {
-	prog := rulelang.MustParse("f: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = inf")
-	if _, err := Run(figure1Store(t), prog, SolverPSL, Options{}); err == nil {
-		t.Error("Run should propagate PSL expressivity errors")
 	}
 }

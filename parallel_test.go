@@ -90,8 +90,8 @@ pf1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5
 }
 
 // TestParallelFlagOnAdvancedOptions: parallelism set through the
-// advanced (translate-level) options must behave like the top-level
-// field.
+// advanced (backend-level) options must behave like the top-level
+// field, which it overrides for the MLN kernel.
 func TestParallelFlagOnAdvancedOptions(t *testing.T) {
 	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 80, NoiseRatio: 0.5, Seed: 9})
 	s := tecore.NewSession()
@@ -102,7 +102,7 @@ func TestParallelFlagOnAdvancedOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
-	opts.Advanced.Parallelism = 2
+	opts.Advanced.MLN.Parallelism = 2
 	res, err := s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)

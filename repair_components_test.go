@@ -12,8 +12,9 @@ import (
 // incremental session's Outcome — kept/removed/derived facts,
 // Explanations, conflict clusters, per-constraint violation counts —
 // is identical to a fresh whole-graph repair.Resolve over the same live
-// graph, at parallelism 1 and N. The fresh comparator solves by
-// cutting-plane inference, whose read-out is the whole-graph pass; the
+// graph, at parallelism 1 and N. The fresh comparator is the
+// independent oracle (wholeNetworkReference: a fresh grounder,
+// cutting-plane inference and the whole-graph read-out); the
 // incremental side re-repairs only the components each delta dirtied
 // and replays the rest from the repair cache. (On PSL output the same
 // contract is checked on identical solver output by
@@ -51,9 +52,9 @@ func TestRepairComponentMatchesWholeGraphMLNThreshold(t *testing.T) {
 
 // TestRepairCacheReuse checks the incremental contract the repair cache
 // exists for: after a warm solve, a single-fact delta re-repairs only
-// the dirtied component and replays every other cached read-out, while
-// a cutting-plane solve — which keeps no clause set to partition —
-// reports the whole-graph mode and an assembled outcome.
+// the dirtied component and replays every other cached read-out. A
+// cutting-plane solve reads out through the same component cache: the
+// kernel switch drops it once, and an unchanged re-solve replays it all.
 func TestRepairCacheReuse(t *testing.T) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{Clusters: 20, ClusterSize: 5, Seed: 7})
 	s := tecore.NewSession()
@@ -99,11 +100,21 @@ func TestRepairCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs = res.Stats.Repair
-	if rs == nil || rs.Mode != tecore.RepairWholeGraph || rs.Repaired != 1 {
-		t.Fatalf("cutting-plane solve must report one whole-graph repair pass: %+v", rs)
+	if rs.Mode != tecore.RepairComponents || rs.Repaired != rs.Components || rs.Reused != 0 {
+		t.Fatalf("a kernel switch must re-repair every component: %+v", rs)
 	}
-	if os := res.Stats.Outcome; os == nil || os.Mode != tecore.OutcomeAssembled || res.Delta != nil {
-		t.Fatalf("cutting-plane solve must assemble its outcome and keep no changelog: %+v, delta %v", os, res.Delta)
+	if os := res.Stats.Outcome; os.Mode != tecore.OutcomeLive || res.Delta == nil || len(res.Delta.AddedKept) != res.Stats.KeptFacts {
+		t.Fatalf("cutting-plane solve must patch the live outcome, reporting the full state as added: %+v", os)
+	}
+	res, err = s.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := res.Stats.Repair; rs.Repaired != 0 || rs.Reused != rs.Components {
+		t.Fatalf("an unchanged cutting-plane re-solve should replay every cached read-out: %+v", rs)
+	}
+	if !res.Delta.Empty() {
+		t.Fatalf("an unchanged cutting-plane re-solve changed the outcome: %+v", res.Delta)
 	}
 }
 

@@ -159,17 +159,17 @@ type Outcome = repair.Outcome
 type Stats = repair.Stats
 
 // ComponentStats summarises the per-conflict-component solve of the MLN
-// (full grounding) and PSL backends — component count and sizes, the
-// engine each ran on, the solved/reused split; available as
-// Stats.Components (nil under CuttingPlane and the greedy baseline).
+// and PSL component kernels — component count and sizes, the engine each
+// ran on, the solved/reused split; available as Stats.Components (nil
+// for the whole-network kernels: CuttingPlane and the greedy baseline).
 type ComponentStats = ground.ComponentStats
 
-// PlanStats summarises the solve-plan stage of an MLN/PSL solve:
-// whether the plan was patched in place ("maintained") or built from
-// scratch ("rebuilt", a session's first solve or a delta too large to
-// patch), the splice and partition-patch counts, and the sync wall
-// time; available as Stats.Plan (nil under CuttingPlane and the greedy
-// baseline). PatchedComponents and DroppedComponents are the change set
+// PlanStats summarises the solve-plan stage of a solve: whether the
+// plan was patched in place ("maintained") or built from scratch
+// ("rebuilt", a session's first solve or a delta too large to patch),
+// the splice and partition-patch counts, and the sync wall time;
+// available as Stats.Plan on every solve. PatchedComponents and
+// DroppedComponents are the change set
 // the solver, repair and outcome stages scope their one pass to when
 // their caches are exactly one maintained sync behind; after a rebuilt
 // plan — or any sync a stage did not see — that stage visits every
@@ -197,10 +197,11 @@ const (
 )
 
 // OutcomeStats summarises how the final Outcome was produced —
-// delta-patched on the session's live outcome (every MLN/PSL solve) or
-// assembled from scratch (the whole-graph read-out of CuttingPlane and
-// the greedy baseline) — with the patched/reused component split and
-// the index and merge timings; available as Stats.Outcome.
+// delta-patched on the session's live outcome (every solve, "live", or
+// "live-delta" under DeltaOnly) — with the patched/reused component
+// split and the index and merge timings; available as Stats.Outcome.
+// OutcomeAssembled is the from-scratch merge of the read-out entry
+// points called outside a session.
 type OutcomeStats = repair.OutcomeStats
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
@@ -210,9 +211,9 @@ const (
 	OutcomeDeltaOnly = repair.OutcomeDeltaOnly
 )
 
-// OutcomeDelta is the changelog of an MLN/PSL solve: the facts and
-// conflict clusters that entered or left each Outcome list relative to
-// the session's previous solve; available as Resolution.Delta.
+// OutcomeDelta is the changelog of a solve: the facts and conflict
+// clusters that entered or left each Outcome list relative to the
+// session's previous solve; available as Resolution.Delta.
 type OutcomeDelta = repair.OutcomeDelta
 
 // Fact is a resolved fact with provenance.

@@ -49,22 +49,22 @@ func TestQuickstart(t *testing.T) {
 // TestFigure7OnePipeline pins the paper's Figure 7 on Figure 1 + (f1,
 // c2) — 4 kept, Napoli removed, worksFor(CR, Palermo) inferred — with
 // default options, together with the shape of the pipeline that
-// produced it: MLN and PSL run the one component pipeline (plan,
-// per-component solve and repair, live outcome and changelog on every
-// solve); cutting-plane and the greedy baseline keep the whole-graph
-// read-out. PSL is the knife-edge: with the default weights worksFor's
-// optimum is exactly the 0.5 rounding threshold, so the answer must not
-// depend on which side ADMM stopped.
+// produced it: every solver kernel runs the one session pipeline (plan,
+// component repair, live outcome and changelog on every solve), and only
+// the component kernels (MLN, PSL) report a component decomposition of
+// their own solve. PSL is the knife-edge: with the default weights
+// worksFor's optimum is exactly the 0.5 rounding threshold, so the
+// answer must not depend on which side ADMM stopped.
 func TestFigure7OnePipeline(t *testing.T) {
 	greedy, err := tecore.ParseSolver("greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name      string
-		opts      tecore.SolveOptions
-		component bool
-		inferred  int
+		name       string
+		opts       tecore.SolveOptions
+		components bool
+		inferred   int
 	}{
 		{"mln", tecore.SolveOptions{Solver: tecore.SolverMLN}, true, 1},
 		{"psl", tecore.SolveOptions{Solver: tecore.SolverPSL}, true, 1},
@@ -91,19 +91,15 @@ func TestFigure7OnePipeline(t *testing.T) {
 				(tc.inferred == 1 && res.Inferred[0].Quad.Predicate.Value != "worksFor") {
 				t.Errorf("inferred %v, want %d worksFor fact(s)", res.Inferred, tc.inferred)
 			}
-			repairMode, outcomeMode := tecore.RepairWholeGraph, tecore.OutcomeAssembled
-			if tc.component {
-				repairMode, outcomeMode = tecore.RepairComponents, tecore.OutcomeLive
+			if st.Repair.Mode != tecore.RepairComponents || st.Outcome.Mode != tecore.OutcomeLive {
+				t.Errorf("read-out ran %s/%s, want %s/%s",
+					st.Repair.Mode, st.Outcome.Mode, tecore.RepairComponents, tecore.OutcomeLive)
 			}
-			if st.Repair.Mode != repairMode || st.Outcome.Mode != outcomeMode {
-				t.Errorf("read-out ran %s/%s, want %s/%s", st.Repair.Mode, st.Outcome.Mode, repairMode, outcomeMode)
+			if st.Plan == nil || res.Delta == nil {
+				t.Errorf("plan %v, delta %v; want both set", st.Plan, res.Delta)
 			}
-			for _, set := range []bool{st.Components != nil, st.Plan != nil, res.Delta != nil} {
-				if set != tc.component {
-					t.Errorf("components %v, plan %v, delta %v; want each set = %v",
-						st.Components, st.Plan, res.Delta, tc.component)
-					break
-				}
+			if (st.Components != nil) != tc.components {
+				t.Errorf("components %+v; want set = %v", st.Components, tc.components)
 			}
 		})
 	}
@@ -242,16 +238,25 @@ func TestNoisyFootballRecovery(t *testing.T) {
 	t.Logf("noise recovery: precision=%.3f recall=%.3f removed=%d", precision, recall, tp+fp)
 }
 
-// TestGreedyBaselineNeverBeatsMAP: on conflict datasets the MAP solver
-// must remove at most the confidence mass the greedy baseline removes.
+// TestGreedyBaselineNeverBeatsMAP is the E10 shape: on conflict datasets
+// every MAP kernel — MLN, MLN by cutting-plane inference, PSL — must
+// remove at most the confidence mass the greedy baseline removes.
 func TestGreedyBaselineNeverBeatsMAP(t *testing.T) {
 	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 150, NoiseRatio: 0.6, Seed: 14})
+	greedy, err := tecore.ParseSolver("greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
 	weights := map[string]float64{}
-	for _, solverName := range []string{"greedy", "mln"} {
-		solver, err := tecore.ParseSolver(solverName)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, k := range []struct {
+		name string
+		opts tecore.SolveOptions
+	}{
+		{"greedy", tecore.SolveOptions{Solver: greedy}},
+		{"mln", tecore.SolveOptions{Solver: tecore.SolverMLN}},
+		{"mln-cpi", tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true}},
+		{"psl", tecore.SolveOptions{Solver: tecore.SolverPSL}},
+	} {
 		s := tecore.NewSession()
 		if err := s.LoadGraph(ds.Graph); err != nil {
 			t.Fatal(err)
@@ -259,17 +264,20 @@ func TestGreedyBaselineNeverBeatsMAP(t *testing.T) {
 		if err := s.LoadProgramText(tecore.FootballProgram); err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Solve(tecore.SolveOptions{Solver: solver})
+		res, err := s.Solve(k.opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", k.name, err)
 		}
-		weights[solverName] = res.Stats.RemovedWeight
+		weights[k.name] = res.Stats.RemovedWeight
 		if res.Stats.RemovedFacts == 0 {
-			t.Fatalf("%s removed nothing from a noisy dataset", solverName)
+			t.Fatalf("%s removed nothing from a noisy dataset", k.name)
 		}
 	}
-	if weights["mln"] > weights["greedy"]+1e-6 {
-		t.Errorf("MAP removed more weight (%.3f) than greedy (%.3f)", weights["mln"], weights["greedy"])
+	for _, name := range []string{"mln", "mln-cpi", "psl"} {
+		if weights[name] > weights["greedy"]+1e-6 {
+			t.Errorf("%s removed more weight (%.3f) than greedy (%.3f)", name, weights[name], weights["greedy"])
+		}
 	}
-	t.Logf("removed weight: greedy=%.2f mln=%.2f", weights["greedy"], weights["mln"])
+	t.Logf("removed weight: greedy=%.2f mln=%.2f mln-cpi=%.2f psl=%.2f",
+		weights["greedy"], weights["mln"], weights["mln-cpi"], weights["psl"])
 }
