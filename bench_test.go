@@ -10,8 +10,9 @@
 //	E8  (ablation)    cutting-plane inference vs full grounding
 //	E10 (ablation)    greedy baseline vs MAP quality
 //
-// The quality shapes of E4 and E10 are also asserted at small size by
-// tier-1 tests (TestNoisyFootballRecovery, TestGreedyBaselineNeverBeatsMAP).
+// The quality shapes of E3, E4 and E10 are also asserted at small size
+// by tier-1 tests (TestPaperShapes, TestNoisyFootballRecovery,
+// TestGreedyBaselineNeverBeatsMAP).
 //
 // Macro benchmarks take seconds per iteration; run with -benchtime=1x
 // for a single timed pass:

@@ -243,11 +243,11 @@ func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts
 }
 
 // wholeNetworkReference is the independent whole-network oracle: a
-// fresh store and grounder closed under the program, one cutting-plane
-// MaxSAT (opts.CuttingPlane, MLN) or the greedy sweep over the full
-// clause set (the greedy solver), and the whole-graph repair.Resolve
-// read-out. It shares no engine, plan, cache, kernel state or live
-// outcome with Session.Solve.
+// fresh store and grounder closed under the program and fully grounded,
+// one cutting-plane MaxSAT (opts.CuttingPlane, MLN) or the greedy sweep
+// over that clause set (the greedy solver), and the whole-graph
+// repair.Resolve read-out. It shares no engine, plan, cache, kernel
+// state or live outcome with Session.Solve.
 func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts tecore.SolveOptions) *tecore.Resolution {
 	t.Helper()
 	prog, err := tecore.ParseRules(program)
@@ -264,11 +264,11 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 		t.Fatal(err)
 	}
 	out := &translate.Output{Solver: opts.Solver, Grounder: gr}
+	if out.Clauses, err = gr.GroundProgram(prog); err != nil {
+		t.Fatal(err)
+	}
 	switch {
 	case opts.Solver == translate.SolverGreedy:
-		if out.Clauses, err = gr.GroundProgram(prog); err != nil {
-			t.Fatal(err)
-		}
 		out.Greedy = baseline.Solve(gr.Atoms(), out.Clauses)
 		out.Truth = out.Greedy.Truth
 	case opts.Solver == translate.SolverMLN && opts.CuttingPlane:
@@ -276,7 +276,7 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 		if mopts.Parallelism == 0 {
 			mopts.Parallelism = opts.Parallelism
 		}
-		if out.MLN, err = mln.CuttingPlane(gr, prog, mopts); err != nil {
+		if out.MLN, err = mln.CuttingPlane(gr.Atoms(), out.Clauses, mopts); err != nil {
 			t.Fatal(err)
 		}
 		if !out.MLN.HardSatisfied {
@@ -286,7 +286,7 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 	default:
 		t.Fatalf("no whole-network reference for %v (cutting plane %v)", opts.Solver, opts.CuttingPlane)
 	}
-	oc, err := repair.Resolve(out, prog, repair.Options{Threshold: opts.Threshold})
+	oc, err := repair.Resolve(out, repair.Options{Threshold: opts.Threshold})
 	if err != nil {
 		t.Fatal(err)
 	}

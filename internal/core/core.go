@@ -151,24 +151,14 @@ type SolveOptions struct {
 	ComponentExactLimit int
 	// ColdStart disables warm-starting the solver from the previous
 	// solution on the incremental path and drops the per-component
-	// solution, repair and outcome caches for this solve. Grounding
-	// still reuses the cached delta state; only the solver starts from
-	// scratch. With ColdStart the incremental result is byte-identical
-	// to a fresh from-scratch solve by construction; with warm starts
-	// the exact MaxSAT engine still guarantees it, while large
-	// local-search or ADMM instances may settle on equally-valid
-	// near-identical states.
+	// solution caches and the read-out cache (repair records and live
+	// outcome) for this solve. Grounding still reuses the cached delta
+	// state; only the solver starts from scratch. With ColdStart the
+	// incremental result is byte-identical to a fresh from-scratch solve
+	// by construction; with warm starts the exact MaxSAT engine still
+	// guarantees it, while large local-search or ADMM instances may
+	// settle on equally-valid near-identical states.
 	ColdStart bool
-	// DeltaOnly skips materializing the Outcome's global fact and
-	// cluster lists: the Resolution carries exact counts, violation
-	// totals and the Delta changelog, but nil
-	// Kept/Removed/Inferred/Clusters. The pending list splices stay on
-	// the session's live outcome and the next materializing solve
-	// flushes them, so alternating DeltaOnly and full solves stays
-	// byte-identical to running them all full. For update-heavy serving
-	// that consumes only Delta, this removes the O(n) list copy from
-	// every solve.
-	DeltaOnly bool
 	// Advanced exposes full backend tuning.
 	Advanced translate.Options
 }

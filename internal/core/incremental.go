@@ -69,12 +69,15 @@ type solveEngine struct {
 	// identical at every worker count.
 	compOptsKey string
 
-	// compRepair caches per-component repair read-outs alongside the
-	// solver caches. Unlike them it is keyed per (solver kernel, read-out
-	// options): a read-out computed from PSL soft values or under a
-	// different threshold is not the one the requested solve would
-	// produce, so repairKey changes drop it (the per-entry truth check
-	// in repair covers solver-side divergence within one key).
+	// compRepair is the session's read-out record per component — the
+	// cached repair read-out — and the live outcome those records sum to,
+	// so a solve re-repairs and re-splices only the components whose
+	// subproblem or truth moved. Unlike the solver caches it is keyed per
+	// (solver kernel, read-out options): a read-out computed from PSL soft
+	// values or under a different threshold is not the one the requested
+	// solve would produce, so repairKey changes drop it (the per-entry
+	// truth check in repair covers solver-side divergence within one
+	// key).
 	compRepair *repair.ComponentCache
 	repairKey  string
 
@@ -83,12 +86,6 @@ type solveEngine struct {
 	// journal and the union-find's change log instead of rebuilding it
 	// per solve.
 	planner *engine.Planner
-
-	// liveOutcome is the session's delta-maintained Outcome: component
-	// solves patch only the components the delta dirtied instead of
-	// re-assembling the full fact and cluster lists. It shares
-	// compRepair's validity conditions and is dropped with it.
-	liveOutcome *repair.LiveOutcome
 }
 
 // ResetEngine drops the cached incremental solve state. The next Solve
@@ -223,7 +220,7 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	solveErr := withStage("solve", func() error {
 		switch {
 		case cpi:
-			res, err := mln.CuttingPlane(eng.g, s.prog, topts.MLN)
+			res, err := mln.CuttingPlane(eng.g.Atoms(), eng.cs, topts.MLN)
 			if err != nil {
 				return err
 			}
@@ -265,44 +262,39 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 		eng.warmSolver, eng.warmTruth, eng.warmPSL = solver, out.Truth, nextPSL
 	}
 
-	// The read-out decomposes along the same plan, with its own
-	// per-component cache: a delta re-repairs only the components whose
-	// subproblem or truth moved. The cache is dropped on ColdStart and
-	// whenever the solver kernel, its tuning, or the read-out options
-	// change — a cached unit embeds threshold-filtered facts and
-	// solver-specific confidences (PSL soft values can shift under new
-	// engine tuning without the discrete truth, which the per-entry check
-	// covers, moving at all). The live outcome replays those units into
-	// the global lists, so it is only valid under the same key and drops
-	// with the cache.
-	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: opts.Parallelism, DeltaOnly: opts.DeltaOnly}
+	// The read-out decomposes along the same plan onto the session's
+	// read-out cache: a delta re-repairs only the components whose
+	// subproblem or truth moved, and the live outcome splices only their
+	// contributions. The cache is dropped on ColdStart and whenever the
+	// solver kernel, its tuning, or the read-out options change — a cached
+	// unit embeds threshold-filtered facts and solver-specific confidences
+	// (PSL soft values can shift under new engine tuning without the
+	// discrete truth, which the per-entry check covers, moving at all).
+	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: opts.Parallelism}
 	rkey := fmt.Sprintf("%v|%v|%+v|%s", solver, cpi,
 		repair.Options{Threshold: ropts.Threshold, ConfidenceRounds: ropts.ConfidenceRounds},
 		eng.compOptsKey)
 	if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {
 		eng.compRepair = repair.NewComponentCache()
-		eng.liveOutcome = repair.NewLiveOutcome()
 		eng.repairKey = rkey
 	}
 	var run *repair.ComponentRun
 	err := withStage("repair", func() (err error) {
-		run, err = repair.BeginComponents(out, ropts, plan, eng.compRepair, eng.liveOutcome)
+		run, err = repair.BeginComponents(out, ropts, plan, eng.compRepair)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The live outcome sync is its own pipeline stage, profiled apart from
-	// the per-component repair analysis.
+	// Patching the live outcome is its own pipeline stage, profiled apart
+	// from the per-component repair analysis; it cannot fail, so the
+	// stage's error is always nil.
 	var oc *repair.Outcome
 	var delta *repair.OutcomeDelta
-	err = withStage("outcome", func() (err error) {
-		oc, delta, err = run.Finish()
-		return err
+	_ = withStage("outcome", func() error {
+		oc, delta = run.Finish()
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	oc.Stats.Plan = &planStats
 	attachGroundStats(oc, eng.g)
 	return &Resolution{Outcome: oc, Output: out, Incremental: incremental, Delta: delta}, nil

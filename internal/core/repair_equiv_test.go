@@ -92,7 +92,7 @@ func testComponentRepairByteIdentical(t *testing.T, solver translate.Solver, thr
 		}
 
 		// Whole-graph read-out over the exact same solver output.
-		whole, err := repair.Resolve(res.Output, s.Program(), repair.Options{Threshold: threshold})
+		whole, err := repair.Resolve(res.Output, repair.Options{Threshold: threshold})
 		if err != nil {
 			t.Fatalf("step %d: whole-graph resolve: %v", step, err)
 		}
@@ -155,7 +155,7 @@ func TestComponentRepairUnconvergedPSL(t *testing.T) {
 		if res.Output.PSL.Converged {
 			t.Fatal("one ADMM sweep cannot have converged; bad test setup")
 		}
-		whole, err := repair.Resolve(res.Output, s.Program(), repair.Options{})
+		whole, err := repair.Resolve(res.Output, repair.Options{})
 		if err != nil {
 			t.Fatalf("step %d: whole-graph resolve: %v", step, err)
 		}

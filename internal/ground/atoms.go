@@ -9,18 +9,16 @@
 // their variables are bound, pruning the join. Inference rules are
 // closed under forward chaining first, so rule cascades (playsFor ⇒
 // worksFor ⇒ livesIn) materialise all derivable head atoms before clause
-// emission. The engine also supports filtered grounding against a
-// current truth assignment, the primitive behind cutting-plane inference.
+// emission.
 //
 // # Concurrency model
 //
 // Every join phase — Close's full pass, each seminaive round of
-// CloseDelta, and the clause emission of GroundProgram, GroundViolated
-// and GroundDelta — runs through one runner (runPhase) over a task list:
-// one task per rule, or per rule and delta position on the seminaive
-// passes; a rule's depth-0 candidates are additionally split into
-// contiguous chunks when the program has fewer rules than workers. A
-// phase is two functions:
+// CloseDelta, and the clause emission of GroundProgram and GroundDelta —
+// runs through one runner (runPhase) over a task list: one task per
+// rule, or per rule and delta position on the seminaive passes; a rule's
+// depth-0 candidates are additionally split into contiguous chunks when
+// the program has fewer rules than workers. A phase is two functions:
 //
 //   - emit resolves one grounding against read-only store views and the
 //     atom table (Lookup only) and decides what to keep: a head
@@ -28,7 +26,7 @@
 //     travels as a pending fact key.
 //   - commit applies a kept item at a sequential point: intern or
 //     revive a head and add it to the derived store, or intern a
-//     pending head, apply the truth filter and add the clause.
+//     pending head and add the clause.
 //
 // With one worker or one task the phase runs inline — commit follows
 // each emission directly, with no buffer and a reused literal scratch.

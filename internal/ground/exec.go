@@ -138,12 +138,11 @@ func codePatternAt(cq *cquad, fr *logic.Frame, toStore []store.TermID) (store.Co
 
 // runJoin enumerates all bindings of the task's compiled rule body over
 // its depth-0 chunk, invoking emit with the grounding environment and the
-// atom ids of the matched body facts. With truth set, only
-// currently-true atoms participate in matches. Safe to run concurrently
-// with other tasks: it reads the store views, the code maps and the atom
-// table only. It also records the task's wall time and emission count
-// for the grounder's stats.
-func (g *Grounder) runJoin(t *joinTask, truth func(AtomID) bool, emitFn func(*compiledEnv, []AtomID) error) error {
+// atom ids of the matched body facts. Safe to run concurrently with other
+// tasks: it reads the store views, the code maps and the atom table only.
+// It also records the task's wall time and emission count for the
+// grounder's stats.
+func (g *Grounder) runJoin(t *joinTask, emitFn func(*compiledEnv, []AtomID) error) error {
 	start := time.Now()
 	defer func() { t.elapsed += time.Since(start) }()
 	emit := func(env *compiledEnv, bodyAtoms []AtomID) error {
@@ -157,7 +156,7 @@ func (g *Grounder) runJoin(t *joinTask, truth func(AtomID) bool, emitFn func(*co
 	for _, a := range t.seedAtoms {
 		k := g.atoms.keys[a]
 		m := acodes{s: k.s, p: k.p, o: k.o, iv: k.iv, id: a}
-		if err := g.bindCodes(t, 0, env, &m, truth, bodyAtoms, emit); err != nil {
+		if err := g.bindCodes(t, 0, env, &m, bodyAtoms, emit); err != nil {
 			return err
 		}
 	}
@@ -166,7 +165,7 @@ func (g *Grounder) runJoin(t *joinTask, truth func(AtomID) bool, emitFn func(*co
 		if !ok {
 			continue
 		}
-		if err := g.bindCodes(t, 0, env, &m, truth, bodyAtoms, emit); err != nil {
+		if err := g.bindCodes(t, 0, env, &m, bodyAtoms, emit); err != nil {
 			return err
 		}
 	}
@@ -175,7 +174,7 @@ func (g *Grounder) runJoin(t *joinTask, truth func(AtomID) bool, emitFn func(*co
 		if !ok {
 			continue
 		}
-		if err := g.bindCodes(t, 0, env, &m, truth, bodyAtoms, emit); err != nil {
+		if err := g.bindCodes(t, 0, env, &m, bodyAtoms, emit); err != nil {
 			return err
 		}
 	}
@@ -219,15 +218,12 @@ func unbindAll(fr *logic.Frame, slots *[3]int32, n int8, tslot int32) {
 // depth, evaluate the conditions that just became fully bound, recurse,
 // undo exactly what this step bound.
 func (g *Grounder) bindCodes(t *joinTask, depth int, env *compiledEnv, m *acodes,
-	truth func(AtomID) bool, bodyAtoms []AtomID, emit func(*compiledEnv, []AtomID) error) error {
+	bodyAtoms []AtomID, emit func(*compiledEnv, []AtomID) error) error {
 
 	cr := t.cr
 	cq := &cr.quads[depth]
 	if !t.mode.admits(cq.bodyPos, m.id) {
 		return nil // outside this seminaive pass's stratum
-	}
-	if truth != nil && !truth(m.id) {
-		return nil
 	}
 	fr := env.fr
 	var slots [3]int32
@@ -266,7 +262,7 @@ func (g *Grounder) bindCodes(t *joinTask, depth int, env *compiledEnv, m *acodes
 		}
 	}
 	bodyAtoms[depth] = m.id
-	err := g.descendCodes(t, depth+1, env, truth, bodyAtoms, emit)
+	err := g.descendCodes(t, depth+1, env, bodyAtoms, emit)
 	unbindAll(fr, &slots, n, tslot)
 	return err
 }
@@ -275,7 +271,7 @@ func (g *Grounder) bindCodes(t *joinTask, depth int, env *compiledEnv, m *acodes
 // (emitting when every atom is bound), translating each match into atom
 // codes and binding it in turn.
 func (g *Grounder) descendCodes(t *joinTask, depth int, env *compiledEnv,
-	truth func(AtomID) bool, bodyAtoms []AtomID, emit func(*compiledEnv, []AtomID) error) error {
+	bodyAtoms []AtomID, emit func(*compiledEnv, []AtomID) error) error {
 
 	if depth == len(t.cr.quads) {
 		return emit(env, bodyAtoms)
@@ -289,7 +285,7 @@ func (g *Grounder) descendCodes(t *joinTask, depth int, env *compiledEnv,
 			if !ok {
 				return true
 			}
-			if err := g.bindCodes(t, depth, env, &m, truth, bodyAtoms, emit); err != nil {
+			if err := g.bindCodes(t, depth, env, &m, bodyAtoms, emit); err != nil {
 				innerErr = err
 				return false
 			}
@@ -306,7 +302,7 @@ func (g *Grounder) descendCodes(t *joinTask, depth int, env *compiledEnv,
 				if !ok {
 					return true
 				}
-				if err := g.bindCodes(t, depth, env, &m, truth, bodyAtoms, emit); err != nil {
+				if err := g.bindCodes(t, depth, env, &m, bodyAtoms, emit); err != nil {
 					innerErr = err
 					return false
 				}

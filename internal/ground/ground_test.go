@@ -303,59 +303,6 @@ func TestGroundEqualityGeneratingC3(t *testing.T) {
 	}
 }
 
-func TestGroundViolatedRespectsTruth(t *testing.T) {
-	st := figure1Store(t)
-	g := New(st)
-	prog := rulelang.MustParse(
-		"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf")
-	napoli := atomID(t, g, "(CR, coach, Napoli, [2001,2003])")
-	allTrue := func(AtomID) bool { return true }
-	cs, err := g.GroundViolated(prog, allTrue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Len() != 1 {
-		t.Fatalf("all-true truth: %d clauses, want 1", cs.Len())
-	}
-	// With Napoli false the constraint is no longer violated.
-	napoliFalse := func(a AtomID) bool { return a != napoli }
-	cs2, err := g.GroundViolated(prog, napoliFalse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs2.Len() != 0 {
-		t.Errorf("napoli-false truth: %d clauses, want 0", cs2.Len())
-	}
-}
-
-func TestGroundViolatedInferenceRule(t *testing.T) {
-	st := figure1Store(t)
-	g := New(st)
-	prog := rulelang.MustParse("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5")
-	if _, err := g.Close(prog); err != nil {
-		t.Fatal(err)
-	}
-	worksFor := atomID(t, g, "(CR, worksFor, Palermo, [1984,1986])")
-	// Body true, head false → violated.
-	headFalse := func(a AtomID) bool { return a != worksFor }
-	cs, err := g.GroundViolated(prog, headFalse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Len() != 1 {
-		t.Fatalf("violated inference: %d clauses", cs.Len())
-	}
-	// Head true → satisfied.
-	allTrue := func(AtomID) bool { return true }
-	cs2, err := g.GroundViolated(prog, allTrue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs2.Len() != 0 {
-		t.Errorf("satisfied inference: %d clauses", cs2.Len())
-	}
-}
-
 func TestBodyTimeExpressionRejected(t *testing.T) {
 	st := figure1Store(t)
 	g := New(st)

@@ -13,7 +13,7 @@ import (
 // Grounder instantiates rules against evidence. Construct one per
 // (store, program) pair: New interns every input fact as an evidence
 // atom, Close forward-chains the inference rules to materialise derivable
-// head atoms, and GroundProgram / GroundViolated emit clauses.
+// head atoms, and GroundProgram emits clauses.
 //
 // Every join phase runs through one runner on a bounded worker pool (see
 // the package comment for the enumerate/commit discipline that keeps
@@ -257,7 +257,7 @@ func (b *itemBuf[T]) add(x T) {
 // retains it. Otherwise workers enumerate their tasks concurrently into
 // private buffers — emit gets lits == nil and allocates what it keeps —
 // and a sequential merge commits them.
-func runPhase[T any](g *Grounder, tasks []joinTask, truth func(AtomID) bool,
+func runPhase[T any](g *Grounder, tasks []joinTask,
 	emit func(t *joinTask, env *compiledEnv, body []AtomID, lits []Lit) (T, bool, error),
 	commit func(t *joinTask, item T) error) error {
 
@@ -269,7 +269,7 @@ func runPhase[T any](g *Grounder, tasks []joinTask, truth func(AtomID) bool,
 	var scratch []Lit
 	run := func(i int) {
 		t := &tasks[i]
-		errs[i] = g.runJoin(t, truth, func(env *compiledEnv, body []AtomID) error {
+		errs[i] = g.runJoin(t, func(env *compiledEnv, body []AtomID) error {
 			var lits []Lit
 			if inline {
 				if cap(scratch) <= len(body) {
@@ -316,7 +316,7 @@ func runPhase[T any](g *Grounder, tasks []joinTask, truth func(AtomID) bool,
 // that became live, in commit order.
 func (g *Grounder) derive(tasks []joinTask) ([]AtomID, error) {
 	var fresh []AtomID
-	err := runPhase(g, tasks, nil,
+	err := runPhase(g, tasks,
 		func(_ *joinTask, env *compiledEnv, _ []AtomID, _ []Lit) (rdf.FactKey, bool, error) {
 			switch state, id, key := env.resolveHeadAtom(); {
 			case state == headStatePending:
@@ -371,36 +371,17 @@ func (g *Grounder) Close(prog *logic.Program) (int, error) {
 	return len(derived) + len(more), err
 }
 
-// GroundProgram grounds every rule and constraint, emitting the full
-// ground clause set (call Close first so rule cascades are complete).
+// GroundProgram grounds every rule and constraint in one full
+// clause-emission phase, emitting the full ground clause set (call Close
+// first so rule cascades are complete).
 func (g *Grounder) GroundProgram(prog *logic.Program) (*ClauseSet, error) {
-	return g.ground(prog.Rules, nil)
-}
-
-// GroundViolated grounds only the clauses violated under the given truth
-// assignment: body atoms are matched against currently-true atoms and a
-// clause is emitted only when its head fails. This is the cutting-plane
-// primitive used by the MLN solver.
-func (g *Grounder) GroundViolated(prog *logic.Program, truth func(AtomID) bool) (*ClauseSet, error) {
-	return g.ground(prog.Rules, truth)
-}
-
-// ground runs one full clause-emission phase into a fresh clause set;
-// with truth set only violated groundings are emitted.
-func (g *Grounder) ground(rules []*logic.Rule, truth func(AtomID) bool) (*ClauseSet, error) {
 	start := time.Now()
 	defer func() { g.statTotal += time.Since(start) }()
-	hint := 0
-	if truth == nil {
-		// Full grounding yields on the order of one-to-two clauses per
-		// atom; cutting-plane calls yield far fewer and should not pay
-		// for a network-sized index.
-		hint = g.atoms.Len() + g.atoms.Len()/2
-	}
-	cs := NewClauseSetSized(hint)
-	tasks, err := g.joinTasks(rules)
+	// Full grounding yields on the order of one-to-two clauses per atom.
+	cs := NewClauseSetSized(g.atoms.Len() + g.atoms.Len()/2)
+	tasks, err := g.joinTasks(prog.Rules)
 	if err == nil {
-		err = g.emitClauses(tasks, truth, cs)
+		err = g.emitClauses(tasks, cs)
 	}
 	if err != nil {
 		return nil, err
@@ -421,9 +402,8 @@ type clauseItem struct {
 
 // emitClauses runs one clause-emission phase over tasks, adding the
 // clauses into cs (which may already hold clauses from earlier solves on
-// the incremental path). With truth set, satisfied groundings are
-// skipped.
-func (g *Grounder) emitClauses(tasks []joinTask, truth func(AtomID) bool, cs *ClauseSet) error {
+// the incremental path).
+func (g *Grounder) emitClauses(tasks []joinTask, cs *ClauseSet) error {
 	emit := func(t *joinTask, env *compiledEnv, body []AtomID, lits []Lit) (clauseItem, bool, error) {
 		var it clauseItem
 		head := AtomID(-1)
@@ -434,11 +414,8 @@ func (g *Grounder) emitClauses(tasks []joinTask, truth func(AtomID) bool, cs *Cl
 			case state == headStateMiss:
 				return it, false, nil // empty head time expression: no obligation
 			case state == headStatePending:
-				// Close was not run (or a truth-filtered join found a
-				// grounding whose head was never materialised).
+				// Close was not run: the head was never materialised.
 				it.head = &key
-			case truth != nil && truth(id):
-				return it, false, nil
 			default:
 				head = id
 			}
@@ -466,18 +443,14 @@ func (g *Grounder) emitClauses(tasks []joinTask, truth func(AtomID) bool, cs *Cl
 	}
 	commit := func(t *joinTask, it clauseItem) error {
 		if it.head != nil {
-			id := g.atoms.Intern(*it.head)
-			if truth != nil && truth(id) {
-				return nil
-			}
-			it.lits = append(it.lits, Lit{Atom: id})
+			it.lits = append(it.lits, Lit{Atom: g.atoms.Intern(*it.head)})
 		}
 		if !cs.Add(Clause{Lits: it.lits, Weight: t.rule.Weight, Rule: t.rule.Name}) {
 			return fmt.Errorf("ground: rule %s grounds to an unconditionally violated hard constraint", t.rule.Name)
 		}
 		return nil
 	}
-	return runPhase(g, tasks, truth, emit, commit)
+	return runPhase(g, tasks, emit, commit)
 }
 
 // refreshViews re-pins the grounder's store views at the current

@@ -125,7 +125,7 @@ func (g *Grounder) GroundDelta(prog *logic.Program, cs *ClauseSet, delta []AtomI
 	if err != nil {
 		return err
 	}
-	return g.emitClauses(tasks, nil, cs)
+	return g.emitClauses(tasks, cs)
 }
 
 // RetractFacts reconciles the grounder with facts tombstoned in the main

@@ -91,35 +91,6 @@ func TestParallelGroundingByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelGroundViolatedByteIdentical covers the cutting-plane
-// primitive: truth-filtered grounding must also be reproducible.
-func TestParallelGroundViolatedByteIdentical(t *testing.T) {
-	st, prog := footballFixture(t)
-	var baseline string
-	for _, p := range []int{1, 8} {
-		g := New(st)
-		g.Parallelism = p
-		if _, err := g.Close(prog); err != nil {
-			t.Fatalf("parallelism %d: Close: %v", p, err)
-		}
-		// A deterministic, nontrivial truth assignment: every third atom
-		// false.
-		truth := func(a AtomID) bool { return a%3 != 0 }
-		cs, err := g.GroundViolated(prog, truth)
-		if err != nil {
-			t.Fatalf("parallelism %d: GroundViolated: %v", p, err)
-		}
-		dump := groundDump(g, cs)
-		if p == 1 {
-			baseline = dump
-			continue
-		}
-		if dump != baseline {
-			t.Errorf("parallelism %d: violated grounding differs from sequential", p)
-		}
-	}
-}
-
 // TestParallelismZeroMeansAllCores: the default (zero) setting must
 // behave like any explicit worker count.
 func TestParallelismZeroMeansAllCores(t *testing.T) {

@@ -7,10 +7,10 @@
 // probable world — is computed as weighted partial MaxSAT, either over
 // the fully grounded network — one subproblem per independent conflict
 // component (see components.go) — or over the whole network by
-// cutting-plane inference (CPI): solve with evidence priors only, lazily
-// ground the formulas the current solution violates, and repeat until
-// nothing new is violated. CPI is the same device RockIt uses to keep
-// ground networks small.
+// cutting-plane inference (CPI): solve with evidence priors only, add the
+// groundings the current solution violates, and repeat until nothing new
+// is violated. CPI is the same device RockIt uses to keep the MaxSAT
+// problems small.
 package mln
 
 import (
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/ground"
-	"repro/internal/logic"
 	"repro/internal/maxsat"
 )
 
@@ -150,41 +149,41 @@ func toMaxsatClause(c ground.Clause) maxsat.Clause {
 	return mc
 }
 
-// CuttingPlane computes the MAP state for the program over an
-// already-closed grounder (Close has forward-chained the inference
-// rules) by cutting-plane inference: one whole-network MaxSAT over the
-// evidence priors and the rule groundings collected so far per round,
-// each round grounding only the formulas the current solution violates,
-// until a round finds nothing new. It keeps no clause set and no state
-// between calls.
+// CuttingPlane computes the MAP state over a fully grounded network by
+// cutting-plane inference: one whole-network MaxSAT over the evidence
+// priors and the rule groundings collected so far per round, each round
+// adding the groundings the current solution violates, until a round
+// finds nothing new. cs is the network's full clause set (the session
+// engine's, or GroundProgram's after Close); the violated groundings are
+// selected from it, never re-joined. It keeps no state between calls.
 //
 // The MaxSAT variables are the live atoms in canonical order
 // (ground.CanonicalAtoms, the order the component kernels and the solve
-// plan use) and each round's new groundings are appended in canonical
-// clause order, so two grounders holding the same live atoms and
-// groundings — a fresh one, or a long-lived session's that has interned
-// and retracted other atoms on the way — hand the solver the identical
-// problem: the same exact-vs-local choice, the same local-search walk and
-// the same tie-break among equal-cost optima. Close must have run:
-// every grounding's atoms are live.
-func CuttingPlane(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
+// plan use) and the clauses are gathered once in canonical clause order
+// (ComponentClauses over every live atom), each round appending its new
+// groundings in that order; so two networks holding the same live atoms
+// and groundings — a fresh grounder's, or a long-lived session's that has
+// interned and retracted other atoms on the way — hand the solver the
+// identical problem: the same exact-vs-local choice, the same
+// local-search walk and the same tie-break among equal-cost optima.
+// cs's atom index is switched on if it is not already.
+func CuttingPlane(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	g.Parallelism = opts.Parallelism
 	if opts.MaxSAT.Parallelism == 0 {
 		opts.MaxSAT.Parallelism = opts.Parallelism
 	}
 	start := time.Now()
-	atoms := g.Atoms()
 	order := ground.CanonicalAtoms(atoms)
 	varOf := ground.CanonicalVarMap(atoms, order)
-	canonical := func(a ground.AtomID) int32 { return varOf[a] }
 	var base []maxsat.Clause
 	for v, a := range order {
 		if c, ok := priorClause(atoms.Info(a), int32(v), opts); ok {
 			base = append(base, c)
 		}
 	}
-	seen := make(map[string]bool)
+	cs.EnableAtomIndex()
+	clauses, _ := cs.ComponentClauses(order, func(a ground.AtomID) int32 { return varOf[a] })
+	added := make([]bool, len(clauses))
 	var ruleClauses []maxsat.Clause
 	for round := 1; round <= opts.MaxCPIRounds; round++ {
 		problem := &maxsat.Problem{NumVars: len(order),
@@ -193,30 +192,24 @@ func CuttingPlane(g *ground.Grounder, prog *logic.Program, opts Options) (*Resul
 		if err != nil {
 			return nil, fmt.Errorf("mln: %w", err)
 		}
-		truth := func(a ground.AtomID) bool { return varOf[a] >= 0 && sol.Assignment[varOf[a]] }
-		violated, err := g.GroundViolated(prog, truth)
-		if err != nil {
-			return nil, fmt.Errorf("mln: %w", err)
-		}
-		// Gathering over every live atom remaps the violated groundings
-		// into canonical variables and sorts them canonically.
-		violated.EnableAtomIndex()
-		clauses, _ := violated.ComponentClauses(order, canonical)
-		added := 0
-		for _, c := range clauses {
-			key := clauseKey(c)
-			if seen[key] {
+		truth := func(v ground.AtomID) bool { return sol.Assignment[v] }
+		violations := make(map[string]int)
+		grew := false
+		for k := range clauses {
+			if clauses[k].Satisfied(truth) {
 				continue
 			}
-			seen[key] = true
-			ruleClauses = append(ruleClauses, toMaxsatClause(c))
-			added++
+			violations[clauses[k].Rule]++
+			if !added[k] {
+				added[k] = true
+				ruleClauses = append(ruleClauses, toMaxsatClause(clauses[k]))
+				grew = true
+			}
 		}
-		if added > 0 {
+		if grew {
 			continue
 		}
-		// This round grounded exactly the groundings the final state
-		// violates.
+		// Every grounding the final state violates is in the problem.
 		res := &Result{
 			Truth:          make([]bool, atoms.Len()),
 			Cost:           sol.Cost,
@@ -224,33 +217,13 @@ func CuttingPlane(g *ground.Grounder, prog *logic.Program, opts Options) (*Resul
 			Optimal:        sol.Optimal,
 			Rounds:         round,
 			GroundClauses:  len(ruleClauses),
-			RuleViolations: make(map[string]int),
+			RuleViolations: violations,
 		}
 		for v, a := range order {
 			res.Truth[a] = sol.Assignment[v]
-		}
-		for _, c := range clauses {
-			res.RuleViolations[c.Rule]++
 		}
 		res.Runtime = time.Since(start)
 		return res, nil
 	}
 	return nil, fmt.Errorf("mln: cutting-plane inference did not converge in %d rounds", opts.MaxCPIRounds)
-}
-
-func clauseKey(c ground.Clause) string {
-	b := make([]byte, 0, 8*len(c.Lits)+len(c.Rule))
-	for _, l := range c.Lits {
-		v := uint32(l.Atom)<<1 | boolBit(l.Neg)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	b = append(b, c.Rule...)
-	return string(b)
-}
-
-func boolBit(v bool) uint32 {
-	if v {
-		return 1
-	}
-	return 0
 }

@@ -44,13 +44,17 @@ func mapFull(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, er
 	return MAPGroundComponents(g, cs, opts, nil, nil, nil)
 }
 
-// mapCPI closes g under the program's inference rules and solves it by
-// cutting-plane inference.
+// mapCPI closes g under the program's inference rules, grounds it fully
+// and solves it by cutting-plane inference.
 func mapCPI(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
 	if _, err := g.Close(prog); err != nil {
 		return nil, err
 	}
-	return CuttingPlane(g, prog, opts)
+	cs, err := g.GroundProgram(prog)
+	if err != nil {
+		return nil, err
+	}
+	return CuttingPlane(g.Atoms(), cs, opts)
 }
 
 func findAtom(t testing.TB, g *ground.Grounder, compact string) ground.AtomID {

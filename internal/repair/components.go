@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/logic"
+	"repro/internal/rdf"
 	"repro/internal/translate"
 )
 
@@ -21,31 +22,65 @@ import (
 // layer (internal/engine) and caches each component's finished read-out
 // under (component key, generation, membership) plus the component's
 // MAP assignment. There is one analysis pass, over the scope the plan
-// answers for the unit cache's generation (engine.Plan.Scope): the
-// planner's change set when the solver, the unit cache and the live
-// outcome are all exactly one sync behind, every component otherwise.
-// Reusing a cached unit is sound because a unit depends only on the
-// component's clauses, its atoms' evidence/confidence state (both
-// covered by the generation) and its slice of the MAP state (checked
-// explicitly against the cached assignment for every visited component;
-// vouched for by the solver's TruthDelta outside a change-set scope).
+// answers for the cache's generation (engine.Plan.Scope): the planner's
+// change set when the solver and the cache are both exactly one sync
+// behind, every component otherwise. Reusing a cached unit is sound
+// because a unit depends only on the component's clauses, its atoms'
+// evidence/confidence state (both covered by the generation) and its
+// slice of the MAP state (checked explicitly against the cached
+// assignment for every visited component; vouched for by the solver's
+// TruthDelta outside a change-set scope).
 
-// ComponentCache carries per-component repair read-outs across the
-// incremental engine's solves, plus the reusable confidence scratch
-// buffer (per-update allocation churn on the read-out hot path shows up
-// directly in repair-stage latency). Construct with NewComponentCache.
-// Not safe for concurrent use. The cache must be dropped when anything
+// ComponentCache is a session's read-out state across solves: one
+// record per conflict component — its cached read-out unit and the MAP
+// state it was computed under — and the live outcome those records sum
+// to (see live.go), plus the reusable confidence scratch buffer
+// (per-update allocation churn on the read-out hot path shows up
+// directly in repair-stage latency). Construct with NewComponentCache;
+// a nil cache means no reuse and a from-scratch assembled Outcome. Not
+// safe for concurrent use. The cache must be dropped when anything
 // outside the (generation, truth) invariant changes the read-out: a
 // threshold, solver kernel or tuning change, or a ColdStart
 // (core.Session does this).
 type ComponentCache struct {
 	units *engine.Cache[compUnit]
 	conf  []float64 // scratch, indexed by atom id
+
+	// The live outcome: global fact lists sorted by atom id and the
+	// cluster list sorted by root, always the sum of the held units.
+	// clusterKeys is the materialized snapshot of clusters, rebuilt only
+	// when an update changes them (an unchanged cluster list is the common
+	// case on single-fact updates that dirty a cluster-free region).
+	kept, removed, inferred []Fact
+	clusters                []Cluster
+	clusterKeys             [][]rdf.FactKey
+	violations              map[string]int
+	thresholdFiltered       int
+	// delta is the changelog of the most recent update.
+	delta OutcomeDelta
 }
 
-// NewComponentCache returns an empty cache.
+// NewComponentCache returns an empty cache; its first read-out reports
+// the full state as added.
 func NewComponentCache() *ComponentCache {
-	return &ComponentCache{units: engine.NewCache[compUnit]()}
+	return &ComponentCache{
+		units:       engine.NewCache[compUnit](),
+		kept:        []Fact{},
+		removed:     []Fact{},
+		inferred:    []Fact{},
+		clusters:    []Cluster{},
+		clusterKeys: [][]rdf.FactKey{},
+		violations:  make(map[string]int),
+	}
+}
+
+// store returns the per-component records; nil-safe (a nil store never
+// hits and ignores Put and Settle).
+func (c *ComponentCache) store() *engine.Cache[compUnit] {
+	if c == nil {
+		return nil
+	}
+	return c.units
 }
 
 // confScratch returns a zero-filling-free confidence buffer covering n
@@ -76,45 +111,43 @@ type compUnit struct {
 // per-component read-outs for components whose subproblem and MAP
 // assignment are unchanged. plan, when non-nil, is the shared
 // decomposition the solver stage already built; nil builds one here.
-// The merged Outcome is byte-identical to whole-graph Resolve over the
-// same state, at every Parallelism setting. The output must carry the
-// solve's atom-indexed clause set (every session solve does). The
-// program is not consulted — rule groundings are read from the clause
-// set.
+// With a cache the Outcome is delta-patched onto its live lists; without
+// one it is assembled from scratch. Either way it is byte-identical to
+// whole-graph Resolve over the same state, at every Parallelism setting.
+// The output must carry the solve's atom-indexed clause set (every
+// session solve does). The program is not consulted — rule groundings
+// are read from the clause set.
 func ResolveComponents(out *translate.Output, _ *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache) (*Outcome, error) {
-	run, err := BeginComponents(out, opts, plan, cache, nil)
+	run, err := BeginComponents(out, opts, plan, cache)
 	if err != nil {
 		return nil, err
 	}
-	oc, _, err := run.Finish()
-	return oc, err
+	oc, _ := run.Finish()
+	return oc, nil
 }
 
 // ComponentRun is a component read-out paused between its two phases:
-// BeginComponents runs the per-component analysis, Finish produces the
-// Outcome. The split lets the session profile and time the two under
-// their own pipeline stage labels ("repair" / "outcome").
+// BeginComponents runs the per-component analysis and updates the
+// cache's records, Finish brings the Outcome in line with them. The split
+// lets the session profile and time the two under their own pipeline
+// stage labels ("repair" / "outcome"). Finish must follow every
+// successful BeginComponents on a cache.
 type ComponentRun struct {
-	oc   *Outcome
-	plan *engine.Plan
-	// scope lists the components the analysis visited; units and cached
-	// are indexed by position in it.
-	scope     []int32
-	units     []compUnit
-	cached    []bool
-	live      *LiveOutcome
-	start     time.Time
-	deltaOnly bool
+	oc    *Outcome
+	cache *ComponentCache
+	// subtract are the units leaving the outcome (stale records of
+	// re-repaired components, and records of components that left the
+	// partition); add are the units entering it — with a nil cache, every
+	// unit of the pass.
+	subtract, add []*unit
+	start         time.Time
 }
 
 // BeginComponents runs the analysis phase of the component-decomposed
-// read-out — the per-component repair units, reusing cached ones —
-// leaving the Outcome to Finish. With live non-nil, Finish delta-patches
-// the Outcome on it instead of assembling from scratch and returns the
-// changelog of what entered or left each list this solve; live must be
-// synced by every solve it survives (the session owns and invalidates
-// it). See ResolveComponents for semantics.
-func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome) (*ComponentRun, error) {
+// read-out — the per-component repair units, reusing cached ones — and
+// records the fresh units in the cache, leaving the Outcome to Finish.
+// See ResolveComponents for semantics.
+func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cache *ComponentCache) (*ComponentRun, error) {
 	if out.Clauses == nil || !out.Clauses.HasAtomIndex() {
 		return nil, fmt.Errorf("repair: component read-out needs the solve's atom-indexed clause set (solver %v kept none)", out.Solver)
 	}
@@ -123,28 +156,19 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	oc := newOutcome(out)
 	rs := oc.Stats.Repair
 	rs.Mode = RepairComponents
-	rs.Repaired = 0
 
 	atoms := out.Grounder.Atoms()
 	if plan == nil {
 		plan = engine.NewPlan(atoms, out.Clauses)
 	}
-	var unitCache *engine.Cache[compUnit]
-	if cache != nil {
-		unitCache = cache.units
-	}
 	// The change-set scope needs every link of the chain: the solver
 	// vouches that truth outside it is bit-identical to the previous solve
-	// (TruthDelta), and the unit cache and the live outcome were settled
-	// against the same generation, which Scope then requires to be the
-	// previous one. Any gap scopes every component — as does a read-out
-	// without a live outcome, whose assembly needs every unit.
+	// (TruthDelta), and Scope requires the cache to have been settled
+	// against the previous generation. Any gap scopes every component — as
+	// does a nil cache, whose assembly needs every unit.
 	var have uint64
-	if live != nil {
-		live.deferSplices = opts.DeltaOnly
-		if out.TruthDelta() && live.held.Gen() == unitCache.Gen() {
-			have = unitCache.Gen()
-		}
+	if out.TruthDelta() {
+		have = cache.store().Gen()
 	}
 	scope, _ := plan.Scope(have)
 	// Shared across units: each writes only its own component's atoms,
@@ -152,15 +176,12 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	conf := cache.confScratch(atoms.Len())
 
 	analysisStart := time.Now()
-	units, cached, err := engine.Run(plan, scope, opts.Parallelism, unitCache,
+	units, cached, err := engine.Run(plan, scope, opts.Parallelism, cache.store(),
 		func(i int, e compUnit) (compUnit, bool) {
 			// The generation covers clauses and evidence state; the MAP
 			// state is the solver's to change, so compare it explicitly
 			// against the cached one (see unitMatches).
-			if unitMatches(&e, &plan.Comps[i], out) {
-				return e, true
-			}
-			return compUnit{}, false
+			return e, unitMatches(&e, &plan.Comps[i], out)
 		},
 		func(i int) (compUnit, error) {
 			return computeUnit(out, &plan.Comps[i], conf, opts), nil
@@ -169,17 +190,36 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 		return nil, err
 	}
 	rs.Analysis = time.Since(analysisStart)
-	for k, ci := range scope {
-		if !cached[k] {
-			rs.Repaired++
-			unitCache.Put(&plan.Comps[ci], units[k])
-		}
-	}
+	run := &ComponentRun{oc: oc, cache: cache, start: start}
+	run.subtract, run.add = cache.record(plan, scope, units, cached)
 	// Every component that was not re-repaired is a cache reuse.
+	rs.Repaired = len(run.add)
 	rs.Components = len(plan.Comps)
 	rs.Reused = rs.Components - rs.Repaired
-	unitCache.Settle(plan, nil)
-	return &ComponentRun{oc: oc, plan: plan, scope: scope, units: units, cached: cached, live: live, start: start, deltaOnly: opts.DeltaOnly}, nil
+	return run, nil
+}
+
+// record ends the read-out pass over scope: every unit that was not
+// reused replaces its component's record — the stale record, if any,
+// is returned for subtraction — and Settle retires the records of
+// components that left the partition. units and cached are indexed by
+// position in scope. A nil cache holds nothing: every unit is returned
+// as added.
+func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUnit, cached []bool) (subtract, add []*unit) {
+	store := c.store()
+	for k, ci := range scope {
+		if cached[k] {
+			continue
+		}
+		comp := &plan.Comps[ci]
+		if old, ok := store.Peek(comp.Key); ok {
+			subtract = append(subtract, &old.unit)
+		}
+		add = append(add, &units[k].unit)
+		store.Put(comp, units[k])
+	}
+	store.Settle(plan, func(u compUnit) { subtract = append(subtract, &u.unit) })
+	return subtract, add
 }
 
 // unitMatches reports whether the cached unit was computed under the
@@ -231,63 +271,34 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 }
 
 // Finish produces the Outcome from the analysis phase: the sort/merge
-// assembly when no live outcome is maintained, the delta-patched live
-// sync otherwise.
-func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta, error) {
-	oc, plan, units, cached, live := r.oc, r.plan, r.units, r.cached, r.live
-	rs := oc.Stats.Repair
-	start := r.start
-
-	os := oc.Stats.Outcome
-	if live == nil {
+// assembly of every unit without a cache; otherwise the cache's live
+// lists are patched — subtract the leaving units, splice in the entering
+// ones — and materialized, and the changelog of that update is returned.
+func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta) {
+	oc, c := r.oc, r.cache
+	rs, os := oc.Stats.Repair, oc.Stats.Outcome
+	os.Patched = len(r.add)
+	if c == nil {
 		mergeStart := time.Now()
-		merged := make([]*unit, len(units))
-		for i := range units {
-			merged[i] = &units[i].unit
-		}
-		assembleOutcome(oc, merged)
+		assembleOutcome(oc, r.add)
 		rs.Merge = time.Since(mergeStart)
-		os.Patched = len(units)
 		os.Merge = rs.Merge
 		os.Total = rs.Merge
-		rs.Total = time.Since(start)
-		return oc, nil, nil
+		rs.Total = time.Since(r.start)
+		return oc, nil
 	}
 
-	// Live path: visited components subtract their previous contribution
-	// and splice in the new one; every other held patch stands. A
-	// repair-cache hit (cached[k]) proves the unit content unchanged
-	// since the last component solve, and the engine-cache lookup inside
-	// sync proves the live outcome still holds that component — both
-	// must hold for a skip.
 	indexStart := time.Now()
-	live.sync(plan, r.scope,
-		func(k int) bool { return cached[k] },
-		func(k int) *Patch {
-			u := &units[k].unit
-			return &Patch{
-				Component:         plan.Comps[r.scope[k]].Key,
-				Kept:              u.kept,
-				Removed:           u.removed,
-				Inferred:          u.inferred,
-				Clusters:          u.clusters,
-				Violations:        u.violations,
-				ThresholdFiltered: u.thresholdFiltered,
-			}
-		})
+	c.apply(r.subtract, r.add)
 	os.Index = time.Since(indexStart)
 	mergeStart := time.Now()
-	if r.deltaOnly {
-		live.materializeCounts(oc)
-		os.Mode = OutcomeDeltaOnly
-	} else {
-		live.materialize(oc)
-		os.Mode = OutcomeLive
-	}
+	c.materialize(oc)
 	rs.Merge = time.Since(mergeStart)
-	os.Patched, os.Reused = live.patched, live.reused
+	os.Mode = OutcomeLive
+	os.Reused = rs.Reused
 	os.Merge = rs.Merge
 	os.Total = os.Index + os.Merge
-	rs.Total = time.Since(start)
-	return oc, live.Delta(), nil
+	rs.Total = time.Since(r.start)
+	d := c.delta
+	return oc, &d
 }

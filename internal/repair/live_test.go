@@ -13,11 +13,66 @@ import (
 	"repro/internal/temporal"
 )
 
-// Tests and fuzzing for the delta-maintained Outcome: random patch
-// sequences (apply, revert to earlier content, retire, reorder across
-// components) against a from-scratch reference rebuild, guarding the
+// Tests and fuzzing for the delta-maintained Outcome: random sequences
+// of per-component records (install, revert to earlier content, retire,
+// reorder across components) driven through the read-out cache's one
+// pass against a from-scratch reference rebuild, guarding the
 // global-index and deterministic-order invariants and the changelog's
 // completeness.
+
+// factClass names the outcome list a fact belongs to.
+type factClass uint8
+
+const (
+	classKept factClass = iota + 1
+	classRemoved
+	classInferred
+)
+
+// checkInvariants validates the live outcome's deterministic-order and
+// agreement invariants: each list strictly ascending in its id, every
+// statement in exactly one list, and the held per-component records
+// summing to the global lists.
+func checkInvariants(c *ComponentCache) error {
+	classOf := make(map[rdf.FactKey]factClass)
+	for _, l := range []struct {
+		name  string
+		facts []Fact
+		class factClass
+	}{
+		{"kept", c.kept, classKept},
+		{"removed", c.removed, classRemoved},
+		{"inferred", c.inferred, classInferred},
+	} {
+		for i, f := range l.facts {
+			if i > 0 && l.facts[i-1].AtomID >= f.AtomID {
+				return fmt.Errorf("%s not strictly ascending at %d (atom %d after %d)",
+					l.name, i, f.AtomID, l.facts[i-1].AtomID)
+			}
+			if cls, dup := classOf[f.Quad.Fact()]; dup {
+				return fmt.Errorf("%s fact %v is also listed under class %d", l.name, f.Quad.Fact(), cls)
+			}
+			classOf[f.Quad.Fact()] = l.class
+		}
+	}
+	for i := range c.clusters {
+		if i > 0 && c.clusters[i-1].Root >= c.clusters[i].Root {
+			return fmt.Errorf("clusters not strictly ascending at %d", i)
+		}
+	}
+	facts, clusters := 0, 0
+	c.units.Each(func(_ ground.AtomID, u compUnit) {
+		facts += len(u.kept) + len(u.removed) + len(u.inferred)
+		clusters += len(u.clusters)
+	})
+	if facts != len(classOf) {
+		return fmt.Errorf("held records sum to %d facts, lists hold %d", facts, len(classOf))
+	}
+	if clusters != len(c.clusters) {
+		return fmt.Errorf("held records sum to %d clusters, list holds %d", clusters, len(c.clusters))
+	}
+	return nil
+}
 
 // synthFact builds a deterministic fact for a synthetic atom: the
 // statement key derives from the atom id (globally unique), the
@@ -41,13 +96,13 @@ func synthFact(atom ground.AtomID, class factClass, variant uint64) Fact {
 	return f
 }
 
-// synthPatch builds a component's patch from a content seed: which of
-// the component's atom slots are populated, their classes and their
-// contents all derive from the seed, so equal seeds produce
-// byte-identical patches.
-func synthPatch(key ground.AtomID, seed uint64) *Patch {
+// synthUnit builds a component's read-out unit from a content seed:
+// which of the component's atom slots are populated, their classes and
+// their contents all derive from the seed, so equal seeds produce
+// byte-identical units.
+func synthUnit(key ground.AtomID, seed uint64) *unit {
 	rng := rand.New(rand.NewSource(int64(seed)))
-	p := &Patch{Component: key, ThresholdFiltered: rng.Intn(3)}
+	u := &unit{thresholdFiltered: rng.Intn(3)}
 	for off := ground.AtomID(0); off < 12; off++ {
 		if rng.Intn(3) == 0 {
 			continue
@@ -57,27 +112,27 @@ func synthPatch(key ground.AtomID, seed uint64) *Patch {
 		f := synthFact(atom, class, seed+uint64(off))
 		switch class {
 		case classKept:
-			p.Kept = append(p.Kept, f)
+			u.kept = append(u.kept, f)
 		case classRemoved:
-			p.Removed = append(p.Removed, f)
+			u.removed = append(u.removed, f)
 		case classInferred:
-			p.Inferred = append(p.Inferred, f)
+			u.inferred = append(u.inferred, f)
 		}
 	}
-	if len(p.Removed) > 0 {
-		keys := make([]rdf.FactKey, 0, len(p.Removed))
-		for _, f := range p.Removed {
+	if len(u.removed) > 0 {
+		keys := make([]rdf.FactKey, 0, len(u.removed))
+		for _, f := range u.removed {
 			keys = append(keys, f.Quad.Fact())
 		}
-		p.Clusters = []Cluster{{Root: p.Removed[0].AtomID, Keys: keys}}
-		p.Violations = map[string]int{"c": 1 + rng.Intn(3)}
+		u.clusters = []Cluster{{Root: u.removed[0].AtomID, Keys: keys}}
+		u.violations = map[string]int{"c": 1 + rng.Intn(3)}
 	}
-	return p
+	return u
 }
 
-func patchAtoms(p *Patch) []ground.AtomID {
+func unitAtoms(u *unit) []ground.AtomID {
 	var atoms []ground.AtomID
-	for _, fs := range [][]Fact{p.Kept, p.Removed, p.Inferred} {
+	for _, fs := range [][]Fact{u.kept, u.removed, u.inferred} {
 		for _, f := range fs {
 			atoms = append(atoms, f.AtomID)
 		}
@@ -86,27 +141,19 @@ func patchAtoms(p *Patch) []ground.AtomID {
 	return atoms
 }
 
-func patchUnit(p *Patch) *unit {
-	return &unit{
-		kept: p.Kept, removed: p.Removed, inferred: p.Inferred,
-		clusters: p.Clusters, violations: p.Violations,
-		thresholdFiltered: p.ThresholdFiltered,
-	}
-}
-
-// refHeld is the reference model: the patch each live component should
+// refHeld is the reference model: the unit each live component should
 // currently contribute, plus its generation.
 type refHeld struct {
-	p   *Patch
+	u   *unit
 	gen uint64
 }
 
 // refOutcome assembles the reference Outcome from scratch over the
-// model's patches.
+// model's units.
 func refOutcome(ref map[ground.AtomID]*refHeld) *Outcome {
 	var units []*unit
 	for _, k := range sortedKeys(ref) {
-		units = append(units, patchUnit(ref[k].p))
+		units = append(units, ref[k].u)
 	}
 	oc := &Outcome{}
 	assembleOutcome(oc, units)
@@ -129,7 +176,7 @@ func refFacts(ref map[ground.AtomID]*refHeld) map[factClass]map[rdf.FactKey]Fact
 	}
 	for _, h := range ref {
 		for cls, fs := range map[factClass][]Fact{
-			classKept: h.p.Kept, classRemoved: h.p.Removed, classInferred: h.p.Inferred} {
+			classKept: h.u.kept, classRemoved: h.u.removed, classInferred: h.u.inferred} {
 			for _, f := range fs {
 				out[cls][f.Quad.Fact()] = f
 			}
@@ -141,7 +188,7 @@ func refFacts(ref map[ground.AtomID]*refHeld) map[factClass]map[rdf.FactKey]Fact
 func refClusters(ref map[ground.AtomID]*refHeld) map[ground.AtomID][]rdf.FactKey {
 	out := map[ground.AtomID][]rdf.FactKey{}
 	for _, h := range ref {
-		for _, c := range h.p.Clusters {
+		for _, c := range h.u.clusters {
 			out[c.Root] = c.Keys
 		}
 	}
@@ -189,20 +236,26 @@ func expectClusterDelta(prev, cur map[ground.AtomID][]rdf.FactKey) (removed, add
 	return removed, added
 }
 
-// syncRef drives one live-outcome sync from the reference model,
-// marking only touched (or absent) components dirty. The hand-built plan
-// has generation 0, so every sync scopes every component and retires
-// vanished ones by enumeration.
-func syncRef(lo *LiveOutcome, ref map[ground.AtomID]*refHeld, touched ground.AtomID) {
+// syncRef drives the read-out cache's one pass from the reference model
+// — engine.Run over the scope, record, apply, as BeginComponents and
+// Finish do — reusing only untouched components whose record is current.
+// The hand-built plan has generation 0, so every pass scopes every
+// component and retires vanished ones by enumeration.
+func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, touched ground.AtomID) {
+	t.Helper()
 	keys := sortedKeys(ref)
 	plan := &engine.Plan{Comps: make([]ground.Component, len(keys))}
 	for i, k := range keys {
-		plan.Comps[i] = ground.Component{Key: k, Gen: ref[k].gen, Atoms: patchAtoms(ref[k].p)}
+		plan.Comps[i] = ground.Component{Key: k, Gen: ref[k].gen, Atoms: unitAtoms(ref[k].u)}
 	}
-	scope, _ := plan.Scope(0)
-	lo.sync(plan, scope,
-		func(k int) bool { return plan.Comps[k].Key != touched },
-		func(k int) *Patch { return ref[plan.Comps[k].Key].p })
+	scope, _ := plan.Scope(c.store().Gen())
+	units, cached, err := engine.Run(plan, scope, 1, c.store(),
+		func(i int, e compUnit) (compUnit, bool) { return e, plan.Comps[i].Key != touched },
+		func(i int) (compUnit, error) { return compUnit{unit: *ref[plan.Comps[i].Key].u}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.apply(c.record(plan, scope, units, cached))
 }
 
 func FuzzOutcomePatch(f *testing.F) {
@@ -210,7 +263,7 @@ func FuzzOutcomePatch(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 0, 0, 0, 3, 0, 0, 0})
 	f.Add([]byte{2, 5, 2, 4, 3, 5, 2, 5, 1, 1, 3, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lo := NewLiveOutcome()
+		c := NewComponentCache()
 		ref := map[ground.AtomID]*refHeld{}
 		gen := uint64(0)
 		for i := 0; i+1 < len(data) && i < 128; i += 2 {
@@ -222,20 +275,20 @@ func FuzzOutcomePatch(f *testing.F) {
 				// Retire the component entirely.
 				delete(ref, key)
 			} else {
-				// Apply a patch whose content derives from the op byte
+				// Install a unit whose content derives from the op byte
 				// alone: re-applying an earlier op byte reverts the
 				// component to byte-identical earlier content (the
 				// changelog must then cancel to empty for it).
-				ref[key] = &refHeld{p: synthPatch(key, uint64(op%4)*31), gen: gen}
+				ref[key] = &refHeld{u: synthUnit(key, uint64(op%4)*31), gen: gen}
 			}
-			syncRef(lo, ref, key)
+			syncRef(t, c, ref, key)
 
-			if err := lo.checkInvariants(); err != nil {
+			if err := checkInvariants(c); err != nil {
 				t.Fatalf("op %d: invariant violated: %v", i/2, err)
 			}
 			want := refOutcome(ref)
 			got := &Outcome{}
-			lo.materialize(got)
+			c.materialize(got)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("op %d: patched outcome diverged from reference rebuild\ngot:  %+v\nwant: %+v",
 					i/2, got.Stats, want.Stats)
@@ -247,9 +300,9 @@ func FuzzOutcomePatch(f *testing.F) {
 				gotRm, gotAd []Fact
 				name         string
 			}{
-				{classKept, lo.delta.RemovedKept, lo.delta.AddedKept, "kept"},
-				{classRemoved, lo.delta.RemovedRemoved, lo.delta.AddedRemoved, "removed"},
-				{classInferred, lo.delta.RemovedInferred, lo.delta.AddedInferred, "inferred"},
+				{classKept, c.delta.RemovedKept, c.delta.AddedKept, "kept"},
+				{classRemoved, c.delta.RemovedRemoved, c.delta.AddedRemoved, "removed"},
+				{classInferred, c.delta.RemovedInferred, c.delta.AddedInferred, "inferred"},
 			} {
 				wantRm, wantAd := expectFactDelta(prevFacts[c.class], curFacts[c.class])
 				if !reflect.DeepEqual(c.gotRm, wantRm) || !reflect.DeepEqual(c.gotAd, wantAd) {
@@ -258,10 +311,10 @@ func FuzzOutcomePatch(f *testing.F) {
 				}
 			}
 			wantRmC, wantAdC := expectClusterDelta(prevClusters, curClusters)
-			if !reflect.DeepEqual(lo.delta.RemovedClusters, wantRmC) ||
-				!reflect.DeepEqual(lo.delta.AddedClusters, wantAdC) {
+			if !reflect.DeepEqual(c.delta.RemovedClusters, wantRmC) ||
+				!reflect.DeepEqual(c.delta.AddedClusters, wantAdC) {
 				t.Fatalf("op %d: cluster changelog wrong\ngot -%v +%v\nwant -%v +%v",
-					i/2, lo.delta.RemovedClusters, lo.delta.AddedClusters, wantRmC, wantAdC)
+					i/2, c.delta.RemovedClusters, c.delta.AddedClusters, wantRmC, wantAdC)
 			}
 		}
 	})
@@ -313,34 +366,34 @@ func TestSpliceWindow(t *testing.T) {
 	}
 }
 
-// TestLiveOutcomeClassMove re-patches a component so a statement moves
+// TestLiveOutcomeClassMove re-repairs a component so a statement moves
 // between lists (kept → removed): the global index must track the
 // move and the changelog must report both sides.
 func TestLiveOutcomeClassMove(t *testing.T) {
-	lo := NewLiveOutcome()
+	c := NewComponentCache()
 	key := ground.AtomID(0)
 	f := synthFact(3, classKept, 7)
-	v1 := &Patch{Component: key, Kept: []Fact{f}}
-	ref := map[ground.AtomID]*refHeld{key: {p: v1, gen: 1}}
-	syncRef(lo, ref, key)
-	if err := lo.checkInvariants(); err != nil {
+	v1 := &unit{kept: []Fact{f}}
+	ref := map[ground.AtomID]*refHeld{key: {u: v1, gen: 1}}
+	syncRef(t, c, ref, key)
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 
 	moved := f
 	moved.Explanations = []Explanation{{Rule: "c"}}
-	v2 := &Patch{Component: key, Removed: []Fact{moved},
-		Violations: map[string]int{"c": 1},
-		Clusters:   []Cluster{{Root: 3, Keys: []rdf.FactKey{f.Quad.Fact()}}}}
-	ref[key] = &refHeld{p: v2, gen: 2}
-	syncRef(lo, ref, key)
-	if err := lo.checkInvariants(); err != nil {
+	v2 := &unit{removed: []Fact{moved},
+		violations: map[string]int{"c": 1},
+		clusters:   []Cluster{{Root: 3, Keys: []rdf.FactKey{f.Quad.Fact()}}}}
+	ref[key] = &refHeld{u: v2, gen: 2}
+	syncRef(t, c, ref, key)
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
-	if len(lo.kept) != 0 || len(lo.removed) != 1 || lo.removed[0].Quad.Fact() != f.Quad.Fact() {
-		t.Fatalf("lists did not follow the class move: kept %v removed %v", lo.kept, lo.removed)
+	if len(c.kept) != 0 || len(c.removed) != 1 || c.removed[0].Quad.Fact() != f.Quad.Fact() {
+		t.Fatalf("lists did not follow the class move: kept %v removed %v", c.kept, c.removed)
 	}
-	d := lo.delta
+	d := c.delta
 	if len(d.RemovedKept) != 1 || len(d.AddedRemoved) != 1 || len(d.AddedClusters) != 1 {
 		t.Fatalf("class move changelog wrong: %+v", d)
 	}
@@ -348,7 +401,7 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 		t.Fatalf("class move fabricated changes: %+v", d)
 	}
 	oc := &Outcome{}
-	lo.materialize(oc)
+	c.materialize(oc)
 	if oc.Stats.KeptFacts != 0 || oc.Stats.RemovedFacts != 1 || oc.Stats.ConflictClusters != 1 {
 		t.Fatalf("materialized state wrong after class move: %+v", oc.Stats)
 	}
@@ -358,49 +411,49 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 // under a bumped generation: the lists are respliced but the changelog
 // must cancel to empty — reuse did not change the outcome.
 func TestLiveOutcomeIdenticalRepatch(t *testing.T) {
-	lo := NewLiveOutcome()
+	c := NewComponentCache()
 	key := ground.AtomID(100)
-	ref := map[ground.AtomID]*refHeld{key: {p: synthPatch(key, 42), gen: 1}}
-	syncRef(lo, ref, key)
+	ref := map[ground.AtomID]*refHeld{key: {u: synthUnit(key, 42), gen: 1}}
+	syncRef(t, c, ref, key)
 	before := &Outcome{}
-	lo.materialize(before)
+	c.materialize(before)
 
-	ref[key] = &refHeld{p: synthPatch(key, 42), gen: 2} // same content, new gen
-	syncRef(lo, ref, key)
-	if !lo.delta.Empty() {
-		t.Fatalf("identical re-patch produced a delta: %+v", lo.delta)
+	ref[key] = &refHeld{u: synthUnit(key, 42), gen: 2} // same content, new gen
+	syncRef(t, c, ref, key)
+	if !c.delta.Empty() {
+		t.Fatalf("identical re-patch produced a delta: %+v", c.delta)
 	}
 	after := &Outcome{}
-	lo.materialize(after)
+	c.materialize(after)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("identical re-patch changed the materialized outcome")
 	}
-	if err := lo.checkInvariants(); err != nil {
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLiveOutcomeReset replaces a synced live outcome with a new one
-// (what the session does on every cache invalidation): the next sync
-// rebuilds and reports the full state as added.
+// TestLiveOutcomeReset replaces a synced cache with a new one (what the
+// session does on every cache invalidation): the next pass rebuilds and
+// reports the full state as added.
 func TestLiveOutcomeReset(t *testing.T) {
-	lo := NewLiveOutcome()
+	c := NewComponentCache()
 	key := ground.AtomID(200)
-	ref := map[ground.AtomID]*refHeld{key: {p: synthPatch(key, 9), gen: 1}}
-	syncRef(lo, ref, key)
-	lo = NewLiveOutcome()
-	if len(lo.kept)+len(lo.removed)+len(lo.inferred) != 0 {
-		t.Fatal("a new live outcome holds state")
+	ref := map[ground.AtomID]*refHeld{key: {u: synthUnit(key, 9), gen: 1}}
+	syncRef(t, c, ref, key)
+	c = NewComponentCache()
+	if len(c.kept)+len(c.removed)+len(c.inferred) != 0 {
+		t.Fatal("a new cache holds state")
 	}
-	syncRef(lo, ref, ground.AtomID(-1)) // nothing touched, but held cache is empty
-	d := lo.delta
+	syncRef(t, c, ref, ground.AtomID(-1)) // nothing touched, but no record is held
+	d := c.delta
 	if len(d.RemovedKept)+len(d.RemovedRemoved)+len(d.RemovedInferred) != 0 {
-		t.Fatalf("rebuild after Reset removed facts: %+v", d)
+		t.Fatalf("rebuild after reset removed facts: %+v", d)
 	}
 	want := refOutcome(ref)
 	got := &Outcome{}
-	lo.materialize(got)
+	c.materialize(got)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("rebuild after Reset diverged from reference")
+		t.Fatal("rebuild after reset diverged from reference")
 	}
 }

@@ -13,8 +13,9 @@
 // scope (resolveUnit) and merged deterministically (assembleOutcome).
 // BeginComponents/Finish (see components.go) is the read-out of every
 // session solve, whichever solver kernel produced the MAP state: one
-// unit per conflict component with a per-component cache, so an
-// incremental update re-repairs only the components it dirtied. Resolve
+// unit per conflict component, held in a cache that is also the live
+// outcome, so an incremental update re-repairs and re-splices only the
+// components it dirtied. Resolve
 // runs one unit over the whole graph; it shares no partition, cache or
 // live state with the component read-out and is kept as the
 // differential oracle the tests compare it against.
@@ -28,7 +29,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ground"
-	"repro/internal/logic"
 	"repro/internal/rdf"
 	"repro/internal/translate"
 )
@@ -47,12 +47,6 @@ type Options struct {
 	// read-out (ResolveComponents): 0 uses GOMAXPROCS, 1 forces the
 	// sequential path. The Outcome is identical at every setting.
 	Parallelism int
-	// DeltaOnly skips materializing the global fact and cluster lists on
-	// the live outcome path: the Outcome carries exact counts, violation
-	// totals and the changelog, but nil Kept/Removed/Inferred/Clusters;
-	// the list splices stay pending on the LiveOutcome until the next
-	// materializing solve flushes them. Ignored off the live path.
-	DeltaOnly bool
 }
 
 func (o Options) withDefaults() Options {
@@ -157,10 +151,8 @@ type Stats struct {
 	// Runtime is the solver's inference time.
 	Runtime time.Duration
 	// Ground summarises the grounding stage: join wall time plus
-	// per-rule plans, candidate counts and emission counts, including the
-	// violated-set groundings of cutting-plane rounds. Nil when the solve
-	// did no grounding work (an empty delta under the greedy or component
-	// kernels).
+	// per-rule plans, candidate counts and emission counts. Nil when the
+	// solve did no grounding work (an empty delta).
 	Ground *ground.GroundStats
 	// Components summarises the component kernels' solve — component
 	// count, size histogram, solved/reused split and per-engine tallies.
@@ -269,26 +261,20 @@ func liveAtoms(atoms *ground.AtomTable) []ground.AtomID {
 
 // Resolve interprets the translator output as a conflict resolution —
 // one read-out unit over the whole graph, the differential oracle of the
-// component read-out. When the output carries no clause set (a
-// cutting-plane solve over a fresh grounder, whose violated sets stay
-// inside the backend) the rule groundings are recovered by grounding the
-// program once.
-func Resolve(out *translate.Output, prog *logic.Program, opts Options) (*Outcome, error) {
+// component read-out. The output must carry the full ground clause set
+// the MAP state was solved over.
+func Resolve(out *translate.Output, opts Options) (*Outcome, error) {
+	if out.Clauses == nil {
+		return nil, fmt.Errorf("repair: whole-graph read-out needs the solve's clause set (solver %v kept none)", out.Solver)
+	}
 	opts = opts.withDefaults()
 	start := time.Now()
 	oc := newOutcome(out)
 	rs := oc.Stats.Repair
 
 	analysisStart := time.Now()
-	cs := out.Clauses
-	if cs == nil {
-		var err error
-		if cs, err = out.Grounder.GroundProgram(prog); err != nil {
-			return nil, fmt.Errorf("repair: %w", err)
-		}
-	}
 	atoms := out.Grounder.Atoms()
-	u := resolveUnit(out, liveAtoms(atoms), cs.ForEachSlot, make([]float64, atoms.Len()), opts)
+	u := resolveUnit(out, liveAtoms(atoms), out.Clauses.ForEachSlot, make([]float64, atoms.Len()), opts)
 	rs.Analysis = time.Since(analysisStart)
 
 	mergeStart := time.Now()

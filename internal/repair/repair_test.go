@@ -45,9 +45,10 @@ func solve(t testing.TB, data, rules string, solver translate.Solver, opts Optio
 	return solveWith(t, data, rules, solver, false, opts)
 }
 
-// solveWith runs one solver kernel over a fresh grounder — the component
-// kernel over the full clause set, cutting-plane inference (cpi, MLN
-// only) or the greedy sweep — and reads its MAP state out whole-graph.
+// solveWith grounds the full clause set over a fresh grounder, runs one
+// solver kernel over it — the component kernel, cutting-plane inference
+// (cpi, MLN only) or the greedy sweep — and reads its MAP state out
+// whole-graph.
 func solveWith(t testing.TB, data, rules string, solver translate.Solver, cpi bool, opts Options) *Outcome {
 	t.Helper()
 	prog := rulelang.MustParse(rules)
@@ -60,36 +61,33 @@ func solveWith(t testing.TB, data, rules string, solver translate.Solver, cpi bo
 	}
 	out := &translate.Output{Solver: solver, Grounder: g}
 	var err error
-	if cpi {
-		out.MLN, err = mln.CuttingPlane(g, prog, mln.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Truth = out.MLN.Truth
-	} else {
-		if out.Clauses, err = g.GroundProgram(prog); err != nil {
-			t.Fatal(err)
-		}
-		switch solver {
-		case translate.SolverMLN:
-			out.MLN, err = mln.MAPGroundComponents(g, out.Clauses, mln.Options{}, nil, nil, nil)
-			if err == nil {
-				out.Truth = out.MLN.Truth
-			}
-		case translate.SolverPSL:
-			out.PSL, _, err = psl.MAPGroundComponents(g, out.Clauses, psl.Options{}, nil, nil, nil)
-			if err == nil {
-				out.Truth, out.SoftValues = out.PSL.Truth, out.PSL.Values
-			}
-		case translate.SolverGreedy:
-			out.Greedy = baseline.Solve(g.Atoms(), out.Clauses)
-			out.Truth = out.Greedy.Truth
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	if out.Clauses, err = g.GroundProgram(prog); err != nil {
+		t.Fatal(err)
 	}
-	oc, err := Resolve(out, prog, opts)
+	switch {
+	case cpi:
+		out.MLN, err = mln.CuttingPlane(g.Atoms(), out.Clauses, mln.Options{})
+		if err == nil {
+			out.Truth = out.MLN.Truth
+		}
+	case solver == translate.SolverMLN:
+		out.MLN, err = mln.MAPGroundComponents(g, out.Clauses, mln.Options{}, nil, nil, nil)
+		if err == nil {
+			out.Truth = out.MLN.Truth
+		}
+	case solver == translate.SolverPSL:
+		out.PSL, _, err = psl.MAPGroundComponents(g, out.Clauses, psl.Options{}, nil, nil, nil)
+		if err == nil {
+			out.Truth, out.SoftValues = out.PSL.Truth, out.PSL.Values
+		}
+	case solver == translate.SolverGreedy:
+		out.Greedy = baseline.Solve(g.Atoms(), out.Clauses)
+		out.Truth = out.Greedy.Truth
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, err := Resolve(out, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -500,8 +500,11 @@ type SessionSolveRequest struct {
 // solved/reused split, stats.Repair the read-out stage — its mode
 // ("components"), the repaired/reused component split of this re-solve,
 // and stage timings — and stats.Outcome how the final Outcome was
-// produced (live delta-patching, patched/reused split, index/merge
-// timings).
+// produced: mode "live" (the session keeps one read-out record per
+// component and patches the global lists from the re-repaired ones),
+// patched/reused split, index/merge timings. The lists are always
+// materialized for the session's snapshot readers; delta mode only
+// changes what this response renders.
 type SessionSolveResponse struct {
 	SolveResponse
 	// Incremental reports whether the solve consumed only the delta.

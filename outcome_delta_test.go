@@ -131,7 +131,7 @@ func (s *shadowOutcome) assertMatches(t *testing.T, oc *tecore.Outcome) {
 
 // assertLiveByteIdentical compares the live-patched Outcome against a
 // fresh whole-graph Resolve over the exact same solver output.
-func assertLiveByteIdentical(t *testing.T, step int, res *tecore.Resolution, prog *tecore.Program, threshold float64) {
+func assertLiveByteIdentical(t *testing.T, step int, res *tecore.Resolution, threshold float64) {
 	t.Helper()
 	ocs := res.Stats.Outcome
 	if ocs == nil || ocs.Mode != tecore.OutcomeLive {
@@ -140,7 +140,7 @@ func assertLiveByteIdentical(t *testing.T, step int, res *tecore.Resolution, pro
 	if res.Delta == nil {
 		t.Fatalf("step %d: live path returned no changelog", step)
 	}
-	whole, err := repair.Resolve(res.Output, prog, repair.Options{Threshold: threshold})
+	whole, err := repair.Resolve(res.Output, repair.Options{Threshold: threshold})
 	if err != nil {
 		t.Fatalf("step %d: whole-graph resolve: %v", step, err)
 	}
@@ -210,7 +210,7 @@ func runLiveOutcomeDifferential(t *testing.T, solver tecore.Solver, threshold fl
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		assertLiveByteIdentical(t, step, res, s.Program(), curThreshold)
+		assertLiveByteIdentical(t, step, res, curThreshold)
 		if invalidated {
 			d := res.Delta
 			if n := len(d.RemovedKept) + len(d.RemovedRemoved) + len(d.RemovedInferred) + len(d.RemovedClusters); n != 0 {
@@ -269,7 +269,7 @@ func TestLiveOutcomeSolverSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		assertLiveByteIdentical(t, step, res, s.Program(), 0)
+		assertLiveByteIdentical(t, step, res, 0)
 		d := res.Delta
 		if n := len(d.RemovedKept) + len(d.RemovedRemoved) + len(d.RemovedInferred); n != 0 {
 			t.Fatalf("step %d: solver switch delta removed %d facts from a fresh live outcome", step, n)
@@ -466,7 +466,7 @@ func TestLiveOutcomeMatchesAssembly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertLiveByteIdentical(t, step, res, s.Program(), 0)
+		assertLiveByteIdentical(t, step, res, 0)
 		assembled, err := repair.ResolveComponents(res.Output, s.Program(), repair.Options{}, nil, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -170,10 +170,10 @@ type ComponentStats = ground.ComponentStats
 // the splice and partition-patch counts, and the sync wall time;
 // available as Stats.Plan on every solve. PatchedComponents and
 // DroppedComponents are the change set
-// the solver, repair and outcome stages scope their one pass to when
-// their caches are exactly one maintained sync behind; after a rebuilt
-// plan — or any sync a stage did not see — that stage visits every
-// component.
+// the solver stage and the read-out (repair plus live outcome, one pass
+// over one cache) scope their one pass to when their caches are exactly
+// one maintained sync behind; after a rebuilt plan — or any sync a stage
+// did not see — that stage visits every component.
 type PlanStats = engine.PlanStats
 
 // GroundStats summarises the grounding stage of a solve — total wall
@@ -197,18 +197,18 @@ const (
 )
 
 // OutcomeStats summarises how the final Outcome was produced —
-// delta-patched on the session's live outcome (every solve, "live", or
-// "live-delta" under DeltaOnly) — with the patched/reused component
-// split and the index and merge timings; available as Stats.Outcome.
-// OutcomeAssembled is the from-scratch merge of the read-out entry
-// points called outside a session.
+// delta-patched ("live", every solve) on the session's read-out cache,
+// whose one record per conflict component the global lists always sum
+// to — with the patched/reused component split and the index and merge
+// timings; available as Stats.Outcome. OutcomeAssembled is the
+// from-scratch merge of the read-out entry points called without a
+// cache.
 type OutcomeStats = repair.OutcomeStats
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
 const (
 	OutcomeAssembled = repair.OutcomeAssembled
 	OutcomeLive      = repair.OutcomeLive
-	OutcomeDeltaOnly = repair.OutcomeDeltaOnly
 )
 
 // OutcomeDelta is the changelog of a solve: the facts and conflict

@@ -2,6 +2,8 @@ package tecore_test
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -280,4 +282,72 @@ func TestGreedyBaselineNeverBeatsMAP(t *testing.T) {
 	}
 	t.Logf("removed weight: greedy=%.2f mln=%.2f mln-cpi=%.2f psl=%.2f",
 		weights["greedy"], weights["mln"], weights["mln-cpi"], weights["psl"])
+}
+
+// TestPaperShapes pins the paper's answer-quality claims at small size:
+// E4, the 1:1 noisy setting, where MLN must recover the injected noise
+// with high precision and recall; and E3, where nPSL on a lightly noisy
+// FootballDB must make the same removal decisions as nRockIt.
+func TestPaperShapes(t *testing.T) {
+	removed := func(t *testing.T, ds *tecore.Dataset, solver tecore.Solver) []tecore.Fact {
+		t.Helper()
+		s := tecore.NewSession()
+		if err := s.LoadGraph(ds.Graph); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LoadProgramText(tecore.FootballProgram); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Solve(tecore.SolveOptions{Solver: solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Removed
+	}
+
+	t.Run("E4", func(t *testing.T) {
+		ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 200, NoiseRatio: 1.0, Seed: 2})
+		tp, fp := 0, 0
+		for _, f := range removed(t, ds, tecore.SolverMLN) {
+			if ds.Noise[f.Quad.Fact()] {
+				tp++
+			} else {
+				fp++
+			}
+		}
+		if tp+fp == 0 {
+			t.Fatal("nothing removed from a 1:1 noisy dataset")
+		}
+		precision := float64(tp) / float64(tp+fp)
+		recall := float64(tp) / float64(ds.NoiseCount())
+		if precision < 0.85 || recall < 0.85 {
+			t.Errorf("precision %.3f, recall %.3f (tp=%d fp=%d noise=%d), want both >= 0.85",
+				precision, recall, tp, fp, ds.NoiseCount())
+		}
+		t.Logf("precision=%.3f recall=%.3f", precision, recall)
+	})
+
+	t.Run("E3", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 200, NoiseRatio: 0.05, Seed: seed})
+			keys := func(fs []tecore.Fact) []string {
+				out := make([]string, len(fs))
+				for i, f := range fs {
+					out[i] = f.Quad.Fact().String()
+				}
+				sort.Strings(out)
+				return out
+			}
+			mlnRemoved := keys(removed(t, ds, tecore.SolverMLN))
+			pslRemoved := keys(removed(t, ds, tecore.SolverPSL))
+			if len(mlnRemoved) == 0 {
+				t.Fatalf("seed %d: MLN removed nothing from a noisy dataset", seed)
+			}
+			if !reflect.DeepEqual(mlnRemoved, pslRemoved) {
+				t.Errorf("seed %d: MLN and PSL removal sets differ (%d vs %d facts)",
+					seed, len(mlnRemoved), len(pslRemoved))
+			}
+			t.Logf("seed %d: %d removed", seed, len(mlnRemoved))
+		}
+	})
 }
