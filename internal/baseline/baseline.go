@@ -31,9 +31,6 @@ type Result struct {
 	Runtime time.Duration
 }
 
-// TrueAtom reports the truth of atom id.
-func (r *Result) TrueAtom(id ground.AtomID) bool { return r.Truth[id] }
-
 // Solve runs greedy repair over a closed grounder's atom table and its
 // full ground clause set (Close forward-chained the inference rules, so
 // the table is complete). Retracted atoms stay false. Confidence ties

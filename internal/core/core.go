@@ -20,7 +20,6 @@ import (
 	"repro/internal/repair"
 	"repro/internal/rulelang"
 	"repro/internal/store"
-	"repro/internal/temporal"
 	"repro/internal/translate"
 	"repro/internal/wal"
 )
@@ -278,25 +277,4 @@ func validRuleName(name string) bool {
 		}
 	}
 	return true
-}
-
-// CheckAllenSatisfiable runs path consistency over a set of pairwise
-// Allen restrictions before translation, rejecting user-authored
-// constraint sets that are unsatisfiable regardless of the data. Each
-// entry restricts the intervals of (i, j) to the given relation set.
-type AllenRestriction struct {
-	I, J int
-	Rels temporal.RelationSet
-}
-
-// CheckAllenSatisfiable reports whether the qualitative network over n
-// interval variables with the given restrictions is path-consistent.
-func CheckAllenSatisfiable(n int, restrictions []AllenRestriction) bool {
-	nw := temporal.NewNetwork(n)
-	for _, r := range restrictions {
-		if !nw.Constrain(r.I, r.J, r.Rels) {
-			return false
-		}
-	}
-	return nw.PathConsistent()
 }

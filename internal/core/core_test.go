@@ -188,28 +188,6 @@ p bornIn Milan [1950,1950] 0.4
 	}
 }
 
-func TestCheckAllenSatisfiable(t *testing.T) {
-	before := temporal.NewRelationSet(temporal.Before)
-	ok := CheckAllenSatisfiable(3, []AllenRestriction{
-		{I: 0, J: 1, Rels: before}, {I: 1, J: 2, Rels: before},
-	})
-	if !ok {
-		t.Error("consistent chain rejected")
-	}
-	bad := CheckAllenSatisfiable(3, []AllenRestriction{
-		{I: 0, J: 1, Rels: before}, {I: 1, J: 2, Rels: before}, {I: 2, J: 0, Rels: before},
-	})
-	if bad {
-		t.Error("before-cycle accepted")
-	}
-	empty := CheckAllenSatisfiable(2, []AllenRestriction{
-		{I: 0, J: 1, Rels: before}, {I: 0, J: 1, Rels: temporal.NewRelationSet(temporal.After)},
-	})
-	if empty {
-		t.Error("contradictory edge accepted")
-	}
-}
-
 func TestCuttingPlaneOption(t *testing.T) {
 	s := newFigure1Session(t)
 	if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {

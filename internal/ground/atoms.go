@@ -359,9 +359,6 @@ func (t *AtomTable) DrainJournal(fn func(AtomID)) {
 	}
 }
 
-// JournalLen reports the number of atoms touched since the last drain.
-func (t *AtomTable) JournalLen() int { return len(t.jatoms) }
-
 // note records a state change of atom id in the journal.
 func (t *AtomTable) note(id AtomID) {
 	if !t.journalOn {

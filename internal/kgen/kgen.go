@@ -74,6 +74,17 @@ const (
 	minBirth    = 1950
 )
 
+// footballCleanPerPlayer is the mean clean facts per player: a birth date
+// and the career spells left once the horizon cuts late careers short.
+const footballCleanPerPlayer = 3.7
+
+// ExpectedFacts estimates how many facts Football(c) generates, without
+// generating them, so a caller can refuse a request before paying for it.
+func (c FootballConfig) ExpectedFacts() float64 {
+	c = c.withDefaults()
+	return float64(c.Players) * footballCleanPerPlayer * (1 + c.NoiseRatio)
+}
+
 // Football generates a FootballDB-profile dataset.
 func Football(cfg FootballConfig) *Dataset {
 	cfg = cfg.withDefaults()
@@ -364,6 +375,15 @@ const (
 	wikidataEducatedAt = 6_000
 	wikidataOccupation = 4_500
 )
+
+// ExpectedFacts estimates how many facts Wikidata(c) generates, without
+// generating them. Every relation but occupation draws at most one noisy
+// fact per clean one, so noise beyond 1 adds nothing.
+func (c WikidataConfig) ExpectedFacts() float64 {
+	c = c.withDefaults()
+	noisy := float64(wikidataPlaysFor + wikidataSpouse + wikidataMemberOf + wikidataEducatedAt)
+	return c.Scale * (noisy*(1+min(c.NoiseRatio, 1)) + wikidataOccupation)
+}
 
 // Wikidata generates a Wikidata-profile dataset.
 func Wikidata(cfg WikidataConfig) *Dataset {

@@ -1,6 +1,7 @@
 package kgen
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ground"
@@ -144,6 +145,23 @@ func TestWikidataNoiseLabelled(t *testing.T) {
 		if !keys[k] {
 			t.Errorf("noise label %v has no generated fact", k)
 		}
+	}
+}
+
+// TestExpectedFactsTracksGenerators: the size estimates the server
+// bounds generator uploads with stay within 15% of what the generators
+// actually produce, defaults and noise beyond 1 included.
+func TestExpectedFactsTracksGenerators(t *testing.T) {
+	near := func(name string, got int, want float64) {
+		if r := float64(got) / want; r < 0.85 || r > 1.15 {
+			t.Errorf("%s: generated %d facts, estimate %.0f", name, got, want)
+		}
+	}
+	for _, c := range []FootballConfig{{Players: 400, NoiseRatio: 0.3}, {Players: 2000}, {Players: 300, NoiseRatio: 3, Seed: 7}, {}} {
+		near(fmt.Sprintf("football %+v", c), len(Football(c).Graph), c.ExpectedFacts())
+	}
+	for _, c := range []WikidataConfig{{Scale: 0.001}, {Scale: 0.01, NoiseRatio: 5, Seed: 3}} {
+		near(fmt.Sprintf("wikidata %+v", c), len(Wikidata(c).Graph), c.ExpectedFacts())
 	}
 }
 

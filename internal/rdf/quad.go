@@ -54,9 +54,6 @@ func (q Quad) Validate() error {
 	return nil
 }
 
-// Triple returns the quad without its temporal and confidence annotations.
-func (q Quad) Triple() (s, p, o Term) { return q.Subject, q.Predicate, q.Object }
-
 // Fact returns the atemporal identity of the quad — subject, predicate,
 // object and interval — ignoring confidence. Two quads with equal Fact
 // keys assert the same temporal statement.
@@ -104,9 +101,6 @@ func (k FactKey) Compare(o FactKey) int {
 	}
 	return 0
 }
-
-// Equal reports whether two quads are identical including confidence.
-func (q Quad) Equal(o Quad) bool { return q == o }
 
 // String renders the quad in TQuads syntax:
 //

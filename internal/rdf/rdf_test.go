@@ -209,7 +209,7 @@ func TestWriteGraphRoundTrip(t *testing.T) {
 		{Subject: NewIRI("s"), Predicate: NewIRI("p"), Object: NewLangLiteral("x y", "en"),
 			Interval: temporal.MustNew(-3, 8), Confidence: 1},
 		{Subject: NewBlank("n1"), Predicate: NewIRI("p"), Object: Integer(7),
-			Interval: temporal.Point(0), Confidence: 0.125},
+			Interval: temporal.MustNew(0, 0), Confidence: 0.125},
 	}
 	var buf bytes.Buffer
 	if err := WriteGraph(&buf, g); err != nil {

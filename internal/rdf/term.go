@@ -115,12 +115,9 @@ func (t Term) IsLiteral() bool { return t.Kind == Literal }
 // IsBlank reports whether the term is a blank node.
 func (t Term) IsBlank() bool { return t.Kind == Blank }
 
-// IsZero reports whether the term is the zero Term (no value), which the
-// store uses as a pattern wildcard.
+// IsZero reports whether the term is the zero Term (no value); Validate
+// rejects quads with a zero position.
 func (t Term) IsZero() bool { return t == Term{} }
-
-// Equal reports whether two terms are identical.
-func (t Term) Equal(o Term) bool { return t == o }
 
 // String renders the term in TQuads (N-Triples-like) syntax.
 func (t Term) String() string {
@@ -194,11 +191,5 @@ func unescapeLiteral(s string) string {
 	return b.String()
 }
 
-// Common XSD datatype IRIs.
-const (
-	XSDInteger = "http://www.w3.org/2001/XMLSchema#integer"
-	XSDDecimal = "http://www.w3.org/2001/XMLSchema#decimal"
-	XSDString  = "http://www.w3.org/2001/XMLSchema#string"
-	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
-	XSDGYear   = "http://www.w3.org/2001/XMLSchema#gYear"
-)
+// XSDInteger is the datatype IRI of integer literals.
+const XSDInteger = "http://www.w3.org/2001/XMLSchema#integer"

@@ -243,6 +243,10 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // uploaded inline, and a 10⁶-fact TQuads upload is about 100 MB.
 const maxBodyBytes = 256 << 20
 
+// maxGeneratedFacts is the same 10⁶-fact budget for generator uploads,
+// whose request bodies are tiny whatever dataset they ask for.
+const maxGeneratedFacts = 1_000_000
+
 // decodeJSON decodes the request body into req, answering 413 when the
 // body exceeds maxBodyBytes and 400 when it is not JSON; ok is false
 // once an error reply was written. A declared oversize is refused
@@ -332,11 +336,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case "football":
-		ds := kgen.Football(kgen.FootballConfig{Players: req.Players, NoiseRatio: req.Noise, Seed: req.Seed})
-		g, program = ds.Graph, kgen.FootballProgram
+		cfg := kgen.FootballConfig{Players: req.Players, NoiseRatio: req.Noise, Seed: req.Seed}
+		if !generatorBounded(w, req, cfg.ExpectedFacts()) {
+			return
+		}
+		g, program = kgen.Football(cfg).Graph, kgen.FootballProgram
 	case "wikidata":
-		ds := kgen.Wikidata(kgen.WikidataConfig{Scale: req.Scale, NoiseRatio: req.Noise, Seed: req.Seed})
-		g, program = ds.Graph, kgen.WikidataProgram
+		cfg := kgen.WikidataConfig{Scale: req.Scale, NoiseRatio: req.Noise, Seed: req.Seed}
+		if !generatorBounded(w, req, cfg.ExpectedFacts()) {
+			return
+		}
+		g, program = kgen.Wikidata(cfg).Graph, kgen.WikidataProgram
 	default:
 		httpError(w, http.StatusBadRequest, "unknown generator %q", req.Generate)
 		return
@@ -347,6 +357,21 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	d, _ := s.dataset(req.Name)
 	writeJSON(w, DatasetInfo{Name: d.name, Facts: d.stats.Facts, Predicates: d.stats.Predicates, Program: d.program})
+}
+
+// generatorBounded answers 400 and reports false when a generator
+// request has a negative parameter or expects more than
+// maxGeneratedFacts facts, before anything is generated.
+func generatorBounded(w http.ResponseWriter, req UploadRequest, expected float64) bool {
+	switch {
+	case req.Players < 0 || req.Scale < 0 || req.Noise < 0:
+		httpError(w, http.StatusBadRequest, "generator parameters must not be negative")
+	case expected > maxGeneratedFacts:
+		httpError(w, http.StatusBadRequest, "generator would produce about %.0f facts, over the %d-fact limit", expected, maxGeneratedFacts)
+	default:
+		return true
+	}
+	return false
 }
 
 // handlePredicates is the auto-completion endpoint of the constraints
@@ -578,12 +603,6 @@ func removedStrings(fs []repair.Fact, max int, truncated bool) ([]string, bool) 
 		out = append(out, line)
 	}
 	return out, truncated
-}
-
-// ListenAndServe runs the UI on addr until the process dies. Prefer
-// Run, which shuts down gracefully and persists durable sessions.
-func (s *Server) ListenAndServe(addr string) error {
-	return s.Run(context.Background(), addr, 0)
 }
 
 // Run serves the UI on addr until ctx is cancelled, then shuts down

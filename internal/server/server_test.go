@@ -272,6 +272,43 @@ func TestUploadGenerators(t *testing.T) {
 	}
 }
 
+// TestUploadGeneratorsBounded: a few bytes of JSON must not make a
+// generator build billions of facts. Negative parameters and requests
+// expected to exceed maxGeneratedFacts get 400 before anything is
+// generated; the seeded samples' parameters still load.
+func TestUploadGeneratorsBounded(t *testing.T) {
+	srv := New()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/datasets", strings.NewReader(body)))
+		return rec
+	}
+	for _, body := range []string{
+		`{"name":"x","generate":"football","players":1000000000}`,
+		`{"name":"x","generate":"football","players":1000,"noise":1000000}`,
+		`{"name":"x","generate":"football","players":-1}`,
+		`{"name":"x","generate":"football","players":10,"noise":-0.5}`,
+		`{"name":"x","generate":"wikidata","scale":1}`,
+		`{"name":"x","generate":"wikidata","scale":-0.1}`,
+		`{"name":"x","generate":"wikidata","scale":0.001,"noise":-1}`,
+	} {
+		if rec := post(body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, rec.Code)
+		}
+	}
+	if _, ok := srv.dataset("x"); ok {
+		t.Error("a refused request created a dataset")
+	}
+	for _, body := range []string{
+		`{"name":"fb","generate":"football","players":400,"noise":0.3,"seed":1}`,
+		`{"name":"wd","generate":"wikidata","scale":0.001,"seed":1}`,
+	} {
+		if rec := post(body); rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d, want 200: %s", body, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestSolveResponseTruncation(t *testing.T) {
 	srv := New()
 	srv.MaxFactsInResponse = 2

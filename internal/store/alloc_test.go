@@ -18,25 +18,28 @@ func skipAllocGateUnderRace(t *testing.T) {
 	}
 }
 
-// TestMatchAllocsSteadyState pins View.Match to zero steady-state
-// allocations: the match buffer comes from a pool and the quads are
-// decoded into the callback by value.
-func TestMatchAllocsSteadyState(t *testing.T) {
+// TestMatchCodesAllocsSteadyState pins View.MatchCodes — the grounder's
+// join step — to zero steady-state allocations: the match buffer comes
+// from a pool and the codes reach the callback by value.
+func TestMatchCodesAllocsSteadyState(t *testing.T) {
 	skipAllocGateUnderRace(t)
 	st := newFigure1Store(t)
 	v := st.ReadView()
-	pat := Pattern{S: rdf.NewIRI("CR"), P: rdf.NewIRI("coach")}
+	cp, ok := codes(st, "CR", "coach", "")
+	if !ok {
+		t.Fatal("pattern terms not interned")
+	}
 	n := 0
-	visit := func(FactID, rdf.Quad) bool { n++; return true }
-	v.Match(pat, visit) // warm the buffer pool
+	visit := func(FactID, FactCodes) bool { n++; return true }
+	v.MatchCodes(cp, visit) // warm the buffer pool
 	avg := testing.AllocsPerRun(200, func() {
-		v.Match(pat, visit)
+		v.MatchCodes(cp, visit)
 	})
 	if n == 0 {
 		t.Fatal("pattern matched no facts; gate is vacuous")
 	}
 	if avg > 0.1 {
-		t.Errorf("View.Match allocates %.2f objects/run in steady state, want 0", avg)
+		t.Errorf("View.MatchCodes allocates %.2f objects/run in steady state, want 0", avg)
 	}
 }
 

@@ -1,14 +1,3 @@
-// Package store implements the storage substrate of TeCoRe: an in-memory,
-// dictionary-encoded temporal quad store with hash indexes on term
-// positions, a block-skip interval index for temporal range scans,
-// pattern-matching iterators used by the grounding engine, dataset
-// statistics, and a binary snapshot format for persistence.
-//
-// In the original system this role is played by a relational backend
-// (MySQL or H2) that the solvers query for evidence; the store offers the
-// same access paths — lookups by any combination of bound subject,
-// predicate and object plus a temporal filter — with index-backed
-// complexity.
 package store
 
 import (

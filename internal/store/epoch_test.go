@@ -57,8 +57,8 @@ func TestEpochAdvancesPerMutation(t *testing.T) {
 	if rid2 != id {
 		t.Fatalf("revival changed id: %d -> %d", id, rid2)
 	}
-	if st.Confidence(id) != 0.4 {
-		t.Fatalf("revival kept old confidence %g", st.Confidence(id))
+	if got := st.ReadView().FactCodes(id).Conf; got != 0.4 {
+		t.Fatalf("revival kept old confidence %g", got)
 	}
 	if st.Len() != 1 || st.IDBound() != 1 {
 		t.Fatalf("Len=%d IDBound=%d after revival, want 1/1", st.Len(), st.IDBound())
@@ -148,33 +148,29 @@ func TestCompactLogKeepsDeltaCorrect(t *testing.T) {
 
 func TestViewPinsEpoch(t *testing.T) {
 	st := New()
-	st.Add(quad("a", "p", "b", 1, 2, 0.5))
-	st.Add(quad("a", "p", "c", 3, 4, 0.5))
+	b, _ := st.Add(quad("a", "p", "b", 1, 2, 0.5))
+	c, _ := st.Add(quad("a", "p", "c", 3, 4, 0.5))
 	v := st.ReadView()
+	cp, _ := codes(st, "a", "", "")
 
 	// Mutations after the pin are invisible to the view.
-	st.Add(quad("a", "p", "d", 5, 6, 0.5))
+	d, _ := st.Add(quad("a", "p", "d", 5, 6, 0.5))
 	st.Remove(quad("a", "p", "b", 1, 2, 0))
 	if v.Len() != 2 {
 		t.Fatalf("view Len = %d, want 2", v.Len())
 	}
-	ids := v.MatchIDs(Pattern{S: rdf.NewIRI("a")})
-	if len(ids) != 2 {
-		t.Fatalf("view sees %d facts, want 2", len(ids))
-	}
-	if !v.Contains(quad("a", "p", "b", 1, 2, 0)) {
-		t.Fatal("view lost the fact removed after pinning")
-	}
-	if v.Contains(quad("a", "p", "d", 5, 6, 0)) {
-		t.Fatal("view sees a fact added after pinning")
+	// The view keeps the fact removed after pinning and misses the one
+	// added after it.
+	if ids := v.MatchCodeIDs(cp); len(ids) != 2 || ids[0] != b || ids[1] != c {
+		t.Fatalf("view sees %v, want [%d %d]", ids, b, c)
 	}
 	// The store itself sees current state.
 	if st.Len() != 2 || st.Contains(quad("a", "p", "b", 1, 2, 0)) {
 		t.Fatal("store state wrong after mutations")
 	}
 	// A fresh view sees the new state.
-	if got := st.ReadView().MatchIDs(Pattern{S: rdf.NewIRI("a")}); len(got) != 2 {
-		t.Fatalf("fresh view sees %d facts, want 2 (c and d)", len(got))
+	if got := st.ReadView().MatchCodeIDs(cp); len(got) != 2 || got[0] != c || got[1] != d {
+		t.Fatalf("fresh view sees %v, want [%d %d]", got, c, d)
 	}
 }
 
@@ -190,6 +186,13 @@ func TestConcurrentMatchDuringMutation(t *testing.T) {
 	}
 	v := st.ReadView()
 	wantLen := v.Len()
+	// Resolve the patterns before the writer starts: the dictionary is
+	// read here without the store lock.
+	bySubject := make([]CodePattern, 4)
+	for r := range bySubject {
+		bySubject[r], _ = codes(st, fmt.Sprintf("s%d", r), "", "")
+	}
+	byPredicate, _ := codes(st, "", "p", "")
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -204,7 +207,7 @@ func TestConcurrentMatchDuringMutation(t *testing.T) {
 				default:
 				}
 				n := 0
-				v.Match(Pattern{S: rdf.NewIRI(fmt.Sprintf("s%d", r))}, func(id FactID, q rdf.Quad) bool {
+				v.MatchCodes(bySubject[r], func(FactID, FactCodes) bool {
 					n++
 					return true
 				})
@@ -218,7 +221,7 @@ func TestConcurrentMatchDuringMutation(t *testing.T) {
 				}
 				// Fresh views race with the writer but must not crash or
 				// see torn state (count bounded by total adds).
-				ids := st.MatchIDs(Pattern{P: rdf.NewIRI("p")})
+				ids := st.ReadView().MatchCodeIDs(byPredicate)
 				if len(ids) > base+100 {
 					t.Errorf("implausible match count %d", len(ids))
 					return
@@ -246,61 +249,34 @@ func TestConcurrentMatchDuringMutation(t *testing.T) {
 func TestTimeFilterEdgeIntervals(t *testing.T) {
 	st := New()
 	st.Add(quad("a", "p", "b", 10, 20, 0.5)) // the probe fact
+	byPredicate, _ := codes(st, "", "p", "")
 	cases := []struct {
 		name string
 		f    TimeFilter
 		want int
 	}{
 		{"any", TimeFilter{}, 1},
-		{"intersects-touching-start", TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(5, 10)}, 1},
-		{"intersects-touching-end", TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(20, 25)}, 1},
-		{"intersects-before", TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(0, 9)}, 0},
-		{"intersects-after", TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(21, 30)}, 0},
-		{"intersects-point-inside", TimeFilter{Kind: TimeIntersects, Interval: temporal.Point(15)}, 1},
-		{"during-exact", TimeFilter{Kind: TimeDuring, Interval: temporal.MustNew(10, 20)}, 1},
-		{"during-wider", TimeFilter{Kind: TimeDuring, Interval: temporal.MustNew(9, 21)}, 1},
-		{"during-short-left", TimeFilter{Kind: TimeDuring, Interval: temporal.MustNew(11, 21)}, 0},
-		{"during-short-right", TimeFilter{Kind: TimeDuring, Interval: temporal.MustNew(9, 19)}, 0},
 		{"equals-exact", TimeFilter{Kind: TimeEquals, Interval: temporal.MustNew(10, 20)}, 1},
 		{"equals-off-by-one", TimeFilter{Kind: TimeEquals, Interval: temporal.MustNew(10, 19)}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := st.Count(Pattern{Time: tc.f}); got != tc.want {
-				t.Errorf("Count = %d, want %d", got, tc.want)
+			v := st.ReadView()
+			if got := len(v.MatchCodeIDs(CodePattern{Time: tc.f})); got != tc.want {
+				t.Errorf("full scan matched %d, want %d", got, tc.want)
 			}
-			// Predicate-bound patterns route through the interval index
-			// for TimeIntersects; results must agree with the scan.
-			if got := st.Count(Pattern{P: rdf.NewIRI("p"), Time: tc.f}); got != tc.want {
-				t.Errorf("indexed Count = %d, want %d", got, tc.want)
+			// Predicate-bound patterns scan the posting list instead; the
+			// filter must agree with the full scan.
+			cp := byPredicate
+			cp.Time = tc.f
+			if got := len(v.MatchCodeIDs(cp)); got != tc.want {
+				t.Errorf("predicate scan matched %d, want %d", got, tc.want)
 			}
 		})
 	}
 	// Tombstoned facts match nothing.
 	st.Remove(quad("a", "p", "b", 10, 20, 0))
-	if got := st.Count(Pattern{}); got != 0 {
-		t.Errorf("Count after remove = %d, want 0", got)
-	}
-}
-
-func TestCountMatchesMatchIDs(t *testing.T) {
-	st := New()
-	for i := 0; i < 50; i++ {
-		st.Add(quad(fmt.Sprintf("s%d", i%5), "p", fmt.Sprintf("o%d", i%7), int64(i), int64(i+10), 0.5))
-	}
-	st.Remove(quad("s0", "p", "o0", 0, 10, 0))
-	pats := []Pattern{
-		{},
-		{S: rdf.NewIRI("s1")},
-		{P: rdf.NewIRI("p")},
-		{O: rdf.NewIRI("o3")},
-		{S: rdf.NewIRI("s2"), P: rdf.NewIRI("p")},
-		{P: rdf.NewIRI("p"), Time: TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(20, 25)}},
-		{S: rdf.NewIRI("nope")},
-	}
-	for i, pat := range pats {
-		if got, want := st.Count(pat), len(st.MatchIDs(pat)); got != want {
-			t.Errorf("pattern %d: Count=%d MatchIDs=%d", i, got, want)
-		}
+	if got := len(st.ReadView().MatchCodeIDs(CodePattern{})); got != 0 {
+		t.Errorf("matched %d after remove, want 0", got)
 	}
 }

@@ -43,7 +43,6 @@ type Snapshot struct {
 	epoch Epoch
 	terms []rdf.Term // code-indexed, entry 0 unused; immutable prefix
 	facts []fact     // private copy, dense id order
-	dead  int
 }
 
 // Checkpoint captures an epoch-pinned copy of the store under a brief
@@ -55,7 +54,6 @@ func (st *Store) Checkpoint() *Snapshot {
 		epoch: st.epoch,
 		terms: st.dict.terms(),
 		facts: append([]fact(nil), st.facts...),
-		dead:  st.dead,
 	}
 	st.mu.RUnlock()
 	return sn
@@ -63,9 +61,6 @@ func (st *Store) Checkpoint() *Snapshot {
 
 // Epoch returns the store epoch the snapshot was pinned at.
 func (sn *Snapshot) Epoch() Epoch { return sn.epoch }
-
-// Facts returns the number of live facts in the snapshot.
-func (sn *Snapshot) Facts() int { return len(sn.facts) - sn.dead }
 
 // crcWriter tees every written byte into a running CRC.
 type crcWriter struct {

@@ -99,13 +99,6 @@ func (st *Store) memoryLocked() MemoryStats {
 	m.PostingBytes = postings(st.byS) + postings(st.byP) + postings(st.byO)
 	m.PostingBytes += int64(len(st.byFact))*(8+idBytes+mapEntryOverhead) +
 		int64(cap(st.byFactSpill))*idBytes
-	st.tidxMu.Lock()
-	for _, idx := range st.tidx {
-		m.PostingBytes += int64(unsafe.Sizeof(TermID(0))) + mapEntryOverhead + 4*sliceHeaderBytes +
-			int64(cap(idx.ids))*idBytes +
-			int64(cap(idx.starts)+cap(idx.ends)+cap(idx.blkMax))*int64(unsafe.Sizeof(temporal.Chronon(0)))
-	}
-	st.tidxMu.Unlock()
 
 	// Interning dictionary: the hash→id forward map, the code-indexed
 	// term slice, and the string payloads (counted once — the forward

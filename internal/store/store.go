@@ -1,14 +1,13 @@
 // Package store implements the storage substrate of TeCoRe: an in-memory,
-// dictionary-encoded temporal quad store with hash indexes on term
-// positions, a block-skip interval index for temporal range scans,
-// pattern-matching iterators used by the grounding engine, dataset
-// statistics, and a binary snapshot format for persistence.
+// dictionary-encoded temporal quad store with posting indexes on term
+// positions, the code-pattern matcher the grounding engine joins against,
+// dataset statistics, and a binary snapshot format for persistence.
 //
 // In the original system this role is played by a relational backend
 // (MySQL or H2) that the solvers query for evidence; the store offers the
-// same access paths — lookups by any combination of bound subject,
-// predicate and object plus a temporal filter — with index-backed
-// complexity.
+// access path grounding needs — lookups by any combination of bound
+// subject, predicate and object, optionally restricted to one exact
+// interval — with index-backed complexity.
 //
 // # Versioning model
 //
@@ -20,8 +19,8 @@
 // incremental solve pipeline consumes exactly that delta. Views pin the
 // epoch at creation and read a consistent snapshot while writers proceed:
 // all access paths are guarded by a reader/writer lock, and no lock is
-// held across user callbacks, so concurrent Match during Add/Remove is
-// safe (and race-detector clean).
+// held across user callbacks, so concurrent MatchCodes during Add/Remove
+// is safe (and race-detector clean).
 package store
 
 import (
@@ -142,12 +141,6 @@ type Store struct {
 	byFact      map[uint64]FactID
 	byFactSpill []FactID
 
-	// tidx caches per-predicate interval indexes; invalidated when a new
-	// fact of the predicate is added. tidxMu guards the lazy build; lock
-	// order is always mu before tidxMu.
-	tidxMu sync.Mutex
-	tidx   map[TermID]*intervalIndex
-
 	// journal, when set, receives every change-log append under the write
 	// lock; compactFloor, when set, clamps CompactLog so truncation never
 	// outruns the journal's durable tail. See journal.go.
@@ -245,7 +238,6 @@ func New() *Store {
 	return &Store{
 		dict:   NewDict(),
 		byFact: make(map[uint64]FactID),
-		tidx:   make(map[TermID]*intervalIndex),
 	}
 }
 
@@ -317,10 +309,6 @@ func (st *Store) Add(q rdf.Quad) (FactID, error) {
 	ch := Change{Epoch: st.epoch, Op: OpAdd, ID: id}
 	st.log = append(st.log, ch)
 	st.journalLocked(ch, q)
-	// Invalidate the temporal index for this predicate.
-	st.tidxMu.Lock()
-	delete(st.tidx, f.p)
-	st.tidxMu.Unlock()
 	return id, nil
 }
 
@@ -557,13 +545,6 @@ func (st *Store) decodeLocked(f fact) rdf.Quad {
 	}
 }
 
-// Confidence returns the confidence of a fact without decoding terms.
-func (st *Store) Confidence(id FactID) float64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.facts[id].conf
-}
-
 // Interval returns the validity interval of a fact without decoding.
 func (st *Store) Interval(id FactID) temporal.Interval {
 	st.mu.RLock()
@@ -584,10 +565,6 @@ func (st *Store) EncodedTriple(id FactID) (s, p, o TermID) {
 func (st *Store) Contains(q rdf.Quad) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.containsAtLocked(q, st.epoch)
-}
-
-func (st *Store) containsAtLocked(q rdf.Quad, e Epoch) bool {
 	s, ok1 := st.dict.Lookup(q.Subject)
 	p, ok2 := st.dict.Lookup(q.Predicate)
 	o, ok3 := st.dict.Lookup(q.Object)
@@ -595,7 +572,7 @@ func (st *Store) containsAtLocked(q rdf.Quad, e Epoch) bool {
 		return false
 	}
 	id, ok := st.lookupFactLocked(factKey{s: s, p: p, o: o, iv: q.Interval})
-	return ok && st.liveAtLocked(id, e)
+	return ok && st.facts[id].removedAt == 0
 }
 
 // Graph materialises the live facts as a Graph in fact-id order.
@@ -612,27 +589,21 @@ func (st *Store) Graph() rdf.Graph {
 	return g
 }
 
-// TimeFilter restricts pattern matches temporally. The zero value matches
-// every interval.
+// TimeFilter restricts pattern matches temporally: either every interval
+// (the zero value) or exactly one.
 type TimeFilter struct {
 	// Kind selects the temporal predicate; TimeAny matches everything.
 	Kind TimeFilterKind
-	// Interval is the query interval for kinds other than TimeAny.
+	// Interval is the interval TimeEquals matches.
 	Interval temporal.Interval
 }
 
-// TimeFilterKind enumerates the supported temporal predicates.
+// TimeFilterKind enumerates the temporal filters the grounder issues.
 type TimeFilterKind uint8
 
 const (
 	// TimeAny matches every fact.
 	TimeAny TimeFilterKind = iota
-	// TimeIntersects matches facts whose interval shares a chronon with
-	// the query interval.
-	TimeIntersects
-	// TimeDuring matches facts whose interval lies within the query
-	// interval.
-	TimeDuring
 	// TimeEquals matches facts whose interval equals the query interval.
 	TimeEquals
 )
@@ -641,10 +612,6 @@ func (tf TimeFilter) admits(iv temporal.Interval) bool {
 	switch tf.Kind {
 	case TimeAny:
 		return true
-	case TimeIntersects:
-		return iv.Intersects(tf.Interval)
-	case TimeDuring:
-		return tf.Interval.ContainsInterval(iv)
 	case TimeEquals:
 		return iv == tf.Interval
 	default:
@@ -652,66 +619,20 @@ func (tf TimeFilter) admits(iv temporal.Interval) bool {
 	}
 }
 
-// Pattern is a quad pattern: any combination of bound subject, predicate
-// and object (zero Term = wildcard) plus a temporal filter.
-type Pattern struct {
-	S, P, O rdf.Term
-	Time    TimeFilter
-}
-
-// CodePattern is Pattern's dictionary-code twin: bound positions carry
-// TermIDs (NoTerm = wildcard) plus a temporal filter. The compiled
-// grounder builds these from pre-resolved codes, so matching skips the
-// per-call dictionary lookups entirely. Bound codes must come from this
-// store's dictionary; a term known to be absent has no matches and is
-// the caller's job to short-circuit (NoTerm always means wildcard,
-// never "unknown term").
+// CodePattern is a quad pattern in dictionary-code space: bound positions
+// carry TermIDs (NoTerm = wildcard) plus a temporal filter. The grounder
+// builds these from pre-resolved codes, so matching does no dictionary
+// lookups at all. Bound codes must come from this store's dictionary; a
+// term known to be absent has no matches and is the caller's job to
+// short-circuit (NoTerm always means wildcard, never "unknown term").
 type CodePattern struct {
 	S, P, O TermID
 	Time    TimeFilter
 }
 
-// Match invokes fn for each live fact matching the pattern, in fact-id
-// order for a given index, until fn returns false. The quad passed to fn
-// is decoded on demand. Match pins the current epoch: mutations racing
-// with the iteration do not affect which facts are visited.
-func (st *Store) Match(pat Pattern, fn func(FactID, rdf.Quad) bool) {
-	st.ReadView().Match(pat, fn)
-}
-
-// MatchIDs returns the ids of all live facts matching the pattern.
-func (st *Store) MatchIDs(pat Pattern) []FactID {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.matchIDsLocked(pat, st.epoch)
-}
-
-func (st *Store) matchIDsLocked(pat Pattern, e Epoch) []FactID {
-	var out []FactID
-	st.forCandidatesLocked(pat, e, func(id FactID, f fact) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// Count returns the number of live facts matching the pattern. Unlike
-// MatchIDs it counts in the candidate scan without materialising an id
-// list.
-func (st *Store) Count(pat Pattern) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	n := 0
-	st.forCandidatesLocked(pat, st.epoch, func(FactID, fact) bool {
-		n++
-		return true
-	})
-	return n
-}
-
 // residual is the set of bound positions the chosen candidate index
 // does not cover; NoTerm fields are already satisfied by the index.
-// A plain struct rather than a filter closure keeps the hot Match path
+// A plain struct rather than a filter closure keeps the hot MatchCodes path
 // allocation-free.
 type residual struct {
 	s, p, o TermID
@@ -723,42 +644,9 @@ func (r residual) admits(f fact) bool {
 		(r.o == NoTerm || f.o == r.o)
 }
 
-// resolvePatternLocked translates a term-level pattern into code space;
-// ok is false when a bound term is not in the dictionary (no matches).
-func (st *Store) resolvePatternLocked(pat Pattern) (CodePattern, bool) {
-	cp := CodePattern{Time: pat.Time}
-	var ok bool
-	if !pat.S.IsZero() {
-		if cp.S, ok = st.dict.Lookup(pat.S); !ok {
-			return cp, false
-		}
-	}
-	if !pat.P.IsZero() {
-		if cp.P, ok = st.dict.Lookup(pat.P); !ok {
-			return cp, false
-		}
-	}
-	if !pat.O.IsZero() {
-		if cp.O, ok = st.dict.Lookup(pat.O); !ok {
-			return cp, false
-		}
-	}
-	return cp, true
-}
-
-// forCandidatesLocked drives fn over the facts matching pat that were
+// forCandidatesCodesLocked drives fn over the facts matching cp that were
 // live at epoch e, using the most selective index. Callers must hold at
 // least a read lock; fn must not call back into the store.
-func (st *Store) forCandidatesLocked(pat Pattern, e Epoch, fn func(FactID, fact) bool) {
-	cp, ok := st.resolvePatternLocked(pat)
-	if !ok {
-		return
-	}
-	st.forCandidatesCodesLocked(cp, e, fn)
-}
-
-// forCandidatesCodesLocked is forCandidatesLocked over a pre-resolved
-// code pattern — the compiled grounder's entry, with no dictionary work.
 func (st *Store) forCandidatesCodesLocked(cp CodePattern, e Epoch, fn func(FactID, fact) bool) {
 	ids, res, scanAll := st.candidatesCodes(cp)
 	visit := func(id FactID) bool {
@@ -824,11 +712,6 @@ func (st *Store) candidatesCodes(cp CodePattern) (ids []FactID, res residual, sc
 	case oID != NoTerm:
 		return posting(st.byO, oID), residual{}, false
 	case pID != NoTerm:
-		// Predicate-only scans are the grounder's hot path; use the
-		// interval index when the pattern is temporal.
-		if cp.Time.Kind == TimeIntersects {
-			return st.intervalIndexFor(pID).overlapping(cp.Time.Interval), residual{}, false
-		}
 		return posting(st.byP, pID), residual{}, false
 	default:
 		return nil, residual{}, true
@@ -866,14 +749,6 @@ func (st *Store) PredicateFacts(p TermID) []FactID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.liveOnlyLocked(posting(st.byP, p))
-}
-
-// SubjectFacts returns the ids of all live facts with the given subject
-// code. The returned slice must not be modified.
-func (st *Store) SubjectFacts(s TermID) []FactID {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.liveOnlyLocked(posting(st.byS, s))
 }
 
 // liveOnlyLocked filters tombstoned ids out of an index slice, returning

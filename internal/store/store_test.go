@@ -30,6 +30,23 @@ func newFigure1Store(t testing.TB) *Store {
 	return st
 }
 
+// codes resolves IRI names into a code pattern through the store's
+// dictionary; "" leaves a position wildcard. ok is false when a bound name
+// was never interned, so the pattern can match nothing — the
+// short-circuit MatchCodes leaves to its caller.
+func codes(st *Store, s, p, o string) (cp CodePattern, ok bool) {
+	ok = true
+	code := func(name string) TermID {
+		if name == "" {
+			return NoTerm
+		}
+		id, found := st.Dict().Lookup(rdf.NewIRI(name))
+		ok = ok && found
+		return id
+	}
+	return CodePattern{S: code(s), P: code(p), O: code(o)}, ok
+}
+
 func TestDictRoundTrip(t *testing.T) {
 	d := NewDict()
 	terms := []rdf.Term{
@@ -105,12 +122,12 @@ func TestAddDeduplicatesKeepsMaxConfidence(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", st.Len())
 	}
-	if got := st.Confidence(id1); got != 0.8 {
+	if got := st.ReadView().FactCodes(id1).Conf; got != 0.8 {
 		t.Errorf("Confidence = %g, want max 0.8", got)
 	}
 	q.Confidence = 0.3
 	st.Add(q)
-	if got := st.Confidence(id1); got != 0.8 {
+	if got := st.ReadView().FactCodes(id1).Conf; got != 0.8 {
 		t.Errorf("Confidence lowered to %g", got)
 	}
 }
@@ -127,30 +144,41 @@ func TestContains(t *testing.T) {
 
 func TestMatchPatterns(t *testing.T) {
 	st := newFigure1Store(t)
+	v := st.ReadView()
 	tests := []struct {
-		name string
-		pat  Pattern
-		want int
+		name    string
+		s, p, o string
+		time    TimeFilter
+		want    int
 	}{
-		{"all", Pattern{}, 5},
-		{"by predicate", Pattern{P: rdf.NewIRI("coach")}, 3},
-		{"by subject", Pattern{S: rdf.NewIRI("CR")}, 5},
-		{"by object", Pattern{O: rdf.NewIRI("Chelsea")}, 1},
-		{"s+p", Pattern{S: rdf.NewIRI("CR"), P: rdf.NewIRI("coach")}, 3},
-		{"p+o", Pattern{P: rdf.NewIRI("coach"), O: rdf.NewIRI("Napoli")}, 1},
-		{"s+o", Pattern{S: rdf.NewIRI("CR"), O: rdf.NewIRI("Palermo")}, 1},
-		{"s+p+o", Pattern{S: rdf.NewIRI("CR"), P: rdf.NewIRI("coach"), O: rdf.NewIRI("Chelsea")}, 1},
-		{"unknown term", Pattern{S: rdf.NewIRI("nobody")}, 0},
-		{"time intersects", Pattern{P: rdf.NewIRI("coach"),
-			Time: TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(2001, 2002)}}, 2},
-		{"time during", Pattern{
-			Time: TimeFilter{Kind: TimeDuring, Interval: temporal.MustNew(2000, 2010)}}, 2},
-		{"time equals", Pattern{
-			Time: TimeFilter{Kind: TimeEquals, Interval: temporal.MustNew(2015, 2017)}}, 1},
+		{name: "all", want: 5},
+		{name: "by predicate", p: "coach", want: 3},
+		{name: "by subject", s: "CR", want: 5},
+		{name: "by object", o: "Chelsea", want: 1},
+		{name: "s+p", s: "CR", p: "coach", want: 3},
+		{name: "p+o", p: "coach", o: "Napoli", want: 1},
+		{name: "s+o", s: "CR", o: "Palermo", want: 1},
+		{name: "s+p+o", s: "CR", p: "coach", o: "Chelsea", want: 1},
+		{name: "unknown term", s: "nobody", want: 0},
+		{name: "time equals", time: TimeFilter{Kind: TimeEquals, Interval: temporal.MustNew(2015, 2017)}, want: 1},
 	}
 	for _, tc := range tests {
-		if got := st.Count(tc.pat); got != tc.want {
-			t.Errorf("%s: Count = %d, want %d", tc.name, got, tc.want)
+		cp, ok := codes(st, tc.s, tc.p, tc.o)
+		if !ok {
+			if tc.want != 0 {
+				t.Errorf("%s: a pattern term is not interned", tc.name)
+			}
+			continue
+		}
+		cp.Time = tc.time
+		got := len(v.MatchCodeIDs(cp))
+		if got != tc.want {
+			t.Errorf("%s: MatchCodeIDs = %d facts, want %d", tc.name, got, tc.want)
+		}
+		n := 0
+		v.MatchCodes(cp, func(FactID, FactCodes) bool { n++; return true })
+		if n != got {
+			t.Errorf("%s: MatchCodes visited %d facts, MatchCodeIDs returned %d", tc.name, n, got)
 		}
 	}
 }
@@ -158,12 +186,12 @@ func TestMatchPatterns(t *testing.T) {
 func TestMatchEarlyStop(t *testing.T) {
 	st := newFigure1Store(t)
 	calls := 0
-	st.Match(Pattern{}, func(FactID, rdf.Quad) bool {
+	st.ReadView().MatchCodes(CodePattern{}, func(FactID, FactCodes) bool {
 		calls++
 		return calls < 2
 	})
 	if calls != 2 {
-		t.Errorf("Match visited %d facts after early stop, want 2", calls)
+		t.Errorf("MatchCodes visited %d facts after early stop, want 2", calls)
 	}
 }
 
@@ -176,7 +204,7 @@ func TestEncodedAccessors(t *testing.T) {
 	if st.Interval(0) != temporal.MustNew(2000, 2004) {
 		t.Error("Interval mismatch")
 	}
-	if st.Confidence(0) != 0.9 {
+	if st.ReadView().FactCodes(0).Conf != 0.9 {
 		t.Error("Confidence mismatch")
 	}
 }
@@ -191,68 +219,6 @@ func TestGraphMaterialise(t *testing.T) {
 		if g[i] != q {
 			t.Errorf("Graph[%d] mismatch", i)
 		}
-	}
-}
-
-func TestIntervalIndexAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	st := New()
-	type rec struct {
-		id FactID
-		iv temporal.Interval
-	}
-	var recs []rec
-	for i := 0; i < 3000; i++ {
-		s := rng.Int63n(1000)
-		iv := temporal.Interval{Start: s, End: s + rng.Int63n(50)}
-		q := rdf.Quad{
-			Subject:    rdf.NewIRI("s" + string(rune('a'+i%26))),
-			Predicate:  rdf.NewIRI("p"),
-			Object:     rdf.Integer(int64(i)),
-			Interval:   iv,
-			Confidence: 0.5,
-		}
-		id, err := st.Add(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec{id, iv})
-	}
-	for trial := 0; trial < 200; trial++ {
-		qs := rng.Int63n(1100)
-		q := temporal.Interval{Start: qs, End: qs + rng.Int63n(100)}
-		got := st.MatchIDs(Pattern{P: rdf.NewIRI("p"),
-			Time: TimeFilter{Kind: TimeIntersects, Interval: q}})
-		gotSet := make(map[FactID]bool, len(got))
-		for _, id := range got {
-			gotSet[id] = true
-		}
-		naive := 0
-		for _, r := range recs {
-			if r.iv.Intersects(q) {
-				naive++
-				if !gotSet[r.id] {
-					t.Fatalf("query %v: missing fact %d (%v)", q, r.id, r.iv)
-				}
-			}
-		}
-		if naive != len(got) {
-			t.Fatalf("query %v: got %d, naive %d", q, len(got), naive)
-		}
-	}
-}
-
-func TestIntervalIndexInvalidatedOnAdd(t *testing.T) {
-	st := New()
-	p := rdf.NewIRI("p")
-	st.Add(rdf.NewQuad("a", "p", "x", temporal.MustNew(1, 2), 0.5))
-	pat := Pattern{P: p, Time: TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(0, 10)}}
-	if got := st.Count(pat); got != 1 {
-		t.Fatalf("Count = %d, want 1", got)
-	}
-	st.Add(rdf.NewQuad("b", "p", "y", temporal.MustNew(3, 4), 0.5))
-	if got := st.Count(pat); got != 2 {
-		t.Fatalf("Count after add = %d, want 2 (index must be invalidated)", got)
 	}
 }
 
@@ -303,8 +269,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Indexes must work after load.
-	if got := back.Count(Pattern{P: rdf.NewIRI("coach")}); got != 3 {
-		t.Errorf("loaded Count(coach) = %d, want 3", got)
+	if cp, ok := codes(back, "", "coach", ""); !ok || len(back.ReadView().MatchCodeIDs(cp)) != 3 {
+		t.Errorf("loaded store does not match 3 coach facts")
 	}
 }
 
@@ -386,11 +352,14 @@ func BenchmarkStoreAdd(b *testing.B) {
 
 func BenchmarkStoreMatchByPredicate(b *testing.B) {
 	st := benchStore(b, 20000)
-	pat := Pattern{P: rdf.NewIRI("playsFor"),
-		Time: TimeFilter{Kind: TimeIntersects, Interval: temporal.MustNew(500, 510)}}
+	cp, ok := codes(st, "", "playsFor", "")
+	if !ok {
+		b.Fatal("playsFor not interned")
+	}
+	v := st.ReadView()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = st.MatchIDs(pat)
+		_ = v.MatchCodeIDs(cp)
 	}
 }
 

@@ -11,16 +11,15 @@ import (
 // concurrent use by any number of readers while writers proceed. A view
 // created at epoch e sees exactly the facts live at e: later adds,
 // removes and revivals are invisible, so a multi-call read sequence
-// (the grounder's join phases, a paginating UI) observes one consistent
-// state.
+// (the grounder's join phases) observes one consistent state.
 //
 // A View aliases the store rather than copying it. Reads acquire the
 // store's shared lock per call and never hold it across user callbacks,
 // so callbacks may re-enter the store freely. The one un-versioned
 // dimension is confidence: a confidence raise mutates the fact in place,
-// so Confidence/Fact report the value current at read time, not at pin
-// time — the pipeline treats confidence as monotone merge metadata, not
-// as part of the fact's identity.
+// so FactCodes and MatchCodes report the value current at read time, not
+// at pin time — the pipeline treats confidence as monotone merge
+// metadata, not as part of the fact's identity.
 type View struct {
 	st    *Store
 	epoch Epoch
@@ -37,94 +36,26 @@ func (st *Store) ReadView() View {
 	return View{st: st, epoch: st.epoch, terms: st.dict.terms(), n: len(st.facts) - st.dead}
 }
 
-// Valid reports whether the view is backed by a store (the zero View is
-// not).
-func (v View) Valid() bool { return v.st != nil }
-
 // Epoch returns the store epoch the view is pinned at.
 func (v View) Epoch() Epoch { return v.epoch }
 
 // Len returns the number of facts live at the pinned epoch.
 func (v View) Len() int { return v.n }
 
-// Fact decodes the quad with the given id. The id must have been
-// assigned no later than the pinned epoch.
-func (v View) Fact(id FactID) rdf.Quad {
-	v.st.mu.RLock()
-	f := v.st.facts[id]
-	v.st.mu.RUnlock()
-	return v.decode(f)
-}
-
-// decode builds the quad from the view's term snapshot, avoiding the
-// store lock for the dictionary half of the work.
-func (v View) decode(f fact) rdf.Quad {
-	return rdf.Quad{
-		Subject:    v.terms[f.s],
-		Predicate:  v.terms[f.p],
-		Object:     v.terms[f.o],
-		Interval:   f.iv,
-		Confidence: f.conf,
-	}
-}
-
-// Confidence returns the confidence of a fact without decoding terms.
-func (v View) Confidence(id FactID) float64 { return v.st.Confidence(id) }
-
 type matched struct {
 	id FactID
 	f  fact
 }
 
-// matchBufPool recycles Match's per-call buffers. Grounding issues one
-// Match per join step — millions on a large solve — and the pooled
-// buffer (capacity retained across calls, no pointers inside) makes the
-// steady state allocation-free. Nested Matches from inside fn each draw
-// their own buffer, so re-entrancy stays safe.
+// matchBufPool recycles MatchCodes' per-call buffers. Grounding issues
+// one MatchCodes per join step — millions on a large solve — and the
+// pooled buffer (capacity retained across calls, no pointers inside)
+// makes the steady state allocation-free. Nested calls from inside fn
+// each draw their own buffer, so re-entrancy stays safe.
 var matchBufPool = sync.Pool{New: func() any { return new([]matched) }}
 
-// Match invokes fn for each fact live at the pinned epoch matching the
-// pattern, in fact-id order for a given index, until fn returns false.
-// The matches are buffered under the read lock and the lock released
-// before fn runs — fn may freely re-enter the store (the grounder's
-// nested joins do) without risking a reader/writer deadlock; the
-// per-call buffer is the price of that guarantee.
-func (v View) Match(pat Pattern, fn func(FactID, rdf.Quad) bool) {
-	bufp := matchBufPool.Get().(*[]matched)
-	ms := (*bufp)[:0]
-	v.st.mu.RLock()
-	v.st.forCandidatesLocked(pat, v.epoch, func(id FactID, f fact) bool {
-		ms = append(ms, matched{id: id, f: f})
-		return true
-	})
-	v.st.mu.RUnlock()
-	for _, m := range ms {
-		if !fn(m.id, v.decode(m.f)) {
-			break
-		}
-	}
-	*bufp = ms[:0]
-	matchBufPool.Put(bufp)
-}
-
-// MatchIDs returns the ids of all facts live at the pinned epoch that
-// match the pattern.
-func (v View) MatchIDs(pat Pattern) []FactID {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	return v.st.matchIDsLocked(pat, v.epoch)
-}
-
-// Contains reports whether the exact temporal statement was live at the
-// pinned epoch.
-func (v View) Contains(q rdf.Quad) bool {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	return v.st.containsAtLocked(q, v.epoch)
-}
-
 // FactCodes is the dictionary-encoded form of a stored fact as handed to
-// MatchCodes: term codes plus interval and confidence, no term decoding.
+// MatchCodes: term codes plus interval and confidence.
 type FactCodes struct {
 	S, P, O  TermID
 	Interval temporal.Interval
@@ -141,12 +72,13 @@ func (v View) FactCodes(id FactID) FactCodes {
 }
 
 // MatchCodes invokes fn for each fact live at the pinned epoch matching
-// the code pattern, in fact-id order for a given index, until fn returns
-// false. It is Match without the dictionary round-trips: the pattern
-// arrives pre-resolved and the matches are emitted as raw codes — the
-// compiled grounder's join path, which never needs the terms themselves.
-// Like Match, candidates are buffered under the read lock and fn runs
-// lock-free, so fn may re-enter the store.
+// the code pattern, in ascending fact-id order, until fn returns false.
+// The pattern arrives pre-resolved and the matches are emitted as raw
+// codes — the grounder's join path, which never needs the terms
+// themselves. The matches are buffered under the read lock and the lock
+// released before fn runs, so fn may freely re-enter the store (the
+// grounder's nested joins do) without risking a reader/writer deadlock;
+// the pooled per-call buffer is the price of that guarantee.
 func (v View) MatchCodes(cp CodePattern, fn func(FactID, FactCodes) bool) {
 	bufp := matchBufPool.Get().(*[]matched)
 	ms := (*bufp)[:0]
@@ -238,32 +170,4 @@ func (v View) Cardinalities() IndexCardinalities {
 		DistinctP: v.st.nzP,
 		DistinctO: v.st.nzO,
 	}
-}
-
-// EstimateCodes returns an O(1) upper-bound estimate of the facts
-// matching the code pattern: the shortest posting list over the bound
-// positions, or the total fact count for the all-wildcard pattern. The
-// temporal filter is ignored.
-func (v View) EstimateCodes(cp CodePattern) int {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	n := -1
-	min := func(k int) {
-		if n < 0 || k < n {
-			n = k
-		}
-	}
-	if cp.S != NoTerm {
-		min(len(posting(v.st.byS, cp.S)))
-	}
-	if cp.P != NoTerm {
-		min(len(posting(v.st.byP, cp.P)))
-	}
-	if cp.O != NoTerm {
-		min(len(posting(v.st.byO, cp.O)))
-	}
-	if n < 0 {
-		return len(v.st.facts)
-	}
-	return n
 }

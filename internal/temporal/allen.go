@@ -84,9 +84,6 @@ func (r Relation) Inverse() Relation {
 	return r
 }
 
-// Holds reports whether relation r holds between intervals i and j.
-func (r Relation) Holds(i, j Interval) bool { return RelationBetween(i, j) == r }
-
 // ParseRelation resolves a relation name as written in the constraint
 // language. Matching is case-insensitive and accepts both the camel-case
 // names (finishedBy) and underscore/hyphen variants (finished_by,
@@ -165,9 +162,9 @@ func RelationBetween(i, j Interval) Relation {
 	}
 }
 
-// RelationSet is a bitset over the thirteen basic relations, used for
-// indefinite temporal knowledge and as the codomain of the composition
-// table.
+// RelationSet is a bitset over the thirteen basic relations: an Allen
+// condition of the constraint language holds when the relation between
+// its two intervals is a member.
 type RelationSet uint16
 
 // FullSet contains all thirteen basic relations.
@@ -184,26 +181,6 @@ func NewRelationSet(rels ...Relation) RelationSet {
 
 // Has reports whether the set contains relation r.
 func (s RelationSet) Has(r Relation) bool { return s&(1<<r) != 0 }
-
-// Add returns the set with relation r included.
-func (s RelationSet) Add(r Relation) RelationSet { return s | 1<<r }
-
-// Union returns the set union.
-func (s RelationSet) Union(t RelationSet) RelationSet { return s | t }
-
-// Intersect returns the set intersection.
-func (s RelationSet) Intersect(t RelationSet) RelationSet { return s & t }
-
-// Inverse returns the set of converses of the members of s.
-func (s RelationSet) Inverse() RelationSet {
-	var out RelationSet
-	for r := Relation(0); r < NumRelations; r++ {
-		if s.Has(r) {
-			out = out.Add(r.Inverse())
-		}
-	}
-	return out
-}
 
 // Len returns the number of relations in the set.
 func (s RelationSet) Len() int {

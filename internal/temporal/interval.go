@@ -1,8 +1,8 @@
 // Package temporal implements the discrete time domain used by uncertain
 // temporal knowledge graphs (utkgs): closed integer intervals over a
-// linearly ordered, finite sequence of chronons, Allen's interval algebra
-// (the thirteen basic relations, their converses and the composition
-// table), and temporal elements (finite unions of intervals).
+// linearly ordered, finite sequence of chronons, and Allen's interval
+// relations (the thirteen basic relations, their converses and the
+// relation sets the constraint language names).
 //
 // The package follows the data model of the TeCoRe paper (VLDB 2017):
 // every temporal fact is annotated with a validity interval [start, end]
@@ -48,24 +48,12 @@ func MustNew(start, end Chronon) Interval {
 	return iv
 }
 
-// Point returns the degenerate interval [t, t].
-func Point(t Chronon) Interval { return Interval{Start: t, End: t} }
-
 // Valid reports whether the interval is well formed (Start <= End).
 func (iv Interval) Valid() bool { return iv.Start <= iv.End }
 
 // Duration returns the number of chronons covered by the interval.
 // A point interval has duration 1.
 func (iv Interval) Duration() int64 { return iv.End - iv.Start + 1 }
-
-// Contains reports whether chronon t lies within the interval.
-func (iv Interval) Contains(t Chronon) bool { return iv.Start <= t && t <= iv.End }
-
-// ContainsInterval reports whether other lies entirely within iv
-// (not necessarily strictly).
-func (iv Interval) ContainsInterval(other Interval) bool {
-	return iv.Start <= other.Start && other.End <= iv.End
-}
 
 // Intersects reports whether the two intervals share at least one chronon.
 func (iv Interval) Intersects(other Interval) bool {
@@ -87,63 +75,6 @@ func (iv Interval) Intersect(other Interval) (Interval, bool) {
 // including any gap between them.
 func (iv Interval) Span(other Interval) Interval {
 	return Interval{Start: min64(iv.Start, other.Start), End: max64(iv.End, other.End)}
-}
-
-// Union returns the set union of iv and other as a single interval. ok is
-// false when the intervals neither intersect nor are adjacent, in which
-// case their union is not an interval.
-func (iv Interval) Union(other Interval) (Interval, bool) {
-	if !iv.Intersects(other) && !iv.Adjacent(other) {
-		return Interval{}, false
-	}
-	return iv.Span(other), true
-}
-
-// Adjacent reports whether the intervals are disjoint but with no gap
-// between them (one meets the other in the discrete sense).
-func (iv Interval) Adjacent(other Interval) bool {
-	return iv.End+1 == other.Start || other.End+1 == iv.Start
-}
-
-// Disjoint reports whether the intervals share no chronon. Note that
-// adjacent intervals are disjoint in the discrete domain.
-func (iv Interval) Disjoint(other Interval) bool { return !iv.Intersects(other) }
-
-// Before reports whether iv ends strictly before other starts, allowing
-// a gap or adjacency. This is the weak precedence predicate used by
-// constraints such as "a person must be born before she dies"; for the
-// strict Allen relation use RelationBetween.
-func (iv Interval) Before(other Interval) bool { return iv.End < other.Start }
-
-// Shift translates the interval by delta chronons.
-func (iv Interval) Shift(delta int64) Interval {
-	return Interval{Start: iv.Start + delta, End: iv.End + delta}
-}
-
-// Clamp restricts the interval to the bounds [lo, hi]. ok is false when
-// the interval lies entirely outside the bounds.
-func (iv Interval) Clamp(lo, hi Chronon) (Interval, bool) {
-	return iv.Intersect(Interval{Start: lo, End: hi})
-}
-
-// Equal reports whether the two intervals have identical endpoints.
-func (iv Interval) Equal(other Interval) bool { return iv == other }
-
-// Compare orders intervals lexicographically by (Start, End). It returns
-// -1, 0 or +1.
-func (iv Interval) Compare(other Interval) int {
-	switch {
-	case iv.Start < other.Start:
-		return -1
-	case iv.Start > other.Start:
-		return 1
-	case iv.End < other.End:
-		return -1
-	case iv.End > other.End:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // String renders the interval in the paper's notation, e.g. "[2000,2004]".

@@ -323,9 +323,6 @@ func (l *Log) apply(rec store.JournalRecord) error {
 // Stats returns what recovery found.
 func (l *Log) Stats() RecoveryStats { return l.stats }
 
-// Dir returns the store directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Append implements store.Journal. It is called under the store's write
 // lock: the record is encoded into the in-memory tail and the tail is
 // written through once it passes the flush threshold. Write errors wedge
