@@ -84,8 +84,8 @@ func BenchmarkE2_DebuggingStats(b *testing.B) {
 			b.Fatal(err)
 		}
 		conflicting := 0
-		for _, cl := range res.Clusters {
-			conflicting += len(cl)
+		for _, cl := range collect(res.Clusters.Each) {
+			conflicting += len(cl.Keys)
 		}
 		b.ReportMetric(float64(len(ds.Graph)), "facts")
 		b.ReportMetric(float64(conflicting), "conflicting")
@@ -142,7 +142,7 @@ func BenchmarkE4_NoisyDebugging(b *testing.B) {
 			b.Fatal(err)
 		}
 		tp, fp := 0, 0
-		for _, f := range res.Removed {
+		for _, f := range collect(res.Removed.Each) {
 			if ds.Noise[f.Quad.Fact()] {
 				tp++
 			} else {

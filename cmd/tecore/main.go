@@ -276,12 +276,13 @@ func runInfer(args []string) error {
 
 	if *explain {
 		fmt.Println("removed facts:")
-		for _, f := range res.Removed {
+		res.Removed.Each(func(f tecore.Fact) bool {
 			fmt.Printf("  %s\n", f.Quad.Compact())
 			for _, ex := range f.Explanations {
 				fmt.Printf("    violates %s\n", ex)
 			}
-		}
+			return true
+		})
 	}
 
 	if *outPath != "" {
@@ -291,9 +292,10 @@ func runInfer(args []string) error {
 	}
 	if *removedPath != "" {
 		var rg tecore.Graph
-		for _, f := range res.Removed {
+		res.Removed.Each(func(f tecore.Fact) bool {
 			rg = append(rg, f.Quad)
-		}
+			return true
+		})
 		if err := writeGraphFile(*removedPath, rg); err != nil {
 			return err
 		}

@@ -152,7 +152,7 @@ func TestDegenerateInputsSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cold solve: %v", err)
 		}
-		checkDegenerate(t, res.Stats, len(res.Kept), len(res.Removed), len(res.Inferred), c, sv, 0)
+		checkDegenerate(t, res.Stats, res.Kept.Len(), res.Removed.Len(), res.Inferred.Len(), c, sv, 0)
 
 		probe, err := tecore.ParseGraphString(degenerateProbe)
 		if err != nil {
@@ -169,7 +169,7 @@ func TestDegenerateInputsSession(t *testing.T) {
 			t.Fatalf("delta solve left the session pipeline: incremental %v, delta %v, plan %v",
 				res.Incremental, res.Delta, res.Stats.Plan)
 		}
-		checkDegenerate(t, res.Stats, len(res.Kept), len(res.Removed), len(res.Inferred), c, sv, 1)
+		checkDegenerate(t, res.Stats, res.Kept.Len(), res.Removed.Len(), res.Inferred.Len(), c, sv, 1)
 	})
 }
 

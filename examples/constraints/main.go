@@ -67,11 +67,13 @@ func main() {
 		fmt.Printf("\nthreshold %.1f: kept %d, removed %d, inferred %d (filtered %d)\n",
 			threshold, res.Stats.KeptFacts, res.Stats.RemovedFacts,
 			res.Stats.InferredFacts, res.Stats.ThresholdFiltered)
-		for _, f := range res.Removed {
+		res.Removed.Each(func(f tecore.Fact) bool {
 			fmt.Println("  removed:", f.Quad.Compact())
-		}
-		for _, f := range res.Inferred {
+			return true
+		})
+		res.Inferred.Each(func(f tecore.Fact) bool {
 			fmt.Println("  inferred:", f.Quad.Compact())
-		}
+			return true
+		})
 	}
 }

@@ -38,8 +38,13 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var removed []tecore.Fact
+	res.Removed.Each(func(f tecore.Fact) bool {
+		removed = append(removed, f)
+		return true
+	})
 	tp, fp := 0, 0
-	for _, f := range res.Removed {
+	for _, f := range removed {
 		if ds.Noise[f.Quad.Fact()] {
 			tp++
 		} else {
@@ -54,7 +59,7 @@ func main() {
 		float64(tp)/float64(tp+fp), float64(tp)/float64(ds.NoiseCount()))
 
 	fmt.Println("\nexample removed facts:")
-	for i, f := range res.Removed {
+	for i, f := range removed {
 		if i == 5 {
 			break
 		}

@@ -50,17 +50,15 @@ func main() {
 		}
 		fmt.Printf("=== %s ===\n", res.Stats.Solver)
 		fmt.Println("consistent temporal KG (Figure 7):")
-		for _, f := range res.Kept {
+		show := func(f tecore.Fact) bool {
 			fmt.Println("  ", f.Quad.Compact())
+			return true
 		}
+		res.Kept.Each(show)
 		fmt.Println("removed as conflicting:")
-		for _, f := range res.Removed {
-			fmt.Println("  ", f.Quad.Compact())
-		}
+		res.Removed.Each(show)
 		fmt.Println("inferred (implicit facts made explicit):")
-		for _, f := range res.Inferred {
-			fmt.Println("  ", f.Quad.Compact())
-		}
+		res.Inferred.Each(show)
 		fmt.Printf("stats: kept %d / removed %d / inferred %d, %d conflict cluster(s), runtime %v\n\n",
 			res.Stats.KeptFacts, res.Stats.RemovedFacts, res.Stats.InferredFacts,
 			res.Stats.ConflictClusters, res.Stats.Runtime)

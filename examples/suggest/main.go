@@ -54,11 +54,12 @@ func main() {
 		log.Fatal(err)
 	}
 	tp := 0
-	for _, f := range res.Removed {
+	res.Removed.Each(func(f tecore.Fact) bool {
 		if ds.Noise[f.Quad.Fact()] {
 			tp++
 		}
-	}
+		return true
+	})
 	fmt.Printf("removed %d facts (%d of them injected noise) in %v, %d conflict clusters\n",
 		res.Stats.RemovedFacts, tp, res.Stats.Runtime, res.Stats.ConflictClusters)
 }

@@ -42,9 +42,10 @@ func main() {
 		elapsed := time.Since(start)
 
 		removed := map[string]bool{}
-		for _, f := range res.Removed {
+		res.Removed.Each(func(f tecore.Fact) bool {
 			removed[f.Quad.Fact().String()] = true
-		}
+			return true
+		})
 		removedBy[solverName] = removed
 
 		fmt.Printf("\n%-4s: removed %d conflicting facts, %d clusters, total %v\n",

@@ -67,13 +67,13 @@ func canonResolution(r *tecore.Resolution, confDigits int) string {
 			b.WriteByte('\n')
 		}
 	}
-	section("kept", r.Kept)
-	section("removed", r.Removed)
-	section("inferred", r.Inferred)
-	clusters := make([]string, 0, len(r.Clusters))
-	for _, cl := range r.Clusters {
-		keys := make([]string, 0, len(cl))
-		for _, k := range cl {
+	section("kept", collect(r.Kept.Each))
+	section("removed", collect(r.Removed.Each))
+	section("inferred", collect(r.Inferred.Each))
+	clusters := make([]string, 0, r.Clusters.Len())
+	for _, cl := range collect(r.Clusters.Each) {
+		keys := make([]string, 0, len(cl.Keys))
+		for _, k := range cl.Keys {
 			keys = append(keys, k.String())
 		}
 		sort.Strings(keys)
@@ -298,8 +298,8 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 func confsClose(a, b *tecore.Resolution, tol float64) error {
 	collect := func(r *tecore.Resolution) map[string]float64 {
 		m := make(map[string]float64)
-		for _, fs := range [][]tecore.Fact{r.Kept, r.Removed, r.Inferred} {
-			for _, f := range fs {
+		for _, fs := range []tecore.FactList{r.Kept, r.Removed, r.Inferred} {
+			for _, f := range collect(fs.Each) {
 				m[f.Quad.Fact().String()] = f.Quad.Confidence
 			}
 		}

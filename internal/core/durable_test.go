@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/rdf"
 	"repro/internal/repair"
 	"repro/internal/translate"
 )
@@ -25,10 +23,8 @@ import (
 // which a fresh post-restart grounding is allowed to renumber. The
 // facts themselves, their explanations, confidences, cluster
 // memberships and statistics are compared exactly.
-func canonDurable(r *Resolution) Resolution {
+func canonDurable(r *Resolution) canonResolution {
 	c := canonOutcome(r)
-	c.Incremental = false
-	oc := *c.Outcome
 	canon := func(fs []repair.Fact) []repair.Fact {
 		out := append([]repair.Fact(nil), fs...)
 		for i := range out {
@@ -42,16 +38,13 @@ func canonDurable(r *Resolution) Resolution {
 		sort.Slice(out, func(a, b int) bool { return out[a].Quad.String() < out[b].Quad.String() })
 		return out
 	}
-	oc.Kept = canon(oc.Kept)
-	oc.Removed = canon(oc.Removed)
-	oc.Inferred = canon(oc.Inferred)
-	cl := append([][]rdf.FactKey(nil), oc.Clusters...)
-	sort.Slice(cl, func(a, b int) bool { return fmt.Sprint(cl[a]) < fmt.Sprint(cl[b]) })
-	oc.Clusters = cl
-	// Summed in atom order, so associativity noise in the last ulps is
-	// expected across a restart.
-	oc.Stats.RemovedWeight = math.Round(oc.Stats.RemovedWeight*1e9) / 1e9
-	c.Outcome = &oc
+	c.Kept = canon(c.Kept)
+	c.Removed = canon(c.Removed)
+	c.Inferred = canon(c.Inferred)
+	for i := range c.Clusters {
+		c.Clusters[i].Root = 0
+	}
+	sort.Slice(c.Clusters, func(a, b int) bool { return fmt.Sprint(c.Clusters[a]) < fmt.Sprint(c.Clusters[b]) })
 	return c
 }
 

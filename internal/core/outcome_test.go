@@ -1,0 +1,147 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/kgen"
+	"repro/internal/rdf"
+	"repro/internal/repair"
+	"repro/internal/temporal"
+	"repro/internal/translate"
+)
+
+// clusteredSession loads a kgen.Clustered graph of about 6·clusters
+// facts with its standard program.
+func clusteredSession(t *testing.T, clusters int) (*Session, *kgen.Dataset) {
+	t.Helper()
+	ds := kgen.Clustered(kgen.ClusteredConfig{Clusters: clusters, BridgeRate: 0.1, Seed: 5})
+	s := NewSession()
+	if err := s.LoadGraph(ds.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadProgramText(kgen.ClusteredProgram); err != nil {
+		t.Fatal(err)
+	}
+	return s, ds
+}
+
+// outcomeSnapshot renders everything an Outcome exposes — the collected
+// lists in full and the statistics through their pointers — so a later
+// change anywhere inside it shows up as a different string.
+func outcomeSnapshot(t *testing.T, oc *repair.Outcome) string {
+	t.Helper()
+	stats, err := json.Marshal(oc.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s\nkept %+v\nremoved %+v\ninferred %+v\nclusters %+v", stats,
+		collect(oc.Kept.Each), collect(oc.Removed.Each),
+		collect(oc.Inferred.Each), collect(oc.Clusters.Each))
+}
+
+// TestHeldOutcomeUnchangedByLaterUpdates is the unit-level guard of the
+// server's snapshot-isolated reads: an Outcome handed out by one solve
+// stays exactly as it was while the session's later solves splice their
+// churn into the same live lists, whose chunks the held Outcome shares.
+func TestHeldOutcomeUnchangedByLaterUpdates(t *testing.T) {
+	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL} {
+		t.Run(solver.String(), func(t *testing.T) {
+			s, ds := clusteredSession(t, 330)
+			opts := SolveOptions{Solver: solver}
+			res, err := s.Solve(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := res.Outcome
+			want := outcomeSnapshot(t, held)
+
+			// 200 single-fact toggles over random facts: each is removed
+			// and later re-added, so the splices touch chunks all over the
+			// lists the held Outcome shares.
+			rng := rand.New(rand.NewSource(17))
+			changed := 0
+			for i := 0; i < 100; i++ {
+				q := ds.Graph[rng.Intn(len(ds.Graph))]
+				for _, remove := range []bool{true, false} {
+					if remove {
+						s.RemoveFact(q)
+					} else if err := s.AddFact(q); err != nil {
+						t.Fatal(err)
+					}
+					res, err := s.Solve(opts)
+					if err != nil {
+						t.Fatalf("toggle %d: %v", i, err)
+					}
+					if !res.Delta.Empty() {
+						changed++
+					}
+				}
+			}
+			if changed == 0 {
+				t.Fatal("no toggle changed the outcome; the test exercises nothing")
+			}
+			if got := outcomeSnapshot(t, held); got != want {
+				t.Fatalf("a held Outcome changed under %d later updates", changed)
+			}
+		})
+	}
+}
+
+// TestOutcomePatchAllocs gates the bytes a steady-state single-fact
+// update allocates end to end, on a graph large enough that copying a
+// whole outcome list (over 2 MiB for the removed facts here) dwarfs the
+// rest of the update. Publishing the outcome copies only the chunks the
+// churn lands in plus the chunk slices: the whole update allocates about
+// 86 KiB, and the gate sits at twice that.
+func TestOutcomePatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are not meaningful under -race")
+	}
+	s, _ := clusteredSession(t, 2600)
+	opts := SolveOptions{Solver: translate.SolverMLN, Parallelism: 1}
+	res, err := s.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Stats.TotalFacts; n < 15000 {
+		t.Fatalf("session holds %d facts, want at least 15k", n)
+	}
+	// A second club for one player at overlapping times: a conflict
+	// inside one component, so each toggle re-solves that component and
+	// moves facts between the kept and removed lists.
+	probe := rdf.NewQuad("player/00007", "playsFor", "club/00007/0/probe", temporal.MustNew(1991, 1993), 0.55)
+	toggle := func() {
+		if !s.RemoveFact(probe) {
+			if err := s.AddFact(probe); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Solve(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delta.Empty() {
+			t.Fatal("the probe toggle did not change the outcome")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		toggle()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		toggle()
+	}
+	runtime.ReadMemStats(&after)
+	perToggle := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("single-fact toggle on %d facts: %d KiB allocated per solve", res.Stats.TotalFacts, perToggle>>10)
+	const limit = 176 << 10
+	if perToggle > limit {
+		t.Errorf("single-fact toggle allocates %d KiB per solve, want <= %d KiB", perToggle>>10, limit>>10)
+	}
+}

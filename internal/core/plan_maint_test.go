@@ -54,25 +54,46 @@ func checkPlanMatchesFresh(t *testing.T, s *Session, step int) {
 	}
 }
 
+// canonResolution is the part of a Resolution two solves of the same
+// state must agree on, with the lists collected into slices the
+// comparisons can rewrite.
+type canonResolution struct {
+	Stats                   repair.Stats
+	Kept, Removed, Inferred []repair.Fact
+	Clusters                []repair.Cluster
+}
+
 // canonOutcome strips the stats that legitimately differ between two
 // solves of the same state (timings, plan mode, cache reuse) so the rest
-// of the Resolution can be compared bitwise. The component partition's
+// of the Outcome can be compared bitwise. The component partition's
 // shape — Count, Largest, SizeHistogram — is path-independent and stays.
-func canonOutcome(r *Resolution) Resolution {
-	c := *r
-	oc := *r.Outcome
-	oc.Stats.Runtime = 0
-	oc.Stats.Plan = nil
-	oc.Stats.Repair = nil
-	oc.Stats.Outcome = nil
-	oc.Stats.Ground = nil
-	if cs := oc.Stats.Components; cs != nil {
-		oc.Stats.Components = &ground.ComponentStats{Count: cs.Count, Largest: cs.Largest, SizeHistogram: cs.SizeHistogram}
+func canonOutcome(r *Resolution) canonResolution {
+	st := r.Stats
+	st.Runtime = 0
+	st.Plan = nil
+	st.Repair = nil
+	st.Outcome = nil
+	st.Ground = nil
+	if cs := st.Components; cs != nil {
+		st.Components = &ground.ComponentStats{Count: cs.Count, Largest: cs.Largest, SizeHistogram: cs.SizeHistogram}
 	}
-	c.Outcome = &oc
-	c.Output = nil
-	c.Delta = nil
-	return c
+	return canonResolution{
+		Stats:    st,
+		Kept:     collect(r.Kept.Each),
+		Removed:  collect(r.Removed.Each),
+		Inferred: collect(r.Inferred.Each),
+		Clusters: collect(r.Clusters.Each),
+	}
+}
+
+// collect gathers a List's elements through its Each method.
+func collect[T any](each func(func(T) bool)) []T {
+	var out []T
+	each(func(x T) bool {
+		out = append(out, x)
+		return true
+	})
+	return out
 }
 
 // freshResolution solves a brand-new session loaded to s's current
@@ -99,8 +120,7 @@ func freshResolution(t *testing.T, s *Session, opts SolveOptions) *Resolution {
 // takeConfidences zeroes every fact confidence of a canonDurable
 // resolution and returns them keyed by statement, for solvers whose soft
 // values are compared by tolerance.
-func takeConfidences(r Resolution) (Resolution, map[rdf.FactKey]float64) {
-	oc := *r.Outcome
+func takeConfidences(r canonResolution) (canonResolution, map[rdf.FactKey]float64) {
 	conf := map[rdf.FactKey]float64{}
 	take := func(fs []repair.Fact) []repair.Fact {
 		out := append([]repair.Fact(nil), fs...)
@@ -110,8 +130,7 @@ func takeConfidences(r Resolution) (Resolution, map[rdf.FactKey]float64) {
 		}
 		return out
 	}
-	oc.Kept, oc.Removed, oc.Inferred = take(oc.Kept), take(oc.Removed), take(oc.Inferred)
-	r.Outcome = &oc
+	r.Kept, r.Removed, r.Inferred = take(r.Kept), take(r.Removed), take(r.Inferred)
 	return r, conf
 }
 
@@ -189,7 +208,7 @@ func testPlanMaintenanceDifferential(t *testing.T, solver translate.Solver, para
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("step %d: maintained-plan Resolution diverged from a fresh session\nmaintained: %+v\nfresh:      %+v",
-				step, a.Outcome, b.Outcome)
+				step, a, b)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func TestSolverAlternationKeepsAggregates(t *testing.T) {
 		switch {
 		case opts.CuttingPlane || opts.Solver == translate.SolverGreedy:
 			if a, b := canonDurable(res), canonDurable(freshResolution(t, s, opts)); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: resolution diverged from a fresh session\nsession: %+v\nfresh:   %+v", step, a.Outcome, b.Outcome)
+				t.Fatalf("%s: resolution diverged from a fresh session\nsession: %+v\nfresh:   %+v", step, a, b)
 			}
 		case opts.Solver == translate.SolverMLN:
 			checkAggregatesMatchFresh(t, s, res, opts, step)

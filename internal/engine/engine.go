@@ -299,7 +299,8 @@ func (c *Cache[V]) Settle(p *Plan, gone func(V)) {
 // offers the cached payload (if any) to reuse; a false return — stale
 // by the consumer's own criteria, e.g. an unconverged ADMM iterate —
 // demotes the component to dirty. Dirty components are then processed
-// concurrently on the shared worker pool (each kernel call must itself
+// concurrently on the shared worker pool when there are at least two per
+// worker, on the caller otherwise (each kernel call must itself
 // be sequential; the pool parallelises across components). reuse and
 // solve take the component's index into p.Comps; results and cached
 // (which marks the reused payloads) are indexed by position in scope,
@@ -322,8 +323,16 @@ func Run[V, R any](p *Plan, scope []int32, parallelism int, cache *Cache[V],
 		}
 		dirty = append(dirty, k)
 	}
+	// Fan out only when every worker gets at least two components. A
+	// single-fact update dirties one to three small components; waking a
+	// second worker for them costs more than it saves and makes the
+	// update wait on another thread being scheduled.
+	workers := par.Workers(parallelism)
+	if len(dirty) < 2*workers {
+		workers = 1
+	}
 	errs := make([]error, len(dirty))
-	par.Do(len(dirty), par.Workers(parallelism), func(j int) {
+	par.Do(len(dirty), workers, func(j int) {
 		k := dirty[j]
 		results[k], errs[j] = solve(int(scope[k]))
 	})

@@ -22,9 +22,22 @@ import (
 
 // ParseGraph reads a whole TQuads document.
 func ParseGraph(r io.Reader) (Graph, error) {
+	return parseGraph(r, 64*1024)
+}
+
+// ParseGraphString is ParseGraph over a string. Its line buffer starts
+// no larger than the string, so parsing the one-line documents of a
+// streamed update does not allocate the 64 KiB a file read starts with.
+func ParseGraphString(s string) (Graph, error) {
+	return parseGraph(strings.NewReader(s), min(len(s)+1, 64*1024))
+}
+
+// parseGraph scans r with a line buffer of initial capacity size, grown
+// as needed up to 16 MiB per line.
+func parseGraph(r io.Reader, size int) (Graph, error) {
 	var g Graph
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, size), 16*1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -42,11 +55,6 @@ func ParseGraph(r io.Reader) (Graph, error) {
 		return nil, fmt.Errorf("rdf: reading tquads: %w", err)
 	}
 	return g, nil
-}
-
-// ParseGraphString is ParseGraph over a string.
-func ParseGraphString(s string) (Graph, error) {
-	return ParseGraph(strings.NewReader(s))
 }
 
 // WriteGraph serialises the graph in TQuads syntax, one quad per line.

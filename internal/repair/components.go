@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/logic"
-	"repro/internal/rdf"
 	"repro/internal/translate"
 )
 
@@ -46,14 +45,11 @@ type ComponentCache struct {
 	units *engine.Cache[compUnit]
 	conf  []float64 // scratch, indexed by atom id
 
-	// The live outcome: global fact lists sorted by atom id and the
-	// cluster list sorted by root, always the sum of the held units.
-	// clusterKeys is the materialized snapshot of clusters, rebuilt only
-	// when an update changes them (an unchanged cluster list is the common
-	// case on single-fact updates that dirty a cluster-free region).
-	kept, removed, inferred []Fact
-	clusters                []Cluster
-	clusterKeys             [][]rdf.FactKey
+	// The live outcome: the global lists and the exact sum of the removed
+	// facts' confidences, always the sum of the held units.
+	kept, removed, inferred List[Fact]
+	clusters                List[Cluster]
+	removedWeight           exactSum
 	violations              map[string]int
 	thresholdFiltered       int
 	// delta is the changelog of the most recent update.
@@ -64,13 +60,8 @@ type ComponentCache struct {
 // the full state as added.
 func NewComponentCache() *ComponentCache {
 	return &ComponentCache{
-		units:       engine.NewCache[compUnit](),
-		kept:        []Fact{},
-		removed:     []Fact{},
-		inferred:    []Fact{},
-		clusters:    []Cluster{},
-		clusterKeys: [][]rdf.FactKey{},
-		violations:  make(map[string]int),
+		units:      engine.NewCache[compUnit](),
+		violations: make(map[string]int),
 	}
 }
 

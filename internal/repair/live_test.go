@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -30,24 +31,29 @@ const (
 )
 
 // checkInvariants validates the live outcome's deterministic-order and
-// agreement invariants: each list strictly ascending in its id, every
-// statement in exactly one list, and the held per-component records
-// summing to the global lists.
+// agreement invariants: each list strictly ascending in its id and laid
+// out exactly as the bulk build of its elements, every statement in
+// exactly one list, and the held per-component records summing to the
+// global lists.
 func checkInvariants(c *ComponentCache) error {
 	classOf := make(map[rdf.FactKey]factClass)
 	for _, l := range []struct {
 		name  string
-		facts []Fact
+		list  List[Fact]
 		class factClass
 	}{
 		{"kept", c.kept, classKept},
 		{"removed", c.removed, classRemoved},
 		{"inferred", c.inferred, classInferred},
 	} {
-		for i, f := range l.facts {
-			if i > 0 && l.facts[i-1].AtomID >= f.AtomID {
+		facts := collect(l.list.Each)
+		if !reflect.DeepEqual(l.list, newList(facts)) {
+			return fmt.Errorf("%s layout differs from the bulk build of its %d facts", l.name, len(facts))
+		}
+		for i, f := range facts {
+			if i > 0 && facts[i-1].AtomID >= f.AtomID {
 				return fmt.Errorf("%s not strictly ascending at %d (atom %d after %d)",
-					l.name, i, f.AtomID, l.facts[i-1].AtomID)
+					l.name, i, f.AtomID, facts[i-1].AtomID)
 			}
 			if cls, dup := classOf[f.Quad.Fact()]; dup {
 				return fmt.Errorf("%s fact %v is also listed under class %d", l.name, f.Quad.Fact(), cls)
@@ -55,21 +61,25 @@ func checkInvariants(c *ComponentCache) error {
 			classOf[f.Quad.Fact()] = l.class
 		}
 	}
-	for i := range c.clusters {
-		if i > 0 && c.clusters[i-1].Root >= c.clusters[i].Root {
+	clusters := collect(c.clusters.Each)
+	if !reflect.DeepEqual(c.clusters, newList(clusters)) {
+		return fmt.Errorf("cluster layout differs from the bulk build of its %d clusters", len(clusters))
+	}
+	for i := range clusters {
+		if i > 0 && clusters[i-1].Root >= clusters[i].Root {
 			return fmt.Errorf("clusters not strictly ascending at %d", i)
 		}
 	}
-	facts, clusters := 0, 0
+	facts, held := 0, 0
 	c.units.Each(func(_ ground.AtomID, u compUnit) {
 		facts += len(u.kept) + len(u.removed) + len(u.inferred)
-		clusters += len(u.clusters)
+		held += len(u.clusters)
 	})
 	if facts != len(classOf) {
 		return fmt.Errorf("held records sum to %d facts, lists hold %d", facts, len(classOf))
 	}
-	if clusters != len(c.clusters) {
-		return fmt.Errorf("held records sum to %d clusters, list holds %d", clusters, len(c.clusters))
+	if held != len(clusters) {
+		return fmt.Errorf("held records sum to %d clusters, list holds %d", held, len(clusters))
 	}
 	return nil
 }
@@ -96,18 +106,24 @@ func synthFact(atom ground.AtomID, class factClass, variant uint64) Fact {
 	return f
 }
 
-// synthUnit builds a component's read-out unit from a content seed:
-// which of the component's atom slots are populated, their classes and
-// their contents all derive from the seed, so equal seeds produce
-// byte-identical units.
+// synthComps is the number of synthetic components; component k owns
+// the atoms k, k+synthComps, k+2·synthComps, ..., so every component's
+// facts interleave with every other's across the lists' chunks.
+const synthComps = 6
+
+// synthUnit builds a component's read-out unit from a content seed: its
+// size (up to a few hundred atom slots, several chunks' worth), which
+// slots are populated, their classes and their contents all derive from
+// the seed, so equal seeds produce byte-identical units.
 func synthUnit(key ground.AtomID, seed uint64) *unit {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	u := &unit{thresholdFiltered: rng.Intn(3)}
-	for off := ground.AtomID(0); off < 12; off++ {
+	slots := rng.Intn(400)
+	for off := 0; off < slots; off++ {
 		if rng.Intn(3) == 0 {
 			continue
 		}
-		atom := key + off
+		atom := key + ground.AtomID(off*synthComps)
 		class := factClass(off%3) + 1
 		f := synthFact(atom, class, seed+uint64(off))
 		switch class {
@@ -119,12 +135,17 @@ func synthUnit(key ground.AtomID, seed uint64) *unit {
 			u.inferred = append(u.inferred, f)
 		}
 	}
-	if len(u.removed) > 0 {
-		keys := make([]rdf.FactKey, 0, len(u.removed))
-		for _, f := range u.removed {
+	// One cluster per run of up to three removed facts, rooted at the
+	// run's first atom.
+	for i := 0; i < len(u.removed); i += 3 {
+		run := u.removed[i:min(i+3, len(u.removed))]
+		keys := make([]rdf.FactKey, 0, len(run))
+		for _, f := range run {
 			keys = append(keys, f.Quad.Fact())
 		}
-		u.clusters = []Cluster{{Root: u.removed[0].AtomID, Keys: keys}}
+		u.clusters = append(u.clusters, Cluster{Root: run[0].AtomID, Keys: keys})
+	}
+	if len(u.removed) > 0 {
 		u.violations = map[string]int{"c": 1 + rng.Intn(3)}
 	}
 	return u
@@ -185,11 +206,11 @@ func refFacts(ref map[ground.AtomID]*refHeld) map[factClass]map[rdf.FactKey]Fact
 	return out
 }
 
-func refClusters(ref map[ground.AtomID]*refHeld) map[ground.AtomID][]rdf.FactKey {
-	out := map[ground.AtomID][]rdf.FactKey{}
+func refClusters(ref map[ground.AtomID]*refHeld) map[ground.AtomID]Cluster {
+	out := map[ground.AtomID]Cluster{}
 	for _, h := range ref {
 		for _, c := range h.u.clusters {
-			out[c.Root] = c.Keys
+			out[c.Root] = c
 		}
 	}
 	return out
@@ -208,31 +229,26 @@ func expectFactDelta(prev, cur map[rdf.FactKey]Fact) (removed, added []Fact) {
 			removed = append(removed, f)
 		}
 	}
-	sortFacts(removed)
-	sortFacts(added)
+	byAtom := func(a, b Fact) int { return int(a.AtomID) - int(b.AtomID) }
+	slices.SortFunc(removed, byAtom)
+	slices.SortFunc(added, byAtom)
 	return removed, added
 }
 
-func expectClusterDelta(prev, cur map[ground.AtomID][]rdf.FactKey) (removed, added [][]rdf.FactKey) {
-	var rmRoots, adRoots []ground.AtomID
-	for r, keys := range cur {
-		if old, ok := prev[r]; !ok || !reflect.DeepEqual(old, keys) {
-			adRoots = append(adRoots, r)
+func expectClusterDelta(prev, cur map[ground.AtomID]Cluster) (removed, added []Cluster) {
+	for r, c := range cur {
+		if old, ok := prev[r]; !ok || !reflect.DeepEqual(old, c) {
+			added = append(added, c)
 		}
 	}
-	for r, keys := range prev {
-		if now, ok := cur[r]; !ok || !reflect.DeepEqual(now, keys) {
-			rmRoots = append(rmRoots, r)
+	for r, c := range prev {
+		if now, ok := cur[r]; !ok || !reflect.DeepEqual(now, c) {
+			removed = append(removed, c)
 		}
 	}
-	sort.Slice(rmRoots, func(i, j int) bool { return rmRoots[i] < rmRoots[j] })
-	sort.Slice(adRoots, func(i, j int) bool { return adRoots[i] < adRoots[j] })
-	for _, r := range rmRoots {
-		removed = append(removed, prev[r])
-	}
-	for _, r := range adRoots {
-		added = append(added, cur[r])
-	}
+	byRoot := func(a, b Cluster) int { return int(a.Root) - int(b.Root) }
+	slices.SortFunc(removed, byRoot)
+	slices.SortFunc(added, byRoot)
 	return removed, added
 }
 
@@ -268,7 +284,7 @@ func FuzzOutcomePatch(f *testing.F) {
 		gen := uint64(0)
 		for i := 0; i+1 < len(data) && i < 128; i += 2 {
 			op, sel := data[i], data[i+1]
-			key := ground.AtomID(int(sel)%6) * 100
+			key := ground.AtomID(int(sel) % synthComps)
 			prevFacts, prevClusters := refFacts(ref), refClusters(ref)
 			gen++
 			if op%4 == 3 {
@@ -286,6 +302,9 @@ func FuzzOutcomePatch(f *testing.F) {
 			if err := checkInvariants(c); err != nil {
 				t.Fatalf("op %d: invariant violated: %v", i/2, err)
 			}
+			// The reference is the bulk build over the model's units, so
+			// this compares the lists' chunk layout too, and the maintained
+			// RemovedWeight against one summed from scratch.
 			want := refOutcome(ref)
 			got := &Outcome{}
 			c.materialize(got)
@@ -320,49 +339,101 @@ func FuzzOutcomePatch(f *testing.F) {
 	})
 }
 
-// TestSpliceWindow exercises the copy-on-write window splice directly:
-// removals and insertions interleaved with untouched prefix/suffix,
-// equal-id replacement, and pure inserts/deletes.
-func TestSpliceWindow(t *testing.T) {
-	mk := func(ids ...ground.AtomID) []Fact {
+// TestListSplice exercises List.splice directly against the bulk build
+// of the expected contents (chunk layout included): boundary elements
+// entering and leaving, a whole chunk leaving, an insert into an empty
+// list, an equal-id replacement, edits past either end — and the input
+// List left unmutated every time.
+func TestListSplice(t *testing.T) {
+	mk := func(variant uint64, ids ...ground.AtomID) []Fact {
 		fs := make([]Fact, 0, len(ids))
 		for _, id := range ids {
-			fs = append(fs, synthFact(id, classKept, uint64(id)))
+			fs = append(fs, synthFact(id, classRemoved, variant+uint64(id)))
 		}
 		return fs
 	}
-	ids := func(fs []Fact) []ground.AtomID {
-		out := make([]ground.AtomID, 0, len(fs))
-		for _, f := range fs {
-			out = append(out, f.AtomID)
+	span := func(lo, hi ground.AtomID, skip ...ground.AtomID) []ground.AtomID {
+		var ids []ground.AtomID
+		for id := lo; id < hi; id++ {
+			if !slices.Contains(skip, id) {
+				ids = append(ids, id)
+			}
 		}
-		return out
+		return ids
 	}
-	factID := func(f Fact) ground.AtomID { return f.AtomID }
+	// Boundary elements in [0, 1000): b[1] ends the second chunk of the
+	// full span, which starts right after b[0].
+	var b []ground.AtomID
+	for id := ground.AtomID(0); id < 1000; id++ {
+		if endsChunk(id) {
+			b = append(b, id)
+		}
+	}
+	if len(b) < 4 {
+		t.Fatalf("only %d boundary ids below 1000", len(b))
+	}
+	// Two non-boundary elements inside the second chunk.
+	var mid []ground.AtomID
+	for id := b[0] + 1; len(mid) < 2; id++ {
+		if !endsChunk(id) {
+			mid = append(mid, id)
+		}
+	}
 
-	base := mk(1, 5, 9, 12, 20)
-	got := splice(base, mk(5, 12), mk(6, 7, 13), factID)
-	if want := []ground.AtomID{1, 6, 7, 9, 13, 20}; !reflect.DeepEqual(ids(got), want) {
-		t.Fatalf("splice = %v, want %v", ids(got), want)
+	for _, tc := range []struct {
+		name        string
+		base        []ground.AtomID
+		rm, ad      []ground.AtomID
+		want        []ground.AtomID
+		chunksDelta int
+	}{
+		{"boundary inserted mid-chunk", span(0, 1000, b[1]), nil, []ground.AtomID{b[1]}, span(0, 1000), +1},
+		{"boundary removed", span(0, 1000), []ground.AtomID{b[1]}, nil, span(0, 1000, b[1]), -1},
+		{"whole chunk removed", span(0, 1000), span(b[0]+1, b[1]+1), nil, append(span(0, b[0]+1), span(b[1]+1, 1000)...), -1},
+		{"insert into empty list", nil, nil, []ground.AtomID{3, b[2], 999}, []ground.AtomID{3, b[2], 999}, 0},
+		{"non-boundary removed and inserted", span(0, 1000, mid[1]), mid[:1], mid[1:], span(0, 1000, mid[0]), 0},
+		{"append past the end", span(0, 500), nil, []ground.AtomID{600, 700}, append(span(0, 500), 600, 700), 0},
+		{"trim both ends", span(0, 1000), []ground.AtomID{0, 999}, nil, span(1, 999), 0},
+		{"remove everything", span(0, 10), span(0, 10), nil, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := newList(mk(0, tc.base...))
+			frozen := newList(mk(0, tc.base...))
+			ad := mk(0, tc.ad...)
+			got := base.splice(mk(0, tc.rm...), ad)
+			clear(ad) // the caller keeps its slices: the changelog
+			want := newList(mk(0, tc.want...))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("splice result differs from the bulk build: %d elements in %d chunks, want %d in %d",
+					got.Len(), len(got.chunks), want.Len(), len(want.chunks))
+			}
+			if tc.chunksDelta != 0 && len(got.chunks)-len(base.chunks) != tc.chunksDelta {
+				t.Fatalf("chunks %d → %d, want a change of %+d", len(base.chunks), len(got.chunks), tc.chunksDelta)
+			}
+			if !reflect.DeepEqual(base, frozen) {
+				t.Fatal("splice mutated its input list")
+			}
+		})
 	}
-	// The untouched input must not be mutated (copy-on-write).
-	if want := []ground.AtomID{1, 5, 9, 12, 20}; !reflect.DeepEqual(ids(base), want) {
-		t.Fatalf("splice mutated its input: %v", ids(base))
+
+	// An equal-id replacement (a re-repaired fact keeps its atom) swaps
+	// the content in place.
+	replaced := []ground.AtomID{b[0], b[1]}
+	var wantFacts []Fact
+	for _, id := range span(0, 1000) {
+		variant := uint64(0)
+		if slices.Contains(replaced, id) {
+			variant = 2
+		}
+		wantFacts = append(wantFacts, mk(variant, id)...)
 	}
-	// Equal-id replacement (a re-patched fact keeps its atom).
-	got = splice(base, mk(9), mk(9), factID)
-	if want := []ground.AtomID{1, 5, 9, 12, 20}; !reflect.DeepEqual(ids(got), want) {
-		t.Fatalf("equal-id splice = %v, want %v", ids(got), want)
+	base := newList(mk(0, span(0, 1000)...))
+	got := base.splice(mk(0, replaced...), mk(2, replaced...))
+	if want := newList(wantFacts); !reflect.DeepEqual(got, want) {
+		t.Fatal("equal-id replacement differs from the bulk build")
 	}
-	// Pure insert past the end, pure delete, and the no-op fast path.
-	if got := splice(base, nil, mk(25), factID); !reflect.DeepEqual(ids(got), []ground.AtomID{1, 5, 9, 12, 20, 25}) {
-		t.Fatalf("append splice = %v", ids(got))
-	}
-	if got := splice(base, mk(1, 20), nil, factID); !reflect.DeepEqual(ids(got), []ground.AtomID{5, 9, 12}) {
-		t.Fatalf("trim splice = %v", ids(got))
-	}
-	if got := splice(base, nil, nil, factID); len(got) != len(base) {
-		t.Fatalf("no-op splice changed length: %d", len(got))
+	if got := base.splice(nil, nil); !reflect.DeepEqual(got, base) {
+		t.Fatal("no-op splice changed the list")
 	}
 }
 
@@ -390,8 +461,9 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.kept) != 0 || len(c.removed) != 1 || c.removed[0].Quad.Fact() != f.Quad.Fact() {
-		t.Fatalf("lists did not follow the class move: kept %v removed %v", c.kept, c.removed)
+	removed := collect(c.removed.Each)
+	if c.kept.Len() != 0 || len(removed) != 1 || removed[0].Quad.Fact() != f.Quad.Fact() {
+		t.Fatalf("lists did not follow the class move: kept %d removed %v", c.kept.Len(), removed)
 	}
 	d := c.delta
 	if len(d.RemovedKept) != 1 || len(d.AddedRemoved) != 1 || len(d.AddedClusters) != 1 {
@@ -442,7 +514,7 @@ func TestLiveOutcomeReset(t *testing.T) {
 	ref := map[ground.AtomID]*refHeld{key: {u: synthUnit(key, 9), gen: 1}}
 	syncRef(t, c, ref, key)
 	c = NewComponentCache()
-	if len(c.kept)+len(c.removed)+len(c.inferred) != 0 {
+	if c.kept.Len()+c.removed.Len()+c.inferred.Len() != 0 {
 		t.Fatal("a new cache holds state")
 	}
 	syncRef(t, c, ref, ground.AtomID(-1)) // nothing touched, but no record is held
@@ -456,4 +528,14 @@ func TestLiveOutcomeReset(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("rebuild after reset diverged from reference")
 	}
+}
+
+// collect gathers a List's elements through its Each method.
+func collect[T any](each func(func(T) bool)) []T {
+	var out []T
+	each(func(x T) bool {
+		out = append(out, x)
+		return true
+	})
+	return out
 }

@@ -176,19 +176,21 @@ type Stats struct {
 	Plan *engine.PlanStats
 }
 
-// Outcome is the full result of temporal conflict resolution.
+// Outcome is the full result of temporal conflict resolution. The lists
+// are immutable snapshots: a session's later solves never change an
+// Outcome already handed out.
 type Outcome struct {
 	// Kept are the input facts in the most probable consistent subset.
-	Kept []Fact
+	Kept List[Fact]
 	// Removed are the input facts identified as conflicting noise.
-	Removed []Fact
+	Removed List[Fact]
 	// Inferred are derived facts (threshold applied), with propagated
 	// confidences in Quad.Confidence.
-	Inferred []Fact
+	Inferred List[Fact]
 	// Clusters groups the statements involved in each conflict
 	// component (facts connected by violated-or-resolving constraint
 	// groundings).
-	Clusters [][]rdf.FactKey
+	Clusters List[Cluster]
 	// Stats is the summary.
 	Stats Stats
 }
@@ -196,14 +198,25 @@ type Outcome struct {
 // ConsistentGraph returns kept plus inferred facts as a graph — the
 // expanded, conflict-free utkg of Figure 7.
 func (o *Outcome) ConsistentGraph() rdf.Graph {
-	g := make(rdf.Graph, 0, len(o.Kept)+len(o.Inferred))
-	for _, f := range o.Kept {
+	g := make(rdf.Graph, 0, o.Kept.Len()+o.Inferred.Len())
+	add := func(f Fact) bool {
 		g = append(g, f.Quad)
+		return true
 	}
-	for _, f := range o.Inferred {
-		g = append(g, f.Quad)
-	}
+	o.Kept.Each(add)
+	o.Inferred.Each(add)
 	return g
+}
+
+// countLists sets the summary statistics the lists determine, given the
+// exact sum of the removed facts' confidences.
+func (o *Outcome) countLists(removedWeight *exactSum) {
+	o.Stats.KeptFacts = o.Kept.Len()
+	o.Stats.RemovedFacts = o.Removed.Len()
+	o.Stats.TotalFacts = o.Kept.Len() + o.Removed.Len()
+	o.Stats.InferredFacts = o.Inferred.Len()
+	o.Stats.RemovedWeight = removedWeight.float64()
+	o.Stats.ConflictClusters = o.Clusters.Len()
 }
 
 // clauseVisitor walks a scope's live clauses in stable slot order —
@@ -212,13 +225,20 @@ func (o *Outcome) ConsistentGraph() rdf.Graph {
 type clauseVisitor func(fn func(slot int32, c *ground.Clause) bool)
 
 // unit is the conflict-resolution read-out of one clause-connected
-// scope: a single conflict component, or the whole graph.
+// scope: a single conflict component, or the whole graph. Each list is
+// sorted by id.
 type unit struct {
 	kept, removed, inferred []Fact
 	thresholdFiltered       int
 	clusters                []Cluster
 	violations              map[string]int
 }
+
+// Selectors of a unit's lists, for gather.
+func keptOf(u *unit) []Fact        { return u.kept }
+func removedOf(u *unit) []Fact     { return u.removed }
+func inferredOf(u *unit) []Fact    { return u.inferred }
+func clustersOf(u *unit) []Cluster { return u.clusters }
 
 // Cluster is one connected group of conflicting statements, tagged with
 // its union-find root — a deterministic cross-scope merge order and a
@@ -360,57 +380,28 @@ func (u *unit) attachAnalysis(scan *conflictScan) {
 	}
 }
 
-// assembleOutcome merges read-out units into the Outcome: facts sorted
-// by atom id, clusters by union-find root, statistics recomputed over
-// the merged lists in that fixed order — so the merged result is
-// byte-identical to a single whole-graph unit over the same state, and
-// identical at every parallelism setting.
+// assembleOutcome merges read-out units into the Outcome: each list is
+// the bulk build of the units' elements in id order, and the statistics
+// are recomputed over it — so the merged result is byte-identical to a
+// single whole-graph unit over the same state, and identical at every
+// parallelism setting.
 func assembleOutcome(oc *Outcome, units []*unit) {
-	var nk, nr, ni, nc int
-	for _, u := range units {
-		nk += len(u.kept)
-		nr += len(u.removed)
-		ni += len(u.inferred)
-		nc += len(u.clusters)
-	}
-	oc.Kept = make([]Fact, 0, nk)
-	oc.Removed = make([]Fact, 0, nr)
-	oc.Inferred = make([]Fact, 0, ni)
+	oc.Kept = newList(gather(units, keptOf))
+	oc.Removed = newList(gather(units, removedOf))
+	oc.Inferred = newList(gather(units, inferredOf))
+	oc.Clusters = newList(gather(units, clustersOf))
 	oc.Stats.RuleViolations = make(map[string]int)
+	var w exactSum
 	for _, u := range units {
-		oc.Kept = append(oc.Kept, u.kept...)
-		oc.Removed = append(oc.Removed, u.removed...)
-		oc.Inferred = append(oc.Inferred, u.inferred...)
 		oc.Stats.ThresholdFiltered += u.thresholdFiltered
 		for rule, n := range u.violations {
 			oc.Stats.RuleViolations[rule] += n
 		}
+		for _, f := range u.removed {
+			w.add(f.Quad.Confidence)
+		}
 	}
-	sortFacts(oc.Kept)
-	sortFacts(oc.Removed)
-	sortFacts(oc.Inferred)
-	oc.Stats.KeptFacts = len(oc.Kept)
-	oc.Stats.RemovedFacts = len(oc.Removed)
-	oc.Stats.TotalFacts = len(oc.Kept) + len(oc.Removed)
-	oc.Stats.InferredFacts = len(oc.Inferred)
-	for _, f := range oc.Removed {
-		oc.Stats.RemovedWeight += f.Quad.Confidence
-	}
-
-	clusters := make([]Cluster, 0, nc)
-	for _, u := range units {
-		clusters = append(clusters, u.clusters...)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Root < clusters[j].Root })
-	oc.Clusters = make([][]rdf.FactKey, 0, len(clusters))
-	for _, c := range clusters {
-		oc.Clusters = append(oc.Clusters, c.Keys)
-	}
-	oc.Stats.ConflictClusters = len(oc.Clusters)
-}
-
-func sortFacts(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].AtomID < fs[j].AtomID })
+	oc.countLists(&w)
 }
 
 // propagateConfidences assigns confidences to the scope's atoms. PSL's

@@ -117,13 +117,14 @@ func TestFigure7(t *testing.T) {
 			if oc.Stats.TotalFacts != 5 || oc.Stats.KeptFacts != 4 || oc.Stats.RemovedFacts != 1 {
 				t.Fatalf("stats = %+v", oc.Stats)
 			}
-			if len(oc.Removed) != 1 || oc.Removed[0].Quad.Object.Value != "Napoli" {
-				t.Fatalf("removed = %v", oc.Removed)
+			removed, inferred := collect(oc.Removed.Each), collect(oc.Inferred.Each)
+			if len(removed) != 1 || removed[0].Quad.Object.Value != "Napoli" {
+				t.Fatalf("removed = %v", removed)
 			}
-			if oc.Stats.InferredFacts != tc.inferred || len(oc.Inferred) != tc.inferred {
-				t.Fatalf("inferred = %v, want %d", oc.Inferred, tc.inferred)
+			if oc.Stats.InferredFacts != tc.inferred || len(inferred) != tc.inferred {
+				t.Fatalf("inferred = %v, want %d", inferred, tc.inferred)
 			}
-			for _, f := range oc.Inferred {
+			for _, f := range inferred {
 				if f.Quad.Predicate.Value != "worksFor" || !f.Derived {
 					t.Errorf("inferred fact %+v, want a derived worksFor", f)
 				}
@@ -137,10 +138,11 @@ func TestFigure7(t *testing.T) {
 					t.Error("Napoli in consistent graph")
 				}
 			}
-			if len(oc.Clusters) != 1 || len(oc.Clusters[0]) != 2 {
-				t.Fatalf("clusters = %v, want one of Chelsea & Napoli", oc.Clusters)
+			clusters := collect(oc.Clusters.Each)
+			if len(clusters) != 1 || len(clusters[0].Keys) != 2 {
+				t.Fatalf("clusters = %v, want one of Chelsea & Napoli", clusters)
 			}
-			ex := oc.Removed[0].Explanations
+			ex := removed[0].Explanations
 			if len(ex) != 1 || ex[0].Rule != "c2" || len(ex[0].Partners) != 1 ||
 				!strings.Contains(ex[0].Partners[0].String(), "Chelsea") {
 				t.Errorf("explanations = %v", ex)
@@ -157,7 +159,7 @@ func TestConflictClusters(t *testing.T) {
 	if oc.Stats.ConflictClusters != 1 {
 		t.Fatalf("clusters = %d, want 1", oc.Stats.ConflictClusters)
 	}
-	cl := oc.Clusters[0]
+	cl := collect(oc.Clusters.Each)[0].Keys
 	if len(cl) != 2 {
 		t.Fatalf("cluster size = %d, want 2 (Chelsea & Napoli)", len(cl))
 	}
@@ -170,7 +172,7 @@ func TestConflictClusters(t *testing.T) {
 func TestDerivedConfidencePropagationMLN(t *testing.T) {
 	oc := solve(t, figure1, figure4and6, translate.SolverMLN, Options{})
 	// worksFor inherits min body conf (0.5) × σ(2.5) ≈ 0.46.
-	got := oc.Inferred[0].Quad.Confidence
+	got := collect(oc.Inferred.Each)[0].Quad.Confidence
 	if got < 0.4 || got > 0.5 {
 		t.Errorf("derived confidence = %g, want ≈ 0.46", got)
 	}
@@ -178,10 +180,11 @@ func TestDerivedConfidencePropagationMLN(t *testing.T) {
 
 func TestDerivedConfidencePSLUsesSoftValue(t *testing.T) {
 	oc := solve(t, figure1, figure4and6, translate.SolverPSL, Options{})
-	if len(oc.Inferred) != 1 {
-		t.Fatalf("inferred = %v", oc.Inferred)
+	inferred := collect(oc.Inferred.Each)
+	if len(inferred) != 1 {
+		t.Fatalf("inferred = %v", inferred)
 	}
-	got := oc.Inferred[0].Quad.Confidence
+	got := inferred[0].Quad.Confidence
 	if got <= 0 || got > 1 {
 		t.Errorf("PSL derived confidence = %g", got)
 	}
@@ -222,8 +225,9 @@ func TestResidualViolationsEmptyForHard(t *testing.T) {
 
 func TestFactsSorted(t *testing.T) {
 	oc := solve(t, figure1, figure4and6, translate.SolverMLN, Options{})
-	for i := 1; i < len(oc.Kept); i++ {
-		if oc.Kept[i-1].AtomID >= oc.Kept[i].AtomID {
+	kept := collect(oc.Kept.Each)
+	for i := 1; i < len(kept); i++ {
+		if kept[i-1].AtomID >= kept[i].AtomID {
 			t.Fatal("kept facts not sorted by atom id")
 		}
 	}
@@ -231,10 +235,11 @@ func TestFactsSorted(t *testing.T) {
 
 func TestExplanationsOnRemovedFacts(t *testing.T) {
 	oc := solve(t, figure1, figure4and6, translate.SolverMLN, Options{})
-	if len(oc.Removed) != 1 {
-		t.Fatalf("removed = %v", oc.Removed)
+	removed := collect(oc.Removed.Each)
+	if len(removed) != 1 {
+		t.Fatalf("removed = %v", removed)
 	}
-	ex := oc.Removed[0].Explanations
+	ex := removed[0].Explanations
 	if len(ex) == 0 {
 		t.Fatal("removed fact has no explanation")
 	}
@@ -248,7 +253,7 @@ func TestExplanationsOnRemovedFacts(t *testing.T) {
 		t.Errorf("explanation string = %q", ex[0].String())
 	}
 	// Kept facts carry no explanations.
-	for _, f := range oc.Kept {
+	for _, f := range collect(oc.Kept.Each) {
 		if len(f.Explanations) != 0 {
 			t.Errorf("kept fact %v has explanations", f.Quad)
 		}

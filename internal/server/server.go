@@ -549,59 +549,73 @@ func (s *Server) solveResponse(res *core.Resolution) SolveResponse {
 }
 
 // outcomeResponse renders an Outcome with the server's fact cap
-// applied.
+// applied. Each list is read straight from the Outcome's snapshot and
+// rendering stops at the cap, so the cost is O(cap), not O(n).
 func (s *Server) outcomeResponse(oc *repair.Outcome) SolveResponse {
 	resp := SolveResponse{Stats: oc.Stats}
 	cap := s.MaxFactsInResponse
-	resp.Kept, resp.Truncated = factStrings(oc.Kept, cap, resp.Truncated)
-	resp.Removed, resp.Truncated = removedStrings(oc.Removed, cap, resp.Truncated)
-	resp.Inferred, resp.Truncated = factStrings(oc.Inferred, cap, resp.Truncated)
-	resp.Clusters, resp.Truncated = clusterStrings(oc.Clusters, cap, resp.Truncated)
+	resp.Kept, resp.Truncated = factStrings(oc.Kept.Each, cap, resp.Truncated)
+	resp.Removed, resp.Truncated = removedStrings(oc.Removed.Each, cap, resp.Truncated)
+	resp.Inferred, resp.Truncated = factStrings(oc.Inferred.Each, cap, resp.Truncated)
+	resp.Clusters, resp.Truncated = clusterStrings(oc.Clusters.Each, cap, resp.Truncated)
 	return resp
 }
 
 // clusterStrings renders conflict clusters as key-string groups with
 // the fact cap applied to the cluster count.
-func clusterStrings(clusters [][]rdf.FactKey, max int, truncated bool) ([][]string, bool) {
-	var out [][]string
-	for i, cl := range clusters {
-		if i >= max {
-			return out, true
-		}
-		keys := make([]string, 0, len(cl))
-		for _, k := range cl {
+func clusterStrings(clusters seq[repair.Cluster], max int, truncated bool) ([][]string, bool) {
+	return render(clusters, max, truncated, func(cl repair.Cluster) []string {
+		keys := make([]string, 0, len(cl.Keys))
+		for _, k := range cl.Keys {
 			keys = append(keys, k.String())
 		}
-		out = append(out, keys)
-	}
-	return out, truncated
+		return keys
+	})
 }
 
-func factStrings(fs []repair.Fact, max int, truncated bool) ([]string, bool) {
-	var out []string
-	for i, f := range fs {
-		if i >= max {
-			return out, true
-		}
-		out = append(out, f.Quad.Compact())
-	}
-	return out, truncated
+func factStrings(fs seq[repair.Fact], max int, truncated bool) ([]string, bool) {
+	return render(fs, max, truncated, func(f repair.Fact) string { return f.Quad.Compact() })
 }
 
 // removedStrings annotates removed facts with their first explanation,
 // e.g. "(CR, coach, Napoli, [2001,2003]) 0.6 — violates c2 with (...)".
-func removedStrings(fs []repair.Fact, max int, truncated bool) ([]string, bool) {
-	var out []string
-	for i, f := range fs {
-		if i >= max {
-			return out, true
-		}
+func removedStrings(fs seq[repair.Fact], max int, truncated bool) ([]string, bool) {
+	return render(fs, max, truncated, func(f repair.Fact) string {
 		line := f.Quad.Compact()
 		if len(f.Explanations) > 0 {
 			line += " — violates " + f.Explanations[0].String()
 		}
-		out = append(out, line)
+		return line
+	})
+}
+
+// seq is a push iterator over a list: a repair.List's Each method, or
+// sliceSeq over a changelog slice.
+type seq[T any] func(yield func(T) bool)
+
+// sliceSeq iterates s.
+func sliceSeq[T any](s []T) seq[T] {
+	return func(yield func(T) bool) {
+		for _, x := range s {
+			if !yield(x) {
+				return
+			}
+		}
 	}
+}
+
+// render formats at most max elements of each; the flag reports whether
+// any list so far was cut short.
+func render[T, S any](each seq[T], max int, truncated bool, format func(T) S) ([]S, bool) {
+	var out []S
+	each(func(x T) bool {
+		if len(out) >= max {
+			truncated = true
+			return false
+		}
+		out = append(out, format(x))
+		return true
+	})
 	return out, truncated
 }
 

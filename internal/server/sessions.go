@@ -64,10 +64,10 @@ type session struct {
 	snap atomic.Pointer[sessionSnapshot]
 }
 
-// sessionSnapshot is an immutable committed view of a session. The
-// outcome's slices are copy-on-write on the live-outcome path and
-// freshly built on every other path, so the snapshot stays valid while
-// later solves patch the session's state.
+// sessionSnapshot is an immutable committed view of a session. An
+// Outcome's lists are immutable chunked snapshots (later solves copy the
+// chunks they change and never write a shared one), so the snapshot
+// stays valid while later solves patch the session's state.
 type sessionSnapshot struct {
 	info SessionInfo
 	// outcome is the last committed solve's result (nil before the
@@ -502,9 +502,9 @@ type SessionSolveRequest struct {
 // and stage timings — and stats.Outcome how the final Outcome was
 // produced: mode "live" (the session keeps one read-out record per
 // component and patches the global lists from the re-repaired ones),
-// patched/reused split, index/merge timings. The lists are always
-// materialized for the session's snapshot readers; delta mode only
-// changes what this response renders.
+// patched/reused split, index/merge timings. Every solve publishes the
+// full Outcome snapshot for the session's readers (GET .../outcome);
+// delta mode only changes what this response renders.
 type SessionSolveResponse struct {
 	SolveResponse
 	// Incremental reports whether the solve consumed only the delta.
@@ -539,14 +539,14 @@ type OutcomeDeltaResponse struct {
 func (s *Server) deltaResponse(d *repair.OutcomeDelta) *OutcomeDeltaResponse {
 	max := s.MaxFactsInResponse
 	resp := &OutcomeDeltaResponse{}
-	resp.AddedKept, resp.Truncated = factStrings(d.AddedKept, max, resp.Truncated)
-	resp.RemovedKept, resp.Truncated = factStrings(d.RemovedKept, max, resp.Truncated)
-	resp.AddedRemoved, resp.Truncated = removedStrings(d.AddedRemoved, max, resp.Truncated)
-	resp.RemovedRemoved, resp.Truncated = removedStrings(d.RemovedRemoved, max, resp.Truncated)
-	resp.AddedInferred, resp.Truncated = factStrings(d.AddedInferred, max, resp.Truncated)
-	resp.RemovedInferred, resp.Truncated = factStrings(d.RemovedInferred, max, resp.Truncated)
-	resp.AddedClusters, resp.Truncated = clusterStrings(d.AddedClusters, max, resp.Truncated)
-	resp.RemovedClusters, resp.Truncated = clusterStrings(d.RemovedClusters, max, resp.Truncated)
+	resp.AddedKept, resp.Truncated = factStrings(sliceSeq(d.AddedKept), max, resp.Truncated)
+	resp.RemovedKept, resp.Truncated = factStrings(sliceSeq(d.RemovedKept), max, resp.Truncated)
+	resp.AddedRemoved, resp.Truncated = removedStrings(sliceSeq(d.AddedRemoved), max, resp.Truncated)
+	resp.RemovedRemoved, resp.Truncated = removedStrings(sliceSeq(d.RemovedRemoved), max, resp.Truncated)
+	resp.AddedInferred, resp.Truncated = factStrings(sliceSeq(d.AddedInferred), max, resp.Truncated)
+	resp.RemovedInferred, resp.Truncated = factStrings(sliceSeq(d.RemovedInferred), max, resp.Truncated)
+	resp.AddedClusters, resp.Truncated = clusterStrings(sliceSeq(d.AddedClusters), max, resp.Truncated)
+	resp.RemovedClusters, resp.Truncated = clusterStrings(sliceSeq(d.RemovedClusters), max, resp.Truncated)
 	return resp
 }
 

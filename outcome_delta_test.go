@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	tecore "repro"
-	"repro/internal/rdf"
 	"repro/internal/repair"
 )
 
@@ -45,16 +44,14 @@ func factKey(f tecore.Fact) string { return f.Quad.Fact().String() }
 // explanation change that the changelog must report is caught.
 func factVal(f tecore.Fact) string { return fmt.Sprintf("%+v", f) }
 
-func clusterID(cl []string) string { return strings.Join(cl, " | ") }
-
-// renderFactKeys gives a cluster a stable identity: its sorted member
+// renderCluster gives a cluster a stable identity: its sorted member
 // statements joined.
-func renderFactKeys(cl []rdf.FactKey) string {
-	keys := make([]string, 0, len(cl))
-	for _, k := range cl {
+func renderCluster(cl tecore.Cluster) string {
+	keys := make([]string, 0, len(cl.Keys))
+	for _, k := range cl.Keys {
 		keys = append(keys, k.String())
 	}
-	return clusterID(keys)
+	return strings.Join(keys, " | ")
 }
 
 func (s *shadowOutcome) apply(t *testing.T, d *tecore.OutcomeDelta) {
@@ -82,14 +79,14 @@ func (s *shadowOutcome) apply(t *testing.T, d *tecore.OutcomeDelta) {
 	add(s.removed, d.AddedRemoved, "removed")
 	add(s.inferred, d.AddedInferred, "inferred")
 	for _, cl := range d.RemovedClusters {
-		id := renderFactKeys(cl)
+		id := renderCluster(cl)
 		if !s.clusters[id] {
 			t.Fatalf("delta removes unknown cluster %s", id)
 		}
 		delete(s.clusters, id)
 	}
 	for _, cl := range d.AddedClusters {
-		id := renderFactKeys(cl)
+		id := renderCluster(cl)
 		if s.clusters[id] {
 			t.Fatalf("delta adds duplicate cluster %s", id)
 		}
@@ -101,11 +98,11 @@ func (s *shadowOutcome) apply(t *testing.T, d *tecore.OutcomeDelta) {
 // Outcome.
 func (s *shadowOutcome) assertMatches(t *testing.T, oc *tecore.Outcome) {
 	t.Helper()
-	check := func(m map[string]string, fs []tecore.Fact, list string) {
-		if len(m) != len(fs) {
-			t.Fatalf("%s: shadow holds %d facts, outcome %d", list, len(m), len(fs))
+	check := func(m map[string]string, fs tecore.FactList, list string) {
+		if len(m) != fs.Len() {
+			t.Fatalf("%s: shadow holds %d facts, outcome %d", list, len(m), fs.Len())
 		}
-		for _, f := range fs {
+		for _, f := range collect(fs.Each) {
 			if v, ok := m[factKey(f)]; !ok || v != factVal(f) {
 				t.Fatalf("%s: outcome fact %s not reproduced by the changelog (shadow %q, outcome %q)",
 					list, factKey(f), v, factVal(f))
@@ -115,16 +112,12 @@ func (s *shadowOutcome) assertMatches(t *testing.T, oc *tecore.Outcome) {
 	check(s.kept, oc.Kept, "kept")
 	check(s.removed, oc.Removed, "removed")
 	check(s.inferred, oc.Inferred, "inferred")
-	if len(s.clusters) != len(oc.Clusters) {
-		t.Fatalf("clusters: shadow holds %d, outcome %d", len(s.clusters), len(oc.Clusters))
+	if len(s.clusters) != oc.Clusters.Len() {
+		t.Fatalf("clusters: shadow holds %d, outcome %d", len(s.clusters), oc.Clusters.Len())
 	}
-	for i := range oc.Clusters {
-		keys := make([]string, 0, len(oc.Clusters[i]))
-		for _, k := range oc.Clusters[i] {
-			keys = append(keys, k.String())
-		}
-		if !s.clusters[clusterID(keys)] {
-			t.Fatalf("clusters: outcome cluster %s not reproduced by the changelog", clusterID(keys))
+	for _, cl := range collect(oc.Clusters.Each) {
+		if id := renderCluster(cl); !s.clusters[id] {
+			t.Fatalf("clusters: outcome cluster %s not reproduced by the changelog", id)
 		}
 	}
 }
@@ -423,9 +416,9 @@ func TestOutcomeDeltaClusterScoped(t *testing.T) {
 			mentions([]string{f.Quad.Fact().String()})
 		}
 	}
-	for _, cls := range [][][]rdf.FactKey{d.AddedClusters, d.RemovedClusters} {
+	for _, cls := range [][]tecore.Cluster{d.AddedClusters, d.RemovedClusters} {
 		for _, cl := range cls {
-			for _, k := range cl {
+			for _, k := range cl.Keys {
 				mentions([]string{k.String()})
 			}
 		}

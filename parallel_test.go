@@ -73,13 +73,13 @@ pf1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5
 					t.Errorf("parallelism %d: stats diverge:\n got %+v\nwant %+v", p, got.Stats, base.Stats)
 				}
 				if !reflect.DeepEqual(got.Kept, base.Kept) {
-					t.Errorf("parallelism %d: kept facts diverge (%d vs %d)", p, len(got.Kept), len(base.Kept))
+					t.Errorf("parallelism %d: kept facts diverge (%d vs %d)", p, got.Kept.Len(), base.Kept.Len())
 				}
 				if !reflect.DeepEqual(got.Removed, base.Removed) {
-					t.Errorf("parallelism %d: removed facts diverge (%d vs %d)", p, len(got.Removed), len(base.Removed))
+					t.Errorf("parallelism %d: removed facts diverge (%d vs %d)", p, got.Removed.Len(), base.Removed.Len())
 				}
 				if !reflect.DeepEqual(got.Inferred, base.Inferred) {
-					t.Errorf("parallelism %d: inferred facts diverge (%d vs %d)", p, len(got.Inferred), len(base.Inferred))
+					t.Errorf("parallelism %d: inferred facts diverge (%d vs %d)", p, got.Inferred.Len(), base.Inferred.Len())
 				}
 				if !reflect.DeepEqual(got.Clusters, base.Clusters) {
 					t.Errorf("parallelism %d: conflict clusters diverge", p)

@@ -27,7 +27,11 @@
 //	_ = s.LoadGraphText(data)         // TQuads text
 //	_ = s.LoadProgramText(rules)      // rules + constraints
 //	res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN})
-//	// res.Kept, res.Removed, res.Inferred, res.Stats
+//	res.Removed.Each(func(f tecore.Fact) bool { // also res.Kept, res.Inferred
+//		fmt.Println(f.Quad.Compact(), f.Explanations)
+//		return true
+//	})
+//	fmt.Println(res.Stats.KeptFacts, res.Stats.RemovedFacts)
 package tecore
 
 import (
@@ -218,6 +222,20 @@ type OutcomeDelta = repair.OutcomeDelta
 
 // Fact is a resolved fact with provenance.
 type Fact = repair.Fact
+
+// Cluster is one connected group of conflicting statements, identified
+// by its union-find root atom.
+type Cluster = repair.Cluster
+
+// FactList and ClusterList are the Outcome's lists: immutable snapshots
+// in ascending id order, stored as chunks shared between a session's
+// successive Outcomes. Read them with Len and Each; with Go 1.23 or
+// newer, the method value (res.Kept.Each) is an iter.Seq to range over
+// or pass to slices.Collect.
+type (
+	FactList    = repair.List[repair.Fact]
+	ClusterList = repair.List[repair.Cluster]
+)
 
 // Dataset is a generated evaluation dataset with gold noise labels.
 type Dataset = kgen.Dataset

@@ -39,8 +39,8 @@ func TestQuickstart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", solver, err)
 		}
-		if res.Stats.RemovedFacts != 1 || res.Removed[0].Quad.Object.Value != "Napoli" {
-			t.Errorf("%v: removed %v", solver, res.Removed)
+		if removed := collect(res.Removed.Each); res.Stats.RemovedFacts != 1 || removed[0].Quad.Object.Value != "Napoli" {
+			t.Errorf("%v: removed %v", solver, removed)
 		}
 		if res.Stats.KeptFacts != 4 {
 			t.Errorf("%v: kept %d", solver, res.Stats.KeptFacts)
@@ -86,12 +86,13 @@ func TestFigure7OnePipeline(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := res.Stats
-			if st.KeptFacts != 4 || len(res.Removed) != 1 || res.Removed[0].Quad.Object.Value != "Napoli" {
-				t.Errorf("kept %d, removed %v; want 4 kept and Napoli removed", st.KeptFacts, res.Removed)
+			removed, inferred := collect(res.Removed.Each), collect(res.Inferred.Each)
+			if st.KeptFacts != 4 || len(removed) != 1 || removed[0].Quad.Object.Value != "Napoli" {
+				t.Errorf("kept %d, removed %v; want 4 kept and Napoli removed", st.KeptFacts, removed)
 			}
-			if len(res.Inferred) != tc.inferred ||
-				(tc.inferred == 1 && res.Inferred[0].Quad.Predicate.Value != "worksFor") {
-				t.Errorf("inferred %v, want %d worksFor fact(s)", res.Inferred, tc.inferred)
+			if len(inferred) != tc.inferred ||
+				(tc.inferred == 1 && inferred[0].Quad.Predicate.Value != "worksFor") {
+				t.Errorf("inferred %v, want %d worksFor fact(s)", inferred, tc.inferred)
 			}
 			if st.Repair.Mode != tecore.RepairComponents || st.Outcome.Mode != tecore.OutcomeLive {
 				t.Errorf("read-out ran %s/%s, want %s/%s",
@@ -219,7 +220,7 @@ func TestNoisyFootballRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp, fp := 0, 0
-	for _, f := range res.Removed {
+	for _, f := range collect(res.Removed.Each) {
 		if ds.Noise[f.Quad.Fact()] {
 			tp++
 		} else {
@@ -302,7 +303,7 @@ func TestPaperShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Removed
+		return collect(res.Removed.Each)
 	}
 
 	t.Run("E4", func(t *testing.T) {
@@ -350,4 +351,14 @@ func TestPaperShapes(t *testing.T) {
 			t.Logf("seed %d: %d removed", seed, len(mlnRemoved))
 		}
 	})
+}
+
+// collect gathers a List's elements through its Each method.
+func collect[T any](each func(func(T) bool)) []T {
+	var out []T
+	each(func(x T) bool {
+		out = append(out, x)
+		return true
+	})
+	return out
 }

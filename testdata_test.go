@@ -46,10 +46,11 @@ func TestShippedRunningExampleFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.RemovedFacts != 1 || res.Removed[0].Quad.Object.Value != "Napoli" {
-		t.Errorf("shipped example: removed = %v", res.Removed)
+	removed := collect(res.Removed.Each)
+	if res.Stats.RemovedFacts != 1 || removed[0].Quad.Object.Value != "Napoli" {
+		t.Fatalf("shipped example: removed = %v", removed)
 	}
-	if len(res.Removed[0].Explanations) == 0 || res.Removed[0].Explanations[0].Rule != "c2" {
-		t.Errorf("shipped example: explanations = %v", res.Removed[0].Explanations)
+	if len(removed[0].Explanations) == 0 || removed[0].Explanations[0].Rule != "c2" {
+		t.Errorf("shipped example: explanations = %v", removed[0].Explanations)
 	}
 }
