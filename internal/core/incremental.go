@@ -52,8 +52,11 @@ type solveEngine struct {
 	progVersion int
 
 	warmSolver translate.Solver
-	warmTruth  []bool    // previous MAP state by atom id
-	warmPSL    *psl.Warm // previous ADMM iterates (values + duals)
+	warmTruth  []bool // previous MAP state by atom id
+	// warmPSL is the previous PSL solve's state (values, truth, iterate
+	// tables by clause slot); each PSL solve updates it in place and
+	// hands the same Warm back.
+	warmPSL *psl.Warm
 
 	// Per-component solution caches for the component-decomposed solve,
 	// keyed by (component key, generation, membership); entries survive

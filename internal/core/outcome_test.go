@@ -145,3 +145,63 @@ func TestOutcomePatchAllocs(t *testing.T) {
 		t.Errorf("single-fact toggle allocates %d KiB per solve, want <= %d KiB", perToggle>>10, limit>>10)
 	}
 }
+
+// TestPSLUpdateAllocs gates the bytes a steady-state PSL update of eight
+// toggled facts allocates end to end. The ADMM kernel runs in the
+// planner's change set and updates its warm iterate tables in place, so
+// what remains is the scoped components' sweeps plus one copy each of
+// the soft values and truth vector (a held Result must not change). A
+// reintroduced per-solve warm map, or a pass over every component,
+// allocates several times as much per solve and fails.
+func TestPSLUpdateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are not meaningful under -race")
+	}
+	s, ds := clusteredSession(t, 2600)
+	opts := SolveOptions{Solver: translate.SolverPSL, Parallelism: 1}
+	res, err := s.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Stats.TotalFacts; n < 15000 {
+		t.Fatalf("session holds %d facts, want at least 15k", n)
+	}
+	rng := rand.New(rand.NewSource(11))
+	live := make([]bool, len(ds.Graph))
+	for i := range live {
+		live[i] = true
+	}
+	toggle := func() {
+		for m := 0; m < 8; m++ {
+			i := rng.Intn(len(ds.Graph))
+			if live[i] {
+				s.RemoveFact(ds.Graph[i])
+			} else if err := s.AddFact(ds.Graph[i]); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = !live[i]
+		}
+		if _, err := s.Solve(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		toggle()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		toggle()
+	}
+	runtime.ReadMemStats(&after)
+	perToggle := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("8-fact PSL toggle on %d facts: %d KiB allocated per solve", res.Stats.TotalFacts, perToggle>>10)
+	// About 900 KiB today, most of it the outcome lists' chunk copies for
+	// eight scattered facts; the code that rebuilt the warm maps and
+	// scoped every component allocated about 4 MiB.
+	const limit = 1792 << 10
+	if perToggle > limit {
+		t.Errorf("8-fact PSL toggle allocates %d KiB per solve, want <= %d KiB", perToggle>>10, limit>>10)
+	}
+}

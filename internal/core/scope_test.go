@@ -24,12 +24,7 @@ import (
 // session over s's current store state.
 func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts SolveOptions, step string) {
 	t.Helper()
-	fresh := freshResolution(t, s, opts)
-	got, want := res.Stats.Components, fresh.Stats.Components
-	if got.Count != want.Count || got.Largest != want.Largest || !reflect.DeepEqual(got.SizeHistogram, want.SizeHistogram) {
-		t.Fatalf("%s: components %d (largest %d, %v), fresh session %d (largest %d, %v)",
-			step, got.Count, got.Largest, got.SizeHistogram, want.Count, want.Largest, want.SizeHistogram)
-	}
+	fresh := checkComponentsMatchFresh(t, s, res, opts, step)
 	gm, wm := res.Output.MLN, fresh.Output.MLN
 	if gm.HardSatisfied != wm.HardSatisfied || !reflect.DeepEqual(gm.RuleViolations, wm.RuleViolations) {
 		t.Fatalf("%s: hard-satisfied %v violations %v, fresh session %v %v",
@@ -38,6 +33,24 @@ func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts S
 	if d := math.Abs(gm.Cost - wm.Cost); d > 1e-9*math.Max(1, math.Abs(wm.Cost)) {
 		t.Fatalf("%s: cost %.12g, fresh session %.12g", step, gm.Cost, wm.Cost)
 	}
+}
+
+// checkComponentsMatchFresh compares the maintained component
+// statistics of res — the partition's shape, and a solved/reused split
+// that accounts for every component — against a fresh session over s's
+// current store state, returning the fresh resolution.
+func checkComponentsMatchFresh(t *testing.T, s *Session, res *Resolution, opts SolveOptions, step string) *Resolution {
+	t.Helper()
+	fresh := freshResolution(t, s, opts)
+	got, want := res.Stats.Components, fresh.Stats.Components
+	if got.Count != want.Count || got.Largest != want.Largest || !reflect.DeepEqual(got.SizeHistogram, want.SizeHistogram) {
+		t.Fatalf("%s: components %d (largest %d, %v), fresh session %d (largest %d, %v)",
+			step, got.Count, got.Largest, got.SizeHistogram, want.Count, want.Largest, want.SizeHistogram)
+	}
+	if got.Solved+got.Reused != got.Count || got.Engines["cached"] != got.Reused {
+		t.Fatalf("%s: solved %d + reused %d of %d components (engines %v)", step, got.Solved, got.Reused, got.Count, got.Engines)
+	}
+	return fresh
 }
 
 // TestSolverAlternationKeepsAggregates interleaves PSL, cutting-plane
@@ -68,6 +81,8 @@ func TestSolverAlternationKeepsAggregates(t *testing.T) {
 			}
 		case opts.Solver == translate.SolverMLN:
 			checkAggregatesMatchFresh(t, s, res, opts, step)
+		default:
+			checkComponentsMatchFresh(t, s, res, opts, step)
 		}
 		return res
 	}
@@ -148,46 +163,24 @@ func TestSolverAlternationKeepsAggregates(t *testing.T) {
 	}
 }
 
-// TestDeltaScopeEngages pins that consecutive single-fact MLN updates
-// run every stage under the planner's change set — a regression that
-// silently scoped every component would pass every equivalence suite —
-// and that each event breaking the chain (another solver's solve, a
-// ColdStart, a planner rebuild) costs exactly one all-component solve.
-func TestDeltaScopeEngages(t *testing.T) {
+// scopeSession is TestDeltaScopeEngages' fixture: a clustered session of
+// about 220 four-fact components, and update, which applies one
+// single-fact update — a rival spell shadowing the next cluster's first
+// spell (dirtying exactly that cluster's component), added on even calls
+// and retracted on odd ones.
+func scopeSession(t *testing.T) (s *Session, update func(), retractQuarter func()) {
+	t.Helper()
 	const clusters, size = 220, 4
 	ds := kgen.Clustered(kgen.ClusteredConfig{Clusters: clusters, ClusterSize: size, Seed: 5})
-	s := NewSession()
+	s = NewSession()
 	if err := s.LoadProgramText(kgen.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LoadGraph(ds.Graph); err != nil {
 		t.Fatal(err)
 	}
-	mln := SolveOptions{Solver: translate.SolverMLN}
-	solve := func(step string, opts SolveOptions, wantDelta bool) *Resolution {
-		t.Helper()
-		res, err := s.Solve(opts)
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		if opts.Solver != translate.SolverMLN {
-			return res
-		}
-		if got := res.Output.MLN.TruthDelta; got != wantDelta {
-			t.Fatalf("%s: TruthDelta = %v, want %v (plan %+v)", step, got, wantDelta, res.Stats.Plan)
-		}
-		if c, r, o := res.Stats.Components, res.Stats.Repair, res.Stats.Outcome; wantDelta &&
-			(c.Solved > 2 || r.Repaired > 2 || o.Patched > 2) {
-			t.Fatalf("%s: a single-fact update solved %d, repaired %d, patched %d components; want at most 2 each",
-				step, c.Solved, r.Repaired, o.Patched)
-		}
-		return res
-	}
-	// One update = one fact: a rival spell shadowing cluster c's first
-	// spell (dirtying exactly that cluster's component), added on even
-	// calls and retracted on odd ones.
 	updates := 0
-	update := func() {
+	update = func() {
 		t.Helper()
 		c := (updates / 2) % clusters
 		rival := ds.Graph[c*size]
@@ -202,38 +195,122 @@ func TestDeltaScopeEngages(t *testing.T) {
 		}
 		updates++
 	}
-
-	if res := solve("first solve", mln, false); res.Stats.Components.Count < 200 {
-		t.Fatalf("fixture has %d components, want at least 200", res.Stats.Components.Count)
-	}
-	for i := 0; i < 12; i++ {
-		update()
-		solve(fmt.Sprintf("update %d", i), mln, true)
-	}
-
-	solve("psl", SolveOptions{Solver: translate.SolverPSL}, false)
-	solve("first mln after psl", mln, false)
-	update()
-	solve("update after psl", mln, true)
-
-	cold := mln
-	cold.ColdStart = true
-	update()
-	solve("cold start", cold, false)
-	update()
-	solve("update after cold start", mln, true)
-
 	// Retracting more than a quarter of the atoms in one delta makes the
 	// planner rebuild instead of patching.
-	for c := 0; c < clusters; c++ {
-		s.RemoveFact(ds.Graph[c*size+size-1])
-		if c < 20 {
-			s.RemoveFact(ds.Graph[c*size+size-2])
+	retractQuarter = func() {
+		for c := 0; c < clusters; c++ {
+			s.RemoveFact(ds.Graph[c*size+size-1])
+			if c < 20 {
+				s.RemoveFact(ds.Graph[c*size+size-2])
+			}
 		}
 	}
-	if res := solve("planner rebuild", mln, false); res.Stats.Plan.Mode != "rebuilt" {
-		t.Fatalf("a delta over a quarter of the atoms was patched, not rebuilt: %+v", res.Stats.Plan)
+	return s, update, retractQuarter
+}
+
+// TestDeltaScopeEngages pins that consecutive single-fact updates run
+// every stage under the planner's change set, on both component kernels
+// — a regression that silently scoped every component would pass every
+// equivalence suite — and that each event breaking the chain (the other
+// kernel's solve, a ColdStart, a planner rebuild) costs exactly one
+// all-component solve.
+func TestDeltaScopeEngages(t *testing.T) {
+	for _, tc := range []struct{ kernel, other translate.Solver }{
+		{translate.SolverMLN, translate.SolverPSL},
+		{translate.SolverPSL, translate.SolverMLN},
+	} {
+		t.Run(tc.kernel.String(), func(t *testing.T) {
+			s, update, retractQuarter := scopeSession(t)
+			opts := SolveOptions{Solver: tc.kernel}
+			solve := func(step string, opts SolveOptions, wantDelta bool) *Resolution {
+				t.Helper()
+				res, err := s.Solve(opts)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if opts.Solver != tc.kernel {
+					return res
+				}
+				if got := res.Output.TruthDelta(); got != wantDelta {
+					t.Fatalf("%s: TruthDelta = %v, want %v (plan %+v)", step, got, wantDelta, res.Stats.Plan)
+				}
+				if c, r, o := res.Stats.Components, res.Stats.Repair, res.Stats.Outcome; wantDelta &&
+					(c.Solved > 2 || r.Repaired > 2 || o.Patched > 2) {
+					t.Fatalf("%s: a single-fact update solved %d, repaired %d, patched %d components; want at most 2 each",
+						step, c.Solved, r.Repaired, o.Patched)
+				}
+				return res
+			}
+
+			if res := solve("first solve", opts, false); res.Stats.Components.Count < 200 {
+				t.Fatalf("fixture has %d components, want at least 200", res.Stats.Components.Count)
+			}
+			for i := 0; i < 12; i++ {
+				update()
+				solve(fmt.Sprintf("update %d", i), opts, true)
+			}
+
+			solve(tc.other.String(), SolveOptions{Solver: tc.other}, false)
+			solve("first solve after "+tc.other.String(), opts, false)
+			update()
+			solve("update after "+tc.other.String(), opts, true)
+
+			cold := opts
+			cold.ColdStart = true
+			update()
+			solve("cold start", cold, false)
+			update()
+			solve("update after cold start", opts, true)
+
+			retractQuarter()
+			if res := solve("planner rebuild", opts, false); res.Stats.Plan.Mode != "rebuilt" {
+				t.Fatalf("a delta over a quarter of the atoms was patched, not rebuilt: %+v", res.Stats.Plan)
+			}
+			update()
+			solve("update after rebuild", opts, true)
+		})
+	}
+}
+
+// TestDeltaScopeUnconvergedPSL pins ADMM's own scope rule: a component
+// whose ADMM stopped short of its tolerance must be re-offered on every
+// solve, and the change set does not name it, so while the cache holds
+// one every solve is an all-component pass. Starved of sweeps, the
+// warm-started components converge over a few solves; from then on the
+// change-set scope engages.
+func TestDeltaScopeUnconvergedPSL(t *testing.T) {
+	s, update, _ := scopeSession(t)
+	opts := SolveOptions{Solver: translate.SolverPSL}
+	opts.Advanced.PSL.MaxIter = 20
+	converged := false
+	for i := 0; i < 60 && !converged; i++ {
+		if i > 0 {
+			update()
+		}
+		res, err := s.Solve(opts)
+		if err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+		if res.Output.TruthDelta() {
+			t.Fatalf("solve %d ran under the change set while unconverged components were cached", i)
+		}
+		if c := res.Stats.Components; i > 0 && c.Solved == 0 {
+			t.Fatalf("solve %d re-solved nothing although the previous solve left unconverged components", i)
+		}
+		converged = res.Output.PSL.Converged
+		if i == 0 && converged {
+			t.Fatal("20 sweeps converged every component from a cold start; the fixture exercises nothing")
+		}
+	}
+	if !converged {
+		t.Fatal("warm-started ADMM never converged within 60 solves")
 	}
 	update()
-	solve("update after rebuild", mln, true)
+	res, err := s.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Output.TruthDelta() {
+		t.Fatal("the update after convergence did not run under the change set")
+	}
 }

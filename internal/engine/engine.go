@@ -22,7 +22,9 @@
 //   - Run: the scheduling loop over a scope — split its components into
 //     reusable and dirty, process dirty ones concurrently on the shared
 //     worker pool, return results in deterministic component order;
-//   - Observe: the stats accounting consumers report identically.
+//   - SizeAgg: the component-size aggregate the solver kernels maintain
+//     beside their caches, so both report identical statistics without
+//     a per-solve pass over the partition.
 package engine
 
 import (
@@ -138,21 +140,63 @@ func (p *Plan) Clauses(i int) ([]ground.Clause, []int32) {
 	return p.cs.ComponentClauses(p.Comps[i].Atoms, p.Local)
 }
 
-// Observe accounts component i into a component-decomposed solve's
-// statistics: size histogram always, the solved/reused split and engine
-// tallies according to whether the component's payload was reused from
-// cache ("cached") or computed by the named engine.
-func (p *Plan) Observe(stats *ground.ComponentStats, i int, cached bool, engine string, fallback bool) {
-	stats.Observe(len(p.Comps[i].Atoms))
-	if cached {
-		stats.Reused++
-		stats.Engine("cached")
-		return
+// SizeAgg is the running multiset of component sizes a solver kernel
+// keeps beside its cache, so that its component statistics cost nothing
+// per component outside the scope: a change-set pass removes the sizes
+// of the records it replaces or retires and adds those of the records it
+// installs, an all-component pass starts from the zero value and adds
+// every component. The multiset is exact, so the statistics equal an
+// all-component fold. The zero value is empty and ready to use. Not safe
+// for concurrent use.
+type SizeAgg struct {
+	sizeCount map[int]int
+	largest   int
+	count     int
+}
+
+// Add accounts one component of size atoms.
+func (g *SizeAgg) Add(size int) {
+	if g.sizeCount == nil {
+		// Sizes cluster on few distinct values; the multiset stays tiny.
+		g.sizeCount = make(map[int]int)
 	}
-	stats.Solved++
-	stats.Engine(engine)
-	if fallback {
-		stats.Fallbacks++
+	g.sizeCount[size]++
+	if size > g.largest {
+		g.largest = size
+	}
+	g.count++
+}
+
+// Remove takes back one component of size atoms added earlier.
+func (g *SizeAgg) Remove(size int) {
+	if g.sizeCount[size]--; g.sizeCount[size] == 0 {
+		delete(g.sizeCount, size)
+		for g.largest > 0 && g.sizeCount[g.largest] == 0 {
+			g.largest--
+		}
+	}
+	g.count--
+}
+
+// Fill completes stats for a pass whose re-solved components the caller
+// has already tallied (Solved, Engines, Fallbacks): the partition's
+// shape comes from the aggregate, and every component that was not
+// re-solved is a cache reuse ("cached").
+func (g *SizeAgg) Fill(stats *ground.ComponentStats) {
+	stats.Count = g.count
+	stats.Largest = g.largest
+	if g.count > 0 {
+		stats.SizeHistogram = make(map[string]int, len(g.sizeCount))
+		for size, c := range g.sizeCount {
+			stats.SizeHistogram[ground.SizeBucket(size)] += c
+		}
+	}
+	if reused := g.count - stats.Solved; reused > 0 {
+		stats.Reused = reused
+		if stats.Engines == nil {
+			stats.Engines = make(map[string]int)
+		}
+		stats.Engines["cached"] += reused
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -183,25 +184,41 @@ func TestRunPropagatesError(t *testing.T) {
 	}
 }
 
-// TestObserveAccounting: the shared stats accounting matches what every
-// consumer used to do by hand.
-func TestObserveAccounting(t *testing.T) {
-	p := &Plan{Comps: []ground.Component{comp(0, 1, 0, 1, 2), comp(3, 1, 3)}}
-	stats := &ground.ComponentStats{}
-	p.Observe(stats, 0, false, "exact", false)
-	p.Observe(stats, 1, true, "ignored", false)
-	if stats.Count != 2 || stats.Largest != 3 {
-		t.Errorf("histogram accounting wrong: %+v", stats)
+// TestSizeAggAccounting: the maintained size aggregate fills the same
+// statistics an all-component fold over the remaining sizes gives,
+// after any sequence of additions and removals.
+func TestSizeAggAccounting(t *testing.T) {
+	var g SizeAgg
+	fill := func(solved int) *ground.ComponentStats {
+		stats := &ground.ComponentStats{Solved: solved}
+		if solved > 0 {
+			stats.Engines = map[string]int{"exact": solved}
+		}
+		g.Fill(stats)
+		return stats
 	}
-	if stats.Solved != 1 || stats.Reused != 1 {
-		t.Errorf("solved/reused split wrong: %+v", stats)
+	if got := fill(0); !reflect.DeepEqual(got, &ground.ComponentStats{}) {
+		t.Fatalf("empty aggregate filled %+v, want zero stats", got)
 	}
-	if stats.Engines["exact"] != 1 || stats.Engines["cached"] != 1 {
-		t.Errorf("engine tallies wrong: %+v", stats)
+	for _, size := range []int{3, 1, 70, 3, 2} {
+		g.Add(size)
 	}
-	p.Observe(stats, 1, false, "local", true)
-	if stats.Fallbacks != 1 {
-		t.Errorf("fallback not accounted: %+v", stats)
+	g.Remove(70) // the largest leaves: Largest falls back to 3
+	g.Remove(1)
+	want := &ground.ComponentStats{
+		Count: 3, Largest: 3, SizeHistogram: map[string]int{"2-4": 3},
+		Solved: 1, Reused: 2, Engines: map[string]int{"exact": 1, "cached": 2},
+	}
+	if got := fill(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("filled %+v, want %+v", got, want)
+	}
+	for _, size := range []int{3, 3, 2} {
+		g.Remove(size)
+	}
+	g.Add(5)
+	if got := fill(1); got.Count != 1 || got.Largest != 5 || got.Reused != 0 || got.Engines["cached"] != 0 ||
+		!reflect.DeepEqual(got.SizeHistogram, map[string]int{"5-16": 1}) {
+		t.Fatalf("after emptying and one addition: %+v", got)
 	}
 }
 

@@ -345,9 +345,10 @@ func (cs *ClauseSet) ForEach(fn func(*Clause) bool) {
 }
 
 // ForEachSlot is ForEach exposing each clause's slot index. Slots are
-// stable for the life of the set — tombstoned slots are skipped and a
-// revived grounding reuses its old slot — so they key per-clause state
-// across incremental solves (the PSL warm duals).
+// dense and stable for the life of the set — tombstoned slots are
+// skipped and a revived grounding reuses its old slot — so they index
+// per-clause state across incremental solves (the PSL warm iterate
+// tables, sized by SlotCount).
 func (cs *ClauseSet) ForEachSlot(fn func(int32, *Clause) bool) {
 	for at := range cs.clauses {
 		if cs.dead != nil && cs.dead[at] {
@@ -376,6 +377,10 @@ func (cs *ClauseSet) Clauses() []Clause {
 
 // Len returns the number of distinct live clauses.
 func (cs *ClauseSet) Len() int { return len(cs.clauses) - cs.nDead }
+
+// SlotCount returns the number of slots ever assigned, live or
+// tombstoned: every slot index is below it.
+func (cs *ClauseSet) SlotCount() int { return len(cs.clauses) }
 
 // SupportScan visits the live inference clauses that mention atom a,
 // reporting each clause's head (its single positive literal) and body

@@ -78,18 +78,6 @@ func SizeBucket(n int) string {
 	}
 }
 
-// Observe accounts one component of n atoms into the stats.
-func (s *ComponentStats) Observe(n int) {
-	s.Count++
-	if n > s.Largest {
-		s.Largest = n
-	}
-	if s.SizeHistogram == nil {
-		s.SizeHistogram = make(map[string]int)
-	}
-	s.SizeHistogram[SizeBucket(n)]++
-}
-
 // Engine accounts one component solved (or reused) by the named engine.
 func (s *ComponentStats) Engine(name string) {
 	if s.Engines == nil {

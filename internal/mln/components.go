@@ -100,9 +100,7 @@ type stateAgg struct {
 	hardBad    int
 	nonOptimal int
 	viol       map[string]int
-	sizeCount  map[int]int
-	largest    int
-	count      int
+	sizes      engine.SizeAgg
 }
 
 func (g *stateAgg) add(truth []bool, optimal bool, ev *compEval) {
@@ -116,12 +114,7 @@ func (g *stateAgg) add(truth []bool, optimal bool, ev *compEval) {
 	for r, c := range ev.viol {
 		g.viol[r] += c
 	}
-	size := len(truth)
-	g.sizeCount[size]++
-	if size > g.largest {
-		g.largest = size
-	}
-	g.count++
+	g.sizes.Add(len(truth))
 }
 
 func (g *stateAgg) remove(e *compEntry) {
@@ -137,36 +130,12 @@ func (g *stateAgg) remove(e *compEntry) {
 			delete(g.viol, r)
 		}
 	}
-	size := len(e.truth)
-	if g.sizeCount[size]--; g.sizeCount[size] == 0 {
-		delete(g.sizeCount, size)
-		for g.largest > 0 && g.sizeCount[g.largest] == 0 {
-			g.largest--
-		}
-	}
-	g.count--
+	g.sizes.Remove(len(e.truth))
 }
 
 // reset empties the aggregate for an all-component pass to fold into.
 func (g *stateAgg) reset() {
-	*g = stateAgg{
-		viol: make(map[string]int),
-		// Sizes cluster on few distinct values; the multiset stays tiny.
-		sizeCount: make(map[int]int),
-	}
-}
-
-// histogram converts the exact size multiset into the bucketed
-// ComponentStats form.
-func (g *stateAgg) histogram() map[string]int {
-	if g.count == 0 {
-		return nil
-	}
-	h := make(map[string]int, len(g.sizeCount))
-	for size, c := range g.sizeCount {
-		h[ground.SizeBucket(size)] += c
-	}
-	return h
+	*g = stateAgg{viol: make(map[string]int)}
 }
 
 // MAPGroundComponents computes the MAP state over an already-closed
@@ -268,17 +237,7 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 		}
 	})
 
-	// Every component that was not re-solved is a cache reuse.
-	stats.Count = agg.count
-	stats.Largest = agg.largest
-	stats.SizeHistogram = agg.histogram()
-	if reused := agg.count - stats.Solved; reused > 0 {
-		stats.Reused = reused
-		if stats.Engines == nil {
-			stats.Engines = make(map[string]int)
-		}
-		stats.Engines["cached"] += reused
-	}
+	agg.sizes.Fill(stats)
 	res := resultFromAgg(agg, cs, stats, truth)
 	res.TruthDelta = delta
 	res.Runtime = time.Since(start)

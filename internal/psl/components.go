@@ -20,16 +20,30 @@ import (
 // component converges on its own residuals rather than waiting for a
 // global criterion.
 //
+// There is one pass, as in the MLN kernel: it visits the scope the plan
+// answers for the cache's generation (engine.Plan.Scope) — the planner's
+// change set when the cache is exactly one sync behind and the previous
+// solve's state is in hand, every component otherwise. One rule is
+// ADMM's own: a component whose ADMM stopped short of its tolerance is
+// not a solution to reuse, and it must be re-offered on every solve
+// until it converges, although the change set does not name it; while
+// the cache holds any such record, every component is in scope. The
+// warm iterate tables (Warm.Z/U) and the component statistics are
+// maintained under the same subtract/add discipline, so a change-set
+// pass touches only the scoped components and the retired ones.
+//
 // The strictly convex objective has a unique optimum; a component's
 // ADMM stops once its residuals fall below the tolerance, and where that
 // is depends on the start (cold or warm). Discretisation therefore
 // allows the same tolerance below the threshold (see solveComponent).
 
-// ComponentCache carries per-component converged ADMM iterates across
-// the incremental engine's solves. Construct with NewComponentCache.
-// Not safe for concurrent use.
+// ComponentCache carries per-component ADMM iterates across the
+// incremental engine's solves, plus the running aggregate of its records
+// (see cacheAgg). Construct with NewComponentCache. Not safe for
+// concurrent use.
 type ComponentCache struct {
 	comps *engine.Cache[compEntry]
+	agg   cacheAgg
 }
 
 // NewComponentCache returns an empty cache.
@@ -45,12 +59,37 @@ func (c *ComponentCache) store() *engine.Cache[compEntry] {
 	return c.comps
 }
 
+// cacheAgg summarises every cached record as of the generation the
+// cache was last settled against: the component sizes, for the
+// statistics, and how many records did not converge, which decides
+// whether a change-set scope is enough.
+type cacheAgg struct {
+	sizes       engine.SizeAgg
+	unconverged int
+}
+
+func (g *cacheAgg) add(e *compEntry) {
+	g.sizes.Add(len(e.values))
+	if !e.converged {
+		g.unconverged++
+	}
+}
+
+func (g *cacheAgg) remove(e *compEntry) {
+	g.sizes.Remove(len(e.values))
+	if !e.converged {
+		g.unconverged--
+	}
+}
+
 type compEntry struct {
-	// values and truth are aligned with the component's atoms; z and u
-	// are keyed by the potentials' stable clause-set slots.
+	// values and truth are aligned with the component's atoms; slots are
+	// the stable clause-set slots of its potentials, and z and u are
+	// aligned with them.
 	values []float64
 	truth  []bool
-	z, u   map[int32][]float64
+	slots  []int32
+	z, u   [][]float64
 	// converged records whether ADMM met its tolerance; unconverged
 	// entries are never reused (the reuse hook demotes them to dirty),
 	// so the component is iterated again — warm-started — on the next
@@ -58,12 +97,12 @@ type compEntry struct {
 	converged bool
 }
 
+// compState is one component's outcome in a solve: the record to cache
+// plus what the solve reports about the sweeps that produced it (zero
+// for a reused record).
 type compState struct {
-	values      []float64
-	truth       []bool
-	z, u        map[int32][]float64
+	compEntry
 	iterations  int
-	converged   bool
 	primal      float64
 	dual        float64
 	repairFlips int
@@ -73,11 +112,22 @@ type compState struct {
 // already-closed grounder and its full clause set by running ADMM per
 // conflict component; forward chaining and grounding are the caller's
 // responsibility (Close/GroundProgram, or CloseDelta/GroundDelta on a
-// session engine). warm, when non-nil, seeds dirty components from the
-// previous solve's iterates; cache, when non-nil, is consulted for
-// unchanged components and updated with this solve's iterates. plan,
-// when non-nil, is the shared decomposition built by the caller; nil
-// builds one here. The returned Warm feeds the next solve.
+// session engine). warm, when non-nil, is the previous solve's state
+// (dirty components are warm-started from it); cache, when non-nil, is
+// consulted for unchanged components and updated with this solve's
+// iterates. plan, when non-nil, is the shared decomposition built by the
+// caller; nil builds one here. The returned Warm — warm itself, updated
+// in place, or a fresh one when warm is nil — feeds the next solve.
+//
+// Under a change-set scope (cache exactly one sync behind a maintained
+// plan, every cached record converged, the previous state in hand) the
+// planner bounds everything that can differ from the previous solve:
+// components outside the scope keep their converged records, so the
+// previous values and truth are carried forward by copy, retracted atoms
+// are pinned to zero, the iterate tables lose the slots of every record
+// replaced or retired and gain those of the scoped components, and the
+// statistics move by the same records. Otherwise every component is
+// visited and the tables and statistics are rebuilt from them.
 func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm, cache *ComponentCache, plan *engine.Plan) (*Result, *Warm, error) {
 	opts = opts.withDefaults()
 	g.Parallelism = opts.Parallelism
@@ -86,21 +136,23 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 	if plan == nil {
 		plan = engine.NewPlan(atoms, cs)
 	}
-
-	// ADMM keeps visiting every component: an unconverged one must be
-	// re-offered every solve, so the change set is not the whole story.
 	store := cache.store()
-	scope, _ := plan.Scope(0)
+	agg := &cacheAgg{} // without a cache to carry them the totals are local
+	if cache != nil {
+		agg = &cache.agg
+	}
+	var have uint64
+	if warm != nil && agg.unconverged == 0 {
+		have = store.Gen()
+	}
+	scope, delta := plan.Scope(have)
+
 	results, cached, err := engine.Run(plan, scope, opts.Parallelism, store,
 		func(i int, e compEntry) (compState, bool) {
-			if !e.converged {
-				// An unconverged solve is not a solution to reuse: treat
-				// the component as dirty so ADMM resumes (warm-started from
-				// the previous iterates) instead of freezing the
-				// unconverged state.
-				return compState{}, false
-			}
-			return compState{values: e.values, truth: e.truth, z: e.z, u: e.u, converged: true}, true
+			// An unconverged solve is not a solution to reuse: treat the
+			// component as dirty so ADMM resumes (warm-started from the
+			// previous iterates) instead of freezing the unconverged state.
+			return compState{compEntry: e}, e.converged
 		},
 		func(i int) (compState, error) {
 			pots, slots := hinges(plan, i, opts)
@@ -110,49 +162,80 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 		return nil, nil, err
 	}
 
-	// Deterministic merge in component order (the scope is every
-	// component, so positions in it are component indexes).
-	values := make([]float64, atoms.Len())
-	truth := make([]bool, atoms.Len())
-	stats := &ground.ComponentStats{}
-	res := &Result{Converged: true, Potentials: cs.Len()}
-	next := &Warm{
-		Values: values,
-		Z:      make(map[int32][]float64, cs.Len()),
-		U:      make(map[int32][]float64, cs.Len()),
+	// The kernels have read warm; from here on it becomes the next state.
+	n := atoms.Len()
+	values := make([]float64, n)
+	truth := make([]bool, n)
+	next := warm
+	if next == nil {
+		next = &Warm{}
 	}
-	for i := range plan.Comps {
-		r := &results[i]
-		for li, a := range plan.Comps[i].Atoms {
+	if delta {
+		copy(values, warm.Values)
+		copy(truth, warm.Truth)
+		for _, a := range plan.RetractedAtoms() {
+			if int(a) < n {
+				values[a], truth[a] = 0, false
+			}
+		}
+	} else {
+		*agg = cacheAgg{}
+		clear(next.Z)
+		clear(next.U)
+	}
+	next.Z = growTable(next.Z, cs.SlotCount())
+	next.U = growTable(next.U, cs.SlotCount())
+
+	// Deterministic merge in component order, maintaining cache, totals
+	// and tables: a re-solved component's record replaces its own, whose
+	// slots are cleared first — before any are written, since a slot can
+	// move between components — as are those of every retired record.
+	res := &Result{Potentials: cs.Len(), TruthDelta: delta}
+	stats := &ground.ComponentStats{}
+	for k, ci := range scope {
+		comp, r := &plan.Comps[ci], &results[k]
+		for li, a := range comp.Atoms {
 			values[a] = r.values[li]
 			truth[a] = r.truth[li]
 		}
-		for slot, z := range r.z {
-			next.Z[slot] = z
+		if !cached[k] {
+			if delta {
+				if old, ok := store.Peek(comp.Key); ok {
+					agg.remove(&old)
+					next.clearSlots(&old)
+				}
+			}
+			store.Put(comp, r.compEntry)
+			stats.Solved++
+			stats.Engine("admm")
+			if r.iterations > res.Iterations {
+				res.Iterations = r.iterations
+			}
+			if r.primal > res.PrimalResidual {
+				res.PrimalResidual = r.primal
+			}
+			if r.dual > res.DualResidual {
+				res.DualResidual = r.dual
+			}
+			res.RepairFlips += r.repairFlips
 		}
-		for slot, u := range r.u {
-			next.U[slot] = u
-		}
-		plan.Observe(stats, i, cached[i], "admm", false)
-		if r.iterations > res.Iterations {
-			res.Iterations = r.iterations
-		}
-		if r.primal > res.PrimalResidual {
-			res.PrimalResidual = r.primal
-		}
-		if r.dual > res.DualResidual {
-			res.DualResidual = r.dual
-		}
-		res.Converged = res.Converged && r.converged
-		res.RepairFlips += r.repairFlips
-		if !cached[i] {
-			store.Put(&plan.Comps[i], compEntry{
-				values: r.values, truth: r.truth, z: r.z, u: r.u,
-				converged: r.converged,
-			})
+		if !cached[k] || !delta {
+			agg.add(&r.compEntry)
 		}
 	}
-	store.Settle(plan, nil)
+	store.Settle(plan, func(e compEntry) {
+		if delta {
+			agg.remove(&e)
+			next.clearSlots(&e)
+		}
+	})
+	for k := range results {
+		next.setSlots(&results[k].compEntry)
+	}
+	next.Values, next.Truth = values, truth
+
+	agg.sizes.Fill(stats)
+	res.Converged = agg.unconverged == 0
 	res.Values = values
 	res.Truth = truth
 	res.Components = stats
@@ -160,9 +243,31 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 	return res, next, nil
 }
 
+// growTable extends an iterate table to cover n slots.
+func growTable(t [][]float64, n int) [][]float64 {
+	if n > len(t) {
+		t = append(t, make([][]float64, n-len(t))...)
+	}
+	return t
+}
+
+// setSlots writes a record's iterates into the slot tables.
+func (w *Warm) setSlots(e *compEntry) {
+	for j, s := range e.slots {
+		w.Z[s], w.U[s] = e.z[j], e.u[j]
+	}
+}
+
+// clearSlots empties the table slots of a record leaving the state.
+func (w *Warm) clearSlots(e *compEntry) {
+	for _, s := range e.slots {
+		w.Z[s], w.U[s] = nil, nil
+	}
+}
+
 // hinges converts component i's clauses (already in dense local
 // numbering) into its HL-MRF potentials plus their stable clause-set
-// slots (for warm duals and caching).
+// slots (for warm iterates and caching).
 func hinges(plan *engine.Plan, i int, opts Options) ([]hinge, []int32) {
 	clauses, slots := plan.Clauses(i)
 	pots := make([]hinge, len(clauses))
@@ -208,29 +313,30 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials 
 			}
 		}
 		for k := range potentials {
-			if z, ok := warm.Z[slots[k]]; ok && len(z) == len(potentials[k].vars) {
-				init.z[k] = z
-			}
-			if u, ok := warm.U[slots[k]]; ok && len(u) == len(potentials[k].vars) {
-				init.u[k] = u
-			}
+			init.z[k] = warmIterate(warm.Z, slots[k], len(potentials[k].vars))
+			init.u[k] = warmIterate(warm.U, slots[k], len(potentials[k].vars))
 		}
 	}
 	res, zs, us := runADMM(n, target, priorW, potentials, opts, init)
 	truth := discretize(res.Values, opts.Threshold-opts.Eps)
 	flips := repairHard(truth, res.Values, potentials)
 
-	st := compState{
-		values: res.Values, truth: truth,
-		z:          make(map[int32][]float64, len(potentials)),
-		u:          make(map[int32][]float64, len(potentials)),
-		iterations: res.Iterations, converged: res.Converged,
-		primal: res.PrimalResidual, dual: res.DualResidual,
+	return compState{
+		compEntry: compEntry{
+			values: res.Values, truth: truth, slots: slots, z: zs, u: us,
+			converged: res.Converged,
+		},
+		iterations: res.Iterations,
+		primal:     res.PrimalResidual, dual: res.DualResidual,
 		repairFlips: flips,
 	}
-	for k := range potentials {
-		st.z[slots[k]] = zs[k]
-		st.u[slots[k]] = us[k]
+}
+
+// warmIterate returns the table's iterate for slot when it fits a
+// potential over n variables; nil (a cold start) otherwise.
+func warmIterate(table [][]float64, slot int32, n int) []float64 {
+	if int(slot) < len(table) && len(table[slot]) == n {
+		return table[slot]
 	}
-	return st
+	return nil
 }

@@ -117,6 +117,11 @@ type Result struct {
 	// and the residual norms report the worst component re-run this solve
 	// (cached components run zero sweeps).
 	Components *ground.ComponentStats
+	// TruthDelta reports that Values and Truth were produced under the
+	// plan's change-set scope (engine.Plan.Scope): every atom outside the
+	// scoped components carries the previous solve's soft value and truth
+	// bit-for-bit.
+	TruthDelta bool
 }
 
 // TrueAtom reports the discretised truth of an atom.
@@ -133,18 +138,26 @@ type hinge struct {
 	rule string
 }
 
-// Warm carries one solve's converged ADMM iterates for warm-starting
-// the next: the soft values by atom id plus each potential's local copy
-// and scaled dual, keyed by its stable clause-set slot. Atom ids and
-// slots survive incremental updates, so on a near-unchanged instance
+// Warm carries one solve's ADMM state for warm-starting the next: the
+// soft values and discrete truth by atom id plus each potential's local
+// copy and scaled dual, indexed by its stable clause-set slot. Atom ids
+// and slots survive incremental updates, so on a near-unchanged instance
 // the restarted ADMM begins at (x*, z*, u*) of a neighbouring problem
 // and converges in a handful of sweeps instead of hundreds.
+//
+// MAPGroundComponents maintains the iterate tables in place: a solve
+// replaces only the slots of the components it re-solved or retired, so
+// the Warm it returns is the one it was handed, and the previous Values
+// and Truth (which the previous Result shares) are never written.
 type Warm struct {
-	// Values are the converged soft values by atom id.
+	// Values are the soft values by atom id; Truth is their discretised,
+	// hard-repaired state.
 	Values []float64
-	// Z and U hold each potential's local copy and scaled dual vector,
-	// keyed by clause-set slot.
-	Z, U map[int32][]float64
+	Truth  []bool
+	// Z and U hold each potential's local copy and scaled dual vector by
+	// clause-set slot: non-nil exactly for the live clauses of the
+	// components the last solve left in its plan.
+	Z, U [][]float64
 }
 
 // admmInit seeds runADMM from a previous solve's iterates. Nil entries

@@ -144,11 +144,11 @@ type Output struct {
 	Runtime time.Duration
 }
 
-// TruthDelta reports whether the solver produced Truth under the
+// TruthDelta reports whether the solver produced its MAP state under the
 // plan's change-set scope (engine.Plan.Scope): every atom outside the
-// scoped components carries the previous solve's truth bit-for-bit.
-// Always false for PSL, cutting-plane inference and the greedy
-// baseline, which recompute the full state.
+// scoped components carries the previous solve's truth — and on PSL its
+// soft value — bit-for-bit. Always false for cutting-plane inference and
+// the greedy baseline, which recompute the full state.
 func (o *Output) TruthDelta() bool {
-	return o.MLN != nil && o.MLN.TruthDelta
+	return (o.MLN != nil && o.MLN.TruthDelta) || (o.PSL != nil && o.PSL.TruthDelta)
 }
