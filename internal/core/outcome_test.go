@@ -91,12 +91,156 @@ func TestHeldOutcomeUnchangedByLaterUpdates(t *testing.T) {
 	}
 }
 
+// renderLists renders an Outcome's four lists in full: every fact with
+// its explanations and their partners, every cluster with its keys.
+func renderLists(oc *repair.Outcome) string {
+	return fmt.Sprintf("kept %+v\nremoved %+v\ninferred %+v\nclusters %+v",
+		collect(oc.Kept.Each), collect(oc.Removed.Each),
+		collect(oc.Inferred.Each), collect(oc.Clusters.Each))
+}
+
+// TestHeldOutcomeRendersDuringUpdates reads a held Outcome from another
+// goroutine, without any lock, while the session goes on solving
+// updates whose subjects, objects and intervals were never seen: the
+// atom table, its dictionary and the store's dictionary all grow and
+// relocate under the reader, which decodes its records through the key
+// view captured when the Outcome was published. Every rendering must
+// equal the first; the race detector checks that the reads share no
+// memory with the writes.
+func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
+	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL} {
+		t.Run(solver.String(), func(t *testing.T) {
+			s, _ := clusteredSession(t, 60)
+			opts := SolveOptions{Solver: solver}
+			res, err := s.Solve(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := res.Outcome
+			first := renderLists(held)
+
+			stop := make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				for n := 0; ; n++ {
+					select {
+					case <-stop:
+						if n < 2 {
+							done <- fmt.Errorf("the reader rendered %d times; the test exercises nothing", n)
+						} else {
+							done <- nil
+						}
+						return
+					default:
+					}
+					if got := renderLists(held); got != first {
+						done <- fmt.Errorf("rendering %d of the held Outcome differs from the first", n)
+						return
+					}
+				}
+			}()
+
+			for i := 0; i < 40; i++ {
+				// Two overlapping spells of a new player at new clubs: a
+				// conflict over never-seen terms and intervals.
+				start := int64(3000 + 7*i)
+				pair := []rdf.Quad{
+					rdf.NewQuad(fmt.Sprintf("novel/player/%d", i), "playsFor", fmt.Sprintf("novel/club/%d/a", i),
+						temporal.MustNew(start, start+3), 0.8),
+					rdf.NewQuad(fmt.Sprintf("novel/player/%d", i), "playsFor", fmt.Sprintf("novel/club/%d/b", i),
+						temporal.MustNew(start+1, start+5), 0.6),
+				}
+				for _, q := range pair {
+					if err := s.AddFact(q); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Solve(opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, q := range pair {
+					s.RemoveFact(q)
+					if _, err := s.Solve(opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			close(stop)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSessionResidentBytesPerFact is the session's resident-memory gate:
+// a solved 30k-fact clustered MLN session, after 200 single-fact
+// toggles, holds its store, ground network, plan, caches and published
+// Outcome in at most 850 bytes of live heap per fact. The read-out
+// holds each fact and cluster once, as an atom record in the live
+// lists, and decodes on read, which puts the figure near 550; holding
+// every fact, explanation and cluster as rendered statement keys (two
+// copies of each: the per-component records and the list chunks) costs
+// about 1,600.
+func TestSessionResidentBytesPerFact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures are not meaningful under -race")
+	}
+	ds := kgen.Clustered(kgen.ClusteredConfig{Clusters: 5000, BridgeRate: 0.1, Seed: 5})
+	var base, held runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&base)
+
+	s := NewSession()
+	if err := s.LoadGraph(ds.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadProgramText(kgen.ClusteredProgram); err != nil {
+		t.Fatal(err)
+	}
+	opts := SolveOptions{Solver: translate.SolverMLN}
+	res, err := s.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := res.Stats.TotalFacts
+	if facts < 30000 {
+		t.Fatalf("session holds %d facts, want at least 30k", facts)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 100; i++ {
+		q := ds.Graph[rng.Intn(len(ds.Graph))]
+		s.RemoveFact(q)
+		if _, err := s.Solve(opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddFact(q); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = s.Solve(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	perFact := (int64(held.HeapAlloc) - int64(base.HeapAlloc)) / int64(facts)
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(res)
+	t.Logf("session on %d facts: %d B/fact of live heap", facts, perFact)
+	const limit = 850
+	if perFact > limit {
+		t.Errorf("session holds %d B/fact of live heap, want <= %d", perFact, limit)
+	}
+}
+
 // TestOutcomePatchAllocs gates the bytes a steady-state single-fact
 // update allocates end to end, on a graph large enough that copying a
-// whole outcome list (over 2 MiB for the removed facts here) dwarfs the
-// rest of the update. Publishing the outcome copies only the chunks the
-// churn lands in plus the chunk slices: the whole update allocates about
-// 86 KiB, and the gate sits at twice that.
+// whole outcome list (about 400 KiB of records for the removed facts
+// here) dwarfs the rest of the update. Publishing the outcome copies only the chunks the
+// churn lands in plus the chunk slices, and the chunks hold 16-byte
+// fact records rather than rendered facts: the whole update allocates
+// about 64 KiB, and the gate sits at twice that.
 func TestOutcomePatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation figures are not meaningful under -race")
@@ -140,7 +284,7 @@ func TestOutcomePatchAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perToggle := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("single-fact toggle on %d facts: %d KiB allocated per solve", res.Stats.TotalFacts, perToggle>>10)
-	const limit = 176 << 10
+	const limit = 128 << 10
 	if perToggle > limit {
 		t.Errorf("single-fact toggle allocates %d KiB per solve, want <= %d KiB", perToggle>>10, limit>>10)
 	}
@@ -197,10 +341,10 @@ func TestPSLUpdateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perToggle := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("8-fact PSL toggle on %d facts: %d KiB allocated per solve", res.Stats.TotalFacts, perToggle>>10)
-	// About 900 KiB today, most of it the outcome lists' chunk copies for
-	// eight scattered facts; the code that rebuilt the warm maps and
-	// scoped every component allocated about 4 MiB.
-	const limit = 1792 << 10
+	// About 374 KiB today; the code that rebuilt the warm maps and scoped
+	// every component allocated about 4 MiB, and the chunk copies of
+	// rendered facts brought it to 900 KiB before the lists held records.
+	const limit = 768 << 10
 	if perToggle > limit {
 		t.Errorf("8-fact PSL toggle allocates %d KiB per solve, want <= %d KiB", perToggle>>10, limit>>10)
 	}

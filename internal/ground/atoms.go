@@ -329,6 +329,29 @@ func (t *AtomTable) CompareKeys(a, b AtomID) int {
 	return 0
 }
 
+// KeyView is a frozen, read-only view of the statement keys of the atoms
+// interned when it was taken: a prefix of the table's key codes and of
+// its dictionary's terms. Neither is ever rewritten below its length —
+// growth relocates, and Retract, SetEvidence and SetDerived touch flags,
+// confidences and fact ids only — so a view can be read without any
+// lock while the table goes on interning. The zero view holds no atom.
+type KeyView struct {
+	keys  []atomKey
+	terms []rdf.Term
+}
+
+// KeyView captures the keys of every atom interned so far. Like Intern it
+// must not race with a writer; the view it returns races with nothing.
+func (t *AtomTable) KeyView() KeyView {
+	return KeyView{keys: t.keys, terms: t.dict.Terms()}
+}
+
+// Key materialises the statement key of an atom the view covers.
+func (v KeyView) Key(id AtomID) rdf.FactKey {
+	k := &v.keys[id]
+	return rdf.FactKey{S: v.terms[k.s], P: v.terms[k.p], O: v.terms[k.o], Interval: k.iv}
+}
+
 // EnableJournal switches on the mutation journal. Atoms interned or
 // mutated from this point on are reported by DrainJournal; state
 // present before enablement is not (the planner's first build scans the

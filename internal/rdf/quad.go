@@ -124,8 +124,8 @@ func (q Quad) String() string {
 //
 //	(CR, coach, Chelsea, [2000,2004]) 0.9
 func (q Quad) Compact() string {
-	return fmt.Sprintf("(%s, %s, %s, %s) %g",
-		q.Subject.Compact(), q.Predicate.Compact(), q.Object.Compact(), q.Interval, q.Confidence)
+	return "(" + q.Subject.Compact() + ", " + q.Predicate.Compact() + ", " + q.Object.Compact() + ", " +
+		q.Interval.String() + ") " + strconv.FormatFloat(q.Confidence, 'g', -1, 64)
 }
 
 // Graph is a set of quads — an uncertain temporal knowledge graph. The

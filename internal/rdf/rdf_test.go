@@ -2,6 +2,9 @@ package rdf
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -109,6 +112,25 @@ func TestQuadCompact(t *testing.T) {
 	q := NewQuad("CR", "coach", "Chelsea", temporal.MustNew(2000, 2004), 0.9)
 	if got := q.Compact(); got != "(CR, coach, Chelsea, [2000,2004]) 0.9" {
 		t.Errorf("Compact = %q", got)
+	}
+	// Compact renders without fmt; it must read exactly as the
+	// "(%s, %s, %s, %s) %g" rendering it replaced, whatever the
+	// confidence and interval.
+	rng := rand.New(rand.NewSource(1))
+	confs := []float64{1, 0.5, 1e-7, 0.1 + 0.2, 1.0 / 3, 0.000123456789, 1e21, 123456789}
+	for i := 0; i < 200; i++ {
+		confs = append(confs, rng.Float64(), rng.ExpFloat64()*1e-5)
+	}
+	for i, c := range confs {
+		iv := temporal.MustNew(int64(i)-100, int64(i)*int64(i))
+		if i == 0 {
+			iv = temporal.MustNew(math.MinInt64+1, math.MaxInt64)
+		}
+		q := NewQuad("s", "p", "o", iv, c)
+		want := fmt.Sprintf("(%s, %s, %s, %s) %g", "s", "p", "o", fmt.Sprintf("[%d,%d]", iv.Start, iv.End), c)
+		if got := q.Compact(); got != want {
+			t.Fatalf("Compact = %q, want %q", got, want)
+		}
 	}
 }
 

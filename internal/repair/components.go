@@ -18,9 +18,10 @@ import (
 // computation followed by a deterministic merge. ResolveComponents is
 // the repair layer's counterpart of the solvers' MAPGroundComponents:
 // it runs one resolveUnit per component on the shared orchestration
-// layer (internal/engine) and caches each component's finished read-out
+// layer (internal/engine) and records each component's finished read-out
 // under (component key, generation, membership) plus the component's
-// MAP assignment. There is one analysis pass, over the scope the plan
+// MAP assignment: the read-out's records in the live lists, its ids in
+// the cache. There is one analysis pass, over the scope the plan
 // answers for the cache's generation (engine.Plan.Scope): the planner's
 // change set when the solver and the cache are both exactly one sync
 // behind, every component otherwise. Reusing a cached unit is sound
@@ -31,9 +32,9 @@ import (
 // TruthDelta outside a change-set scope).
 
 // ComponentCache is a session's read-out state across solves: one
-// record per conflict component — its cached read-out unit and the MAP
-// state it was computed under — and the live outcome those records sum
-// to (see live.go), plus the reusable confidence scratch buffer
+// record per conflict component — the ids and counters of its read-out
+// unit and the MAP state it was computed under — and the live outcome
+// those records sum to (see live.go), plus the reusable confidence scratch buffer
 // (per-update allocation churn on the read-out hot path shows up
 // directly in repair-stage latency). Construct with NewComponentCache;
 // a nil cache means no reuse and a from-scratch assembled Outcome. Not
@@ -45,15 +46,14 @@ type ComponentCache struct {
 	units *engine.Cache[compUnit]
 	conf  []float64 // scratch, indexed by atom id
 
-	// The live outcome: the global lists and the exact sum of the removed
-	// facts' confidences, always the sum of the held units.
-	kept, removed, inferred List[Fact]
-	clusters                List[Cluster]
-	removedWeight           exactSum
-	violations              map[string]int
-	thresholdFiltered       int
-	// delta is the changelog of the most recent update.
-	delta OutcomeDelta
+	// The live outcome: the global record lists and the exact sum of the
+	// removed facts' confidences, always the sum of the held records.
+	kept, inferred    List[fact]
+	removed           List[removedFact]
+	clusters          List[cluster]
+	removedWeight     exactSum
+	violations        map[string]int
+	thresholdFiltered int
 }
 
 // NewComponentCache returns an empty cache; its first read-out reports
@@ -86,15 +86,20 @@ func (c *ComponentCache) confScratch(n int) []float64 {
 	return c.conf[:n]
 }
 
-// compUnit is one component's cached read-out plus the component-local
-// MAP state it was computed under: the discrete assignment and, on the
-// PSL path, the soft values (which feed derived confidences — an
-// unconverged component's ADMM can resume and move them while the
-// discrete truth and the generation both stand still).
+// compUnit is one component's cache record: what the live outcome holds
+// of its read-out (the ids its records sit under, and its counters),
+// plus the component-local MAP state it was computed under: the
+// discrete assignment and, on the PSL path, the soft values (which feed
+// derived confidences — an unconverged component's ADMM can resume and
+// move them while the discrete truth and the generation both stand
+// still). A unit computed in this pass also carries its full read-out
+// in fresh until record hands it to the outcome; a stored record never
+// does, so every fact and cluster record is held once, in the lists.
 type compUnit struct {
-	unit
+	held
 	truth  []bool    // aligned with the component's atoms
 	values []float64 // aligned with the component's atoms; nil for MLN
+	fresh  *unit
 }
 
 // ResolveComponents interprets the translator output as a conflict
@@ -125,13 +130,15 @@ func ResolveComponents(out *translate.Output, _ *logic.Program, opts Options, pl
 // successful BeginComponents on a cache.
 type ComponentRun struct {
 	oc    *Outcome
+	atoms *ground.AtomTable
 	cache *ComponentCache
-	// subtract are the units leaving the outcome (stale records of
+	// subtract are the records leaving the outcome (stale records of
 	// re-repaired components, and records of components that left the
 	// partition); add are the units entering it — with a nil cache, every
 	// unit of the pass.
-	subtract, add []*unit
-	start         time.Time
+	subtract []held
+	add      []*unit
+	start    time.Time
 }
 
 // BeginComponents runs the analysis phase of the component-decomposed
@@ -181,7 +188,7 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 		return nil, err
 	}
 	rs.Analysis = time.Since(analysisStart)
-	run := &ComponentRun{oc: oc, cache: cache, start: start}
+	run := &ComponentRun{oc: oc, atoms: atoms, cache: cache, start: start}
 	run.subtract, run.add = cache.record(plan, scope, units, cached)
 	// Every component that was not re-repaired is a cache reuse.
 	rs.Repaired = len(run.add)
@@ -193,10 +200,11 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 // record ends the read-out pass over scope: every unit that was not
 // reused replaces its component's record — the stale record, if any,
 // is returned for subtraction — and Settle retires the records of
-// components that left the partition. units and cached are indexed by
+// components that left the partition. A fresh unit is returned as added
+// and stored as its held ids only. units and cached are indexed by
 // position in scope. A nil cache holds nothing: every unit is returned
 // as added.
-func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUnit, cached []bool) (subtract, add []*unit) {
+func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUnit, cached []bool) (subtract []held, add []*unit) {
 	store := c.store()
 	for k, ci := range scope {
 		if cached[k] {
@@ -204,12 +212,16 @@ func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUn
 		}
 		comp := &plan.Comps[ci]
 		if old, ok := store.Peek(comp.Key); ok {
-			subtract = append(subtract, &old.unit)
+			subtract = append(subtract, old.held)
 		}
-		add = append(add, &units[k].unit)
-		store.Put(comp, units[k])
+		e := units[k]
+		add = append(add, e.fresh)
+		if store != nil {
+			e.held, e.fresh = e.fresh.hold(), nil
+			store.Put(comp, e)
+		}
 	}
-	store.Settle(plan, func(u compUnit) { subtract = append(subtract, &u.unit) })
+	store.Settle(plan, func(u compUnit) { subtract = append(subtract, u.held) })
 	return subtract, add
 }
 
@@ -248,7 +260,7 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 		out.Clauses.ForEachSlots(slots, fn)
 	}
 	u := resolveUnit(out, comp.Atoms, forEach, conf, opts)
-	cu := compUnit{unit: u, truth: make([]bool, len(comp.Atoms))}
+	cu := compUnit{fresh: &u, truth: make([]bool, len(comp.Atoms))}
 	for li, a := range comp.Atoms {
 		cu.truth[li] = out.Truth[a]
 	}
@@ -264,14 +276,19 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 // Finish produces the Outcome from the analysis phase: the sort/merge
 // assembly of every unit without a cache; otherwise the cache's live
 // lists are patched — subtract the leaving units, splice in the entering
-// ones — and materialized, and the changelog of that update is returned.
+// ones — and materialized, and the changelog of that update is rendered
+// and returned. Either way the Outcome renders its records through a
+// view of the atom table captured here, so Finish must run where the
+// table has no writer (the session lock); the Outcome it returns is then
+// safe to read from any goroutine while later solves intern new atoms.
 func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta) {
 	oc, c := r.oc, r.cache
 	rs, os := oc.Stats.Repair, oc.Stats.Outcome
 	os.Patched = len(r.add)
+	view := r.atoms.KeyView()
 	if c == nil {
 		mergeStart := time.Now()
-		assembleOutcome(oc, r.add)
+		assembleOutcome(oc, r.add, view)
 		rs.Merge = time.Since(mergeStart)
 		os.Merge = rs.Merge
 		os.Total = rs.Merge
@@ -280,16 +297,16 @@ func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta) {
 	}
 
 	indexStart := time.Now()
-	c.apply(r.subtract, r.add)
+	ch := c.apply(r.subtract, r.add)
 	os.Index = time.Since(indexStart)
 	mergeStart := time.Now()
-	c.materialize(oc)
+	c.materialize(oc, view)
+	d := ch.render(view)
 	rs.Merge = time.Since(mergeStart)
 	os.Mode = OutcomeLive
 	os.Reused = rs.Reused
 	os.Merge = rs.Merge
 	os.Total = os.Index + os.Merge
 	rs.Total = time.Since(r.start)
-	d := c.delta
-	return oc, &d
+	return oc, d
 }

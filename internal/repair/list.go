@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -11,11 +12,12 @@ import (
 // Content-chunked copy-on-write lists.
 //
 // The Outcome's kept, removed and inferred facts and its conflict
-// clusters are Lists: immutable sequences in ascending id order, stored
-// as a slice of chunks. A chunk is sorted, never written after it is
-// built, and shared by every List value that holds it, so an update
-// copies only the chunks its churned ids land in plus the chunk slice
-// (n/B entries), and a List handed to a reader stays a frozen snapshot.
+// clusters are held in Lists of read-out records (see record.go):
+// immutable sequences in ascending id order, stored as a slice of
+// chunks. A chunk is sorted, never written after it is built, and shared
+// by every List value that holds it, so an update copies only the chunks
+// its churned ids land in plus the chunk slice (n/B entries), and a List
+// handed to a reader stays a frozen snapshot.
 //
 // Chunk boundaries come from the contents alone: an element ends its
 // chunk exactly when a fixed mixing hash of its id has its low chunkBits
@@ -25,26 +27,25 @@ import (
 //
 // A List is read through Len and Each. The method value l.Each has the
 // shape of a push iterator (iter.Seq), so code built with Go 1.23 or
-// newer can range over it or pass it to slices.Collect.
+// newer can range over it or pass it to slices.Collect; the same holds
+// for the FactList and ClusterList that render it.
 
 // chunkBits sets the expected chunk size of a List, 1<<chunkBits.
 const chunkBits = 7
 
 const chunkMask = 1<<chunkBits - 1
 
-// listItem is an element a List can hold: a fact or a conflict cluster,
-// identified by a unique atom id.
-type listItem interface {
+// listItem is a record a List can hold: a fact or a conflict cluster,
+// identified by a unique atom id and compared by content.
+type listItem[T any] interface {
 	listID() ground.AtomID
+	equal(T) bool
 }
-
-func (f Fact) listID() ground.AtomID    { return f.AtomID }
-func (c Cluster) listID() ground.AtomID { return c.Root }
 
 // List is an immutable sequence sorted by id, stored as content-defined
 // chunks shared between snapshots: each chunk ascends by id and is never
 // written after it is built. The zero value is the empty list.
-type List[T listItem] struct {
+type List[T listItem[T]] struct {
 	chunks [][]T
 	n      int
 }
@@ -76,7 +77,7 @@ func endsChunk(id ground.AtomID) bool {
 
 // newList builds a List over items, which must be sorted by id and are
 // not copied: the chunks are subslices of items.
-func newList[T listItem](items []T) List[T] {
+func newList[T listItem[T]](items []T) List[T] {
 	if len(items) == 0 {
 		return List[T]{}
 	}
@@ -85,7 +86,7 @@ func newList[T listItem](items []T) List[T] {
 
 // appendChunks cuts items after every boundary element and appends the
 // pieces; only a piece at the end of the list may lack a boundary.
-func appendChunks[T listItem](dst [][]T, items []T) [][]T {
+func appendChunks[T listItem[T]](dst [][]T, items []T) [][]T {
 	start := 0
 	for i := range items {
 		if i+1 == len(items) || endsChunk(items[i].listID()) {
@@ -99,7 +100,7 @@ func appendChunks[T listItem](dst [][]T, items []T) [][]T {
 // gather merges the units' sel lists into one array sorted by id. It
 // sorts 8-byte (id, position) keys rather than the elements and copies
 // each element once. Ids are unique across units. Empty input gives nil.
-func gather[T listItem](units []*unit, sel func(*unit) []T) []T {
+func gather[T listItem[T]](units []*unit, sel func(*unit) []T) []T {
 	offsets := make([]int, len(units)+1)
 	for i, u := range units {
 		offsets[i+1] = offsets[i] + len(sel(u))
@@ -127,6 +128,32 @@ func gather[T listItem](units []*unit, sel func(*unit) []T) []T {
 	return out
 }
 
+// lookup returns the elements with the given ids, which must ascend and
+// all be in l.
+func (l List[T]) lookup(ids []ground.AtomID) []T {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]T, 0, len(ids))
+	j := 0
+	for _, id := range ids {
+		j += sort.Search(len(l.chunks)-j, func(k int) bool {
+			c := l.chunks[j+k]
+			return c[len(c)-1].listID() >= id
+		})
+		var c []T
+		if j < len(l.chunks) {
+			c = l.chunks[j]
+		}
+		i := sort.Search(len(c), func(k int) bool { return c[k].listID() >= id })
+		if i == len(c) || c[i].listID() != id {
+			panic(fmt.Sprintf("repair: id %d is not in the list", id))
+		}
+		out = append(out, c[i])
+	}
+	return out
+}
+
 // splice returns l with rm's elements removed and ad's inserted. Both
 // must be sorted by id, every rm id must be in l, and no ad id may
 // collide with a surviving element. Only the chunks the edited ids land
@@ -139,7 +166,13 @@ func (l List[T]) splice(rm, ad []T) List[T] {
 		return l
 	}
 	if l.n == 0 {
-		return newList(slices.Clone(ad))
+		// One allocation per chunk: chunks cut from one shared array would
+		// keep all of it alive once later splices replace most of them.
+		chunks := appendChunks(nil, ad)
+		for i, c := range chunks {
+			chunks[i] = slices.Clip(slices.Clone(c))
+		}
+		return List[T]{chunks: chunks, n: len(ad)}
 	}
 	last := len(l.chunks) - 1
 	// hi is the largest id chunk j takes edits for: its last id, and
@@ -199,7 +232,7 @@ func (l List[T]) splice(rm, ad []T) List[T] {
 
 // mergeEdits appends items to buf with rm's elements dropped and ad's
 // merged in by id.
-func mergeEdits[T listItem](buf, items, rm, ad []T) []T {
+func mergeEdits[T listItem[T]](buf, items, rm, ad []T) []T {
 	if buf == nil {
 		buf = make([]T, 0, len(items)+len(ad))
 	}

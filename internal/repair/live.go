@@ -1,25 +1,30 @@
 package repair
 
 import (
-	"reflect"
+	"slices"
 	"time"
+
+	"repro/internal/ground"
 )
 
 // Delta-maintained Outcome.
 //
 // A session's ComponentCache is its live outcome: one record per conflict
-// component (the cached read-out unit) plus the global kept, removed,
-// inferred and cluster Lists, which always equal the sum of the held
-// units. Each re-solve's one read-out pass collects the units leaving the
-// outcome (the stale unit of every re-repaired component, and the units
-// of components that left the partition) and those entering it; Finish
-// cancels what they share and splices the rest into the Lists, copying
-// only the chunks the churned ids land in, and moves the exact sum of
-// the removed confidences by the same churn. Publishing is O(churn) plus
-// an O(n/B) chunk-slice copy, and a published Outcome is a frozen
-// snapshot. It is byte-identical to whole-graph assembly over the same
-// units, and every update also feeds an OutcomeDelta changelog so
-// callers can consume diffs instead of snapshots.
+// component (the ids and counters of its read-out unit, see held) plus
+// the global kept, removed, inferred and cluster Lists of atom records,
+// which always hold exactly the ids of the held records. Each re-solve's
+// one read-out pass collects the records leaving the outcome (the stale
+// record of every re-repaired component, and the records of components
+// that left the partition) and the fresh units entering it; Finish looks
+// the leaving records up in the Lists, cancels what they share with the
+// fresh units and splices the rest into the Lists, copying only the chunks the churned ids land in, and
+// moves the exact sum of the removed confidences by the same churn. It
+// publishes the Lists with a key view of the atom table captured at that
+// moment, so a published Outcome is a frozen snapshot that renders its
+// facts on read. Publishing is O(churn) plus an O(n/B) chunk-slice copy.
+// The Outcome is byte-identical to whole-graph assembly over the same
+// units, and every update also renders its churn as an OutcomeDelta
+// changelog so callers can consume diffs instead of snapshots.
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
 const (
@@ -83,23 +88,99 @@ func (d *OutcomeDelta) Empty() bool {
 		len(d.AddedClusters) == 0 && len(d.RemovedClusters) == 0
 }
 
-// apply removes the subtracted units' contributions and splices in the
-// added ones, maintaining the global lists, the violation counts and the
-// changelog. The lists are copy-on-write (see List), so an Outcome handed
-// out by a previous materialization remains a valid snapshot.
-func (c *ComponentCache) apply(subtract, add []*unit) {
-	c.delta = OutcomeDelta{}
+// held is what a component's cache record keeps of its read-out unit
+// once the live lists hold the unit's records: the ids to subtract them
+// by, list by list, and the unit's counters. The records themselves are
+// looked up in the lists when they leave.
+type held struct {
+	// ids are the kept, removed and inferred fact ids, then the cluster
+	// roots; each run ascends, and the counts split them.
+	ids                        []ground.AtomID
+	nKept, nRemoved, nInferred int32
+	thresholdFiltered          int32
+	violations                 map[string]int
+}
+
+// hold returns the unit's held form.
+func (u *unit) hold() held {
+	h := held{
+		ids:               make([]ground.AtomID, 0, len(u.kept)+len(u.removed)+len(u.inferred)+len(u.clusters)),
+		nKept:             int32(len(u.kept)),
+		nRemoved:          int32(len(u.removed)),
+		nInferred:         int32(len(u.inferred)),
+		thresholdFiltered: int32(u.thresholdFiltered),
+		violations:        u.violations,
+	}
+	for _, f := range u.kept {
+		h.ids = append(h.ids, f.id)
+	}
+	for _, f := range u.removed {
+		h.ids = append(h.ids, f.id)
+	}
+	for _, f := range u.inferred {
+		h.ids = append(h.ids, f.id)
+	}
+	for _, c := range u.clusters {
+		h.ids = append(h.ids, c.root)
+	}
+	return h
+}
+
+// Selectors of a held record's id runs, for gatherIDs.
+func keptIDs(h *held) []ground.AtomID    { return h.ids[:h.nKept] }
+func removedIDs(h *held) []ground.AtomID { return h.ids[h.nKept : h.nKept+h.nRemoved] }
+func inferredIDs(h *held) []ground.AtomID {
+	return h.ids[h.nKept+h.nRemoved : h.nKept+h.nRemoved+h.nInferred]
+}
+func clusterIDs(h *held) []ground.AtomID { return h.ids[h.nKept+h.nRemoved+h.nInferred:] }
+
+// gatherIDs merges the held records' sel runs into one ascending slice.
+// Ids are unique across records.
+func gatherIDs(hs []held, sel func(*held) []ground.AtomID) []ground.AtomID {
+	var ids []ground.AtomID
+	for i := range hs {
+		ids = append(ids, sel(&hs[i])...)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// changes is the record form of an OutcomeDelta: what apply spliced out
+// of and into each list.
+type changes struct {
+	rmK, adK []fact
+	rmR, adR []removedFact
+	rmI, adI []fact
+	rmC, adC []cluster
+}
+
+// render decodes the changelog through view.
+func (ch *changes) render(view ground.KeyView) *OutcomeDelta {
+	return &OutcomeDelta{
+		RemovedKept: renderAll[fact, Fact](view, ch.rmK), AddedKept: renderAll[fact, Fact](view, ch.adK),
+		RemovedRemoved: renderAll[removedFact, Fact](view, ch.rmR), AddedRemoved: renderAll[removedFact, Fact](view, ch.adR),
+		RemovedInferred: renderAll[fact, Fact](view, ch.rmI), AddedInferred: renderAll[fact, Fact](view, ch.adI),
+		RemovedClusters: renderAll[cluster, Cluster](view, ch.rmC), AddedClusters: renderAll[cluster, Cluster](view, ch.adC),
+	}
+}
+
+// apply removes the subtracted records' contributions and splices in
+// the added units, maintaining the global lists and the violation
+// counts, and returns the changelog. The lists are copy-on-write (see
+// List), so an Outcome handed out by a previous materialization remains
+// a valid snapshot.
+func (c *ComponentCache) apply(subtract []held, add []*unit) changes {
 	if len(subtract) == 0 && len(add) == 0 {
-		return
+		return changes{}
 	}
 
-	for _, u := range subtract {
-		for rule, n := range u.violations {
+	for _, h := range subtract {
+		for rule, n := range h.violations {
 			if c.violations[rule] -= n; c.violations[rule] == 0 {
 				delete(c.violations, rule)
 			}
 		}
-		c.thresholdFiltered -= u.thresholdFiltered
+		c.thresholdFiltered -= int(h.thresholdFiltered)
 	}
 	for _, u := range add {
 		for rule, n := range u.violations {
@@ -108,32 +189,29 @@ func (c *ComponentCache) apply(subtract, add []*unit) {
 		c.thresholdFiltered += u.thresholdFiltered
 	}
 
+	// The leaving records are the lists' own, looked up by the held ids.
 	// Cancel the elements a re-repaired component carries over unchanged:
 	// what remains is the true churn, so only the chunks it lands in are
-	// rebuilt, and a fully-cancelled list is not touched at all. What
-	// remains is also the changelog — ids map 1:1 to statements and
-	// groups, already in id order. On an empty cache the added side is the
-	// bulk build's one sorted array.
-	rmK, adK := cancelCommon(gather(subtract, keptOf), gather(add, keptOf))
-	rmR, adR := cancelCommon(gather(subtract, removedOf), gather(add, removedOf))
-	rmI, adI := cancelCommon(gather(subtract, inferredOf), gather(add, inferredOf))
-	rmC, adC := cancelCommon(gather(subtract, clustersOf), gather(add, clustersOf))
+	// rebuilt, and a fully-cancelled list is not touched at all (it keeps
+	// the old records, so no record is held twice). What remains is also
+	// the changelog — ids map 1:1 to statements and groups, already in id
+	// order. On an empty cache the added side is the bulk build's one
+	// sorted array.
+	rmK, adK := cancelCommon(c.kept.lookup(gatherIDs(subtract, keptIDs)), gather(add, keptOf))
+	rmR, adR := cancelCommon(c.removed.lookup(gatherIDs(subtract, removedIDs)), gather(add, removedOf))
+	rmI, adI := cancelCommon(c.inferred.lookup(gatherIDs(subtract, inferredIDs)), gather(add, inferredOf))
+	rmC, adC := cancelCommon(c.clusters.lookup(gatherIDs(subtract, clusterIDs)), gather(add, clustersOf))
 	c.kept = c.kept.splice(rmK, adK)
 	c.removed = c.removed.splice(rmR, adR)
 	c.inferred = c.inferred.splice(rmI, adI)
 	c.clusters = c.clusters.splice(rmC, adC)
 	for _, f := range rmR {
-		c.removedWeight.sub(f.Quad.Confidence)
+		c.removedWeight.sub(f.conf)
 	}
 	for _, f := range adR {
-		c.removedWeight.add(f.Quad.Confidence)
+		c.removedWeight.add(f.conf)
 	}
-	c.delta = OutcomeDelta{
-		RemovedKept: rmK, AddedKept: adK,
-		RemovedRemoved: rmR, AddedRemoved: adR,
-		RemovedInferred: rmI, AddedInferred: adI,
-		RemovedClusters: rmC, AddedClusters: adC,
-	}
+	return changes{rmK: rmK, adK: adK, rmR: rmR, adR: adR, rmI: rmI, adI: adI, rmC: rmC, adC: adC}
 }
 
 // cancelCommon drops the elements present with identical content on
@@ -142,7 +220,7 @@ func (c *ComponentCache) apply(subtract, add []*unit) {
 // statement; a cluster root identifies one group), so a linear merge
 // finds every carried-over element; a fully-cancelled side comes back
 // nil, letting the caller skip its list entirely.
-func cancelCommon[T listItem](rm, ad []T) ([]T, []T) {
+func cancelCommon[T listItem[T]](rm, ad []T) ([]T, []T) {
 	if len(rm) == 0 || len(ad) == 0 {
 		return rm, ad
 	}
@@ -152,7 +230,7 @@ func cancelCommon[T listItem](rm, ad []T) ([]T, []T) {
 		a, b := rm[i], ad[j]
 		switch ia, ib := a.listID(), b.listID(); {
 		case ia == ib:
-			if !reflect.DeepEqual(a, b) {
+			if !a.equal(b) {
 				outRm = append(outRm, a)
 				outAd = append(outAd, b)
 			}
@@ -171,12 +249,15 @@ func cancelCommon[T listItem](rm, ad []T) ([]T, []T) {
 	return outRm, outAd
 }
 
-// materialize renders the live state into oc, byte-identical to
-// assembleOutcome over the same per-component units: the lists are the
-// maintained snapshots, and the maintained removed weight is exact, so
-// it rounds to assembly's RemovedWeight. O(#rules).
-func (c *ComponentCache) materialize(oc *Outcome) {
-	oc.Kept, oc.Removed, oc.Inferred, oc.Clusters = c.kept, c.removed, c.inferred, c.clusters
+// materialize publishes the live state into oc, to be rendered through
+// view, byte-identical to assembleOutcome over the same per-component units:
+// the lists are the maintained snapshots, and the maintained removed
+// weight is exact, so it rounds to assembly's RemovedWeight. O(#rules).
+func (c *ComponentCache) materialize(oc *Outcome, view ground.KeyView) {
+	oc.Kept = FactList{view: view, facts: c.kept}
+	oc.Removed = FactList{view: view, removed: c.removed}
+	oc.Inferred = FactList{view: view, facts: c.inferred}
+	oc.Clusters = ClusterList{view: view, clusters: c.clusters}
 	oc.Stats.ThresholdFiltered = c.thresholdFiltered
 	oc.Stats.RuleViolations = make(map[string]int, len(c.violations))
 	for rule, n := range c.violations {

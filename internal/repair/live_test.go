@@ -5,13 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/ground"
-	"repro/internal/rdf"
-	"repro/internal/temporal"
 )
 
 // Tests and fuzzing for the delta-maintained Outcome: random sequences
@@ -32,33 +29,40 @@ const (
 
 // checkInvariants validates the live outcome's deterministic-order and
 // agreement invariants: each list strictly ascending in its id and laid
-// out exactly as the bulk build of its elements, every statement in
-// exactly one list, and the held per-component records summing to the
+// out exactly as the bulk build of its records, every atom in exactly
+// one list, and the ids the per-component records hold summing to the
 // global lists.
 func checkInvariants(c *ComponentCache) error {
-	classOf := make(map[rdf.FactKey]factClass)
-	for _, l := range []struct {
-		name  string
-		list  List[Fact]
-		class factClass
-	}{
-		{"kept", c.kept, classKept},
-		{"removed", c.removed, classRemoved},
-		{"inferred", c.inferred, classInferred},
-	} {
-		facts := collect(l.list.Each)
-		if !reflect.DeepEqual(l.list, newList(facts)) {
-			return fmt.Errorf("%s layout differs from the bulk build of its %d facts", l.name, len(facts))
+	classOf := make(map[ground.AtomID]factClass)
+	check := func(name string, class factClass, facts []fact, sameLayout bool) error {
+		if !sameLayout {
+			return fmt.Errorf("%s layout differs from the bulk build of its %d facts", name, len(facts))
 		}
 		for i, f := range facts {
-			if i > 0 && facts[i-1].AtomID >= f.AtomID {
+			if i > 0 && facts[i-1].id >= f.id {
 				return fmt.Errorf("%s not strictly ascending at %d (atom %d after %d)",
-					l.name, i, f.AtomID, facts[i-1].AtomID)
+					name, i, f.id, facts[i-1].id)
 			}
-			if cls, dup := classOf[f.Quad.Fact()]; dup {
-				return fmt.Errorf("%s fact %v is also listed under class %d", l.name, f.Quad.Fact(), cls)
+			if cls, dup := classOf[f.id]; dup {
+				return fmt.Errorf("%s fact %d is also listed under class %d", name, f.id, cls)
 			}
-			classOf[f.Quad.Fact()] = l.class
+			classOf[f.id] = class
+		}
+		return nil
+	}
+	kept, inferred := collect(c.kept.Each), collect(c.inferred.Each)
+	removed := collect(c.removed.Each)
+	removedFacts := make([]fact, len(removed))
+	for i, r := range removed {
+		removedFacts[i] = r.fact
+	}
+	for _, err := range []error{
+		check("kept", classKept, kept, reflect.DeepEqual(c.kept, newList(kept))),
+		check("removed", classRemoved, removedFacts, reflect.DeepEqual(c.removed, newList(removed))),
+		check("inferred", classInferred, inferred, reflect.DeepEqual(c.inferred, newList(inferred))),
+	} {
+		if err != nil {
+			return err
 		}
 	}
 	clusters := collect(c.clusters.Each)
@@ -66,44 +70,62 @@ func checkInvariants(c *ComponentCache) error {
 		return fmt.Errorf("cluster layout differs from the bulk build of its %d clusters", len(clusters))
 	}
 	for i := range clusters {
-		if i > 0 && clusters[i-1].Root >= clusters[i].Root {
+		if i > 0 && clusters[i-1].root >= clusters[i].root {
 			return fmt.Errorf("clusters not strictly ascending at %d", i)
 		}
 	}
-	facts, held := 0, 0
+	var hs []held
+	fresh := 0
 	c.units.Each(func(_ ground.AtomID, u compUnit) {
-		facts += len(u.kept) + len(u.removed) + len(u.inferred)
-		held += len(u.clusters)
+		if u.fresh != nil {
+			fresh++
+		}
+		hs = append(hs, u.held)
 	})
-	if facts != len(classOf) {
-		return fmt.Errorf("held records sum to %d facts, lists hold %d", facts, len(classOf))
+	if fresh > 0 {
+		return fmt.Errorf("%d stored records still carry their unit's records", fresh)
 	}
-	if held != len(clusters) {
-		return fmt.Errorf("held records sum to %d clusters, list holds %d", held, len(clusters))
+	for _, l := range []struct {
+		name      string
+		held, got []ground.AtomID
+	}{
+		{"kept", gatherIDs(hs, keptIDs), listIDs(kept)},
+		{"removed", gatherIDs(hs, removedIDs), listIDs(removed)},
+		{"inferred", gatherIDs(hs, inferredIDs), listIDs(inferred)},
+		{"cluster", gatherIDs(hs, clusterIDs), listIDs(clusters)},
+	} {
+		if !slices.Equal(l.held, l.got) {
+			return fmt.Errorf("held records hold %d %s ids, the list %d (or other ids)", len(l.held), l.name, len(l.got))
+		}
 	}
 	return nil
 }
 
-// synthFact builds a deterministic fact for a synthetic atom: the
-// statement key derives from the atom id (globally unique), the
-// content from variant, so re-applying the same variant reverts to
-// byte-identical content and a different variant models a confidence
-// or explanation change.
-func synthFact(atom ground.AtomID, class factClass, variant uint64) Fact {
-	conf := float64(variant%97)/100 + 0.01
-	f := Fact{
-		Quad: rdf.NewQuad(fmt.Sprintf("s%d", atom), "p", fmt.Sprintf("o%d", atom),
-			temporal.MustNew(2000, 2004), conf),
-		AtomID:  atom,
-		Derived: class == classInferred,
+// listIDs lists the records' ids in order.
+func listIDs[T listItem[T]](xs []T) []ground.AtomID {
+	ids := make([]ground.AtomID, 0, len(xs))
+	for _, x := range xs {
+		ids = append(ids, x.listID())
 	}
-	if class == classRemoved && variant%3 == 0 {
-		f.Explanations = []Explanation{{
-			Rule:     "c",
-			Partners: []rdf.FactKey{{S: rdf.NewIRI(fmt.Sprintf("w%d", variant%7)), P: rdf.NewIRI("p")}},
-		}}
+	return ids
+}
+
+// synthFact builds a deterministic fact record for a synthetic atom: the
+// content derives from variant, so re-applying the same variant reverts
+// to identical content and a different variant models a confidence
+// change.
+func synthFact(atom ground.AtomID, class factClass, variant uint64) fact {
+	return fact{id: atom, derived: class == classInferred, conf: float64(variant%97)/100 + 0.01}
+}
+
+// synthRemoved is synthFact for a removed fact, which some variants
+// explain by a grounding with a variant-chosen partner.
+func synthRemoved(atom ground.AtomID, variant uint64) removedFact {
+	r := removedFact{fact: synthFact(atom, classRemoved, variant)}
+	if variant%3 == 0 {
+		r.ex = []exPart{{rule: "c", partner: ground.AtomID(variant % 7), end: true}}
 	}
-	return f
+	return r
 }
 
 // synthComps is the number of synthetic components; component k owns
@@ -114,7 +136,7 @@ const synthComps = 6
 // synthUnit builds a component's read-out unit from a content seed: its
 // size (up to a few hundred atom slots, several chunks' worth), which
 // slots are populated, their classes and their contents all derive from
-// the seed, so equal seeds produce byte-identical units.
+// the seed, so equal seeds produce identical units.
 func synthUnit(key ground.AtomID, seed uint64) *unit {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	u := &unit{thresholdFiltered: rng.Intn(3)}
@@ -125,25 +147,25 @@ func synthUnit(key ground.AtomID, seed uint64) *unit {
 		}
 		atom := key + ground.AtomID(off*synthComps)
 		class := factClass(off%3) + 1
-		f := synthFact(atom, class, seed+uint64(off))
+		variant := seed + uint64(off)
 		switch class {
 		case classKept:
-			u.kept = append(u.kept, f)
+			u.kept = append(u.kept, synthFact(atom, class, variant))
 		case classRemoved:
-			u.removed = append(u.removed, f)
+			u.removed = append(u.removed, synthRemoved(atom, variant))
 		case classInferred:
-			u.inferred = append(u.inferred, f)
+			u.inferred = append(u.inferred, synthFact(atom, class, variant))
 		}
 	}
 	// One cluster per run of up to three removed facts, rooted at the
 	// run's first atom.
 	for i := 0; i < len(u.removed); i += 3 {
 		run := u.removed[i:min(i+3, len(u.removed))]
-		keys := make([]rdf.FactKey, 0, len(run))
+		members := make([]ground.AtomID, 0, len(run))
 		for _, f := range run {
-			keys = append(keys, f.Quad.Fact())
+			members = append(members, f.id)
 		}
-		u.clusters = append(u.clusters, Cluster{Root: run[0].AtomID, Keys: keys})
+		u.clusters = append(u.clusters, cluster{root: run[0].id, members: members})
 	}
 	if len(u.removed) > 0 {
 		u.violations = map[string]int{"c": 1 + rng.Intn(3)}
@@ -153,12 +175,16 @@ func synthUnit(key ground.AtomID, seed uint64) *unit {
 
 func unitAtoms(u *unit) []ground.AtomID {
 	var atoms []ground.AtomID
-	for _, fs := range [][]Fact{u.kept, u.removed, u.inferred} {
-		for _, f := range fs {
-			atoms = append(atoms, f.AtomID)
-		}
+	for _, f := range u.kept {
+		atoms = append(atoms, f.id)
 	}
-	sort.Slice(atoms, func(i, j int) bool { return atoms[i] < atoms[j] })
+	for _, f := range u.removed {
+		atoms = append(atoms, f.id)
+	}
+	for _, f := range u.inferred {
+		atoms = append(atoms, f.id)
+	}
+	slices.Sort(atoms)
 	return atoms
 }
 
@@ -177,7 +203,7 @@ func refOutcome(ref map[ground.AtomID]*refHeld) *Outcome {
 		units = append(units, ref[k].u)
 	}
 	oc := &Outcome{}
-	assembleOutcome(oc, units)
+	assembleOutcome(oc, units, ground.KeyView{})
 	return oc
 }
 
@@ -186,78 +212,72 @@ func sortedKeys(ref map[ground.AtomID]*refHeld) []ground.AtomID {
 	for k := range ref {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
-// refFacts snapshots the model's facts per class, keyed by statement.
-func refFacts(ref map[ground.AtomID]*refHeld) map[factClass]map[rdf.FactKey]Fact {
-	out := map[factClass]map[rdf.FactKey]Fact{
-		classKept: {}, classRemoved: {}, classInferred: {},
-	}
+// refRecords snapshots one list of the model, keyed by id.
+func refRecords[T listItem[T]](ref map[ground.AtomID]*refHeld, sel func(*unit) []T) map[ground.AtomID]T {
+	out := map[ground.AtomID]T{}
 	for _, h := range ref {
-		for cls, fs := range map[factClass][]Fact{
-			classKept: h.u.kept, classRemoved: h.u.removed, classInferred: h.u.inferred} {
-			for _, f := range fs {
-				out[cls][f.Quad.Fact()] = f
-			}
+		for _, x := range sel(h.u) {
+			out[x.listID()] = x
 		}
 	}
 	return out
 }
 
-func refClusters(ref map[ground.AtomID]*refHeld) map[ground.AtomID]Cluster {
-	out := map[ground.AtomID]Cluster{}
-	for _, h := range ref {
-		for _, c := range h.u.clusters {
-			out[c.Root] = c
-		}
-	}
-	return out
+// refSnapshot is the model's four lists.
+type refSnapshot struct {
+	kept, inferred map[ground.AtomID]fact
+	removed        map[ground.AtomID]removedFact
+	clusters       map[ground.AtomID]cluster
 }
 
-// expectFactDelta diffs two snapshots the way the changelog must
-// report them: content-compared by statement, sorted by atom id.
-func expectFactDelta(prev, cur map[rdf.FactKey]Fact) (removed, added []Fact) {
-	for k, f := range cur {
-		if old, ok := prev[k]; !ok || !reflect.DeepEqual(old, f) {
-			added = append(added, f)
+func snapshotRef(ref map[ground.AtomID]*refHeld) refSnapshot {
+	return refSnapshot{
+		kept:     refRecords(ref, keptOf),
+		inferred: refRecords(ref, inferredOf),
+		removed:  refRecords(ref, removedOf),
+		clusters: refRecords(ref, clustersOf),
+	}
+}
+
+// expectDelta diffs two snapshots of a list the way the changelog must
+// report them: content-compared by id, sorted by id.
+func expectDelta[T listItem[T]](prev, cur map[ground.AtomID]T) (removed, added []T) {
+	for id, x := range cur {
+		if old, ok := prev[id]; !ok || !old.equal(x) {
+			added = append(added, x)
 		}
 	}
-	for k, f := range prev {
-		if now, ok := cur[k]; !ok || !reflect.DeepEqual(now, f) {
-			removed = append(removed, f)
+	for id, x := range prev {
+		if now, ok := cur[id]; !ok || !now.equal(x) {
+			removed = append(removed, x)
 		}
 	}
-	byAtom := func(a, b Fact) int { return int(a.AtomID) - int(b.AtomID) }
-	slices.SortFunc(removed, byAtom)
-	slices.SortFunc(added, byAtom)
+	byID := func(a, b T) int { return int(a.listID()) - int(b.listID()) }
+	slices.SortFunc(removed, byID)
+	slices.SortFunc(added, byID)
 	return removed, added
 }
 
-func expectClusterDelta(prev, cur map[ground.AtomID]Cluster) (removed, added []Cluster) {
-	for r, c := range cur {
-		if old, ok := prev[r]; !ok || !reflect.DeepEqual(old, c) {
-			added = append(added, c)
-		}
+// checkDelta compares one list's changelog with the expected one.
+func checkDelta[T listItem[T]](name string, gotRm, gotAd []T, prev, cur map[ground.AtomID]T) error {
+	wantRm, wantAd := expectDelta(prev, cur)
+	if !reflect.DeepEqual(gotRm, wantRm) || !reflect.DeepEqual(gotAd, wantAd) {
+		return fmt.Errorf("%s changelog wrong\ngot -%v +%v\nwant -%v +%v", name, gotRm, gotAd, wantRm, wantAd)
 	}
-	for r, c := range prev {
-		if now, ok := cur[r]; !ok || !reflect.DeepEqual(now, c) {
-			removed = append(removed, c)
-		}
-	}
-	byRoot := func(a, b Cluster) int { return int(a.Root) - int(b.Root) }
-	slices.SortFunc(removed, byRoot)
-	slices.SortFunc(added, byRoot)
-	return removed, added
+	return nil
 }
 
 // syncRef drives the read-out cache's one pass from the reference model
 // — engine.Run over the scope, record, apply, as BeginComponents and
-// Finish do — reusing only untouched components whose record is current.
-// The hand-built plan has generation 0, so every pass scopes every
-// component and retires vanished ones by enumeration.
-func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, touched ground.AtomID) {
+// Finish do — reusing only untouched components whose record is current,
+// and returns the changelog. The hand-built plan has generation 0, so
+// every pass scopes every component and retires vanished ones by
+// enumeration.
+func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, touched ground.AtomID) changes {
 	t.Helper()
 	keys := sortedKeys(ref)
 	plan := &engine.Plan{Comps: make([]ground.Component, len(keys))}
@@ -267,11 +287,14 @@ func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, to
 	scope, _ := plan.Scope(c.store().Gen())
 	units, cached, err := engine.Run(plan, scope, 1, c.store(),
 		func(i int, e compUnit) (compUnit, bool) { return e, plan.Comps[i].Key != touched },
-		func(i int) (compUnit, error) { return compUnit{unit: *ref[plan.Comps[i].Key].u}, nil })
+		func(i int) (compUnit, error) {
+			u := *ref[plan.Comps[i].Key].u
+			return compUnit{fresh: &u}, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.apply(c.record(plan, scope, units, cached))
+	return c.apply(c.record(plan, scope, units, cached))
 }
 
 func FuzzOutcomePatch(f *testing.F) {
@@ -285,7 +308,7 @@ func FuzzOutcomePatch(f *testing.F) {
 		for i := 0; i+1 < len(data) && i < 128; i += 2 {
 			op, sel := data[i], data[i+1]
 			key := ground.AtomID(int(sel) % synthComps)
-			prevFacts, prevClusters := refFacts(ref), refClusters(ref)
+			prev := snapshotRef(ref)
 			gen++
 			if op%4 == 3 {
 				// Retire the component entirely.
@@ -293,11 +316,11 @@ func FuzzOutcomePatch(f *testing.F) {
 			} else {
 				// Install a unit whose content derives from the op byte
 				// alone: re-applying an earlier op byte reverts the
-				// component to byte-identical earlier content (the
-				// changelog must then cancel to empty for it).
+				// component to identical earlier content (the changelog
+				// must then cancel to empty for it).
 				ref[key] = &refHeld{u: synthUnit(key, uint64(op%4)*31), gen: gen}
 			}
-			syncRef(t, c, ref, key)
+			ch := syncRef(t, c, ref, key)
 
 			if err := checkInvariants(c); err != nil {
 				t.Fatalf("op %d: invariant violated: %v", i/2, err)
@@ -307,33 +330,22 @@ func FuzzOutcomePatch(f *testing.F) {
 			// RemovedWeight against one summed from scratch.
 			want := refOutcome(ref)
 			got := &Outcome{}
-			c.materialize(got)
+			c.materialize(got, ground.KeyView{})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("op %d: patched outcome diverged from reference rebuild\ngot:  %+v\nwant: %+v",
 					i/2, got.Stats, want.Stats)
 			}
 
-			curFacts, curClusters := refFacts(ref), refClusters(ref)
-			for _, c := range []struct {
-				class        factClass
-				gotRm, gotAd []Fact
-				name         string
-			}{
-				{classKept, c.delta.RemovedKept, c.delta.AddedKept, "kept"},
-				{classRemoved, c.delta.RemovedRemoved, c.delta.AddedRemoved, "removed"},
-				{classInferred, c.delta.RemovedInferred, c.delta.AddedInferred, "inferred"},
+			cur := snapshotRef(ref)
+			for _, err := range []error{
+				checkDelta("kept", ch.rmK, ch.adK, prev.kept, cur.kept),
+				checkDelta("removed", ch.rmR, ch.adR, prev.removed, cur.removed),
+				checkDelta("inferred", ch.rmI, ch.adI, prev.inferred, cur.inferred),
+				checkDelta("cluster", ch.rmC, ch.adC, prev.clusters, cur.clusters),
 			} {
-				wantRm, wantAd := expectFactDelta(prevFacts[c.class], curFacts[c.class])
-				if !reflect.DeepEqual(c.gotRm, wantRm) || !reflect.DeepEqual(c.gotAd, wantAd) {
-					t.Fatalf("op %d: %s changelog wrong\ngot -%v +%v\nwant -%v +%v",
-						i/2, c.name, c.gotRm, c.gotAd, wantRm, wantAd)
+				if err != nil {
+					t.Fatalf("op %d: %v", i/2, err)
 				}
-			}
-			wantRmC, wantAdC := expectClusterDelta(prevClusters, curClusters)
-			if !reflect.DeepEqual(c.delta.RemovedClusters, wantRmC) ||
-				!reflect.DeepEqual(c.delta.AddedClusters, wantAdC) {
-				t.Fatalf("op %d: cluster changelog wrong\ngot -%v +%v\nwant -%v +%v",
-					i/2, c.delta.RemovedClusters, c.delta.AddedClusters, wantRmC, wantAdC)
 			}
 		}
 	})
@@ -345,10 +357,10 @@ func FuzzOutcomePatch(f *testing.F) {
 // list, an equal-id replacement, edits past either end — and the input
 // List left unmutated every time.
 func TestListSplice(t *testing.T) {
-	mk := func(variant uint64, ids ...ground.AtomID) []Fact {
-		fs := make([]Fact, 0, len(ids))
+	mk := func(variant uint64, ids ...ground.AtomID) []removedFact {
+		fs := make([]removedFact, 0, len(ids))
 		for _, id := range ids {
-			fs = append(fs, synthFact(id, classRemoved, variant+uint64(id)))
+			fs = append(fs, synthRemoved(id, variant+uint64(id)))
 		}
 		return fs
 	}
@@ -419,7 +431,7 @@ func TestListSplice(t *testing.T) {
 	// An equal-id replacement (a re-repaired fact keeps its atom) swaps
 	// the content in place.
 	replaced := []ground.AtomID{b[0], b[1]}
-	var wantFacts []Fact
+	var wantFacts []removedFact
 	for _, id := range span(0, 1000) {
 		variant := uint64(0)
 		if slices.Contains(replaced, id) {
@@ -444,59 +456,56 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 	c := NewComponentCache()
 	key := ground.AtomID(0)
 	f := synthFact(3, classKept, 7)
-	v1 := &unit{kept: []Fact{f}}
+	v1 := &unit{kept: []fact{f}}
 	ref := map[ground.AtomID]*refHeld{key: {u: v1, gen: 1}}
 	syncRef(t, c, ref, key)
 	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 
-	moved := f
-	moved.Explanations = []Explanation{{Rule: "c"}}
-	v2 := &unit{removed: []Fact{moved},
+	moved := removedFact{fact: f, ex: []exPart{{rule: "c", partner: -1, end: true}}}
+	v2 := &unit{removed: []removedFact{moved},
 		violations: map[string]int{"c": 1},
-		clusters:   []Cluster{{Root: 3, Keys: []rdf.FactKey{f.Quad.Fact()}}}}
+		clusters:   []cluster{{root: 3, members: []ground.AtomID{3}}}}
 	ref[key] = &refHeld{u: v2, gen: 2}
-	syncRef(t, c, ref, key)
+	d := syncRef(t, c, ref, key)
 	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 	removed := collect(c.removed.Each)
-	if c.kept.Len() != 0 || len(removed) != 1 || removed[0].Quad.Fact() != f.Quad.Fact() {
+	if c.kept.Len() != 0 || len(removed) != 1 || removed[0].id != f.id {
 		t.Fatalf("lists did not follow the class move: kept %d removed %v", c.kept.Len(), removed)
 	}
-	d := c.delta
-	if len(d.RemovedKept) != 1 || len(d.AddedRemoved) != 1 || len(d.AddedClusters) != 1 {
+	if len(d.rmK) != 1 || len(d.adR) != 1 || len(d.adC) != 1 {
 		t.Fatalf("class move changelog wrong: %+v", d)
 	}
-	if len(d.AddedKept) != 0 || len(d.RemovedRemoved) != 0 {
+	if len(d.adK) != 0 || len(d.rmR) != 0 {
 		t.Fatalf("class move fabricated changes: %+v", d)
 	}
 	oc := &Outcome{}
-	c.materialize(oc)
+	c.materialize(oc, ground.KeyView{})
 	if oc.Stats.KeptFacts != 0 || oc.Stats.RemovedFacts != 1 || oc.Stats.ConflictClusters != 1 {
 		t.Fatalf("materialized state wrong after class move: %+v", oc.Stats)
 	}
 }
 
-// TestLiveOutcomeIdenticalRepatch re-applies byte-identical content
-// under a bumped generation: the lists are respliced but the changelog
-// must cancel to empty — reuse did not change the outcome.
+// TestLiveOutcomeIdenticalRepatch re-applies identical content under a
+// bumped generation: the lists are respliced but the changelog must
+// cancel to empty — reuse did not change the outcome.
 func TestLiveOutcomeIdenticalRepatch(t *testing.T) {
 	c := NewComponentCache()
 	key := ground.AtomID(100)
 	ref := map[ground.AtomID]*refHeld{key: {u: synthUnit(key, 42), gen: 1}}
 	syncRef(t, c, ref, key)
 	before := &Outcome{}
-	c.materialize(before)
+	c.materialize(before, ground.KeyView{})
 
 	ref[key] = &refHeld{u: synthUnit(key, 42), gen: 2} // same content, new gen
-	syncRef(t, c, ref, key)
-	if !c.delta.Empty() {
-		t.Fatalf("identical re-patch produced a delta: %+v", c.delta)
+	if d := syncRef(t, c, ref, key); !reflect.DeepEqual(d, changes{}) {
+		t.Fatalf("identical re-patch produced a delta: %+v", d)
 	}
 	after := &Outcome{}
-	c.materialize(after)
+	c.materialize(after, ground.KeyView{})
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("identical re-patch changed the materialized outcome")
 	}
@@ -517,14 +526,13 @@ func TestLiveOutcomeReset(t *testing.T) {
 	if c.kept.Len()+c.removed.Len()+c.inferred.Len() != 0 {
 		t.Fatal("a new cache holds state")
 	}
-	syncRef(t, c, ref, ground.AtomID(-1)) // nothing touched, but no record is held
-	d := c.delta
-	if len(d.RemovedKept)+len(d.RemovedRemoved)+len(d.RemovedInferred) != 0 {
+	d := syncRef(t, c, ref, ground.AtomID(-1)) // nothing touched, but no record is held
+	if len(d.rmK)+len(d.rmR)+len(d.rmI) != 0 {
 		t.Fatalf("rebuild after reset removed facts: %+v", d)
 	}
 	want := refOutcome(ref)
 	got := &Outcome{}
-	c.materialize(got)
+	c.materialize(got, ground.KeyView{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("rebuild after reset diverged from reference")
 	}

@@ -19,12 +19,18 @@
 // runs one unit over the whole graph; it shares no partition, cache or
 // live state with the component read-out and is kept as the
 // differential oracle the tests compare it against.
+//
+// Units and lists hold atom records, not rendered facts (record.go): a
+// Fact or Cluster is decoded from the atom table's keys only when a
+// reader iterates an Outcome's FactList or ClusterList, so the resident
+// read-out costs 16 bytes per kept fact, and a response that renders a
+// page of each list decodes a page.
 package repair
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -181,16 +187,16 @@ type Stats struct {
 // Outcome already handed out.
 type Outcome struct {
 	// Kept are the input facts in the most probable consistent subset.
-	Kept List[Fact]
+	Kept FactList
 	// Removed are the input facts identified as conflicting noise.
-	Removed List[Fact]
+	Removed FactList
 	// Inferred are derived facts (threshold applied), with propagated
 	// confidences in Quad.Confidence.
-	Inferred List[Fact]
+	Inferred FactList
 	// Clusters groups the statements involved in each conflict
 	// component (facts connected by violated-or-resolving constraint
 	// groundings).
-	Clusters List[Cluster]
+	Clusters ClusterList
 	// Stats is the summary.
 	Stats Stats
 }
@@ -225,20 +231,22 @@ func (o *Outcome) countLists(removedWeight *exactSum) {
 type clauseVisitor func(fn func(slot int32, c *ground.Clause) bool)
 
 // unit is the conflict-resolution read-out of one clause-connected
-// scope: a single conflict component, or the whole graph. Each list is
-// sorted by id.
+// scope: a single conflict component, or the whole graph, held as
+// records (see record.go). Each list is sorted by id; violations is nil
+// when every grounding of the scope is satisfied.
 type unit struct {
-	kept, removed, inferred []Fact
-	thresholdFiltered       int
-	clusters                []Cluster
-	violations              map[string]int
+	kept, inferred    []fact
+	removed           []removedFact
+	thresholdFiltered int
+	clusters          []cluster
+	violations        map[string]int
 }
 
 // Selectors of a unit's lists, for gather.
-func keptOf(u *unit) []Fact        { return u.kept }
-func removedOf(u *unit) []Fact     { return u.removed }
-func inferredOf(u *unit) []Fact    { return u.inferred }
-func clustersOf(u *unit) []Cluster { return u.clusters }
+func keptOf(u *unit) []fact           { return u.kept }
+func removedOf(u *unit) []removedFact { return u.removed }
+func inferredOf(u *unit) []fact       { return u.inferred }
+func clustersOf(u *unit) []cluster    { return u.clusters }
 
 // Cluster is one connected group of conflicting statements, tagged with
 // its union-find root — a deterministic cross-scope merge order and a
@@ -298,7 +306,7 @@ func Resolve(out *translate.Output, opts Options) (*Outcome, error) {
 	rs.Analysis = time.Since(analysisStart)
 
 	mergeStart := time.Now()
-	assembleOutcome(oc, []*unit{&u})
+	assembleOutcome(oc, []*unit{&u}, atoms.KeyView())
 	rs.Merge = time.Since(mergeStart)
 	os := oc.Stats.Outcome
 	os.Patched = 1
@@ -322,9 +330,11 @@ func resolveUnit(out *translate.Output, scope []ground.AtomID, forEach clauseVis
 	// all-negative clauses) and violation counts over all of them.
 	atoms := out.Grounder.Atoms()
 	scan := newConflictScan(atoms, out.Truth)
-	u.violations = make(map[string]int)
 	forEach(func(_ int32, c *ground.Clause) bool {
 		if !c.Satisfied(func(a ground.AtomID) bool { return out.Truth[a] }) {
+			if u.violations == nil {
+				u.violations = make(map[string]int)
+			}
 			u.violations[c.Rule]++
 		}
 		for _, l := range c.Lits {
@@ -340,19 +350,18 @@ func resolveUnit(out *translate.Output, scope []ground.AtomID, forEach clauseVis
 }
 
 // classifyScope partitions the scope's atoms into kept/removed/inferred
-// facts given the MAP state and the already-propagated confidences.
+// fact records given the MAP state and the already-propagated
+// confidences. No statement key is decoded: records carry atom ids.
 func classifyScope(out *translate.Output, scope []ground.AtomID, conf []float64, opts Options) unit {
 	atoms := out.Grounder.Atoms()
 	var u unit
 	for _, a := range scope {
-		info := atoms.Info(a)
-		if info.Evidence {
-			q := rdf.Quad{Subject: info.Key.S, Predicate: info.Key.P, Object: info.Key.O,
-				Interval: info.Key.Interval, Confidence: info.Conf}
+		if atoms.IsEvidence(a) {
+			f := fact{id: a, conf: atoms.Confidence(a)}
 			if out.Truth[a] {
-				u.kept = append(u.kept, Fact{Quad: q, AtomID: a})
+				u.kept = append(u.kept, f)
 			} else {
-				u.removed = append(u.removed, Fact{Quad: q, AtomID: a})
+				u.removed = append(u.removed, removedFact{fact: f})
 			}
 			continue
 		}
@@ -364,9 +373,7 @@ func classifyScope(out *translate.Output, scope []ground.AtomID, conf []float64,
 			u.thresholdFiltered++
 			continue
 		}
-		q := rdf.Quad{Subject: info.Key.S, Predicate: info.Key.P, Object: info.Key.O,
-			Interval: info.Key.Interval, Confidence: c}
-		u.inferred = append(u.inferred, Fact{Quad: q, Derived: true, AtomID: a})
+		u.inferred = append(u.inferred, fact{id: a, derived: true, conf: c})
 	}
 	return u
 }
@@ -376,20 +383,20 @@ func classifyScope(out *translate.Output, scope []ground.AtomID, conf []float64,
 func (u *unit) attachAnalysis(scan *conflictScan) {
 	u.clusters = scan.clusters()
 	for i := range u.removed {
-		u.removed[i].Explanations = scan.explanations[u.removed[i].AtomID]
+		u.removed[i].ex = scan.explanations[u.removed[i].id]
 	}
 }
 
-// assembleOutcome merges read-out units into the Outcome: each list is
-// the bulk build of the units' elements in id order, and the statistics
-// are recomputed over it — so the merged result is byte-identical to a
-// single whole-graph unit over the same state, and identical at every
-// parallelism setting.
-func assembleOutcome(oc *Outcome, units []*unit) {
-	oc.Kept = newList(gather(units, keptOf))
-	oc.Removed = newList(gather(units, removedOf))
-	oc.Inferred = newList(gather(units, inferredOf))
-	oc.Clusters = newList(gather(units, clustersOf))
+// assembleOutcome merges read-out units into the Outcome, rendered
+// through view: each list is the bulk build of the units' records in id
+// order, and the statistics are recomputed over it — so the merged
+// result is byte-identical to a single whole-graph unit over the same
+// state, and identical at every parallelism setting.
+func assembleOutcome(oc *Outcome, units []*unit, view ground.KeyView) {
+	oc.Kept = FactList{view: view, facts: newList(gather(units, keptOf))}
+	oc.Removed = FactList{view: view, removed: newList(gather(units, removedOf))}
+	oc.Inferred = FactList{view: view, facts: newList(gather(units, inferredOf))}
+	oc.Clusters = ClusterList{view: view, clusters: newList(gather(units, clustersOf))}
 	oc.Stats.RuleViolations = make(map[string]int)
 	var w exactSum
 	for _, u := range units {
@@ -398,7 +405,7 @@ func assembleOutcome(oc *Outcome, units []*unit) {
 			oc.Stats.RuleViolations[rule] += n
 		}
 		for _, f := range u.removed {
-			w.add(f.Quad.Confidence)
+			w.add(f.conf)
 		}
 	}
 	oc.countLists(&w)
@@ -416,8 +423,8 @@ func propagateConfidences(out *translate.Output, scope []ground.AtomID, forEach 
 	atoms := out.Grounder.Atoms()
 	if out.SoftValues != nil {
 		for _, a := range scope {
-			if atoms.Info(a).Evidence {
-				conf[a] = atoms.Info(a).Conf
+			if atoms.IsEvidence(a) {
+				conf[a] = atoms.Confidence(a)
 			} else {
 				conf[a] = out.SoftValues[a]
 			}
@@ -425,9 +432,8 @@ func propagateConfidences(out *translate.Output, scope []ground.AtomID, forEach 
 		return
 	}
 	for _, a := range scope {
-		info := atoms.Info(a)
-		if info.Evidence {
-			conf[a] = info.Conf
+		if atoms.IsEvidence(a) {
+			conf[a] = atoms.Confidence(a)
 		} else {
 			conf[a] = 0
 		}
@@ -453,7 +459,7 @@ func propagateConfidences(out *translate.Output, scope []ground.AtomID, forEach 
 				break
 			}
 		}
-		if head < 0 || atoms.Info(head).Evidence || !out.Truth[head] {
+		if head < 0 || atoms.IsEvidence(head) || !out.Truth[head] {
 			return true
 		}
 		att := 1.0
@@ -496,7 +502,7 @@ type conflictScan struct {
 	atoms        *ground.AtomTable
 	truth        []bool
 	parent       map[ground.AtomID]ground.AtomID
-	explanations map[ground.AtomID][]Explanation
+	explanations map[ground.AtomID][]exPart
 	removed      []ground.AtomID // scratch, reused across clauses
 }
 
@@ -505,7 +511,7 @@ func newConflictScan(atoms *ground.AtomTable, truth []bool) *conflictScan {
 		atoms:        atoms,
 		truth:        truth,
 		parent:       make(map[ground.AtomID]ground.AtomID),
-		explanations: make(map[ground.AtomID][]Explanation),
+		explanations: make(map[ground.AtomID][]exPart),
 	}
 }
 
@@ -549,35 +555,40 @@ func (s *conflictScan) process(c *ground.Clause) {
 		s.union(c.Lits[0].Atom, c.Lits[i].Atom)
 	}
 	if len(s.removed) == 1 {
-		ex := Explanation{Rule: c.Rule}
+		a := s.removed[0]
+		ex, n := s.explanations[a], len(s.explanations[a])
 		for _, l := range c.Lits {
-			if l.Atom != s.removed[0] {
-				ex.Partners = append(ex.Partners, s.atoms.Info(l.Atom).Key)
+			if l.Atom != a {
+				ex = append(ex, exPart{rule: c.Rule, partner: l.Atom})
 			}
 		}
-		s.explanations[s.removed[0]] = append(s.explanations[s.removed[0]], ex)
+		if len(ex) == n {
+			ex = append(ex, exPart{rule: c.Rule, partner: -1})
+		}
+		ex[len(ex)-1].end = true
+		s.explanations[a] = ex
 	}
 }
 
 // clusters derives the connected groups, each tagged with its root and
-// its keys sorted. Compare, not String(): rendering keys inside the
-// comparator dominated incremental re-solves on cluster-heavy graphs.
-func (s *conflictScan) clusters() []Cluster {
-	groups := make(map[ground.AtomID][]rdf.FactKey)
+// its members sorted by statement key. CompareKeys orders exactly as
+// rdf.FactKey.Compare on the decoded keys, without decoding them.
+func (s *conflictScan) clusters() []cluster {
+	groups := make(map[ground.AtomID][]ground.AtomID)
 	var roots []ground.AtomID
 	for a := range s.parent {
 		r := s.find(a)
 		if _, ok := groups[r]; !ok {
 			roots = append(roots, r)
 		}
-		groups[r] = append(groups[r], s.atoms.Info(a).Key)
+		groups[r] = append(groups[r], a)
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	out := make([]Cluster, 0, len(roots))
+	slices.Sort(roots)
+	out := make([]cluster, 0, len(roots))
 	for _, r := range roots {
-		keys := groups[r]
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
-		out = append(out, Cluster{Root: r, Keys: keys})
+		members := groups[r]
+		slices.SortFunc(members, s.atoms.CompareKeys)
+		out = append(out, cluster{root: r, members: members})
 	}
 	return out
 }

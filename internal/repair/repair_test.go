@@ -51,6 +51,13 @@ func solve(t testing.TB, data, rules string, solver translate.Solver, opts Optio
 // whole-graph.
 func solveWith(t testing.TB, data, rules string, solver translate.Solver, cpi bool, opts Options) *Outcome {
 	t.Helper()
+	_, oc := solveOut(t, data, rules, solver, cpi, opts)
+	return oc
+}
+
+// solveOut is solveWith returning the solver output too.
+func solveOut(t testing.TB, data, rules string, solver translate.Solver, cpi bool, opts Options) (*translate.Output, *Outcome) {
+	t.Helper()
 	prog := rulelang.MustParse(rules)
 	if err := translate.ValidateFor(solver, prog); err != nil {
 		t.Fatal(err)
@@ -91,7 +98,7 @@ func solveWith(t testing.TB, data, rules string, solver translate.Solver, cpi bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return oc
+	return out, oc
 }
 
 // TestFigure7 reproduces the paper's result exactly: fact (5) removed,

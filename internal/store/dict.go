@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/rdf"
 )
@@ -28,14 +29,27 @@ type Dict struct {
 	byHash map[uint64]TermID
 	spill  []TermID
 	toT    []rdf.Term // index 0 unused
+	// own copies a term's strings on first sight, so the dictionary
+	// never pins the buffer they were sliced from (a parser's input line).
+	own bool
 }
 
-// NewDict returns an empty dictionary.
+// NewDict returns an empty dictionary. It keeps the strings of the terms
+// it is handed, sharing them with the caller.
 func NewDict() *Dict {
 	return &Dict{
 		byHash: make(map[uint64]TermID),
 		toT:    make([]rdf.Term, 1),
 	}
+}
+
+// newOwningDict returns an empty dictionary that copies the strings of
+// every term it interns: the store's, whose terms arrive sliced out of
+// whole input lines.
+func newOwningDict() *Dict {
+	d := NewDict()
+	d.own = true
+	return d
 }
 
 // termHash is FNV-1a over the term's fields with an avalanche finish,
@@ -76,6 +90,9 @@ func (d *Dict) Encode(t rdf.Term) TermID {
 		}
 	}
 	fresh := TermID(len(d.toT))
+	if d.own {
+		t.Value, t.Datatype, t.Lang = strings.Clone(t.Value), strings.Clone(t.Datatype), strings.Clone(t.Lang)
+	}
 	d.toT = append(d.toT, t)
 	if ok {
 		d.spill = append(d.spill, fresh)
@@ -113,7 +130,8 @@ func (d *Dict) Decode(id TermID) rdf.Term {
 // Len returns the number of distinct terms interned.
 func (d *Dict) Len() int { return len(d.toT) - 1 }
 
-// terms returns the code-indexed term slice for snapshotting. The
-// header copy is safe to read without the store lock: entries are
-// immutable once published and growth relocates rather than mutates.
-func (d *Dict) terms() []rdf.Term { return d.toT }
+// Terms returns the code-indexed term slice (index 0 unused). The header
+// copy is a frozen prefix, safe to read without the owner's lock while
+// the dictionary grows: entries are immutable once published and growth
+// relocates rather than mutates.
+func (d *Dict) Terms() []rdf.Term { return d.toT }

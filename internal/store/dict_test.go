@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -60,4 +62,52 @@ func FuzzDictRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestStoreOwnsTermStrings: the parser slices a quad's terms out of its
+// input line, so a dictionary that kept those strings would pin a whole
+// line per distinct term. The store's dictionary copies a term's strings
+// when it first encodes it — also after a snapshot round trip — while a
+// plain Dict (the atom table's) shares the strings it is handed.
+func TestStoreOwnsTermStrings(t *testing.T) {
+	g, err := rdf.ParseGraphString(`<http://ex/s> <http://ex/p> "v"@en [1,2] 0.5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := g[0]
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	owns := func(name string, st *Store) {
+		t.Helper()
+		id, ok := st.dict.Lookup(q.Object)
+		if !ok {
+			t.Fatalf("%s: object term not interned", name)
+		}
+		if got := st.dict.Decode(id); same(got.Value, q.Object.Value) || same(got.Lang, q.Object.Lang) {
+			t.Fatalf("%s: the store's dictionary shares the input's strings", name)
+		}
+	}
+
+	st := New()
+	if err := st.AddGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	owns("add", st)
+
+	var buf bytes.Buffer
+	if err := New().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.AddGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	owns("add after load", loaded)
+
+	d := NewDict()
+	if got := d.Decode(d.Encode(q.Object)); !same(got.Value, q.Object.Value) {
+		t.Fatal("a plain Dict copied the strings it was handed")
+	}
 }

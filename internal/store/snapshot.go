@@ -52,7 +52,7 @@ func (st *Store) Checkpoint() *Snapshot {
 	st.mu.RLock()
 	sn := &Snapshot{
 		epoch: st.epoch,
-		terms: st.dict.terms(),
+		terms: st.dict.Terms(),
 		facts: append([]fact(nil), st.facts...),
 	}
 	st.mu.RUnlock()
@@ -278,6 +278,9 @@ func loadV2(sr *snapReader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot: %w", err)
 	}
+	// readTerm allocates every string afresh, so the dictionary need not
+	// copy them again.
+	st.dict.own = false
 	for i := uint64(0); i < termCount; i++ {
 		t, err := sr.readTerm()
 		if err != nil {
@@ -289,6 +292,7 @@ func loadV2(sr *snapReader) (*Store, error) {
 			return nil, fmt.Errorf("store: snapshot: term %d: duplicate of code %d", i, id)
 		}
 	}
+	st.dict.own = true
 	factCount, err := binary.ReadUvarint(sr)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot: %w", err)

@@ -236,7 +236,7 @@ func addPosting(idx *[][]FactID, t TermID, id FactID) {
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		dict:   NewDict(),
+		dict:   newOwningDict(),
 		byFact: make(map[uint64]FactID),
 	}
 }

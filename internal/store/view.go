@@ -33,7 +33,7 @@ type View struct {
 func (st *Store) ReadView() View {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return View{st: st, epoch: st.epoch, terms: st.dict.terms(), n: len(st.facts) - st.dead}
+	return View{st: st, epoch: st.epoch, terms: st.dict.Terms(), n: len(st.facts) - st.dead}
 }
 
 // Epoch returns the store epoch the view is pinned at.

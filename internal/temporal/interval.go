@@ -79,7 +79,12 @@ func (iv Interval) Span(other Interval) Interval {
 
 // String renders the interval in the paper's notation, e.g. "[2000,2004]".
 func (iv Interval) String() string {
-	return "[" + strconv.FormatInt(iv.Start, 10) + "," + strconv.FormatInt(iv.End, 10) + "]"
+	var buf [48]byte
+	b := append(buf[:0], '[')
+	b = strconv.AppendInt(b, iv.Start, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, iv.End, 10)
+	return string(append(b, ']'))
 }
 
 // Parse parses the textual form "[start,end]" (whitespace tolerated)

@@ -228,13 +228,15 @@ type Fact = repair.Fact
 type Cluster = repair.Cluster
 
 // FactList and ClusterList are the Outcome's lists: immutable snapshots
-// in ascending id order, stored as chunks shared between a session's
-// successive Outcomes. Read them with Len and Each; with Go 1.23 or
-// newer, the method value (res.Kept.Each) is an iter.Seq to range over
-// or pass to slices.Collect.
+// in ascending id order, held as compact atom records in chunks shared
+// between a session's successive Outcomes. Read them with Len and Each,
+// which decodes each Fact or Cluster as it visits it — a reader that
+// stops after a page decodes a page; with Go 1.23 or newer, the method
+// value (res.Kept.Each) is an iter.Seq to range over or pass to
+// slices.Collect.
 type (
-	FactList    = repair.List[repair.Fact]
-	ClusterList = repair.List[repair.Cluster]
+	FactList    = repair.FactList
+	ClusterList = repair.ClusterList
 )
 
 // Dataset is a generated evaluation dataset with gold noise labels.
