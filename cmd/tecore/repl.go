@@ -112,8 +112,8 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 				st.Outcome.Patched, st.Outcome.Reused, st.Outcome.Mode, st.Outcome.Total)
 			d := res.Delta
 			fmt.Fprintf(out, "delta: kept +%d/-%d, removed +%d/-%d, inferred +%d/-%d, clusters +%d/-%d\n",
-				len(d.AddedKept), len(d.RemovedKept), len(d.AddedRemoved), len(d.RemovedRemoved),
-				len(d.AddedInferred), len(d.RemovedInferred), len(d.AddedClusters), len(d.RemovedClusters))
+				d.AddedKept.Len(), d.RemovedKept.Len(), d.AddedRemoved.Len(), d.RemovedRemoved.Len(),
+				d.AddedInferred.Len(), d.RemovedInferred.Len(), d.AddedClusters.Len(), d.RemovedClusters.Len())
 			if verbose {
 				printRepairSummary(out, st.Repair)
 				printOutcomeSummary(out, st.Outcome)

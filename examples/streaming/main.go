@@ -55,22 +55,23 @@ func main() {
 			label, mode, res.Stats.KeptFacts, res.Stats.RemovedFacts,
 			res.Stats.InferredFacts, s.Store().Epoch())
 		if d := res.Delta; d != nil {
-			for _, f := range d.AddedRemoved {
+			d.AddedRemoved.Each(func(f tecore.Fact) bool {
 				fmt.Printf("  + conflict: %s", f.Quad.Compact())
 				if len(f.Explanations) > 0 {
 					fmt.Printf("  — violates %s", f.Explanations[0])
 				}
 				fmt.Println()
+				return true
+			})
+			printEach := func(l tecore.FactList, prefix string) {
+				l.Each(func(f tecore.Fact) bool {
+					fmt.Printf("  %s: %s\n", prefix, f.Quad.Compact())
+					return true
+				})
 			}
-			for _, f := range d.RemovedRemoved {
-				fmt.Printf("  - conflict resolved: %s\n", f.Quad.Compact())
-			}
-			for _, f := range d.AddedInferred {
-				fmt.Printf("  + inferred: %s\n", f.Quad.Compact())
-			}
-			for _, f := range d.RemovedInferred {
-				fmt.Printf("  - no longer inferred: %s\n", f.Quad.Compact())
-			}
+			printEach(d.RemovedRemoved, "- conflict resolved")
+			printEach(d.AddedInferred, "+ inferred")
+			printEach(d.RemovedInferred, "- no longer inferred")
 			if d.Empty() {
 				fmt.Println("  (no change)")
 			}

@@ -175,6 +175,9 @@ type Resolution struct {
 	// left each list. Set on every solve; on the first solve and after a
 	// read-out cache invalidation — ColdStart, threshold, solver, kernel
 	// or solver-tuning change — it reports the full outcome as added.
+	// Its lists hold the churn's atom records and decode an entry only
+	// when Each visits it, so an unread changelog costs no decoding and
+	// a capped read of a full-state one decodes only the cap.
 	Delta *repair.OutcomeDelta
 }
 

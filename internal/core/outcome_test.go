@@ -99,14 +99,31 @@ func renderLists(oc *repair.Outcome) string {
 		collect(oc.Inferred.Each), collect(oc.Clusters.Each))
 }
 
-// TestHeldOutcomeRendersDuringUpdates reads a held Outcome from another
-// goroutine, without any lock, while the session goes on solving
-// updates whose subjects, objects and intervals were never seen: the
-// atom table, its dictionary and the store's dictionary all grow and
-// relocate under the reader, which decodes its records through the key
-// view captured when the Outcome was published. Every rendering must
-// equal the first; the race detector checks that the reads share no
-// memory with the writes.
+// renderDelta renders a changelog's eight lists in full.
+func renderDelta(d *repair.OutcomeDelta) string {
+	return fmt.Sprintf("kept +%+v -%+v\nremoved +%+v -%+v\ninferred +%+v -%+v\nclusters +%+v -%+v",
+		collect(d.AddedKept.Each), collect(d.RemovedKept.Each),
+		collect(d.AddedRemoved.Each), collect(d.RemovedRemoved.Each),
+		collect(d.AddedInferred.Each), collect(d.RemovedInferred.Each),
+		collect(d.AddedClusters.Each), collect(d.RemovedClusters.Each))
+}
+
+// heldDelta is a solve's changelog and its rendering at hand-out.
+type heldDelta struct {
+	d    *repair.OutcomeDelta
+	want string
+}
+
+// TestHeldOutcomeRendersDuringUpdates reads a held Outcome, and every
+// solve's held changelog, from another goroutine, without any lock,
+// while the session goes on solving updates whose subjects, objects and
+// intervals were never seen: the atom table, its dictionary and the
+// store's dictionary all grow and relocate under the reader, which
+// decodes its records through the key view captured when the Outcome
+// was published. Every rendering of the Outcome must equal the first,
+// and every rendering of a changelog (the first solve's is the whole
+// outcome) the one taken when its solve returned; the race detector
+// checks that the reads share no memory with the writes.
 func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
 	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL} {
 		t.Run(solver.String(), func(t *testing.T) {
@@ -118,23 +135,57 @@ func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
 			}
 			held := res.Outcome
 			first := renderLists(held)
+			// One changelog per solve below, plus the first solve's.
+			deltas := make(chan heldDelta, 1+40*4)
+			deltas <- heldDelta{res.Delta, renderDelta(res.Delta)}
+			solve := func() {
+				res, err := s.Solve(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deltas <- heldDelta{res.Delta, renderDelta(res.Delta)}
+			}
 
 			stop := make(chan struct{})
 			done := make(chan error, 1)
 			go func() {
+				var hds []heldDelta
+				check := func(n int) error {
+					if got := renderLists(held); got != first {
+						return fmt.Errorf("rendering %d of the held Outcome differs from the first", n)
+					}
+					for {
+						select {
+						case hd := <-deltas:
+							hds = append(hds, hd)
+							continue
+						default:
+						}
+						break
+					}
+					for i, hd := range hds {
+						if got := renderDelta(hd.d); got != hd.want {
+							return fmt.Errorf("rendering %d of held changelog %d differs from its rendering at hand-out", n, i)
+						}
+					}
+					return nil
+				}
 				for n := 0; ; n++ {
 					select {
 					case <-stop:
-						if n < 2 {
+						switch {
+						case n < 2:
 							done <- fmt.Errorf("the reader rendered %d times; the test exercises nothing", n)
-						} else {
-							done <- nil
+						default:
+							// Once more after the last solve, so every
+							// changelog is read after it was handed out.
+							done <- check(n)
 						}
 						return
 					default:
 					}
-					if got := renderLists(held); got != first {
-						done <- fmt.Errorf("rendering %d of the held Outcome differs from the first", n)
+					if err := check(n); err != nil {
+						done <- err
 						return
 					}
 				}
@@ -154,15 +205,11 @@ func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
 					if err := s.AddFact(q); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := s.Solve(opts); err != nil {
-						t.Fatal(err)
-					}
+					solve()
 				}
 				for _, q := range pair {
 					s.RemoveFact(q)
-					if _, err := s.Solve(opts); err != nil {
-						t.Fatal(err)
-					}
+					solve()
 				}
 			}
 			close(stop)
@@ -287,6 +334,48 @@ func TestOutcomePatchAllocs(t *testing.T) {
 	const limit = 128 << 10
 	if perToggle > limit {
 		t.Errorf("single-fact toggle allocates %d KiB per solve, want <= %d KiB", perToggle>>10, limit>>10)
+	}
+}
+
+// TestColdSolveOutcomeAllocs gates the bytes the outcome stage
+// (ComponentRun.Finish) allocates on a session's first MLN solve, where
+// every component's read-out enters the live lists at once. It replays
+// that stage on the first solve's output with a fresh read-out cache,
+// exactly as the first solve ran it. Building the lists costs one
+// sorted array of records per list plus the chunks cut from it; the
+// changelog wraps the same records and decodes nothing, so the stage
+// allocates about 1.4 MiB on 16 k facts. Rendering the full-state
+// changelog into facts, explanation partners and cluster keys at
+// hand-out, which nobody but a capped delta-mode response reads, brings
+// it to about 11 MiB; the gate sits between the two.
+func TestColdSolveOutcomeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are not meaningful under -race")
+	}
+	s, _ := clusteredSession(t, 2600)
+	res, err := s.Solve(SolveOptions{Solver: translate.SolverMLN, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Stats.TotalFacts; n < 15000 {
+		t.Fatalf("session holds %d facts, want at least 15k", n)
+	}
+	run, err := repair.BeginComponents(res.Output, repair.Options{Parallelism: 1}, nil, repair.NewComponentCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	oc, d := run.Finish()
+	runtime.ReadMemStats(&after)
+	if d.AddedKept.Len() != oc.Kept.Len() || d.AddedKept.Len() == 0 {
+		t.Fatalf("the first solve's changelog adds %d kept facts, the outcome holds %d", d.AddedKept.Len(), oc.Kept.Len())
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cold outcome stage on %d facts: %d KiB allocated", res.Stats.TotalFacts, bytes>>10)
+	const limit = 4 << 20
+	if bytes > limit {
+		t.Errorf("cold outcome stage allocates %d KiB, want <= %d KiB", bytes>>10, limit>>10)
 	}
 }
 

@@ -276,11 +276,12 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 // Finish produces the Outcome from the analysis phase: the sort/merge
 // assembly of every unit without a cache; otherwise the cache's live
 // lists are patched — subtract the leaving units, splice in the entering
-// ones — and materialized, and the changelog of that update is rendered
-// and returned. Either way the Outcome renders its records through a
-// view of the atom table captured here, so Finish must run where the
-// table has no writer (the session lock); the Outcome it returns is then
-// safe to read from any goroutine while later solves intern new atoms.
+// ones — and materialized, and the records of that churn are returned,
+// undecoded, as the update's changelog. Either way the Outcome and the
+// changelog render their records through a view of the atom table
+// captured here, so Finish must run where the table has no writer (the
+// session lock); what it returns is then safe to read from any goroutine
+// while later solves intern new atoms.
 func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta) {
 	oc, c := r.oc, r.cache
 	rs, os := oc.Stats.Repair, oc.Stats.Outcome
@@ -297,11 +298,10 @@ func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta) {
 	}
 
 	indexStart := time.Now()
-	ch := c.apply(r.subtract, r.add)
+	d := c.apply(r.subtract, r.add, view)
 	os.Index = time.Since(indexStart)
 	mergeStart := time.Now()
 	c.materialize(oc, view)
-	d := ch.render(view)
 	rs.Merge = time.Since(mergeStart)
 	os.Mode = OutcomeLive
 	os.Reused = rs.Reused

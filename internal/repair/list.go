@@ -84,6 +84,16 @@ func newList[T listItem[T]](items []T) List[T] {
 	return List[T]{chunks: appendChunks(nil, items), n: len(items)}
 }
 
+// readOnly wraps items, which must be sorted by id, as a one-chunk List
+// without copying them or hashing their ids. Its layout is not the bulk
+// build's, so it is for lists that are only read, never spliced.
+func readOnly[T listItem[T]](items []T) List[T] {
+	if len(items) == 0 {
+		return List[T]{}
+	}
+	return List[T]{chunks: [][]T{items}, n: len(items)}
+}
+
 // appendChunks cuts items after every boundary element and appends the
 // pieces; only a piece at the end of the list may lack a boundary.
 func appendChunks[T listItem[T]](dst [][]T, items []T) [][]T {

@@ -23,8 +23,10 @@ import (
 // moment, so a published Outcome is a frozen snapshot that renders its
 // facts on read. Publishing is O(churn) plus an O(n/B) chunk-slice copy.
 // The Outcome is byte-identical to whole-graph assembly over the same
-// units, and every update also renders its churn as an OutcomeDelta
-// changelog so callers can consume diffs instead of snapshots.
+// units. The churn itself — the records spliced out and in — is handed
+// out as the update's OutcomeDelta changelog, undecoded and through the
+// same view, so callers can consume diffs instead of snapshots and pay
+// for decoding only the entries they read.
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
 const (
@@ -49,10 +51,13 @@ type OutcomeStats struct {
 	// number of units merged.
 	Patched int
 	Reused  int
-	// Index is the time spent maintaining the global lists (unit
-	// subtraction, chunk splices, changelog); Merge is the materialization
-	// of the Outcome from them (assembled mode folds everything into Merge);
-	// Total is the whole stage.
+	// Index is the time spent maintaining the global lists: looking up
+	// the leaving records, cancelling what a re-repaired component
+	// carries over, and splicing the churn into the chunks; the churn's
+	// records are handed out as the changelog, wrapped, not decoded.
+	// Merge is the time spent publishing the Outcome from the lists:
+	// O(#rules), no record is copied or decoded. Assembled mode folds the
+	// whole sort/merge into Merge. Total is the whole stage.
 	Index time.Duration
 	Merge time.Duration
 	Total time.Duration
@@ -63,29 +68,33 @@ type OutcomeStats struct {
 // previous materialized Outcome. A fact whose content changed (e.g. a
 // derived confidence moved) appears in both the Removed (old content)
 // and Added (new content) lists; an untouched fact appears in neither,
-// even when its component was re-repaired. Fact lists are sorted by atom
-// id, cluster lists by cluster root. The slices share no backing array
-// with the Outcome's Lists.
+// even when its component was re-repaired. Fact lists ascend by atom
+// id, cluster lists by cluster root. Like the Outcome's, the lists hold
+// atom records and decode each entry as Each visits it, through the
+// view captured when the Outcome was published: a first solve's
+// changelog is the whole outcome, but a reader that stops after a page
+// decodes a page. They are immutable, safe to hold and to read from any
+// goroutine while later solves run.
 type OutcomeDelta struct {
-	AddedKept   []Fact
-	RemovedKept []Fact
+	AddedKept   FactList
+	RemovedKept FactList
 
-	AddedRemoved   []Fact
-	RemovedRemoved []Fact
+	AddedRemoved   FactList
+	RemovedRemoved FactList
 
-	AddedInferred   []Fact
-	RemovedInferred []Fact
+	AddedInferred   FactList
+	RemovedInferred FactList
 
-	AddedClusters   []Cluster
-	RemovedClusters []Cluster
+	AddedClusters   ClusterList
+	RemovedClusters ClusterList
 }
 
 // Empty reports whether the update changed nothing.
 func (d *OutcomeDelta) Empty() bool {
-	return len(d.AddedKept) == 0 && len(d.RemovedKept) == 0 &&
-		len(d.AddedRemoved) == 0 && len(d.RemovedRemoved) == 0 &&
-		len(d.AddedInferred) == 0 && len(d.RemovedInferred) == 0 &&
-		len(d.AddedClusters) == 0 && len(d.RemovedClusters) == 0
+	return d.AddedKept.Len() == 0 && d.RemovedKept.Len() == 0 &&
+		d.AddedRemoved.Len() == 0 && d.RemovedRemoved.Len() == 0 &&
+		d.AddedInferred.Len() == 0 && d.RemovedInferred.Len() == 0 &&
+		d.AddedClusters.Len() == 0 && d.RemovedClusters.Len() == 0
 }
 
 // held is what a component's cache record keeps of its read-out unit
@@ -145,33 +154,15 @@ func gatherIDs(hs []held, sel func(*held) []ground.AtomID) []ground.AtomID {
 	return ids
 }
 
-// changes is the record form of an OutcomeDelta: what apply spliced out
-// of and into each list.
-type changes struct {
-	rmK, adK []fact
-	rmR, adR []removedFact
-	rmI, adI []fact
-	rmC, adC []cluster
-}
-
-// render decodes the changelog through view.
-func (ch *changes) render(view ground.KeyView) *OutcomeDelta {
-	return &OutcomeDelta{
-		RemovedKept: renderAll[fact, Fact](view, ch.rmK), AddedKept: renderAll[fact, Fact](view, ch.adK),
-		RemovedRemoved: renderAll[removedFact, Fact](view, ch.rmR), AddedRemoved: renderAll[removedFact, Fact](view, ch.adR),
-		RemovedInferred: renderAll[fact, Fact](view, ch.rmI), AddedInferred: renderAll[fact, Fact](view, ch.adI),
-		RemovedClusters: renderAll[cluster, Cluster](view, ch.rmC), AddedClusters: renderAll[cluster, Cluster](view, ch.adC),
-	}
-}
-
 // apply removes the subtracted records' contributions and splices in
 // the added units, maintaining the global lists and the violation
-// counts, and returns the changelog. The lists are copy-on-write (see
-// List), so an Outcome handed out by a previous materialization remains
-// a valid snapshot.
-func (c *ComponentCache) apply(subtract []held, add []*unit) changes {
+// counts, and returns the changelog: the records it spliced out and in,
+// to be decoded through view. The lists are copy-on-write (see List), so an
+// Outcome handed out by a previous materialization remains a valid
+// snapshot.
+func (c *ComponentCache) apply(subtract []held, add []*unit, view ground.KeyView) *OutcomeDelta {
 	if len(subtract) == 0 && len(add) == 0 {
-		return changes{}
+		return &OutcomeDelta{}
 	}
 
 	for _, h := range subtract {
@@ -195,8 +186,9 @@ func (c *ComponentCache) apply(subtract []held, add []*unit) changes {
 	// rebuilt, and a fully-cancelled list is not touched at all (it keeps
 	// the old records, so no record is held twice). What remains is also
 	// the changelog — ids map 1:1 to statements and groups, already in id
-	// order. On an empty cache the added side is the bulk build's one
-	// sorted array.
+	// order — handed out as it is: splice shares nothing with its inputs.
+	// On an empty cache the added side is the bulk build's one sorted
+	// array.
 	rmK, adK := cancelCommon(c.kept.lookup(gatherIDs(subtract, keptIDs)), gather(add, keptOf))
 	rmR, adR := cancelCommon(c.removed.lookup(gatherIDs(subtract, removedIDs)), gather(add, removedOf))
 	rmI, adI := cancelCommon(c.inferred.lookup(gatherIDs(subtract, inferredIDs)), gather(add, inferredOf))
@@ -211,7 +203,15 @@ func (c *ComponentCache) apply(subtract []held, add []*unit) changes {
 	for _, f := range adR {
 		c.removedWeight.add(f.conf)
 	}
-	return changes{rmK: rmK, adK: adK, rmR: rmR, adR: adR, rmI: rmI, adI: adI, rmC: rmC, adC: adC}
+	facts := func(fs []fact) FactList { return FactList{view: view, facts: readOnly(fs)} }
+	removed := func(fs []removedFact) FactList { return FactList{view: view, removed: readOnly(fs)} }
+	clusters := func(cs []cluster) ClusterList { return ClusterList{view: view, clusters: readOnly(cs)} }
+	return &OutcomeDelta{
+		RemovedKept: facts(rmK), AddedKept: facts(adK),
+		RemovedRemoved: removed(rmR), AddedRemoved: removed(adR),
+		RemovedInferred: facts(rmI), AddedInferred: facts(adI),
+		RemovedClusters: clusters(rmC), AddedClusters: clusters(adC),
+	}
 }
 
 // cancelCommon drops the elements present with identical content on

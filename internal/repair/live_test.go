@@ -263,7 +263,8 @@ func expectDelta[T listItem[T]](prev, cur map[ground.AtomID]T) (removed, added [
 }
 
 // checkDelta compares one list's changelog with the expected one.
-func checkDelta[T listItem[T]](name string, gotRm, gotAd []T, prev, cur map[ground.AtomID]T) error {
+func checkDelta[T listItem[T]](name string, rm, ad List[T], prev, cur map[ground.AtomID]T) error {
+	gotRm, gotAd := collect(rm.Each), collect(ad.Each)
 	wantRm, wantAd := expectDelta(prev, cur)
 	if !reflect.DeepEqual(gotRm, wantRm) || !reflect.DeepEqual(gotAd, wantAd) {
 		return fmt.Errorf("%s changelog wrong\ngot -%v +%v\nwant -%v +%v", name, gotRm, gotAd, wantRm, wantAd)
@@ -277,7 +278,7 @@ func checkDelta[T listItem[T]](name string, gotRm, gotAd []T, prev, cur map[grou
 // and returns the changelog. The hand-built plan has generation 0, so
 // every pass scopes every component and retires vanished ones by
 // enumeration.
-func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, touched ground.AtomID) changes {
+func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, touched ground.AtomID) *OutcomeDelta {
 	t.Helper()
 	keys := sortedKeys(ref)
 	plan := &engine.Plan{Comps: make([]ground.Component, len(keys))}
@@ -294,7 +295,8 @@ func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, to
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.apply(c.record(plan, scope, units, cached))
+	subtract, add := c.record(plan, scope, units, cached)
+	return c.apply(subtract, add, ground.KeyView{})
 }
 
 func FuzzOutcomePatch(f *testing.F) {
@@ -320,7 +322,7 @@ func FuzzOutcomePatch(f *testing.F) {
 				// must then cancel to empty for it).
 				ref[key] = &refHeld{u: synthUnit(key, uint64(op%4)*31), gen: gen}
 			}
-			ch := syncRef(t, c, ref, key)
+			d := syncRef(t, c, ref, key)
 
 			if err := checkInvariants(c); err != nil {
 				t.Fatalf("op %d: invariant violated: %v", i/2, err)
@@ -338,10 +340,10 @@ func FuzzOutcomePatch(f *testing.F) {
 
 			cur := snapshotRef(ref)
 			for _, err := range []error{
-				checkDelta("kept", ch.rmK, ch.adK, prev.kept, cur.kept),
-				checkDelta("removed", ch.rmR, ch.adR, prev.removed, cur.removed),
-				checkDelta("inferred", ch.rmI, ch.adI, prev.inferred, cur.inferred),
-				checkDelta("cluster", ch.rmC, ch.adC, prev.clusters, cur.clusters),
+				checkDelta("kept", d.RemovedKept.facts, d.AddedKept.facts, prev.kept, cur.kept),
+				checkDelta("removed", d.RemovedRemoved.removed, d.AddedRemoved.removed, prev.removed, cur.removed),
+				checkDelta("inferred", d.RemovedInferred.facts, d.AddedInferred.facts, prev.inferred, cur.inferred),
+				checkDelta("cluster", d.RemovedClusters.clusters, d.AddedClusters.clusters, prev.clusters, cur.clusters),
 			} {
 				if err != nil {
 					t.Fatalf("op %d: %v", i/2, err)
@@ -476,10 +478,10 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 	if c.kept.Len() != 0 || len(removed) != 1 || removed[0].id != f.id {
 		t.Fatalf("lists did not follow the class move: kept %d removed %v", c.kept.Len(), removed)
 	}
-	if len(d.rmK) != 1 || len(d.adR) != 1 || len(d.adC) != 1 {
+	if d.RemovedKept.Len() != 1 || d.AddedRemoved.Len() != 1 || d.AddedClusters.Len() != 1 {
 		t.Fatalf("class move changelog wrong: %+v", d)
 	}
-	if len(d.adK) != 0 || len(d.rmR) != 0 {
+	if d.AddedKept.Len() != 0 || d.RemovedRemoved.Len() != 0 {
 		t.Fatalf("class move fabricated changes: %+v", d)
 	}
 	oc := &Outcome{}
@@ -501,7 +503,7 @@ func TestLiveOutcomeIdenticalRepatch(t *testing.T) {
 	c.materialize(before, ground.KeyView{})
 
 	ref[key] = &refHeld{u: synthUnit(key, 42), gen: 2} // same content, new gen
-	if d := syncRef(t, c, ref, key); !reflect.DeepEqual(d, changes{}) {
+	if d := syncRef(t, c, ref, key); !d.Empty() {
 		t.Fatalf("identical re-patch produced a delta: %+v", d)
 	}
 	after := &Outcome{}
@@ -527,7 +529,7 @@ func TestLiveOutcomeReset(t *testing.T) {
 		t.Fatal("a new cache holds state")
 	}
 	d := syncRef(t, c, ref, ground.AtomID(-1)) // nothing touched, but no record is held
-	if len(d.rmK)+len(d.rmR)+len(d.rmI) != 0 {
+	if d.RemovedKept.Len()+d.RemovedRemoved.Len()+d.RemovedInferred.Len() != 0 {
 		t.Fatalf("rebuild after reset removed facts: %+v", d)
 	}
 	want := refOutcome(ref)

@@ -124,18 +124,6 @@ func (c cluster) render(v ground.KeyView) Cluster {
 	return Cluster{Root: c.root, Keys: keys}
 }
 
-// renderAll decodes a changelog slice; an empty one gives nil.
-func renderAll[T interface{ render(ground.KeyView) R }, R any](v ground.KeyView, recs []T) []R {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]R, len(recs))
-	for i, r := range recs {
-		out[i] = r.render(v)
-	}
-	return out
-}
-
 // FactList is one of an Outcome's fact lists: an immutable snapshot in
 // ascending atom id order. Read it with Len and Each; each call to Each
 // decodes the facts it visits.

@@ -589,20 +589,9 @@ func removedStrings(fs seq[repair.Fact], max int, truncated bool) ([]string, boo
 	})
 }
 
-// seq is a push iterator over a list: a repair.List's Each method, or
-// sliceSeq over a changelog slice.
+// seq is a push iterator over a list: the Each method of an Outcome's
+// or a changelog's FactList or ClusterList.
 type seq[T any] func(yield func(T) bool)
-
-// sliceSeq iterates s.
-func sliceSeq[T any](s []T) seq[T] {
-	return func(yield func(T) bool) {
-		for _, x := range s {
-			if !yield(x) {
-				return
-			}
-		}
-	}
-}
 
 // render formats at most max elements of each; the flag reports whether
 // any list so far was cut short.

@@ -490,7 +490,8 @@ type SessionSolveRequest struct {
 	// the session's previous solve (plus statistics), not the full
 	// lists. The first solve and any solve after a cache invalidation
 	// (coldStart, threshold or solver change) report the full outcome
-	// as added.
+	// as added, capped per list like the full lists, so rendering it
+	// costs O(cap) however large the session.
 	Delta bool `json:"delta,omitempty"`
 }
 
@@ -535,18 +536,20 @@ type OutcomeDeltaResponse struct {
 }
 
 // deltaResponse renders the changelog with the server's fact cap
-// applied per list.
+// applied per list. Like outcomeResponse it reads each list through Each
+// and stops at the cap, so even a first solve's changelog, which is the
+// whole outcome, costs O(cap), not O(n).
 func (s *Server) deltaResponse(d *repair.OutcomeDelta) *OutcomeDeltaResponse {
 	max := s.MaxFactsInResponse
 	resp := &OutcomeDeltaResponse{}
-	resp.AddedKept, resp.Truncated = factStrings(sliceSeq(d.AddedKept), max, resp.Truncated)
-	resp.RemovedKept, resp.Truncated = factStrings(sliceSeq(d.RemovedKept), max, resp.Truncated)
-	resp.AddedRemoved, resp.Truncated = removedStrings(sliceSeq(d.AddedRemoved), max, resp.Truncated)
-	resp.RemovedRemoved, resp.Truncated = removedStrings(sliceSeq(d.RemovedRemoved), max, resp.Truncated)
-	resp.AddedInferred, resp.Truncated = factStrings(sliceSeq(d.AddedInferred), max, resp.Truncated)
-	resp.RemovedInferred, resp.Truncated = factStrings(sliceSeq(d.RemovedInferred), max, resp.Truncated)
-	resp.AddedClusters, resp.Truncated = clusterStrings(sliceSeq(d.AddedClusters), max, resp.Truncated)
-	resp.RemovedClusters, resp.Truncated = clusterStrings(sliceSeq(d.RemovedClusters), max, resp.Truncated)
+	resp.AddedKept, resp.Truncated = factStrings(d.AddedKept.Each, max, resp.Truncated)
+	resp.RemovedKept, resp.Truncated = factStrings(d.RemovedKept.Each, max, resp.Truncated)
+	resp.AddedRemoved, resp.Truncated = removedStrings(d.AddedRemoved.Each, max, resp.Truncated)
+	resp.RemovedRemoved, resp.Truncated = removedStrings(d.RemovedRemoved.Each, max, resp.Truncated)
+	resp.AddedInferred, resp.Truncated = factStrings(d.AddedInferred.Each, max, resp.Truncated)
+	resp.RemovedInferred, resp.Truncated = factStrings(d.RemovedInferred.Each, max, resp.Truncated)
+	resp.AddedClusters, resp.Truncated = clusterStrings(d.AddedClusters.Each, max, resp.Truncated)
+	resp.RemovedClusters, resp.Truncated = clusterStrings(d.RemovedClusters.Each, max, resp.Truncated)
 	return resp
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -291,6 +292,96 @@ MX coach Lyon [2003,2005] 0.7
 	}
 	if ocs := greedy.Stats.Outcome; ocs == nil || ocs.Mode != repair.OutcomeLive {
 		t.Fatalf("greedy solve did not run the live outcome: %+v", greedy.Stats.Outcome)
+	}
+}
+
+// TestSessionSolveDeltaModeCapped: a first delta-mode solve reports the
+// whole outcome as added, so on a session larger than the response cap
+// every added list comes back capped and flagged truncated, holding
+// exactly the first entries of the full-mode response; a later
+// single-fact update's changelog fits under the cap and is not
+// truncated.
+func TestSessionSolveDeltaModeCapped(t *testing.T) {
+	srv := New()
+	const limit = 3
+	srv.MaxFactsInResponse = limit
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// Eight coaches with two overlapping spells each (a removed fact and
+	// a conflict cluster apiece) and a playing spell each (an inferred
+	// worksFor).
+	var tq strings.Builder
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&tq, "P%d coach A%d [2000,2004] 0.9\nP%d coach B%d [2002,2005] 0.6\nP%d playsFor C%d [1990,1992] 0.8\n",
+			i, i, i, i, i, i)
+	}
+	var info SessionInfo
+	resp := postJSON(t, ts.URL+"/api/sessions", CreateSessionRequest{
+		TQuads: tq.String(),
+		Rules: "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n" +
+			"c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
+	}, &info)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create session: status %d", resp.StatusCode)
+	}
+	base := ts.URL + "/api/sessions/" + info.ID
+
+	var first SessionSolveResponse
+	if resp := postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln", Delta: true}, &first); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: status %d", resp.StatusCode)
+	}
+	d := first.Delta
+	if d == nil || !d.Truncated {
+		t.Fatalf("first delta-mode solve over %d facts is not truncated at %d: %+v", info.Facts, limit, d)
+	}
+	for name, n := range map[string]int{"addedKept": len(d.AddedKept), "addedRemoved": len(d.AddedRemoved),
+		"addedInferred": len(d.AddedInferred), "addedClusters": len(d.AddedClusters)} {
+		if n != limit {
+			t.Errorf("first delta-mode solve: %s holds %d entries, want the cap %d", name, n, limit)
+		}
+	}
+	if n := len(d.RemovedKept) + len(d.RemovedRemoved) + len(d.RemovedInferred) + len(d.RemovedClusters); n != 0 {
+		t.Errorf("first delta-mode solve removed %d entries", n)
+	}
+
+	// A no-op re-solve in full mode renders the same outcome's lists.
+	var full SessionSolveResponse
+	if resp := postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln"}, &full); resp.StatusCode != http.StatusOK {
+		t.Fatalf("full solve: status %d", resp.StatusCode)
+	}
+	if !full.Truncated {
+		t.Fatal("full-mode solve is not truncated")
+	}
+	for _, c := range []struct {
+		name        string
+		delta, full any
+	}{
+		{"kept", d.AddedKept, full.Kept},
+		{"removed", d.AddedRemoved, full.Removed},
+		{"inferred", d.AddedInferred, full.Inferred},
+		{"clusters", d.AddedClusters, full.Clusters},
+	} {
+		if !reflect.DeepEqual(c.delta, c.full) {
+			t.Errorf("capped %s: delta mode %v, full mode %v", c.name, c.delta, c.full)
+		}
+	}
+
+	// Retract one removed spell: its conflict goes, and the changelog is
+	// that component's churn, under the cap.
+	resp = doJSON(t, http.MethodDelete, base+"/facts", `{"tquads":"P0 coach B0 [2002,2005] 0.6"}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("remove fact: status %d", resp.StatusCode)
+	}
+	var update SessionSolveResponse
+	if resp := postJSON(t, base+"/solve", SessionSolveRequest{Solver: "mln", Delta: true}, &update); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update solve: status %d", resp.StatusCode)
+	}
+	u := update.Delta
+	if u == nil || u.Truncated {
+		t.Fatalf("single-fact update's changelog is truncated: %+v", u)
+	}
+	if len(u.RemovedRemoved) != 1 || len(u.RemovedClusters) != 1 || !strings.Contains(u.RemovedRemoved[0], "B0") {
+		t.Fatalf("single-fact update's changelog: %+v", u)
 	}
 }
 

@@ -56,16 +56,16 @@ func renderCluster(cl tecore.Cluster) string {
 
 func (s *shadowOutcome) apply(t *testing.T, d *tecore.OutcomeDelta) {
 	t.Helper()
-	rm := func(m map[string]string, fs []tecore.Fact, list string) {
-		for _, f := range fs {
+	rm := func(m map[string]string, fs tecore.FactList, list string) {
+		for _, f := range collect(fs.Each) {
 			if _, ok := m[factKey(f)]; !ok {
 				t.Fatalf("delta removes %s from %s, which does not hold it", factKey(f), list)
 			}
 			delete(m, factKey(f))
 		}
 	}
-	add := func(m map[string]string, fs []tecore.Fact, list string) {
-		for _, f := range fs {
+	add := func(m map[string]string, fs tecore.FactList, list string) {
+		for _, f := range collect(fs.Each) {
 			if _, ok := m[factKey(f)]; ok {
 				t.Fatalf("delta adds %s to %s, which already holds it", factKey(f), list)
 			}
@@ -78,14 +78,14 @@ func (s *shadowOutcome) apply(t *testing.T, d *tecore.OutcomeDelta) {
 	add(s.kept, d.AddedKept, "kept")
 	add(s.removed, d.AddedRemoved, "removed")
 	add(s.inferred, d.AddedInferred, "inferred")
-	for _, cl := range d.RemovedClusters {
+	for _, cl := range collect(d.RemovedClusters.Each) {
 		id := renderCluster(cl)
 		if !s.clusters[id] {
 			t.Fatalf("delta removes unknown cluster %s", id)
 		}
 		delete(s.clusters, id)
 	}
-	for _, cl := range d.AddedClusters {
+	for _, cl := range collect(d.AddedClusters.Each) {
 		id := renderCluster(cl)
 		if s.clusters[id] {
 			t.Fatalf("delta adds duplicate cluster %s", id)
@@ -206,7 +206,7 @@ func runLiveOutcomeDifferential(t *testing.T, solver tecore.Solver, threshold fl
 		assertLiveByteIdentical(t, step, res, curThreshold)
 		if invalidated {
 			d := res.Delta
-			if n := len(d.RemovedKept) + len(d.RemovedRemoved) + len(d.RemovedInferred) + len(d.RemovedClusters); n != 0 {
+			if n := d.RemovedKept.Len() + d.RemovedRemoved.Len() + d.RemovedInferred.Len() + d.RemovedClusters.Len(); n != 0 {
 				t.Fatalf("step %d: post-invalidation delta removed %d entries from a fresh live outcome", step, n)
 			}
 			shadow = newShadow()
@@ -264,12 +264,12 @@ func TestLiveOutcomeSolverSwitch(t *testing.T) {
 		}
 		assertLiveByteIdentical(t, step, res, 0)
 		d := res.Delta
-		if n := len(d.RemovedKept) + len(d.RemovedRemoved) + len(d.RemovedInferred); n != 0 {
+		if n := d.RemovedKept.Len() + d.RemovedRemoved.Len() + d.RemovedInferred.Len(); n != 0 {
 			t.Fatalf("step %d: solver switch delta removed %d facts from a fresh live outcome", step, n)
 		}
-		if len(d.AddedKept) != res.Stats.KeptFacts {
+		if d.AddedKept.Len() != res.Stats.KeptFacts {
 			t.Fatalf("step %d: post-switch delta added %d kept facts, outcome holds %d",
-				step, len(d.AddedKept), res.Stats.KeptFacts)
+				step, d.AddedKept.Len(), res.Stats.KeptFacts)
 		}
 		shadow := newShadow()
 		shadow.apply(t, d)
@@ -331,8 +331,8 @@ func TestOutcomeDeltaRevival(t *testing.T) {
 	if res.Stats.RemovedFacts != 1 {
 		t.Fatalf("fixture should remove exactly the Napoli spell: %+v", res.Stats)
 	}
-	hasKey := func(fs []tecore.Fact, q tecore.Quad) bool {
-		for _, f := range fs {
+	hasKey := func(fs tecore.FactList, q tecore.Quad) bool {
+		for _, f := range collect(fs.Each) {
 			if f.Quad.Fact() == q.Fact() {
 				return true
 			}
@@ -410,14 +410,14 @@ func TestOutcomeDeltaClusterScoped(t *testing.T) {
 			}
 		}
 	}
-	for _, fs := range [][]tecore.Fact{
+	for _, fs := range []tecore.FactList{
 		d.AddedKept, d.RemovedKept, d.AddedRemoved, d.RemovedRemoved, d.AddedInferred, d.RemovedInferred} {
-		for _, f := range fs {
+		for _, f := range collect(fs.Each) {
 			mentions([]string{f.Quad.Fact().String()})
 		}
 	}
-	for _, cls := range [][]tecore.Cluster{d.AddedClusters, d.RemovedClusters} {
-		for _, cl := range cls {
+	for _, cls := range []tecore.ClusterList{d.AddedClusters, d.RemovedClusters} {
+		for _, cl := range collect(cls.Each) {
 			for _, k := range cl.Keys {
 				mentions([]string{k.String()})
 			}

@@ -103,7 +103,7 @@ func TestRepairCacheReuse(t *testing.T) {
 	if rs.Mode != tecore.RepairComponents || rs.Repaired != rs.Components || rs.Reused != 0 {
 		t.Fatalf("a kernel switch must re-repair every component: %+v", rs)
 	}
-	if os := res.Stats.Outcome; os.Mode != tecore.OutcomeLive || res.Delta == nil || len(res.Delta.AddedKept) != res.Stats.KeptFacts {
+	if os := res.Stats.Outcome; os.Mode != tecore.OutcomeLive || res.Delta == nil || res.Delta.AddedKept.Len() != res.Stats.KeptFacts {
 		t.Fatalf("cutting-plane solve must patch the live outcome, reporting the full state as added: %+v", os)
 	}
 	res, err = s.Solve(opts)

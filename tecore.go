@@ -217,7 +217,9 @@ const (
 
 // OutcomeDelta is the changelog of a solve: the facts and conflict
 // clusters that entered or left each Outcome list relative to the
-// session's previous solve; available as Resolution.Delta.
+// session's previous solve; available as Resolution.Delta. Its lists
+// are FactLists and ClusterLists like the Outcome's: immutable, safe to
+// hold, read with Len and Each, and decoded only as they are visited.
 type OutcomeDelta = repair.OutcomeDelta
 
 // Fact is a resolved fact with provenance.
