@@ -9,11 +9,11 @@ import "math"
 
 type exactState struct {
 	p        *Problem
-	occ      [][]int32 // var -> clause indices
-	assign   []int8    // -1 unassigned, 0 false, 1 true
-	satCnt   []int32   // per clause: satisfied literal count
-	unasCnt  []int32   // per clause: unassigned literal count
-	cost     float64   // violated soft weight so far
+	occ      [][]occurrence // shared with local search (buildOcc)
+	assign   []int8         // -1 unassigned, 0 false, 1 true
+	satCnt   []int32        // per clause: satisfied literal count
+	unasCnt  []int32        // per clause: unassigned literal count
+	cost     float64        // violated soft weight so far
 	best     []bool
 	bestCost float64
 	// bound is a warm-start upper bound on the optimal cost (+Inf when
@@ -34,14 +34,14 @@ type exactState struct {
 func solveExact(p *Problem, opts Options) (*Solution, bool) {
 	st := &exactState{
 		p:        p,
-		occ:      make([][]int32, p.NumVars),
+		occ:      buildOcc(p),
 		assign:   make([]int8, p.NumVars),
 		satCnt:   make([]int32, len(p.Clauses)),
 		unasCnt:  make([]int32, len(p.Clauses)),
 		bestCost: math.Inf(1),
 		bound:    math.Inf(1),
 		limit:    opts.NodeLimit,
-		bias:     make([]float64, p.NumVars),
+		bias:     unitBias(p),
 	}
 	if len(opts.Warm) == p.NumVars {
 		if hv, cost := Evaluate(p, opts.Warm); hv == 0 {
@@ -54,24 +54,11 @@ func solveExact(p *Problem, opts Options) (*Solution, bool) {
 	for i := range st.assign {
 		st.assign[i] = -1
 	}
-	counts := make([]int32, p.NumVars)
-	for ci, c := range p.Clauses {
-		st.unasCnt[ci] = int32(len(c.Lits))
-		for _, l := range c.Lits {
-			// Deduplicate occurrence entries: a clause may mention the
-			// same variable in several literals but must be visited once
-			// per assignment.
-			if occ := st.occ[l.Var]; len(occ) == 0 || occ[len(occ)-1] != int32(ci) {
-				st.occ[l.Var] = append(st.occ[l.Var], int32(ci))
-			}
-			counts[l.Var]++
-			if !c.Hard() && len(c.Lits) == 1 {
-				if l.Neg {
-					st.bias[l.Var] -= c.Weight
-				} else {
-					st.bias[l.Var] += c.Weight
-				}
-			}
+	counts := make([]int32, p.NumVars) // literals per variable
+	for v, os := range st.occ {
+		for _, o := range os {
+			counts[v] += o.pos + o.neg
+			st.unasCnt[o.clause] += o.pos + o.neg
 		}
 	}
 	st.order = make([]int32, p.NumVars)
@@ -107,13 +94,12 @@ func solveExact(p *Problem, opts Options) (*Solution, bool) {
 // delta and whether a hard clause became violated (conflict).
 func (st *exactState) assignVar(v int32, val int8) (delta float64, conflict bool) {
 	st.assign[v] = val
-	for _, ci := range st.occ[v] {
-		c := &st.p.Clauses[ci]
-		sd, ud := litDeltas(c, v, val)
-		st.satCnt[ci] += sd
-		st.unasCnt[ci] -= ud
+	for _, o := range st.occ[v] {
+		ci := o.clause
+		st.satCnt[ci] += o.sat(val == 1)
+		st.unasCnt[ci] -= o.pos + o.neg
 		if st.satCnt[ci] == 0 && st.unasCnt[ci] == 0 {
-			if c.Hard() {
+			if c := &st.p.Clauses[ci]; c.Hard() {
 				conflict = true
 			} else {
 				delta += c.Weight
@@ -125,30 +111,12 @@ func (st *exactState) assignVar(v int32, val int8) (delta float64, conflict bool
 }
 
 func (st *exactState) unassignVar(v int32, val int8, delta float64) {
-	for _, ci := range st.occ[v] {
-		c := &st.p.Clauses[ci]
-		sd, ud := litDeltas(c, v, val)
-		st.satCnt[ci] -= sd
-		st.unasCnt[ci] += ud
+	for _, o := range st.occ[v] {
+		st.satCnt[o.clause] -= o.sat(val == 1)
+		st.unasCnt[o.clause] += o.pos + o.neg
 	}
 	st.cost -= delta
 	st.assign[v] = -1
-}
-
-// litDeltas counts the literals of v in clause c that value val satisfies
-// (sat) and the total literals of v in c (unassigned consumed). A clause
-// may mention v several times, including in both phases.
-func litDeltas(c *Clause, v int32, val int8) (sat, unas int32) {
-	for _, l := range c.Lits {
-		if l.Var != v {
-			continue
-		}
-		unas++
-		if l.Neg == (val == 0) {
-			sat++
-		}
-	}
-	return sat, unas
 }
 
 // propagate applies unit propagation over hard clauses. It returns the

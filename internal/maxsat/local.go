@@ -21,14 +21,18 @@ import (
 // flip budget, so they run concurrently on the worker pool. The winner
 // is selected deterministically by (hard feasibility, soft cost, restart
 // index) — the same answer at every Parallelism setting. The occurrence
-// lists are built once and shared read-only across restarts.
+// records and per-clause hard flags are built once and shared read-only
+// across restarts. A step scores its clause's variables once:
+// bestVarInClause hands back the winner's score, so the walk re-scores
+// only a noise pick, and no step rescans a clause's literals.
 
 type localState struct {
 	p      *Problem
 	rng    *rand.Rand
 	assign []bool
-	occ    [][]int32 // shared, read-only across restarts
-	numSat []int32   // per clause: count of satisfied literals
+	occ    [][]occurrence // shared, read-only across restarts
+	hard   []bool         // per clause: Hard(); shared, read-only
+	numSat []int32        // per clause: count of satisfied literals
 
 	violHard    []int32 // indices of violated hard clauses (unordered set)
 	violHardPos []int32 // clause -> position in violHard, -1 if absent
@@ -37,26 +41,52 @@ type localState struct {
 	violSoftPos []int32
 }
 
-// buildOcc computes the clause occurrence lists, one entry per clause
-// even when a variable is mentioned in several literals.
-func buildOcc(p *Problem) [][]int32 {
-	occ := make([][]int32, p.NumVars)
+// occurrence records that a clause mentions a variable: pos and neg
+// count the clause's positive and negative literals over it. A clause
+// that mentions a variable several times, even in both phases, has one
+// occurrence of it.
+type occurrence struct {
+	clause   int32
+	pos, neg int32
+}
+
+// sat counts the occurrence's literals that the variable value val
+// satisfies.
+func (o occurrence) sat(val bool) int32 {
+	if val {
+		return o.pos
+	}
+	return o.neg
+}
+
+// buildOcc computes each variable's occurrences in clause order. Both
+// engines read them.
+func buildOcc(p *Problem) [][]occurrence {
+	occ := make([][]occurrence, p.NumVars)
 	for ci, c := range p.Clauses {
 		for _, l := range c.Lits {
-			if cur := occ[l.Var]; len(cur) == 0 || cur[len(cur)-1] != int32(ci) {
-				occ[l.Var] = append(occ[l.Var], int32(ci))
+			cur := occ[l.Var]
+			if len(cur) == 0 || cur[len(cur)-1].clause != int32(ci) {
+				cur = append(cur, occurrence{clause: int32(ci)})
+				occ[l.Var] = cur
+			}
+			if o := &cur[len(cur)-1]; l.Neg {
+				o.neg++
+			} else {
+				o.pos++
 			}
 		}
 	}
 	return occ
 }
 
-func newLocalState(p *Problem, occ [][]int32, seed int64) *localState {
+func newLocalState(p *Problem, occ [][]occurrence, hard []bool, seed int64) *localState {
 	return &localState{
 		p:           p,
 		rng:         rand.New(rand.NewSource(seed)),
 		assign:      make([]bool, p.NumVars),
 		occ:         occ,
+		hard:        hard,
 		numSat:      make([]int32, len(p.Clauses)),
 		violHardPos: make([]int32, len(p.Clauses)),
 		violSoftPos: make([]int32, len(p.Clauses)),
@@ -71,6 +101,10 @@ func restartSeed(base int64, restart int) int64 {
 
 func solveLocal(p *Problem, opts Options) *Solution {
 	occ := buildOcc(p)
+	hard := make([]bool, len(p.Clauses))
+	for ci := range p.Clauses {
+		hard[ci] = p.Clauses[ci].Hard()
+	}
 	restarts := opts.Restarts
 	workers := par.Workers(opts.Parallelism)
 
@@ -110,7 +144,7 @@ func solveLocal(p *Problem, opts Options) *Solution {
 		if int32(r) > minPerfect.Load() {
 			return
 		}
-		st := newLocalState(p, occ, restartSeed(opts.Seed, r))
+		st := newLocalState(p, occ, hard, restartSeed(opts.Seed, r))
 		if r == 0 && warm != nil {
 			st.initWarm(warm)
 		} else {
@@ -159,34 +193,36 @@ func solveLocal(p *Problem, opts Options) *Solution {
 	return win
 }
 
-// initGreedy assigns variables by their soft unit bias (restart > 0 adds
-// random perturbation), then rebuilds clause state.
-func (st *localState) initGreedy(restart int) {
-	bias := make([]float64, st.p.NumVars)
-	for _, c := range st.p.Clauses {
+// unitBias sums each variable's soft unit clauses, positive ones added
+// and negative ones subtracted, in clause order. Both engines start from
+// it.
+func unitBias(p *Problem) []float64 {
+	bias := make([]float64, p.NumVars)
+	for _, c := range p.Clauses {
 		if c.Hard() || len(c.Lits) != 1 {
 			continue
 		}
-		l := c.Lits[0]
-		if l.Neg {
+		if l := c.Lits[0]; l.Neg {
 			bias[l.Var] -= c.Weight
 		} else {
 			bias[l.Var] += c.Weight
 		}
 	}
+	return bias
+}
+
+// initGreedy assigns variables by their soft unit bias (restart > 0 adds
+// random perturbation), then rebuilds clause state and repairs hard
+// clauses.
+func (st *localState) initGreedy(restart int) {
+	bias := unitBias(st.p)
 	for v := range st.assign {
 		st.assign[v] = bias[v] > 0
 		if restart > 0 && st.rng.Float64() < 0.08*float64(restart) {
 			st.assign[v] = !st.assign[v]
 		}
 	}
-	st.rebuild()
-	// Repair pass: greedily satisfy violated hard clauses by flipping the
-	// literal whose unit bias loss is smallest.
-	for guard := 0; len(st.violHard) > 0 && guard < 4*len(st.p.Clauses); guard++ {
-		ci := st.violHard[0]
-		st.flip(st.bestVarInClause(ci, 0))
-	}
+	st.rebuildAndRepair()
 }
 
 // initWarm starts from a previous solution of a related instance (the
@@ -195,14 +231,13 @@ func (st *localState) initGreedy(restart int) {
 // feasible optimum, so the walk converges in a fraction of the flips.
 func (st *localState) initWarm(warm []bool) {
 	copy(st.assign, warm)
-	st.rebuild()
-	for guard := 0; len(st.violHard) > 0 && guard < 4*len(st.p.Clauses); guard++ {
-		ci := st.violHard[0]
-		st.flip(st.bestVarInClause(ci, 0))
-	}
+	st.rebuildAndRepair()
 }
 
-func (st *localState) rebuild() {
+// rebuildAndRepair recomputes clause state from the assignment, then
+// greedily satisfies violated hard clauses, flipping in each the variable
+// whose flip does the least damage.
+func (st *localState) rebuildAndRepair() {
 	st.violHard = st.violHard[:0]
 	st.violSoft = st.violSoft[:0]
 	st.cost = 0
@@ -222,23 +257,25 @@ func (st *localState) rebuild() {
 			st.markViolated(int32(ci))
 		}
 	}
+	for guard := 0; len(st.violHard) > 0 && guard < 4*len(st.p.Clauses); guard++ {
+		v, _, _, _ := st.bestVarInClause(st.violHard[0], 0)
+		st.flip(v)
+	}
 }
 
 func (st *localState) markViolated(ci int32) {
-	c := &st.p.Clauses[ci]
-	if c.Hard() {
+	if st.hard[ci] {
 		st.violHardPos[ci] = int32(len(st.violHard))
 		st.violHard = append(st.violHard, ci)
 	} else {
-		st.cost += c.Weight
+		st.cost += st.p.Clauses[ci].Weight
 		st.violSoftPos[ci] = int32(len(st.violSoft))
 		st.violSoft = append(st.violSoft, ci)
 	}
 }
 
 func (st *localState) unmarkViolated(ci int32) {
-	c := &st.p.Clauses[ci]
-	if c.Hard() {
+	if st.hard[ci] {
 		pos := st.violHardPos[ci]
 		last := st.violHard[len(st.violHard)-1]
 		st.violHard[pos] = last
@@ -246,7 +283,7 @@ func (st *localState) unmarkViolated(ci int32) {
 		st.violHard = st.violHard[:len(st.violHard)-1]
 		st.violHardPos[ci] = -1
 	} else {
-		st.cost -= c.Weight
+		st.cost -= st.p.Clauses[ci].Weight
 		pos := st.violSoftPos[ci]
 		last := st.violSoft[len(st.violSoft)-1]
 		st.violSoft[pos] = last
@@ -260,20 +297,10 @@ func (st *localState) unmarkViolated(ci int32) {
 func (st *localState) flip(v int32) {
 	newVal := !st.assign[v]
 	st.assign[v] = newVal
-	for _, ci := range st.occ[v] {
-		c := &st.p.Clauses[ci]
+	for _, o := range st.occ[v] {
+		ci := o.clause
 		was := st.numSat[ci]
-		n := was
-		for _, l := range c.Lits {
-			if l.Var != v {
-				continue
-			}
-			if newVal != l.Neg {
-				n++ // literal became true
-			} else {
-				n-- // literal became false
-			}
-		}
+		n := was + o.sat(newVal) - o.sat(!newVal)
 		st.numSat[ci] = n
 		if was > 0 && n == 0 {
 			st.markViolated(ci)
@@ -287,32 +314,21 @@ func (st *localState) flip(v int32) {
 // cost.
 func (st *localState) flipDelta(v int32) (hardDelta int, costDelta float64) {
 	val := st.assign[v]
-	for _, ci := range st.occ[v] {
-		c := &st.p.Clauses[ci]
-		pos, neg := int32(0), int32(0) // lits of v currently true / false
-		for _, l := range c.Lits {
-			if l.Var != v {
-				continue
-			}
-			if val != l.Neg {
-				pos++
-			} else {
-				neg++
-			}
-		}
-		n := st.numSat[ci] - pos + neg
+	for _, o := range st.occ[v] {
+		ci := o.clause
 		was := st.numSat[ci]
+		n := was - o.sat(val) + o.sat(!val)
 		if was > 0 && n == 0 {
-			if c.Hard() {
+			if st.hard[ci] {
 				hardDelta++
 			} else {
-				costDelta += c.Weight
+				costDelta += st.p.Clauses[ci].Weight
 			}
 		} else if was == 0 && n > 0 {
-			if c.Hard() {
+			if st.hard[ci] {
 				hardDelta--
 			} else {
-				costDelta -= c.Weight
+				costDelta -= st.p.Clauses[ci].Weight
 			}
 		}
 	}
@@ -320,22 +336,22 @@ func (st *localState) flipDelta(v int32) (hardDelta int, costDelta float64) {
 }
 
 // bestVarInClause picks the variable of clause ci whose flip is least
-// damaging (lexicographic on hard delta then soft delta), with noise
-// probability of a random pick.
-func (st *localState) bestVarInClause(ci int32, noise float64) int32 {
+// damaging (lexicographic on hard delta then soft delta) and returns its
+// flipDelta score, or, with noise probability, a random variable of the
+// clause with scored false and no score.
+func (st *localState) bestVarInClause(ci int32, noise float64) (v int32, hardDelta int, costDelta float64, scored bool) {
 	c := &st.p.Clauses[ci]
 	if noise > 0 && st.rng.Float64() < noise {
-		return c.Lits[st.rng.Intn(len(c.Lits))].Var
+		return c.Lits[st.rng.Intn(len(c.Lits))].Var, 0, 0, false
 	}
-	bestVar := c.Lits[0].Var
-	bestHard, bestCost := math.MaxInt32, math.Inf(1)
+	v, hardDelta, costDelta = c.Lits[0].Var, math.MaxInt32, math.Inf(1)
 	for _, l := range c.Lits {
 		hd, cd := st.flipDelta(l.Var)
-		if hd < bestHard || hd == bestHard && cd < bestCost {
-			bestVar, bestHard, bestCost = l.Var, hd, cd
+		if hd < hardDelta || hd == hardDelta && cd < costDelta {
+			v, hardDelta, costDelta = l.Var, hd, cd
 		}
 	}
-	return bestVar
+	return v, hardDelta, costDelta, true
 }
 
 // walk runs the WalkSAT loop, updating best in place. With stall > 0 it
@@ -361,8 +377,10 @@ func (st *localState) walk(maxFlips int, noise float64, best *Solution, stall in
 				return flips // all clauses satisfied
 			}
 			ci := st.violSoft[st.rng.Intn(len(st.violSoft))]
-			v := st.bestVarInClause(ci, noise)
-			hd, cd := st.flipDelta(v)
+			v, hd, cd, scored := st.bestVarInClause(ci, noise)
+			if !scored {
+				hd, cd = st.flipDelta(v)
+			}
 			if hd > 0 || cd >= 0 {
 				// Flip would break feasibility or not improve: mostly skip,
 				// occasionally take it to escape local optima.
@@ -376,8 +394,8 @@ func (st *localState) walk(maxFlips int, noise float64, best *Solution, stall in
 			st.flip(v)
 			continue
 		}
-		ci := st.violHard[st.rng.Intn(len(st.violHard))]
-		st.flip(st.bestVarInClause(ci, noise))
+		v, _, _, _ := st.bestVarInClause(st.violHard[st.rng.Intn(len(st.violHard))], noise)
+		st.flip(v)
 	}
 	return flips
 }

@@ -1,0 +1,271 @@
+package maxsat
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// denseComponent builds one conflict component shaped like those the
+// clustered profile grounds into (the cold-dense benchmark workload): a
+// player's chain of spells, each overlapping the next at its boundary,
+// plus noisy alt spells overlapping random chain positions. Every fact is
+// a variable with a soft unit prior weighted as the MLN weighs evidence
+// (the log-odds of its confidence plus a 0.05 keep bias), and every pair of facts whose closed intervals overlap gets the hard clause
+// ¬a ∨ ¬b (the clubs all differ).
+func denseComponent(seed int64, n int) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	type spell struct {
+		lo, hi int
+		conf   float64
+	}
+	nChain := (n + 1) / 2
+	spells := make([]spell, 0, n)
+	year := 1990 + rng.Intn(6)
+	for s := 0; s < nChain; s++ {
+		dur := 2 + rng.Intn(4)
+		spells = append(spells, spell{year, year + dur, 0.7 + 0.3*rng.Float64()})
+		year += dur
+	}
+	for s := nChain; s < n; s++ {
+		base := spells[rng.Intn(nChain)]
+		start := base.lo + rng.Intn(base.hi-base.lo)
+		spells = append(spells, spell{start, start + 1 + rng.Intn(3), 0.5 + 0.25*rng.Float64()})
+	}
+	p := &Problem{NumVars: n}
+	for i, s := range spells {
+		conf := math.Min(s.conf, 0.999)
+		p.Clauses = append(p.Clauses, unit(int32(i), math.Log(conf/(1-conf))+0.05))
+	}
+	for i := range spells {
+		for j := i + 1; j < len(spells); j++ {
+			if spells[i].lo <= spells[j].hi && spells[j].lo <= spells[i].hi {
+				p.Clauses = append(p.Clauses, notBoth(int32(i), int32(j)))
+			}
+		}
+	}
+	return p
+}
+
+// repeatedVarProblem builds random clauses over few variables so that
+// clauses often mention a variable more than once; every fifth clause
+// also carries both phases of one variable (a tautology the walk must
+// count correctly).
+func repeatedVarProblem(seed int64, nvars, nclauses int) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	p := &Problem{NumVars: nvars}
+	for i := 0; i < nclauses; i++ {
+		var c Clause
+		for j, width := 0, 2+rng.Intn(3); j < width; j++ {
+			c.Lits = append(c.Lits, Lit{Var: int32(rng.Intn(nvars)), Neg: rng.Intn(2) == 0})
+		}
+		if i%5 == 0 {
+			v := c.Lits[0].Var
+			c.Lits = append(c.Lits, Lit{Var: v, Neg: !c.Lits[0].Neg})
+		}
+		if rng.Intn(4) == 0 {
+			c.Weight = inf
+		} else {
+			c.Weight = 0.1 + rng.Float64()*3
+		}
+		p.Clauses = append(p.Clauses, c)
+	}
+	return p
+}
+
+// plantedProblem builds random width-3 clauses that a hidden assignment
+// satisfies, so a walk can reach zero cost and stop early.
+func plantedProblem(seed int64, nvars, nclauses int) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	hidden := make([]bool, nvars)
+	for i := range hidden {
+		hidden[i] = rng.Intn(2) == 0
+	}
+	p := &Problem{NumVars: nvars}
+	for i := 0; i < nclauses; i++ {
+		var c Clause
+		for j := 0; j < 3; j++ {
+			v := int32(rng.Intn(nvars))
+			c.Lits = append(c.Lits, Lit{Var: v, Neg: rng.Intn(2) == 0})
+		}
+		c.Lits[0].Neg = !hidden[c.Lits[0].Var]
+		c.Weight = 0.5 + rng.Float64()
+		if rng.Intn(3) == 0 {
+			c.Weight = inf
+		}
+		p.Clauses = append(p.Clauses, c)
+	}
+	return p
+}
+
+// trajectoryDigest renders what a local-search run decided: a hash of
+// the assignment, the bits of the cost, feasibility and (optionally) the
+// step counter.
+func trajectoryDigest(sol *Solution, withFlips bool) string {
+	h := fnv.New64a()
+	for _, b := range sol.Assignment {
+		if b {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	s := fmt.Sprintf("a=%016x c=%016x h=%v", h.Sum64(), math.Float64bits(sol.Cost), sol.HardSatisfied)
+	if withFlips {
+		s += fmt.Sprintf(" f=%d", sol.Flips)
+	}
+	return s
+}
+
+// TestLocalTrajectoryPinned pins the local-search trajectory: the
+// assignment, cost, feasibility and step count each run reaches. A
+// change that only makes the walk cheaper must leave the digests as they
+// are; one that changes its arithmetic, its RNG draws or its float
+// summation order moves them and needs its own evaluation. Cold runs are pinned at Parallelism 1 and again at 3 (where a
+// restart may be skipped, so Flips is not pinned); warm runs take the
+// single-restart, stall-cutoff path.
+func TestLocalTrajectoryPinned(t *testing.T) {
+	warmFrom := func(seed int64, n int) []bool {
+		rng := rand.New(rand.NewSource(seed))
+		w := make([]bool, n)
+		for i := range w {
+			w[i] = rng.Intn(3) != 0
+		}
+		return w
+	}
+	cases := []struct {
+		name string
+		p    *Problem
+		opts Options
+		want string
+	}{
+		{"dense60", denseComponent(1, 60), Options{Seed: 1}, "a=946d31a47432e6ef c=40457be85362a941 h=true f=99999"},
+		{"dense120", denseComponent(2, 120), Options{Seed: 5}, "a=d4c5aabf4176c233 c=4053bfa1425dcba3 h=true f=99999"},
+		{"dense180", denseComponent(3, 180), Options{Seed: 9}, "a=09391f7b988a20b8 c=4061fbcf97b0164c h=true f=99999"},
+		{"dense120-noise", denseComponent(4, 120), Options{Seed: 2, Noise: 0.3}, "a=a68bdb5330c8125d c=40551f92fb96111b h=true f=99999"},
+		{"repeat40", repeatedVarProblem(5, 40, 160), Options{Seed: 3}, "a=fc3d98deb4f1e48a c=400a842cd610b13e h=true f=99999"},
+		{"repeat80", repeatedVarProblem(6, 80, 400), Options{Seed: 4}, "a=f47576b6b7851f2e c=4000b1c2f3b79310 h=true f=99999"},
+		{"planted100", plantedProblem(13, 100, 380), Options{Seed: 2}, "a=a624ab5900f17b6a c=bcf2000000000000 h=true f=7494"},
+		{"random120", randomProblem(7, 120, 600), Options{Seed: 6}, "a=eef6826e2e814815 c=4067c50ed21d17d3 h=false f=99999"},
+		{"warm-dense120", denseComponent(2, 120), Options{Seed: 5, Warm: warmFrom(8, 120)}, "a=aa3e5f03a8471c5f c=40547599f72ee3f0 h=true f=9524"},
+		{"warm-dense180", denseComponent(9, 180), Options{Seed: 7, Warm: warmFrom(10, 180)}, "a=a5db40ca354b5ce8 c=40638fa1aeff751d h=true f=6374"},
+		{"warm-repeat80", repeatedVarProblem(11, 80, 400), Options{Seed: 8, Warm: warmFrom(12, 80)}, "a=61e4367094e37e5f c=400e2d13223df3b8 h=true f=13755"},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 3} {
+			if par > 1 && tc.opts.Warm != nil {
+				continue // one restart: nothing to schedule
+			}
+			opts := tc.opts
+			opts.Restarts = 3
+			opts.Parallelism = par
+			sol, err := Local(tc.p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hv, cost := Evaluate(tc.p, sol.Assignment)
+			if (hv == 0) != sol.HardSatisfied || math.Abs(cost-sol.Cost) > 1e-9 {
+				t.Fatalf("%s par %d: self-report wrong: hv=%d cost=%g sol=%+v", tc.name, par, hv, cost, sol)
+			}
+			got := trajectoryDigest(sol, par == 1)
+			want := tc.want
+			if par > 1 {
+				want, _, _ = strings.Cut(want, " f=")
+			}
+			if got != want {
+				t.Errorf("%s par %d: trajectory moved\n got %s\nwant %s", tc.name, par, got, want)
+			}
+		}
+	}
+}
+
+// TestExactSearchPinned pins the branch-and-bound's answers and node
+// counts on cold-dense-shaped components small enough for it, on
+// clauses that repeat a variable, and on BenchmarkExact20Vars' instance.
+// Bookkeeping changes that keep the search's integer arithmetic must
+// leave them as they are.
+func TestExactSearchPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		p    *Problem
+		want string
+	}{
+		{"dense20", denseComponent(21, 20), "a=0f94057d9a14392c c=402ff6b1110f3dcb h=true n=119"},
+		{"dense26", denseComponent(22, 26), "a=663f5bab7f0c6178 c=4031ad584f87d9bb h=true n=1405"},
+		{"dense30", denseComponent(23, 30), "a=994f84f7549f40b4 c=4032e2487e7273d8 h=true n=1313"},
+		{"repeat18", repeatedVarProblem(24, 18, 70), "a=0a80dcefd701775f c=3ff5ddec7a675636 h=true n=1155"},
+		{"planted24", plantedProblem(25, 24, 90), "a=015fb1ca6b701739 c=0000000000000000 h=true n=430"},
+		{"exact20vars", exact20VarsProblem(), "a=2fc7cc999b7e4ab5 c=3ff703053f579234 h=true n=3609"},
+	}
+	for _, tc := range cases {
+		sol, complete, err := Exact(tc.p, Options{})
+		if err != nil || !complete {
+			t.Fatalf("%s: complete=%v err=%v", tc.name, complete, err)
+		}
+		got := trajectoryDigest(sol, false) + fmt.Sprintf(" n=%d", sol.Nodes)
+		if got != tc.want {
+			t.Errorf("%s: search moved\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestLocalGapToExact measures how far local search lands from the
+// proven optimum on cold-dense-shaped components small enough for the
+// exact engine (20–30 atoms), solved as the MLN component path solves
+// them. Local search must be feasible wherever the optimum is, may never
+// beat it, and its largest cost gap over the family is pinned.
+func TestLocalGapToExact(t *testing.T) {
+	const pinnedGap = 1.9141 // seed 56, 21 atoms: 1.91409, 12.3 % of the optimum
+	worst, worstRel, worstAt, missed := 0.0, 0.0, "", 0
+	for seed := int64(1); seed <= 60; seed++ {
+		n := 20 + int(seed%11)
+		p := denseComponent(100+seed, n)
+		exact, complete, err := Exact(p, Options{})
+		if err != nil || !complete {
+			t.Fatalf("seed %d: exact complete=%v err=%v", seed, complete, err)
+		}
+		local, err := Local(p, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.HardSatisfied && !local.HardSatisfied {
+			t.Errorf("seed %d (%d atoms): exact is feasible, local search is not", seed, n)
+		}
+		gap := local.Cost - exact.Cost
+		if gap < -1e-9 {
+			t.Errorf("seed %d (%d atoms): local cost %g beats the optimum %g", seed, n, local.Cost, exact.Cost)
+		}
+		if gap > 1e-9 {
+			missed++
+		}
+		if gap > worst {
+			worst, worstRel, worstAt = gap, gap/exact.Cost, fmt.Sprintf("seed %d, %d atoms", seed, n)
+		}
+	}
+	t.Logf("local search missed the optimum on %d of 60 components; largest gap %.6g (%.3g%% of its cost; %s)",
+		missed, worst, 100*worstRel, worstAt)
+	if worst > pinnedGap+1e-9 {
+		t.Errorf("largest gap %.6g exceeds the pinned %.6g (%s)", worst, pinnedGap, worstAt)
+	}
+}
+
+// BenchmarkLocalDenseComponent solves one cold-dense-shaped component of
+// 120 variables cold, as the MLN component path does (Parallelism 1,
+// default restarts and step budget), and reports the cost of one walk
+// step.
+func BenchmarkLocalDenseComponent(b *testing.B) {
+	p := denseComponent(2, 120)
+	steps := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := Local(p, Options{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += sol.Flips
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+}

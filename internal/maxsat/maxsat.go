@@ -14,8 +14,11 @@
 //
 // Local-search restarts are independent: each runs with its own RNG
 // (seeded from Options.Seed and the restart index) and its own working
-// state, sharing only the problem and the read-only occurrence lists, so
+// state, sharing only the problem and the read-only occurrence records
+// (per variable and clause, the counts of its positive and negative
+// literals, which both engines read instead of rescanning a clause), so
 // they execute concurrently on a pool of Options.Parallelism workers.
+// Each walk step scores the variables of one clause in one pass.
 // The returned solution is selected deterministically by (hard
 // feasibility, soft cost, restart index) — identical at every
 // parallelism setting, including 1.
@@ -79,8 +82,9 @@ type Solution struct {
 	HardSatisfied bool
 	// Optimal reports whether the exact engine proved optimality.
 	Optimal bool
-	// Flips counts local-search moves across the restarts that actually
-	// ran (0 for the exact engine). Unlike Assignment, Cost and
+	// Flips counts local-search steps across the restarts that actually
+	// ran (0 for the exact engine): every iteration of the walk, the
+	// moves it declined included. Unlike Assignment, Cost and
 	// HardSatisfied — which are deterministic at every Parallelism
 	// setting — Flips can vary with scheduling: once a restart finds a
 	// perfect solution, later-indexed restarts may be skipped.
@@ -108,7 +112,8 @@ type Options struct {
 	// NodeLimit bounds branch-and-bound nodes before falling back to
 	// local search (default 1<<21).
 	NodeLimit int
-	// MaxFlips bounds local-search moves (default max(100000, 60*vars)).
+	// MaxFlips bounds local-search steps, shared evenly by the restarts
+	// (default max(100000, 60*vars)).
 	MaxFlips int
 	// Noise is the random-walk probability in local search (default 0.12).
 	Noise float64

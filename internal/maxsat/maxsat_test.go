@@ -302,10 +302,11 @@ func BenchmarkSolveConflictPairs1000(b *testing.B) {
 	}
 }
 
-func BenchmarkExact20Vars(b *testing.B) {
+// exact20VarsProblem is a random 20-variable, 60-clause binary instance
+// the exact engine proves optimal.
+func exact20VarsProblem() *Problem {
 	rng := rand.New(rand.NewSource(3))
-	var p Problem
-	p.NumVars = 20
+	p := &Problem{NumVars: 20}
 	for i := 0; i < 60; i++ {
 		var c Clause
 		for j := 0; j < 2; j++ {
@@ -314,9 +315,14 @@ func BenchmarkExact20Vars(b *testing.B) {
 		c.Weight = rng.Float64()
 		p.Clauses = append(p.Clauses, c)
 	}
+	return p
+}
+
+func BenchmarkExact20Vars(b *testing.B) {
+	p := exact20VarsProblem()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, complete := solveExact(&p, Options{NodeLimit: 1 << 21}); !complete {
+		if _, complete := solveExact(p, Options{NodeLimit: 1 << 21}); !complete {
 			b.Fatal("incomplete")
 		}
 	}
