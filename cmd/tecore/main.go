@@ -303,14 +303,15 @@ func runInfer(args []string) error {
 	return nil
 }
 
-// printPlanSummary renders the solve-plan stage: whether the canonical
-// order and component partition were patched in place from the delta or
-// rebuilt from scratch, the splice sizes, and the sync time.
+// printPlanSummary renders the solve-plan stage: whether the component
+// partition was patched in place from the delta or rebuilt from scratch,
+// the atoms that entered and left the live set, the components
+// re-listed and retired, and the sync time.
 func printPlanSummary(w io.Writer, ps *tecore.PlanStats) {
 	fmt.Fprintf(w, "plan:              %s (%d atoms, %d components)", ps.Mode, ps.Atoms, ps.Components)
 	if ps.Mode == "maintained" {
-		fmt.Fprintf(w, " — %d inserted, %d removed, %d shifted; %d patched, %d dropped",
-			ps.InsertedAtoms, ps.RemovedAtoms, ps.ShiftedVars,
+		fmt.Fprintf(w, " — %d inserted, %d removed; %d patched, %d dropped",
+			ps.InsertedAtoms, ps.RemovedAtoms,
 			ps.PatchedComponents, ps.DroppedComponents)
 	}
 	fmt.Fprintf(w, " in %v\n", ps.Sync)

@@ -96,6 +96,7 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 			fmt.Fprintf(out, "solved (%s, %s): kept %d / removed %d / inferred %d, %d conflict cluster(s), %v\n",
 				mode, st.Solver, st.KeptFacts, st.RemovedFacts, st.InferredFacts,
 				st.ConflictClusters, st.Runtime)
+			// +A/-R: atoms that entered and left the live set.
 			fmt.Fprintf(out, "plan: %s (+%d/-%d atoms, %d patched, %d dropped, %v)\n",
 				st.Plan.Mode, st.Plan.InsertedAtoms, st.Plan.RemovedAtoms,
 				st.Plan.PatchedComponents, st.Plan.DroppedComponents, st.Plan.Sync)

@@ -16,7 +16,7 @@ import (
 
 // clusteredSession loads a kgen.Clustered graph of about 6·clusters
 // facts with its standard program.
-func clusteredSession(t *testing.T, clusters int) (*Session, *kgen.Dataset) {
+func clusteredSession(t testing.TB, clusters int) (*Session, *kgen.Dataset) {
 	t.Helper()
 	ds := kgen.Clustered(kgen.ClusteredConfig{Clusters: clusters, BridgeRate: 0.1, Seed: 5})
 	s := NewSession()

@@ -11,13 +11,12 @@ import (
 
 // Allocation regression gate for the maintained solve plan, joining the
 // store gates from the scale work. The planner's whole point is that a
-// steady-state single-fact update patches the canonical order and the
-// component partition in place: the order, varOf and local maps, the
-// scratch buffers for splicing, and the component list are all owned by
-// the planner and reused across syncs. A change that reintroduces
-// per-sync rebuilds (the old CanonicalAtoms/CanonicalVarMap/Components
-// triple, or fresh splice scratch) fails here long before it shows up
-// on the update-latency bench.
+// steady-state single-fact update patches the component partition in
+// place: the live-set and slot mirrors, the local map, the grouping
+// scratch and the component list are all owned by the planner and
+// reused across syncs. A change that reintroduces per-sync rebuilds (a
+// CanonicalAtoms + Components pass, or fresh grouping scratch) fails
+// here long before it shows up on the update-latency bench.
 func TestPlannerSyncAllocsSingleFact(t *testing.T) {
 	s := NewSession()
 	for _, q := range equivPool(40, 3) {
@@ -78,8 +77,8 @@ func TestPlannerSyncAllocsSingleFact(t *testing.T) {
 	// ReadMemStats pairs don't allocate between themselves, so planMallocs
 	// is the planner's own count. The budget tolerates the per-sync
 	// constants — one fresh membership slice per dirtied component — but
-	// not a rebuilt order/varOf/partition (3 big slices + one slice per
-	// component) or fresh splice scratch (~10 buffers).
+	// not a rebuilt partition (one slice per component) or fresh
+	// grouping scratch.
 	avgPlan := float64(planMallocs) / float64(planSyncs)
 	t.Logf("plan sync: %.2f allocs; full pre-solve update path: %.1f allocs", avgPlan, avg)
 	if avgPlan > 4 {
@@ -92,4 +91,40 @@ func TestPlannerSyncAllocsSingleFact(t *testing.T) {
 	if avg > 300 {
 		t.Errorf("single-fact update path allocates %.1f objects/run, want <= 300", avg)
 	}
+}
+
+// BenchmarkPlannerSyncSingleFact times the maintained plan's sync alone
+// on a 10,000×6 clustered session (about 60 k atoms): each iteration
+// toggles one fact and reconciles the grounder outside the timer, then
+// syncs the plan. us/sync is the per-update plan cost the solve
+// pipeline pays before any kernel runs.
+func BenchmarkPlannerSyncSingleFact(b *testing.B) {
+	s, ds := clusteredSession(b, 10000)
+	if _, err := s.Solve(SolveOptions{Solver: translate.SolverMLN}); err != nil {
+		b.Fatalf("cold solve: %v", err)
+	}
+	eng := s.engine
+	probe := ds.Graph[len(ds.Graph)/2]
+	live := true
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if live {
+			if !s.RemoveFact(probe) {
+				b.Fatal("RemoveFact: probe was not live")
+			}
+		} else if err := s.AddFact(probe); err != nil {
+			b.Fatalf("AddFact: %v", err)
+		}
+		live = !live
+		if err := s.syncEngine(eng, 1, s.st.DeltaSince(eng.epoch)); err != nil {
+			b.Fatalf("syncEngine: %v", err)
+		}
+		b.StartTimer()
+		if _, ps := eng.planner.Sync(eng.g.Atoms(), eng.cs); ps.Mode != "maintained" {
+			b.Fatalf("single-fact sync fell back to mode %q", ps.Mode)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/sync")
 }

@@ -16,9 +16,10 @@ import (
 
 // The maintained solve plan's contract: after every incremental solve,
 // the session planner's delta-patched plan must be byte-identical —
-// same canonical Order, same VarOf, same component partition including
-// generations and local numbering — to a fresh engine.NewPlan over the
-// same engine state, and the Resolution produced through it must equal
+// same component partition including generations, each component's
+// atoms in canonical order, same local numbering — to a fresh
+// engine.NewPlan over the same engine state, and the Resolution
+// produced through it must equal
 // the one a fresh session loaded to the same store state (whose first
 // solve builds its plan from scratch) produces. These tests drive
 // randomized add/remove/solve schedules (single-component dirtying,
@@ -36,12 +37,6 @@ func checkPlanMatchesFresh(t *testing.T, s *Session, step int) {
 	}
 	plan := eng.planner.Plan()
 	fresh := engine.NewPlan(eng.g.Atoms(), eng.cs)
-	if !reflect.DeepEqual(plan.Order, fresh.Order) {
-		t.Fatalf("step %d: maintained Order diverged\nmaintained: %v\nfresh:      %v", step, plan.Order, fresh.Order)
-	}
-	if !reflect.DeepEqual(plan.VarOf, fresh.VarOf) {
-		t.Fatalf("step %d: maintained VarOf diverged\nmaintained: %v\nfresh:      %v", step, plan.VarOf, fresh.VarOf)
-	}
 	if !reflect.DeepEqual(plan.Comps, fresh.Comps) {
 		t.Fatalf("step %d: maintained Comps diverged\nmaintained: %+v\nfresh:      %+v", step, plan.Comps, fresh.Comps)
 	}
@@ -400,7 +395,7 @@ func TestPlanMaintenanceEmptyDelta(t *testing.T) {
 	}
 	ps := res.Stats.Plan
 	if ps.Mode != "maintained" || ps.InsertedAtoms != 0 || ps.RemovedAtoms != 0 ||
-		ps.ShiftedVars != 0 || ps.PatchedComponents != 0 || ps.DroppedComponents != 0 {
+		ps.PatchedComponents != 0 || ps.DroppedComponents != 0 {
 		t.Fatalf("empty delta did plan work: %+v", ps)
 	}
 	checkPlanMatchesFresh(t, s, 0)

@@ -7,13 +7,15 @@
 // machinery all three consumers share, so each backend contributes only
 // its per-component kernel:
 //
-//   - Plan: the decomposition of one solve — canonical atom order,
-//     component partition, and per-component clause gathering in dense
-//     local numbering, driven by the clause set's atom index — and the
-//     one question every consumer asks it, Scope: which components must
-//     I visit, given the generation my state was settled against? The
-//     last sync's change set when exactly one delta-patching sync
-//     behind, every component otherwise; there is no separate full pass;
+//   - Plan: the decomposition of one solve — the component partition,
+//     each component's atoms in canonical order
+//     (ground.AtomTable.CompareCanonical), and per-component clause
+//     gathering in dense local numbering, driven by the clause set's
+//     atom index — and the one question every consumer asks it, Scope:
+//     which components must I visit, given the generation my state was
+//     settled against? The last sync's change set when exactly one
+//     delta-patching sync behind, every component otherwise; there is
+//     no separate full pass;
 //   - Cache: a generic per-component payload cache keyed by (component
 //     key, generation, membership), the invariant under which a
 //     component's subproblem is provably unchanged, carrying the
@@ -38,21 +40,15 @@ import (
 // so all stages see the identical partition. A Plan is read-only after
 // construction and safe for concurrent use.
 type Plan struct {
-	// Atoms is the atom table the truth vectors index.
-	Atoms *ground.AtomTable
-	// Order is the canonical solve order over the live atoms.
-	Order []ground.AtomID
-	// VarOf maps atom ids to canonical variable indexes (-1 when
-	// retracted).
-	VarOf []int32
-	// Comps is the conflict-component partition of Order, each
-	// component listing its atoms in canonical order.
+	// Comps is the conflict-component partition of the live atoms,
+	// ordered by each component's first atom, each component listing
+	// its atoms in canonical order.
 	Comps []ground.Component
 
 	cs *ground.ClauseSet
 	// localOfAtom maps each live atom id to its index within its
-	// component. Being atom-indexed it does not shift when the canonical
-	// order is spliced, so the planner patches only touched components'
+	// component. Being atom-indexed it does not shift when components
+	// are re-listed, so the planner patches only touched components'
 	// entries.
 	localOfAtom []int32
 	// maintained marks a plan delta-patched by a Planner sync (as
@@ -75,12 +71,8 @@ type Plan struct {
 // other engine state is touched. The plan has generation 0 and scopes
 // every component.
 func NewPlan(atoms *ground.AtomTable, cs *ground.ClauseSet) *Plan {
-	order := ground.CanonicalAtoms(atoms)
 	p := &Plan{
-		Atoms:       atoms,
-		Order:       order,
-		VarOf:       ground.CanonicalVarMap(atoms, order),
-		Comps:       cs.Components(order),
+		Comps:       cs.Components(ground.CanonicalAtoms(atoms)),
 		cs:          cs,
 		localOfAtom: make([]int32, atoms.Len()),
 	}
@@ -125,9 +117,10 @@ func (p *Plan) Scope(have uint64) (scope []int32, delta bool) {
 	return scope, false
 }
 
-// RetractedAtoms returns the atoms the last Planner sync removed from
-// the canonical order without reinserting them — their truth is pinned
-// false from this generation on. Only meaningful under a delta Scope.
+// RetractedAtoms returns the atoms the last Planner sync saw leave the
+// live set — listed in the previous partition, retracted now — whose
+// truth is pinned false from this generation on. Only meaningful under
+// a delta Scope.
 func (p *Plan) RetractedAtoms() []ground.AtomID { return p.dead }
 
 // Clauses returns component i's live clauses in canonical order,

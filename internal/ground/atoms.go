@@ -39,6 +39,8 @@
 package ground
 
 import (
+	"cmp"
+
 	"repro/internal/rdf"
 	"repro/internal/store"
 	"repro/internal/temporal"
@@ -292,6 +294,25 @@ func (t *AtomTable) Confidence(id AtomID) float64 { return t.confs[id] }
 // BackingFact returns the backing fact id (-1 for derived atoms),
 // without materialising the statement key. Safe for concurrent readers.
 func (t *AtomTable) BackingFact(id AtomID) store.FactID { return t.fids[id] }
+
+// CompareCanonical is the canonical solve order: evidence atoms first,
+// by backing fact id, then derived atoms by statement key (CompareKeys).
+// Fact ids are stable in the store and derived keys are
+// interning-order-free, so a fresh grounder and a long-lived incremental
+// one order the same store state identically — the basis for
+// byte-identical solver inputs. Safe for concurrent readers.
+func (t *AtomTable) CompareCanonical(a, b AtomID) int {
+	ea, eb := t.IsEvidence(a), t.IsEvidence(b)
+	switch {
+	case ea && eb:
+		return cmp.Compare(t.fids[a], t.fids[b])
+	case ea:
+		return -1
+	case eb:
+		return 1
+	}
+	return t.CompareKeys(a, b)
+}
 
 // CompareKeys orders two atoms by their statement keys, exactly as
 // rdf.FactKey.Compare orders the keys Info would materialise — the

@@ -2,6 +2,7 @@ package ground
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -317,30 +318,16 @@ func keyQuad(k rdf.FactKey) rdf.Quad {
 	return rdf.Quad{Subject: k.S, Predicate: k.P, Object: k.O, Interval: k.Interval, Confidence: 1}
 }
 
-// CanonicalAtoms returns the live atoms in canonical order: evidence
-// atoms by backing fact id, then derived atoms sorted by statement key.
-// Fact ids are stable in the store and derived keys are
-// interning-order-free, so a fresh grounder and a long-lived incremental
-// one produce the same sequence for the same store state — the basis for
-// byte-identical solver inputs.
+// CanonicalAtoms returns the live atoms sorted by CompareCanonical.
 func CanonicalAtoms(t *AtomTable) []AtomID {
-	var ev, de []AtomID
+	var live []AtomID
 	for i := 0; i < t.Len(); i++ {
-		info := t.Info(AtomID(i))
-		if info.Retracted {
-			continue
-		}
-		if info.Evidence {
-			ev = append(ev, AtomID(i))
-		} else {
-			de = append(de, AtomID(i))
+		if !t.IsRetracted(AtomID(i)) {
+			live = append(live, AtomID(i))
 		}
 	}
-	sort.Slice(ev, func(i, j int) bool { return t.Info(ev[i]).FactID < t.Info(ev[j]).FactID })
-	sort.Slice(de, func(i, j int) bool {
-		return t.Info(de[i]).Key.Compare(t.Info(de[j]).Key) < 0
-	})
-	return append(ev, de...)
+	slices.SortFunc(live, t.CompareCanonical)
+	return live
 }
 
 // CanonicalVarMap inverts CanonicalAtoms into an AtomID-indexed slice of

@@ -18,33 +18,42 @@ import (
 // computation followed by a deterministic merge. ResolveComponents is
 // the repair layer's counterpart of the solvers' MAPGroundComponents:
 // it runs one resolveUnit per component on the shared orchestration
-// layer (internal/engine) and records each component's finished read-out
-// under (component key, generation, membership) plus the component's
-// MAP assignment: the read-out's records in the live lists, its ids in
-// the cache. There is one analysis pass, over the scope the plan
-// answers for the cache's generation (engine.Plan.Scope): the planner's
-// change set when the solver and the cache are both exactly one sync
-// behind, every component otherwise. Reusing a cached unit is sound
-// because a unit depends only on the component's clauses, its atoms'
+// layer (internal/engine) and records each component's finished
+// read-out under (component key, generation, membership): the
+// read-out's records in the live lists, its ids in the cache. There is
+// one analysis pass, over the scope the plan answers for the cache's
+// generation (engine.Plan.Scope): the planner's change set when the
+// solver and the cache are both exactly one sync behind, every
+// component otherwise. Reusing a cached unit is sound because a unit
+// depends only on the component's clauses, its atoms'
 // evidence/confidence state (both covered by the generation) and its
-// slice of the MAP state (checked explicitly against the cached
-// assignment for every visited component; vouched for by the solver's
-// TruthDelta outside a change-set scope).
+// slice of the MAP state (checked explicitly, for every visited
+// component, against the output the cache last settled against; vouched
+// for by the solver's TruthDelta outside a change-set scope).
 
 // ComponentCache is a session's read-out state across solves: one
-// record per conflict component — the ids and counters of its read-out
-// unit and the MAP state it was computed under — and the live outcome
-// those records sum to (see live.go), plus the reusable confidence scratch buffer
-// (per-update allocation churn on the read-out hot path shows up
-// directly in repair-stage latency). Construct with NewComponentCache;
-// a nil cache means no reuse and a from-scratch assembled Outcome. Not
-// safe for concurrent use. The cache must be dropped when anything
-// outside the (generation, truth) invariant changes the read-out: a
-// threshold, solver kernel or tuning change, or a ColdStart
-// (core.Session does this).
+// record per conflict component (the ids and counters of its read-out
+// unit), the MAP state of the output it last settled against, and the
+// live outcome those records sum to (see live.go), plus the reusable
+// confidence scratch buffer (per-update allocation churn on the
+// read-out hot path shows up directly in repair-stage latency).
+// Construct with NewComponentCache; a nil cache means no reuse and a
+// from-scratch assembled Outcome. Not safe for concurrent use. The
+// cache must be dropped when anything outside the (generation, truth)
+// invariant changes the read-out: a threshold, solver kernel or tuning
+// change, or a ColdStart (core.Session does this).
 type ComponentCache struct {
 	units *engine.Cache[compUnit]
 	conf  []float64 // scratch, indexed by atom id
+
+	// truth and values are the Truth and SoftValues (nil for MLN) of the
+	// output the records were last settled against — held, not copied:
+	// a solve never writes a vector it returned. Every held record was
+	// computed under them on its component's atoms: a pass recomputes a
+	// unit, reuses it after an equal comparison (sameMAP), or skips a
+	// component whose truth the solver's TruthDelta vouches is unchanged.
+	truth  []bool
+	values []float64
 
 	// The live outcome: the global record lists and the exact sum of the
 	// removed facts' confidences, always the sum of the held records.
@@ -87,19 +96,13 @@ func (c *ComponentCache) confScratch(n int) []float64 {
 }
 
 // compUnit is one component's cache record: what the live outcome holds
-// of its read-out (the ids its records sit under, and its counters),
-// plus the component-local MAP state it was computed under: the
-// discrete assignment and, on the PSL path, the soft values (which feed
-// derived confidences — an unconverged component's ADMM can resume and
-// move them while the discrete truth and the generation both stand
-// still). A unit computed in this pass also carries its full read-out
-// in fresh until record hands it to the outcome; a stored record never
-// does, so every fact and cluster record is held once, in the lists.
+// of its read-out (the ids its records sit under, and its counters). A
+// unit computed in this pass also carries its full read-out in fresh
+// until record hands it to the outcome; a stored record never does, so
+// every fact and cluster record is held once, in the lists.
 type compUnit struct {
 	held
-	truth  []bool    // aligned with the component's atoms
-	values []float64 // aligned with the component's atoms; nil for MLN
-	fresh  *unit
+	fresh *unit
 }
 
 // ResolveComponents interprets the translator output as a conflict
@@ -178,8 +181,8 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 		func(i int, e compUnit) (compUnit, bool) {
 			// The generation covers clauses and evidence state; the MAP
 			// state is the solver's to change, so compare it explicitly
-			// against the cached one (see unitMatches).
-			return e, unitMatches(&e, &plan.Comps[i], out)
+			// against the one the records were settled under.
+			return e, cache.sameMAP(&plan.Comps[i], out)
 		},
 		func(i int) (compUnit, error) {
 			return computeUnit(out, &plan.Comps[i], conf, opts), nil
@@ -190,6 +193,9 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	rs.Analysis = time.Since(analysisStart)
 	run := &ComponentRun{oc: oc, atoms: atoms, cache: cache, start: start}
 	run.subtract, run.add = cache.record(plan, scope, units, cached)
+	if cache != nil {
+		cache.truth, cache.values = out.Truth, out.SoftValues
+	}
 	// Every component that was not re-repaired is a cache reuse.
 	rs.Repaired = len(run.add)
 	rs.Components = len(plan.Comps)
@@ -225,32 +231,24 @@ func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUn
 	return subtract, add
 }
 
-// unitMatches reports whether the cached unit was computed under the
-// same component-local MAP state the current output carries: the
-// discrete assignment, and on the PSL path the soft values too (a
-// re-run of an unconverged component moves them under an unchanged
-// truth and generation).
-func unitMatches(e *compUnit, comp *ground.Component, out *translate.Output) bool {
-	for li, a := range comp.Atoms {
-		if e.truth[li] != out.Truth[a] {
-			return false
-		}
+// sameMAP reports whether the output carries, on the component's atoms,
+// the MAP state the records were last settled against: the discrete
+// assignment, and on the PSL path the soft values too (they feed derived
+// confidences, and a re-run of an unconverged component moves them
+// under an unchanged truth and generation).
+func (c *ComponentCache) sameMAP(comp *ground.Component, out *translate.Output) bool {
+	if out.SoftValues != nil && c.values == nil {
+		return false
 	}
-	if out.SoftValues != nil {
-		if e.values == nil {
+	for _, a := range comp.Atoms {
+		if c.truth[a] != out.Truth[a] || (out.SoftValues != nil && c.values[a] != out.SoftValues[a]) {
 			return false
-		}
-		for li, a := range comp.Atoms {
-			if e.values[li] != out.SoftValues[a] {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// computeUnit runs one component's repair read-out and snapshots the
-// MAP state it was computed under.
+// computeUnit runs one component's repair read-out.
 func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, opts Options) compUnit {
 	// Gather the component's live clause slots once; both passes of the
 	// read-out (confidence supports, conflict/violation scan) iterate
@@ -260,17 +258,7 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 		out.Clauses.ForEachSlots(slots, fn)
 	}
 	u := resolveUnit(out, comp.Atoms, forEach, conf, opts)
-	cu := compUnit{fresh: &u, truth: make([]bool, len(comp.Atoms))}
-	for li, a := range comp.Atoms {
-		cu.truth[li] = out.Truth[a]
-	}
-	if out.SoftValues != nil {
-		cu.values = make([]float64, len(comp.Atoms))
-		for li, a := range comp.Atoms {
-			cu.values[li] = out.SoftValues[a]
-		}
-	}
-	return cu
+	return compUnit{fresh: &u}
 }
 
 // Finish produces the Outcome from the analysis phase: the sort/merge

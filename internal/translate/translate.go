@@ -130,9 +130,13 @@ type Output struct {
 	// on every solve, whichever kernel ran. Only whole-graph
 	// repair.Resolve accepts nil, grounding the program itself.
 	Clauses *ground.ClauseSet
-	// Truth is the boolean MAP state per atom id.
+	// Truth is the boolean MAP state per atom id. Every kernel returns
+	// a freshly allocated vector and never writes it afterwards — a later
+	// solve that warm-starts from it copies it first — so a caller may
+	// hold it across solves without a copy (the read-out cache does).
 	Truth []bool
-	// SoftValues holds PSL's soft truth values (nil for MLN).
+	// SoftValues holds PSL's soft truth values (nil for MLN), under the
+	// same contract as Truth.
 	SoftValues []float64
 	// MLN carries backend detail when Solver == SolverMLN.
 	MLN *mln.Result

@@ -171,7 +171,8 @@ type ComponentStats = ground.ComponentStats
 // PlanStats summarises the solve-plan stage of a solve: whether the
 // plan was patched in place ("maintained") or built from scratch
 // ("rebuilt", a session's first solve or a delta too large to patch),
-// the splice and partition-patch counts, and the sync wall time;
+// the atoms that entered and left the live set, the partition-patch
+// counts, and the sync wall time;
 // available as Stats.Plan on every solve. PatchedComponents and
 // DroppedComponents are the change set
 // the solver stage and the read-out (repair plus live outcome, one pass
