@@ -117,14 +117,21 @@ type heldDelta struct {
 // TestHeldOutcomeRendersDuringUpdates reads a held Outcome, and every
 // solve's held changelog, from another goroutine, without any lock,
 // while the session goes on solving updates whose subjects, objects and
-// intervals were never seen: the atom table, its dictionary and the
-// store's dictionary all grow and relocate under the reader, which
-// decodes its records through the key view captured when the Outcome
-// was published. Every rendering of the Outcome must equal the first,
-// and every rendering of a changelog (the first solve's is the whole
-// outcome) the one taken when its solve returned; the race detector
-// checks that the reads share no memory with the writes.
+// intervals were never seen: the store's dictionary and the atom table
+// grow and relocate under the reader, which decodes its records through
+// the key view captured when the Outcome was published. The program
+// derives facts under a head predicate absent from the data, so
+// grounding interns a rule constant into the store's dictionary too, and
+// the reader also reads the store's memory statistics, as the server's
+// session-info handler does beside a solve. Every rendering of the
+// Outcome must equal the first, and every rendering of a changelog (the
+// first solve's is the whole outcome) the one taken when its solve
+// returned; the race detector checks that the reads share no memory with
+// the writes. The writer waits for the reader's first rendering before
+// its first update and for one more every 10 solves, so the reads
+// interleave with the updates however the goroutines are scheduled.
 func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
+	const headAbsentFromData = "f: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2"
 	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL} {
 		t.Run(solver.String(), func(t *testing.T) {
 			s, _ := clusteredSession(t, 60)
@@ -138,21 +145,49 @@ func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
 			// One changelog per solve below, plus the first solve's.
 			deltas := make(chan heldDelta, 1+40*4)
 			deltas <- heldDelta{res.Delta, renderDelta(res.Delta)}
+			// rendered carries a token per completed rendering; the
+			// writer drains it, then waits for a fresh one.
+			rendered := make(chan struct{}, 1)
+			awaitRender := func() {
+				select {
+				case <-rendered:
+				default:
+				}
+				<-rendered
+			}
+			solves := 0
 			solve := func() {
 				res, err := s.Solve(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				deltas <- heldDelta{res.Delta, renderDelta(res.Delta)}
+				if solves++; solves%10 == 0 {
+					awaitRender()
+				}
 			}
 
 			stop := make(chan struct{})
 			done := make(chan error, 1)
 			go func() {
 				var hds []heldDelta
+				terms := 0
+				// readStats reads the store's statistics, as the server's
+				// session-info handler does; the dictionary only grows.
+				readStats := func(n int) error {
+					m := s.Store().MemoryStats()
+					if m.Terms < terms {
+						return fmt.Errorf("rendering %d: the store reports %d terms after %d", n, m.Terms, terms)
+					}
+					terms = m.Terms
+					return nil
+				}
 				check := func(n int) error {
 					if got := renderLists(held); got != first {
 						return fmt.Errorf("rendering %d of the held Outcome differs from the first", n)
+					}
+					if err := readStats(n); err != nil {
+						return err
 					}
 					for {
 						select {
@@ -166,6 +201,9 @@ func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
 					for i, hd := range hds {
 						if got := renderDelta(hd.d); got != hd.want {
 							return fmt.Errorf("rendering %d of held changelog %d differs from its rendering at hand-out", n, i)
+						}
+						if err := readStats(n); err != nil {
+							return err
 						}
 					}
 					return nil
@@ -186,11 +224,23 @@ func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
 					}
 					if err := check(n); err != nil {
 						done <- err
+						// Unblock a writer waiting for this rendering.
+						close(rendered)
 						return
+					}
+					select {
+					case rendered <- struct{}{}:
+					default:
 					}
 				}
 			}()
 
+			awaitRender()
+			// The rule arrives once the reader runs, so the next solve
+			// interns its head constant beside the reader.
+			if err := s.LoadProgramText(headAbsentFromData); err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < 40; i++ {
 				// Two overlapping spells of a new player at new clubs: a
 				// conflict over never-seen terms and intervals.
@@ -223,12 +273,14 @@ func TestHeldOutcomeRendersDuringUpdates(t *testing.T) {
 // TestSessionResidentBytesPerFact is the session's resident-memory gate:
 // a solved 30k-fact clustered MLN session, after 200 single-fact
 // toggles, holds its store, ground network, plan, caches and published
-// Outcome in at most 850 bytes of live heap per fact. The read-out
+// Outcome in at most 650 bytes of live heap per fact. The read-out
 // holds each fact and cluster once, as an atom record in the live
-// lists, and decodes on read, which puts the figure near 550; holding
-// every fact, explanation and cluster as rendered statement keys (two
-// copies of each: the per-component records and the list chunks) costs
-// about 1,600.
+// lists, and decodes on read, and the atom table keys into the store's
+// dictionary rather than a copy of it, which puts the figure near 410
+// (about 530 with the atom table's own dictionary); holding every fact,
+// explanation and cluster as rendered statement keys (two copies of
+// each: the per-component records and the list chunks) costs about
+// 1,600.
 func TestSessionResidentBytesPerFact(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are not meaningful under -race")
@@ -275,7 +327,7 @@ func TestSessionResidentBytesPerFact(t *testing.T) {
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(res)
 	t.Logf("session on %d facts: %d B/fact of live heap", facts, perFact)
-	const limit = 850
+	const limit = 650
 	if perFact > limit {
 		t.Errorf("session holds %d B/fact of live heap, want <= %d", perFact, limit)
 	}

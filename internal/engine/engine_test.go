@@ -225,7 +225,7 @@ func TestSizeAggAccounting(t *testing.T) {
 // pairNetwork builds n evidence atoms in conflicting pairs — (0,1),
 // (2,3), … — over a component-indexed clause set: n/2 components.
 func pairNetwork(n int) (*ground.AtomTable, *ground.ClauseSet) {
-	atoms := ground.NewAtomTable()
+	atoms := ground.NewAtomTable(store.New())
 	cs := ground.NewClauseSet()
 	cs.EnableComponentIndex()
 	for i := 0; i < n; i++ {

@@ -11,6 +11,13 @@
 // worksFor ⇒ livesIn) materialise all derivable head atoms before clause
 // emission.
 //
+// Grounding runs in one code space, the evidence store's term
+// dictionary: atom keys, join frames, compiled rule constants and the
+// derived-fact store all hold its codes, so a matched fact resolves to
+// its atom by a hash lookup on codes, with no translation and no
+// strings. Rule-head constants absent from the data are interned into
+// the store's dictionary (under its lock) when a rule is compiled.
+//
 // # Concurrency model
 //
 // Every join phase — Close's full pass, each seminaive round of
@@ -21,9 +28,9 @@
 // the program has fewer rules than workers. A phase is two functions:
 //
 //   - emit resolves one grounding against read-only store views and the
-//     atom table (Lookup only) and decides what to keep: a head
+//     atom table (lookups only) and decides what to keep: a head
 //     statement to derive, or a clause whose head, if not yet interned,
-//     travels as a pending fact key.
+//     travels as a pending key of term codes.
 //   - commit applies a kept item at a sequential point: intern or
 //     revive a head and add it to the derived store, or intern a
 //     pending head and add the clause.
@@ -51,7 +58,7 @@ import (
 type AtomID int32
 
 // atomKey is the interned form of a ground atom's statement: term codes
-// from the table's private dictionary plus the validity interval. At 32
+// from the evidence store's dictionary plus the validity interval. At 32
 // bytes it replaces the 184-byte rdf.FactKey as both the map key and the
 // per-atom stored key — at millions of atoms the struct-of-arrays layout
 // below is the difference between fitting in memory and not.
@@ -88,13 +95,15 @@ const (
 // statement (subject, predicate, object, interval); atoms backed by an
 // input fact are evidence atoms and carry its confidence.
 //
-// Internally the table is struct-of-arrays over interned keys: terms are
-// encoded once into a private dictionary, per-atom state lives in
-// parallel slices (key codes, flag bits, confidences, backing fact ids),
-// and the key→id map is keyed by a 64-bit hash with a linear-scanned
-// spill list for colliding keys — every hash hit is verified against the
-// stored key, so collisions cost time, never correctness. The public
-// surface still speaks rdf.FactKey; Info materialises it on demand.
+// Internally the table is struct-of-arrays over interned keys: a key's
+// terms are codes of the evidence store's dictionary (the table holds no
+// dictionary of its own), per-atom state lives in parallel slices (key
+// codes, flag bits, confidences, backing fact ids), and the key→id map is
+// keyed by a 64-bit hash with a linear-scanned spill list for colliding
+// keys — every hash hit is verified against the stored key, so collisions
+// cost time, never correctness. The public surface still speaks
+// rdf.FactKey; Info materialises it on demand from a frozen prefix of the
+// store's term slice, refreshed whenever a new key's code lies beyond it.
 //
 // Concurrency follows the grounder's emit/commit protocol: the
 // read-side methods (Lookup, Info, Len) are safe for any number of
@@ -105,7 +114,8 @@ const (
 // the race-detector suites, is what makes the sharing sound, and the
 // deterministic commit order is what keeps id assignment reproducible.
 type AtomTable struct {
-	dict  *store.Dict
+	src   *store.Store
+	terms []rdf.Term // frozen prefix of src's terms covering every key
 	ids   map[uint64]AtomID
 	spill []AtomID
 	keys  []atomKey
@@ -141,9 +151,10 @@ type AtomInfo struct {
 	FactID store.FactID
 }
 
-// NewAtomTable returns an empty atom table.
-func NewAtomTable() *AtomTable {
-	return &AtomTable{dict: store.NewDict(), ids: make(map[uint64]AtomID)}
+// NewAtomTable returns an empty atom table whose keys use src's term
+// codes.
+func NewAtomTable(src *store.Store) *AtomTable {
+	return &AtomTable{src: src, terms: src.Terms(), ids: make(map[uint64]AtomID)}
 }
 
 // lookupKey finds the atom with exactly this encoded key, checking the
@@ -163,17 +174,30 @@ func (t *AtomTable) lookupKey(k atomKey) (AtomID, bool) {
 }
 
 // Intern returns the id for the statement key, creating a non-evidence
-// atom when unseen. Callers must hold no concurrent readers (see the
-// type comment).
+// atom when unseen; terms the store has never seen are interned into its
+// dictionary. Callers must hold no concurrent readers (see the type
+// comment).
 func (t *AtomTable) Intern(key rdf.FactKey) AtomID {
-	k := atomKey{
-		s:  t.dict.Encode(key.S),
-		p:  t.dict.Encode(key.P),
-		o:  t.dict.Encode(key.O),
+	return t.intern(t.encode(key))
+}
+
+// encode interns the key's terms into the store's dictionary.
+func (t *AtomTable) encode(key rdf.FactKey) atomKey {
+	return atomKey{
+		s:  t.src.InternTerm(key.S),
+		p:  t.src.InternTerm(key.P),
+		o:  t.src.InternTerm(key.O),
 		iv: key.Interval,
 	}
+}
+
+// intern is Intern for an encoded key.
+func (t *AtomTable) intern(k atomKey) AtomID {
 	if id, ok := t.lookupKey(k); ok {
 		return id
+	}
+	if int(max(k.s, k.p, k.o)) >= len(t.terms) {
+		t.terms = t.src.Terms()
 	}
 	id := AtomID(len(t.keys))
 	h := k.hash()
@@ -194,7 +218,12 @@ func (t *AtomTable) Intern(key rdf.FactKey) AtomID {
 // evidence with the given confidence and backing fact. Write-side: see
 // the type comment.
 func (t *AtomTable) InternEvidence(key rdf.FactKey, conf float64, fid store.FactID) AtomID {
-	id := t.Intern(key)
+	return t.internEvidence(t.encode(key), conf, fid)
+}
+
+// internEvidence is InternEvidence for an encoded key.
+func (t *AtomTable) internEvidence(k atomKey, conf float64, fid store.FactID) AtomID {
+	id := t.intern(k)
 	if t.flags[id]&atomEvidence == 0 {
 		t.flags[id] |= atomEvidence
 		t.confs[id] = conf
@@ -241,15 +270,15 @@ func (t *AtomTable) SetDerived(id AtomID) {
 // Lookup returns the id of a statement without interning. Safe for
 // concurrent readers.
 func (t *AtomTable) Lookup(key rdf.FactKey) (AtomID, bool) {
-	s, ok := t.dict.Lookup(key.S)
+	s, ok := t.src.TermCode(key.S)
 	if !ok {
 		return 0, false
 	}
-	p, ok := t.dict.Lookup(key.P)
+	p, ok := t.src.TermCode(key.P)
 	if !ok {
 		return 0, false
 	}
-	o, ok := t.dict.Lookup(key.O)
+	o, ok := t.src.TermCode(key.O)
 	if !ok {
 		return 0, false
 	}
@@ -259,15 +288,9 @@ func (t *AtomTable) Lookup(key rdf.FactKey) (AtomID, bool) {
 // Info returns the atom's description, materialising the statement key
 // from the interned codes. Safe for concurrent readers.
 func (t *AtomTable) Info(id AtomID) AtomInfo {
-	k := t.keys[id]
 	fl := t.flags[id]
 	return AtomInfo{
-		Key: rdf.FactKey{
-			S:        t.dict.Decode(k.s),
-			P:        t.dict.Decode(k.p),
-			O:        t.dict.Decode(k.o),
-			Interval: k.iv,
-		},
+		Key:       t.KeyView().Key(id),
 		Evidence:  fl&atomEvidence != 0,
 		Retracted: fl&atomRetracted != 0,
 		Conf:      t.confs[id],
@@ -321,17 +344,17 @@ func (t *AtomTable) CompareCanonical(a, b AtomID) int {
 func (t *AtomTable) CompareKeys(a, b AtomID) int {
 	ka, kb := &t.keys[a], &t.keys[b]
 	if ka.s != kb.s {
-		if c := t.dict.Decode(ka.s).Compare(t.dict.Decode(kb.s)); c != 0 {
+		if c := t.terms[ka.s].Compare(t.terms[kb.s]); c != 0 {
 			return c
 		}
 	}
 	if ka.p != kb.p {
-		if c := t.dict.Decode(ka.p).Compare(t.dict.Decode(kb.p)); c != 0 {
+		if c := t.terms[ka.p].Compare(t.terms[kb.p]); c != 0 {
 			return c
 		}
 	}
 	if ka.o != kb.o {
-		if c := t.dict.Decode(ka.o).Compare(t.dict.Decode(kb.o)); c != 0 {
+		if c := t.terms[ka.o].Compare(t.terms[kb.o]); c != 0 {
 			return c
 		}
 	}
@@ -352,7 +375,7 @@ func (t *AtomTable) CompareKeys(a, b AtomID) int {
 
 // KeyView is a frozen, read-only view of the statement keys of the atoms
 // interned when it was taken: a prefix of the table's key codes and of
-// its dictionary's terms. Neither is ever rewritten below its length —
+// the store's terms. Neither is ever rewritten below its length —
 // growth relocates, and Retract, SetEvidence and SetDerived touch flags,
 // confidences and fact ids only — so a view can be read without any
 // lock while the table goes on interning. The zero view holds no atom.
@@ -364,7 +387,7 @@ type KeyView struct {
 // KeyView captures the keys of every atom interned so far. Like Intern it
 // must not race with a writer; the view it returns races with nothing.
 func (t *AtomTable) KeyView() KeyView {
-	return KeyView{keys: t.keys, terms: t.dict.Terms()}
+	return KeyView{keys: t.keys, terms: t.terms}
 }
 
 // Key materialises the statement key of an atom the view covers.

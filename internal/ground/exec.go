@@ -5,16 +5,14 @@ import (
 	"time"
 
 	"repro/internal/logic"
-	"repro/internal/rdf"
 	"repro/internal/store"
-	"repro/internal/temporal"
 )
 
 // Head resolution states reported by compiledEnv.resolveHeadAtom.
 const (
 	headStateMiss     uint8 = iota // empty time expression or unbound head: no obligation
 	headStateResolved              // head atom already interned; id is valid
-	headStatePending               // head not interned; key carries the statement
+	headStatePending               // head not interned; key carries its codes
 )
 
 // compiledEnv is the view of the current grounding handed to emit
@@ -25,8 +23,7 @@ type compiledEnv struct {
 	fr *logic.Frame
 }
 
-// headCode resolves one head position to its atom code (0 when a
-// constant is absent from the network).
+// headCode resolves one head position to its store code.
 func headCode(ct cterm, fr *logic.Frame) store.TermID {
 	if ct.slot >= 0 {
 		return store.TermID(fr.Objs[ct.slot])
@@ -34,39 +31,22 @@ func headCode(ct cterm, fr *logic.Frame) store.TermID {
 	return ct.code
 }
 
-// headTerm materialises one head position as an RDF term for a pending
-// fact key.
-func headTerm(ct cterm, konst rdf.Term, fr *logic.Frame, d *store.Dict) rdf.Term {
-	if ct.slot >= 0 {
-		return d.Decode(store.TermID(fr.Objs[ct.slot]))
-	}
-	return konst
-}
-
 // resolveHeadAtom instantiates the rule's head atom under the current
 // grounding. Only meaningful for HeadAtom rules.
-func (e *compiledEnv) resolveHeadAtom() (uint8, AtomID, rdf.FactKey) {
+func (e *compiledEnv) resolveHeadAtom() (uint8, AtomID, atomKey) {
 	h := &e.cr.head
 	if !h.valid {
-		return headStateMiss, 0, rdf.FactKey{}
+		return headStateMiss, 0, atomKey{}
 	}
 	iv, ok := h.time(e.fr)
 	if !ok {
-		return headStateMiss, 0, rdf.FactKey{}
+		return headStateMiss, 0, atomKey{}
 	}
-	s, p, o := headCode(h.s, e.fr), headCode(h.p, e.fr), headCode(h.o, e.fr)
-	if s != 0 && p != 0 && o != 0 {
-		if id, ok := e.g.atoms.lookupKey(atomKey{s: s, p: p, o: o, iv: iv}); ok {
-			return headStateResolved, id, rdf.FactKey{}
-		}
+	k := atomKey{s: headCode(h.s, e.fr), p: headCode(h.p, e.fr), o: headCode(h.o, e.fr), iv: iv}
+	if id, ok := e.g.atoms.lookupKey(k); ok {
+		return headStateResolved, id, atomKey{}
 	}
-	d := e.g.atoms.dict
-	return headStatePending, 0, rdf.FactKey{
-		S:        headTerm(h.s, h.sT, e.fr, d),
-		P:        headTerm(h.p, h.pT, e.fr, d),
-		O:        headTerm(h.o, h.oT, e.fr, d),
-		Interval: iv,
-	}
+	return headStatePending, 0, k
 }
 
 // evalHeadCond evaluates the rule's head condition under the current
@@ -75,52 +55,36 @@ func (e *compiledEnv) evalHeadCond() (bool, error) {
 	return e.cr.headCond(e.fr)
 }
 
-// acodes is one join candidate in atom-code space: the interned atom and
-// its statement codes.
+// acodes is one join candidate: the interned atom and its key.
 type acodes struct {
-	s, p, o store.TermID
-	iv      temporal.Interval
-	id      AtomID
+	atomKey
+	id AtomID
 }
 
-// toAtomCodes translates a stored fact's codes into atom-code space via
-// the given store->atom table and resolves the interned atom. ok is
-// false when any term is unpaired or the statement was never interned —
-// the fact is not part of the ground network.
-func (g *Grounder) toAtomCodes(fc store.FactCodes, toAtom []store.TermID) (acodes, bool) {
-	if int(fc.S) >= len(toAtom) || int(fc.P) >= len(toAtom) || int(fc.O) >= len(toAtom) {
-		return acodes{}, false
-	}
-	s, p, o := toAtom[fc.S], toAtom[fc.P], toAtom[fc.O]
-	if s == 0 || p == 0 || o == 0 {
-		return acodes{}, false
-	}
-	id, ok := g.atoms.lookupKey(atomKey{s: s, p: p, o: o, iv: fc.Interval})
-	if !ok {
-		return acodes{}, false
-	}
-	return acodes{s: s, p: p, o: o, iv: fc.Interval, id: id}, true
+// atomOf resolves a stored fact to its interned atom. ok is false when
+// the statement was never interned — the fact is not part of the ground
+// network.
+func (g *Grounder) atomOf(fc store.FactCodes) (acodes, bool) {
+	k := atomKey{s: fc.S, p: fc.P, o: fc.O, iv: fc.Interval}
+	id, ok := g.atoms.lookupKey(k)
+	return acodes{atomKey: k, id: id}, ok
 }
 
-// codePatternAt builds the store-level code pattern for the join depth's
-// body atom under the current frame, translating bound atom codes
-// through toStore. ok=false means no fact in that store can match: a
-// needed term is absent from the store's dictionary (NoTerm must never
-// leak into a pattern as "unknown term" — it would read as a wildcard).
-func codePatternAt(cq *cquad, fr *logic.Frame, toStore []store.TermID) (store.CodePattern, bool) {
+// codePatternAt builds the code pattern for the join depth's body atom
+// under the current frame; one pattern serves both store views. ok=false
+// means no fact can match: a body constant is absent from the dictionary
+// (NoTerm must never leak into a pattern as "unknown term" — it would
+// read as a wildcard).
+func codePatternAt(cq *cquad, fr *logic.Frame) (store.CodePattern, bool) {
 	var cp store.CodePattern
 	fill := func(ct *cterm, dst *store.TermID) bool {
-		ac := ct.code
+		c := ct.code
 		if ct.slot >= 0 {
-			ac = store.TermID(fr.Objs[ct.slot])
-			if ac == 0 {
-				return true // unbound variable: wildcard
-			}
-		}
-		if ac == 0 || int(ac) >= len(toStore) || toStore[ac] == 0 {
+			c = store.TermID(fr.Objs[ct.slot]) // 0 when unbound: wildcard
+		} else if c == 0 {
 			return false
 		}
-		*dst = toStore[ac]
+		*dst = c
 		return true
 	}
 	if !fill(&cq.s, &cp.S) || !fill(&cq.p, &cp.P) || !fill(&cq.o, &cp.O) {
@@ -139,7 +103,7 @@ func codePatternAt(cq *cquad, fr *logic.Frame, toStore []store.TermID) (store.Co
 // runJoin enumerates all bindings of the task's compiled rule body over
 // its depth-0 chunk, invoking emit with the grounding environment and the
 // atom ids of the matched body facts. Safe to run concurrently with other
-// tasks: it reads the store views, the code maps and the atom table only.
+// tasks: it reads the store views and the atom table only.
 // It also records the task's wall time and emission count for the
 // grounder's stats.
 func (g *Grounder) runJoin(t *joinTask, emitFn func(*compiledEnv, []AtomID) error) error {
@@ -154,14 +118,13 @@ func (g *Grounder) runJoin(t *joinTask, emitFn func(*compiledEnv, []AtomID) erro
 	env := &compiledEnv{g: g, cr: cr, fr: fr}
 	bodyAtoms := make([]AtomID, len(cr.quads))
 	for _, a := range t.seedAtoms {
-		k := g.atoms.keys[a]
-		m := acodes{s: k.s, p: k.p, o: k.o, iv: k.iv, id: a}
+		m := acodes{atomKey: g.atoms.keys[a], id: a}
 		if err := g.bindCodes(t, 0, env, &m, bodyAtoms, emit); err != nil {
 			return err
 		}
 	}
 	for _, id := range t.mainIDs {
-		m, ok := g.toAtomCodes(g.mainView.FactCodes(id), g.maps.mainToAtom)
+		m, ok := g.atomOf(g.mainView.FactCodes(id))
 		if !ok {
 			continue
 		}
@@ -170,7 +133,7 @@ func (g *Grounder) runJoin(t *joinTask, emitFn func(*compiledEnv, []AtomID) erro
 		}
 	}
 	for _, id := range t.derivedIDs {
-		m, ok := g.toAtomCodes(g.derivedView.FactCodes(id), g.maps.derivedToAtom)
+		m, ok := g.atomOf(g.derivedView.FactCodes(id))
 		if !ok {
 			continue
 		}
@@ -268,47 +231,33 @@ func (g *Grounder) bindCodes(t *joinTask, depth int, env *compiledEnv, m *acodes
 }
 
 // descendCodes enumerates store matches for the join depth's body atom
-// (emitting when every atom is bound), translating each match into atom
-// codes and binding it in turn.
+// (emitting when every atom is bound), resolving each match to its atom
+// and binding it in turn.
 func (g *Grounder) descendCodes(t *joinTask, depth int, env *compiledEnv,
 	bodyAtoms []AtomID, emit func(*compiledEnv, []AtomID) error) error {
 
 	if depth == len(t.cr.quads) {
 		return emit(env, bodyAtoms)
 	}
-	cq := &t.cr.quads[depth]
-	fr := env.fr
-	var innerErr error
-	if cp, ok := codePatternAt(cq, fr, g.maps.atomToMain); ok {
-		g.mainView.MatchCodes(cp, func(_ store.FactID, fc store.FactCodes) bool {
-			m, ok := g.toAtomCodes(fc, g.maps.mainToAtom)
-			if !ok {
-				return true
-			}
-			if err := g.bindCodes(t, depth, env, &m, bodyAtoms, emit); err != nil {
-				innerErr = err
-				return false
-			}
-			return true
-		})
-		if innerErr != nil {
-			return innerErr
-		}
+	cp, ok := codePatternAt(&t.cr.quads[depth], env.fr)
+	if !ok {
+		return nil
 	}
-	if g.derivedView.Len() > 0 {
-		if cp, ok := codePatternAt(cq, fr, g.maps.atomToDerived); ok {
-			g.derivedView.MatchCodes(cp, func(_ store.FactID, fc store.FactCodes) bool {
-				m, ok := g.toAtomCodes(fc, g.maps.derivedToAtom)
-				if !ok {
-					return true
-				}
-				if err := g.bindCodes(t, depth, env, &m, bodyAtoms, emit); err != nil {
-					innerErr = err
-					return false
-				}
-				return true
-			})
+	var innerErr error
+	visit := func(_ store.FactID, fc store.FactCodes) bool {
+		m, ok := g.atomOf(fc)
+		if !ok {
+			return true
 		}
+		if err := g.bindCodes(t, depth, env, &m, bodyAtoms, emit); err != nil {
+			innerErr = err
+			return false
+		}
+		return true
+	}
+	g.mainView.MatchCodes(cp, visit)
+	if innerErr == nil && g.derivedView.Len() > 0 {
+		g.derivedView.MatchCodes(cp, visit)
 	}
 	return innerErr
 }

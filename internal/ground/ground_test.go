@@ -43,7 +43,7 @@ func atomID(t testing.TB, g *Grounder, compact string) AtomID {
 }
 
 func TestAtomTable(t *testing.T) {
-	at := NewAtomTable()
+	at := NewAtomTable(store.New())
 	key := rdf.FactKey{S: rdf.NewIRI("a"), P: rdf.NewIRI("p"), O: rdf.NewIRI("b"),
 		Interval: temporal.MustNew(1, 2)}
 	id := at.Intern(key)
@@ -373,6 +373,19 @@ r1: quad(x, lvl1, y, t) -> quad(x, lvl2, y, t) w = 1
 	added, err := g2.Close(prog)
 	if err != nil || added != 3 {
 		t.Errorf("cascade close: added=%d err=%v, want 3,nil", added, err)
+	}
+}
+
+// TestDerivedFactValidated: a head that places a bound literal in
+// subject position derives no fact; Close reports it the way the store
+// rejects such a quad.
+func TestDerivedFactValidated(t *testing.T) {
+	g := New(figure1Store(t))
+	prog := rulelang.MustParse("born: quad(x, birthDate, y, t) -> quad(y, bornOf, x, t) w = 1")
+	const want = `ground: derived fact (1951, bornOf, CR, [1951,2017]): ` +
+		`rdf: quad "1951"^^<http://www.w3.org/2001/XMLSchema#integer> <bornOf> <CR> [1951,2017] 1 . has a literal subject`
+	if _, err := g.Close(prog); err == nil || err.Error() != want {
+		t.Fatalf("Close error %v, want %s", err, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/par"
-	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -21,12 +20,15 @@ import (
 type Grounder struct {
 	main     *store.Store
 	mainView store.View
-	derived  *store.Store
+	// derived holds the forward-chained facts, in main's code space.
+	derived *store.Store
 	// derivedView is refreshed at the start of every phase (a sequential
 	// point); phases only add to the derived store in commit, which the
 	// pinned view does not see until the next phase.
 	derivedView store.View
 
+	// atoms keys every ground atom by main's term codes, the one code
+	// space of grounding: frames, rule constants and both views share it.
 	atoms *AtomTable
 
 	// MaxRounds bounds the seminaive forward-chaining rounds of
@@ -42,10 +44,6 @@ type Grounder struct {
 	// setting.
 	Parallelism int
 
-	// maps translate term codes between the store dictionaries and the
-	// atom table's; synced by refreshViews at sequential points.
-	maps codeMaps
-
 	// Grounding statistics accumulated since the last TakeStats.
 	statTotal time.Duration
 	statRules map[string]*RuleGroundStats
@@ -59,7 +57,7 @@ func New(main *store.Store) *Grounder {
 		main:      main,
 		mainView:  main.ReadView(),
 		derived:   store.New(),
-		atoms:     NewAtomTable(),
+		atoms:     NewAtomTable(main),
 		MaxRounds: 32,
 	}
 	for i := 0; i < main.IDBound(); i++ {
@@ -67,8 +65,8 @@ func New(main *store.Store) *Grounder {
 		if !main.Live(id) {
 			continue
 		}
-		q := main.Fact(id)
-		g.atoms.InternEvidence(q.Fact(), q.Confidence, id)
+		k, conf := evidenceKey(g.mainView, id)
+		g.atoms.internEvidence(k, conf, id)
 	}
 	return g
 }
@@ -79,7 +77,9 @@ func (g *Grounder) Store() *store.Store { return g.main }
 // Atoms exposes the atom table.
 func (g *Grounder) Atoms() *AtomTable { return g.atoms }
 
-// DerivedStore exposes the store of forward-chained facts.
+// DerivedStore exposes the store of forward-chained facts. Its facts hold
+// the evidence store's term codes and its own dictionary stays empty:
+// decode them through Store().Terms(), not through its Fact.
 func (g *Grounder) DerivedStore() *store.Store { return g.derived }
 
 // joinTask is one unit of parallel grounding work: a compiled rule
@@ -160,14 +160,11 @@ func (g *Grounder) joinTasks(rules []*logic.Rule) ([]joinTask, error) {
 		t := joinTask{rule: r, cr: cr}
 		// Materialise the depth-0 candidate ids: main-store matches
 		// first, then derived, mirroring the per-depth visit order of the
-		// join. A pattern miss (constant absent from that store) means no
-		// candidates there at all.
-		fr := logic.NewFrame(cr.sm)
-		if cp, ok := codePatternAt(&cr.quads[0], fr, g.maps.atomToMain); ok {
+		// join. A pattern miss (constant absent from the dictionary) means
+		// no candidates at all.
+		if cp, ok := codePatternAt(&cr.quads[0], logic.NewFrame(cr.sm)); ok {
 			t.mainIDs = g.mainView.MatchCodeIDs(cp)
-		}
-		if g.derivedView.Len() > 0 {
-			if cp, ok := codePatternAt(&cr.quads[0], fr, g.maps.atomToDerived); ok {
+			if g.derivedView.Len() > 0 {
 				t.derivedIDs = g.derivedView.MatchCodeIDs(cp)
 			}
 		}
@@ -311,35 +308,38 @@ func runPhase[T any](g *Grounder, tasks []joinTask,
 
 // derive runs one forward-chaining phase. Emit keeps the statement of
 // every head that is not live — pending (never interned) or retracted;
-// commit interns or revives the atom and adds the statement to the
-// derived store, where the next phase can match it. It returns the atoms
-// that became live, in commit order.
+// commit interns or revives the atom, rejects a statement that is no
+// valid quad (a literal subject, say) as the store's Add would, and adds
+// it to the derived store by its codes, where the next phase can match
+// it. It returns the atoms that became live, in commit order.
 func (g *Grounder) derive(tasks []joinTask) ([]AtomID, error) {
 	var fresh []AtomID
 	err := runPhase(g, tasks,
-		func(_ *joinTask, env *compiledEnv, _ []AtomID, _ []Lit) (rdf.FactKey, bool, error) {
-			switch state, id, key := env.resolveHeadAtom(); {
+		func(_ *joinTask, env *compiledEnv, _ []AtomID, _ []Lit) (atomKey, bool, error) {
+			switch state, id, k := env.resolveHeadAtom(); {
 			case state == headStatePending:
-				return key, true, nil
+				return k, true, nil
 			case state == headStateResolved && g.atoms.IsRetracted(id):
-				return g.atoms.Info(id).Key, true, nil
+				return g.atoms.keys[id], true, nil
 			}
-			return rdf.FactKey{}, false, nil
+			return atomKey{}, false, nil
 		},
-		func(_ *joinTask, key rdf.FactKey) error {
-			id, seen := g.atoms.Lookup(key)
+		func(_ *joinTask, k atomKey) error {
+			id, seen := g.atoms.lookupKey(k)
 			switch {
 			case !seen:
-				id = g.atoms.Intern(key)
+				id = g.atoms.intern(k)
 			case g.atoms.IsRetracted(id):
 				g.atoms.SetDerived(id)
 			default:
 				return nil // derived earlier in this phase
 			}
 			fresh = append(fresh, id)
-			if _, err := g.derived.Add(keyQuad(key)); err != nil {
+			key := g.atoms.Info(id).Key
+			if err := keyQuad(key).Validate(); err != nil {
 				return fmt.Errorf("ground: derived fact %v: %w", key, err)
 			}
+			g.derived.AddCodes(k.s, k.p, k.o, k.iv, 1)
 			return nil
 		})
 	return fresh, err
@@ -390,14 +390,13 @@ func (g *Grounder) GroundProgram(prog *logic.Program) (*ClauseSet, error) {
 }
 
 // clauseItem is one grounding kept by clause emission: the body
-// literals, the head literal when the head atom is interned, and the
-// statement of a head that is not (commit interns it). The statement is
-// behind a pointer: it is rare (Close interns every derivable head
-// first) and inline it would make every buffered item seven times
-// larger.
+// literals, the head literal when the head atom is interned, and the key
+// of a head that is not (commit interns it). The key is behind a
+// pointer: it is rare (Close interns every derivable head first) and
+// inline it would make every buffered item twice as large.
 type clauseItem struct {
 	lits []Lit
-	head *rdf.FactKey
+	head *atomKey
 }
 
 // emitClauses runs one clause-emission phase over tasks, adding the
@@ -409,13 +408,13 @@ func (g *Grounder) emitClauses(tasks []joinTask, cs *ClauseSet) error {
 		head := AtomID(-1)
 		switch t.rule.Head.Kind {
 		case logic.HeadAtom:
-			state, id, key := env.resolveHeadAtom()
+			state, id, k := env.resolveHeadAtom()
 			switch {
 			case state == headStateMiss:
 				return it, false, nil // empty head time expression: no obligation
 			case state == headStatePending:
 				// Close was not run: the head was never materialised.
-				it.head = &key
+				it.head = &k
 			default:
 				head = id
 			}
@@ -443,7 +442,7 @@ func (g *Grounder) emitClauses(tasks []joinTask, cs *ClauseSet) error {
 	}
 	commit := func(t *joinTask, it clauseItem) error {
 		if it.head != nil {
-			it.lits = append(it.lits, Lit{Atom: g.atoms.Intern(*it.head)})
+			it.lits = append(it.lits, Lit{Atom: g.atoms.intern(*it.head)})
 		}
 		if !cs.Add(Clause{Lits: it.lits, Weight: t.rule.Weight, Rule: t.rule.Name}) {
 			return fmt.Errorf("ground: rule %s grounds to an unconditionally violated hard constraint", t.rule.Name)
@@ -455,8 +454,7 @@ func (g *Grounder) emitClauses(tasks []joinTask, cs *ClauseSet) error {
 
 // refreshViews re-pins the grounder's store views at the current
 // epochs; a sequential point between mutation and the next join phase.
-// The code translation tables are brought up to date here too, so
-// workers read them lock-free for the rest of the phase. Nothing asks
+// Nothing asks
 // the derived store for an older epoch or a DeltaSince, so its change
 // log is compacted to the pinned epoch: a streaming session's
 // derivations and retractions do not accumulate history.
@@ -464,7 +462,6 @@ func (g *Grounder) refreshViews() {
 	g.mainView = g.main.ReadView()
 	g.derivedView = g.derived.ReadView()
 	g.derived.CompactLog(g.derivedView.Epoch())
-	g.syncCodeMaps()
 }
 
 // scheduleConds assigns each condition to the earliest join depth at

@@ -42,42 +42,47 @@ import (
 // so component solution caches observe prior changes that touch no
 // clause.
 func (g *Grounder) ApplyUpdates(cs *ClauseSet, added, updated []store.FactID) []AtomID {
+	v := g.main.ReadView()
 	for _, fid := range updated {
-		q := g.main.Fact(fid)
-		if id, ok := g.atoms.Lookup(q.Fact()); ok {
-			g.atoms.SetEvidence(id, q.Confidence, fid)
+		k, conf := evidenceKey(v, fid)
+		if id, ok := g.atoms.lookupKey(k); ok {
+			g.atoms.SetEvidence(id, conf, fid)
 			cs.TouchAtom(id)
 		}
 	}
 	var delta []AtomID
 	for _, fid := range added {
-		q := g.main.Fact(fid)
-		key := q.Fact()
-		id, ok := g.atoms.Lookup(key)
+		k, conf := evidenceKey(v, fid)
+		id, ok := g.atoms.lookupKey(k)
 		if !ok {
-			id = g.atoms.InternEvidence(key, q.Confidence, fid)
+			id = g.atoms.internEvidence(k, conf, fid)
 			cs.TouchAtom(id)
 			delta = append(delta, id)
 			continue
 		}
-		info := g.atoms.Info(id)
-		if info.Retracted {
+		if g.atoms.IsRetracted(id) {
 			// The statement returns after a removal: newly live again.
-			g.atoms.SetEvidence(id, q.Confidence, fid)
+			g.atoms.SetEvidence(id, conf, fid)
 			cs.TouchAtom(id)
 			delta = append(delta, id)
 			continue
 		}
-		if !info.Evidence {
+		if !g.atoms.IsEvidence(id) {
 			// Live derived atom becomes evidence: the statement moves
 			// from the derived store to the main store; its groundings
 			// are unchanged.
-			g.derived.Remove(keyQuad(key))
+			g.derived.RemoveCodes(k.s, k.p, k.o, k.iv)
 		}
-		g.atoms.SetEvidence(id, q.Confidence, fid)
+		g.atoms.SetEvidence(id, conf, fid)
 		cs.TouchAtom(id)
 	}
 	return delta
+}
+
+// evidenceKey reads a stored fact's atom key and confidence.
+func evidenceKey(v store.View, id store.FactID) (atomKey, float64) {
+	fc := v.FactCodes(id)
+	return atomKey{s: fc.S, p: fc.P, o: fc.O, iv: fc.Interval}, fc.Conf
 }
 
 // CloseDelta seminaively forward-chains the inference rules starting
@@ -143,11 +148,12 @@ func (g *Grounder) RetractFacts(cs *ClauseSet, removed []store.FactID) error {
 	defer func() { g.statTotal += time.Since(start) }()
 	lost := make(map[AtomID]bool, len(removed))
 	lostList := make([]AtomID, 0, len(removed))
+	v := g.main.ReadView()
 	for _, fid := range removed {
-		q := g.main.Fact(fid)
-		id, ok := g.atoms.Lookup(q.Fact())
+		k, _ := evidenceKey(v, fid)
+		id, ok := g.atoms.lookupKey(k)
 		if !ok {
-			return fmt.Errorf("ground: removed fact %v was never interned", q.Fact())
+			return fmt.Errorf("ground: removed fact %v was never interned", g.main.Fact(fid).Fact())
 		}
 		lost[id] = true
 		lostList = append(lostList, id)
@@ -169,7 +175,7 @@ func (g *Grounder) RetractFacts(cs *ClauseSet, removed []store.FactID) error {
 			if head == b || tentative[head] {
 				return true
 			}
-			if info := g.atoms.Info(head); info.Evidence && !lost[head] {
+			if g.atoms.IsEvidence(head) && !lost[head] {
 				return true // evidence-backed: alive regardless of rules
 			}
 			tentative[head] = true
@@ -186,7 +192,7 @@ func (g *Grounder) RetractFacts(cs *ClauseSet, removed []store.FactID) error {
 		if rescued[b] {
 			return true
 		}
-		return !tentative[b] && !g.atoms.Info(b).Retracted
+		return !tentative[b] && !g.atoms.IsRetracted(b)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -222,9 +228,9 @@ func (g *Grounder) RetractFacts(cs *ClauseSet, removed []store.FactID) error {
 	}
 	sort.Slice(deleted, func(i, j int) bool { return deleted[i] < deleted[j] })
 	for _, a := range deleted {
-		info := g.atoms.Info(a)
-		if !info.Evidence {
-			g.derived.Remove(keyQuad(info.Key))
+		if !g.atoms.IsEvidence(a) {
+			k := g.atoms.keys[a]
+			g.derived.RemoveCodes(k.s, k.p, k.o, k.iv)
 		}
 		g.atoms.Retract(a)
 	}
@@ -239,9 +245,8 @@ func (g *Grounder) RetractFacts(cs *ClauseSet, removed []store.FactID) error {
 		// atom's prior, so its component is touched.
 		g.atoms.SetDerived(a)
 		cs.TouchAtom(a)
-		if _, err := g.derived.Add(keyQuad(g.atoms.Info(a).Key)); err != nil {
-			return fmt.Errorf("ground: demoting %v: %w", g.atoms.Info(a).Key, err)
-		}
+		k := g.atoms.keys[a]
+		g.derived.AddCodes(k.s, k.p, k.o, k.iv, 1)
 	}
 	return nil
 }

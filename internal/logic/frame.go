@@ -139,8 +139,9 @@ func CompileTime(t TimeTerm, sm *SlotMap) TimeProgram {
 func timeMiss(*Frame) (temporal.Interval, bool) { return temporal.Interval{}, false }
 
 // TermDecoder resolves a dictionary code bound in a frame back to its
-// RDF term — the grounder supplies its atom-table dictionary. Only the
-// ordered and numeric comparisons need it; equality runs on codes alone.
+// RDF term — the grounder supplies the evidence store's dictionary,
+// whose codes its frames bind. Only the ordered and numeric comparisons
+// need it; equality runs on codes alone.
 type TermDecoder func(uint32) rdf.Term
 
 // TermEncoder resolves a constant RDF term to the code space frames bind

@@ -34,22 +34,15 @@ type Dict struct {
 	own bool
 }
 
-// NewDict returns an empty dictionary. It keeps the strings of the terms
-// it is handed, sharing them with the caller.
-func NewDict() *Dict {
+// newDict returns an empty dictionary that copies the strings of every
+// term it interns: the store's terms arrive sliced out of whole input
+// lines.
+func newDict() *Dict {
 	return &Dict{
 		byHash: make(map[uint64]TermID),
 		toT:    make([]rdf.Term, 1),
+		own:    true,
 	}
-}
-
-// newOwningDict returns an empty dictionary that copies the strings of
-// every term it interns: the store's, whose terms arrive sliced out of
-// whole input lines.
-func newOwningDict() *Dict {
-	d := NewDict()
-	d.own = true
-	return d
 }
 
 // termHash is FNV-1a over the term's fields with an avalanche finish,

@@ -47,11 +47,13 @@ func (st *Store) SetCompactFloor(fn func() Epoch) {
 	st.compactFloor = fn
 }
 
-// journalLocked forwards a just-logged change to the attached journal.
-// Callers hold the write lock and pass the same quad Add received (zero
-// for removes).
-func (st *Store) journalLocked(ch Change, q rdf.Quad) {
-	if st.journal != nil {
-		st.journal.Append(JournalRecord{Change: ch, Quad: q})
+// logLocked appends a change to the change log and forwards it to the
+// attached journal. Callers hold the write lock and pass the same quad
+// Add received (zero for removes), or nil for a code-only change, which
+// no journal can replay and none is sent.
+func (st *Store) logLocked(ch Change, q *rdf.Quad) {
+	st.log = append(st.log, ch)
+	if st.journal != nil && q != nil {
+		st.journal.Append(JournalRecord{Change: ch, Quad: *q})
 	}
 }

@@ -25,12 +25,16 @@ type PredicateStat struct {
 
 // MemoryStats estimates the store's resident footprint from its own
 // bookkeeping: fact table, change log, revive history, posting indexes
-// and the interning dictionary. The numbers are layout-derived
-// estimates (struct sizes plus measured container overheads), not a
-// heap profile — their job is tracking the bytes/fact trajectory as
-// the store scales, cheaply enough to serve from a live session.
+// and the interning dictionary — which, once a session has grounded a
+// program, also holds the rule-head constants no fact uses (see
+// InternTerm), so Terms and DictBytes count them. The numbers are
+// layout-derived estimates (struct sizes plus measured container
+// overheads), not a heap profile — their job is tracking the
+// bytes/fact trajectory as the store scales, cheaply enough to serve
+// from a live session.
 type MemoryStats struct {
-	// Terms is the number of distinct interned terms.
+	// Terms is the number of distinct interned terms, rule-head
+	// constants interned by grounding included.
 	Terms int `json:"terms"`
 	// FactBytes covers the fact table, change log and revive history.
 	FactBytes int64 `json:"fact_bytes"`

@@ -21,6 +21,16 @@
 // all access paths are guarded by a reader/writer lock, and no lock is
 // held across user callbacks, so concurrent MatchCodes during Add/Remove
 // is safe (and race-detector clean).
+//
+// # One term dictionary
+//
+// The store's dictionary is also the grounder's code space: ground atoms
+// key into its codes, the grounder's derived-fact store holds facts in
+// them (AddCodes/RemoveCodes) and its own dictionary stays empty, and a
+// rule head's constants are interned into it (InternTerm) when the rule
+// is compiled, so the dictionary can hold terms no fact uses. Every write
+// to the dictionary holds the write lock; Terms hands out a frozen prefix
+// that readers decode through without it.
 package store
 
 import (
@@ -236,7 +246,7 @@ func addPosting(idx *[][]FactID, t TermID, id FactID) {
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		dict:   newOwningDict(),
+		dict:   newDict(),
 		byFact: make(map[uint64]FactID),
 	}
 }
@@ -253,14 +263,29 @@ func (st *Store) Add(q rdf.Quad) (FactID, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	f := fact{
-		s:    st.dict.Encode(q.Subject),
-		p:    st.dict.Encode(q.Predicate),
-		o:    st.dict.Encode(q.Object),
-		iv:   q.Interval,
-		conf: q.Confidence,
+	k := factKey{
+		s:  st.dict.Encode(q.Subject),
+		p:  st.dict.Encode(q.Predicate),
+		o:  st.dict.Encode(q.Object),
+		iv: q.Interval,
 	}
-	key := factKey{s: f.s, p: f.p, o: f.o, iv: f.iv}
+	return st.addLocked(k, q.Confidence, &q), nil
+}
+
+// AddCodes is Add for a statement given as term codes, with no
+// validation and no journal record. The codes need not come from this
+// store's dictionary: the grounder's derived store holds its facts in
+// the evidence store's code space and leaves its own dictionary empty,
+// so its facts decode through the evidence store's Terms, not Fact.
+func (st *Store) AddCodes(s, p, o TermID, iv temporal.Interval, conf float64) FactID {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.addLocked(factKey{s: s, p: p, o: o, iv: iv}, conf, nil)
+}
+
+// addLocked is the body of Add and AddCodes. q is the quad a journal
+// replays, nil for a code-only add, which is not journaled.
+func (st *Store) addLocked(key factKey, conf float64, q *rdf.Quad) FactID {
 	if id, ok := st.lookupFactLocked(key); ok {
 		old := &st.facts[id]
 		if old.removedAt != 0 {
@@ -273,24 +298,20 @@ func (st *Store) Add(q rdf.Quad) (FactID, error) {
 			st.history[i] = factSpan{id: id, ls: lifespan{old.addedAt, old.removedAt}}
 			st.epoch++
 			old.addedAt, old.removedAt = st.epoch, 0
-			old.conf = q.Confidence
+			old.conf = conf
 			st.dead--
-			ch := Change{Epoch: st.epoch, Op: OpAdd, ID: id}
-			st.log = append(st.log, ch)
-			st.journalLocked(ch, q)
-			return id, nil
+			st.logLocked(Change{Epoch: st.epoch, Op: OpAdd, ID: id}, q)
+			return id
 		}
-		if q.Confidence > old.conf {
-			old.conf = q.Confidence
+		if conf > old.conf {
+			old.conf = conf
 			st.epoch++
-			ch := Change{Epoch: st.epoch, Op: OpAdd, ID: id}
-			st.log = append(st.log, ch)
-			st.journalLocked(ch, q)
+			st.logLocked(Change{Epoch: st.epoch, Op: OpAdd, ID: id}, q)
 		}
-		return id, nil
+		return id
 	}
 	st.epoch++
-	f.addedAt = st.epoch
+	f := fact{s: key.s, p: key.p, o: key.o, iv: key.iv, conf: conf, addedAt: st.epoch}
 	id := FactID(len(st.facts))
 	st.facts = append(st.facts, f)
 	st.insertFactLocked(key, id)
@@ -306,10 +327,8 @@ func (st *Store) Add(q rdf.Quad) (FactID, error) {
 	addPosting(&st.byS, f.s, id)
 	addPosting(&st.byP, f.p, id)
 	addPosting(&st.byO, f.o, id)
-	ch := Change{Epoch: st.epoch, Op: OpAdd, ID: id}
-	st.log = append(st.log, ch)
-	st.journalLocked(ch, q)
-	return id, nil
+	st.logLocked(Change{Epoch: st.epoch, Op: OpAdd, ID: id}, q)
+	return id
 }
 
 // Remove tombstones the exact temporal statement (matched on subject,
@@ -325,11 +344,25 @@ func (st *Store) Remove(q rdf.Quad) (FactID, bool) {
 	if !ok1 || !ok2 || !ok3 {
 		return 0, false
 	}
-	id, ok := st.lookupFactLocked(factKey{s: s, p: p, o: o, iv: q.Interval})
+	return st.removeLocked(factKey{s: s, p: p, o: o, iv: q.Interval}, &rdf.Quad{})
+}
+
+// RemoveCodes is Remove for a statement given as term codes (see
+// AddCodes); it writes no journal record.
+func (st *Store) RemoveCodes(s, p, o TermID, iv temporal.Interval) (FactID, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.removeLocked(factKey{s: s, p: p, o: o, iv: iv}, nil)
+}
+
+// removeLocked is the body of Remove and RemoveCodes; q is the journal
+// payload (zero for a remove), nil for a code-only remove.
+func (st *Store) removeLocked(k factKey, q *rdf.Quad) (FactID, bool) {
+	id, ok := st.lookupFactLocked(k)
 	if !ok || st.facts[id].removedAt != 0 {
 		return 0, false
 	}
-	st.tombstoneLocked(id)
+	st.tombstoneLocked(id, q)
 	return id, true
 }
 
@@ -341,17 +374,15 @@ func (st *Store) RemoveID(id FactID) bool {
 	if int(id) >= len(st.facts) || st.facts[id].removedAt != 0 {
 		return false
 	}
-	st.tombstoneLocked(id)
+	st.tombstoneLocked(id, &rdf.Quad{})
 	return true
 }
 
-func (st *Store) tombstoneLocked(id FactID) {
+func (st *Store) tombstoneLocked(id FactID, q *rdf.Quad) {
 	st.epoch++
 	st.facts[id].removedAt = st.epoch
 	st.dead++
-	ch := Change{Epoch: st.epoch, Op: OpRemove, ID: id}
-	st.log = append(st.log, ch)
-	st.journalLocked(ch, rdf.Quad{})
+	st.logLocked(Change{Epoch: st.epoch, Op: OpRemove, ID: id}, q)
 }
 
 // AddGraph inserts every quad of the graph, reporting the first error.
@@ -525,8 +556,36 @@ func (st *Store) Live(id FactID) bool {
 	return int(id) < len(st.facts) && st.facts[id].removedAt == 0
 }
 
-// Dict exposes the term dictionary (read-only use by the grounder).
-func (st *Store) Dict() *Dict { return st.dict }
+// InternTerm returns the term's dictionary code, assigning a fresh one
+// on first sight, under the write lock. The grounder interns its rule
+// heads' constants here, so every ground atom keys into this one code
+// space; such a term stays in the dictionary (and in checkpoints) even
+// when no fact uses it.
+func (st *Store) InternTerm(t rdf.Term) TermID {
+	if id, ok := st.TermCode(t); ok {
+		return id
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.dict.Encode(t)
+}
+
+// TermCode returns the term's dictionary code without interning it; ok
+// is false when the term has never been interned.
+func (st *Store) TermCode(t rdf.Term) (TermID, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.dict.Lookup(t)
+}
+
+// Terms returns the code-indexed term slice (index 0 unused). The slice
+// is a frozen prefix of the dictionary: its entries are immutable and it
+// may be read without the lock while the dictionary grows.
+func (st *Store) Terms() []rdf.Term {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.dict.Terms()
+}
 
 // Fact decodes the quad with the given id (live or tombstoned).
 func (st *Store) Fact(id FactID) rdf.Quad {

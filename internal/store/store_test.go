@@ -40,7 +40,7 @@ func codes(st *Store, s, p, o string) (cp CodePattern, ok bool) {
 		if name == "" {
 			return NoTerm
 		}
-		id, found := st.Dict().Lookup(rdf.NewIRI(name))
+		id, found := st.dict.Lookup(rdf.NewIRI(name))
 		ok = ok && found
 		return id
 	}
@@ -48,7 +48,7 @@ func codes(st *Store, s, p, o string) (cp CodePattern, ok bool) {
 }
 
 func TestDictRoundTrip(t *testing.T) {
-	d := NewDict()
+	d := newDict()
 	terms := []rdf.Term{
 		rdf.NewIRI("a"), rdf.NewLiteral("a"), rdf.NewBlank("a"),
 		rdf.NewTypedLiteral("1", rdf.XSDInteger), rdf.NewLangLiteral("1", "en"),
@@ -88,7 +88,7 @@ func TestDictDecodePanics(t *testing.T) {
 			t.Error("Decode(0) should panic")
 		}
 	}()
-	NewDict().Decode(0)
+	newDict().Decode(0)
 }
 
 func TestAddAndFact(t *testing.T) {
@@ -198,7 +198,7 @@ func TestMatchEarlyStop(t *testing.T) {
 func TestEncodedAccessors(t *testing.T) {
 	st := newFigure1Store(t)
 	s, p, o := st.EncodedTriple(0)
-	if st.Dict().Decode(s).Value != "CR" || st.Dict().Decode(p).Value != "coach" || st.Dict().Decode(o).Value != "Chelsea" {
+	if st.dict.Decode(s).Value != "CR" || st.dict.Decode(p).Value != "coach" || st.dict.Decode(o).Value != "Chelsea" {
 		t.Error("EncodedTriple decode mismatch")
 	}
 	if st.Interval(0) != temporal.MustNew(2000, 2004) {

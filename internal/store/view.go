@@ -3,7 +3,6 @@ package store
 import (
 	"sync"
 
-	"repro/internal/rdf"
 	"repro/internal/temporal"
 )
 
@@ -23,7 +22,6 @@ import (
 type View struct {
 	st    *Store
 	epoch Epoch
-	terms []rdf.Term
 	n     int
 }
 
@@ -33,7 +31,7 @@ type View struct {
 func (st *Store) ReadView() View {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return View{st: st, epoch: st.epoch, terms: st.dict.Terms(), n: len(st.facts) - st.dead}
+	return View{st: st, epoch: st.epoch, n: len(st.facts) - st.dead}
 }
 
 // Epoch returns the store epoch the view is pinned at.
@@ -108,21 +106,6 @@ func (v View) MatchCodeIDs(cp CodePattern) []FactID {
 		return true
 	})
 	return out
-}
-
-// Terms returns the code-indexed term snapshot the view was pinned with
-// (index 0 unused). Entries are immutable and cover every code assigned
-// up to the pinned epoch; safe to read without the store lock.
-func (v View) Terms() []rdf.Term { return v.terms }
-
-// LookupTerm returns the store's current dictionary code for a term; ok
-// is false when the term has never been interned. Unlike Terms this
-// consults the live dictionary under the store lock, so it also sees
-// codes assigned after the view was pinned.
-func (v View) LookupTerm(t rdf.Term) (TermID, bool) {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	return v.st.dict.Lookup(t)
 }
 
 // PostingLenS returns the length of the subject posting list for a term

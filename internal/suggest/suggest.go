@@ -166,7 +166,7 @@ func samePredPairs(st *store.Store, p store.TermID, cap int,
 // mineSamePredicate proposes disjointness and functional constraints
 // for one predicate.
 func mineSamePredicate(st *store.Store, p store.TermID, opts Options) ([]Suggestion, error) {
-	pred := st.Dict().Decode(p).Value
+	pred := st.Terms()[p].Value
 
 	distinctPairs, distinctOverlaps := 0, 0
 	overlapPairs, overlapDisagree := 0, 0
@@ -220,8 +220,8 @@ func mineSamePredicate(st *store.Store, p store.TermID, opts Options) ([]Suggest
 // mineAllenPair proposes a dominating Allen relation between two
 // predicates on shared subjects.
 func mineAllenPair(st *store.Store, p, q store.TermID, opts Options) ([]Suggestion, error) {
-	pred1 := st.Dict().Decode(p).Value
-	pred2 := st.Dict().Decode(q).Value
+	pred1 := st.Terms()[p].Value
+	pred2 := st.Terms()[q].Value
 
 	// Group q-facts by subject once.
 	qBySubject := make(map[store.TermID][]store.FactID)
