@@ -166,10 +166,6 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 			if err != nil {
 				return err
 			}
-			// Track conflict components (and the atom index that implies)
-			// from the start: the planner patches its partition from the
-			// change log and generations key every per-component cache.
-			cs.EnableComponentIndex()
 			eng = &solveEngine{g: g, cs: cs, epoch: epoch, progVersion: s.progVersion}
 			return nil
 		})

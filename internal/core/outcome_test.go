@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/kgen"
 	"repro/internal/rdf"
 	"repro/internal/repair"
@@ -412,7 +413,8 @@ func TestColdSolveOutcomeAllocs(t *testing.T) {
 	if n := res.Stats.TotalFacts; n < 15000 {
 		t.Fatalf("session holds %d facts, want at least 15k", n)
 	}
-	run, err := repair.BeginComponents(res.Output, repair.Options{Parallelism: 1}, nil, repair.NewComponentCache())
+	plan := engine.NewPlan(res.Output.Grounder.Atoms(), res.Output.Clauses)
+	run, err := repair.BeginComponents(res.Output, repair.Options{Parallelism: 1}, plan, repair.NewComponentCache())
 	if err != nil {
 		t.Fatal(err)
 	}

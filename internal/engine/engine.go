@@ -65,11 +65,10 @@ type Plan struct {
 }
 
 // NewPlan partitions the clause set's ground network into conflict
-// components in canonical order. Partitioning switches on cs's
-// component index and the atom index it implies (idempotent), which
-// Clauses walks to gather each component's own clauses on demand; no
-// other engine state is touched. The plan has generation 0 and scopes
-// every component.
+// components in canonical order, reading cs's component index; Clauses
+// walks its atom index to gather each component's own clauses on
+// demand. No other engine state is touched. The plan has generation 0
+// and scopes every component.
 func NewPlan(atoms *ground.AtomTable, cs *ground.ClauseSet) *Plan {
 	p := &Plan{
 		Comps:       cs.Components(ground.CanonicalAtoms(atoms)),
@@ -198,8 +197,7 @@ func (g *SizeAgg) Fill(stats *ground.ComponentStats) {
 // component's subproblem is provably unchanged — plus the plan
 // generation its key set was last settled against (see Settle), the one
 // cursor every consumer chains its change-set passes on. The zero value
-// is not usable; construct with NewCache. A nil *Cache is valid, never
-// hits and has generation 0. Not safe for concurrent use.
+// is not usable; construct with NewCache. Not safe for concurrent use.
 type Cache[V any] struct {
 	entries map[ground.AtomID]*cacheEntry[V]
 	gen     uint64
@@ -220,9 +218,6 @@ func NewCache[V any]() *Cache[V] {
 // provably unchanged: same key, same generation, same membership.
 func (c *Cache[V]) Lookup(comp *ground.Component) (V, bool) {
 	var zero V
-	if c == nil {
-		return zero, false
-	}
 	e, ok := c.entries[comp.Key]
 	if !ok || e.gen != comp.Gen || len(e.atoms) != len(comp.Atoms) {
 		return zero, false
@@ -243,11 +238,8 @@ func (c *Cache[V]) Lookup(comp *ground.Component) (V, bool) {
 
 // Each visits every cached payload with its component key, in no
 // particular order; entry generations are not exposed — Lookup remains
-// the only way to prove an entry current. A nil cache is a no-op.
+// the only way to prove an entry current.
 func (c *Cache[V]) Each(fn func(key ground.AtomID, value V)) {
-	if c == nil {
-		return
-	}
 	for k, e := range c.entries {
 		fn(k, e.value)
 	}
@@ -259,9 +251,6 @@ func (c *Cache[V]) Each(fn func(key ground.AtomID, value V)) {
 // when the payload is to be reused.
 func (c *Cache[V]) Peek(key ground.AtomID) (V, bool) {
 	var zero V
-	if c == nil {
-		return zero, false
-	}
 	e, ok := c.entries[key]
 	if !ok {
 		return zero, false
@@ -271,11 +260,8 @@ func (c *Cache[V]) Peek(key ground.AtomID) (V, bool) {
 
 // Put installs a single component's payload under the component's
 // current (key, generation, membership), overwriting any previous
-// entry in place. A nil cache is a no-op.
+// entry in place.
 func (c *Cache[V]) Put(comp *ground.Component, value V) {
-	if c == nil {
-		return
-	}
 	if e, ok := c.entries[comp.Key]; ok {
 		e.gen, e.atoms, e.value = comp.Gen, comp.Atoms, value
 		return
@@ -284,13 +270,8 @@ func (c *Cache[V]) Put(comp *ground.Component, value V) {
 }
 
 // Gen returns the plan generation the cache was last settled against; 0
-// before the first Settle and for a nil cache.
-func (c *Cache[V]) Gen() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.gen
-}
+// before the first Settle.
+func (c *Cache[V]) Gen() uint64 { return c.gen }
 
 // Settle ends a consumer's pass over p: it drops the entries of
 // components that left the partition, handing each dropped payload to
@@ -299,12 +280,8 @@ func (c *Cache[V]) Gen() uint64 {
 // component it did not reuse, so every component of p is keyed. Chained
 // on the previous generation, what left is exactly the keys the sync
 // retired; across any gap retirements went unobserved, and the surplus
-// keys are found by enumeration — paid for only when there are any. A
-// nil cache is a no-op.
+// keys are found by enumeration — paid for only when there are any.
 func (c *Cache[V]) Settle(p *Plan, gone func(V)) {
-	if c == nil {
-		return
-	}
 	drop := func(key ground.AtomID) {
 		if e, ok := c.entries[key]; ok {
 			if gone != nil {

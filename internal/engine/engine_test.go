@@ -68,22 +68,6 @@ func TestCacheLookupInvariant(t *testing.T) {
 	}
 }
 
-// TestNilCache: a nil cache never hits, ignores Put/Settle/Each and
-// has generation 0 — the cacheless one-shot path.
-func TestNilCache(t *testing.T) {
-	var c *Cache[int]
-	comps := []ground.Component{comp(0, 1, 0)}
-	if _, ok := c.Lookup(&comps[0]); ok {
-		t.Error("nil cache returned a payload")
-	}
-	install(c, comps, func(int) int { return 1 }) // must not panic
-	c.Settle(&Plan{Comps: comps, gen: 7}, func(int) { t.Error("nil cache dropped a payload") })
-	if c.Gen() != 0 {
-		t.Errorf("nil cache reports generation %d", c.Gen())
-	}
-	c.Each(func(ground.AtomID, int) { t.Error("nil cache visited an entry") })
-}
-
 // TestCacheEach: every held payload is visited exactly once with its
 // component key, and entries dropped by Settle stop being visited.
 func TestCacheEach(t *testing.T) {
@@ -171,7 +155,7 @@ func TestRunScopedToPositions(t *testing.T) {
 func TestRunPropagatesError(t *testing.T) {
 	p := &Plan{Comps: []ground.Component{comp(0, 1, 0), comp(1, 1, 1)}}
 	boom := errors.New("boom")
-	_, _, err := Run[int](p, allOf(p), 1, nil,
+	_, _, err := Run(p, allOf(p), 1, NewCache[int](),
 		func(i int, v int) (int, bool) { return v, true },
 		func(i int) (int, error) {
 			if i == 1 {
@@ -223,11 +207,10 @@ func TestSizeAggAccounting(t *testing.T) {
 }
 
 // pairNetwork builds n evidence atoms in conflicting pairs — (0,1),
-// (2,3), … — over a component-indexed clause set: n/2 components.
+// (2,3), … — over one clause set: n/2 components.
 func pairNetwork(n int) (*ground.AtomTable, *ground.ClauseSet) {
 	atoms := ground.NewAtomTable(store.New())
 	cs := ground.NewClauseSet()
-	cs.EnableComponentIndex()
 	for i := 0; i < n; i++ {
 		atoms.InternEvidence(rdf.FactKey{S: rdf.NewIRI(fmt.Sprintf("s%d", i)), P: rdf.NewIRI("p")}, 0.8, store.FactID(i))
 	}

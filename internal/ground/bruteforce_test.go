@@ -396,7 +396,6 @@ func TestGrounderMatchesNaiveOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs.EnableAtomIndex()
 			checkAgainstOracle(t, label+" cold", g, cs, naiveGround(t, st, prog))
 
 			epoch := st.Epoch()

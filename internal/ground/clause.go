@@ -142,8 +142,9 @@ func (c *Clause) sameKey(lits []Lit, rule string) bool {
 // every clause mentioning a retracted atom (a grounding's participating
 // atoms all appear among its literals, so atom membership is exactly
 // grounding membership), and a later Add of the same grounding revives
-// the slot. EnableAtomIndex turns on the atom → clause index this needs;
-// transient clause sets skip the bookkeeping.
+// the slot. From its first clause a set keeps the atom → clause index
+// this needs, its tombstone flags and its conflict-component index (see
+// components.go).
 type ClauseSet struct {
 	clauses []Clause
 	dead    []bool
@@ -157,19 +158,15 @@ type ClauseSet struct {
 	indexSpill []int32
 	// byAtom maps an atom to the clause positions mentioning it (live or
 	// dead): a dense slice indexed by AtomID — atom ids are dense, so
-	// the slice replaces a hash map without waste. Maintained only once
-	// EnableAtomIndex set atomIndexed.
-	byAtom      [][]int32
-	atomIndexed bool
-	// comps tracks conflict components incrementally; nil until
-	// EnableComponentIndex or Components switches it on (see
-	// components.go).
+	// the slice replaces a hash map without waste.
+	byAtom [][]int32
+	// comps tracks conflict components incrementally.
 	comps *componentIndex
 }
 
 // NewClauseSet returns an empty clause set.
 func NewClauseSet() *ClauseSet {
-	return &ClauseSet{index: make(map[uint64]int32)}
+	return &ClauseSet{index: make(map[uint64]int32), comps: newComponentIndex()}
 }
 
 // NewClauseSetSized returns an empty clause set pre-sized for about hint
@@ -182,6 +179,8 @@ func NewClauseSetSized(hint int) *ClauseSet {
 	return &ClauseSet{
 		index:   make(map[uint64]int32, hint),
 		clauses: make([]Clause, 0, hint),
+		dead:    make([]bool, 0, hint),
+		comps:   newComponentIndex(),
 	}
 }
 
@@ -210,22 +209,13 @@ func (cs *ClauseSet) findSlot(h uint64, lits []Lit, rule string) (int, bool) {
 	return 0, false
 }
 
-// EnableAtomIndex switches on the atom → clause index required by
-// RemoveAtoms and SupportScan, indexing already-present clauses.
-func (cs *ClauseSet) EnableAtomIndex() {
-	if cs.atomIndexed {
-		return
-	}
-	cs.atomIndexed = true
-	for at := range cs.clauses {
-		cs.indexAtoms(at)
-	}
-}
+// EnableAtomIndex does nothing: every clause set keeps its atom index
+// from its first clause.
+//
+// Deprecated: kept only until bench/ can be edited.
+func (cs *ClauseSet) EnableAtomIndex() {}
 
 func (cs *ClauseSet) indexAtoms(at int) {
-	if !cs.atomIndexed {
-		return
-	}
 	for _, l := range cs.clauses[at].Lits {
 		if n := int(l.Atom) + 1; n > len(cs.byAtom) {
 			if n <= cap(cs.byAtom) {
@@ -262,14 +252,14 @@ func (cs *ClauseSet) Add(c Clause) bool {
 	}
 	h := keyHash(c.Lits, c.Rule)
 	if at, ok := cs.findSlot(h, c.Lits, c.Rule); ok {
-		if cs.dead != nil && cs.dead[at] {
+		if cs.dead[at] {
 			// Revive: the grounding returns after its atoms came back;
 			// this emission replaces the dropped aggregate.
 			c.Lits = ownLits(c.Lits)
 			cs.clauses[at] = c
 			cs.dead[at] = false
 			cs.nDead--
-			cs.noteClause(at)
+			cs.comps.noteClause(c.Lits)
 			return true
 		}
 		if !cs.clauses[at].Hard() && !c.Hard() {
@@ -277,7 +267,7 @@ func (cs *ClauseSet) Add(c Clause) bool {
 		} else if c.Hard() {
 			cs.clauses[at].Weight = math.Inf(1)
 		}
-		cs.noteClause(at)
+		cs.comps.noteClause(c.Lits)
 		return true
 	}
 	at := int32(len(cs.clauses))
@@ -296,30 +286,15 @@ func (cs *ClauseSet) Add(c Clause) bool {
 		cs.clauses = grown
 	}
 	cs.clauses = append(cs.clauses, c)
-	if cs.dead != nil {
-		cs.dead = append(cs.dead, false)
-	}
+	cs.dead = append(cs.dead, false)
 	cs.indexAtoms(len(cs.clauses) - 1)
-	cs.noteClause(len(cs.clauses) - 1)
+	cs.comps.noteClause(c.Lits)
 	return true
 }
 
-// noteClause forwards a clause mutation at slot at to the component
-// index: the clause's atoms merge into one component and its generation
-// advances.
-func (cs *ClauseSet) noteClause(at int) {
-	if cs.comps != nil {
-		cs.comps.noteClause(cs.clauses[at].Lits)
-	}
-}
-
 // RemoveAtoms tombstones every live clause mentioning any of the given
-// atoms, returning the number dropped. EnableAtomIndex must have been
-// called.
+// atoms, returning the number dropped.
 func (cs *ClauseSet) RemoveAtoms(atoms []AtomID) int {
-	if cs.dead == nil {
-		cs.dead = make([]bool, len(cs.clauses))
-	}
 	removed := 0
 	for _, a := range atoms {
 		for _, at := range cs.clausesOf(a) {
@@ -329,11 +304,9 @@ func (cs *ClauseSet) RemoveAtoms(atoms []AtomID) int {
 				removed++
 			}
 		}
-		if cs.comps != nil {
-			// The atom's component lost clauses and may have split; it is
-			// re-derived lazily at the next Components call.
-			cs.comps.noteRemoval(a)
-		}
+		// The atom's component lost clauses and may have split; it is
+		// re-derived lazily at the next Components call.
+		cs.comps.noteRemoval(a)
 	}
 	return removed
 }
@@ -351,7 +324,7 @@ func (cs *ClauseSet) ForEach(fn func(*Clause) bool) {
 // tables, sized by SlotCount).
 func (cs *ClauseSet) ForEachSlot(fn func(int32, *Clause) bool) {
 	for at := range cs.clauses {
-		if cs.dead != nil && cs.dead[at] {
+		if cs.dead[at] {
 			continue
 		}
 		if !fn(int32(at), &cs.clauses[at]) {
@@ -389,7 +362,7 @@ func (cs *ClauseSet) SlotCount() int { return len(cs.clauses) }
 // reads rule groundings as derivation records.
 func (cs *ClauseSet) SupportScan(a AtomID, fn func(head AtomID, c *Clause) bool) {
 	for _, at := range cs.clausesOf(a) {
-		if cs.dead != nil && cs.dead[at] {
+		if cs.dead[at] {
 			continue
 		}
 		c := &cs.clauses[at]

@@ -107,12 +107,11 @@ type componentIndex struct {
 	dirty   map[AtomID]bool
 	nextGen uint32
 
-	// changed, when tracking is on, accumulates every root whose
-	// component was touched since the last drain — generation bumps,
-	// merged-away roots, resplit pieces. The maintained solve plan
+	// changed, once EnableChangeLog made it, accumulates every root
+	// whose component was touched since the last drain — generation
+	// bumps, merged-away roots, resplit pieces. The maintained solve plan
 	// drains it to re-list only the components that moved.
-	tracking bool
-	changed  map[AtomID]bool
+	changed map[AtomID]bool
 
 	// resplit scratch, reused across calls so the steady-state
 	// single-fact plan path stays allocation-free.
@@ -128,7 +127,7 @@ func newComponentIndex() *componentIndex {
 
 // note records a changed root for the maintained plan's drain.
 func (ci *componentIndex) note(root AtomID) {
-	if ci.tracking {
+	if ci.changed != nil {
 		ci.changed[root] = true
 	}
 }
@@ -211,43 +210,29 @@ func (ci *componentIndex) touch(a AtomID) {
 	ci.dirty[root] = true
 }
 
-// EnableComponentIndex switches on incremental conflict-component
-// tracking (implies EnableAtomIndex, which lazy split detection needs),
-// indexing already-present clauses.
-func (cs *ClauseSet) EnableComponentIndex() {
-	if cs.comps != nil {
-		return
-	}
-	cs.EnableAtomIndex()
-	cs.comps = newComponentIndex()
-	cs.ForEach(func(c *Clause) bool {
-		cs.comps.noteClause(c.Lits)
-		return true
-	})
-}
+// EnableComponentIndex does nothing: every clause set keeps its
+// conflict-component index from its first clause.
+//
+// Deprecated: kept only until bench/ can be edited.
+func (cs *ClauseSet) EnableComponentIndex() {}
 
 // TouchAtom bumps the generation of the component containing atom a and
 // schedules it for lazy re-derivation. The incremental grounder calls it
 // whenever an atom's evidence state or confidence changes (including
 // retraction and revival), so component solution caches see the
-// subproblem change even though no clause did. A no-op without the
-// component index.
-func (cs *ClauseSet) TouchAtom(a AtomID) {
-	if cs.comps != nil {
-		cs.comps.touch(a)
-	}
-}
+// subproblem change even though no clause did.
+func (cs *ClauseSet) TouchAtom(a AtomID) { cs.comps.touch(a) }
 
 // EnableChangeLog switches on changed-root tracking for the maintained
 // solve plan: from now on every component mutation (merge, removal,
 // touch, resplit) records the affected roots, and DrainChangedRoots
-// hands them to the planner. Requires EnableComponentIndex.
+// hands them to the planner. It stays off until the planner's first
+// build because logging every root of a cold ground costs more than
+// the one rebuild that consumes the log.
 func (cs *ClauseSet) EnableChangeLog() {
-	if cs.comps == nil || cs.comps.tracking {
-		return
+	if cs.comps.changed == nil {
+		cs.comps.changed = make(map[AtomID]bool)
 	}
-	cs.comps.tracking = true
-	cs.comps.changed = make(map[AtomID]bool)
 }
 
 // DrainChangedRoots invokes fn for every root logged since the last
@@ -255,9 +240,6 @@ func (cs *ClauseSet) EnableChangeLog() {
 // position) and clears the log. Returns the number of roots drained.
 func (cs *ClauseSet) DrainChangedRoots(fn func(AtomID)) int {
 	ci := cs.comps
-	if ci == nil || !ci.tracking {
-		return 0
-	}
 	n := len(ci.changed)
 	for r := range ci.changed {
 		fn(r)
@@ -274,15 +256,15 @@ func (cs *ClauseSet) DrainChangedRoots(fn func(AtomID)) int {
 // A no-op when nothing is dirty.
 func (cs *ClauseSet) ResolveSplits(candidates []AtomID) {
 	ci := cs.comps
-	if ci == nil || len(ci.dirty) == 0 {
+	if len(ci.dirty) == 0 {
 		return
 	}
 	cs.resplit(ci, candidates)
 }
 
 // Find returns the current component root of atom a (atoms in no clause
-// are their own root). Requires EnableComponentIndex; pending splits
-// must be resolved first for the answer to be final.
+// are their own root). Pending splits must be resolved first for the
+// answer to be final.
 func (cs *ClauseSet) Find(a AtomID) AtomID { return cs.comps.find(a) }
 
 // RootGen returns the generation of the component rooted at root.
@@ -297,13 +279,11 @@ func (cs *ClauseSet) RootGen(root AtomID) uint64 {
 // ordered by their first atom in the input order, each listing its atoms
 // in input order.
 //
-// The partition is the component index's: Components switches it on
-// (EnableComponentIndex, idempotent), so it is maintained incrementally
-// and generations persist across calls — pending splits from clause
-// removals are resolved here, lazily, by re-deriving only the dirty
-// components from the atom index.
+// The partition is the component index's, maintained incrementally
+// from the set's first clause, so generations persist across calls —
+// pending splits from clause removals are resolved here, lazily, by
+// re-deriving only the dirty components from the atom index.
 func (cs *ClauseSet) Components(order []AtomID) []Component {
-	cs.EnableComponentIndex()
 	ci := cs.comps
 	if len(ci.dirty) > 0 {
 		cs.resplit(ci, order)
@@ -328,18 +308,14 @@ func (cs *ClauseSet) Components(order []AtomID) []Component {
 	return comps
 }
 
-// HasAtomIndex reports whether EnableAtomIndex was called — the
-// prerequisite for ComponentClauses' index-driven gathering.
-func (cs *ClauseSet) HasAtomIndex() bool { return cs.atomIndexed }
-
 // ComponentClauses returns the live clauses of one conflict component in
 // canonical order, remapped through local into the component's dense
 // variable space (local must return the component-local variable of
 // every component atom; values for other atoms are never requested).
-// atoms must span the component, and EnableAtomIndex must have been
-// called: the gather walks only the component's own clauses, so
-// collecting the subproblems of the dirty components costs time
-// proportional to those components — not the clause set.
+// atoms must span the component: the gather walks only the component's
+// own clauses through the atom index, so collecting the subproblems of
+// the dirty components costs time proportional to those components —
+// not the clause set.
 //
 // Local variable numbering follows the component's canonical atom order
 // and the clauses are sorted (literals within a clause by variable,
@@ -388,25 +364,18 @@ func (cs *ClauseSet) ComponentClauses(atoms []AtomID, local func(AtomID) int32) 
 // clauses, in the same relative order ForEachSlot would visit them —
 // which is what keeps per-component read-outs byte-identical to
 // whole-graph ones. Gather once and iterate with ForEachSlots as often
-// as needed. EnableAtomIndex must have been called. Safe to call
-// concurrently for disjoint components.
+// as needed. Safe to call concurrently for disjoint components.
 func (cs *ClauseSet) ComponentSlots(atoms []AtomID) []int32 {
 	var slots []int32
-	seen := make(map[int32]bool)
 	for _, a := range atoms {
 		for _, at := range cs.clausesOf(a) {
-			if cs.dead != nil && cs.dead[at] {
-				continue
+			if !cs.dead[at] {
+				slots = append(slots, at)
 			}
-			if seen[at] {
-				continue
-			}
-			seen[at] = true
-			slots = append(slots, at)
 		}
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	return slots
+	slices.Sort(slots)
+	return slices.Compact(slots)
 }
 
 // ForEachSlots invokes fn for the given clause slots in order, until fn
@@ -461,7 +430,7 @@ func (cs *ClauseSet) resplit(ci *componentIndex, live []AtomID) {
 	}
 	for _, a := range atoms {
 		for _, at := range cs.clausesOf(a) {
-			if cs.dead != nil && cs.dead[at] {
+			if cs.dead[at] {
 				continue
 			}
 			for _, l := range cs.clauses[at].Lits {

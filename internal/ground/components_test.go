@@ -23,30 +23,24 @@ func compAtoms(comps []Component) [][]AtomID {
 }
 
 func TestComponentsPartition(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		cs := NewClauseSet()
-		if indexed {
-			cs.EnableComponentIndex()
-		}
-		cs.Add(hardClause("a", 0, 1))
-		cs.Add(hardClause("b", 1, 2))
-		cs.Add(hardClause("c", 3, 4))
-		comps := cs.Components([]AtomID{0, 1, 2, 3, 4, 5})
-		want := [][]AtomID{{0, 1, 2}, {3, 4}, {5}}
-		if got := compAtoms(comps); !reflect.DeepEqual(got, want) {
-			t.Fatalf("indexed=%v: components = %v, want %v", indexed, got, want)
-		}
-		for i, key := range []AtomID{0, 3, 5} {
-			if comps[i].Key != key {
-				t.Fatalf("indexed=%v: component %d key = %d, want %d", indexed, i, comps[i].Key, key)
-			}
+	cs := NewClauseSet()
+	cs.Add(hardClause("a", 0, 1))
+	cs.Add(hardClause("b", 1, 2))
+	cs.Add(hardClause("c", 3, 4))
+	comps := cs.Components([]AtomID{0, 1, 2, 3, 4, 5})
+	want := [][]AtomID{{0, 1, 2}, {3, 4}, {5}}
+	if got := compAtoms(comps); !reflect.DeepEqual(got, want) {
+		t.Fatalf("components = %v, want %v", got, want)
+	}
+	for i, key := range []AtomID{0, 3, 5} {
+		if comps[i].Key != key {
+			t.Fatalf("component %d key = %d, want %d", i, comps[i].Key, key)
 		}
 	}
 }
 
 func TestComponentsMergeBumpsGeneration(t *testing.T) {
 	cs := NewClauseSet()
-	cs.EnableComponentIndex()
 	cs.Add(hardClause("a", 0, 1))
 	cs.Add(hardClause("b", 2, 3))
 	order := []AtomID{0, 1, 2, 3}
@@ -70,7 +64,6 @@ func TestComponentsMergeBumpsGeneration(t *testing.T) {
 
 func TestComponentsWeightMergeBumpsGeneration(t *testing.T) {
 	cs := NewClauseSet()
-	cs.EnableComponentIndex()
 	cs.Add(Clause{Lits: []Lit{{Atom: 0, Neg: true}, {Atom: 1, Neg: true}}, Weight: 1, Rule: "r"})
 	g1 := cs.Components([]AtomID{0, 1})[0].Gen
 	// Same grounding again: weights merge, the subproblem changes.
@@ -83,7 +76,6 @@ func TestComponentsWeightMergeBumpsGeneration(t *testing.T) {
 
 func TestComponentsLazySplit(t *testing.T) {
 	cs := NewClauseSet()
-	cs.EnableComponentIndex()
 	cs.Add(hardClause("a", 0, 1))
 	cs.Add(hardClause("b", 1, 2))
 	cs.Add(hardClause("c", 3, 4))
@@ -117,7 +109,6 @@ func TestComponentsLazySplit(t *testing.T) {
 
 func TestTouchAtomBumpsGeneration(t *testing.T) {
 	cs := NewClauseSet()
-	cs.EnableComponentIndex()
 	cs.Add(hardClause("a", 0, 1))
 	order := []AtomID{0, 1, 2}
 	before := cs.Components(order)

@@ -34,7 +34,7 @@ func syncStore(t *testing.T, g *Grounder, cs *ClauseSet, prog *logic.Program, ep
 }
 
 // groundCold builds a grounder over st at the given parallelism and
-// closes and grounds prog into an indexed clause set.
+// closes and grounds prog into a clause set.
 func groundCold(t *testing.T, st *store.Store, prog *logic.Program, workers int) (*Grounder, *ClauseSet) {
 	t.Helper()
 	g := New(st)
@@ -46,7 +46,6 @@ func groundCold(t *testing.T, st *store.Store, prog *logic.Program, workers int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.EnableComponentIndex()
 	return g, cs
 }
 

@@ -54,14 +54,6 @@ func NewComponentCache() *ComponentCache {
 	return &ComponentCache{comps: engine.NewCache[compEntry]()}
 }
 
-// store returns the underlying per-component solution cache; nil-safe.
-func (c *ComponentCache) store() *engine.Cache[compEntry] {
-	if c == nil {
-		return nil
-	}
-	return c.comps
-}
-
 // compEval is one component's contribution to the solve-level read-out:
 // its violated soft weight, hard feasibility and violation counts (viol
 // is nil when the component violates nothing) — priors folded in the
@@ -143,11 +135,12 @@ func (g *stateAgg) reset() {
 // separately; forward chaining and grounding are the caller's
 // responsibility (Close/GroundProgram, or CloseDelta/GroundDelta on a
 // session engine). warm, when non-nil, is the previous MAP state by atom
-// id (used as a per-component warm start); cache, when non-nil, is
-// consulted for unchanged components and updated with this solve's
-// solutions. plan, when non-nil, is the shared decomposition built by
-// the caller (so solver and repair stages see the identical partition);
-// nil builds one here.
+// id (used as a per-component warm start; nil is a cold start). plan is
+// the shared decomposition built by the caller (engine.NewPlan or a
+// Planner sync), so solver and repair stages see the identical
+// partition; cache is consulted for unchanged components and updated
+// with this solve's solutions (NewComponentCache for a one-off solve).
+// Both are required.
 //
 // The components in the plan's scope for the cache's generation are
 // solved with the engine their size calls for, and the assignments
@@ -167,10 +160,7 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 	g.Parallelism = opts.Parallelism
 	start := time.Now()
 	atoms := g.Atoms()
-	if plan == nil {
-		plan = engine.NewPlan(atoms, cs)
-	}
-	store := cache.store()
+	store := cache.comps
 	var have uint64
 	if warm != nil {
 		have = store.Gen()
@@ -190,10 +180,7 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 	}
 
 	truth := make([]bool, atoms.Len())
-	agg := &stateAgg{} // without a cache to carry them the totals are local
-	if cache != nil {
-		agg = &cache.agg
-	}
+	agg := &cache.agg
 	if delta {
 		copy(truth, warm)
 		for _, a := range plan.RetractedAtoms() {

@@ -166,7 +166,6 @@ func toMaxsatClause(c ground.Clause) maxsat.Clause {
 // interned and retracted other atoms on the way — hand the solver the
 // identical problem: the same exact-vs-local choice, the same
 // local-search walk and the same tie-break among equal-cost optima.
-// cs's atom index is switched on if it is not already.
 func CuttingPlane(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.MaxSAT.Parallelism == 0 {
@@ -181,7 +180,6 @@ func CuttingPlane(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options) (
 			base = append(base, c)
 		}
 	}
-	cs.EnableAtomIndex()
 	clauses, _ := cs.ComponentClauses(order, func(a ground.AtomID) int32 { return varOf[a] })
 	added := make([]bool, len(clauses))
 	var ruleClauses []maxsat.Clause

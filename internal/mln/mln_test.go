@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/logic"
 	"repro/internal/rdf"
@@ -32,7 +33,8 @@ CR coach Napoli [2001,2003] 0.6
 }
 
 // mapFull closes g under the program's inference rules, grounds the full
-// program and solves it per conflict component, without a cache.
+// program and solves it per conflict component on a fresh plan and an
+// empty cache.
 func mapFull(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
 	if _, err := g.Close(prog); err != nil {
 		return nil, err
@@ -41,7 +43,7 @@ func mapFull(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return MAPGroundComponents(g, cs, opts, nil, nil, nil)
+	return MAPGroundComponents(g, cs, opts, nil, NewComponentCache(), engine.NewPlan(g.Atoms(), cs))
 }
 
 // mapCPI closes g under the program's inference rules, grounds it fully
@@ -123,12 +125,12 @@ func TestRunningExample(t *testing.T) {
 		if len(res.RuleViolations) != 0 {
 			t.Errorf("cpi=%v: final state violates %v", cpi, res.RuleViolations)
 		}
-		// The one-shot full-grounding solve is the component pipeline
-		// without a cache (it used to nil-deref there): it must report the
-		// decomposition and fill the violation map from its own fold.
+		// The one-shot full-grounding solve is the component pipeline on
+		// an empty cache: it must report the decomposition and fill the
+		// violation map from its own fold.
 		if !cpi && (res.Components == nil || res.Components.Solved != res.Components.Count ||
 			res.Components.Count == 0 || res.RuleViolations == nil || !res.Optimal) {
-			t.Errorf("cache-less component solve: components %+v, violations %v, optimal %v",
+			t.Errorf("one-shot component solve: components %+v, violations %v, optimal %v",
 				res.Components, res.RuleViolations, res.Optimal)
 		}
 	}

@@ -51,14 +51,6 @@ func NewComponentCache() *ComponentCache {
 	return &ComponentCache{comps: engine.NewCache[compEntry]()}
 }
 
-// store returns the underlying per-component iterate cache; nil-safe.
-func (c *ComponentCache) store() *engine.Cache[compEntry] {
-	if c == nil {
-		return nil
-	}
-	return c.comps
-}
-
 // cacheAgg summarises every cached record as of the generation the
 // cache was last settled against: the component sizes, for the
 // statistics, and how many records did not converge, which decides
@@ -113,11 +105,12 @@ type compState struct {
 // conflict component; forward chaining and grounding are the caller's
 // responsibility (Close/GroundProgram, or CloseDelta/GroundDelta on a
 // session engine). warm, when non-nil, is the previous solve's state
-// (dirty components are warm-started from it); cache, when non-nil, is
-// consulted for unchanged components and updated with this solve's
-// iterates. plan, when non-nil, is the shared decomposition built by the
-// caller; nil builds one here. The returned Warm — warm itself, updated
-// in place, or a fresh one when warm is nil — feeds the next solve.
+// (dirty components are warm-started from it; nil is a cold start).
+// plan is the shared decomposition built by the caller (engine.NewPlan
+// or a Planner sync); cache is consulted for unchanged components and
+// updated with this solve's iterates (NewComponentCache for a one-off
+// solve). Both are required. The returned Warm — warm itself, updated in
+// place, or a fresh one when warm is nil — feeds the next solve.
 //
 // Under a change-set scope (cache exactly one sync behind a maintained
 // plan, every cached record converged, the previous state in hand) the
@@ -133,14 +126,7 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 	g.Parallelism = opts.Parallelism
 	start := time.Now()
 	atoms := g.Atoms()
-	if plan == nil {
-		plan = engine.NewPlan(atoms, cs)
-	}
-	store := cache.store()
-	agg := &cacheAgg{} // without a cache to carry them the totals are local
-	if cache != nil {
-		agg = &cache.agg
-	}
+	store, agg := cache.comps, &cache.agg
 	var have uint64
 	if warm != nil && agg.unconverged == 0 {
 		have = store.Gen()

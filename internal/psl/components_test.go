@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/rdf"
 	"repro/internal/rulelang"
@@ -67,7 +68,7 @@ func TestComponentsMatchOneComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := MAPGroundComponents(g, cs, opts, nil, nil, nil)
+		res, _, err := MAPGroundComponents(g, cs, opts, nil, NewComponentCache(), engine.NewPlan(g.Atoms(), cs))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/logic"
 	"repro/internal/rdf"
@@ -32,8 +33,8 @@ CR coach Napoli [2001,2003] 0.6
 }
 
 // mapFull closes g under the program's inference rules, grounds the full
-// program and solves it per conflict component, without warm state or a
-// cache.
+// program and solves it per conflict component, without warm state, on
+// a fresh plan and an empty cache.
 func mapFull(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, error) {
 	if _, err := g.Close(prog); err != nil {
 		return nil, err
@@ -42,7 +43,7 @@ func mapFull(g *ground.Grounder, prog *logic.Program, opts Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := MAPGroundComponents(g, cs, opts, nil, nil, nil)
+	res, _, err := MAPGroundComponents(g, cs, opts, nil, NewComponentCache(), engine.NewPlan(g.Atoms(), cs))
 	return res, err
 }
 

@@ -42,7 +42,6 @@ func newPipeline(t *testing.T, st *store.Store, prog *logic.Program, maintained 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.EnableComponentIndex()
 	p.cs = cs
 	if maintained {
 		p.planner = engine.NewPlanner()

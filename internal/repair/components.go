@@ -37,8 +37,7 @@ import (
 // live outcome those records sum to (see live.go), plus the reusable
 // confidence scratch buffer (per-update allocation churn on the
 // read-out hot path shows up directly in repair-stage latency).
-// Construct with NewComponentCache; a nil cache means no reuse and a
-// from-scratch assembled Outcome. Not safe for concurrent use. The
+// Construct with NewComponentCache. Not safe for concurrent use. The
 // cache must be dropped when anything outside the (generation, truth)
 // invariant changes the read-out: a threshold, solver kernel or tuning
 // change, or a ColdStart (core.Session does this).
@@ -74,21 +73,9 @@ func NewComponentCache() *ComponentCache {
 	}
 }
 
-// store returns the per-component records; nil-safe (a nil store never
-// hits and ignores Put and Settle).
-func (c *ComponentCache) store() *engine.Cache[compUnit] {
-	if c == nil {
-		return nil
-	}
-	return c.units
-}
-
 // confScratch returns a zero-filling-free confidence buffer covering n
 // atoms; units overwrite their own scope's entries before reading them.
 func (c *ComponentCache) confScratch(n int) []float64 {
-	if c == nil {
-		return make([]float64, n)
-	}
 	if cap(c.conf) < n {
 		c.conf = make([]float64, n)
 	}
@@ -108,14 +95,14 @@ type compUnit struct {
 // ResolveComponents interprets the translator output as a conflict
 // resolution computed per conflict component, reusing cached
 // per-component read-outs for components whose subproblem and MAP
-// assignment are unchanged. plan, when non-nil, is the shared
-// decomposition the solver stage already built; nil builds one here.
-// With a cache the Outcome is delta-patched onto its live lists; without
-// one it is assembled from scratch. Either way it is byte-identical to
-// whole-graph Resolve over the same state, at every Parallelism setting.
-// The output must carry the solve's atom-indexed clause set (every
-// session solve does). The program is not consulted — rule groundings
-// are read from the clause set.
+// assignment are unchanged. plan is the shared decomposition the solver
+// stage already built and cache the session's read-out state
+// (NewComponentCache for a one-off read-out); both are required. The
+// Outcome is delta-patched onto the cache's live lists and is
+// byte-identical to whole-graph Resolve over the same state, at every
+// Parallelism setting. The output must carry the solve's clause set
+// (every session solve does). The program is not consulted — rule
+// groundings are read from the clause set.
 func ResolveComponents(out *translate.Output, _ *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache) (*Outcome, error) {
 	run, err := BeginComponents(out, opts, plan, cache)
 	if err != nil {
@@ -130,15 +117,14 @@ func ResolveComponents(out *translate.Output, _ *logic.Program, opts Options, pl
 // cache's records, Finish brings the Outcome in line with them. The split
 // lets the session profile and time the two under their own pipeline
 // stage labels ("repair" / "outcome"). Finish must follow every
-// successful BeginComponents on a cache.
+// successful BeginComponents.
 type ComponentRun struct {
 	oc    *Outcome
 	atoms *ground.AtomTable
 	cache *ComponentCache
 	// subtract are the records leaving the outcome (stale records of
 	// re-repaired components, and records of components that left the
-	// partition); add are the units entering it — with a nil cache, every
-	// unit of the pass.
+	// partition); add are the units entering it.
 	subtract []held
 	add      []*unit
 	start    time.Time
@@ -149,8 +135,8 @@ type ComponentRun struct {
 // records the fresh units in the cache, leaving the Outcome to Finish.
 // See ResolveComponents for semantics.
 func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cache *ComponentCache) (*ComponentRun, error) {
-	if out.Clauses == nil || !out.Clauses.HasAtomIndex() {
-		return nil, fmt.Errorf("repair: component read-out needs the solve's atom-indexed clause set (solver %v kept none)", out.Solver)
+	if out.Clauses == nil {
+		return nil, fmt.Errorf("repair: component read-out needs the solve's clause set (solver %v kept none)", out.Solver)
 	}
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -159,17 +145,13 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	rs.Mode = RepairComponents
 
 	atoms := out.Grounder.Atoms()
-	if plan == nil {
-		plan = engine.NewPlan(atoms, out.Clauses)
-	}
 	// The change-set scope needs every link of the chain: the solver
 	// vouches that truth outside it is bit-identical to the previous solve
 	// (TruthDelta), and Scope requires the cache to have been settled
-	// against the previous generation. Any gap scopes every component — as
-	// does a nil cache, whose assembly needs every unit.
+	// against the previous generation. Any gap scopes every component.
 	var have uint64
 	if out.TruthDelta() {
-		have = cache.store().Gen()
+		have = cache.units.Gen()
 	}
 	scope, _ := plan.Scope(have)
 	// Shared across units: each writes only its own component's atoms,
@@ -177,7 +159,7 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	conf := cache.confScratch(atoms.Len())
 
 	analysisStart := time.Now()
-	units, cached, err := engine.Run(plan, scope, opts.Parallelism, cache.store(),
+	units, cached, err := engine.Run(plan, scope, opts.Parallelism, cache.units,
 		func(i int, e compUnit) (compUnit, bool) {
 			// The generation covers clauses and evidence state; the MAP
 			// state is the solver's to change, so compare it explicitly
@@ -193,9 +175,7 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	rs.Analysis = time.Since(analysisStart)
 	run := &ComponentRun{oc: oc, atoms: atoms, cache: cache, start: start}
 	run.subtract, run.add = cache.record(plan, scope, units, cached)
-	if cache != nil {
-		cache.truth, cache.values = out.Truth, out.SoftValues
-	}
+	cache.truth, cache.values = out.Truth, out.SoftValues
 	// Every component that was not re-repaired is a cache reuse.
 	rs.Repaired = len(run.add)
 	rs.Components = len(plan.Comps)
@@ -208,10 +188,9 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 // is returned for subtraction — and Settle retires the records of
 // components that left the partition. A fresh unit is returned as added
 // and stored as its held ids only. units and cached are indexed by
-// position in scope. A nil cache holds nothing: every unit is returned
-// as added.
+// position in scope.
 func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUnit, cached []bool) (subtract []held, add []*unit) {
-	store := c.store()
+	store := c.units
 	for k, ci := range scope {
 		if cached[k] {
 			continue
@@ -222,10 +201,8 @@ func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUn
 		}
 		e := units[k]
 		add = append(add, e.fresh)
-		if store != nil {
-			e.held, e.fresh = e.fresh.hold(), nil
-			store.Put(comp, e)
-		}
+		e.held, e.fresh = e.fresh.hold(), nil
+		store.Put(comp, e)
 	}
 	store.Settle(plan, func(u compUnit) { subtract = append(subtract, u.held) })
 	return subtract, add
@@ -261,30 +238,19 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 	return compUnit{fresh: &u}
 }
 
-// Finish produces the Outcome from the analysis phase: the sort/merge
-// assembly of every unit without a cache; otherwise the cache's live
+// Finish produces the Outcome from the analysis phase: the cache's live
 // lists are patched — subtract the leaving units, splice in the entering
 // ones — and materialized, and the records of that churn are returned,
-// undecoded, as the update's changelog. Either way the Outcome and the
-// changelog render their records through a view of the atom table
-// captured here, so Finish must run where the table has no writer (the
-// session lock); what it returns is then safe to read from any goroutine
-// while later solves intern new atoms.
+// undecoded, as the update's changelog. The Outcome and the changelog
+// render their records through a view of the atom table captured here,
+// so Finish must run where the table has no writer (the session lock);
+// what it returns is then safe to read from any goroutine while later
+// solves intern new atoms.
 func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta) {
 	oc, c := r.oc, r.cache
 	rs, os := oc.Stats.Repair, oc.Stats.Outcome
 	os.Patched = len(r.add)
 	view := r.atoms.KeyView()
-	if c == nil {
-		mergeStart := time.Now()
-		assembleOutcome(oc, r.add, view)
-		rs.Merge = time.Since(mergeStart)
-		os.Merge = rs.Merge
-		os.Total = rs.Merge
-		rs.Total = time.Since(r.start)
-		return oc, nil
-	}
-
 	indexStart := time.Now()
 	d := c.apply(r.subtract, r.add, view)
 	os.Index = time.Since(indexStart)

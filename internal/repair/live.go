@@ -30,9 +30,8 @@ import (
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
 const (
-	// OutcomeAssembled is the from-scratch sort/merge of every read-out
-	// unit (whole-graph Resolve, and ResolveComponents without a cache —
-	// the test oracle).
+	// OutcomeAssembled is the from-scratch sort/merge of the whole-graph
+	// read-out unit: Resolve, the test oracle.
 	OutcomeAssembled = "assembled"
 	// OutcomeLive is the delta-patched read-out: per-component units
 	// applied to the cache's live lists.

@@ -285,8 +285,8 @@ func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, to
 	for i, k := range keys {
 		plan.Comps[i] = ground.Component{Key: k, Gen: ref[k].gen, Atoms: unitAtoms(ref[k].u)}
 	}
-	scope, _ := plan.Scope(c.store().Gen())
-	units, cached, err := engine.Run(plan, scope, 1, c.store(),
+	scope, _ := plan.Scope(c.units.Gen())
+	units, cached, err := engine.Run(plan, scope, 1, c.units,
 		func(i int, e compUnit) (compUnit, bool) { return e, plan.Comps[i].Key != touched },
 		func(i int) (compUnit, error) {
 			u := *ref[plan.Comps[i].Key].u

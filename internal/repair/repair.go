@@ -226,8 +226,8 @@ func (o *Outcome) countLists(removedWeight *exactSum) {
 }
 
 // clauseVisitor walks a scope's live clauses in stable slot order —
-// ForEachSlot for the whole graph, ForEachComponentClause restricted to
-// one component.
+// ForEachSlot for the whole graph, ForEachSlots over a component's
+// ComponentSlots for one component.
 type clauseVisitor func(fn func(slot int32, c *ground.Clause) bool)
 
 // unit is the conflict-resolution read-out of one clause-connected

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/engine"
 	"repro/internal/ground"
 	"repro/internal/mln"
 	"repro/internal/psl"
@@ -78,12 +79,12 @@ func solveOut(t testing.TB, data, rules string, solver translate.Solver, cpi boo
 			out.Truth = out.MLN.Truth
 		}
 	case solver == translate.SolverMLN:
-		out.MLN, err = mln.MAPGroundComponents(g, out.Clauses, mln.Options{}, nil, nil, nil)
+		out.MLN, err = mln.MAPGroundComponents(g, out.Clauses, mln.Options{}, nil, mln.NewComponentCache(), engine.NewPlan(g.Atoms(), out.Clauses))
 		if err == nil {
 			out.Truth = out.MLN.Truth
 		}
 	case solver == translate.SolverPSL:
-		out.PSL, _, err = psl.MAPGroundComponents(g, out.Clauses, psl.Options{}, nil, nil, nil)
+		out.PSL, _, err = psl.MAPGroundComponents(g, out.Clauses, psl.Options{}, nil, psl.NewComponentCache(), engine.NewPlan(g.Atoms(), out.Clauses))
 		if err == nil {
 			out.Truth, out.SoftValues = out.PSL.Truth, out.PSL.Values
 		}

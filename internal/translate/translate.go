@@ -127,8 +127,8 @@ type Output struct {
 	// Clauses is the full ground clause set of the solve. The repair
 	// layer reads rule groundings from it instead of re-joining the
 	// program; a session engine keeps it alive across solves and sets it
-	// on every solve, whichever kernel ran. Only whole-graph
-	// repair.Resolve accepts nil, grounding the program itself.
+	// on every solve, whichever kernel ran. Both repair.Resolve and the
+	// component read-out return an error when it is nil.
 	Clauses *ground.ClauseSet
 	// Truth is the boolean MAP state per atom id. Every kernel returns
 	// a freshly allocated vector and never writes it afterwards — a later

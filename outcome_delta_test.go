@@ -429,9 +429,9 @@ func TestOutcomeDeltaClusterScoped(t *testing.T) {
 }
 
 // TestLiveOutcomeMatchesAssembly: the session's delta-patched outcome
-// must equal the from-scratch sort/merge assembly of every component's
-// read-out unit (repair.ResolveComponents without a live outcome) over
-// the same solver output, on the first solve and after updates.
+// must equal the from-scratch sort/merge assembly of the whole-graph
+// read-out (repair.Resolve, which reports itself as assembled) over the
+// same solver output, on the first solve and after updates.
 func TestLiveOutcomeMatchesAssembly(t *testing.T) {
 	pool := componentPool(3, 3, 233)
 	s := tecore.NewSession()
@@ -459,13 +459,12 @@ func TestLiveOutcomeMatchesAssembly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertLiveByteIdentical(t, step, res, 0)
-		assembled, err := repair.ResolveComponents(res.Output, s.Program(), repair.Options{}, nil, nil)
+		assembled, err := repair.Resolve(res.Output, repair.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ocs := assembled.Stats.Outcome; ocs == nil || ocs.Mode != tecore.OutcomeAssembled {
-			t.Fatalf("step %d: ResolveComponents reported outcome stats %+v", step, ocs)
+			t.Fatalf("step %d: Resolve reported outcome stats %+v", step, ocs)
 		}
 		a, b := *res.Outcome, *assembled
 		a.Stats.Repair, b.Stats.Repair = nil, nil // stage stats differ by design
@@ -473,7 +472,7 @@ func TestLiveOutcomeMatchesAssembly(t *testing.T) {
 		a.Stats.Ground, b.Stats.Ground = nil, nil
 		a.Stats.Plan, b.Stats.Plan = nil, nil
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d: live outcome diverged from the component assembly\nlive:      %+v\nassembled: %+v",
+			t.Fatalf("step %d: live outcome diverged from the whole-graph assembly\nlive:      %+v\nassembled: %+v",
 				step, a.Stats, b.Stats)
 		}
 	}

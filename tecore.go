@@ -206,8 +206,8 @@ const (
 // whose one record per conflict component the global lists always sum
 // to — with the patched/reused component split and the index and merge
 // timings; available as Stats.Outcome. OutcomeAssembled is the
-// from-scratch merge of the read-out entry points called without a
-// cache.
+// from-scratch merge of the whole-graph read-out, repair.Resolve (the
+// test oracle).
 type OutcomeStats = repair.OutcomeStats
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
