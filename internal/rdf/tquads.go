@@ -22,19 +22,21 @@ import (
 
 // ParseGraph reads a whole TQuads document.
 func ParseGraph(r io.Reader) (Graph, error) {
-	return parseGraph(r, 64*1024)
+	return parseGraph(r, 64*1024, 0)
 }
 
 // ParseGraphString is ParseGraph over a string. Its line buffer starts
 // no larger than the string, so parsing the one-line documents of a
-// streamed update does not allocate the 64 KiB a file read starts with.
+// streamed update does not allocate the 64 KiB a file read starts with,
+// and the graph starts with room for one quad per line.
 func ParseGraphString(s string) (Graph, error) {
-	return parseGraph(strings.NewReader(s), min(len(s)+1, 64*1024))
+	return parseGraph(strings.NewReader(s), min(len(s)+1, 64*1024), strings.Count(s, "\n")+1)
 }
 
 // parseGraph scans r with a line buffer of initial capacity size, grown
-// as needed up to 16 MiB per line.
-func parseGraph(r io.Reader, size int) (Graph, error) {
+// as needed up to 16 MiB per line, into a graph allocated with room for
+// lines quads at the first quad (0 leaves append to size it).
+func parseGraph(r io.Reader, size, lines int) (Graph, error) {
 	var g Graph
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, size), 16*1024*1024)
@@ -48,6 +50,9 @@ func parseGraph(r io.Reader, size int) (Graph, error) {
 		q, err := ParseQuad(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		if g == nil && lines > 0 {
+			g = make(Graph, 0, lines)
 		}
 		g = append(g, q)
 	}

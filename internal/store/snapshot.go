@@ -1,12 +1,13 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 
 	"repro/internal/rdf"
@@ -27,6 +28,15 @@ import (
 // watermark is persisted so recovery knows where WAL replay resumes; the
 // trailer is CRC-32C over everything before it. The format is
 // independent of map iteration order and round-trips exactly.
+//
+// Both directions work on byte slices. Encode appends records into one
+// bounded block (snapshotBlock), folds each block into the CRC and
+// writes it, and writes the trailer last, so a save never holds the
+// whole snapshot. Load reads its input once and decodes it with a slice
+// cursor, checks the CRC over the consumed prefix against the trailer
+// (bytes after the trailer are ignored), sizes the dictionary, fact
+// table and dedup index from the header counts and builds each posting
+// index in one counting pass.
 //
 // Version 1 ("TQS1") — live facts only, no epochs, no checksum — has had
 // no writer since the WAL landed and is rejected as unsupported.
@@ -62,107 +72,74 @@ func (st *Store) Checkpoint() *Snapshot {
 // Epoch returns the store epoch the snapshot was pinned at.
 func (sn *Snapshot) Epoch() Epoch { return sn.epoch }
 
-// crcWriter tees every written byte into a running CRC.
-type crcWriter struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-}
+// snapshotBlock bounds Encode's output buffer. Records never straddle
+// blocks, so a block outgrows it only to hold a term longer than that.
+const snapshotBlock = 1 << 16
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc.Write(p[:n])
-	return n, err
-}
+// Encoded record sizes. A fact is three term ids, two chronons, the
+// confidence and two epochs; a term is its kind and three
+// length-prefixed strings. Encode keeps room for the longest fact; Load
+// bounds the counts it presizes for by the shortest records.
+const (
+	maxFactRecord = 7*binary.MaxVarintLen64 + 8
+	minFactRecord = 15
+	minTermRecord = 4
+)
 
-func (cw *crcWriter) WriteByte(b byte) error {
-	if err := cw.w.WriteByte(b); err != nil {
+// Encode writes the snapshot in TQS2 format. It holds no locks. A block
+// is folded into the CRC and written whenever the next record might not
+// fit in it.
+func (sn *Snapshot) Encode(w io.Writer) error {
+	b := make([]byte, 0, snapshotBlock)
+	var crc uint32
+	flush := func() error {
+		crc = crc32.Update(crc, snapshotCRC, b)
+		_, err := w.Write(b)
+		b = b[:0]
 		return err
 	}
-	cw.crc.Write([]byte{b})
+	b = append(b, snapshotMagicV2[:]...)
+	b = binary.AppendUvarint(b, uint64(sn.epoch))
+	b = binary.AppendUvarint(b, uint64(len(sn.terms)-1))
+	for _, t := range sn.terms[1:] {
+		if len(b)+1+3*binary.MaxVarintLen64+len(t.Value)+len(t.Datatype)+len(t.Lang) > snapshotBlock {
+			if err := flush(); err != nil {
+				return fmt.Errorf("store: snapshot: %w", err)
+			}
+		}
+		b = append(b, byte(t.Kind))
+		b = appendString(b, t.Value)
+		b = appendString(b, t.Datatype)
+		b = appendString(b, t.Lang)
+	}
+	b = binary.AppendUvarint(b, uint64(len(sn.facts)))
+	for i := range sn.facts {
+		if len(b)+maxFactRecord > snapshotBlock {
+			if err := flush(); err != nil {
+				return fmt.Errorf("store: snapshot: %w", err)
+			}
+		}
+		f := &sn.facts[i]
+		b = binary.AppendUvarint(b, uint64(f.s))
+		b = binary.AppendUvarint(b, uint64(f.p))
+		b = binary.AppendUvarint(b, uint64(f.o))
+		b = binary.AppendVarint(b, f.iv.Start)
+		b = binary.AppendVarint(b, f.iv.End)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.conf))
+		b = binary.AppendUvarint(b, uint64(f.addedAt))
+		b = binary.AppendUvarint(b, uint64(f.removedAt))
+	}
+	crc = crc32.Update(crc, snapshotCRC, b)
+	b = binary.LittleEndian.AppendUint32(b, crc) // trailer is outside the CRC
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("store: snapshot: %w", err)
+	}
 	return nil
 }
 
-// Encode writes the snapshot in TQS2 format. It holds no locks.
-func (sn *Snapshot) Encode(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &crcWriter{w: bw, crc: crc32.New(snapshotCRC)}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := cw.Write(buf[:n])
-		return err
-	}
-	writeVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := cw.Write(buf[:n])
-		return err
-	}
-	writeString := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(cw, s)
-		return err
-	}
-	fail := func(err error) error { return fmt.Errorf("store: snapshot: %w", err) }
-
-	if _, err := cw.Write(snapshotMagicV2[:]); err != nil {
-		return fail(err)
-	}
-	if err := writeUvarint(uint64(sn.epoch)); err != nil {
-		return fail(err)
-	}
-	if err := writeUvarint(uint64(len(sn.terms) - 1)); err != nil {
-		return fail(err)
-	}
-	for _, t := range sn.terms[1:] {
-		if err := cw.WriteByte(byte(t.Kind)); err != nil {
-			return fail(err)
-		}
-		for _, s := range []string{t.Value, t.Datatype, t.Lang} {
-			if err := writeString(s); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := writeUvarint(uint64(len(sn.facts))); err != nil {
-		return fail(err)
-	}
-	for i := range sn.facts {
-		f := &sn.facts[i]
-		if err := writeUvarint(uint64(f.s)); err != nil {
-			return fail(err)
-		}
-		if err := writeUvarint(uint64(f.p)); err != nil {
-			return fail(err)
-		}
-		if err := writeUvarint(uint64(f.o)); err != nil {
-			return fail(err)
-		}
-		if err := writeVarint(f.iv.Start); err != nil {
-			return fail(err)
-		}
-		if err := writeVarint(f.iv.End); err != nil {
-			return fail(err)
-		}
-		var cb [8]byte
-		binary.LittleEndian.PutUint64(cb[:], math.Float64bits(f.conf))
-		if _, err := cw.Write(cb[:]); err != nil {
-			return fail(err)
-		}
-		if err := writeUvarint(uint64(f.addedAt)); err != nil {
-			return fail(err)
-		}
-		if err := writeUvarint(uint64(f.removedAt)); err != nil {
-			return fail(err)
-		}
-	}
-	var tb [4]byte
-	binary.LittleEndian.PutUint32(tb[:], cw.crc.Sum32())
-	if _, err := bw.Write(tb[:]); err != nil { // trailer is outside the CRC
-		return fail(err)
-	}
-	return bw.Flush()
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // Save writes a binary snapshot of the store in the current (TQS2)
@@ -172,70 +149,98 @@ func (st *Store) Save(w io.Writer) error {
 	return st.Checkpoint().Encode(w)
 }
 
-// snapReader reads snapshot input while folding every consumed byte into
-// a running CRC. It implements io.ByteReader so the binary varint
-// readers can consume it directly; reads never run ahead of consumption,
-// keeping the CRC aligned with the payload regardless of the underlying
-// bufio buffering.
-type snapReader struct {
-	br  *bufio.Reader
-	crc hash.Hash32
+var errVarintOverflow = errors.New("varint overflows 64 bits")
+
+// snapCursor decodes a snapshot held in memory. The first truncated or
+// malformed field sets err and empties the input, so every later read
+// returns zero and callers check err once per record.
+type snapCursor struct {
+	b   []byte // unread input
+	err error
 }
 
-func (r *snapReader) ReadByte() (byte, error) {
-	b, err := r.br.ReadByte()
-	if err == nil {
-		r.crc.Write([]byte{b})
+func (c *snapCursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	return b, err
+	c.b = nil
 }
 
-func (r *snapReader) ReadFull(b []byte) error {
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		return err
+func (c *snapCursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b)
+	switch {
+	case n == 0:
+		c.fail(io.ErrUnexpectedEOF)
+	case n < 0:
+		c.fail(errVarintOverflow)
+	default:
+		c.b = c.b[n:]
 	}
-	r.crc.Write(b)
-	return nil
+	return v
 }
 
-func (r *snapReader) readString() (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<30 {
-		return "", fmt.Errorf("string length %d too large", n)
-	}
-	b := make([]byte, n)
-	if err := r.ReadFull(b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+// varint reads a zig-zag varint, as binary.AppendVarint writes it.
+func (c *snapCursor) varint() int64 {
+	u := c.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (r *snapReader) readTerm() (rdf.Term, error) {
+func (c *snapCursor) take(n uint64) []byte {
+	if n > uint64(len(c.b)) {
+		c.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	p := c.b[:n]
+	c.b = c.b[n:]
+	return p
+}
+
+func (c *snapCursor) str() string { return string(c.take(c.uvarint())) }
+
+func (c *snapCursor) term() (rdf.Term, error) {
 	var t rdf.Term
-	kindB, err := r.ReadByte()
-	if err != nil {
-		return t, err
+	kind := c.take(1)
+	if c.err != nil {
+		return t, c.err
 	}
-	if kindB > byte(rdf.Blank) {
-		return t, fmt.Errorf("invalid term kind %d", kindB)
+	if kind[0] > byte(rdf.Blank) {
+		return t, fmt.Errorf("invalid term kind %d", kind[0])
 	}
-	t.Kind = rdf.TermKind(kindB)
-	if t.Value, err = r.readString(); err != nil {
-		return t, err
+	t.Kind = rdf.TermKind(kind[0])
+	t.Value = c.str()
+	t.Datatype = c.str()
+	t.Lang = c.str()
+	return t, c.err
+}
+
+// termID reads a term reference, validated against the dictionary size.
+func (c *snapCursor) termID(dictLen int) TermID {
+	v := c.uvarint()
+	if c.err == nil && (v == 0 || v > uint64(dictLen)) {
+		c.fail(fmt.Errorf("term id %d out of range", v))
 	}
-	if t.Datatype, err = r.readString(); err != nil {
-		return t, err
+	return TermID(v)
+}
+
+func (c *snapCursor) fact(dictLen int) (fact, error) {
+	var f fact
+	f.s = c.termID(dictLen)
+	f.p = c.termID(dictLen)
+	f.o = c.termID(dictLen)
+	f.iv.Start = c.varint()
+	f.iv.End = c.varint()
+	if conf := c.take(8); conf != nil {
+		f.conf = math.Float64frombits(binary.LittleEndian.Uint64(conf))
 	}
-	t.Lang, err = r.readString()
-	return t, err
+	f.addedAt = Epoch(c.uvarint())
+	f.removedAt = Epoch(c.uvarint())
+	return f, c.err
 }
 
 // preallocCap caps count-driven allocation so a corrupt header cannot
-// over-allocate: slices start at min(count, cap) and grow by append,
-// which fails on genuine truncation long before memory does.
+// over-allocate: Load passes the most records the unread input could
+// hold, so a larger count sizes the tables to that bound and decoding
+// fails on the truncation instead.
 func preallocCap(count uint64, cap int) int {
 	if count < uint64(cap) {
 		return int(count)
@@ -251,150 +256,154 @@ func preallocCap(count uint64, cap int) int {
 // semantics) — and verifying the checksum trailer. Every structural
 // field is validated (term kinds, id ranges, epoch bounds, quad shape),
 // so a corrupt or truncated snapshot yields an error, never a malformed
-// store.
+// store. The input is read whole, then decoded in place.
 func Load(r io.Reader) (*Store, error) {
-	sr := &snapReader{br: bufio.NewReaderSize(r, 1<<16), crc: crc32.New(snapshotCRC)}
-	var magic [4]byte
-	if err := sr.ReadFull(magic[:]); err != nil {
-		return nil, fmt.Errorf("store: snapshot: %w", err)
-	}
-	if magic != snapshotMagicV2 {
-		return nil, fmt.Errorf("store: snapshot: unsupported snapshot version or bad magic %q", magic[:])
-	}
-	return loadV2(sr)
-}
-
-// loadV2 rebuilds the exact fact table — ids, tombstones, lifespans —
-// and verifies the checksum trailer.
-func loadV2(sr *snapReader) (*Store, error) {
-	st := New()
-	epoch, err := binary.ReadUvarint(sr)
+	data, err := readSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot: %w", err)
 	}
-	st.epoch = Epoch(epoch)
-	st.compacted = st.epoch
-	termCount, err := binary.ReadUvarint(sr)
+	st, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot: %w", err)
-	}
-	// readTerm allocates every string afresh, so the dictionary need not
-	// copy them again.
-	st.dict.own = false
-	for i := uint64(0); i < termCount; i++ {
-		t, err := sr.readTerm()
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot: term %d: %w", i, err)
-		}
-		if id := st.dict.Encode(t); uint64(id) != i+1 {
-			// A duplicate term collapsed to an earlier code: the snapshot
-			// is corrupt and every later term reference would be shifted.
-			return nil, fmt.Errorf("store: snapshot: term %d: duplicate of code %d", i, id)
-		}
-	}
-	st.dict.own = true
-	factCount, err := binary.ReadUvarint(sr)
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot: %w", err)
-	}
-	st.facts = make([]fact, 0, preallocCap(factCount, 1<<20))
-	for i := uint64(0); i < factCount; i++ {
-		f, err := readFactRecord(sr, st.dict.Len())
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot: fact %d: %w", i, err)
-		}
-		if err := validateFactEpochs(f, st.epoch); err != nil {
-			return nil, fmt.Errorf("store: snapshot: fact %d: %w", i, err)
-		}
-		q := rdf.Quad{
-			Subject:    st.dict.Decode(f.s),
-			Predicate:  st.dict.Decode(f.p),
-			Object:     st.dict.Decode(f.o),
-			Interval:   f.iv,
-			Confidence: f.conf,
-		}
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("store: snapshot: fact %d: %w", i, err)
-		}
-		key := factKey{s: f.s, p: f.p, o: f.o, iv: f.iv}
-		if _, ok := st.lookupFactLocked(key); ok {
-			return nil, fmt.Errorf("store: snapshot: fact %d: duplicate statement", i)
-		}
-		id := FactID(len(st.facts))
-		st.facts = append(st.facts, f)
-		st.insertFactLocked(key, id)
-		if len(posting(st.byS, f.s)) == 0 {
-			st.nzS++
-		}
-		if len(posting(st.byP, f.p)) == 0 {
-			st.nzP++
-		}
-		if len(posting(st.byO, f.o)) == 0 {
-			st.nzO++
-		}
-		addPosting(&st.byS, f.s, id)
-		addPosting(&st.byP, f.p, id)
-		addPosting(&st.byO, f.o, id)
-		if f.removedAt != 0 {
-			st.dead++
-		}
-	}
-	want := sr.crc.Sum32()
-	var tb [4]byte
-	if _, err := io.ReadFull(sr.br, tb[:]); err != nil {
-		return nil, fmt.Errorf("store: snapshot: checksum trailer: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tb[:]); got != want {
-		return nil, fmt.Errorf("store: snapshot: checksum mismatch (have %08x, computed %08x)", got, want)
 	}
 	return st, nil
 }
 
-// readFactRecord decodes one fact record. Term ids are validated against
-// the dictionary size.
-func readFactRecord(sr *snapReader, dictLen int) (fact, error) {
-	var f fact
-	readID := func() (TermID, error) {
-		v, err := binary.ReadUvarint(sr)
+// readSnapshot reads r to EOF, in one allocation when r reports its
+// size: an in-memory reader through Len, a file through Stat.
+func readSnapshot(r io.Reader) ([]byte, error) {
+	var size int64
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil {
+			size = fi.Size()
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// decodeSnapshot rebuilds the exact fact table — ids, tombstones,
+// lifespans — from a whole TQS2 snapshot and verifies the checksum over
+// the bytes it consumed; anything after the trailer is ignored.
+func decodeSnapshot(data []byte) (*Store, error) {
+	if len(data) < len(snapshotMagicV2) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	if magic := [4]byte(data); magic != snapshotMagicV2 {
+		return nil, fmt.Errorf("unsupported snapshot version or bad magic %q", magic[:])
+	}
+	c := snapCursor{b: data[len(snapshotMagicV2):]}
+	st := New()
+	st.epoch = Epoch(c.uvarint())
+	st.compacted = st.epoch
+	termCount := c.uvarint()
+	if c.err != nil {
+		return nil, c.err
+	}
+	n := preallocCap(termCount, len(c.b)/minTermRecord)
+	st.dict.byHash = make(map[uint64]TermID, n)
+	st.dict.toT = make([]rdf.Term, 1, 1+n)
+	// term() converts every string afresh, so the dictionary need not
+	// copy them again.
+	st.dict.own = false
+	for i := uint64(0); i < termCount; i++ {
+		t, err := c.term()
 		if err != nil {
-			return 0, err
+			return nil, fmt.Errorf("term %d: %w", i, err)
 		}
-		if v == 0 || v > uint64(dictLen) {
-			return 0, fmt.Errorf("term id %d out of range", v)
+		if id := st.dict.Encode(t); uint64(id) != i+1 {
+			// A duplicate term collapsed to an earlier code: the snapshot
+			// is corrupt and every later term reference would be shifted.
+			return nil, fmt.Errorf("term %d: duplicate of code %d", i, id)
 		}
-		return TermID(v), nil
 	}
-	var err error
-	if f.s, err = readID(); err != nil {
-		return f, err
+	st.dict.own = true
+	factCount := c.uvarint()
+	if c.err != nil {
+		return nil, c.err
 	}
-	if f.p, err = readID(); err != nil {
-		return f, err
+	n = preallocCap(factCount, len(c.b)/minFactRecord)
+	st.facts = make([]fact, 0, n)
+	st.byFact = make(map[uint64]FactID, n)
+	dictLen := st.dict.Len()
+	for i := uint64(0); i < factCount; i++ {
+		f, err := c.fact(dictLen)
+		if err == nil {
+			err = validateFactEpochs(f, st.epoch)
+		}
+		if err == nil {
+			q := rdf.Quad{
+				Subject:    st.dict.Decode(f.s),
+				Predicate:  st.dict.Decode(f.p),
+				Object:     st.dict.Decode(f.o),
+				Interval:   f.iv,
+				Confidence: f.conf,
+			}
+			err = q.Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fact %d: %w", i, err)
+		}
+		key := factKey{s: f.s, p: f.p, o: f.o, iv: f.iv}
+		if _, ok := st.lookupFactLocked(key); ok {
+			return nil, fmt.Errorf("fact %d: duplicate statement", i)
+		}
+		st.insertFactLocked(key, FactID(len(st.facts)))
+		st.facts = append(st.facts, f)
+		if f.removedAt != 0 {
+			st.dead++
+		}
 	}
-	if f.o, err = readID(); err != nil {
-		return f, err
+	if len(c.b) < 4 {
+		return nil, fmt.Errorf("checksum trailer: %w", io.ErrUnexpectedEOF)
 	}
-	if f.iv.Start, err = binary.ReadVarint(sr); err != nil {
-		return f, err
+	want := crc32.Checksum(data[:len(data)-len(c.b)], snapshotCRC)
+	if got := binary.LittleEndian.Uint32(c.b); got != want {
+		return nil, fmt.Errorf("checksum mismatch (have %08x, computed %08x)", got, want)
 	}
-	if f.iv.End, err = binary.ReadVarint(sr); err != nil {
-		return f, err
+	st.byS, st.nzS = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.s })
+	st.byP, st.nzP = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.p })
+	st.byO, st.nzO = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.o })
+	return st, nil
+}
+
+// buildPosting builds one position's posting index over a loaded fact
+// table in a counting pass, returning it with its count of non-empty
+// lists. Every list is an exact window of one shared backing array,
+// capacity-clipped so a later append reallocates that list alone instead
+// of overwriting its neighbour; ids are ascending, as addPosting leaves
+// them, and the index covers exactly the codes addPosting would have.
+func buildPosting(facts []fact, dictLen int, pos func(*fact) TermID) ([][]FactID, int) {
+	// off[t+1] counts code t's facts; the prefix sum turns off[t] into
+	// the start of t's list, and the fill below advances it to its end.
+	off := make([]int32, dictLen+2)
+	for i := range facts {
+		off[pos(&facts[i])+1]++
 	}
-	var cb [8]byte
-	if err := sr.ReadFull(cb[:]); err != nil {
-		return f, err
+	n, nonEmpty := 0, 0
+	for t := 1; t <= dictLen; t++ {
+		if off[t+1] > 0 {
+			n, nonEmpty = t+1, nonEmpty+1
+		}
+		off[t+1] += off[t]
 	}
-	f.conf = math.Float64frombits(binary.LittleEndian.Uint64(cb[:]))
-	added, err := binary.ReadUvarint(sr)
-	if err != nil {
-		return f, err
+	back := make([]FactID, len(facts))
+	for i := range facts {
+		t := pos(&facts[i])
+		back[off[t]] = FactID(i)
+		off[t]++
 	}
-	removed, err := binary.ReadUvarint(sr)
-	if err != nil {
-		return f, err
+	idx := make([][]FactID, n)
+	for t := 1; t < n; t++ {
+		if lo, hi := off[t-1], off[t]; hi > lo {
+			idx[t] = back[lo:hi:hi]
+		}
 	}
-	f.addedAt, f.removedAt = Epoch(added), Epoch(removed)
-	return f, nil
+	return idx, nonEmpty
 }
 
 // validateFactEpochs checks a v2 fact's lifespan against the snapshot

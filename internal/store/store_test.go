@@ -289,6 +289,21 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated snapshot should fail")
 	}
+	// Every proper prefix, and every single flipped byte, of a valid
+	// snapshot is rejected.
+	valid := buf.Bytes()
+	for n := 0; n < len(valid); n++ {
+		if _, err := Load(bytes.NewReader(valid[:n])); err == nil {
+			t.Errorf("snapshot truncated to %d of %d bytes loaded", n, len(valid))
+		}
+	}
+	for i := range valid {
+		flipped := bytes.Clone(valid)
+		flipped[i] ^= 0xff
+		if _, err := Load(bytes.NewReader(flipped)); err == nil {
+			t.Errorf("snapshot with byte %d flipped loaded", i)
+		}
+	}
 }
 
 // TestSnapshotRoundTripProperty: any randomly generated store survives a

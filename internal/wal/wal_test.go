@@ -354,3 +354,45 @@ func TestCompactFloorClamp(t *testing.T) {
 		t.Fatalf("compaction floor %d after sync, want %d", c, st.Epoch())
 	}
 }
+
+// TestParentDataDirRecovers opens testdata/tqs2-parent — a snapshot at
+// a checkpoint plus the log suffix after it, written by the snapshot
+// codec that preceded the block encoder (script seeds 31 and 32,
+// 100 + 40 steps, checkpoint between) — and checks it recovers to the
+// store those steps build in memory: same epoch, fact ids, liveness and
+// statements.
+func TestParentDataDirRecovers(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "tqs2-parent")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := store.New()
+	script(t, want, 100, 31)
+	script(t, want, 40, 32)
+
+	l, got := openOrFatal(t, dir)
+	defer l.Close()
+	if s := l.Stats(); !s.SnapshotLoaded || s.ReplayedRecords == 0 {
+		t.Fatalf("stats %+v, want a snapshot and a replayed suffix", s)
+	}
+	if got.Epoch() != want.Epoch() || got.IDBound() != want.IDBound() || got.Len() != want.Len() {
+		t.Fatalf("recovered epoch/ids/live %d/%d/%d, want %d/%d/%d",
+			got.Epoch(), got.IDBound(), got.Len(), want.Epoch(), want.IDBound(), want.Len())
+	}
+	for id := store.FactID(0); int(id) < want.IDBound(); id++ {
+		if got.Live(id) != want.Live(id) || got.Fact(id) != want.Fact(id) {
+			t.Fatalf("fact %d: %v live=%v, want %v live=%v", id, got.Fact(id), got.Live(id), want.Fact(id), want.Live(id))
+		}
+	}
+}
