@@ -166,7 +166,7 @@ func runInfer(args []string) error {
 	componentExact := fs.Int("component-exact", 0, "largest conflict component handed to the exact MaxSAT engine (0 = default 48)")
 	verbose := fs.Bool("v", false, "print the plan, component (count, sizes, engines, cache hits), repair and outcome stage summaries")
 	explain := fs.Bool("explain", false, "print each removed fact with the constraint grounding that removed it")
-	explainPlan := fs.Bool("explain-plan", false, "print the grounding stage's join plans: per rule, the chosen atom order with its selectivity estimates and candidate/emitted counts")
+	explainPlan := fs.Bool("explain-plan", false, "print the grounding stage's join plans: per rule, the chosen atom order and its candidate/emitted counts")
 	incremental := fs.Bool("incremental", false, "REPL mode: read add/remove/solve commands from stdin and re-solve incrementally")
 	dataDir := fs.String("data-dir", "", "durable session directory: updates are journaled there and a later run restores the session (snapshot + WAL replay)")
 	outPath := fs.String("out", "", "write the consistent expanded KG here")
@@ -347,23 +347,14 @@ func printOutcomeSummary(w io.Writer, ocs *tecore.OutcomeStats) {
 }
 
 // printGroundSummary renders the grounding stage's join plans: per
-// rule, the body-atom evaluation order the selectivity planner chose
-// (indices into the rule body as written), the estimated candidate
-// count that drove each pick, and the actual candidate/emitted counts.
+// rule, the body-atom evaluation order the planner chose (indices into
+// the rule body as written) and the actual candidate/emitted counts.
 func printGroundSummary(w io.Writer, gs *tecore.GroundStats) {
 	fmt.Fprintf(w, "grounding:         %v (%d rules)\n", gs.Total, len(gs.Rules))
 	for i := range gs.Rules {
 		rs := &gs.Rules[i]
-		fmt.Fprintf(w, "  %-20s order %v", rs.Rule, rs.Order)
-		if len(rs.Estimates) > 0 {
-			ests := make([]string, len(rs.Estimates))
-			for j, e := range rs.Estimates {
-				ests[j] = fmt.Sprintf("%.0f", e)
-			}
-			fmt.Fprintf(w, " est [%s]", strings.Join(ests, " "))
-		}
-		fmt.Fprintf(w, " — %d candidates, %d groundings in %v (%d tasks)\n",
-			rs.Candidates, rs.Emitted, rs.Time, rs.Tasks)
+		fmt.Fprintf(w, "  %-20s order %v — %d candidates, %d groundings in %v (%d tasks)\n",
+			rs.Rule, rs.Order, rs.Candidates, rs.Emitted, rs.Time, rs.Tasks)
 	}
 }
 

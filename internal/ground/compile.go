@@ -2,6 +2,7 @@ package ground
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/logic"
 	"repro/internal/rdf"
@@ -74,11 +75,11 @@ func (g *Grounder) encodeCode(t rdf.Term) (uint32, bool) {
 // lowers the rule against it: variables to dense slots, constants to
 // store codes, conditions to closures.
 func (g *Grounder) compileRule(r *logic.Rule, first int) (*compiledRule, error) {
-	order, est, err := g.planSelective(r, first)
+	order, err := g.planJoin(r, first)
 	if err != nil {
 		return nil, err
 	}
-	g.notePlan(r.Name, order, est)
+	g.notePlan(r.Name, order)
 	sm := logic.BodySlots(r)
 	cr := &compiledRule{rule: r, sm: sm}
 	cobj := func(t logic.Term) cterm {
@@ -145,93 +146,65 @@ func (g *Grounder) compileRule(r *logic.Rule, first int) (*compiledRule, error) 
 	return cr, nil
 }
 
-// planSelective chooses a join order greedily by estimated candidate
-// count from the live index cardinalities: at each step, pick the unused
-// body atom expected to match the fewest facts given the variables bound
-// so far, ties broken by body position. first >= 0 pins that body
-// position to the front (the seminaive delta passes pin the delta atom).
-// Estimates are per-store sums over the main and derived views; they are
-// upper bounds (tombstones included), which is fine — the planner only
-// compares them.
-func (g *Grounder) planSelective(r *logic.Rule, first int) ([]int, []float64, error) {
+// planJoin chooses a join order greedily from the rule and the posting
+// lists: at each step it takes the unused body atom with the most bound
+// subject, predicate and object positions (constants plus variables
+// bound by earlier picks), then the shortest constant posting list
+// summed over the main and derived views, then the lowest body position.
+// A constant absent from the dictionary is an empty list, so an atom
+// that matches nothing leads its tier. Posting lengths are upper bounds
+// (tombstones included), which is fine — the planner only compares them.
+// first >= 0 pins that body position to the front (the seminaive delta
+// passes pin the delta atom).
+func (g *Grounder) planJoin(r *logic.Rule, first int) ([]int, error) {
 	n := len(r.Body)
 	if n == 0 {
-		return nil, nil, fmt.Errorf("ground: rule %s has an empty body", r.Name)
+		return nil, fmt.Errorf("ground: rule %s has an empty body", r.Name)
 	}
-	mc := g.mainView.Cardinalities()
-	dc := g.derivedView.Cardinalities()
+	shortest := make([]int, n)
+	for i, a := range r.Body {
+		shortest[i] = math.MaxInt
+		for pos, t := range [3]logic.Term{a.S, a.P, a.O} {
+			if t.IsVar() {
+				continue
+			}
+			l := 0
+			if code, ok := g.main.TermCode(t.Const); ok {
+				l = g.mainView.PostingLen(pos, code) + g.derivedView.PostingLen(pos, code)
+			}
+			shortest[i] = min(shortest[i], l)
+		}
+	}
 	used := make([]bool, n)
 	bound := make(map[string]bool)
 	order := make([]int, 0, n)
-	est := make([]float64, 0, n)
-	pick := func(i int, e float64) {
+	pick := func(i int) {
 		used[i] = true
 		order = append(order, i)
-		est = append(est, e)
 		for _, v := range r.Body[i].Vars(nil) {
 			bound[v] = true
 		}
 	}
 	if first >= 0 {
-		pick(first, g.estimateAtom(r.Body[first], bound, mc, dc))
+		pick(first)
 	}
 	for len(order) < n {
-		best, bestEst := -1, 0.0
+		best, bestBound := -1, 0
 		for i := 0; i < n; i++ {
 			if used[i] {
 				continue
 			}
-			e := g.estimateAtom(r.Body[i], bound, mc, dc)
-			if best < 0 || e < bestEst {
-				best, bestEst = i, e
+			b := 0
+			for _, t := range [3]logic.Term{r.Body[i].S, r.Body[i].P, r.Body[i].O} {
+				if !t.IsVar() || bound[t.Var] {
+					b++
+				}
+			}
+			if best < 0 || b > bestBound || b == bestBound && shortest[i] < shortest[best] {
+				best, bestBound = i, b
 			}
 		}
-		pick(best, bestEst)
+		pick(best)
 	}
-	return order, est, nil
-}
-
-// estimateAtom estimates how many stored facts a body atom matches given
-// the already-bound variable set.
-func (g *Grounder) estimateAtom(a logic.QuadAtom, bound map[string]bool, mc, dc store.IndexCardinalities) float64 {
-	return g.estimateIn(g.mainView, a, bound, mc) + g.estimateIn(g.derivedView, a, bound, dc)
-}
-
-// estimateIn estimates one store's contribution: the shortest posting
-// list over constant positions (exact, O(1) per lookup), the average
-// posting length for positions bound by a join variable, the total fact
-// count otherwise. A constant absent from the dictionary matches nothing.
-func (g *Grounder) estimateIn(v store.View, a logic.QuadAtom, bound map[string]bool, card store.IndexCardinalities) float64 {
-	if card.Facts == 0 {
-		return 0
-	}
-	est := float64(card.Facts)
-	consider := func(t logic.Term, lenOf func(store.TermID) int, distinct int) bool {
-		if !t.IsVar() {
-			code, ok := g.main.TermCode(t.Const)
-			if !ok {
-				return false
-			}
-			if l := float64(lenOf(code)); l < est {
-				est = l
-			}
-			return true
-		}
-		if bound[t.Var] && distinct > 0 {
-			if avg := float64(card.Facts) / float64(distinct); avg < est {
-				est = avg
-			}
-		}
-		return true
-	}
-	if !consider(a.S, v.PostingLenS, card.DistinctS) {
-		return 0
-	}
-	if !consider(a.P, v.PostingLenP, card.DistinctP) {
-		return 0
-	}
-	if !consider(a.O, v.PostingLenO, card.DistinctO) {
-		return 0
-	}
-	return est
+	return order, nil
 }

@@ -43,24 +43,16 @@ func TestPlanSelectiveSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, est, err := g.planSelective(r, -1)
+	order, err := g.planJoin(r, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{1, 0}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("order = %v (est %v), want %v", order, est, want)
-	}
-	if est[0] != 2 {
-		t.Errorf("first estimate = %v, want the small posting length 2", est[0])
-	}
-	// Once x is bound, the big atom's estimate must drop from the full
-	// posting (1000) to the per-subject average (1).
-	if est[1] >= 1000 {
-		t.Errorf("bound estimate = %v, did not use the join variable", est[1])
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
-// TestPlanSelectiveTie: equal cardinalities everywhere — the planner
+// TestPlanSelectiveTie: equal posting lengths everywhere — the planner
 // must fall back to body position, keeping the written order (the
 // determinism tie-break).
 func TestPlanSelectiveTie(t *testing.T) {
@@ -81,7 +73,7 @@ func TestPlanSelectiveTie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, _, err := g.planSelective(r, -1)
+	order, err := g.planJoin(r, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +92,7 @@ func TestPlanSelectivePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, _, err := g.planSelective(r, 0)
+	order, err := g.planJoin(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +102,8 @@ func TestPlanSelectivePinned(t *testing.T) {
 }
 
 // TestPlanSelectiveAbsentPredicate: a constant absent from every
-// dictionary matches nothing; its atom estimates 0 and leads the plan,
-// short-circuiting the whole join.
+// dictionary matches nothing; its atom has an empty posting list and
+// leads the plan, short-circuiting the whole join.
 func TestPlanSelectiveAbsentPredicate(t *testing.T) {
 	g := New(skewedStore(t, 100, 100))
 	g.refreshViews()
@@ -120,14 +112,45 @@ func TestPlanSelectiveAbsentPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, est, err := g.planSelective(r, -1)
+	order, err := g.planJoin(r, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{1, 0}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("order = %v (est %v), want the absent predicate first", order, est)
+		t.Fatalf("order = %v, want the absent predicate first", order)
 	}
-	if est[0] != 0 {
-		t.Errorf("absent predicate estimate = %v, want 0", est[0])
+}
+
+// TestJoinOrderBoundPositionsFirst: once the pinned first atom binds y,
+// the atom joined through y has two bound positions and must come before
+// the disconnected q atom, whose one-fact posting list is the shortest
+// in the rule but whose join would be a cross product.
+func TestJoinOrderBoundPositionsFirst(t *testing.T) {
+	st := store.New()
+	iv := temporal.MustNew(2000, 2001)
+	add := func(s, p, o string) {
+		if _, err := st.Add(rdf.NewQuad(s, p, o, iv, 0.9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		add(fmt.Sprintf("a%d", i), "p", fmt.Sprintf("b%d", i))
+		add(fmt.Sprintf("b%d", i), "r", fmt.Sprintf("c%d", i))
+		add(fmt.Sprintf("b%d", i), "r", fmt.Sprintf("d%d", i))
+	}
+	add("c0", "q", "e0")
+	g := New(st)
+	g.refreshViews()
+	r, err := rulelang.ParseRule(
+		"r: quad(x, p, y, t) ^ quad(z, q, w, t') ^ quad(y, r, z, t'') -> overlap(t, t') w = inf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.planJoin(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 1}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v: the atom bound through y before the q cross product", order, want)
 	}
 }

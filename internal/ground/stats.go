@@ -25,9 +25,6 @@ type RuleGroundStats struct {
 	// Order is the rule's most recent join plan: body-atom indexes in
 	// join order (seminaive delta passes pin the delta position first).
 	Order []int
-	// Estimates are the planner's candidate-count estimates per join
-	// depth for that plan.
-	Estimates []float64
 	// Candidates counts the depth-0 candidates fed into this rule's
 	// joins across all phases.
 	Candidates int64
@@ -53,14 +50,13 @@ func (g *Grounder) ruleStat(name string) *RuleGroundStats {
 	return rs
 }
 
-// notePlan records a rule's chosen join order and estimates. Called at
+// notePlan records a rule's chosen join order. Called at
 // plan time (a sequential point); the latest plan wins, so after a fresh
 // solve the entries show the full-grounding plans and after an
 // incremental solve the delta-pass plans.
-func (g *Grounder) notePlan(name string, order []int, est []float64) {
+func (g *Grounder) notePlan(name string, order []int) {
 	rs := g.ruleStat(name)
 	rs.Order = append(rs.Order[:0], order...)
-	rs.Estimates = append(rs.Estimates[:0], est...)
 }
 
 // noteTaskStats folds per-task counters into the per-rule stats. Called

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -357,5 +358,24 @@ func TestSnapshotReadHistory(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("readers never observed a committed solve")
+	}
+}
+
+// TestSolveParallelismCapped: a per-request parallelism may lower the
+// server's worker-pool width but never raise it, so a hostile
+// "parallelism" cannot make one join phase start thousands of
+// goroutines. Calls solveParallelism directly; no solve runs.
+func TestSolveParallelismCapped(t *testing.T) {
+	srv := NewWithConfig(Config{Parallelism: 2})
+	for _, c := range []struct{ req, want int }{
+		{1 << 30, 2}, {3, 2}, {2, 2}, {1, 1}, {0, 2}, {-5, 2},
+	} {
+		if got := srv.solveParallelism(c.req); got != c.want {
+			t.Errorf("solveParallelism(%d) = %d, want %d", c.req, got, c.want)
+		}
+	}
+	all := NewWithConfig(Config{})
+	if got, want := all.solveParallelism(1<<30), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default server: solveParallelism(1<<30) = %d, want GOMAXPROCS %d", got, want)
 	}
 }

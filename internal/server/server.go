@@ -39,8 +39,8 @@ type Server struct {
 	// MaxFactsInResponse caps the fact lists returned by /api/solve.
 	MaxFactsInResponse int
 	// Parallelism bounds each solve's worker pools (0 = GOMAXPROCS,
-	// 1 = sequential). Per-request parallelism in /api/solve overrides
-	// it. Results are identical at every setting.
+	// 1 = sequential). A per-request parallelism may lower it, never
+	// raise it. Results are identical at every setting.
 	Parallelism int
 	// sessions holds the stateful incremental solving sessions (LRU).
 	sessions *sessionTable
@@ -110,13 +110,14 @@ func NewWithConfig(cfg Config) *Server {
 }
 
 // solveParallelism resolves the worker-pool width for an admitted
-// solve: an explicit per-request setting wins; otherwise the server
-// default is shared across the solves currently holding a slot, so K
-// concurrent sessions split the machine instead of oversubscribing it
-// K-fold. Worker counts never change results, only wall clock.
+// solve: a positive per-request setting wins, capped at the server's
+// width so a request may lower it but never raise it; otherwise the
+// server default is shared across the solves currently holding a slot,
+// so K concurrent sessions split the machine instead of oversubscribing
+// it K-fold. Worker counts never change results, only wall clock.
 func (s *Server) solveParallelism(req int) int {
-	if req != 0 {
-		return req
+	if req > 0 {
+		return min(req, par.Workers(s.Parallelism))
 	}
 	return par.Share(s.Parallelism, s.adm.inflight())
 }
@@ -474,8 +475,9 @@ type SolveRequest struct {
 	Solver       string  `json:"solver"`
 	Threshold    float64 `json:"threshold,omitempty"`
 	CuttingPlane bool    `json:"cuttingPlane,omitempty"`
-	// Parallelism overrides the server's worker pool size for this
-	// solve (0 = server default).
+	// Parallelism lowers the server's worker pool size for this solve
+	// (0 = server default); a value above the server's width is capped
+	// at it.
 	Parallelism int `json:"parallelism,omitempty"`
 	// ComponentExactLimit is the largest conflict component handed to
 	// the exact MaxSAT engine (0 = default 48); stats.Components reports

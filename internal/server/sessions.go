@@ -474,9 +474,12 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 
 // SessionSolveRequest tunes a session solve.
 type SessionSolveRequest struct {
-	Solver      string  `json:"solver"`
-	Threshold   float64 `json:"threshold,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
+	Solver    string  `json:"solver"`
+	Threshold float64 `json:"threshold,omitempty"`
+	// Parallelism lowers the server's worker pool size for this solve
+	// (0 = server default); a value above the server's width is capped
+	// at it.
+	Parallelism int `json:"parallelism,omitempty"`
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool `json:"componentSolve,omitempty"`
 	// ComponentExactLimit is the largest conflict component handed to

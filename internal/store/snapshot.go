@@ -365,29 +365,29 @@ func decodeSnapshot(data []byte) (*Store, error) {
 	if got := binary.LittleEndian.Uint32(c.b); got != want {
 		return nil, fmt.Errorf("checksum mismatch (have %08x, computed %08x)", got, want)
 	}
-	st.byS, st.nzS = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.s })
-	st.byP, st.nzP = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.p })
-	st.byO, st.nzO = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.o })
+	st.byS = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.s })
+	st.byP = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.p })
+	st.byO = buildPosting(st.facts, dictLen, func(f *fact) TermID { return f.o })
 	return st, nil
 }
 
 // buildPosting builds one position's posting index over a loaded fact
-// table in a counting pass, returning it with its count of non-empty
-// lists. Every list is an exact window of one shared backing array,
-// capacity-clipped so a later append reallocates that list alone instead
-// of overwriting its neighbour; ids are ascending, as addPosting leaves
-// them, and the index covers exactly the codes addPosting would have.
-func buildPosting(facts []fact, dictLen int, pos func(*fact) TermID) ([][]FactID, int) {
+// table in a counting pass. Every list is an exact window of one shared
+// backing array, capacity-clipped so a later append reallocates that
+// list alone instead of overwriting its neighbour; ids are ascending, as
+// addPosting leaves them, and the index covers exactly the codes
+// addPosting would have.
+func buildPosting(facts []fact, dictLen int, pos func(*fact) TermID) [][]FactID {
 	// off[t+1] counts code t's facts; the prefix sum turns off[t] into
 	// the start of t's list, and the fill below advances it to its end.
 	off := make([]int32, dictLen+2)
 	for i := range facts {
 		off[pos(&facts[i])+1]++
 	}
-	n, nonEmpty := 0, 0
+	n := 0
 	for t := 1; t <= dictLen; t++ {
 		if off[t+1] > 0 {
-			n, nonEmpty = t+1, nonEmpty+1
+			n = t + 1
 		}
 		off[t+1] += off[t]
 	}
@@ -403,7 +403,7 @@ func buildPosting(facts []fact, dictLen int, pos func(*fact) TermID) ([][]FactID
 			idx[t] = back[lo:hi:hi]
 		}
 	}
-	return idx, nonEmpty
+	return idx
 }
 
 // validateFactEpochs checks a v2 fact's lifespan against the snapshot

@@ -131,17 +131,11 @@ type Store struct {
 	// binding two or three positions scan the shortest applicable list
 	// with a residual filter on the remaining positions — at two 4-byte
 	// ids per fact these three indexes cost a fraction of the five maps
-	// (including (s,p)/(p,o) pair maps) they replaced.
+	// (including (s,p)/(p,o) pair maps) they replaced. The lists' lengths
+	// (View.PostingLen) are the grounder's join-planning input.
 	byS [][]FactID
 	byP [][]FactID
 	byO [][]FactID
-
-	// nzS/nzP/nzO count the distinct term codes with a non-empty posting
-	// list per position — free cardinality statistics for the grounder's
-	// selectivity planner. Tombstoned facts keep their postings, so these
-	// are upper bounds; the planner only compares estimates, never trusts
-	// them absolutely.
-	nzS, nzP, nzO int
 
 	// byFact detects duplicate temporal statements (same s,p,o,interval)
 	// by 64-bit key hash; the rare colliding ids (different key, same
@@ -315,15 +309,6 @@ func (st *Store) addLocked(key factKey, conf float64, q *rdf.Quad) FactID {
 	id := FactID(len(st.facts))
 	st.facts = append(st.facts, f)
 	st.insertFactLocked(key, id)
-	if len(posting(st.byS, f.s)) == 0 {
-		st.nzS++
-	}
-	if len(posting(st.byP, f.p)) == 0 {
-		st.nzP++
-	}
-	if len(posting(st.byO, f.o)) == 0 {
-		st.nzO++
-	}
 	addPosting(&st.byS, f.s, id)
 	addPosting(&st.byP, f.p, id)
 	addPosting(&st.byO, f.o, id)

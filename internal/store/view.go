@@ -108,49 +108,12 @@ func (v View) MatchCodeIDs(cp CodePattern) []FactID {
 	return out
 }
 
-// PostingLenS returns the length of the subject posting list for a term
-// code in O(1): an upper bound on matching facts (tombstoned entries
-// stay in their lists). The selectivity planner's per-constant estimate.
-func (v View) PostingLenS(t TermID) int {
+// PostingLen returns the length of the posting list of term code t at
+// position pos (0 subject, 1 predicate, 2 object) in O(1): an upper
+// bound on matching facts (tombstoned entries stay in their lists). The
+// join planner's per-constant selectivity.
+func (v View) PostingLen(pos int, t TermID) int {
 	v.st.mu.RLock()
 	defer v.st.mu.RUnlock()
-	return len(posting(v.st.byS, t))
-}
-
-// PostingLenP is PostingLenS for the predicate position.
-func (v View) PostingLenP(t TermID) int {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	return len(posting(v.st.byP, t))
-}
-
-// PostingLenO is PostingLenS for the object position.
-func (v View) PostingLenO(t TermID) int {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	return len(posting(v.st.byO, t))
-}
-
-// IndexCardinalities are O(1) whole-store statistics for selectivity
-// estimation: total stored facts (including tombstones, matching what
-// posting lengths count) and the number of distinct term codes occupying
-// each position index. Facts/Distinct* is the average posting length —
-// the planner's estimate for a position bound by a join variable.
-type IndexCardinalities struct {
-	Facts     int
-	DistinctS int
-	DistinctP int
-	DistinctO int
-}
-
-// Cardinalities returns the store's index cardinalities in O(1).
-func (v View) Cardinalities() IndexCardinalities {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	return IndexCardinalities{
-		Facts:     len(v.st.facts),
-		DistinctS: v.st.nzS,
-		DistinctP: v.st.nzP,
-		DistinctO: v.st.nzO,
-	}
+	return len(posting([3][][]FactID{v.st.byS, v.st.byP, v.st.byO}[pos], t))
 }

@@ -182,9 +182,9 @@ type ComponentStats = ground.ComponentStats
 type PlanStats = engine.PlanStats
 
 // GroundStats summarises the grounding stage of a solve — total wall
-// time and, per rule, the chosen join order with its selectivity
-// estimates, candidate and emitted-grounding counts; available as
-// Stats.Ground (nil when the solve did no grounding work).
+// time and, per rule, the chosen join order with its candidate and
+// emitted-grounding counts; available as Stats.Ground (nil when the
+// solve did no grounding work).
 type GroundStats = ground.GroundStats
 
 // RuleGroundStats is one rule's entry in GroundStats.
