@@ -20,19 +20,29 @@ import (
 // seed and the restart index), its own working state, and a share of the
 // flip budget, so they run concurrently on the worker pool. The winner
 // is selected deterministically by (hard feasibility, soft cost, restart
-// index) — the same answer at every Parallelism setting. The occurrence
-// records and per-clause hard flags are built once and shared read-only
-// across restarts. A step scores its clause's variables once:
-// bestVarInClause hands back the winner's score, so the walk re-scores
-// only a noise pick, and no step rescans a clause's literals.
+// index) — the same answer at every Parallelism setting. The tables —
+// occurrence records, per-clause hard flags and the hard clauses'
+// members — are built once and shared read-only across restarts.
+//
+// Each restart keeps every variable's hard delta current: the number of
+// hard clauses its flip would break minus the number it would repair. A
+// flip updates it for the variables of each hard clause the flipped
+// variable appears in, so a step reads a variable's hard delta in O(1),
+// and a flip costs the summed length of its hard clauses. Nearly
+// every step on a dense component scores a move that breaks a hard
+// clause and declines it on that integer alone; only a move that keeps
+// feasibility, or a tie on the least hard delta, rescans the variable's
+// soft clauses for its cost delta.
 
 type localState struct {
 	p      *Problem
 	rng    *rand.Rand
 	assign []bool
-	occ    [][]occurrence // shared, read-only across restarts
-	hard   []bool         // per clause: Hard(); shared, read-only
-	numSat []int32        // per clause: count of satisfied literals
+	tables         // shared, read-only across restarts
+	numSat []int32 // per clause: count of satisfied literals
+	// hardDelta holds, per variable, the hard clauses its flip would
+	// break minus those it would repair.
+	hardDelta []int32
 
 	violHard    []int32 // indices of violated hard clauses (unordered set)
 	violHardPos []int32 // clause -> position in violHard, -1 if absent
@@ -41,22 +51,61 @@ type localState struct {
 	violSoftPos []int32
 }
 
-// occurrence records that a clause mentions a variable: pos and neg
-// count the clause's positive and negative literals over it. A clause
-// that mentions a variable several times, even in both phases, has one
-// occurrence of it.
-type occurrence struct {
-	clause   int32
+// litCount counts a clause's positive and negative literals over one
+// variable.
+type litCount struct {
 	pos, neg int32
 }
 
-// sat counts the occurrence's literals that the variable value val
-// satisfies.
-func (o occurrence) sat(val bool) int32 {
+// sat counts the literals that the variable value val satisfies.
+func (c litCount) sat(val bool) int32 {
 	if val {
-		return o.pos
+		return c.pos
 	}
-	return o.neg
+	return c.neg
+}
+
+// occurrence records that a clause mentions a variable. A clause that
+// mentions a variable several times, even in both phases, has one
+// occurrence of it.
+type occurrence struct {
+	clause int32
+	litCount
+}
+
+// member is an occurrence read clause-major: the literals of clause's
+// variable v.
+type member struct {
+	v int32
+	litCount
+}
+
+// hardView lists each hard clause's members in variable order: clause
+// ci's are members[start[ci]:start[ci+1]]. Soft clauses have none.
+type hardView struct {
+	start   []int32
+	members []member
+}
+
+func (hv hardView) clause(ci int32) []member {
+	return hv.members[hv.start[ci]:hv.start[ci+1]]
+}
+
+// tables are the per-problem records every restart reads and none
+// writes.
+type tables struct {
+	occ     [][]occurrence
+	hard    []bool // per clause: Hard()
+	hardOcc hardView
+}
+
+func buildTables(p *Problem) tables {
+	occ := buildOcc(p)
+	hard := make([]bool, len(p.Clauses))
+	for ci := range p.Clauses {
+		hard[ci] = p.Clauses[ci].Hard()
+	}
+	return tables{occ: occ, hard: hard, hardOcc: buildHardView(p, occ, hard)}
 }
 
 // buildOcc computes each variable's occurrences in clause order. Both
@@ -80,14 +129,41 @@ func buildOcc(p *Problem) [][]occurrence {
 	return occ
 }
 
-func newLocalState(p *Problem, occ [][]occurrence, hard []bool, seed int64) *localState {
+// buildHardView reads the occurrence records clause-major, for the hard
+// clauses only.
+func buildHardView(p *Problem, occ [][]occurrence, hard []bool) hardView {
+	hv := hardView{start: make([]int32, len(p.Clauses)+1)}
+	for _, os := range occ {
+		for _, o := range os {
+			if hard[o.clause] {
+				hv.start[o.clause+1]++
+			}
+		}
+	}
+	for ci := range p.Clauses {
+		hv.start[ci+1] += hv.start[ci]
+	}
+	hv.members = make([]member, hv.start[len(p.Clauses)])
+	next := append([]int32(nil), hv.start[:len(p.Clauses)]...)
+	for v, os := range occ {
+		for _, o := range os {
+			if hard[o.clause] {
+				hv.members[next[o.clause]] = member{v: int32(v), litCount: o.litCount}
+				next[o.clause]++
+			}
+		}
+	}
+	return hv
+}
+
+func newLocalState(p *Problem, t tables, seed int64) *localState {
 	return &localState{
 		p:           p,
 		rng:         rand.New(rand.NewSource(seed)),
 		assign:      make([]bool, p.NumVars),
-		occ:         occ,
-		hard:        hard,
+		tables:      t,
 		numSat:      make([]int32, len(p.Clauses)),
+		hardDelta:   make([]int32, p.NumVars),
 		violHardPos: make([]int32, len(p.Clauses)),
 		violSoftPos: make([]int32, len(p.Clauses)),
 	}
@@ -100,11 +176,7 @@ func restartSeed(base int64, restart int) int64 {
 }
 
 func solveLocal(p *Problem, opts Options) *Solution {
-	occ := buildOcc(p)
-	hard := make([]bool, len(p.Clauses))
-	for ci := range p.Clauses {
-		hard[ci] = p.Clauses[ci].Hard()
-	}
+	t := buildTables(p)
 	restarts := opts.Restarts
 	workers := par.Workers(opts.Parallelism)
 
@@ -144,7 +216,7 @@ func solveLocal(p *Problem, opts Options) *Solution {
 		if int32(r) > minPerfect.Load() {
 			return
 		}
-		st := newLocalState(p, occ, hard, restartSeed(opts.Seed, r))
+		st := newLocalState(p, t, restartSeed(opts.Seed, r))
 		if r == 0 && warm != nil {
 			st.initWarm(warm)
 		} else {
@@ -234,9 +306,9 @@ func (st *localState) initWarm(warm []bool) {
 	st.rebuildAndRepair()
 }
 
-// rebuildAndRepair recomputes clause state from the assignment, then
-// greedily satisfies violated hard clauses, flipping in each the variable
-// whose flip does the least damage.
+// rebuildAndRepair recomputes clause state and hard deltas from the
+// assignment, then greedily satisfies violated hard clauses, flipping in
+// each the variable whose flip does the least damage.
 func (st *localState) rebuildAndRepair() {
 	st.violHard = st.violHard[:0]
 	st.violSoft = st.violSoft[:0]
@@ -257,8 +329,14 @@ func (st *localState) rebuildAndRepair() {
 			st.markViolated(int32(ci))
 		}
 	}
+	clear(st.hardDelta)
+	for ci := range st.p.Clauses {
+		if st.hard[ci] {
+			st.tallyHard(int32(ci), 1)
+		}
+	}
 	for guard := 0; len(st.violHard) > 0 && guard < 4*len(st.p.Clauses); guard++ {
-		v, _, _, _ := st.bestVarInClause(st.violHard[0], 0)
+		v := st.bestVarInClause(st.violHard[0], 0)
 		st.flip(v)
 	}
 }
@@ -293,8 +371,15 @@ func (st *localState) unmarkViolated(ci int32) {
 	}
 }
 
-// flip toggles variable v and updates clause state.
+// flip toggles variable v and updates clause state. Each of v's hard
+// clauses takes its members' share of the hard deltas out before the
+// toggle and puts it back after.
 func (st *localState) flip(v int32) {
+	for _, o := range st.occ[v] {
+		if st.hard[o.clause] {
+			st.tallyHard(o.clause, -1)
+		}
+	}
 	newVal := !st.assign[v]
 	st.assign[v] = newVal
 	for _, o := range st.occ[v] {
@@ -307,51 +392,82 @@ func (st *localState) flip(v int32) {
 		} else if was == 0 && n > 0 {
 			st.unmarkViolated(ci)
 		}
+		if st.hard[ci] {
+			st.tallyHard(ci, 1)
+		}
 	}
 }
 
-// flipDelta scores flipping v: change in violated hard count and soft
-// cost.
-func (st *localState) flipDelta(v int32) (hardDelta int, costDelta float64) {
+// tallyHard adds sign times hard clause ci's share of its members' hard
+// deltas, read from the clause's current satisfied count: a member whose
+// flip would take that count to zero breaks the clause, and one whose
+// flip would lift it from zero repairs it.
+func (st *localState) tallyHard(ci int32, sign int32) {
+	was := st.numSat[ci]
+	for _, m := range st.hardOcc.clause(ci) {
+		val := st.assign[m.v]
+		n := was - m.sat(val) + m.sat(!val)
+		if was > 0 && n == 0 {
+			st.hardDelta[m.v] += sign
+		} else if was == 0 && n > 0 {
+			st.hardDelta[m.v] -= sign
+		}
+	}
+}
+
+// costDelta scores flipping v on the soft clauses: the change in
+// violated soft weight, summed in occurrence order.
+func (st *localState) costDelta(v int32) float64 {
 	val := st.assign[v]
+	delta := 0.0
 	for _, o := range st.occ[v] {
 		ci := o.clause
+		if st.hard[ci] {
+			continue
+		}
 		was := st.numSat[ci]
 		n := was - o.sat(val) + o.sat(!val)
 		if was > 0 && n == 0 {
-			if st.hard[ci] {
-				hardDelta++
-			} else {
-				costDelta += st.p.Clauses[ci].Weight
-			}
+			delta += st.p.Clauses[ci].Weight
 		} else if was == 0 && n > 0 {
-			if st.hard[ci] {
-				hardDelta--
-			} else {
-				costDelta -= st.p.Clauses[ci].Weight
-			}
+			delta -= st.p.Clauses[ci].Weight
 		}
 	}
-	return hardDelta, costDelta
+	return delta
 }
 
 // bestVarInClause picks the variable of clause ci whose flip is least
-// damaging (lexicographic on hard delta then soft delta) and returns its
-// flipDelta score, or, with noise probability, a random variable of the
-// clause with scored false and no score.
-func (st *localState) bestVarInClause(ci int32, noise float64) (v int32, hardDelta int, costDelta float64, scored bool) {
+// damaging (lexicographic on hard delta then cost delta, the first such
+// literal on ties), or, with noise probability, a random variable of the
+// clause. Cost deltas are computed only when several variables share the
+// least hard delta.
+func (st *localState) bestVarInClause(ci int32, noise float64) int32 {
 	c := &st.p.Clauses[ci]
 	if noise > 0 && st.rng.Float64() < noise {
-		return c.Lits[st.rng.Intn(len(c.Lits))].Var, 0, 0, false
+		return c.Lits[st.rng.Intn(len(c.Lits))].Var
 	}
-	v, hardDelta, costDelta = c.Lits[0].Var, math.MaxInt32, math.Inf(1)
-	for _, l := range c.Lits {
-		hd, cd := st.flipDelta(l.Var)
-		if hd < hardDelta || hd == hardDelta && cd < costDelta {
-			v, hardDelta, costDelta = l.Var, hd, cd
+	v := c.Lits[0].Var
+	least, tie := st.hardDelta[v], false
+	for _, l := range c.Lits[1:] {
+		if hd := st.hardDelta[l.Var]; hd < least {
+			v, least, tie = l.Var, hd, false
+		} else if hd == least && l.Var != v {
+			tie = true
 		}
 	}
-	return v, hardDelta, costDelta, true
+	if !tie {
+		return v
+	}
+	best := math.Inf(1)
+	for _, l := range c.Lits {
+		if st.hardDelta[l.Var] != least {
+			continue
+		}
+		if cd := st.costDelta(l.Var); cd < best {
+			v, best = l.Var, cd
+		}
+	}
+	return v
 }
 
 // walk runs the WalkSAT loop, updating best in place. With stall > 0 it
@@ -377,11 +493,8 @@ func (st *localState) walk(maxFlips int, noise float64, best *Solution, stall in
 				return flips // all clauses satisfied
 			}
 			ci := st.violSoft[st.rng.Intn(len(st.violSoft))]
-			v, hd, cd, scored := st.bestVarInClause(ci, noise)
-			if !scored {
-				hd, cd = st.flipDelta(v)
-			}
-			if hd > 0 || cd >= 0 {
+			v := st.bestVarInClause(ci, noise)
+			if hd := st.hardDelta[v]; hd > 0 || st.costDelta(v) >= 0 {
 				// Flip would break feasibility or not improve: mostly skip,
 				// occasionally take it to escape local optima.
 				if st.rng.Float64() > noise {
@@ -394,7 +507,7 @@ func (st *localState) walk(maxFlips int, noise float64, best *Solution, stall in
 			st.flip(v)
 			continue
 		}
-		v, _, _, _ := st.bestVarInClause(st.violHard[st.rng.Intn(len(st.violHard))], noise)
+		v := st.bestVarInClause(st.violHard[st.rng.Intn(len(st.violHard))], noise)
 		st.flip(v)
 	}
 	return flips

@@ -610,13 +610,31 @@ func render[T, S any](each seq[T], max int, truncated bool, format func(T) S) ([
 	return out, truncated
 }
 
+// Connection timeouts of the http.Server that Run starts, generous
+// enough for a maxBodyBytes upload and for keep-alive clients that pause
+// between requests: a request's header must arrive within
+// readHeaderTimeout and the whole request within readTimeout, and an
+// idle keep-alive connection is closed after idleTimeout. There is no
+// write timeout, since a solve takes as long as it takes.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // Run serves the UI on addr until ctx is cancelled, then shuts down
 // gracefully: in-flight requests get drainTimeout (or as long as they
 // need, when 0) to finish, every durable session takes a final
 // checkpoint, and every WAL is flushed and closed. Run returns nil on
 // a clean shutdown.
 func (s *Server) Run(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

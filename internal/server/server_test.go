@@ -1,11 +1,18 @@
 package server
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -380,5 +387,73 @@ func TestRequestBodyBounded(t *testing.T) {
 		`{"solver":"mln","componentSolve":true,"rebuildPlan":true}`, &solve)
 	if resp.StatusCode != http.StatusOK || solve.Stats.KeptFacts != 1 {
 		t.Errorf("solve with a retired field: status %d, stats %+v", resp.StatusCode, solve.Stats)
+	}
+}
+
+// TestRunTimesOutSlowClients: the server Run starts closes a connection
+// whose request header never completes, one whose body stalls, and an
+// idle keep-alive one, each once its own timeout passes (the other two
+// are set long, so each case shows its own timeout at work).
+func TestRunTimesOutSlowClients(t *testing.T) {
+	defer func(h, r, i time.Duration) { readHeaderTimeout, readTimeout, idleTimeout = h, r, i }(
+		readHeaderTimeout, readTimeout, idleTimeout)
+	const short, long = 200 * time.Millisecond, time.Minute
+	cases := []struct {
+		name               string
+		header, read, idle time.Duration
+		request            string
+		answered           bool // a whole request: read its response first
+	}{
+		{"unfinished header", short, long, long, "GET /api/datasets HTTP/1.1\r\nHost: x\r\n", false},
+		{"stalled body", long, short, long, "POST /api/validate HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"rules\":", false},
+		{"idle keep-alive", long, long, short, "GET /api/datasets HTTP/1.1\r\nHost: x\r\n\r\n", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			readHeaderTimeout, readTimeout, idleTimeout = tc.header, tc.read, tc.idle
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- New().Run(ctx, addr, 0) }()
+			defer func() {
+				cancel()
+				if err := <-done; err != nil {
+					t.Errorf("Run: %v", err)
+				}
+			}()
+
+			var conn net.Conn
+			for start := time.Now(); conn == nil; time.Sleep(10 * time.Millisecond) {
+				if conn, err = net.Dial("tcp", addr); err != nil && time.Since(start) > 5*time.Second {
+					t.Fatalf("server never listened: %v", err)
+				}
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, tc.request); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			r := bufio.NewReader(conn)
+			if tc.answered {
+				resp, err := http.ReadResponse(r, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("whole request: status %d", resp.StatusCode)
+				}
+			}
+			start := time.Now()
+			if _, err := io.ReadAll(r); errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still open after %v", time.Since(start))
+			}
+		})
 	}
 }
