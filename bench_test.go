@@ -31,7 +31,10 @@ import (
 	"testing"
 
 	tecore "repro"
+	"repro/internal/ground"
+	"repro/internal/mln"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // --- E1: running example (Figures 1, 4, 6 → 7) ---
@@ -227,41 +230,67 @@ func BenchmarkE6_WikidataRelations(b *testing.B) {
 
 // --- E8: cutting-plane inference ablation ---
 // RockIt's scalability device: ground only violated formulas lazily.
-// Compare the kernels' rule-clause counts and runtime on a
-// conflict-sparse dataset. Both run in the session pipeline, whose
-// shared read-out grounds the full program either way, so the ablation
-// isolates the kernel: per-component MaxSAT over every grounding vs
-// whole-network MaxSAT over the violated ones.
+// Compare the rule-clause counts and runtime of the session's
+// per-component MaxSAT over every grounding ("full") with the
+// whole-network cutting-plane oracle's MaxSAT over the violated ones
+// ("cpi"), run on a fresh grounder, on a conflict-sparse dataset.
 
 func BenchmarkE8_CuttingPlaneAblation(b *testing.B) {
 	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 2000, NoiseRatio: 0.02, Seed: 5})
+	prog, err := tecore.ParseRules(tecore.FootballProgram)
+	if err != nil {
+		b.Fatal(err)
+	}
+	solve := map[string]func() (*mln.Result, error){
+		"full": func() (*mln.Result, error) {
+			s := tecore.NewSession()
+			if err := s.LoadGraph(ds.Graph); err != nil {
+				return nil, err
+			}
+			if err := s.LoadProgramText(tecore.FootballProgram); err != nil {
+				return nil, err
+			}
+			res, err := s.Solve(tecore.SolveOptions{Solver: tecore.SolverMLN})
+			if err != nil {
+				return nil, err
+			}
+			return res.Output.MLN, nil
+		},
+		"cpi": func() (*mln.Result, error) {
+			st := store.New()
+			if err := st.AddGraph(ds.Graph); err != nil {
+				return nil, err
+			}
+			g := ground.New(st)
+			if _, err := g.Close(prog); err != nil {
+				return nil, err
+			}
+			cs, err := g.GroundProgram(prog)
+			if err != nil {
+				return nil, err
+			}
+			return mln.CuttingPlane(g.Atoms(), cs, mln.Options{})
+		},
+	}
 	for _, mode := range []string{"full", "cpi"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := tecore.NewSession()
-				if err := s.LoadGraph(ds.Graph); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.LoadProgramText(tecore.FootballProgram); err != nil {
-					b.Fatal(err)
-				}
-				opts := tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: mode == "cpi"}
-				res, err := s.Solve(opts)
+				res, err := solve[mode]()
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Output.MLN.GroundClauses), "ground_clauses")
-				b.ReportMetric(float64(res.Output.MLN.Rounds), "rounds")
+				b.ReportMetric(float64(res.GroundClauses), "ground_clauses")
+				b.ReportMetric(float64(res.Rounds), "rounds")
 			}
 		})
 	}
 }
 
 // --- Parallel scaling: the E6 workload across worker pool sizes ---
-// The solve pipeline (grounding, restarts, ADMM sweeps) fans out across
-// a bounded worker pool with byte-identical results; this benchmark
-// measures the wall-clock effect on the largest E6 relation for both
-// backends. parallel=1 is the sequential path, parallel=0 all cores.
+// The solve pipeline (grounding, per-component solves, ADMM sweeps) fans
+// out across a bounded worker pool with byte-identical results; this
+// benchmark measures the wall-clock effect on the largest E6 relation
+// for both backends. parallel=1 is the sequential path, parallel=0 all cores.
 
 func BenchmarkParallelismScaling(b *testing.B) {
 	ds := tecore.GenerateWikidata(tecore.WikidataConfig{Scale: 0.01, Seed: 4})

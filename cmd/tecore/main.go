@@ -6,18 +6,18 @@
 //
 //	tecore stats    -data g.tq
 //	tecore validate -rules r.tcr [-solver mln|psl]
-//	tecore infer    -data g.tq -rules r.tcr [-solver mln|psl]
-//	                [-threshold 0.3] [-cpi] [-parallel N]
+//	tecore infer    -data g.tq -rules r.tcr [-solver mln|psl|greedy]
+//	                [-threshold 0.3] [-parallel N]
 //	                [-component-exact N] [-v] [-explain-plan] [-incremental]
 //	                [-out consistent.tq] [-removed removed.tq]
 //
 // With -incremental, infer enters a REPL that accepts add/remove/solve
-// commands on stdin and re-solves incrementally after each update. The
-// mln (without -cpi) and psl solvers partition the ground network into
-// independent conflict components solved — and conflict-resolved —
-// separately (and, in the REPL, cached per component across re-solves,
-// for the solver stage and the repair read-out alike); -v prints the
-// plan, component, repair and outcome stage summaries.
+// commands on stdin and re-solves incrementally after each update. Every
+// solver partitions the ground network into independent conflict
+// components solved — and conflict-resolved — separately (and, in the
+// REPL, cached per component across re-solves, for the solver stage and
+// the repair read-out alike); -v prints the plan, component, repair and
+// outcome stage summaries.
 package main
 
 import (
@@ -63,7 +63,7 @@ func usage() {
   tecore stats    -data <tquads file>
   tecore validate -rules <rules file> [-solver mln|psl]
   tecore infer    -data <tquads file> -rules <rules file>
-                  [-solver mln|psl] [-threshold t] [-cpi] [-parallel N]
+                  [-solver mln|psl|greedy] [-threshold t] [-parallel N]
                   [-component-exact N] [-v] [-explain-plan]
                   [-incremental] [-data-dir DIR]
                   [-out consistent.tq] [-removed removed.tq]
@@ -159,9 +159,8 @@ func runInfer(args []string) error {
 	fs := flag.NewFlagSet("infer", flag.ExitOnError)
 	data := fs.String("data", "", "TQuads dataset file")
 	rules := fs.String("rules", "", "rules/constraints file")
-	solverName := fs.String("solver", "mln", "solver: mln (nRockIt) or psl (nPSL)")
+	solverName := fs.String("solver", "mln", "solver: mln (nRockIt), psl (nPSL) or greedy (baseline)")
 	threshold := fs.Float64("threshold", 0, "drop derived facts below this confidence")
-	cpi := fs.Bool("cpi", false, "cutting-plane inference (MLN)")
 	parallel := fs.Int("parallel", 0, "worker pool size for the solve pipeline (0 = all cores, 1 = sequential)")
 	componentExact := fs.Int("component-exact", 0, "largest conflict component handed to the exact MaxSAT engine (0 = default 48)")
 	verbose := fs.Bool("v", false, "print the plan, component (count, sizes, engines, cache hits), repair and outcome stage summaries")
@@ -219,22 +218,16 @@ func runInfer(args []string) error {
 	if err := s.LoadProgramText(string(src)); err != nil {
 		return err
 	}
-	if *incremental {
-		return runIncrementalREPL(s, tecore.SolveOptions{
-			Solver:              solver,
-			Threshold:           *threshold,
-			CuttingPlane:        *cpi,
-			Parallelism:         *parallel,
-			ComponentExactLimit: *componentExact,
-		}, *verbose, os.Stdin, os.Stdout)
-	}
-	res, err := s.Solve(tecore.SolveOptions{
+	opts := tecore.SolveOptions{
 		Solver:              solver,
 		Threshold:           *threshold,
-		CuttingPlane:        *cpi,
 		Parallelism:         *parallel,
 		ComponentExactLimit: *componentExact,
-	})
+	}
+	if *incremental {
+		return runIncrementalREPL(s, opts, *verbose, os.Stdin, os.Stdout)
+	}
+	res, err := s.Solve(opts)
 	if err != nil {
 		return err
 	}
@@ -249,9 +242,7 @@ func runInfer(args []string) error {
 	fmt.Printf("runtime:           %v\n", st.Runtime)
 	if *verbose {
 		printPlanSummary(os.Stdout, st.Plan)
-		if st.Components != nil {
-			printComponentSummary(os.Stdout, st.Components)
-		}
+		printComponentSummary(os.Stdout, st.Components)
 		printRepairSummary(os.Stdout, st.Repair)
 		printOutcomeSummary(os.Stdout, st.Outcome)
 	}

@@ -138,15 +138,6 @@ func TestRunInferErrors(t *testing.T) {
 	}
 }
 
-func TestRunInferCPI(t *testing.T) {
-	dir := t.TempDir()
-	data := writeFile(t, dir, "g.tq", figure1)
-	rules := writeFile(t, dir, "r.tcr", program)
-	if err := runInfer([]string{"-data", data, "-rules", rules, "-cpi"}); err != nil {
-		t.Fatalf("runInfer -cpi: %v", err)
-	}
-}
-
 func TestRunInferExplain(t *testing.T) {
 	dir := t.TempDir()
 	data := writeFile(t, dir, "g.tq", figure1)

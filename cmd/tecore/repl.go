@@ -100,12 +100,10 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 			fmt.Fprintf(out, "plan: %s (+%d/-%d atoms, %d patched, %d dropped, %v)\n",
 				st.Plan.Mode, st.Plan.InsertedAtoms, st.Plan.RemovedAtoms,
 				st.Plan.PatchedComponents, st.Plan.DroppedComponents, st.Plan.Sync)
-			if st.Components != nil {
-				fmt.Fprintf(out, "components: %d (%d solved, %d reused from cache)\n",
-					st.Components.Count, st.Components.Solved, st.Components.Reused)
-				if verbose {
-					printComponentSummary(out, st.Components)
-				}
+			fmt.Fprintf(out, "components: %d (%d solved, %d reused from cache)\n",
+				st.Components.Count, st.Components.Solved, st.Components.Reused)
+			if verbose {
+				printComponentSummary(out, st.Components)
 			}
 			fmt.Fprintf(out, "repair: %d repaired, %d reused from cache (%v)\n",
 				st.Repair.Repaired, st.Repair.Reused, st.Repair.Total)

@@ -69,7 +69,7 @@ func componentPool(subjects, spells int, seed int64) []tecore.Quad {
 	return pool
 }
 
-// exactEverywhere forces both the whole-network (cutting-plane) kernel
+// exactEverywhere forces both the whole-network cutting-plane oracle
 // and the per-component path onto the exact branch-and-bound engine,
 // where the unique MAP optimum makes results provably byte-identical.
 func exactEverywhere(opts tecore.SolveOptions) tecore.SolveOptions {
@@ -89,9 +89,7 @@ func TestComponentMatchesMonolithicMLNExact(t *testing.T) {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
 			incOpts := exactEverywhere(tecore.SolveOptions{
 				Solver: tecore.SolverMLN, Parallelism: par})
-			freshOpts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par, CuttingPlane: true})
-			runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 43, 12, 17)
+			runVsOracle(t, componentProgram, pool, incOpts, incOpts, 43, 12, 17)
 		})
 	}
 }
@@ -103,8 +101,7 @@ func TestComponentMatchesMonolithicMLNCold(t *testing.T) {
 	pool := componentPool(3, 3, 59)
 	incOpts := exactEverywhere(tecore.SolveOptions{
 		Solver: tecore.SolverMLN, ColdStart: true})
-	freshOpts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true})
-	runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 61, 10, 17)
+	runVsOracle(t, componentProgram, pool, incOpts, incOpts, 61, 10, 17)
 }
 
 // TestComponentIncrementalMatchesFreshComponent: the cached incremental

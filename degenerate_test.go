@@ -26,6 +26,13 @@ import (
 // and older clients still set SolveOptions' deprecated field and the
 // "componentSolve" JSON key, and both must stay accepted and inert. It
 // goes when the deprecated fields do.
+//
+// The mln-cpi rows cover the retired cutting-plane switch and the
+// whole-network oracle that replaced it: over the wire every request
+// carries the "cuttingPlane" key older clients send, which must be
+// accepted and ignored (an MLN solve); through the Go API the
+// cutting-plane oracle the property suites compare against must give
+// the same well-formed identity as the session.
 
 const (
 	degenerateFacts = `
@@ -60,7 +67,9 @@ var degenerateCases = []degenerateCase{
 type degenerateSolver struct {
 	name   string
 	solver tecore.Solver
-	cpi    bool
+	// cpi sends the retired cuttingPlane key over the wire and checks
+	// the cutting-plane oracle beside the Go API's session.
+	cpi bool
 }
 
 var degenerateSolvers = []degenerateSolver{
@@ -103,9 +112,9 @@ func setLegacyComponentFlag(opts *tecore.SolveOptions) {
 	reflect.ValueOf(opts).Elem().FieldByName("ComponentSolve").SetBool(true)
 }
 
-// withLegacyComponentKey re-encodes a request body with the retired
-// "componentSolve": true key.
-func withLegacyComponentKey(t *testing.T, body any) any {
+// withLegacyKeys re-encodes a request body with each retired key set to
+// true.
+func withLegacyKeys(t *testing.T, body any, keys ...string) any {
 	t.Helper()
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -115,7 +124,9 @@ func withLegacyComponentKey(t *testing.T, body any) any {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		t.Fatal(err)
 	}
-	m["componentSolve"] = true
+	for _, k := range keys {
+		m[k] = true
+	}
 	return m
 }
 
@@ -144,7 +155,7 @@ func TestDegenerateInputsSession(t *testing.T) {
 		if err := s.LoadProgramText(c.rules); err != nil {
 			t.Fatal(err)
 		}
-		opts := tecore.SolveOptions{Solver: sv.solver, CuttingPlane: sv.cpi, Parallelism: workers}
+		opts := tecore.SolveOptions{Solver: sv.solver, Parallelism: workers}
 		if components {
 			setLegacyComponentFlag(&opts)
 		}
@@ -153,6 +164,10 @@ func TestDegenerateInputsSession(t *testing.T) {
 			t.Fatalf("cold solve: %v", err)
 		}
 		checkDegenerate(t, res.Stats, res.Kept.Len(), res.Removed.Len(), res.Inferred.Len(), c, sv, 0)
+		if sv.cpi {
+			ref := wholeNetworkReference(t, c.rules, s.Store().Graph(), opts)
+			checkDegenerate(t, ref.Stats, ref.Kept.Len(), ref.Removed.Len(), ref.Inferred.Len(), c, sv, 0)
+		}
 
 		probe, err := tecore.ParseGraphString(degenerateProbe)
 		if err != nil {
@@ -207,19 +222,18 @@ func TestDegenerateInputsHTTP(t *testing.T) {
 		post(t, "/api/datasets", server.UploadRequest{Name: c.name, TQuads: c.facts}, &info)
 	}
 	forEachDegenerate(t, func(t *testing.T, c degenerateCase, sv degenerateSolver, components bool, workers int) {
-		legacy := func(body any) any {
-			if components {
-				return withLegacyComponentKey(t, body)
-			}
-			return body
+		var keys []string
+		if components {
+			keys = append(keys, "componentSolve")
 		}
+		if sv.cpi {
+			keys = append(keys, "cuttingPlane")
+		}
+		legacy := func(body any) any { return withLegacyKeys(t, body, keys...) }
 		var solved server.SolveResponse
 		post(t, "/api/solve", legacy(server.SolveRequest{Dataset: c.name, Rules: c.rules, Solver: sv.solver.String(),
-			CuttingPlane: sv.cpi, Parallelism: workers}), &solved)
+			Parallelism: workers}), &solved)
 		checkResp(t, solved, c, sv, 0)
-		if sv.cpi {
-			return // the session API has no cutting-plane switch
-		}
 
 		var info server.SessionInfo
 		post(t, "/api/sessions", server.CreateSessionRequest{TQuads: c.facts, Rules: c.rules}, &info)

@@ -154,15 +154,43 @@ func runIncrementalVsFreshProgram(t *testing.T, program string, pool []tecore.Qu
 
 // runTwoWaysProgram drives nSteps random mutations against a long-lived
 // incremental session solved with incOpts and, at every step, a
-// from-scratch reference over the same live graph solved with
-// freshOpts, failing on the first divergence. With a component kernel in
-// freshOpts the reference is a brand-new session — incOpts == freshOpts
-// is the incremental-vs-fresh contract. With a whole-network kernel
-// (CuttingPlane or the greedy baseline) it is wholeNetworkReference,
-// which never runs Session.Solve: against a component kernel that is
-// the component-equivalence contract, against the same kernel the
-// session-vs-oracle contract.
+// brand-new session over the same live graph solved with freshOpts,
+// failing on the first divergence: incOpts == freshOpts is the
+// incremental-vs-fresh contract.
 func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts, freshOpts tecore.SolveOptions, seed int64, nSteps int, confDigits int) {
+	t.Helper()
+	runAgainstReference(t, program, pool, incOpts, func(t *testing.T, g tecore.Graph) *tecore.Resolution {
+		fresh := tecore.NewSession()
+		if err := fresh.LoadGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.LoadProgramText(program); err != nil {
+			t.Fatal(err)
+		}
+		res, err := fresh.Solve(freshOpts)
+		if err != nil {
+			t.Fatalf("fresh solve: %v", err)
+		}
+		return res
+	}, seed, nSteps, confDigits)
+}
+
+// runVsOracle is runTwoWaysProgram with wholeNetworkReference under
+// oracleOpts as the reference, which never runs Session.Solve: against
+// the MLN kernel that is the component-equivalence contract, against
+// the greedy kernel the session-vs-oracle contract.
+func runVsOracle(t *testing.T, program string, pool []tecore.Quad, incOpts, oracleOpts tecore.SolveOptions, seed int64, nSteps int, confDigits int) {
+	t.Helper()
+	runAgainstReference(t, program, pool, incOpts, func(t *testing.T, g tecore.Graph) *tecore.Resolution {
+		return wholeNetworkReference(t, program, g, oracleOpts)
+	}, seed, nSteps, confDigits)
+}
+
+// runAgainstReference drives nSteps random mutations against a
+// long-lived incremental session solved with incOpts and compares it at
+// every step with reference over the same live graph.
+func runAgainstReference(t *testing.T, program string, pool []tecore.Quad, incOpts tecore.SolveOptions,
+	reference func(t *testing.T, g tecore.Graph) *tecore.Resolution, seed int64, nSteps int, confDigits int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	inc := tecore.NewSession()
@@ -214,22 +242,7 @@ func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts
 			t.Fatalf("step %d: solve did not take the delta path", step)
 		}
 
-		var freshRes *tecore.Resolution
-		if freshOpts.CuttingPlane || freshOpts.Solver == translate.SolverGreedy {
-			freshRes = wholeNetworkReference(t, program, inc.Store().Graph(), freshOpts)
-		} else {
-			fresh := tecore.NewSession()
-			if err := fresh.LoadGraph(inc.Store().Graph()); err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.LoadProgramText(program); err != nil {
-				t.Fatal(err)
-			}
-			if freshRes, err = fresh.Solve(freshOpts); err != nil {
-				t.Fatalf("step %d: fresh solve: %v", step, err)
-			}
-		}
-
+		freshRes := reference(t, inc.Store().Graph())
 		got, want := canonResolution(incRes, confDigits), canonResolution(freshRes, confDigits)
 		if got != want {
 			t.Fatalf("step %d: incremental result diverged from from-scratch solve\nincremental:\n%s\nfresh:\n%s", step, got, want)
@@ -244,9 +257,9 @@ func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts
 
 // wholeNetworkReference is the independent whole-network oracle: a
 // fresh store and grounder closed under the program and fully grounded,
-// one cutting-plane MaxSAT (opts.CuttingPlane, MLN) or the greedy sweep
-// over that clause set (the greedy solver), and the whole-graph
-// repair.Resolve read-out. It shares no engine, plan, cache, kernel
+// one cutting-plane MaxSAT (mln.CuttingPlane, the MLN solver) or one
+// greedy sweep (baseline.Solve, the greedy solver) over that clause set,
+// and the whole-graph repair.Resolve read-out. It shares no engine, plan, cache, kernel
 // state or live outcome with Session.Solve.
 func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts tecore.SolveOptions) *tecore.Resolution {
 	t.Helper()
@@ -267,16 +280,11 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 	if out.Clauses, err = gr.GroundProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	switch {
-	case opts.Solver == translate.SolverGreedy:
-		out.Greedy = baseline.Solve(gr.Atoms(), out.Clauses)
-		out.Truth = out.Greedy.Truth
-	case opts.Solver == translate.SolverMLN && opts.CuttingPlane:
-		mopts := opts.Advanced.MLN
-		if mopts.Parallelism == 0 {
-			mopts.Parallelism = opts.Parallelism
-		}
-		if out.MLN, err = mln.CuttingPlane(gr.Atoms(), out.Clauses, mopts); err != nil {
+	switch opts.Solver {
+	case translate.SolverGreedy:
+		out.Truth = baseline.Solve(gr.Atoms(), out.Clauses).Truth
+	case translate.SolverMLN:
+		if out.MLN, err = mln.CuttingPlane(gr.Atoms(), out.Clauses, opts.Advanced.MLN); err != nil {
 			t.Fatal(err)
 		}
 		if !out.MLN.HardSatisfied {
@@ -284,7 +292,7 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 		}
 		out.Truth = out.MLN.Truth
 	default:
-		t.Fatalf("no whole-network reference for %v (cutting plane %v)", opts.Solver, opts.CuttingPlane)
+		t.Fatalf("no whole-network reference for %v", opts.Solver)
 	}
 	oc, err := repair.Resolve(out, repair.Options{Threshold: opts.Threshold})
 	if err != nil {
@@ -399,25 +407,55 @@ c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w =
 star: quad(x, coach, y, t) ^ quad(z, coach, y, t') ^ x != z -> disjoint(t, t') w = inf
 `
 
-// TestWholeNetworkKernelSessionsMatchOracle: cutting-plane and greedy
-// solves run inside the session pipeline — the engine's maintained
-// grounder and clause set, the maintained plan, component repair and the
-// live outcome — and must match the independent whole-network oracle at
-// every step of a randomized add/remove/revive stream, at parallelism 1
-// and N, under the default solver options: both kernels see the live
-// atoms in canonical order however the session interned them, so even
-// past the exact engine's variable limit the local-search walk and every
-// tie-break reproduce the oracle's.
+// TestWholeNetworkKernelSessionsMatchOracle: greedy solves run inside
+// the session pipeline — the engine's maintained grounder and clause
+// set, the maintained plan, the per-component sweep and its cache,
+// component repair and the live outcome — and must match the
+// independent whole-network oracle (one baseline.Solve over a fresh
+// grounding) at every step of a randomized add/remove/revive stream, at
+// parallelism 1 and N: both sweep the live atoms and clauses in
+// canonical order however the session interned them. The
+// derived-conflict streams pin the implication walk: which of two
+// conflicting derivations survives is decided by the order the sweep
+// walks the implications in, and walking a long-lived session's clause
+// slots in slot order, which follows its history, kept a different
+// premise than a fresh grounding did (pool seed 17 diverged at step 16).
 func TestWholeNetworkKernelSessionsMatchOracle(t *testing.T) {
 	for _, par := range []int{1, 0} {
-		t.Run(fmt.Sprintf("mln-cpi/parallel=%d", par), func(t *testing.T) {
-			opts := tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true, Parallelism: par}
-			// 63 statements: the live network grows past the exact limit.
-			runTwoWaysProgram(t, componentProgram, componentPool(16, 3, 163), opts, opts, 167, 24, 17)
-		})
+		opts := tecore.SolveOptions{Solver: translate.SolverGreedy, Parallelism: par}
 		t.Run(fmt.Sprintf("greedy/parallel=%d", par), func(t *testing.T) {
-			opts := tecore.SolveOptions{Solver: translate.SolverGreedy, Parallelism: par}
-			runTwoWaysProgram(t, greedyProgram, componentPool(4, 3, 173), opts, opts, 179, 12, 17)
+			runVsOracle(t, greedyProgram, componentPool(4, 3, 173), opts, opts, 179, 12, 17)
 		})
+		for seed := int64(1); seed <= 30; seed++ {
+			t.Run(fmt.Sprintf("greedy-derived-conflict/parallel=%d/seed=%d", par, seed), func(t *testing.T) {
+				runVsOracle(t, derivedConflictProgram, derivedConflictPool(seed), opts, opts, seed*7, 30, 17)
+			})
+		}
 	}
+}
+
+// derivedConflictProgram derives worksFor from playsFor by a hard rule
+// and forbids two overlapping worksFor spells at different clubs, so two
+// evidence facts conflict only through their derivations: the greedy
+// sweep keeps both and the implication walk decides which survives.
+const derivedConflictProgram = `
+f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = inf
+c: quad(x, worksFor, y, t) ^ quad(x, worksFor, z, t') ^ y != z -> disjoint(t, t') w = inf
+`
+
+// derivedConflictPool builds 4 subjects × 4 playsFor spells, each spell
+// starting the year before the previous one ends.
+func derivedConflictPool(seed int64) []tecore.Quad {
+	rng := rand.New(rand.NewSource(seed))
+	var pool []tecore.Quad
+	for s := 0; s < 4; s++ {
+		start := int64(2000)
+		for c := 0; c < 4; c++ {
+			end := start + 2 + int64(rng.Intn(3))
+			pool = append(pool, tecore.NewQuad(fmt.Sprintf("P%d", s), "playsFor", fmt.Sprintf("Club_%d", c),
+				tecore.MustInterval(start, end), 0.5+0.45*rng.Float64()))
+			start = end - 1
+		}
+	}
+	return pool
 }

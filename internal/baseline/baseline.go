@@ -9,53 +9,91 @@
 // combined weight exceeds it), so MAP inference removes at most the
 // weight greedy removes; the quality gap is measured by the
 // BenchmarkE10_GreedyVsMAP ablation.
+//
+// The sweep reads hard clauses only, and clauses never cross conflict
+// components, so it decomposes exactly along the solve plan: the session
+// runs SolveComponent once per component on the MLN component loop
+// (mln.SolveComponents), and Solve — the whole-network test oracle —
+// runs the same Sweep once over every live atom.
 package baseline
 
 import (
-	"sort"
-	"time"
+	"cmp"
+	"slices"
 
 	"repro/internal/ground"
 )
 
-// Result is the greedy state over the ground network, shaped like the
-// probabilistic backends' results.
+// Engine names the greedy kernel in component statistics.
+const Engine = "greedy"
+
+// Result is the greedy state over the whole ground network.
 type Result struct {
 	// Truth assigns a boolean to every atom id.
 	Truth []bool
-	// RemovedWeight is the total confidence of rejected evidence facts.
+	// RemovedWeight is the total confidence of the evidence facts the
+	// final state drops.
 	RemovedWeight float64
-	// Removed counts rejected evidence facts.
+	// Removed counts the evidence facts the final state drops.
 	Removed int
-	// Runtime is the wall-clock solve time.
-	Runtime time.Duration
 }
 
 // Solve runs greedy repair over a closed grounder's atom table and its
 // full ground clause set (Close forward-chained the inference rules, so
-// the table is complete). Retracted atoms stay false. Confidence ties
-// break by backing fact id, so the sweep order depends on the store
-// alone, not on the order the atoms were interned in.
+// the table is complete): one Sweep over every live atom in canonical
+// order, with the clauses in canonical clause order. Retracted atoms
+// stay false.
 func Solve(atoms *ground.AtomTable, cs *ground.ClauseSet) *Result {
-	start := time.Now()
-	n := atoms.Len()
+	order := ground.CanonicalAtoms(atoms)
+	varOf := ground.CanonicalVarMap(atoms, order)
+	clauses, _ := cs.ComponentClauses(order, func(a ground.AtomID) int32 { return varOf[a] })
+	res := &Result{Truth: make([]bool, atoms.Len())}
+	for v, kept := range Sweep(atoms, order, clauses) {
+		a := order[v]
+		res.Truth[a] = kept
+		if info := atoms.Info(a); info.Evidence && !kept {
+			res.Removed++
+			res.RemovedWeight += info.Conf
+		}
+	}
+	return res
+}
 
+// SolveComponent is the greedy kernel of the component loop
+// (mln.Kernel): Sweep over one conflict component. It takes no warm
+// start.
+func SolveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []ground.Clause, _ []bool) ([]bool, string, error) {
+	return Sweep(atoms, vars, clauses), Engine, nil
+}
+
+// Sweep runs greedy repair over one subproblem and returns the truth of
+// each of its variables. vars are the subproblem's atoms in canonical
+// order (ground.CanonicalAtoms, or a plan component's Atoms) and clauses
+// its ground clauses in canonical clause order with literals numbered by
+// position in vars (ground.ClauseSet.ComponentClauses). Both orders
+// depend on the live network alone, not on the order atoms and clauses
+// were interned in, so the answer does too: confidence ties break by
+// canonical order (backing fact id), and implications — whose order
+// decides which of two conflicting derivations survives — are walked in
+// clause order.
+func Sweep(atoms *ground.AtomTable, vars []ground.AtomID, clauses []ground.Clause) []bool {
 	// Split clauses: all-negative hard clauses are constraints checked
 	// during the greedy sweep; clauses with exactly one positive literal
-	// are implications used for propagation afterwards.
+	// are implications used for propagation afterwards. Soft structure
+	// beyond confidences is ignored.
 	type implication struct {
 		body []ground.AtomID
 		head ground.AtomID
 	}
 	var denials []denial
 	var implications []implication
-	byAtom := make([][]int32, n) // atom -> denial indexes
-	cs.ForEach(func(c *ground.Clause) bool {
+	byVar := make([][]int32, len(vars)) // var -> denial indexes
+	for i := range clauses {
+		c := &clauses[i]
 		if !c.Hard() {
-			return true // greedy ignores soft structure beyond confidences
+			continue
 		}
-		var pos []ground.AtomID
-		var neg []ground.AtomID
+		var pos, neg []ground.AtomID
 		for _, l := range c.Lits {
 			if l.Neg {
 				neg = append(neg, l.Atom)
@@ -67,32 +105,27 @@ func Solve(atoms *ground.AtomTable, cs *ground.ClauseSet) *Result {
 		case len(pos) == 0:
 			di := int32(len(denials))
 			denials = append(denials, denial{members: neg})
-			for _, a := range neg {
-				byAtom[a] = append(byAtom[a], di)
+			for _, v := range neg {
+				byVar[v] = append(byVar[v], di)
 			}
 		case len(pos) == 1:
 			implications = append(implications, implication{body: neg, head: pos[0]})
 		}
-		return true
-	})
+	}
 
-	// Greedy sweep over evidence atoms, strongest first.
-	order := atoms.EvidenceAtoms()
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := atoms.Confidence(order[i]), atoms.Confidence(order[j])
-		if ci != cj {
-			return ci > cj
+	// Greedy sweep over evidence atoms, strongest first; the stable sort
+	// keeps canonical order among equal confidences.
+	var order []ground.AtomID
+	for v, a := range vars {
+		if atoms.IsEvidence(a) {
+			order = append(order, ground.AtomID(v))
 		}
-		return atoms.BackingFact(order[i]) < atoms.BackingFact(order[j])
-	})
-	res := &Result{Truth: make([]bool, n)}
-	for _, a := range order {
-		if violates(a, res.Truth, denials, byAtom) {
-			res.Removed++
-			res.RemovedWeight += atoms.Confidence(a)
-			continue
-		}
-		res.Truth[a] = true
+	}
+	conf := func(v ground.AtomID) float64 { return atoms.Confidence(vars[v]) }
+	slices.SortStableFunc(order, func(x, y ground.AtomID) int { return cmp.Compare(conf(y), conf(x)) })
+	truth := make([]bool, len(vars))
+	for _, v := range order {
+		truth[v] = !violates(v, truth, denials, byVar)
 	}
 
 	// Forward-propagate hard implications over the kept set, rejecting
@@ -102,12 +135,12 @@ func Solve(atoms *ground.AtomTable, cs *ground.ClauseSet) *Result {
 	for changed := true; changed; {
 		changed = false
 		for _, imp := range implications {
-			if res.Truth[imp.head] {
+			if truth[imp.head] {
 				continue
 			}
 			all := true
 			for _, b := range imp.body {
-				if !res.Truth[b] {
+				if !truth[b] {
 					all = false
 					break
 				}
@@ -115,39 +148,36 @@ func Solve(atoms *ground.AtomTable, cs *ground.ClauseSet) *Result {
 			if !all {
 				continue
 			}
-			if violates(imp.head, res.Truth, denials, byAtom) {
+			if violates(imp.head, truth, denials, byVar) {
 				weakest, wConf := ground.AtomID(-1), 2.0
 				for _, b := range imp.body {
-					if info := atoms.Info(b); info.Evidence && info.Conf < wConf {
+					if info := atoms.Info(vars[b]); info.Evidence && info.Conf < wConf {
 						weakest, wConf = b, info.Conf
 					}
 				}
 				if weakest >= 0 {
-					res.Truth[weakest] = false
-					res.Removed++
-					res.RemovedWeight += wConf
+					truth[weakest] = false
 					changed = true
 				}
 				continue
 			}
-			res.Truth[imp.head] = true
+			truth[imp.head] = true
 			changed = true
 		}
 	}
-	res.Runtime = time.Since(start)
-	return res
+	return truth
 }
 
 // denial is an all-negative hard clause: its members cannot all hold.
 type denial struct{ members []ground.AtomID }
 
-// violates reports whether setting atom a true would complete a denial
-// whose other members are all currently true.
-func violates(a ground.AtomID, truth []bool, denials []denial, byAtom [][]int32) bool {
-	for _, di := range byAtom[a] {
+// violates reports whether setting variable v true would complete a
+// denial whose other members are all currently true.
+func violates(v ground.AtomID, truth []bool, denials []denial, byVar [][]int32) bool {
+	for _, di := range byVar[v] {
 		complete := true
 		for _, m := range denials[di].members {
-			if m != a && !truth[m] {
+			if m != v && !truth[m] {
 				complete = false
 				break
 			}

@@ -121,10 +121,10 @@ func (s *Session) MissingPredicates() []string {
 // Every solve runs one pipeline on the session engine — ground, sync the
 // component plan, run the solver kernel, repair per conflict component,
 // patch the live outcome — so a re-solve costs in proportion to the
-// conflict a delta actually dirtied. The MLN (without CuttingPlane) and
-// PSL kernels also solve per component: each component gets the engine
-// its size calls for (exact branch-and-bound for small ones, local
-// search for large ones; ADMM under PSL), components solve concurrently
+// conflict a delta actually dirtied. Every kernel solves per component:
+// each component gets the engine its solver and size call for (exact
+// branch-and-bound for small ones and local search for large ones under
+// MLN, ADMM under PSL, the greedy sweep), components solve concurrently
 // on the worker pool, and per-component solution caches skip the clean
 // ones.
 type SolveOptions struct {
@@ -132,11 +132,6 @@ type SolveOptions struct {
 	Solver translate.Solver
 	// Threshold drops derived facts below this propagated confidence.
 	Threshold float64
-	// CuttingPlane swaps the MLN backend's component kernel for
-	// cutting-plane inference: one whole-network MaxSAT per round over
-	// the evidence priors and the groundings violated so far, re-run from
-	// scratch on every Solve.
-	CuttingPlane bool
 	// Parallelism bounds the solve pipeline's worker pools (grounding,
 	// per-component solves and read-outs) and is the default of the
 	// backends' own Parallelism: 0 uses GOMAXPROCS, 1 forces the
@@ -187,14 +182,11 @@ type Resolution struct {
 // ground, sync the component plan, run the solver kernel, repair per
 // conflict component, patch the live outcome: the first call grounds
 // and solves everything, later calls consume only the store delta. The
-// kernel is the one choice: per-component MaxSAT (MLN), per-component
-// ADMM (PSL), whole-network cutting-plane MaxSAT (MLN with
-// CuttingPlane) or the greedy sweep. The component kernels warm-start
-// from the prior solution and touch only the components the delta
-// dirtied; cutting-plane and greedy recompute the whole state, and the
-// read-out re-repairs the components whose truth moved. Stats.Plan and
-// Resolution.Delta are set on every solve, Stats.Components on the
-// component kernels' solves.
+// kernel is the one choice: MaxSAT (MLN), ADMM (PSL) or the greedy
+// sweep, each run per component. Every kernel keeps the prior solution,
+// warm-starts from it where it can, and touches only the components the
+// delta dirtied. Stats.Plan, Stats.Components and Resolution.Delta are
+// set on every solve.
 func (s *Session) Solve(opts SolveOptions) (*Resolution, error) {
 	adv := &opts.Advanced
 	if adv.MLN.Parallelism == 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -188,23 +187,6 @@ p bornIn Milan [1950,1950] 0.4
 	}
 }
 
-func TestCuttingPlaneOption(t *testing.T) {
-	s := newFigure1Session(t)
-	if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Solve(SolveOptions{Solver: translate.SolverMLN, CuttingPlane: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output.MLN.Rounds < 2 {
-		t.Errorf("CPI rounds = %d, want ≥ 2", res.Output.MLN.Rounds)
-	}
-	if res.Stats.RemovedFacts != 1 {
-		t.Errorf("removed = %d", res.Stats.RemovedFacts)
-	}
-}
-
 // TestGreedyGroundsOnce: the greedy sweep runs over the session engine's
 // clause set, which the read-out shares, so one solve joins each rule
 // exactly once.
@@ -273,109 +255,16 @@ c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w =
 	}
 }
 
-// TestCuttingPlaneSessionMatchesFresh: under the default solver options
-// a cutting-plane solve on a long-lived session hands MaxSAT the problem
-// a fresh grounding would — live atoms only, in canonical order. A
-// statement derived, retracted and later asserted owns an older atom than
-// an equally confident rival asserted before it, and the tie must break
-// as in a fresh session; statements the session interned and retracted
-// must not push the network past the exact engine's variable limit.
-func TestCuttingPlaneSessionMatchesFresh(t *testing.T) {
-	const program = `
-f: quad(x, playsFor, y, t) -> quad(x, coach, y, t) w = inf
-c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf
-`
-	opts := SolveOptions{Solver: translate.SolverMLN, CuttingPlane: true}
-	newSession := func(t *testing.T) *Session {
-		s := NewSession()
-		if err := s.LoadProgramText(program); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	step := func(t *testing.T, s *Session, add []rdf.Quad, remove []rdf.Quad) *Resolution {
-		t.Helper()
-		for _, q := range add {
-			if err := s.AddFact(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, q := range remove {
-			if !s.RemoveFact(q) {
-				t.Fatalf("retraction of %v missed", q)
-			}
-		}
-		res, err := s.Solve(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	matchFresh := func(t *testing.T, s *Session, res *Resolution) {
-		t.Helper()
-		fresh := newSession(t)
-		if err := fresh.LoadGraph(s.Store().Graph()); err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.Solve(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := canonDurable(res), canonDurable(want); !reflect.DeepEqual(a, b) {
-			t.Fatalf("cutting-plane session diverged from a fresh session\nsession: %+v\nfresh:   %+v", a, b)
-		}
-		got, wm := res.Output.MLN, want.Output.MLN
-		if got.Cost != wm.Cost || got.Optimal != wm.Optimal || got.GroundClauses != wm.GroundClauses ||
-			!reflect.DeepEqual(got.RuleViolations, wm.RuleViolations) {
-			t.Fatalf("session cost %g optimal %v clauses %d violations %v, fresh session %g %v %d %v",
-				got.Cost, got.Optimal, got.GroundClauses, got.RuleViolations,
-				wm.Cost, wm.Optimal, wm.GroundClauses, wm.RuleViolations)
-		}
-	}
-	coach := func(subject, club string, from, to int64) rdf.Quad {
-		return rdf.NewQuad(subject, "coach", club, temporal.MustNew(from, to), 0.7)
-	}
-
-	t.Run("derived-then-asserted tie", func(t *testing.T) {
-		s := newSession(t)
-		plays := rdf.NewQuad("P", "playsFor", "A", temporal.MustNew(2000, 2003), 0.9)
-		step(t, s, []rdf.Quad{plays}, nil) // interns coach A as derived
-		step(t, s, nil, []rdf.Quad{plays})
-		step(t, s, []rdf.Quad{coach("P", "B", 2002, 2005)}, nil)
-		res := step(t, s, []rdf.Quad{coach("P", "A", 2000, 2003)}, nil) // revives the older atom
-		if res.Stats.RemovedFacts != 1 {
-			t.Fatalf("removed %d facts, want one of the tied pair", res.Stats.RemovedFacts)
-		}
-		matchFresh(t, s, res)
-	})
-
-	t.Run("churned statements", func(t *testing.T) {
-		s := newSession(t)
-		for i := 0; i < 40; i++ {
-			q := coach(fmt.Sprintf("Q%d", i), "X", 2000, 2003)
-			step(t, s, []rdf.Quad{q}, nil)
-			step(t, s, nil, []rdf.Quad{q})
-		}
-		res := step(t, s, []rdf.Quad{
-			coach("P", "A", 2000, 2003), coach("P", "B", 2002, 2005),
-			coach("R", "A", 2000, 2003), coach("R", "B", 2002, 2005), coach("R", "C", 2004, 2007),
-		}, nil)
-		if !res.Output.MLN.Optimal {
-			t.Fatal("a 5-atom network was not solved exactly")
-		}
-		matchFresh(t, s, res)
-	})
-}
-
-// TestComponentKernelsAgreeOnFigure7: both component kernels remove
-// only the Napoli fact, and each output carries its backend detail,
-// decomposition included.
+// TestComponentKernelsAgreeOnFigure7: every kernel removes only the
+// Napoli fact, and each output carries its backend detail, decomposition
+// included (the greedy sweep's under MLN, whose component loop it runs
+// on).
 func TestComponentKernelsAgreeOnFigure7(t *testing.T) {
 	s := newFigure1Session(t)
 	if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {
 		t.Fatal(err)
 	}
-	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL} {
+	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL, translate.SolverGreedy} {
 		res, err := s.Solve(SolveOptions{Solver: solver})
 		if err != nil {
 			t.Fatalf("%v: %v", solver, err)
@@ -400,8 +289,8 @@ func TestComponentKernelsAgreeOnFigure7(t *testing.T) {
 		if solver == translate.SolverPSL && out.SoftValues == nil {
 			t.Error("PSL output should carry soft values")
 		}
-		if solver == translate.SolverMLN && (out.MLN == nil || out.MLN.Components == nil) {
-			t.Error("MLN output should carry backend detail, decomposition included")
+		if solver != translate.SolverPSL && (out.MLN == nil || out.MLN.Components == nil) {
+			t.Errorf("%v output should carry backend detail, decomposition included", solver)
 		}
 		if solver == translate.SolverPSL && (out.PSL == nil || out.PSL.Components == nil) {
 			t.Error("PSL output should carry backend detail, decomposition included")
@@ -452,14 +341,9 @@ func TestStoreLogCompactedEveryKernel(t *testing.T) {
 	for _, opts := range []SolveOptions{
 		{Solver: translate.SolverMLN},
 		{Solver: translate.SolverPSL},
-		{Solver: translate.SolverMLN, CuttingPlane: true},
 		{Solver: translate.SolverGreedy},
 	} {
-		name := opts.Solver.String()
-		if opts.CuttingPlane {
-			name += "-cpi"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(opts.Solver.String(), func(t *testing.T) {
 			s := newFigure1Session(t)
 			if err := s.LoadProgramText("c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf"); err != nil {
 				t.Fatal(err)

@@ -39,12 +39,10 @@ func attachGroundStats(oc *repair.Outcome, g *ground.Grounder) {
 
 // solveEngine is the session's cached incremental solve state: a
 // grounder and clause set kept alive across solves, the store epoch they
-// reflect, and the previous component-kernel solution for warm-starting
-// the solvers. The grounder and clause set depend only on the store and
-// program — switching solvers reuses them and only resets the warm data.
-// Cutting-plane and greedy solves take no warm state and write none, so
-// the warm fields (and the persisted sidecar) only ever hold an MLN or
-// PSL component solution.
+// reflect, and the previous solve's state for warm-starting the kernel
+// and chaining its change-set scope. The grounder and clause set depend
+// only on the store and program — switching solvers reuses them and only
+// resets the warm data.
 type solveEngine struct {
 	g           *ground.Grounder
 	cs          *ground.ClauseSet
@@ -58,17 +56,18 @@ type solveEngine struct {
 	// hands the same Warm back.
 	warmPSL *psl.Warm
 
-	// Per-component solution caches for the component-decomposed solve,
-	// keyed by (component key, generation, membership); entries survive
-	// solver switches because they are only consulted — and only valid —
-	// for components whose generation is unchanged.
-	compMLN *mln.ComponentCache
-	compPSL *psl.ComponentCache
+	// Per-component solution caches, one per kernel, keyed by (component
+	// key, generation, membership); entries survive solver switches
+	// because they are only consulted — and only valid — for components
+	// whose generation is unchanged.
+	compMLN    *mln.ComponentCache
+	compGreedy *mln.ComponentCache
+	compPSL    *psl.ComponentCache
 	// compOptsKey fingerprints the backend options the component caches
 	// were built under: a cached solution computed under different
 	// engine tuning (exact limit, weights, seeds, ...) is not the
 	// solution the requested options would produce, so an options
-	// change drops both caches. Parallelism is excluded — results are
+	// change drops all three caches. Parallelism is excluded — results are
 	// identical at every worker count.
 	compOptsKey string
 
@@ -149,7 +148,6 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	if err := translate.ValidateFor(solver, s.prog); err != nil {
 		return nil, err
 	}
-	cpi := opts.CuttingPlane && solver == translate.SolverMLN
 	start := time.Now()
 
 	eng := s.engine
@@ -200,7 +198,7 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	mlnOpts, pslOpts := topts.MLN, topts.PSL
 	mlnOpts.Parallelism, pslOpts.Parallelism = 0, 0
 	if key := fmt.Sprintf("%+v|%+v", mlnOpts, pslOpts); key != eng.compOptsKey {
-		eng.compMLN, eng.compPSL = nil, nil
+		eng.compMLN, eng.compGreedy, eng.compPSL = nil, nil, nil
 		eng.compOptsKey = key
 	}
 
@@ -217,26 +215,24 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	out := &translate.Output{Solver: solver, Grounder: eng.g, Clauses: eng.cs}
 	var nextPSL *psl.Warm
 	solveErr := withStage("solve", func() error {
-		switch {
-		case cpi:
-			res, err := mln.CuttingPlane(eng.g.Atoms(), eng.cs, topts.MLN)
+		switch solver {
+		case translate.SolverMLN, translate.SolverGreedy:
+			cache, kernel := &eng.compMLN, mln.Kernel(nil)
+			if solver == translate.SolverGreedy {
+				cache, kernel = &eng.compGreedy, baseline.SolveComponent
+			}
+			if opts.ColdStart || *cache == nil {
+				*cache = mln.NewComponentCache()
+			}
+			res, err := mln.SolveComponents(eng.g, eng.cs, topts.MLN, warmTruth, *cache, plan, kernel)
 			if err != nil {
 				return err
 			}
 			out.MLN, out.Truth = res, res.Truth
-		case solver == translate.SolverGreedy:
-			out.Greedy = baseline.Solve(eng.g.Atoms(), eng.cs)
-			out.Truth = out.Greedy.Truth
-		case solver == translate.SolverMLN:
-			if opts.ColdStart || eng.compMLN == nil {
-				eng.compMLN = mln.NewComponentCache()
+			if solver == translate.SolverMLN && !res.HardSatisfied {
+				return fmt.Errorf("core: MLN solver found no assignment satisfying the hard constraints")
 			}
-			res, err := mln.MAPGroundComponents(eng.g, eng.cs, topts.MLN, warmTruth, eng.compMLN, plan)
-			if err != nil {
-				return err
-			}
-			out.MLN, out.Truth = res, res.Truth
-		case solver == translate.SolverPSL:
+		case translate.SolverPSL:
 			if opts.ColdStart || eng.compPSL == nil {
 				eng.compPSL = psl.NewComponentCache()
 			}
@@ -248,18 +244,13 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 		default:
 			return fmt.Errorf("core: unknown solver %v", solver)
 		}
-		if out.MLN != nil && !out.MLN.HardSatisfied {
-			return fmt.Errorf("core: MLN solver found no assignment satisfying the hard constraints")
-		}
 		return nil
 	})
 	if solveErr != nil {
 		return nil, solveErr
 	}
 	out.Runtime = time.Since(start)
-	if !cpi && solver != translate.SolverGreedy {
-		eng.warmSolver, eng.warmTruth, eng.warmPSL = solver, out.Truth, nextPSL
-	}
+	eng.warmSolver, eng.warmTruth, eng.warmPSL = solver, out.Truth, nextPSL
 
 	// The read-out decomposes along the same plan onto the session's
 	// read-out cache: a delta re-repairs only the components whose
@@ -270,7 +261,7 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	// (PSL soft values can shift under new engine tuning without the
 	// discrete truth, which the per-entry check covers, moving at all).
 	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: opts.Parallelism}
-	rkey := fmt.Sprintf("%v|%v|%+v|%s", solver, cpi,
+	rkey := fmt.Sprintf("%v|%+v|%s", solver,
 		repair.Options{Threshold: ropts.Threshold, ConfidenceRounds: ropts.ConfidenceRounds},
 		eng.compOptsKey)
 	if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {

@@ -22,7 +22,7 @@ import (
 // res — the component partition's shape, hard feasibility, per-rule
 // violation counts and the subtract-and-add cost — against a fresh
 // session over s's current store state.
-func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts SolveOptions, step string) {
+func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts SolveOptions, step string) *Resolution {
 	t.Helper()
 	fresh := checkComponentsMatchFresh(t, s, res, opts, step)
 	gm, wm := res.Output.MLN, fresh.Output.MLN
@@ -33,6 +33,7 @@ func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts S
 	if d := math.Abs(gm.Cost - wm.Cost); d > 1e-9*math.Max(1, math.Abs(wm.Cost)) {
 		t.Fatalf("%s: cost %.12g, fresh session %.12g", step, gm.Cost, wm.Cost)
 	}
+	return fresh
 }
 
 // checkComponentsMatchFresh compares the maintained component
@@ -53,20 +54,16 @@ func checkComponentsMatchFresh(t *testing.T, s *Session, res *Resolution, opts S
 	return fresh
 }
 
-// TestSolverAlternationKeepsAggregates interleaves PSL, cutting-plane
-// and greedy solves between MLN solves on one session, so the MLN cache
-// repeatedly finds itself more than one plan generation behind. Component
-// keys the skipped syncs retired must not survive in it: a later split
-// re-creates such a key, and a stale entry under it would be subtracted
-// from totals it was never added to. The whole-network kernels share the
-// session's plan, repair cache and live outcome with the component
-// kernels, so their answers must match a fresh session's too.
+// TestSolverAlternationKeepsAggregates interleaves PSL and greedy solves
+// between MLN solves on one session, so each kernel's cache repeatedly
+// finds itself more than one plan generation behind. Component keys the
+// skipped syncs retired must not survive in it: a later split re-creates
+// such a key, and a stale entry under it would be subtracted from totals
+// it was never added to. Greedy answers must match a fresh session's
+// too.
 func TestSolverAlternationKeepsAggregates(t *testing.T) {
 	mlnOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverMLN, Parallelism: par} }
 	pslOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverPSL, Parallelism: par} }
-	cpiOpts := func(par int) SolveOptions {
-		return SolveOptions{Solver: translate.SolverMLN, CuttingPlane: true, Parallelism: par}
-	}
 	greedyOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverGreedy, Parallelism: par} }
 	solve := func(t *testing.T, s *Session, opts SolveOptions, step string) *Resolution {
 		t.Helper()
@@ -74,12 +71,13 @@ func TestSolverAlternationKeepsAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		switch {
-		case opts.CuttingPlane || opts.Solver == translate.SolverGreedy:
-			if a, b := canonDurable(res), canonDurable(freshResolution(t, s, opts)); !reflect.DeepEqual(a, b) {
+		switch opts.Solver {
+		case translate.SolverGreedy:
+			fresh := checkAggregatesMatchFresh(t, s, res, opts, step)
+			if a, b := canonDurable(res), canonDurable(fresh); !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s: resolution diverged from a fresh session\nsession: %+v\nfresh:   %+v", step, a, b)
 			}
-		case opts.Solver == translate.SolverMLN:
+		case translate.SolverMLN:
 			checkAggregatesMatchFresh(t, s, res, opts, step)
 		default:
 			checkComponentsMatchFresh(t, s, res, opts, step)
@@ -152,12 +150,10 @@ func TestSolverAlternationKeepsAggregates(t *testing.T) {
 				switch rng.Intn(6) {
 				case 0, 1:
 					opts = pslOpts(par)
-				case 2:
-					opts = cpiOpts(par)
-				case 3:
+				case 2, 3:
 					opts = greedyOpts(par)
 				}
-				solve(t, s, opts, fmt.Sprintf("step %d (%v, cpi %v)", step, opts.Solver, opts.CuttingPlane))
+				solve(t, s, opts, fmt.Sprintf("step %d (%v)", step, opts.Solver))
 			}
 		})
 	}
@@ -209,15 +205,16 @@ func scopeSession(t *testing.T) (s *Session, update func(), retractQuarter func(
 }
 
 // TestDeltaScopeEngages pins that consecutive single-fact updates run
-// every stage under the planner's change set, on both component kernels
-// — a regression that silently scoped every component would pass every
-// equivalence suite — and that each event breaking the chain (the other
-// kernel's solve, a ColdStart, a planner rebuild) costs exactly one
-// all-component solve.
+// every stage under the planner's change set, on every kernel — a
+// regression that silently scoped every component would pass every
+// equivalence suite — solving exactly the components the plan patched,
+// and that each event breaking the chain (another kernel's solve, a
+// ColdStart, a planner rebuild) costs exactly one all-component solve.
 func TestDeltaScopeEngages(t *testing.T) {
 	for _, tc := range []struct{ kernel, other translate.Solver }{
 		{translate.SolverMLN, translate.SolverPSL},
 		{translate.SolverPSL, translate.SolverMLN},
+		{translate.SolverGreedy, translate.SolverMLN},
 	} {
 		t.Run(tc.kernel.String(), func(t *testing.T) {
 			s, update, retractQuarter := scopeSession(t)
@@ -235,9 +232,9 @@ func TestDeltaScopeEngages(t *testing.T) {
 					t.Fatalf("%s: TruthDelta = %v, want %v (plan %+v)", step, got, wantDelta, res.Stats.Plan)
 				}
 				if c, r, o := res.Stats.Components, res.Stats.Repair, res.Stats.Outcome; wantDelta &&
-					(c.Solved > 2 || r.Repaired > 2 || o.Patched > 2) {
-					t.Fatalf("%s: a single-fact update solved %d, repaired %d, patched %d components; want at most 2 each",
-						step, c.Solved, r.Repaired, o.Patched)
+					(c.Solved != res.Stats.Plan.PatchedComponents || c.Solved > 2 || r.Repaired > 2 || o.Patched > 2) {
+					t.Fatalf("%s: a single-fact update solved %d (the plan patched %d), repaired %d, patched %d components; want the plan's, at most 2 each",
+						step, c.Solved, res.Stats.Plan.PatchedComponents, r.Repaired, o.Patched)
 				}
 				return res
 			}

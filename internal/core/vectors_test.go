@@ -20,7 +20,6 @@ func TestMAPVectorsUnwritten(t *testing.T) {
 		opts SolveOptions
 	}{
 		{"mln", SolveOptions{Solver: translate.SolverMLN}},
-		{"mln-cpi", SolveOptions{Solver: translate.SolverMLN, CuttingPlane: true}},
 		{"psl", SolveOptions{Solver: translate.SolverPSL}},
 		{"greedy", SolveOptions{Solver: translate.SolverGreedy}},
 	} {

@@ -3,9 +3,6 @@ package maxsat
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
-
-	"repro/internal/par"
 )
 
 // Local-search engine: greedy weight-biased initialisation followed by a
@@ -16,13 +13,13 @@ import (
 // disjointness, small mixed inference clauses — respond very well to
 // this scheme.
 //
-// Restarts are independent: each gets its own RNG (seeded from the base
+// Restarts run in sequence: each gets its own RNG (seeded from the base
 // seed and the restart index), its own working state, and a share of the
-// flip budget, so they run concurrently on the worker pool. The winner
-// is selected deterministically by (hard feasibility, soft cost, restart
-// index) — the same answer at every Parallelism setting. The tables —
-// occurrence records, per-clause hard flags and the hard clauses'
-// members — are built once and shared read-only across restarts.
+// flip budget. The winner is selected by (hard feasibility, soft cost,
+// restart index), and the first restart that reaches a feasible,
+// zero-cost assignment ends the run — no later one can beat it. The
+// tables — occurrence records, per-clause hard flags and the hard
+// clauses' members — are built once and shared across restarts.
 //
 // Each restart keeps every variable's hard delta current: the number of
 // hard clauses its flip would break minus the number it would repair. A
@@ -38,7 +35,7 @@ type localState struct {
 	p      *Problem
 	rng    *rand.Rand
 	assign []bool
-	tables         // shared, read-only across restarts
+	tables         // shared across restarts, never written
 	numSat []int32 // per clause: count of satisfied literals
 	// hardDelta holds, per variable, the hard clauses its flip would
 	// break minus those it would repair.
@@ -178,7 +175,6 @@ func restartSeed(base int64, restart int) int64 {
 func solveLocal(p *Problem, opts Options) *Solution {
 	t := buildTables(p)
 	restarts := opts.Restarts
-	workers := par.Workers(opts.Parallelism)
 
 	warm := opts.Warm
 	if len(warm) != p.NumVars {
@@ -200,22 +196,12 @@ func solveLocal(p *Problem, opts Options) *Solution {
 		}
 	}
 
-	type attempt struct {
-		best  *Solution // best feasible assignment found (nil if none)
-		last  []bool    // final working assignment, for the infeasible fallback
-		flips int
-	}
-	results := make([]attempt, restarts)
-	// minPerfect tracks the lowest restart index that reached a feasible,
-	// zero-cost assignment. Later restarts can never beat it under the
-	// (feasible, cost, index) order, so they may skip — an optimisation
-	// that cannot change the selected winner.
-	var minPerfect atomic.Int32
-	minPerfect.Store(int32(restarts))
-	par.Do(restarts, workers, func(r int) {
-		if int32(r) > minPerfect.Load() {
-			return
-		}
+	// Feasible beats infeasible, then lowest cost; strict < keeps the
+	// earliest restart on ties.
+	var win *Solution
+	var last []bool // the last infeasible restart's final assignment
+	flips := 0
+	for r := 0; r < restarts; r++ {
 		st := newLocalState(p, t, restartSeed(opts.Seed, r))
 		if r == 0 && warm != nil {
 			st.initWarm(warm)
@@ -223,45 +209,24 @@ func solveLocal(p *Problem, opts Options) *Solution {
 			st.initGreedy(r)
 		}
 		best := &Solution{Cost: math.Inf(1)}
-		flips := st.walk(opts.MaxFlips/restarts, opts.Noise, best, stall)
-		a := attempt{flips: flips}
-		if best.Assignment != nil {
-			a.best = best
-		} else {
-			a.last = append([]bool(nil), st.assign...)
+		flips += st.walk(opts.MaxFlips/restarts, opts.Noise, best, stall)
+		if best.Assignment == nil {
+			last = st.assign
+			continue
 		}
-		results[r] = a
-		if best.HardSatisfied && best.Cost == 0 {
-			for {
-				cur := minPerfect.Load()
-				if int32(r) >= cur || minPerfect.CompareAndSwap(cur, int32(r)) {
-					break
-				}
-			}
+		if win == nil || best.Cost < win.Cost {
+			win = best
 		}
-	})
-
-	// Deterministic winner: feasible beats infeasible, then lowest cost,
-	// then lowest restart index (strict < keeps the earliest restart on
-	// ties). Skipped restarts contribute nothing.
-	var win *Solution
-	totalFlips := 0
-	for r := range results {
-		totalFlips += results[r].flips
-		if s := results[r].best; s != nil && (win == nil || s.Cost < win.Cost) {
-			win = s
+		if best.Cost == 0 {
+			break
 		}
 	}
 	if win == nil {
 		// Never feasible: report the last restart's final assignment.
-		assign := results[restarts-1].last
-		if assign == nil {
-			assign = make([]bool, p.NumVars)
-		}
-		hv, cost := Evaluate(p, assign)
-		return &Solution{Assignment: assign, Cost: cost, HardSatisfied: hv == 0, Flips: totalFlips}
+		hv, cost := Evaluate(p, last)
+		return &Solution{Assignment: last, Cost: cost, HardSatisfied: hv == 0, Flips: flips}
 	}
-	win.Flips = totalFlips
+	win.Flips = flips
 	return win
 }
 

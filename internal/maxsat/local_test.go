@@ -5,9 +5,29 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
+
+// randomProblem builds a weighted instance large enough to route past
+// the exact engine into local search.
+func randomProblem(seed int64, nvars, nclauses int) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	p := &Problem{NumVars: nvars}
+	for i := 0; i < nclauses; i++ {
+		var c Clause
+		width := 1 + rng.Intn(3)
+		for j := 0; j < width; j++ {
+			c.Lits = append(c.Lits, Lit{Var: int32(rng.Intn(nvars)), Neg: rng.Intn(2) == 0})
+		}
+		if rng.Intn(5) == 0 {
+			c.Weight = math.Inf(1)
+		} else {
+			c.Weight = 0.1 + rng.Float64()*3
+		}
+		p.Clauses = append(p.Clauses, c)
+	}
+	return p
+}
 
 // denseComponent builds one conflict component shaped like those the
 // clustered profile grounds into (the cold-dense benchmark workload): a
@@ -124,9 +144,8 @@ func trajectoryDigest(sol *Solution, withFlips bool) string {
 // assignment, cost, feasibility and step count each run reaches. A
 // change that only makes the walk cheaper must leave the digests as they
 // are; one that changes its arithmetic, its RNG draws or its float
-// summation order moves them and needs its own evaluation. Cold runs are pinned at Parallelism 1 and again at 3 (where a
-// restart may be skipped, so Flips is not pinned); warm runs take the
-// single-restart, stall-cutoff path.
+// summation order moves them and needs its own evaluation. Warm runs
+// take the single-restart, stall-cutoff path.
 func TestLocalTrajectoryPinned(t *testing.T) {
 	warmFrom := func(seed int64, n int) []bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -155,29 +174,18 @@ func TestLocalTrajectoryPinned(t *testing.T) {
 		{"warm-repeat80", repeatedVarProblem(11, 80, 400), Options{Seed: 8, Warm: warmFrom(12, 80)}, "a=61e4367094e37e5f c=400e2d13223df3b8 h=true f=13755"},
 	}
 	for _, tc := range cases {
-		for _, par := range []int{1, 3} {
-			if par > 1 && tc.opts.Warm != nil {
-				continue // one restart: nothing to schedule
-			}
-			opts := tc.opts
-			opts.Restarts = 3
-			opts.Parallelism = par
-			sol, err := Local(tc.p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hv, cost := Evaluate(tc.p, sol.Assignment)
-			if (hv == 0) != sol.HardSatisfied || math.Abs(cost-sol.Cost) > 1e-9 {
-				t.Fatalf("%s par %d: self-report wrong: hv=%d cost=%g sol=%+v", tc.name, par, hv, cost, sol)
-			}
-			got := trajectoryDigest(sol, par == 1)
-			want := tc.want
-			if par > 1 {
-				want, _, _ = strings.Cut(want, " f=")
-			}
-			if got != want {
-				t.Errorf("%s par %d: trajectory moved\n got %s\nwant %s", tc.name, par, got, want)
-			}
+		opts := tc.opts
+		opts.Restarts = 3
+		sol, err := Local(tc.p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hv, cost := Evaluate(tc.p, sol.Assignment)
+		if (hv == 0) != sol.HardSatisfied || math.Abs(cost-sol.Cost) > 1e-9 {
+			t.Fatalf("%s: self-report wrong: hv=%d cost=%g sol=%+v", tc.name, hv, cost, sol)
+		}
+		if got := trajectoryDigest(sol, true); got != tc.want {
+			t.Errorf("%s: trajectory moved\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
 }
@@ -326,7 +334,7 @@ func TestLocalGapToExact(t *testing.T) {
 		if err != nil || !complete {
 			t.Fatalf("seed %d: exact complete=%v err=%v", seed, complete, err)
 		}
-		local, err := Local(p, Options{Parallelism: 1})
+		local, err := Local(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,8 +360,7 @@ func TestLocalGapToExact(t *testing.T) {
 }
 
 // BenchmarkLocalDenseComponent solves one cold-dense-shaped component of
-// 120 variables cold, as the MLN component path does (Parallelism 1,
-// default restarts and step budget), and reports the cost of one walk
+// 120 variables cold, as the MLN component path does (default restarts and step budget), and reports the cost of one walk
 // step. Nearly every step declines a move that would break a hard
 // clause, reading only the variable's cached hard delta; the flips that
 // are taken maintain it.
@@ -362,7 +369,7 @@ func BenchmarkLocalDenseComponent(b *testing.B) {
 	steps := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Local(p, Options{Parallelism: 1})
+		sol, err := Local(p, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,18 +10,15 @@
 // a WalkSAT-style stochastic local search with greedy initialisation for
 // large ones — behind a single Solve entry point that picks by size.
 //
-// # Concurrency model
-//
-// Local-search restarts are independent: each runs with its own RNG
-// (seeded from Options.Seed and the restart index) and its own working
-// state, sharing only the problem and the read-only occurrence records
-// (per variable and clause, the counts of its positive and negative
-// literals, which both engines read instead of rescanning a clause), so
-// they execute concurrently on a pool of Options.Parallelism workers.
-// Each walk step scores the variables of one clause in one pass.
-// The returned solution is selected deterministically by (hard
-// feasibility, soft cost, restart index) — identical at every
-// parallelism setting, including 1.
+// Local-search restarts run in sequence, each with its own RNG (seeded
+// from Options.Seed and the restart index) and its own working state,
+// sharing the occurrence records (per variable and clause, the counts of
+// its positive and negative literals, which both engines read instead of
+// rescanning a clause). Each walk step scores the variables of one
+// clause in one pass. The returned solution is the first restart's with
+// the lowest (hard feasibility, soft cost), and the first perfect
+// restart ends the run. Callers parallelise across independent problems
+// (the conflict components), never within one.
 package maxsat
 
 import (
@@ -82,12 +79,10 @@ type Solution struct {
 	HardSatisfied bool
 	// Optimal reports whether the exact engine proved optimality.
 	Optimal bool
-	// Flips counts local-search steps across the restarts that actually
-	// ran (0 for the exact engine): every iteration of the walk, the
-	// moves it declined included. Unlike Assignment, Cost and
-	// HardSatisfied — which are deterministic at every Parallelism
-	// setting — Flips can vary with scheduling: once a restart finds a
-	// perfect solution, later-indexed restarts may be skipped.
+	// Flips counts local-search steps across the restarts that ran (0
+	// for the exact engine): every iteration of the walk, the moves it
+	// declined included. Restarts after the first perfect one do not
+	// run.
 	Flips int
 	// Nodes counts branch-and-bound nodes (0 for local search).
 	Nodes int
@@ -121,11 +116,6 @@ type Options struct {
 	Restarts int
 	// Seed seeds the local-search RNG (default 1).
 	Seed int64
-	// Parallelism bounds the worker pool running restarts concurrently:
-	// 0 means GOMAXPROCS, 1 forces sequential execution. The solution
-	// (assignment, cost, feasibility) is identical at every setting;
-	// only the Flips counter may vary (see Solution.Flips).
-	Parallelism int
 	// Warm, when it has exactly NumVars entries, warm-starts the solver
 	// from a previous solution of a closely related instance. The exact
 	// engine uses it purely as an initial upper bound: pruning is strict,

@@ -19,7 +19,10 @@ import (
 // reusable/dirty split, concurrent scheduling with a deterministic
 // merge order, and the (key, generation, membership) solution cache —
 // lives in internal/engine and is shared with the PSL backend and the
-// repair read-out; this file contributes only the MaxSAT kernel:
+// repair read-out. This file contributes the component loop every
+// boolean kernel runs on (SolveComponents: the merge, the cache and the
+// MLN read-out of the state) and the MaxSAT kernel; the greedy baseline
+// plugs its sweep in as another Kernel. The MaxSAT kernel adds:
 //
 //   - engine specialisation: small components go to the exact
 //     branch-and-bound (provably optimal), large ones to local search;
@@ -40,6 +43,7 @@ import (
 // change set when the cache is exactly one sync behind, every component
 // otherwise — and a full solve is simply the pass in which every
 // component is visited and the totals start from zero.
+
 // ComponentCache carries per-component MAP solutions across the
 // incremental engine's solves, plus the running solve-level aggregate
 // of their read-out contributions (see stateAgg). Construct with
@@ -57,7 +61,7 @@ func NewComponentCache() *ComponentCache {
 // compEval is one component's contribution to the solve-level read-out:
 // its violated soft weight, hard feasibility and violation counts (viol
 // is nil when the component violates nothing) — priors folded in the
-// component's canonical atom order, clauses in stable slot order.
+// component's canonical atom order, clauses in canonical order.
 type compEval struct {
 	cost   float64
 	hardOK bool
@@ -70,13 +74,11 @@ type compEntry struct {
 	eval    compEval
 }
 
-// compResult is one component's outcome in a solve.
+// compResult is one component's outcome in a solve: its entry and the
+// engine that produced it ("cached" for a reused entry).
 type compResult struct {
-	truth    []bool
-	engine   string
-	optimal  bool
-	fallback bool
-	eval     compEval
+	compEntry
+	engine string
 }
 
 // stateAgg is the running sum of every cached component's read-out
@@ -130,33 +132,57 @@ func (g *stateAgg) reset() {
 	*g = stateAgg{viol: make(map[string]int)}
 }
 
+// Kernel solves one conflict component's subproblem: vars are its atoms
+// in canonical order, clauses its clauses in canonical order with
+// literals numbered by position in vars, and warm the previous MAP state
+// by atom id (nil on a cold start). It returns the truth of each var and
+// the engine that produced it; maxsat.EngineExact marks a proved
+// optimum and maxsat.EngineFallback an exact search that fell back to
+// local search. A kernel must be sequential and may run concurrently
+// for different components.
+type Kernel func(atoms *ground.AtomTable, vars []ground.AtomID, clauses []ground.Clause, warm []bool) ([]bool, string, error)
+
 // MAPGroundComponents computes the MAP state over an already-closed
 // grounder and its full clause set by solving each conflict component
-// separately; forward chaining and grounding are the caller's
-// responsibility (Close/GroundProgram, or CloseDelta/GroundDelta on a
-// session engine). warm, when non-nil, is the previous MAP state by atom
-// id (used as a per-component warm start; nil is a cold start). plan is
-// the shared decomposition built by the caller (engine.NewPlan or a
-// Planner sync), so solver and repair stages see the identical
-// partition; cache is consulted for unchanged components and updated
-// with this solve's solutions (NewComponentCache for a one-off solve).
-// Both are required.
+// separately as weighted MaxSAT: SolveComponents with the MaxSAT kernel.
+func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan) (*Result, error) {
+	return SolveComponents(g, cs, opts, warm, cache, plan, nil)
+}
+
+// SolveComponents runs kernel — the MaxSAT kernel when nil: exact
+// branch-and-bound for components within ComponentExactLimit, local
+// search otherwise — once per conflict component of an already-closed
+// grounder and its full clause set, and merges the assignments into one
+// state; forward chaining and grounding are the caller's responsibility (Close/GroundProgram, or CloseDelta/GroundDelta
+// on a session engine). warm, when non-nil, is the previous state this
+// kernel produced with this cache, by atom id (handed to the kernel as a
+// warm start; nil is a cold start). plan is the shared decomposition
+// built by the caller (engine.NewPlan or a Planner sync), so solver and
+// repair stages see the identical partition; cache is consulted for
+// unchanged components and updated with this solve's solutions
+// (NewComponentCache for a one-off solve; one cache per kernel). Both
+// are required. The read-out — cost, feasibility, violation counts —
+// scores the state under opts' priors whichever kernel ran.
 //
 // The components in the plan's scope for the cache's generation are
-// solved with the engine their size calls for, and the assignments
-// merged in deterministic component order. Under a change-set scope
-// (cache exactly one sync behind a maintained plan, previous MAP state in
-// hand) the planner bounds everything that can differ from the previous
-// solve: components outside the scope have the same generation,
-// membership and clause subproblem, so the previous truth is carried
-// forward, retracted atoms are pinned false, and only the re-solved
-// components' contributions are subtracted from and added to the running
-// totals (all-component passes prove the base case; consecutive
-// generations chain it). Otherwise every component is visited and the
-// totals — and so the reported cost — are folded from zero in component
-// order.
-func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan) (*Result, error) {
+// solved, and the assignments merged in deterministic component order.
+// Under a change-set scope (cache exactly one sync behind a maintained
+// plan, previous state in hand) the planner bounds everything that can
+// differ from the previous solve: components outside the scope have the
+// same generation, membership and clause subproblem, so the previous
+// truth is carried forward, retracted atoms are pinned false, and only
+// the re-solved components' contributions are subtracted from and added
+// to the running totals (all-component passes prove the base case;
+// consecutive generations chain it). Otherwise every component is
+// visited and the totals — and so the reported cost — are folded from
+// zero in component order.
+func SolveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan, kernel Kernel) (*Result, error) {
 	opts = opts.withDefaults()
+	if kernel == nil {
+		kernel = func(atoms *ground.AtomTable, vars []ground.AtomID, clauses []ground.Clause, warm []bool) ([]bool, string, error) {
+			return solveComponent(atoms, vars, clauses, opts, warm)
+		}
+	}
 	g.Parallelism = opts.Parallelism
 	start := time.Now()
 	atoms := g.Atoms()
@@ -169,11 +195,17 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 
 	results, cached, err := engine.Run(plan, scope, opts.Parallelism, store,
 		func(i int, e compEntry) (compResult, bool) {
-			return compResult{truth: e.truth, engine: "cached", optimal: e.optimal, eval: e.eval}, true
+			return compResult{compEntry: e, engine: "cached"}, true
 		},
 		func(i int) (compResult, error) {
+			comp := &plan.Comps[i]
 			clauses, _ := plan.Clauses(i)
-			return solveComponent(atoms, &plan.Comps[i], clauses, opts, warm)
+			truth, eng, err := kernel(atoms, comp.Atoms, clauses, warm)
+			if err != nil {
+				return compResult{}, err
+			}
+			return compResult{engine: eng, compEntry: compEntry{truth: truth, optimal: eng == maxsat.EngineExact,
+				eval: evalComponent(atoms, comp, clauses, truth, opts)}}, nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("mln: %w", err)
@@ -207,10 +239,10 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 					agg.remove(&old)
 				}
 			}
-			store.Put(comp, compEntry{truth: r.truth, optimal: r.optimal, eval: r.eval})
+			store.Put(comp, r.compEntry)
 			stats.Solved++
 			stats.Engine(r.engine)
-			if r.fallback {
+			if r.engine == maxsat.EngineFallback {
 				stats.Fallbacks++
 			}
 		}
@@ -251,16 +283,15 @@ func resultFromAgg(agg *stateAgg, cs *ground.ClauseSet, stats *ground.ComponentS
 	}
 }
 
-// solveComponent builds the component's weighted MaxSAT subproblem from
-// its clauses (already in dense local variable numbering) and solves it:
-// exact branch-and-bound for components within ComponentExactLimit
+// solveComponent is the MaxSAT kernel: it builds the component's
+// weighted MaxSAT subproblem from its priors and clauses and solves it
+// with exact branch-and-bound for components within ComponentExactLimit
 // (falling back to local search when the node limit is exhausted), local
-// search otherwise. The returned result carries the component's
-// read-out contribution evaluated on the final assignment.
-func solveComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []ground.Clause, opts Options, warm []bool) (compResult, error) {
-	n := len(comp.Atoms)
+// search otherwise.
+func solveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []ground.Clause, opts Options, warm []bool) ([]bool, string, error) {
+	n := len(vars)
 	problem := &maxsat.Problem{NumVars: n}
-	for li, a := range comp.Atoms {
+	for li, a := range vars {
 		if c, ok := priorClause(atoms.Info(a), int32(li), opts); ok {
 			problem.Clauses = append(problem.Clauses, c)
 		}
@@ -270,10 +301,9 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []g
 	}
 
 	mopts := opts.MaxSAT
-	mopts.Parallelism = 1 // the pool parallelises across components
 	if warm != nil {
 		w := make([]bool, n)
-		for li, a := range comp.Atoms {
+		for li, a := range vars {
 			if int(a) < len(warm) {
 				w[li] = warm[a]
 			}
@@ -281,38 +311,30 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []g
 		mopts.Warm = w
 	}
 
-	var r compResult
+	engineName := maxsat.EngineLocal
 	if n <= opts.ComponentExactLimit {
 		sol, complete, err := maxsat.Exact(problem, mopts)
 		if err != nil {
-			return compResult{}, err
+			return nil, "", err
 		}
 		if complete {
-			r = compResult{truth: sol.Assignment, engine: maxsat.EngineExact, optimal: true}
-		} else {
-			// Node limit exhausted: the partial branch-and-bound result is
-			// untrustworthy — fall back to local search for this component
-			// and record the fallback.
-			sol, err = maxsat.Local(problem, mopts)
-			if err != nil {
-				return compResult{}, err
-			}
-			r = compResult{truth: sol.Assignment, engine: maxsat.EngineFallback, fallback: true}
+			return sol.Assignment, maxsat.EngineExact, nil
 		}
-	} else {
-		sol, err := maxsat.Local(problem, mopts)
-		if err != nil {
-			return compResult{}, err
-		}
-		r = compResult{truth: sol.Assignment, engine: maxsat.EngineLocal}
+		// Node limit exhausted: the partial branch-and-bound result is
+		// untrustworthy — fall back to local search for this component
+		// and record the fallback.
+		engineName = maxsat.EngineFallback
 	}
-	r.eval = evalComponent(atoms, comp, clauses, r.truth, opts)
-	return r, nil
+	sol, err := maxsat.Local(problem, mopts)
+	if err != nil {
+		return nil, "", err
+	}
+	return sol.Assignment, engineName, nil
 }
 
 // evalComponent computes the component's read-out contribution on the
 // local assignment: priors in the component's canonical atom order,
-// then the component's clauses in stable slot order.
+// then the component's clauses in canonical order.
 func evalComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []ground.Clause, truth []bool, opts Options) compEval {
 	ev := compEval{hardOK: true}
 	for li, a := range comp.Atoms {

@@ -4,13 +4,17 @@
 // The ground network comes from the grounding engine: evidence atoms
 // carry log-odds priors derived from fact confidences, rule and
 // constraint groundings contribute weighted clauses. MAP — the most
-// probable world — is computed as weighted partial MaxSAT, either over
-// the fully grounded network — one subproblem per independent conflict
-// component (see components.go) — or over the whole network by
-// cutting-plane inference (CPI): solve with evidence priors only, add the
-// groundings the current solution violates, and repeat until nothing new
-// is violated. CPI is the same device RockIt uses to keep the MaxSAT
-// problems small.
+// probable world — is computed as weighted partial MaxSAT over the fully
+// grounded network, one subproblem per independent conflict component
+// (see components.go). The component loop also runs the greedy baseline
+// as its kernel (SolveComponents).
+//
+// CuttingPlane is the whole-network counterpart, kept as a test oracle:
+// cutting-plane inference (CPI) solves with evidence priors only, adds
+// the groundings the current solution violates, and repeats until
+// nothing new is violated. RockIt uses CPI because it fetches groundings
+// lazily; this pipeline grounds eagerly, so CPI only merges the
+// components into one problem too large for the exact engine.
 package mln
 
 import (
@@ -24,8 +28,6 @@ import (
 
 // Options tunes MAP inference.
 type Options struct {
-	// MaxCPIRounds bounds cutting-plane iterations (default 30).
-	MaxCPIRounds int
 	// EvidenceClamp bounds confidences away from 0 and 1 before the
 	// log-odds transform so certain facts stay finite (default 1e-3).
 	EvidenceClamp float64
@@ -38,10 +40,10 @@ type Options struct {
 	// DerivedPrior is the closed-world penalty against deriving atoms
 	// with no rule support (default 0.01).
 	DerivedPrior float64
-	// Parallelism bounds the worker pools used for grounding, for
-	// solving conflict components concurrently and, in CuttingPlane, for
-	// local-search restarts: 0 means GOMAXPROCS, 1 forces the sequential
-	// path. The MAP state is identical at every setting.
+	// Parallelism bounds the worker pools used for grounding and for
+	// solving conflict components concurrently: 0 means GOMAXPROCS, 1
+	// forces the sequential path. The MAP state is identical at every
+	// setting.
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
@@ -55,9 +57,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxCPIRounds == 0 {
-		o.MaxCPIRounds = 30
-	}
 	if o.EvidenceClamp == 0 {
 		o.EvidenceClamp = 1e-3
 	}
@@ -108,8 +107,8 @@ type Result struct {
 	// RuleViolations counts violated groundings per rule name in the
 	// final state (soft rules only; hard violations imply infeasibility).
 	RuleViolations map[string]int
-	// Components summarises the component-decomposed solve; nil from
-	// CuttingPlane.
+	// Components summarises the component-decomposed solve, whichever
+	// kernel ran; nil from CuttingPlane.
 	Components *ground.ComponentStats
 	// TruthDelta reports that Truth was produced under the plan's
 	// change-set scope: atoms outside the components that scope names
@@ -149,16 +148,21 @@ func toMaxsatClause(c ground.Clause) maxsat.Clause {
 	return mc
 }
 
+// maxCPIRounds bounds CuttingPlane's iterations.
+const maxCPIRounds = 30
+
 // CuttingPlane computes the MAP state over a fully grounded network by
 // cutting-plane inference: one whole-network MaxSAT over the evidence
 // priors and the rule groundings collected so far per round, each round
 // adding the groundings the current solution violates, until a round
-// finds nothing new. cs is the network's full clause set (the session
-// engine's, or GroundProgram's after Close); the violated groundings are
-// selected from it, never re-joined. It keeps no state between calls.
+// finds nothing new. cs is the network's full clause set (GroundProgram's
+// after Close); the violated groundings are selected from it, never
+// re-joined. It keeps no state between calls and has no production
+// caller: it is the whole-network oracle the component loop is tested
+// against.
 //
 // The MaxSAT variables are the live atoms in canonical order
-// (ground.CanonicalAtoms, the order the component kernels and the solve
+// (ground.CanonicalAtoms, the order the component loop and the solve
 // plan use) and the clauses are gathered once in canonical clause order
 // (ComponentClauses over every live atom), each round appending its new
 // groundings in that order; so two networks holding the same live atoms
@@ -168,9 +172,6 @@ func toMaxsatClause(c ground.Clause) maxsat.Clause {
 // local-search walk and the same tie-break among equal-cost optima.
 func CuttingPlane(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	if opts.MaxSAT.Parallelism == 0 {
-		opts.MaxSAT.Parallelism = opts.Parallelism
-	}
 	start := time.Now()
 	order := ground.CanonicalAtoms(atoms)
 	varOf := ground.CanonicalVarMap(atoms, order)
@@ -183,7 +184,7 @@ func CuttingPlane(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options) (
 	clauses, _ := cs.ComponentClauses(order, func(a ground.AtomID) int32 { return varOf[a] })
 	added := make([]bool, len(clauses))
 	var ruleClauses []maxsat.Clause
-	for round := 1; round <= opts.MaxCPIRounds; round++ {
+	for round := 1; round <= maxCPIRounds; round++ {
 		problem := &maxsat.Problem{NumVars: len(order),
 			Clauses: append(append([]maxsat.Clause{}, base...), ruleClauses...)}
 		sol, err := maxsat.Solve(problem, opts.MaxSAT)
@@ -223,5 +224,5 @@ func CuttingPlane(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options) (
 		res.Runtime = time.Since(start)
 		return res, nil
 	}
-	return nil, fmt.Errorf("mln: cutting-plane inference did not converge in %d rounds", opts.MaxCPIRounds)
+	return nil, fmt.Errorf("mln: cutting-plane inference did not converge in %d rounds", maxCPIRounds)
 }

@@ -160,10 +160,10 @@ type Stats struct {
 	// per-rule plans, candidate counts and emission counts. Nil when the
 	// solve did no grounding work (an empty delta).
 	Ground *ground.GroundStats
-	// Components summarises the component kernels' solve — component
-	// count, size histogram, solved/reused split and per-engine tallies.
-	// Nil for the whole-network kernels (cutting-plane inference and the
-	// greedy baseline), whose solves do not decompose.
+	// Components summarises the solver kernel's per-component solve —
+	// component count, size histogram, solved/reused split and
+	// per-engine tallies. Set on every session solve; nil when the
+	// output came from a whole-network oracle.
 	Components *ground.ComponentStats
 	// Repair summarises the conflict-resolution read-out stage: how it
 	// ran (whole-graph or per-component), the repaired/reused component

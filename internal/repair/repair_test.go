@@ -47,9 +47,9 @@ func solve(t testing.TB, data, rules string, solver translate.Solver, opts Optio
 }
 
 // solveWith grounds the full clause set over a fresh grounder, runs one
-// solver kernel over it — the component kernel, cutting-plane inference
-// (cpi, MLN only) or the greedy sweep — and reads its MAP state out
-// whole-graph.
+// solver over it — the component kernel, or a whole-network oracle:
+// cutting-plane inference (cpi, MLN only) or the greedy sweep — and reads
+// its MAP state out whole-graph.
 func solveWith(t testing.TB, data, rules string, solver translate.Solver, cpi bool, opts Options) *Outcome {
 	t.Helper()
 	_, oc := solveOut(t, data, rules, solver, cpi, opts)
@@ -89,8 +89,7 @@ func solveOut(t testing.TB, data, rules string, solver translate.Solver, cpi boo
 			out.Truth, out.SoftValues = out.PSL.Truth, out.PSL.Values
 		}
 	case solver == translate.SolverGreedy:
-		out.Greedy = baseline.Solve(g.Atoms(), out.Clauses)
-		out.Truth = out.Greedy.Truth
+		out.Truth = baseline.Solve(g.Atoms(), out.Clauses).Truth
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +102,10 @@ func solveOut(t testing.TB, data, rules string, solver translate.Solver, cpi boo
 }
 
 // TestFigure7 reproduces the paper's result exactly: fact (5) removed,
-// facts (1)-(4) kept, worksFor derived from playsFor — for every solver
-// kernel, including cutting-plane MLN, whose output carries no clause
-// set, so Resolve grounds the program itself for the cluster,
-// explanation and violation read-out. The greedy baseline chains hard
-// implications only, so the soft f1 derives nothing there.
+// facts (1)-(4) kept, worksFor derived from playsFor — for the MLN and
+// PSL component kernels and the two whole-network oracles, cutting-plane
+// MLN and the greedy sweep. The greedy baseline chains hard implications
+// only, so the soft f1 derives nothing there.
 func TestFigure7(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

@@ -74,7 +74,6 @@ fieldset { margin-bottom: 1rem; }
 <fieldset><legend>Solve</legend>
 <select id="solver"><option value="mln">nRockIt (MLN)</option><option value="psl">nPSL (PSL)</option></select>
 <label>threshold <input id="threshold" type="number" min="0" max="1" step="0.05" value="0"></label>
-<label><input type="checkbox" id="cpi"> cutting-plane</label>
 <button onclick="solve()">compute conflict-free KG</button>
 </fieldset>
 
@@ -100,7 +99,6 @@ async function solve() {
     rules: document.getElementById('rules').value,
     solver: document.getElementById('solver').value,
     threshold: parseFloat(document.getElementById('threshold').value) || 0,
-    cuttingPlane: document.getElementById('cpi').checked,
   };
   const out = document.getElementById('out');
   out.textContent = 'solving…';

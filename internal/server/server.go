@@ -471,10 +471,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 type SolveRequest struct {
 	Dataset string `json:"dataset"`
 	// Rules overrides the dataset's default program when non-empty.
-	Rules        string  `json:"rules,omitempty"`
-	Solver       string  `json:"solver"`
-	Threshold    float64 `json:"threshold,omitempty"`
-	CuttingPlane bool    `json:"cuttingPlane,omitempty"`
+	Rules     string  `json:"rules,omitempty"`
+	Solver    string  `json:"solver"`
+	Threshold float64 `json:"threshold,omitempty"`
 	// Parallelism lowers the server's worker pool size for this solve
 	// (0 = server default); a value above the server's width is capped
 	// at it.
@@ -534,7 +533,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	res, err := sess.Solve(core.SolveOptions{
 		Solver:              solver,
 		Threshold:           req.Threshold,
-		CuttingPlane:        req.CuttingPlane,
 		Parallelism:         s.solveParallelism(req.Parallelism),
 		ComponentExactLimit: req.ComponentExactLimit,
 	})

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/ground"
 	"repro/internal/logic"
 	"repro/internal/mln"
@@ -138,12 +137,13 @@ type Output struct {
 	// SoftValues holds PSL's soft truth values (nil for MLN), under the
 	// same contract as Truth.
 	SoftValues []float64
-	// MLN carries backend detail when Solver == SolverMLN.
+	// MLN carries backend detail when Solver is SolverMLN, and when it is
+	// SolverGreedy, whose sweep runs on the same component loop: its
+	// Cost and RuleViolations score the greedy state under the MLN
+	// priors, and HardSatisfied may be false.
 	MLN *mln.Result
 	// PSL carries backend detail when Solver == SolverPSL.
 	PSL *psl.Result
-	// Greedy carries backend detail when Solver == SolverGreedy.
-	Greedy *baseline.Result
 	// Runtime is the end-to-end inference time including grounding.
 	Runtime time.Duration
 }
@@ -151,8 +151,7 @@ type Output struct {
 // TruthDelta reports whether the solver produced its MAP state under the
 // plan's change-set scope (engine.Plan.Scope): every atom outside the
 // scoped components carries the previous solve's truth — and on PSL its
-// soft value — bit-for-bit. Always false for cutting-plane inference and
-// the greedy baseline, which recompute the full state.
+// soft value — bit-for-bit.
 func (o *Output) TruthDelta() bool {
 	return (o.MLN != nil && o.MLN.TruthDelta) || (o.PSL != nil && o.PSL.TruthDelta)
 }

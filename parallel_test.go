@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	tecore "repro"
+	"repro/internal/translate"
 )
 
 // solveAt runs one full conflict-resolution pass at the given
@@ -12,7 +13,7 @@ import (
 // sync time and the ground/repair/outcome stage timings), the only parts
 // of the outcome allowed to vary between runs.
 func solveAt(t *testing.T, ds *tecore.Dataset, program string, solver tecore.Solver,
-	parallelism int, cpi bool) *tecore.Outcome {
+	parallelism int) *tecore.Outcome {
 	t.Helper()
 	s := tecore.NewSession()
 	if err := s.LoadGraph(ds.Graph); err != nil {
@@ -21,11 +22,7 @@ func solveAt(t *testing.T, ds *tecore.Dataset, program string, solver tecore.Sol
 	if err := s.LoadProgramText(program); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Solve(tecore.SolveOptions{
-		Solver:       solver,
-		Parallelism:  parallelism,
-		CuttingPlane: cpi,
-	})
+	res, err := s.Solve(tecore.SolveOptions{Solver: solver, Parallelism: parallelism})
 	if err != nil {
 		t.Fatalf("solver %v parallelism %d: %v", solver, parallelism, err)
 	}
@@ -45,8 +42,8 @@ func solveAt(t *testing.T, ds *tecore.Dataset, program string, solver tecore.Sol
 // TestSolveDeterministicAcrossParallelism is the end-to-end determinism
 // guarantee of the parallel pipeline: kept, removed and inferred facts,
 // conflict clusters, statistics and explanations are identical whether
-// the solve runs sequentially or across all cores — for both backends
-// and for cutting-plane inference.
+// the solve runs sequentially or across all cores — for every solver
+// kernel.
 func TestSolveDeterministicAcrossParallelism(t *testing.T) {
 	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 150, NoiseRatio: 0.8, Seed: 21})
 	program := tecore.FootballProgram + `
@@ -55,20 +52,19 @@ pf1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5
 	cases := []struct {
 		name   string
 		solver tecore.Solver
-		cpi    bool
 	}{
-		{"mln", tecore.SolverMLN, false},
-		{"mln-cpi", tecore.SolverMLN, true},
-		{"psl", tecore.SolverPSL, false},
+		{"mln", tecore.SolverMLN},
+		{"psl", tecore.SolverPSL},
+		{"greedy", translate.SolverGreedy},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := solveAt(t, ds, program, tc.solver, 1, tc.cpi)
+			base := solveAt(t, ds, program, tc.solver, 1)
 			if base.Stats.RemovedFacts == 0 {
 				t.Fatal("fixture removed nothing; determinism check would be vacuous")
 			}
 			for _, p := range []int{4, 0} { // explicit pool and the all-cores default
-				got := solveAt(t, ds, program, tc.solver, p, tc.cpi)
+				got := solveAt(t, ds, program, tc.solver, p)
 				if !reflect.DeepEqual(got.Stats, base.Stats) {
 					t.Errorf("parallelism %d: stats diverge:\n got %+v\nwant %+v", p, got.Stats, base.Stats)
 				}
@@ -107,7 +103,7 @@ func TestParallelFlagOnAdvancedOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := solveAt(t, ds, tecore.FootballProgram, tecore.SolverMLN, 1, false)
+	ref := solveAt(t, ds, tecore.FootballProgram, tecore.SolverMLN, 1)
 	if res.Stats.RemovedFacts != ref.Stats.RemovedFacts || res.Stats.KeptFacts != ref.Stats.KeptFacts {
 		t.Errorf("advanced parallelism: kept/removed %d/%d, sequential %d/%d",
 			res.Stats.KeptFacts, res.Stats.RemovedFacts, ref.Stats.KeptFacts, ref.Stats.RemovedFacts)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	tecore "repro"
+	"repro/internal/translate"
 )
 
 // The component-incremental repair read-out's contract: after any
@@ -29,9 +30,7 @@ func TestRepairComponentMatchesWholeGraphMLNExact(t *testing.T) {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
 			incOpts := exactEverywhere(tecore.SolveOptions{
 				Solver: tecore.SolverMLN, Parallelism: par})
-			freshOpts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par, CuttingPlane: true})
-			runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 127, 12, 17)
+			runVsOracle(t, componentProgram, pool, incOpts, incOpts, 127, 12, 17)
 		})
 	}
 }
@@ -45,16 +44,14 @@ func TestRepairComponentMatchesWholeGraphMLNThreshold(t *testing.T) {
 	pool := componentPool(4, 3, 131)
 	incOpts := exactEverywhere(tecore.SolveOptions{
 		Solver: tecore.SolverMLN, Threshold: 0.55})
-	freshOpts := exactEverywhere(tecore.SolveOptions{
-		Solver: tecore.SolverMLN, Threshold: 0.55, CuttingPlane: true})
-	runTwoWaysProgram(t, componentProgram, pool, incOpts, freshOpts, 137, 10, 17)
+	runVsOracle(t, componentProgram, pool, incOpts, incOpts, 137, 10, 17)
 }
 
 // TestRepairCacheReuse checks the incremental contract the repair cache
 // exists for: after a warm solve, a single-fact delta re-repairs only
 // the dirtied component and replays every other cached read-out. A
-// cutting-plane solve reads out through the same component cache: the
-// kernel switch drops it once, and an unchanged re-solve replays it all.
+// greedy solve reads out through the same component cache: the kernel
+// switch drops it once, and an unchanged re-solve replays it all.
 func TestRepairCacheReuse(t *testing.T) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{Clusters: 20, ClusterSize: 5, Seed: 7})
 	s := tecore.NewSession()
@@ -94,7 +91,7 @@ func TestRepairCacheReuse(t *testing.T) {
 		t.Errorf("the dirtied component was not re-repaired: %+v", rs)
 	}
 
-	opts.CuttingPlane = true
+	opts.Solver = translate.SolverGreedy
 	res, err = s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -104,17 +101,17 @@ func TestRepairCacheReuse(t *testing.T) {
 		t.Fatalf("a kernel switch must re-repair every component: %+v", rs)
 	}
 	if os := res.Stats.Outcome; os.Mode != tecore.OutcomeLive || res.Delta == nil || res.Delta.AddedKept.Len() != res.Stats.KeptFacts {
-		t.Fatalf("cutting-plane solve must patch the live outcome, reporting the full state as added: %+v", os)
+		t.Fatalf("greedy solve must patch the live outcome, reporting the full state as added: %+v", os)
 	}
 	res, err = s.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs := res.Stats.Repair; rs.Repaired != 0 || rs.Reused != rs.Components {
-		t.Fatalf("an unchanged cutting-plane re-solve should replay every cached read-out: %+v", rs)
+		t.Fatalf("an unchanged greedy re-solve should replay every cached read-out: %+v", rs)
 	}
 	if !res.Delta.Empty() {
-		t.Fatalf("an unchanged cutting-plane re-solve changed the outcome: %+v", res.Delta)
+		t.Fatalf("an unchanged greedy re-solve changed the outcome: %+v", res.Delta)
 	}
 }
 

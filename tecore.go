@@ -71,7 +71,7 @@ func OpenSession(dir string) (*Session, error) { return core.OpenSession(dir) }
 type RecoveryStats = wal.RecoveryStats
 
 // SolveOptions tunes a Solve call: backend, derived-fact threshold,
-// cutting-plane inference, parallelism.
+// parallelism, exact-engine limit.
 type SolveOptions = core.SolveOptions
 
 // Resolution is the outcome of conflict resolution: kept, removed and
@@ -162,10 +162,10 @@ type Outcome = repair.Outcome
 // Stats summarises a debugging run (Figure 8 of the paper).
 type Stats = repair.Stats
 
-// ComponentStats summarises the per-conflict-component solve of the MLN
-// and PSL component kernels — component count and sizes, the engine each
-// ran on, the solved/reused split; available as Stats.Components (nil
-// for the whole-network kernels: CuttingPlane and the greedy baseline).
+// ComponentStats summarises the per-conflict-component solve of the
+// solver kernel — MLN, PSL or greedy — component count and sizes, the
+// engine each ran on, the solved/reused split; available as
+// Stats.Components on every solve.
 type ComponentStats = ground.ComponentStats
 
 // PlanStats summarises the solve-plan stage of a solve: whether the

@@ -52,9 +52,9 @@ func TestQuickstart(t *testing.T) {
 // c2) — 4 kept, Napoli removed, worksFor(CR, Palermo) inferred — with
 // default options, together with the shape of the pipeline that
 // produced it: every solver kernel runs the one session pipeline (plan,
-// component repair, live outcome and changelog on every solve), and only
-// the component kernels (MLN, PSL) report a component decomposition of
-// their own solve. PSL is the knife-edge: with the default weights
+// per-component solve, component repair, live outcome and changelog on
+// every solve) and reports the component decomposition of its own solve.
+// PSL is the knife-edge: with the default weights
 // worksFor's optimum is exactly the 0.5 rounding threshold, so the
 // answer must not depend on which side ADMM stopped.
 func TestFigure7OnePipeline(t *testing.T) {
@@ -63,15 +63,13 @@ func TestFigure7OnePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name       string
-		opts       tecore.SolveOptions
-		components bool
-		inferred   int
+		name     string
+		opts     tecore.SolveOptions
+		inferred int
 	}{
-		{"mln", tecore.SolveOptions{Solver: tecore.SolverMLN}, true, 1},
-		{"psl", tecore.SolveOptions{Solver: tecore.SolverPSL}, true, 1},
-		{"mln-cpi", tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true}, false, 1},
-		{"greedy", tecore.SolveOptions{Solver: greedy}, false, 0}, // chains hard implications only
+		{"mln", tecore.SolveOptions{Solver: tecore.SolverMLN}, 1},
+		{"psl", tecore.SolveOptions{Solver: tecore.SolverPSL}, 1},
+		{"greedy", tecore.SolveOptions{Solver: greedy}, 0}, // chains hard implications only
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tecore.NewSession()
@@ -101,8 +99,8 @@ func TestFigure7OnePipeline(t *testing.T) {
 			if st.Plan == nil || res.Delta == nil {
 				t.Errorf("plan %v, delta %v; want both set", st.Plan, res.Delta)
 			}
-			if (st.Components != nil) != tc.components {
-				t.Errorf("components %+v; want set = %v", st.Components, tc.components)
+			if st.Components == nil || st.Components.Count != st.Plan.Components || st.Components.Solved != st.Components.Count {
+				t.Errorf("components %+v; want all %d of the plan's components solved", st.Components, st.Plan.Components)
 			}
 		})
 	}
@@ -242,8 +240,9 @@ func TestNoisyFootballRecovery(t *testing.T) {
 }
 
 // TestGreedyBaselineNeverBeatsMAP is the E10 shape: on conflict datasets
-// every MAP kernel — MLN, MLN by cutting-plane inference, PSL — must
-// remove at most the confidence mass the greedy baseline removes.
+// every MAP kernel — MLN, PSL, and the whole-network cutting-plane
+// oracle — must remove at most the confidence mass the greedy baseline
+// removes.
 func TestGreedyBaselineNeverBeatsMAP(t *testing.T) {
 	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 150, NoiseRatio: 0.6, Seed: 14})
 	greedy, err := tecore.ParseSolver("greedy")
@@ -257,7 +256,6 @@ func TestGreedyBaselineNeverBeatsMAP(t *testing.T) {
 	}{
 		{"greedy", tecore.SolveOptions{Solver: greedy}},
 		{"mln", tecore.SolveOptions{Solver: tecore.SolverMLN}},
-		{"mln-cpi", tecore.SolveOptions{Solver: tecore.SolverMLN, CuttingPlane: true}},
 		{"psl", tecore.SolveOptions{Solver: tecore.SolverPSL}},
 	} {
 		s := tecore.NewSession()
@@ -276,6 +274,8 @@ func TestGreedyBaselineNeverBeatsMAP(t *testing.T) {
 			t.Fatalf("%s removed nothing from a noisy dataset", k.name)
 		}
 	}
+	weights["mln-cpi"] = wholeNetworkReference(t, tecore.FootballProgram, ds.Graph,
+		tecore.SolveOptions{Solver: tecore.SolverMLN}).Stats.RemovedWeight
 	for _, name := range []string{"mln", "mln-cpi", "psl"} {
 		if weights[name] > weights["greedy"]+1e-6 {
 			t.Errorf("%s removed more weight (%.3f) than greedy (%.3f)", name, weights[name], weights["greedy"])
