@@ -20,8 +20,8 @@ import (
 
 // checkAggregatesMatchFresh compares the MLN solve-level aggregates of
 // res — the component partition's shape, hard feasibility, per-rule
-// violation counts and the subtract-and-add cost — against a fresh
-// session over s's current store state.
+// violation counts and the cost, bit for bit — against a fresh session
+// over s's current store state.
 func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts SolveOptions, step string) *Resolution {
 	t.Helper()
 	fresh := checkComponentsMatchFresh(t, s, res, opts, step)
@@ -30,8 +30,8 @@ func checkAggregatesMatchFresh(t *testing.T, s *Session, res *Resolution, opts S
 		t.Fatalf("%s: hard-satisfied %v violations %v, fresh session %v %v",
 			step, gm.HardSatisfied, gm.RuleViolations, wm.HardSatisfied, wm.RuleViolations)
 	}
-	if d := math.Abs(gm.Cost - wm.Cost); d > 1e-9*math.Max(1, math.Abs(wm.Cost)) {
-		t.Fatalf("%s: cost %.12g, fresh session %.12g", step, gm.Cost, wm.Cost)
+	if math.Float64bits(gm.Cost) != math.Float64bits(wm.Cost) {
+		t.Fatalf("%s: cost %v, fresh session %v", step, gm.Cost, wm.Cost)
 	}
 	return fresh
 }

@@ -3,30 +3,35 @@
 // splits into independent conflict components (see
 // internal/ground/components.go); everything the system computes over
 // it — the MLN MaxSAT state, the PSL ADMM state, and the repair
-// read-out — decomposes along that partition. This package owns the
-// machinery all three consumers share, so each backend contributes only
-// its per-component kernel:
+// read-out — decomposes along that partition. This package owns the one
+// component pass all three consumers run, so each contributes only its
+// per-component kernel and the aggregate it keeps over its records:
 //
 //   - Plan: the decomposition of one solve — the component partition,
 //     each component's atoms in canonical order
-//     (ground.AtomTable.CompareCanonical), and per-component clause
-//     gathering in dense local numbering, driven by the clause set's
-//     atom index — and the one question every consumer asks it, Scope:
-//     which components must I visit, given the generation my state was
-//     settled against? The last sync's change set when exactly one
-//     delta-patching sync behind, every component otherwise; there is
-//     no separate full pass;
-//   - Cache: a generic per-component payload cache keyed by (component
+//     (ground.AtomTable.CompareCanonical), the multiset of component
+//     sizes every kernel's statistics read (FillStats), and
+//     per-component clause gathering in dense local numbering, driven by
+//     the clause set's atom index;
+//   - Cache: a generic per-component record cache keyed by (component
 //     key, generation, membership), the invariant under which a
-//     component's subproblem is provably unchanged, carrying the
-//     generation cursor and ending every pass with Settle, which drops
-//     what left the partition;
-//   - Run: the scheduling loop over a scope — split its components into
-//     reusable and dirty, process dirty ones concurrently on the shared
-//     worker pool, return results in deterministic component order;
-//   - SizeAgg: the component-size aggregate the solver kernels maintain
-//     beside their caches, so both report identical statistics without
-//     a per-solve pass over the partition.
+//     component's subproblem is provably unchanged, plus the plan
+//     generation it was last settled against;
+//   - Run: the one pass. It scopes itself — the last sync's change set
+//     when the consumer's state is chained on a cache exactly one
+//     delta-patching sync behind, every component otherwise; there is
+//     no separate full pass — splits the scope into reusable and dirty
+//     components, processes the dirty ones concurrently on the shared
+//     worker pool, installs their records in component order, retires
+//     the records of components that left the partition, and settles
+//     the cache's generation. Every record it replaces, installs or
+//     retires goes through the consumer's swap exactly once, so an
+//     aggregate kept by swap alone always equals a fold over the cache;
+//   - Merge: a per-atom vector after a pass — the previous one carried
+//     forward under a change set, zero otherwise — with the scoped
+//     components' values written over it;
+//   - ExactSum: an order-independent float64 accumulator, so a sum kept
+//     across passes equals one folded from scratch bit for bit.
 package engine
 
 import (
@@ -51,12 +56,15 @@ type Plan struct {
 	// are re-listed, so the planner patches only touched components'
 	// entries.
 	localOfAtom []int32
+	// sizes is the multiset of the components' sizes, which the planner
+	// moves by the components it re-lists.
+	sizes sizeAgg
 	// maintained marks a plan delta-patched by a Planner sync (as
 	// opposed to built from scratch). gen is the planner's sync
 	// generation — bumped on every Planner.Sync, including empty-delta
 	// and rebuild syncs (generation 1 is always a from-scratch build), and
 	// 0 for a NewPlan. dirty, retired and dead are that sync's change set
-	// (see Scope, Cache.Settle, RetractedAtoms).
+	// (see scope, Cache.settle, Merge).
 	maintained bool
 	gen        uint64
 	dirty      []int32
@@ -78,6 +86,7 @@ func NewPlan(atoms *ground.AtomTable, cs *ground.ClauseSet) *Plan {
 	// Components list their atoms in canonical order, so local numbering
 	// is the canonical order restricted to the component.
 	for ci := range p.Comps {
+		p.sizes.add(len(p.Comps[ci].Atoms))
 		for li, a := range p.Comps[ci].Atoms {
 			p.localOfAtom[a] = int32(li)
 		}
@@ -94,18 +103,18 @@ func (p *Plan) Local(a ground.AtomID) int32 { return p.localOfAtom[a] }
 // intervening syncs whose change sets were never observed.
 func (p *Plan) chained(have uint64) bool { return p.maintained && have+1 == p.gen }
 
-// Scope returns the components (ascending indexes into Comps) a
+// scope returns the components (ascending indexes into Comps) a
 // consumer holding state settled against generation have must visit,
 // and whether that is a change set (delta) rather than the whole
 // partition. Chained on the previous generation it is the components
 // the last sync re-listed or generation-bumped: together with the
-// retired keys (see Cache.Settle) and RetractedAtoms a superset of
-// every change, so a component outside it has the same key, generation,
-// membership, atom truth domain and clause subproblem it had under the
-// previous plan. Otherwise — no state (have 0), a gap, a rebuilt plan, a
-// NewPlan — it is every component: a full pass is a pass in which every
-// component is dirty.
-func (p *Plan) Scope(have uint64) (scope []int32, delta bool) {
+// retired keys and the retracted atoms a superset of every change, so a
+// component outside it has the same key, generation, membership, atom
+// truth domain and clause subproblem it had under the previous plan.
+// Otherwise — no state (have 0), a gap, a rebuilt plan, a NewPlan — it
+// is every component: a full pass is a pass in which every component is
+// dirty.
+func (p *Plan) scope(have uint64) (scope []int32, delta bool) {
 	if p.chained(have) {
 		return p.dirty, true
 	}
@@ -115,12 +124,6 @@ func (p *Plan) Scope(have uint64) (scope []int32, delta bool) {
 	}
 	return scope, false
 }
-
-// RetractedAtoms returns the atoms the last Planner sync saw leave the
-// live set — listed in the previous partition, retracted now — whose
-// truth is pinned false from this generation on. Only meaningful under
-// a delta Scope.
-func (p *Plan) RetractedAtoms() []ground.AtomID { return p.dead }
 
 // Clauses returns component i's live clauses in canonical order,
 // remapped into the component's dense local variable space, plus their
@@ -132,22 +135,23 @@ func (p *Plan) Clauses(i int) ([]ground.Clause, []int32) {
 	return p.cs.ComponentClauses(p.Comps[i].Atoms, p.Local)
 }
 
-// SizeAgg is the running multiset of component sizes a solver kernel
-// keeps beside its cache, so that its component statistics cost nothing
-// per component outside the scope: a change-set pass removes the sizes
-// of the records it replaces or retires and adds those of the records it
-// installs, an all-component pass starts from the zero value and adds
-// every component. The multiset is exact, so the statistics equal an
-// all-component fold. The zero value is empty and ready to use. Not safe
-// for concurrent use.
-type SizeAgg struct {
+// FillStats completes stats for a pass whose re-solved components the
+// caller has already tallied (Solved, Engines, Fallbacks): the
+// partition's shape comes from the plan's size multiset, and every
+// component that was not re-solved is a cache reuse ("cached").
+func (p *Plan) FillStats(stats *ground.ComponentStats) { p.sizes.fill(stats) }
+
+// sizeAgg is a multiset of component sizes, exact under any sequence of
+// additions and removals, so the statistics it fills equal a fold over
+// the partition. The zero value is empty and ready to use.
+type sizeAgg struct {
 	sizeCount map[int]int
 	largest   int
 	count     int
 }
 
-// Add accounts one component of size atoms.
-func (g *SizeAgg) Add(size int) {
+// add accounts one component of size atoms.
+func (g *sizeAgg) add(size int) {
 	if g.sizeCount == nil {
 		// Sizes cluster on few distinct values; the multiset stays tiny.
 		g.sizeCount = make(map[int]int)
@@ -159,8 +163,8 @@ func (g *SizeAgg) Add(size int) {
 	g.count++
 }
 
-// Remove takes back one component of size atoms added earlier.
-func (g *SizeAgg) Remove(size int) {
+// remove takes back one component of size atoms added earlier.
+func (g *sizeAgg) remove(size int) {
 	if g.sizeCount[size]--; g.sizeCount[size] == 0 {
 		delete(g.sizeCount, size)
 		for g.largest > 0 && g.sizeCount[g.largest] == 0 {
@@ -170,11 +174,7 @@ func (g *SizeAgg) Remove(size int) {
 	g.count--
 }
 
-// Fill completes stats for a pass whose re-solved components the caller
-// has already tallied (Solved, Engines, Fallbacks): the partition's
-// shape comes from the aggregate, and every component that was not
-// re-solved is a cache reuse ("cached").
-func (g *SizeAgg) Fill(stats *ground.ComponentStats) {
+func (g *sizeAgg) fill(stats *ground.ComponentStats) {
 	stats.Count = g.count
 	stats.Largest = g.largest
 	if g.count > 0 {
@@ -192,12 +192,12 @@ func (g *SizeAgg) Fill(stats *ground.ComponentStats) {
 	}
 }
 
-// Cache carries per-component payloads across incremental solves, keyed
-// by (component key, generation, membership) — the triple under which a
-// component's subproblem is provably unchanged — plus the plan
-// generation its key set was last settled against (see Settle), the one
-// cursor every consumer chains its change-set passes on. The zero value
-// is not usable; construct with NewCache. Not safe for concurrent use.
+// Cache carries one record per component across a consumer's passes,
+// keyed by (component key, generation, membership) — the triple under
+// which a component's subproblem is provably unchanged — plus the plan
+// generation of the last pass, the cursor the next pass chains on. Only
+// Run changes it. The zero value is not usable; construct with
+// NewCache. Not safe for concurrent use.
 type Cache[V any] struct {
 	entries map[ground.AtomID]*cacheEntry[V]
 	gen     uint64
@@ -214,85 +214,66 @@ func NewCache[V any]() *Cache[V] {
 	return &Cache[V]{entries: make(map[ground.AtomID]*cacheEntry[V])}
 }
 
-// Lookup returns the cached payload when the component's subproblem is
+// Lookup returns the cached record when the component's subproblem is
 // provably unchanged: same key, same generation, same membership.
 func (c *Cache[V]) Lookup(comp *ground.Component) (V, bool) {
+	if e := c.current(comp); e != nil {
+		return e.value, true
+	}
 	var zero V
+	return zero, false
+}
+
+// current returns the component's entry when it is current (see
+// Lookup), nil otherwise.
+func (c *Cache[V]) current(comp *ground.Component) *cacheEntry[V] {
 	e, ok := c.entries[comp.Key]
 	if !ok || e.gen != comp.Gen || len(e.atoms) != len(comp.Atoms) {
-		return zero, false
+		return nil
 	}
 	// The planner reuses a component's Atoms slice across syncs when its
 	// membership is unchanged, so slice identity proves membership
 	// without walking it.
 	if len(e.atoms) > 0 && &e.atoms[0] == &comp.Atoms[0] {
-		return e.value, true
+		return e
 	}
 	for i, a := range comp.Atoms {
 		if e.atoms[i] != a {
-			return zero, false
+			return nil
 		}
 	}
-	return e.value, true
+	return e
 }
 
-// Each visits every cached payload with its component key, in no
-// particular order; entry generations are not exposed — Lookup remains
-// the only way to prove an entry current.
-func (c *Cache[V]) Each(fn func(key ground.AtomID, value V)) {
-	for k, e := range c.entries {
-		fn(k, e.value)
-	}
-}
-
-// Peek returns the payload stored under key regardless of generation
-// or membership — the possibly-stale contribution a delta-maintaining
-// consumer must subtract before installing a fresh one. Use Lookup
-// when the payload is to be reused.
-func (c *Cache[V]) Peek(key ground.AtomID) (V, bool) {
-	var zero V
-	e, ok := c.entries[key]
-	if !ok {
-		return zero, false
-	}
-	return e.value, true
-}
-
-// Put installs a single component's payload under the component's
-// current (key, generation, membership), overwriting any previous
-// entry in place.
-func (c *Cache[V]) Put(comp *ground.Component, value V) {
+// put installs a recomputed record under the component's current (key,
+// generation, membership), first handing swap the record it replaces
+// (nil when the key is new) and the new one.
+func (c *Cache[V]) put(comp *ground.Component, v *V, swap func(old, new *V)) {
 	if e, ok := c.entries[comp.Key]; ok {
-		e.gen, e.atoms, e.value = comp.Gen, comp.Atoms, value
+		swap(&e.value, v)
+		e.gen, e.atoms, e.value = comp.Gen, comp.Atoms, *v
 		return
 	}
-	c.entries[comp.Key] = &cacheEntry[V]{gen: comp.Gen, atoms: comp.Atoms, value: value}
+	swap(nil, v)
+	c.entries[comp.Key] = &cacheEntry[V]{gen: comp.Gen, atoms: comp.Atoms, value: *v}
 }
 
-// Gen returns the plan generation the cache was last settled against; 0
-// before the first Settle.
-func (c *Cache[V]) Gen() uint64 { return c.gen }
-
-// Settle ends a consumer's pass over p: it drops the entries of
-// components that left the partition, handing each dropped payload to
-// gone (when non-nil) exactly once, and records p's generation. The
-// caller must have visited at least p.Scope(c.Gen()) and Put every
-// component it did not reuse, so every component of p is keyed. Chained
-// on the previous generation, what left is exactly the keys the sync
-// retired; across any gap retirements went unobserved, and the surplus
-// keys are found by enumeration — paid for only when there are any.
-func (c *Cache[V]) Settle(p *Plan, gone func(V)) {
-	drop := func(key ground.AtomID) {
+// settle ends a pass over p, after which every component of p is keyed:
+// it retires the records of components that left the partition, handing
+// each to swap, and records p's generation. Chained on the previous
+// generation, what left is exactly the keys the sync retired; across
+// any gap retirements went unobserved, and the surplus keys are found
+// by enumeration — paid for only when there are any.
+func (c *Cache[V]) settle(p *Plan, swap func(old, new *V)) {
+	retire := func(key ground.AtomID) {
 		if e, ok := c.entries[key]; ok {
-			if gone != nil {
-				gone(e.value)
-			}
+			swap(&e.value, nil)
 			delete(c.entries, key)
 		}
 	}
 	if p.chained(c.gen) {
 		for _, key := range p.retired {
-			drop(key)
+			retire(key)
 		}
 	} else if len(c.entries) > len(p.Comps) {
 		current := make(map[ground.AtomID]struct{}, len(p.Comps))
@@ -301,39 +282,63 @@ func (c *Cache[V]) Settle(p *Plan, gone func(V)) {
 		}
 		for key := range c.entries {
 			if _, ok := current[key]; !ok {
-				drop(key)
+				retire(key)
 			}
 		}
 	}
 	c.gen = p.gen
 }
 
-// Run is the shared scheduling loop of a component-decomposed pass
-// over scope (see Plan.Scope). For every component in it Run first
-// offers the cached payload (if any) to reuse; a false return — stale
-// by the consumer's own criteria, e.g. an unconverged ADMM iterate —
-// demotes the component to dirty. Dirty components are then processed
-// concurrently on the shared worker pool when there are at least two per
-// worker, on the caller otherwise (each kernel call must itself
-// be sequential; the pool parallelises across components). reuse and
-// solve take the component's index into p.Comps; results and cached
-// (which marks the reused payloads) are indexed by position in scope,
-// so they land in deterministic component order. Workers must only read
-// shared state — all index maintenance happens at sequential points.
-func Run[V, R any](p *Plan, scope []int32, parallelism int, cache *Cache[V],
-	reuse func(i int, v V) (R, bool),
-	solve func(i int) (R, error),
-) (results []R, cached []bool, err error) {
-	results = make([]R, len(scope))
-	cached = make([]bool, len(scope))
+// Pass is what one Run did: the components it visited (Scope, ascending
+// indexes into Plan.Comps), the record each of them holds now (Records,
+// by position in Scope), and whether Scope was the last sync's change
+// set rather than every component (Delta).
+type Pass[V any] struct {
+	Scope   []int32
+	Records []V
+	Delta   bool
+	plan    *Plan
+}
+
+// Run is the one component pass of a consumer over p, keeping its cache
+// in step. chained reports whether the consumer's own state — the
+// previous solve's vectors, its warm iterates — is the one its cache was
+// last settled against; only then can the pass be scoped to the last
+// sync's change set (see scope), and every other pass visits every
+// component.
+//
+// For every scoped component whose record is current Run first asks
+// reuse; a false return — stale by the consumer's own criteria, e.g. an
+// unconverged ADMM iterate — demotes the component to dirty. Dirty
+// components are then solved concurrently on the shared worker pool when
+// there are at least two per worker, on the caller otherwise (each solve
+// must itself be sequential and only read shared state; the pool
+// parallelises across components). reuse and solve take the component's
+// index into p.Comps.
+//
+// Then, sequentially: each solved record is installed in component
+// order, and the records of components that left the partition are
+// retired. swap sees each of these changes exactly once — (old, new)
+// for a replaced record, (nil, new) for a new key, (old, nil) for a
+// retired one — before the cache holds new, so it may rewrite new in
+// place; old is only valid during the call. On a solve error nothing is
+// installed and the cache is left as it was.
+func Run[V any](p *Plan, chained bool, parallelism int, cache *Cache[V],
+	reuse func(i int, v *V) bool,
+	solve func(i int) (V, error),
+	swap func(old, new *V),
+) (*Pass[V], error) {
+	var have uint64
+	if chained {
+		have = cache.gen
+	}
+	scope, delta := p.scope(have)
+	records := make([]V, len(scope))
 	var dirty []int
 	for k, ci := range scope {
-		if v, ok := cache.Lookup(&p.Comps[ci]); ok {
-			if r, fresh := reuse(int(ci), v); fresh {
-				results[k] = r
-				cached[k] = true
-				continue
-			}
+		if e := cache.current(&p.Comps[ci]); e != nil && reuse(int(ci), &e.value) {
+			records[k] = e.value
+			continue
 		}
 		dirty = append(dirty, k)
 	}
@@ -348,12 +353,43 @@ func Run[V, R any](p *Plan, scope []int32, parallelism int, cache *Cache[V],
 	errs := make([]error, len(dirty))
 	par.Do(len(dirty), workers, func(j int) {
 		k := dirty[j]
-		results[k], errs[j] = solve(int(scope[k]))
+		records[k], errs[j] = solve(int(scope[k]))
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return results, cached, nil
+	for _, k := range dirty {
+		cache.put(&p.Comps[scope[k]], &records[k], swap)
+	}
+	cache.settle(p, swap)
+	return &Pass[V]{Scope: scope, Records: records, Delta: delta, plan: p}, nil
+}
+
+// Merge returns the n-entry per-atom vector a pass leaves: under a
+// change set prev — the vector of the state the pass was chained on,
+// which every component outside the scope keeps — with the atoms the
+// sync retracted reset to the zero value; otherwise all zero values,
+// every component being in scope. Each scoped component's values, read
+// from its record by local and aligned with its atoms, are then written
+// over its atoms. prev is not written.
+func Merge[T, V any](pass *Pass[V], prev []T, n int, local func(*V) []T) []T {
+	out := make([]T, n)
+	if pass.Delta {
+		copy(out, prev)
+		var zero T
+		for _, a := range pass.plan.dead {
+			if int(a) < n {
+				out[a] = zero
+			}
+		}
+	}
+	for k, ci := range pass.Scope {
+		values := local(&pass.Records[k])
+		for li, a := range pass.plan.Comps[ci].Atoms {
+			out[a] = values[li]
+		}
+	}
+	return out
 }

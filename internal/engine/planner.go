@@ -95,7 +95,7 @@ type Planner struct {
 
 	// gen counts Sync calls; every returned plan carries it so
 	// consumers can prove their state is exactly one sync behind (see
-	// Plan.Scope).
+	// Plan.scope).
 	gen uint64
 
 	stats PlanStats
@@ -316,6 +316,13 @@ func (pl *Planner) spliceComps(affected []ground.AtomID) {
 		patched++
 	}
 	pl.stats.PatchedComponents = patched
+	// The size multiset trades the replaced components for the groups.
+	for _, idx := range pl.remIdx {
+		p.sizes.remove(len(p.Comps[idx].Atoms))
+	}
+	for gi := range groups {
+		p.sizes.add(len(groups[gi].Atoms))
+	}
 
 	// Retire old keys no group re-listed.
 	retired := pl.retired[:0]

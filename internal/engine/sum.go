@@ -1,22 +1,23 @@
-package repair
+package engine
 
 import (
 	"math"
 	"math/bits"
 )
 
-// sumWords is the width of an exactSum: every finite float64 is a whole
+// sumWords is the width of an ExactSum: every finite float64 is a whole
 // multiple of 2^-1074 below 2^2098, and 32 more bits of headroom hold the
 // total of 2^32 such values without overflow.
 const sumWords = (2098 + 32 + 63) / 64
 
-// exactSum adds non-negative finite float64 values without rounding: a
+// ExactSum adds non-negative finite float64 values without rounding: a
 // fixed-point integer in units of 2^-1074, the smallest subnormal. The
 // total depends only on the multiset of values added, never on their
 // order or grouping, and a value subtracted after it was added leaves no
 // trace, so a sum maintained across updates equals one taken from
 // scratch bit for bit. Float64 rounds the total once, to nearest even.
-type exactSum [sumWords]uint64
+// The zero value is the empty sum.
+type ExactSum [sumWords]uint64
 
 // split returns x's significand and the position of its lowest bit in
 // units of 2^-1074: x = m × 2^(e-1074). The sign bit is ignored.
@@ -30,8 +31,8 @@ func split(x float64) (m uint64, e int) {
 	return m | 1<<52, exp - 1
 }
 
-// add adds x, which must be finite and non-negative.
-func (s *exactSum) add(x float64) {
+// Add adds x, which must be finite and non-negative.
+func (s *ExactSum) Add(x float64) {
 	m, e := split(x)
 	w, b := e/64, uint(e%64)
 	var c uint64
@@ -43,8 +44,8 @@ func (s *exactSum) add(x float64) {
 	}
 }
 
-// sub subtracts x, which must have been added before.
-func (s *exactSum) sub(x float64) {
+// Sub subtracts x, which must have been added before.
+func (s *ExactSum) Sub(x float64) {
 	m, e := split(x)
 	w, b := e/64, uint(e%64)
 	var c uint64
@@ -56,9 +57,9 @@ func (s *exactSum) sub(x float64) {
 	}
 }
 
-// float64 returns the total rounded to the nearest float64, ties to
+// Float64 returns the total rounded to the nearest float64, ties to
 // even.
-func (s *exactSum) float64() float64 {
+func (s *ExactSum) Float64() float64 {
 	i := sumWords - 1
 	for i > 0 && s[i] == 0 {
 		i--

@@ -1,4 +1,4 @@
-package repair
+package engine
 
 import (
 	"math"
@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestExactSum checks the removed-weight accumulator against math/big:
+// TestExactSum checks the accumulator against math/big:
 // the total is the exact sum rounded once to nearest even, whatever the
 // order of the additions, and subtracting what was added restores the
 // previous state bit for bit.
@@ -40,36 +40,36 @@ func TestExactSum(t *testing.T) {
 		for i := range xs {
 			xs[i] = draw()
 		}
-		var s exactSum
+		var s ExactSum
 		for _, x := range xs {
-			s.add(x)
+			s.Add(x)
 		}
-		if got, w := s.float64(), want(xs); got != w {
+		if got, w := s.Float64(), want(xs); got != w {
 			t.Fatalf("trial %d: sum of %v = %v, want %v", trial, xs, got, w)
 		}
 		before := s
 		extra := make([]float64, rng.Intn(10))
 		for i := range extra {
 			extra[i] = draw()
-			s.add(extra[i])
+			s.Add(extra[i])
 		}
 		rng.Shuffle(len(extra), func(i, j int) { extra[i], extra[j] = extra[j], extra[i] })
 		for _, x := range extra {
-			s.sub(x)
+			s.Sub(x)
 		}
 		if s != before {
 			t.Fatalf("trial %d: adding then subtracting %v changed the accumulator", trial, extra)
 		}
-		var r exactSum
+		var r ExactSum
 		for _, i := range rng.Perm(len(xs)) {
-			r.add(xs[i])
+			r.Add(xs[i])
 		}
 		if r != s {
 			t.Fatalf("trial %d: a different order of %v gave a different accumulator", trial, xs)
 		}
 	}
-	var zero exactSum
-	if zero.float64() != 0 {
+	var zero ExactSum
+	if zero.Float64() != 0 {
 		t.Fatal("empty sum is not 0")
 	}
 }

@@ -17,11 +17,12 @@ import (
 // component separately and concatenating the assignments yields an
 // optimum of the whole network. The orchestration — partitioning, the
 // reusable/dirty split, concurrent scheduling with a deterministic
-// merge order, and the (key, generation, membership) solution cache —
-// lives in internal/engine and is shared with the PSL backend and the
-// repair read-out. This file contributes the component loop every
-// boolean kernel runs on (SolveComponents: the merge, the cache and the
-// MLN read-out of the state) and the MaxSAT kernel; the greedy baseline
+// merge order, the (key, generation, membership) solution cache and
+// the records each pass replaces or retires — lives in internal/engine
+// and is shared with the PSL backend and the repair read-out. This file
+// contributes the component loop every boolean kernel runs on
+// (SolveComponents: the MLN read-out of the state and its running
+// totals) and the MaxSAT kernel; the greedy baseline
 // plugs its sweep in as another Kernel. The MaxSAT kernel adds:
 //
 //   - engine specialisation: small components go to the exact
@@ -35,14 +36,14 @@ import (
 //     unique — the MAP state is that of the whole network solved at once.
 //
 // The solve-level read-out (violated soft weight, hard feasibility,
-// per-rule violation counts, component-size statistics) is likewise a
-// sum of per-component contributions, so the cache carries each
-// component's contribution alongside its assignment and maintains the
-// running totals. There is one pass: it visits the scope the plan
-// answers for the cache's generation (engine.Plan.Scope) — the planner's
-// change set when the cache is exactly one sync behind, every component
-// otherwise — and a full solve is simply the pass in which every
-// component is visited and the totals start from zero.
+// per-rule violation counts) is likewise a sum of per-component
+// contributions, so the cache carries each component's contribution
+// alongside its assignment, and the running totals move with every
+// record the pass installs or retires (engine.Run's swap). The pass
+// visits the scope the plan answers for the cache — the planner's
+// change set when the previous state is in hand and the cache is exactly
+// one sync behind, every component otherwise — and the component-size
+// statistics come from the plan.
 
 // ComponentCache carries per-component MAP solutions across the
 // incremental engine's solves, plus the running solve-level aggregate
@@ -55,7 +56,7 @@ type ComponentCache struct {
 
 // NewComponentCache returns an empty cache.
 func NewComponentCache() *ComponentCache {
-	return &ComponentCache{comps: engine.NewCache[compEntry]()}
+	return &ComponentCache{comps: engine.NewCache[compEntry](), agg: stateAgg{viol: make(map[string]int)}}
 }
 
 // compEval is one component's contribution to the solve-level read-out:
@@ -68,68 +69,44 @@ type compEval struct {
 	viol   map[string]int
 }
 
+// compEntry is one component's record: its truth, aligned with the
+// component's atoms, the engine that produced it, and its read-out
+// contribution.
 type compEntry struct {
-	truth   []bool // aligned with the component's atoms
-	optimal bool
-	eval    compEval
-}
-
-// compResult is one component's outcome in a solve: its entry and the
-// engine that produced it ("cached" for a reused entry).
-type compResult struct {
-	compEntry
+	truth  []bool
 	engine string
+	eval   compEval
 }
 
-// stateAgg is the running sum of every cached component's read-out
-// contribution; it covers exactly the cache's entries as of the
-// generation the cache was last settled against. Integer fields (hard
-// violations, optimality, violation counts, the size multiset) are
-// maintained exactly; cost is maintained by subtract-and-add and may
-// drift from a fresh fold in the last floating-point bits — the cost is
-// never compared bitwise across solve paths, and every all-component
-// pass folds it from zero.
+// stateAgg is the sum of every cached record's read-out contribution,
+// moved by each record the pass installs or retires, so it always
+// equals a fold over the cache's records — the cost too, being an exact
+// sum: a chained cost equals a fresh solve's bit for bit.
 type stateAgg struct {
-	cost       float64
+	cost       engine.ExactSum
 	hardBad    int
 	nonOptimal int
 	viol       map[string]int
-	sizes      engine.SizeAgg
 }
 
-func (g *stateAgg) add(truth []bool, optimal bool, ev *compEval) {
-	g.cost += ev.cost
-	if !ev.hardOK {
-		g.hardBad++
+// count adds the record's contribution (d = 1) or takes it back (d = -1).
+func (g *stateAgg) count(e *compEntry, d int) {
+	if d > 0 {
+		g.cost.Add(e.eval.cost)
+	} else {
+		g.cost.Sub(e.eval.cost)
 	}
-	if !optimal {
-		g.nonOptimal++
-	}
-	for r, c := range ev.viol {
-		g.viol[r] += c
-	}
-	g.sizes.Add(len(truth))
-}
-
-func (g *stateAgg) remove(e *compEntry) {
-	g.cost -= e.eval.cost
 	if !e.eval.hardOK {
-		g.hardBad--
+		g.hardBad += d
 	}
-	if !e.optimal {
-		g.nonOptimal--
+	if e.engine != maxsat.EngineExact {
+		g.nonOptimal += d
 	}
 	for r, c := range e.eval.viol {
-		if g.viol[r] -= c; g.viol[r] == 0 {
+		if g.viol[r] += d * c; g.viol[r] == 0 {
 			delete(g.viol, r)
 		}
 	}
-	g.sizes.Remove(len(e.truth))
-}
-
-// reset empties the aggregate for an all-component pass to fold into.
-func (g *stateAgg) reset() {
-	*g = stateAgg{viol: make(map[string]int)}
 }
 
 // Kernel solves one conflict component's subproblem: vars are its atoms
@@ -164,18 +141,15 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 // are required. The read-out — cost, feasibility, violation counts —
 // scores the state under opts' priors whichever kernel ran.
 //
-// The components in the plan's scope for the cache's generation are
-// solved, and the assignments merged in deterministic component order.
-// Under a change-set scope (cache exactly one sync behind a maintained
-// plan, previous state in hand) the planner bounds everything that can
-// differ from the previous solve: components outside the scope have the
-// same generation, membership and clause subproblem, so the previous
-// truth is carried forward, retracted atoms are pinned false, and only
-// the re-solved components' contributions are subtracted from and added
-// to the running totals (all-component passes prove the base case;
-// consecutive generations chain it). Otherwise every component is
-// visited and the totals — and so the reported cost — are folded from
-// zero in component order.
+// The components in the plan's scope are solved and the assignments
+// merged in deterministic component order. Under a change-set scope
+// (previous state in hand, cache exactly one sync behind a maintained
+// plan) the planner bounds everything that can differ from the previous
+// solve: components outside the scope have the same generation,
+// membership and clause subproblem, so the previous truth is carried
+// forward and retracted atoms are pinned false. Otherwise every
+// component is visited. Either way the totals move only by the records
+// replaced, installed or retired.
 func SolveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan, kernel Kernel) (*Result, error) {
 	opts = opts.withDefaults()
 	if kernel == nil {
@@ -186,79 +160,38 @@ func SolveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 	g.Parallelism = opts.Parallelism
 	start := time.Now()
 	atoms := g.Atoms()
-	store := cache.comps
-	var have uint64
-	if warm != nil {
-		have = store.Gen()
-	}
-	scope, delta := plan.Scope(have)
-
-	results, cached, err := engine.Run(plan, scope, opts.Parallelism, store,
-		func(i int, e compEntry) (compResult, bool) {
-			return compResult{compEntry: e, engine: "cached"}, true
-		},
-		func(i int) (compResult, error) {
+	stats := &ground.ComponentStats{}
+	pass, err := engine.Run(plan, warm != nil, opts.Parallelism, cache.comps,
+		func(int, *compEntry) bool { return true },
+		func(i int) (compEntry, error) {
 			comp := &plan.Comps[i]
 			clauses, _ := plan.Clauses(i)
 			truth, eng, err := kernel(atoms, comp.Atoms, clauses, warm)
 			if err != nil {
-				return compResult{}, err
+				return compEntry{}, err
 			}
-			return compResult{engine: eng, compEntry: compEntry{truth: truth, optimal: eng == maxsat.EngineExact,
-				eval: evalComponent(atoms, comp, clauses, truth, opts)}}, nil
+			return compEntry{truth: truth, engine: eng, eval: evalComponent(atoms, comp, clauses, truth, opts)}, nil
+		},
+		func(old, new *compEntry) {
+			if old != nil {
+				cache.agg.count(old, -1)
+			}
+			if new != nil {
+				cache.agg.count(new, 1)
+				stats.Solved++
+				stats.Engine(new.engine)
+				if new.engine == maxsat.EngineFallback {
+					stats.Fallbacks++
+				}
+			}
 		})
 	if err != nil {
 		return nil, fmt.Errorf("mln: %w", err)
 	}
-
-	truth := make([]bool, atoms.Len())
-	agg := &cache.agg
-	if delta {
-		copy(truth, warm)
-		for _, a := range plan.RetractedAtoms() {
-			if int(a) < len(truth) {
-				truth[a] = false
-			}
-		}
-	} else {
-		agg.reset()
-	}
-
-	// Deterministic merge in component order, maintaining cache and
-	// totals: a reused entry's contribution stands under a change set and
-	// is re-added after a reset; a re-solved component replaces its own.
-	stats := &ground.ComponentStats{}
-	for k, ci := range scope {
-		comp, r := &plan.Comps[ci], &results[k]
-		for li, a := range comp.Atoms {
-			truth[a] = r.truth[li]
-		}
-		if !cached[k] {
-			if delta {
-				if old, ok := store.Peek(comp.Key); ok {
-					agg.remove(&old)
-				}
-			}
-			store.Put(comp, r.compEntry)
-			stats.Solved++
-			stats.Engine(r.engine)
-			if r.engine == maxsat.EngineFallback {
-				stats.Fallbacks++
-			}
-		}
-		if !cached[k] || !delta {
-			agg.add(r.truth, r.optimal, &r.eval)
-		}
-	}
-	store.Settle(plan, func(e compEntry) {
-		if delta {
-			agg.remove(&e)
-		}
-	})
-
-	agg.sizes.Fill(stats)
-	res := resultFromAgg(agg, cs, stats, truth)
-	res.TruthDelta = delta
+	truth := engine.Merge(pass, warm, atoms.Len(), func(e *compEntry) []bool { return e.truth })
+	plan.FillStats(stats)
+	res := resultFromAgg(&cache.agg, cs, stats, truth)
+	res.TruthDelta = pass.Delta
 	res.Runtime = time.Since(start)
 	return res, nil
 }
@@ -273,7 +206,7 @@ func resultFromAgg(agg *stateAgg, cs *ground.ClauseSet, stats *ground.ComponentS
 	}
 	return &Result{
 		Truth:          truth,
-		Cost:           agg.cost,
+		Cost:           agg.cost.Float64(),
 		HardSatisfied:  agg.hardBad == 0,
 		Optimal:        agg.nonOptimal == 0,
 		Rounds:         1,

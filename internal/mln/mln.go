@@ -90,7 +90,9 @@ func Logit(conf, eps float64) float64 {
 type Result struct {
 	// Truth assigns a boolean to every atom id.
 	Truth []bool
-	// Cost is the violated soft weight of the final MaxSAT problem.
+	// Cost is the violated soft weight of the final MaxSAT problem. The
+	// component solve sums the components' costs exactly, so it does not
+	// depend on the order they were solved in or on the solves before.
 	Cost float64
 	// HardSatisfied reports whether all hard constraints hold.
 	HardSatisfied bool

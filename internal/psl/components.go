@@ -14,23 +14,23 @@ import (
 // components of the ground network: running consensus ADMM per component
 // minimises the same objective. The orchestration — partitioning, the
 // reusable/dirty split, concurrent scheduling with a deterministic
-// merge order, and the (key, generation, membership) iterate cache —
-// lives in internal/engine and is shared with the MLN backend and the
-// repair read-out; this file contributes only the ADMM kernel. Each
-// component converges on its own residuals rather than waiting for a
-// global criterion.
+// merge order, the (key, generation, membership) iterate cache and the
+// records each pass replaces or retires — lives in internal/engine and
+// is shared with the MLN backend and the repair read-out; this file
+// contributes only the ADMM kernel. Each component converges on its own
+// residuals rather than waiting for a global criterion.
 //
 // There is one pass, as in the MLN kernel: it visits the scope the plan
-// answers for the cache's generation (engine.Plan.Scope) — the planner's
-// change set when the cache is exactly one sync behind and the previous
-// solve's state is in hand, every component otherwise. One rule is
-// ADMM's own: a component whose ADMM stopped short of its tolerance is
-// not a solution to reuse, and it must be re-offered on every solve
-// until it converges, although the change set does not name it; while
-// the cache holds any such record, every component is in scope. The
-// warm iterate tables (Warm.Z/U) and the component statistics are
-// maintained under the same subtract/add discipline, so a change-set
-// pass touches only the scoped components and the retired ones.
+// answers for the cache — the planner's change set when the cache is
+// exactly one sync behind and the previous solve's state is in hand,
+// every component otherwise. One rule is ADMM's own: a component whose
+// ADMM stopped short of its tolerance is not a solution to reuse, and it
+// must be re-offered on every solve until it converges, although the
+// change set does not name it; while the cache holds any such record,
+// every component is in scope. The warm iterate tables (Warm.Z/U) and
+// the unconverged count move with every record the pass installs or
+// retires, so a change-set pass touches only the scoped components and
+// the retired ones.
 //
 // The strictly convex objective has a unique optimum; a component's
 // ADMM stops once its residuals fall below the tolerance, and where that
@@ -38,40 +38,17 @@ import (
 // allows the same tolerance below the threshold (see solveComponent).
 
 // ComponentCache carries per-component ADMM iterates across the
-// incremental engine's solves, plus the running aggregate of its records
-// (see cacheAgg). Construct with NewComponentCache. Not safe for
-// concurrent use.
+// incremental engine's solves, plus how many of its records did not
+// converge, which decides whether a change-set scope is enough.
+// Construct with NewComponentCache. Not safe for concurrent use.
 type ComponentCache struct {
-	comps *engine.Cache[compEntry]
-	agg   cacheAgg
+	comps       *engine.Cache[compEntry]
+	unconverged int
 }
 
 // NewComponentCache returns an empty cache.
 func NewComponentCache() *ComponentCache {
 	return &ComponentCache{comps: engine.NewCache[compEntry]()}
-}
-
-// cacheAgg summarises every cached record as of the generation the
-// cache was last settled against: the component sizes, for the
-// statistics, and how many records did not converge, which decides
-// whether a change-set scope is enough.
-type cacheAgg struct {
-	sizes       engine.SizeAgg
-	unconverged int
-}
-
-func (g *cacheAgg) add(e *compEntry) {
-	g.sizes.Add(len(e.values))
-	if !e.converged {
-		g.unconverged++
-	}
-}
-
-func (g *cacheAgg) remove(e *compEntry) {
-	g.sizes.Remove(len(e.values))
-	if !e.converged {
-		g.unconverged--
-	}
 }
 
 type compEntry struct {
@@ -87,17 +64,10 @@ type compEntry struct {
 	// so the component is iterated again — warm-started — on the next
 	// solve.
 	converged bool
-}
-
-// compState is one component's outcome in a solve: the record to cache
-// plus what the solve reports about the sweeps that produced it (zero
-// for a reused record).
-type compState struct {
-	compEntry
-	iterations  int
-	primal      float64
-	dual        float64
-	repairFlips int
+	// What the solve that produced the record reports about its sweeps.
+	iterations   int
+	primal, dual float64
+	repairFlips  int
 }
 
 // MAPGroundComponents computes the HL-MRF MAP state over an
@@ -116,114 +86,79 @@ type compState struct {
 // plan, every cached record converged, the previous state in hand) the
 // planner bounds everything that can differ from the previous solve:
 // components outside the scope keep their converged records, so the
-// previous values and truth are carried forward by copy, retracted atoms
-// are pinned to zero, the iterate tables lose the slots of every record
-// replaced or retired and gain those of the scoped components, and the
-// statistics move by the same records. Otherwise every component is
-// visited and the tables and statistics are rebuilt from them.
+// previous values and truth are carried forward, retracted atoms are
+// pinned to zero, and the iterate tables lose the slots of every record
+// replaced or retired and gain those of the scoped components.
+// Otherwise every component is visited and the tables are rebuilt from
+// the records.
 func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm, cache *ComponentCache, plan *engine.Plan) (*Result, *Warm, error) {
 	opts = opts.withDefaults()
 	g.Parallelism = opts.Parallelism
 	start := time.Now()
 	atoms := g.Atoms()
-	store, agg := cache.comps, &cache.agg
-	var have uint64
-	if warm != nil && agg.unconverged == 0 {
-		have = store.Gen()
-	}
-	scope, delta := plan.Scope(have)
-
-	results, cached, err := engine.Run(plan, scope, opts.Parallelism, store,
-		func(i int, e compEntry) (compState, bool) {
-			// An unconverged solve is not a solution to reuse: treat the
-			// component as dirty so ADMM resumes (warm-started from the
-			// previous iterates) instead of freezing the unconverged state.
-			return compState{compEntry: e}, e.converged
-		},
-		func(i int) (compState, error) {
-			pots, slots := hinges(plan, i, opts)
-			return solveComponent(atoms, &plan.Comps[i], pots, slots, opts, warm), nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// The kernels have read warm; from here on it becomes the next state.
-	n := atoms.Len()
-	values := make([]float64, n)
-	truth := make([]bool, n)
 	next := warm
 	if next == nil {
 		next = &Warm{}
 	}
-	if delta {
-		copy(values, warm.Values)
-		copy(truth, warm.Truth)
-		for _, a := range plan.RetractedAtoms() {
-			if int(a) < n {
-				values[a], truth[a] = 0, false
-			}
-		}
-	} else {
-		*agg = cacheAgg{}
-		clear(next.Z)
-		clear(next.U)
-	}
+	// Growing the tables leaves every slot the kernels read as it was,
+	// and lets swap clear the slots of any record leaving the cache.
 	next.Z = growTable(next.Z, cs.SlotCount())
 	next.U = growTable(next.U, cs.SlotCount())
 
-	// Deterministic merge in component order, maintaining cache, totals
-	// and tables: a re-solved component's record replaces its own, whose
-	// slots are cleared first — before any are written, since a slot can
-	// move between components — as are those of every retired record.
-	res := &Result{Potentials: cs.Len(), TruthDelta: delta}
+	res := &Result{Potentials: cs.Len()}
 	stats := &ground.ComponentStats{}
-	for k, ci := range scope {
-		comp, r := &plan.Comps[ci], &results[k]
-		for li, a := range comp.Atoms {
-			values[a] = r.values[li]
-			truth[a] = r.truth[li]
-		}
-		if !cached[k] {
-			if delta {
-				if old, ok := store.Peek(comp.Key); ok {
-					agg.remove(&old)
-					next.clearSlots(&old)
+	pass, err := engine.Run(plan, warm != nil && cache.unconverged == 0, opts.Parallelism, cache.comps,
+		// An unconverged solve is not a solution to reuse: treat the
+		// component as dirty so ADMM resumes (warm-started from the
+		// previous iterates) instead of freezing the unconverged state.
+		func(_ int, e *compEntry) bool { return e.converged },
+		func(i int) (compEntry, error) {
+			pots, slots := hinges(plan, i, opts)
+			return solveComponent(atoms, &plan.Comps[i], pots, slots, opts, warm), nil
+		},
+		// The kernels have read warm; from here on it becomes the next
+		// state. A leaving record's slots are cleared before any are
+		// written, since a slot can move between components.
+		func(old, new *compEntry) {
+			if old != nil {
+				next.clearSlots(old)
+				if !old.converged {
+					cache.unconverged--
 				}
 			}
-			store.Put(comp, r.compEntry)
-			stats.Solved++
-			stats.Engine("admm")
-			if r.iterations > res.Iterations {
-				res.Iterations = r.iterations
+			if new != nil {
+				if !new.converged {
+					cache.unconverged++
+				}
+				stats.Solved++
+				stats.Engine("admm")
+				res.Iterations = max(res.Iterations, new.iterations)
+				res.PrimalResidual = max(res.PrimalResidual, new.primal)
+				res.DualResidual = max(res.DualResidual, new.dual)
+				res.RepairFlips += new.repairFlips
 			}
-			if r.primal > res.PrimalResidual {
-				res.PrimalResidual = r.primal
-			}
-			if r.dual > res.DualResidual {
-				res.DualResidual = r.dual
-			}
-			res.RepairFlips += r.repairFlips
-		}
-		if !cached[k] || !delta {
-			agg.add(&r.compEntry)
-		}
+		})
+	if err != nil {
+		return nil, nil, err
 	}
-	store.Settle(plan, func(e compEntry) {
-		if delta {
-			agg.remove(&e)
-			next.clearSlots(&e)
-		}
-	})
-	for k := range results {
-		next.setSlots(&results[k].compEntry)
+	if !pass.Delta {
+		// A warm state this cache was not settled with may hold slots no
+		// record owns: an all-component pass rebuilds the tables.
+		clear(next.Z)
+		clear(next.U)
 	}
-	next.Values, next.Truth = values, truth
+	for k := range pass.Records {
+		next.setSlots(&pass.Records[k])
+	}
+	n := atoms.Len()
+	next.Values = engine.Merge(pass, next.Values, n, func(e *compEntry) []float64 { return e.values })
+	next.Truth = engine.Merge(pass, next.Truth, n, func(e *compEntry) []bool { return e.truth })
 
-	agg.sizes.Fill(stats)
-	res.Converged = agg.unconverged == 0
-	res.Values = values
-	res.Truth = truth
+	plan.FillStats(stats)
+	res.Converged = cache.unconverged == 0
+	res.Values = next.Values
+	res.Truth = next.Truth
+	res.TruthDelta = pass.Delta
 	res.Components = stats
 	res.Runtime = time.Since(start)
 	return res, next, nil
@@ -270,7 +205,7 @@ func hinges(plan *engine.Plan, i int, opts Options) ([]hinge, []int32) {
 // the threshold (Figure 7's worksFor: a confidence-0.5 fact held up only
 // by KeepBias, behind one soft rule) should not flip with the side it
 // was approached from.
-func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials []hinge, slots []int32, opts Options, warm *Warm) compState {
+func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials []hinge, slots []int32, opts Options, warm *Warm) compEntry {
 	n := len(comp.Atoms)
 	target := make([]float64, n)
 	priorW := make([]float64, n)
@@ -307,11 +242,9 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials 
 	truth := discretize(res.Values, opts.Threshold-opts.Eps)
 	flips := repairHard(truth, res.Values, potentials)
 
-	return compState{
-		compEntry: compEntry{
-			values: res.Values, truth: truth, slots: slots, z: zs, u: us,
-			converged: res.Converged,
-		},
+	return compEntry{
+		values: res.Values, truth: truth, slots: slots, z: zs, u: us,
+		converged:  res.Converged,
 		iterations: res.Iterations,
 		primal:     res.PrimalResidual, dual: res.DualResidual,
 		repairFlips: flips,

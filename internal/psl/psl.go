@@ -118,7 +118,7 @@ type Result struct {
 	// (cached components run zero sweeps).
 	Components *ground.ComponentStats
 	// TruthDelta reports that Values and Truth were produced under the
-	// plan's change-set scope (engine.Plan.Scope): every atom outside the
+	// plan's change-set scope (see engine.Run): every atom outside the
 	// scoped components carries the previous solve's soft value and truth
 	// bit-for-bit.
 	TruthDelta bool

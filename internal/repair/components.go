@@ -17,14 +17,14 @@ import (
 // clusters, explanations, violation counts — is a per-component
 // computation followed by a deterministic merge. ResolveComponents is
 // the repair layer's counterpart of the solvers' MAPGroundComponents:
-// it runs one resolveUnit per component on the shared orchestration
-// layer (internal/engine) and records each component's finished
-// read-out under (component key, generation, membership): the
-// read-out's records in the live lists, its ids in the cache. There is
-// one analysis pass, over the scope the plan answers for the cache's
-// generation (engine.Plan.Scope): the planner's change set when the
-// solver and the cache are both exactly one sync behind, every
-// component otherwise. Reusing a cached unit is sound because a unit
+// it runs one resolveUnit per component in the shared component pass
+// (engine.Run) and records each component's finished read-out under
+// (component key, generation, membership): the read-out's records in
+// the live lists, its ids in the cache. The pass visits the scope the
+// plan answers for the cache: the planner's change set when the solver
+// and the cache are both exactly one sync behind, every component
+// otherwise; the records it replaces or retires leave the live lists.
+// Reusing a cached unit is sound because a unit
 // depends only on the component's clauses, its atoms'
 // evidence/confidence state (both covered by the generation) and its
 // slice of the MAP state (checked explicitly, for every visited
@@ -59,7 +59,7 @@ type ComponentCache struct {
 	kept, inferred    List[fact]
 	removed           List[removedFact]
 	clusters          List[cluster]
-	removedWeight     exactSum
+	removedWeight     engine.ExactSum
 	violations        map[string]int
 	thresholdFiltered int
 }
@@ -145,26 +145,23 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	rs.Mode = RepairComponents
 
 	atoms := out.Grounder.Atoms()
-	// The change-set scope needs every link of the chain: the solver
-	// vouches that truth outside it is bit-identical to the previous solve
-	// (TruthDelta), and Scope requires the cache to have been settled
-	// against the previous generation. Any gap scopes every component.
-	var have uint64
-	if out.TruthDelta() {
-		have = cache.units.Gen()
-	}
-	scope, _ := plan.Scope(have)
 	// Shared across units: each writes only its own component's atoms,
 	// so disjoint components repair concurrently.
 	conf := cache.confScratch(atoms.Len())
 
 	analysisStart := time.Now()
-	units, cached, err := engine.Run(plan, scope, opts.Parallelism, cache.units,
-		func(i int, e compUnit) (compUnit, bool) {
+	run := &ComponentRun{oc: oc, atoms: atoms, cache: cache, start: start}
+	// The change-set scope needs every link of the chain: the solver
+	// vouches that truth outside it is bit-identical to the previous solve
+	// (TruthDelta), and the cache must have been settled against the
+	// previous generation. Any gap scopes every component.
+	var err error
+	run.subtract, run.add, err = cache.pass(plan, out.TruthDelta(), opts.Parallelism,
+		func(i int, _ *compUnit) bool {
 			// The generation covers clauses and evidence state; the MAP
 			// state is the solver's to change, so compare it explicitly
 			// against the one the records were settled under.
-			return e, cache.sameMAP(&plan.Comps[i], out)
+			return cache.sameMAP(&plan.Comps[i], out)
 		},
 		func(i int) (compUnit, error) {
 			return computeUnit(out, &plan.Comps[i], conf, opts), nil
@@ -173,8 +170,6 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 		return nil, err
 	}
 	rs.Analysis = time.Since(analysisStart)
-	run := &ComponentRun{oc: oc, atoms: atoms, cache: cache, start: start}
-	run.subtract, run.add = cache.record(plan, scope, units, cached)
 	cache.truth, cache.values = out.Truth, out.SoftValues
 	// Every component that was not re-repaired is a cache reuse.
 	rs.Repaired = len(run.add)
@@ -183,29 +178,23 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	return run, nil
 }
 
-// record ends the read-out pass over scope: every unit that was not
-// reused replaces its component's record — the stale record, if any,
-// is returned for subtraction — and Settle retires the records of
-// components that left the partition. A fresh unit is returned as added
-// and stored as its held ids only. units and cached are indexed by
-// position in scope.
-func (c *ComponentCache) record(plan *engine.Plan, scope []int32, units []compUnit, cached []bool) (subtract []held, add []*unit) {
-	store := c.units
-	for k, ci := range scope {
-		if cached[k] {
-			continue
-		}
-		comp := &plan.Comps[ci]
-		if old, ok := store.Peek(comp.Key); ok {
+// pass runs the read-out's component pass on the shared engine, with
+// reuse and solve as in engine.Run. Every record the pass replaces or
+// retires is returned for subtraction from the live lists; every unit
+// it installs is returned as added and stored as its held ids only.
+func (c *ComponentCache) pass(plan *engine.Plan, chained bool, parallelism int,
+	reuse func(i int, u *compUnit) bool, solve func(i int) (compUnit, error),
+) (subtract []held, add []*unit, err error) {
+	_, err = engine.Run(plan, chained, parallelism, c.units, reuse, solve, func(old, new *compUnit) {
+		if old != nil {
 			subtract = append(subtract, old.held)
 		}
-		e := units[k]
-		add = append(add, e.fresh)
-		e.held, e.fresh = e.fresh.hold(), nil
-		store.Put(comp, e)
-	}
-	store.Settle(plan, func(u compUnit) { subtract = append(subtract, u.held) })
-	return subtract, add
+		if new != nil {
+			add = append(add, new.fresh)
+			new.held, new.fresh = new.fresh.hold(), nil
+		}
+	})
+	return subtract, add, err
 }
 
 // sameMAP reports whether the output carries, on the component's atoms,

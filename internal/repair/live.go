@@ -197,10 +197,10 @@ func (c *ComponentCache) apply(subtract []held, add []*unit, view ground.KeyView
 	c.inferred = c.inferred.splice(rmI, adI)
 	c.clusters = c.clusters.splice(rmC, adC)
 	for _, f := range rmR {
-		c.removedWeight.sub(f.conf)
+		c.removedWeight.Sub(f.conf)
 	}
 	for _, f := range adR {
-		c.removedWeight.add(f.conf)
+		c.removedWeight.Add(f.conf)
 	}
 	facts := func(fs []fact) FactList { return FactList{view: view, facts: readOnly(fs)} }
 	removed := func(fs []removedFact) FactList { return FactList{view: view, removed: readOnly(fs)} }

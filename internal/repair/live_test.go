@@ -30,9 +30,9 @@ const (
 // checkInvariants validates the live outcome's deterministic-order and
 // agreement invariants: each list strictly ascending in its id and laid
 // out exactly as the bulk build of its records, every atom in exactly
-// one list, and the ids the per-component records hold summing to the
-// global lists.
-func checkInvariants(c *ComponentCache) error {
+// one list, and the ids the records of the model's components hold
+// summing to the global lists.
+func checkInvariants(c *ComponentCache, ref map[ground.AtomID]*refHeld) error {
 	classOf := make(map[ground.AtomID]factClass)
 	check := func(name string, class factClass, facts []fact, sameLayout bool) error {
 		if !sameLayout {
@@ -76,12 +76,17 @@ func checkInvariants(c *ComponentCache) error {
 	}
 	var hs []held
 	fresh := 0
-	c.units.Each(func(_ ground.AtomID, u compUnit) {
+	plan := refPlan(ref)
+	for i := range plan.Comps {
+		u, ok := c.units.Lookup(&plan.Comps[i])
+		if !ok {
+			return fmt.Errorf("component %d holds no current record", plan.Comps[i].Key)
+		}
 		if u.fresh != nil {
 			fresh++
 		}
 		hs = append(hs, u.held)
-	})
+	}
 	if fresh > 0 {
 		return fmt.Errorf("%d stored records still carry their unit's records", fresh)
 	}
@@ -272,22 +277,27 @@ func checkDelta[T listItem[T]](name string, rm, ad List[T], prev, cur map[ground
 	return nil
 }
 
-// syncRef drives the read-out cache's one pass from the reference model
-// — engine.Run over the scope, record, apply, as BeginComponents and
-// Finish do — reusing only untouched components whose record is current,
-// and returns the changelog. The hand-built plan has generation 0, so
-// every pass scopes every component and retires vanished ones by
-// enumeration.
-func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, touched ground.AtomID) *OutcomeDelta {
-	t.Helper()
+// refPlan is the partition of the reference model: one component per
+// unit, in key order.
+func refPlan(ref map[ground.AtomID]*refHeld) *engine.Plan {
 	keys := sortedKeys(ref)
 	plan := &engine.Plan{Comps: make([]ground.Component, len(keys))}
 	for i, k := range keys {
 		plan.Comps[i] = ground.Component{Key: k, Gen: ref[k].gen, Atoms: unitAtoms(ref[k].u)}
 	}
-	scope, _ := plan.Scope(c.units.Gen())
-	units, cached, err := engine.Run(plan, scope, 1, c.units,
-		func(i int, e compUnit) (compUnit, bool) { return e, plan.Comps[i].Key != touched },
+	return plan
+}
+
+// syncRef drives the read-out cache's one pass from the reference model
+// — the pass and apply BeginComponents and Finish run — reusing only
+// untouched components whose record is current, and returns the
+// changelog. The hand-built plan has generation 0, so every pass scopes
+// every component and retires vanished ones by enumeration.
+func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, touched ground.AtomID) *OutcomeDelta {
+	t.Helper()
+	plan := refPlan(ref)
+	subtract, add, err := c.pass(plan, true, 1,
+		func(i int, _ *compUnit) bool { return plan.Comps[i].Key != touched },
 		func(i int) (compUnit, error) {
 			u := *ref[plan.Comps[i].Key].u
 			return compUnit{fresh: &u}, nil
@@ -295,7 +305,6 @@ func syncRef(t testing.TB, c *ComponentCache, ref map[ground.AtomID]*refHeld, to
 	if err != nil {
 		t.Fatal(err)
 	}
-	subtract, add := c.record(plan, scope, units, cached)
 	return c.apply(subtract, add, ground.KeyView{})
 }
 
@@ -324,7 +333,7 @@ func FuzzOutcomePatch(f *testing.F) {
 			}
 			d := syncRef(t, c, ref, key)
 
-			if err := checkInvariants(c); err != nil {
+			if err := checkInvariants(c, ref); err != nil {
 				t.Fatalf("op %d: invariant violated: %v", i/2, err)
 			}
 			// The reference is the bulk build over the model's units, so
@@ -461,7 +470,7 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 	v1 := &unit{kept: []fact{f}}
 	ref := map[ground.AtomID]*refHeld{key: {u: v1, gen: 1}}
 	syncRef(t, c, ref, key)
-	if err := checkInvariants(c); err != nil {
+	if err := checkInvariants(c, ref); err != nil {
 		t.Fatal(err)
 	}
 
@@ -471,7 +480,7 @@ func TestLiveOutcomeClassMove(t *testing.T) {
 		clusters:   []cluster{{root: 3, members: []ground.AtomID{3}}}}
 	ref[key] = &refHeld{u: v2, gen: 2}
 	d := syncRef(t, c, ref, key)
-	if err := checkInvariants(c); err != nil {
+	if err := checkInvariants(c, ref); err != nil {
 		t.Fatal(err)
 	}
 	removed := collect(c.removed.Each)
@@ -511,7 +520,7 @@ func TestLiveOutcomeIdenticalRepatch(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("identical re-patch changed the materialized outcome")
 	}
-	if err := checkInvariants(c); err != nil {
+	if err := checkInvariants(c, ref); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -216,12 +216,12 @@ func (o *Outcome) ConsistentGraph() rdf.Graph {
 
 // countLists sets the summary statistics the lists determine, given the
 // exact sum of the removed facts' confidences.
-func (o *Outcome) countLists(removedWeight *exactSum) {
+func (o *Outcome) countLists(removedWeight *engine.ExactSum) {
 	o.Stats.KeptFacts = o.Kept.Len()
 	o.Stats.RemovedFacts = o.Removed.Len()
 	o.Stats.TotalFacts = o.Kept.Len() + o.Removed.Len()
 	o.Stats.InferredFacts = o.Inferred.Len()
-	o.Stats.RemovedWeight = removedWeight.float64()
+	o.Stats.RemovedWeight = removedWeight.Float64()
 	o.Stats.ConflictClusters = o.Clusters.Len()
 }
 
@@ -398,14 +398,14 @@ func assembleOutcome(oc *Outcome, units []*unit, view ground.KeyView) {
 	oc.Inferred = FactList{view: view, facts: newList(gather(units, inferredOf))}
 	oc.Clusters = ClusterList{view: view, clusters: newList(gather(units, clustersOf))}
 	oc.Stats.RuleViolations = make(map[string]int)
-	var w exactSum
+	var w engine.ExactSum
 	for _, u := range units {
 		oc.Stats.ThresholdFiltered += u.thresholdFiltered
 		for rule, n := range u.violations {
 			oc.Stats.RuleViolations[rule] += n
 		}
 		for _, f := range u.removed {
-			w.add(f.conf)
+			w.Add(f.conf)
 		}
 	}
 	oc.countLists(&w)

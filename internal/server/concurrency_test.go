@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/kgen"
+	"repro/internal/store"
 )
 
 // Concurrency suite for the session API — run it under -race. The
@@ -174,7 +177,8 @@ func TestEvictionDuringSolve(t *testing.T) {
 // TestSolveAdmissionBackpressure exhausts a 1-slot, 1-queue admission
 // gate and checks the third solve is rejected with 429 and a
 // Retry-After hint instead of queueing unboundedly. The gate is shared
-// across endpoints: the stateless /api/solve is rejected too.
+// across endpoints: the stateless /api/solve is rejected too, before it
+// copies the dataset into a store.
 func TestSolveAdmissionBackpressure(t *testing.T) {
 	srv, ts := newConcurrencyServer(t, Config{
 		Parallelism: 1, MaxConcurrentSolves: 1, MaxQueuedSolves: 1,
@@ -182,6 +186,14 @@ func TestSolveAdmissionBackpressure(t *testing.T) {
 	idA := createSession(t, ts.URL, "A")
 	idB := createSession(t, ts.URL, "B")
 	idC := createSession(t, ts.URL, "C")
+	cfg := kgen.FootballConfig{Players: 4000, NoiseRatio: 0.5, Seed: 1}
+	if resp := postJSON(t, ts.URL+"/api/datasets", UploadRequest{
+		Name: "large", Generate: "football", Players: cfg.Players, Noise: cfg.NoiseRatio, Seed: cfg.Seed,
+	}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	g := kgen.Football(cfg).Graph
+	build := allocated(func() { _ = store.New().AddGraph(g) })
 
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -230,6 +242,13 @@ func TestSolveAdmissionBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload stateless solve: status %d, want 429", resp.StatusCode)
 	}
+	// It is turned away before the dataset's store is built: on the large
+	// dataset the rejection allocates a small fraction of what building
+	// that store does (checked once the gate is released).
+	rejected := allocated(func() {
+		resp = postJSON(t, ts.URL+"/api/solve", SolveRequest{Dataset: "large", Solver: "mln"}, nil)
+	})
+	largeStatus := resp.StatusCode
 
 	// Releasing the gate drains the queue: both admitted solves finish.
 	close(release)
@@ -240,6 +259,21 @@ func TestSolveAdmissionBackpressure(t *testing.T) {
 			t.Fatalf("admitted solve: status %d", code)
 		}
 	}
+	if largeStatus != http.StatusTooManyRequests {
+		t.Fatalf("overload stateless solve on a large dataset: status %d, want 429", largeStatus)
+	}
+	if rejected*20 > build {
+		t.Fatalf("rejected solve allocated %d bytes; building the %d-fact store allocates %d", rejected, len(g), build)
+	}
+}
+
+// allocated returns the bytes the process allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestSnapshotReadHistory is the snapshot-isolation history checker: a

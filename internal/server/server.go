@@ -518,18 +518,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		rules = d.program
 	}
 	sess := core.NewSession()
-	if err := sess.LoadGraph(d.graph); err != nil {
-		httpError(w, http.StatusInternalServerError, "loading dataset: %v", err)
-		return
-	}
 	if err := sess.LoadProgramText(rules); err != nil {
 		httpError(w, http.StatusBadRequest, "parsing rules: %v", err)
 		return
 	}
+	// Admission comes before the dataset's store is built: a rejected
+	// request must not copy the whole dataset into a store first.
 	if !s.admitSolve(w) {
 		return
 	}
 	defer s.adm.release()
+	if err := sess.LoadGraph(d.graph); err != nil {
+		httpError(w, http.StatusInternalServerError, "loading dataset: %v", err)
+		return
+	}
 	res, err := sess.Solve(core.SolveOptions{
 		Solver:              solver,
 		Threshold:           req.Threshold,

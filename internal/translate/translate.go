@@ -149,7 +149,7 @@ type Output struct {
 }
 
 // TruthDelta reports whether the solver produced its MAP state under the
-// plan's change-set scope (engine.Plan.Scope): every atom outside the
+// plan's change-set scope (see engine.Run): every atom outside the
 // scoped components carries the previous solve's truth — and on PSL its
 // soft value — bit-for-bit.
 func (o *Output) TruthDelta() bool {
