@@ -5,8 +5,8 @@
 // With -data-dir the incremental solving sessions are durable: every
 // mutation is journaled to a per-session WAL, checkpoints compact the
 // journals on the -checkpoint interval and at shutdown, and a restarted
-// server recovers every session (store, epoch, rules, warm solver
-// state) before it starts serving.
+// server recovers every session (store, epoch, rules) before it starts
+// serving; each session's first solve after a restart is cold.
 //
 // Usage:
 //

@@ -43,10 +43,6 @@ type Session struct {
 	// Checkpoint/Sync/Close control when it reaches stable storage.
 	wal     *wal.Log
 	dataDir string
-	// recoveredWarm is the warm-start candidate read back from the data
-	// directory, adopted by the first engine build if its epoch and
-	// program fingerprint still match (see durable.go).
-	recoveredWarm *warmState
 }
 
 // NewSession returns an empty session.
@@ -57,7 +53,9 @@ func NewSession() *Session {
 // Store exposes the session's quad store.
 func (s *Session) Store() *store.Store { return s.st }
 
-// Program exposes the session's rules and constraints.
+// Program exposes the session's rules and constraints. The result is
+// read-only: LoadProgramText and AddRule are the only ways to change the
+// program, and the only changes the cached solve engine notices.
 func (s *Session) Program() *logic.Program { return s.prog }
 
 // LoadGraph adds the quads of g to the session.

@@ -1,40 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 
 	"repro/internal/logic"
-	"repro/internal/store"
-	"repro/internal/translate"
 	"repro/internal/wal"
 )
-
-// WarmFile is the warm-start sidecar within a session data directory:
-// the previous MAP truth vector, stamped with the epoch and program it
-// was computed under. It rides along with checkpoints so a restarted
-// session's first solve warm-starts the solvers instead of searching
-// from nothing.
-const WarmFile = "warm.tqw"
-
-var warmMagic = [4]byte{'T', 'Q', 'W', '1'}
-
-var warmCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// warmState is a recovered warm-start candidate. It is only adopted if
-// the restarted session's first engine lands on exactly the epoch and
-// program fingerprint it was stamped with — deterministic grounding
-// then reproduces the identical atom table, making the truth vector's
-// atom indexes meaningful again.
-type warmState struct {
-	solver   translate.Solver
-	epoch    store.Epoch
-	progHash uint64
-	truth    []bool
-}
 
 // OpenSession opens a durable session rooted at dir, recovering the
 // persisted store (snapshot + WAL replay) if the directory holds one
@@ -46,14 +17,14 @@ func OpenSession(dir string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{st: st, prog: &logic.Program{}, wal: l, dataDir: dir}
-	s.recoveredWarm = loadWarm(filepath.Join(dir, WarmFile))
-	return s, nil
+	return &Session{st: st, prog: &logic.Program{}, wal: l, dataDir: dir}, nil
 }
 
 // EnableDurability makes a live in-memory session durable in a fresh
 // directory: the current store is checkpointed there and every later
-// mutation flows through the WAL. It fails if the directory already
+// mutation flows through the WAL. The live session keeps its solve
+// engine, but nothing of it is written to dir: a session reopened from
+// dir solves cold first. It fails if the directory already
 // holds a persisted store (open that with OpenSession) or if the
 // session is already durable.
 func (s *Session) EnableDurability(dir string) error {
@@ -66,7 +37,6 @@ func (s *Session) EnableDurability(dir string) error {
 	}
 	s.wal = l
 	s.dataDir = dir
-	s.saveWarm()
 	return nil
 }
 
@@ -97,18 +67,14 @@ func (s *Session) Sync() error {
 
 // Checkpoint compacts the session's durable state: it snapshots the
 // store at a pinned epoch (ingest is never blocked for more than the
-// pin's memcpy), truncates the WAL to the suffix, and persists the warm
-// solver state so a restart resumes with warm caches. Fails for
-// volatile sessions.
+// pin's memcpy) and truncates the WAL to the suffix. Only the store is
+// persisted; a reopened session's first solve grounds and solves cold.
+// Fails for volatile sessions.
 func (s *Session) Checkpoint() error {
 	if s.wal == nil {
 		return fmt.Errorf("core: session is not durable (no data directory)")
 	}
-	if err := s.wal.Checkpoint(); err != nil {
-		return err
-	}
-	s.saveWarm()
-	return nil
+	return s.wal.Checkpoint()
 }
 
 // Close releases the session's durable state after a final WAL flush
@@ -122,127 +88,4 @@ func (s *Session) Close() error {
 	s.wal = nil
 	s.dataDir = ""
 	return err
-}
-
-// progFingerprint hashes the program's rules (FNV-1a over their
-// canonical rendering) so persisted warm state is never applied under a
-// different program.
-func progFingerprint(p *logic.Program) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-		h ^= 0xff
-		h *= prime
-	}
-	for _, r := range p.Rules {
-		mix(r.String())
-	}
-	return h
-}
-
-// adoptRecoveredWarm seeds a freshly built engine with the recovered
-// warm-start state, once, if the epoch and program still match exactly.
-func (s *Session) adoptRecoveredWarm(eng *solveEngine) {
-	w := s.recoveredWarm
-	if w == nil {
-		return
-	}
-	s.recoveredWarm = nil
-	if w.epoch != eng.epoch || w.progHash != progFingerprint(s.prog) {
-		return
-	}
-	eng.warmSolver = w.solver
-	eng.warmTruth = w.truth
-}
-
-// saveWarm persists the engine's warm MLN state next to the snapshot.
-// Best-effort: a missing or stale sidecar only costs a cold first
-// solve, so failures are swallowed (the snapshot and WAL stay
-// authoritative for the data itself). PSL warm state (ADMM iterates) is
-// not persisted; a restarted PSL session cold-starts its first solve.
-func (s *Session) saveWarm() {
-	if s.wal == nil {
-		return
-	}
-	eng := s.engine
-	path := filepath.Join(s.dataDir, WarmFile)
-	if eng == nil || eng.warmSolver != translate.SolverMLN || eng.warmTruth == nil {
-		return // keep any previous sidecar: its epoch stamp decides validity
-	}
-	buf := make([]byte, 0, 4+1+3*binary.MaxVarintLen64+(len(eng.warmTruth)+7)/8)
-	buf = append(buf, warmMagic[:]...)
-	buf = append(buf, byte(eng.warmSolver))
-	buf = binary.AppendUvarint(buf, uint64(eng.epoch))
-	buf = binary.AppendUvarint(buf, progFingerprint(s.prog))
-	buf = binary.AppendUvarint(buf, uint64(len(eng.warmTruth)))
-	var acc byte
-	for i, v := range eng.warmTruth {
-		if v {
-			acc |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			buf = append(buf, acc)
-			acc = 0
-		}
-	}
-	if len(eng.warmTruth)%8 != 0 {
-		buf = append(buf, acc)
-	}
-	var tb [4]byte
-	binary.LittleEndian.PutUint32(tb[:], crc32.Checksum(buf, warmCRC))
-	buf = append(buf, tb[:]...)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, path)
-}
-
-// loadWarm reads a warm sidecar; any structural problem yields nil (a
-// cold first solve, never an error).
-func loadWarm(path string) *warmState {
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) < 9 {
-		return nil
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, warmCRC) != binary.LittleEndian.Uint32(trailer) {
-		return nil
-	}
-	var magic [4]byte
-	copy(magic[:], body)
-	if magic != warmMagic {
-		return nil
-	}
-	w := &warmState{solver: translate.Solver(body[4])}
-	rest := body[5:]
-	epoch, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil
-	}
-	rest = rest[n:]
-	w.epoch = store.Epoch(epoch)
-	hash, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil
-	}
-	rest = rest[n:]
-	w.progHash = hash
-	nbits, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil
-	}
-	rest = rest[n:]
-	if uint64(len(rest)) != (nbits+7)/8 || nbits > 1<<33 {
-		return nil
-	}
-	w.truth = make([]bool, nbits)
-	for i := range w.truth {
-		w.truth[i] = rest[i/8]&(1<<(i%8)) != 0
-	}
-	return w
 }

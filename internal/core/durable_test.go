@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -149,12 +147,51 @@ func TestDurableRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDurableWarmAdoption checks the warm sidecar round trip: a
-// checkpoint taken after a solve persists the MLN truth vector, a
-// reopened session at the same epoch and program adopts it for its
-// first solve, and the warm-started result is byte-identical to the
-// pre-restart one.
-func TestDurableWarmAdoption(t *testing.T) {
+// TestDurableRecoveredMatchesFresh checks that a reopened session
+// answers from its facts and program alone: a durable session is driven
+// through adds, a solve, a retraction, more adds, a second solve, a
+// checkpoint and a close, so its atoms were interned in update order;
+// the reopened session's first solve must equal a fresh session loaded
+// with the recovered graph and the same program. It covers the exact and
+// the local-search MaxSAT engines (ComponentExactLimit 1 sends every
+// component to local search, whose trajectory depends on its start),
+// PSL and greedy, at parallelism 1 and 2.
+func TestDurableRecoveredMatchesFresh(t *testing.T) {
+	configs := []struct {
+		name string
+		opts SolveOptions
+	}{
+		{"mln", SolveOptions{Solver: translate.SolverMLN}},
+		{"mln-local", SolveOptions{Solver: translate.SolverMLN, ComponentExactLimit: 1}},
+		{"psl", SolveOptions{Solver: translate.SolverPSL}},
+		{"greedy", SolveOptions{Solver: translate.SolverGreedy}},
+	}
+	for _, cfg := range configs {
+		for _, par := range []int{1, 2} {
+			opts := cfg.opts
+			opts.Parallelism = par
+			for seed := int64(1); seed <= 8; seed++ {
+				name := fmt.Sprintf("%s/p%d/seed%d", cfg.name, par, seed)
+				got, want := recoveredAndFresh(t, opts, seed)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: recovered first solve differs from a fresh session\nrecovered: %+v\nfresh:     %+v",
+						name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// recoveredAndFresh runs one TestDurableRecoveredMatchesFresh schedule
+// and returns the reopened session's first solve and the fresh
+// session's, both canonicalised.
+func recoveredAndFresh(t *testing.T, opts SolveOptions, seed int64) (recovered, fresh canonResolution) {
+	t.Helper()
+	pool := equivPool(6, 4)
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	first, second := pool[:len(pool)/2], pool[len(pool)/2:]
+
 	dir := t.TempDir()
 	s, err := OpenSession(dir)
 	if err != nil {
@@ -163,21 +200,25 @@ func TestDurableWarmAdoption(t *testing.T) {
 	if err := s.LoadProgramText(equivProgram); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range equivPool(4, 3) {
+	for _, q := range first {
 		if err := s.AddFact(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	opts := SolveOptions{Solver: translate.SolverMLN}
-	before, err := s.Solve(opts)
-	if err != nil {
+	if _, err := s.Solve(opts); err != nil {
+		t.Fatal(err)
+	}
+	s.RemoveFact(first[rng.Intn(len(first))])
+	for _, q := range second {
+		if err := s.AddFact(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, WarmFile)); err != nil {
-		t.Fatalf("checkpoint after solve left no warm sidecar: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -191,105 +232,23 @@ func TestDurableWarmAdoption(t *testing.T) {
 	if err := back.LoadProgramText(equivProgram); err != nil {
 		t.Fatal(err)
 	}
-	w := back.recoveredWarm
-	if w == nil {
-		t.Fatal("reopened session recovered no warm state")
-	}
-	if w.epoch != back.Store().Epoch() {
-		t.Fatalf("warm state epoch %d, store epoch %d", w.epoch, back.Store().Epoch())
-	}
-	if w.progHash != progFingerprint(back.Program()) {
-		t.Fatal("warm state program fingerprint does not match the reloaded program")
-	}
-	after, err := back.Solve(opts)
+	r, err := back.Solve(opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if back.recoveredWarm != nil {
-		t.Fatal("first solve did not consume the recovered warm state")
-	}
-	if back.engine == nil || back.engine.warmSolver != translate.SolverMLN {
-		t.Fatal("adopted warm state did not seed the engine")
-	}
-	if !reflect.DeepEqual(canonDurable(after), canonDurable(before)) {
-		t.Fatal("warm-started solve diverged from the pre-restart solve")
-	}
-}
-
-// TestDurableWarmRejectedOnMismatch checks the adoption gate: warm
-// state stamped at an older epoch (mutations happened after the
-// checkpoint) must not seed the engine, and a corrupt sidecar must be
-// ignored rather than fail the open.
-func TestDurableWarmRejectedOnMismatch(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSession(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgramText(equivProgram); err != nil {
-		t.Fatal(err)
-	}
-	pool := equivPool(3, 3)
-	for _, q := range pool[:len(pool)-1] {
-		if err := s.AddFact(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := SolveOptions{Solver: translate.SolverMLN}
-	if _, err := s.Solve(opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Advance the store past the warm stamp, then crash.
-	if err := s.AddFact(pool[len(pool)-1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
-	back, err := OpenSession(dir)
+	witness := NewSession()
+	if err := witness.LoadGraph(back.Store().Graph()); err != nil {
+		t.Fatal(err)
+	}
+	if err := witness.LoadProgramText(equivProgram); err != nil {
+		t.Fatal(err)
+	}
+	w, err := witness.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.LoadProgramText(equivProgram); err != nil {
-		t.Fatal(err)
-	}
-	if back.recoveredWarm == nil {
-		t.Fatal("stale sidecar should still load; adoption decides validity")
-	}
-	if _, err := back.Solve(opts); err != nil {
-		t.Fatal(err)
-	}
-	if back.recoveredWarm != nil {
-		t.Fatal("stale warm state was not discarded")
-	}
-	if err := back.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the sidecar: open must succeed with no warm state.
-	path := filepath.Join(dir, WarmFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	again, err := OpenSession(dir)
-	if err != nil {
-		t.Fatalf("corrupt warm sidecar must not fail the open: %v", err)
-	}
-	if again.recoveredWarm != nil {
-		t.Fatal("corrupt warm sidecar passed validation")
-	}
-	if err := again.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return canonDurable(r), canonDurable(w)
 }
 
 // TestEnableDurability checks the volatile-to-durable upgrade: the

@@ -90,12 +90,6 @@ type solveEngine struct {
 	planner *engine.Planner
 }
 
-// ResetEngine drops the cached incremental solve state. The next Solve
-// re-grounds from scratch. Call it after mutating the value returned by
-// Program() directly; mutations through the Session's own methods (and
-// all store mutations) are tracked automatically.
-func (s *Session) ResetEngine() { s.engine = nil }
-
 // AddFact inserts a single quad; the next Solve consumes it through the
 // delta path.
 func (s *Session) AddFact(q rdf.Quad) error {
@@ -170,9 +164,6 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A recovered session seeds the fresh engine with the persisted
-		// warm solution when the epoch and program still match exactly.
-		s.adoptRecoveredWarm(eng)
 		s.engine = eng
 	} else if d := s.st.DeltaSince(eng.epoch); !d.Empty() {
 		if err := withStage("ground", func() error { return s.syncEngine(eng, opts.Parallelism, d) }); err != nil {
@@ -261,9 +252,7 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	// (PSL soft values can shift under new engine tuning without the
 	// discrete truth, which the per-entry check covers, moving at all).
 	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: opts.Parallelism}
-	rkey := fmt.Sprintf("%v|%+v|%s", solver,
-		repair.Options{Threshold: ropts.Threshold, ConfidenceRounds: ropts.ConfidenceRounds},
-		eng.compOptsKey)
+	rkey := fmt.Sprintf("%v|%v|%s", solver, ropts.Threshold, eng.compOptsKey)
 	if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {
 		eng.compRepair = repair.NewComponentCache()
 		eng.repairKey = rkey

@@ -176,10 +176,7 @@ func TestLocalTrajectoryPinned(t *testing.T) {
 	for _, tc := range cases {
 		opts := tc.opts
 		opts.Restarts = 3
-		sol, err := Local(tc.p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sol := solveLocal(tc.p, opts.withDefaults(tc.p.NumVars))
 		hv, cost := Evaluate(tc.p, sol.Assignment)
 		if (hv == 0) != sol.HardSatisfied || math.Abs(cost-sol.Cost) > 1e-9 {
 			t.Fatalf("%s: self-report wrong: hv=%d cost=%g sol=%+v", tc.name, hv, cost, sol)
@@ -308,9 +305,9 @@ func TestExactSearchPinned(t *testing.T) {
 		{"exact20vars", exact20VarsProblem(), "a=2fc7cc999b7e4ab5 c=3ff703053f579234 h=true n=3609"},
 	}
 	for _, tc := range cases {
-		sol, complete, err := Exact(tc.p, Options{})
-		if err != nil || !complete {
-			t.Fatalf("%s: complete=%v err=%v", tc.name, complete, err)
+		sol, complete := solveExact(tc.p, Options{}.withDefaults(tc.p.NumVars))
+		if !complete {
+			t.Fatalf("%s: exact search did not complete", tc.name)
 		}
 		got := trajectoryDigest(sol, false) + fmt.Sprintf(" n=%d", sol.Nodes)
 		if got != tc.want {
@@ -330,14 +327,11 @@ func TestLocalGapToExact(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		n := 20 + int(seed%11)
 		p := denseComponent(100+seed, n)
-		exact, complete, err := Exact(p, Options{})
-		if err != nil || !complete {
-			t.Fatalf("seed %d: exact complete=%v err=%v", seed, complete, err)
+		exact, complete := solveExact(p, Options{}.withDefaults(n))
+		if !complete {
+			t.Fatalf("seed %d: exact search did not complete", seed)
 		}
-		local, err := Local(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		local := solveLocal(p, Options{}.withDefaults(n))
 		if exact.HardSatisfied && !local.HardSatisfied {
 			t.Errorf("seed %d (%d atoms): exact is feasible, local search is not", seed, n)
 		}
@@ -369,10 +363,7 @@ func BenchmarkLocalDenseComponent(b *testing.B) {
 	steps := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := Local(p, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := solveLocal(p, Options{}.withDefaults(p.NumVars))
 		steps += sol.Flips
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")

@@ -198,36 +198,3 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	sol.Engine = EngineLocal
 	return sol, nil
 }
-
-// Exact runs the exact branch-and-bound engine regardless of instance
-// size, reporting whether the search completed within the node limit.
-// When it did not, the returned solution is partial — callers (the
-// per-component orchestrators) should fall back to Local rather than
-// trust it.
-func Exact(p *Problem, opts Options) (*Solution, bool, error) {
-	if err := p.Validate(); err != nil {
-		return nil, false, err
-	}
-	opts = opts.withDefaults(p.NumVars)
-	if p.NumVars == 0 {
-		return &Solution{HardSatisfied: true, Optimal: true, Engine: EngineExact}, true, nil
-	}
-	sol, complete := solveExact(p, opts)
-	sol.Engine = EngineExact
-	return sol, complete, nil
-}
-
-// Local runs the stochastic local-search engine regardless of instance
-// size.
-func Local(p *Problem, opts Options) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(p.NumVars)
-	if p.NumVars == 0 {
-		return &Solution{HardSatisfied: true, Optimal: true, Engine: EngineLocal}, nil
-	}
-	sol := solveLocal(p, opts)
-	sol.Engine = EngineLocal
-	return sol, nil
-}

@@ -244,25 +244,12 @@ func solveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []gro
 		mopts.Warm = w
 	}
 
-	engineName := maxsat.EngineLocal
-	if n <= opts.ComponentExactLimit {
-		sol, complete, err := maxsat.Exact(problem, mopts)
-		if err != nil {
-			return nil, "", err
-		}
-		if complete {
-			return sol.Assignment, maxsat.EngineExact, nil
-		}
-		// Node limit exhausted: the partial branch-and-bound result is
-		// untrustworthy — fall back to local search for this component
-		// and record the fallback.
-		engineName = maxsat.EngineFallback
-	}
-	sol, err := maxsat.Local(problem, mopts)
+	mopts.ExactVarLimit = opts.ComponentExactLimit
+	sol, err := maxsat.Solve(problem, mopts)
 	if err != nil {
 		return nil, "", err
 	}
-	return sol.Assignment, engineName, nil
+	return sol.Assignment, sol.Engine, nil
 }
 
 // evalComponent computes the component's read-out contribution on the

@@ -138,7 +138,6 @@ func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cac
 	if out.Clauses == nil {
 		return nil, fmt.Errorf("repair: component read-out needs the solve's clause set (solver %v kept none)", out.Solver)
 	}
-	opts = opts.withDefaults()
 	start := time.Now()
 	oc := newOutcome(out)
 	rs := oc.Stats.Repair

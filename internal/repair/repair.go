@@ -44,23 +44,17 @@ type Options struct {
 	// Threshold drops derived facts whose propagated confidence falls
 	// below it (0 keeps everything).
 	Threshold float64
-	// ConfidenceRounds bounds the derived-confidence propagation
-	// iterations (default 64). Propagation normally reaches its fixpoint
-	// — which is unique and independent of clause iteration order — well
-	// within the bound; the bound only cuts off pathological cascades.
-	ConfidenceRounds int
 	// Parallelism bounds the worker pool of the component-decomposed
 	// read-out (ResolveComponents): 0 uses GOMAXPROCS, 1 forces the
 	// sequential path. The Outcome is identical at every setting.
 	Parallelism int
 }
 
-func (o Options) withDefaults() Options {
-	if o.ConfidenceRounds == 0 {
-		o.ConfidenceRounds = 64
-	}
-	return o
-}
+// confidenceRounds bounds the derived-confidence propagation
+// iterations. Propagation normally reaches its fixpoint — which is
+// unique and independent of clause iteration order — well within the
+// bound; the bound only cuts off pathological cascades.
+const confidenceRounds = 64
 
 // Fact is a resolved fact with its provenance.
 type Fact struct {
@@ -295,7 +289,6 @@ func Resolve(out *translate.Output, opts Options) (*Outcome, error) {
 	if out.Clauses == nil {
 		return nil, fmt.Errorf("repair: whole-graph read-out needs the solve's clause set (solver %v kept none)", out.Solver)
 	}
-	opts = opts.withDefaults()
 	start := time.Now()
 	oc := newOutcome(out)
 	rs := oc.Stats.Repair
@@ -323,7 +316,7 @@ func Resolve(out *translate.Output, opts Options) (*Outcome, error) {
 // by atom id; a unit writes only its own scope's entries, so disjoint
 // scopes can resolve concurrently.
 func resolveUnit(out *translate.Output, scope []ground.AtomID, forEach clauseVisitor, conf []float64, opts Options) unit {
-	propagateConfidences(out, scope, forEach, conf, opts)
+	propagateConfidences(out, scope, forEach, conf)
 	u := classifyScope(out, scope, conf, opts)
 
 	// Conflict analysis over the scope's constraint groundings (the
@@ -419,7 +412,7 @@ func assembleOutcome(oc *Outcome, units []*unit, view ground.KeyView) {
 // input confidence. Inference clauses never cross conflict components,
 // so scoped propagation reaches the same fixpoint as a whole-graph
 // pass.
-func propagateConfidences(out *translate.Output, scope []ground.AtomID, forEach clauseVisitor, conf []float64, opts Options) {
+func propagateConfidences(out *translate.Output, scope []ground.AtomID, forEach clauseVisitor, conf []float64) {
 	atoms := out.Grounder.Atoms()
 	if out.SoftValues != nil {
 		for _, a := range scope {
@@ -469,7 +462,7 @@ func propagateConfidences(out *translate.Output, scope []ground.AtomID, forEach 
 		supports = append(supports, support{head: head, body: body, att: att})
 		return true
 	})
-	for round := 0; round < opts.ConfidenceRounds; round++ {
+	for round := 0; round < confidenceRounds; round++ {
 		changed := false
 		for _, s := range supports {
 			m := 1.0

@@ -32,6 +32,18 @@ func newConcurrencyServer(t *testing.T, cfg Config) (*Server, *httptest.Server) 
 	return srv, ts
 }
 
+// gateRelease makes the channel a gated solve waits on and a function
+// that closes it once. The close is also registered as a cleanup after
+// the server's, so it runs first: a test that fails while a solve waits
+// at the gate frees that handler instead of leaving the server's Close
+// waiting on it.
+func gateRelease(t *testing.T) (release <-chan struct{}, open func()) {
+	ch := make(chan struct{})
+	open = sync.OnceFunc(func() { close(ch) })
+	t.Cleanup(open)
+	return ch, open
+}
+
 // createSession makes a session seeded with facts unique to name.
 func createSession(t *testing.T, baseURL, name string) string {
 	t.Helper()
@@ -72,7 +84,7 @@ func TestSolvesOnDifferentSessionsOverlap(t *testing.T) {
 	idB := createSession(t, ts.URL, "B")
 
 	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
+	release, open := gateRelease(t)
 	srv.solveGate = func(id string) {
 		if id == idA {
 			entered <- struct{}{}
@@ -123,7 +135,7 @@ func TestSolvesOnDifferentSessionsOverlap(t *testing.T) {
 	if resp := doJSON(t, http.MethodDelete, ts.URL+"/api/sessions/"+idA, "", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete during solve: status %d", resp.StatusCode)
 	}
-	close(release)
+	open()
 	if code := <-solveA; code != http.StatusOK {
 		t.Fatalf("A's solve after mid-flight delete: status %d", code)
 	}
@@ -140,7 +152,7 @@ func TestEvictionDuringSolve(t *testing.T) {
 	idA := createSession(t, ts.URL, "A")
 
 	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
+	release, open := gateRelease(t)
 	srv.solveGate = func(id string) {
 		if id == idA {
 			entered <- struct{}{}
@@ -165,7 +177,7 @@ func TestEvictionDuringSolve(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/api/sessions/"+idA, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted session still reachable: status %d", resp.StatusCode)
 	}
-	close(release)
+	open()
 	if code := <-solveA; code != http.StatusOK {
 		t.Fatalf("solve on evicted session: status %d", code)
 	}
@@ -196,7 +208,7 @@ func TestSolveAdmissionBackpressure(t *testing.T) {
 	build := allocated(func() { _ = store.New().AddGraph(g) })
 
 	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
+	release, open := gateRelease(t)
 	srv.solveGate = func(id string) {
 		if id == idA {
 			entered <- struct{}{}
@@ -251,7 +263,7 @@ func TestSolveAdmissionBackpressure(t *testing.T) {
 	largeStatus := resp.StatusCode
 
 	// Releasing the gate drains the queue: both admitted solves finish.
-	close(release)
+	open()
 	wg.Wait()
 	close(statuses)
 	for code := range statuses {

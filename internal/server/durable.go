@@ -12,7 +12,8 @@ import (
 // created through the API is backed by a WAL + snapshot directory under
 // <DataDir>/sessions/<id>/, its rules text persisted alongside
 // (programFile), so a restarted server recovers its sessions — store,
-// epoch, program and warm solver state — instead of starting empty.
+// epoch and program — instead of starting empty. No solver state is
+// persisted: a recovered session's first solve is cold.
 //
 // Lifecycle: RecoverSessions (called once at boot, before serving)
 // reopens every session directory; CheckpointAll compacts each durable
@@ -95,12 +96,12 @@ func (s *Server) RecoverSessions() (int, error) {
 	return n, nil
 }
 
-// CheckpointAll checkpoints every durable session: snapshot written,
-// WAL truncated to the suffix, warm solver state persisted. Sessions
-// are checkpointed one at a time under their own mutex, so in-flight
-// solves and mutations on other sessions proceed; within one session a
-// checkpoint never blocks a writer for more than the epoch-pinned copy.
-// The first error is returned, but every session is attempted.
+// CheckpointAll checkpoints every durable session: snapshot written and
+// WAL truncated to the suffix. Sessions are checkpointed one at a time,
+// each under its own mutex, so solves and mutations on other sessions
+// proceed; a session's own writers and solves wait on its mutex for the
+// whole checkpoint, snapshot write included. The first error is
+// returned, but every session is attempted.
 func (s *Server) CheckpointAll() error {
 	var first error
 	for _, ss := range s.sessions.all() {
