@@ -147,9 +147,13 @@ type SolveOptions struct {
 	// outcome) for this solve. Grounding still reuses the cached delta
 	// state; only the solver starts from scratch. With ColdStart the
 	// incremental result is byte-identical to a fresh from-scratch solve
-	// by construction; with warm starts the exact MaxSAT engine still
-	// guarantees it, while large local-search or ADMM instances may
-	// settle on equally-valid near-identical states.
+	// by construction. With warm starts the exact MaxSAT engine still
+	// guarantees it, and large local-search instances may settle on
+	// equally-valid near-identical states. Warm-started PSL reaches a
+	// fresh solve's kept and removed facts and removed weight, since its
+	// rounding ignores where ADMM stopped (an optimum on the edge of a
+	// rounding band excepted); its soft values, and so the confidences
+	// of inferred facts, agree only to within ADMM's tolerance.
 	ColdStart bool
 	// Advanced exposes full backend tuning.
 	Advanced translate.Options

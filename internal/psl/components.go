@@ -34,8 +34,9 @@ import (
 //
 // The strictly convex objective has a unique optimum; a component's
 // ADMM stops once its residuals fall below the tolerance, and where that
-// is depends on the start (cold or warm). Discretisation therefore
-// allows the same tolerance below the threshold (see solveComponent).
+// is depends on the start (cold or warm). Discretisation and repair
+// therefore read the values on a grid of tieBand tolerances (see
+// solveComponent), so a warm and a cold solve round alike.
 
 // ComponentCache carries per-component ADMM iterates across the
 // incremental engine's solves, plus how many of its records did not
@@ -191,34 +192,22 @@ func (w *Warm) clearSlots(e *compEntry) {
 // slots (for warm iterates and caching).
 func hinges(plan *engine.Plan, i int, opts Options) ([]hinge, []int32) {
 	clauses, slots := plan.Clauses(i)
-	pots := make([]hinge, len(clauses))
-	for k, c := range clauses {
-		pots[k] = clauseToHinge(c, opts)
-	}
-	return pots, slots
+	return toHinges(clauses, opts), slots
 }
 
 // solveComponent runs consensus ADMM over one component's potentials
 // and priors, discretises, and repairs broken hard potentials. Values
-// within the convergence tolerance below the threshold round up: ADMM
-// stops about that far short of the optimum, and an optimum exactly on
+// within tieBand tolerances below the threshold round up: ADMM stops
+// within about one tolerance of the optimum, and an optimum exactly on
 // the threshold (Figure 7's worksFor: a confidence-0.5 fact held up only
 // by KeepBias, behind one soft rule) should not flip with the side it
-// was approached from.
+// was approached from. Repair breaks ties — a clique of equally
+// confident exclusive facts holds every member at exactly 0.5 — on the
+// prior targets and literal order, never on the stopping noise (see
+// repairHard).
 func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials []hinge, slots []int32, opts Options, warm *Warm) compEntry {
 	n := len(comp.Atoms)
-	target := make([]float64, n)
-	priorW := make([]float64, n)
-	for li, a := range comp.Atoms {
-		info := atoms.Info(a)
-		if info.Evidence {
-			target[li] = clamp01(info.Conf + opts.KeepBias)
-			priorW[li] = opts.EvidenceWeight
-		} else {
-			target[li] = 0
-			priorW[li] = opts.DerivedWeight
-		}
-	}
+	target, priorW := priors(atoms, comp, opts)
 	var init *admmInit
 	if warm != nil {
 		init = &admmInit{
@@ -239,8 +228,8 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials 
 		}
 	}
 	res, zs, us := runADMM(n, target, priorW, potentials, opts, init)
-	truth := discretize(res.Values, opts.Threshold-opts.Eps)
-	flips := repairHard(truth, res.Values, potentials)
+	truth := discretize(res.Values, opts.Threshold, opts.Eps)
+	flips := repairHard(truth, res.Values, target, potentials, opts.Eps)
 
 	return compEntry{
 		values: res.Values, truth: truth, slots: slots, z: zs, u: us,
@@ -249,6 +238,25 @@ func solveComponent(atoms *ground.AtomTable, comp *ground.Component, potentials 
 		primal:     res.PrimalResidual, dual: res.DualResidual,
 		repairFlips: flips,
 	}
+}
+
+// priors returns the quadratic prior of each of the component's atoms:
+// its target (an evidence atom's confidence plus KeepBias, 0 for a
+// derived atom) and its weight.
+func priors(atoms *ground.AtomTable, comp *ground.Component, opts Options) (target, priorW []float64) {
+	n := len(comp.Atoms)
+	buf := make([]float64, 2*n)
+	target, priorW = buf[:n:n], buf[n:]
+	for li, a := range comp.Atoms {
+		info := atoms.Info(a)
+		if info.Evidence {
+			target[li] = clamp01(info.Conf + opts.KeepBias)
+			priorW[li] = opts.EvidenceWeight
+		} else {
+			priorW[li] = opts.DerivedWeight
+		}
+	}
+	return target, priorW
 }
 
 // warmIterate returns the table's iterate for slot when it fits a

@@ -83,11 +83,7 @@ func TestComponentsMatchOneComponent(t *testing.T) {
 		if len(clauses) != cs.Len() {
 			t.Fatalf("seed %d: one-component gather holds %d of %d clauses", seed, len(clauses), cs.Len())
 		}
-		pots := make([]hinge, len(clauses))
-		for k, c := range clauses {
-			pots[k] = clauseToHinge(c, opts)
-		}
-		whole := solveComponent(atoms, &ground.Component{Key: order[0], Atoms: order}, pots, slots, opts, nil)
+		whole := solveComponent(atoms, &ground.Component{Key: order[0], Atoms: order}, toHinges(clauses, opts), slots, opts, nil)
 		if !whole.converged || !res.Converged {
 			t.Fatalf("seed %d: ADMM did not converge (whole %v, components %v)", seed, whole.converged, res.Converged)
 		}

@@ -6,11 +6,20 @@
 // Łukasiewicz t-norm into hinge-loss potentials over variables in [0,1];
 // evidence atoms get quadratic priors pulling them toward their
 // confidence. MAP is the convex minimisation of the total loss, solved
-// with consensus ADMM using the standard closed-form proximal steps.
+// with consensus ADMM using the standard closed-form proximal steps
+// (Bach et al., "Hinge-Loss Markov Random Fields and Probabilistic Soft
+// Logic", JMLR 2017). The penalty defaults to the curvature of the
+// evidence priors, ρ = 2·EvidenceWeight (Boyd et al., "Distributed
+// Optimization and Statistical Learning via ADMM", §3.3–3.4): at ρ = 1
+// the priors dominate the consensus coupling and a six-atom component
+// takes hundreds of sweeps, at the matched penalty a few dozen.
 // The soft optimum is discretised at a threshold and a greedy repair pass
 // restores any hard constraint the rounding broke — PSL "trades
 // expressiveness for scalability" by approximating the discrete MAP
-// state, exactly as the paper describes.
+// state, exactly as the paper describes. Rounding and repair read the
+// soft values on a grid of a few tolerances (see tieBand), so the
+// discrete state is a function of the optimum, not of where ADMM stopped
+// short of it: a warm-started solve rounds as a cold one does.
 //
 // # Concurrency model
 //
@@ -31,7 +40,10 @@ import (
 
 // Options tunes ADMM and the discretisation.
 type Options struct {
-	// Rho is the ADMM penalty parameter (default 1).
+	// Rho is the ADMM penalty parameter (default 2·EvidenceWeight, the
+	// curvature of an evidence prior, which balances the consensus
+	// coupling against the priors; the discrete answer does not depend
+	// on it beyond optima on a rounding band's edge).
 	Rho float64
 	// MaxIter bounds ADMM iterations (default 2500).
 	MaxIter int
@@ -66,9 +78,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Rho == 0 {
-		o.Rho = 1
-	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 2500
 	}
@@ -77,6 +86,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvidenceWeight == 0 {
 		o.EvidenceWeight = 5
+	}
+	if o.Rho == 0 {
+		o.Rho = 2 * o.EvidenceWeight
 	}
 	if o.KeepBias == 0 {
 		o.KeepBias = 0.05
@@ -167,19 +179,33 @@ type admmInit struct {
 	z, u [][]float64
 }
 
+// toHinges relaxes a component's ground clauses into its potentials,
+// whose variable and coefficient lists share one block each.
+func toHinges(clauses []ground.Clause, opts Options) []hinge {
+	m := 0
+	for _, c := range clauses {
+		m += len(c.Lits)
+	}
+	vars, coef := make([]int32, m), make([]float64, m)
+	pots := make([]hinge, len(clauses))
+	for k, c := range clauses {
+		l := len(c.Lits)
+		pots[k] = clauseToHinge(c, opts, vars[:l:l], coef[:l:l])
+		vars, coef = vars[l:], coef[l:]
+	}
+	return pots
+}
+
 // clauseToHinge relaxes a ground disjunction l1 ∨ ... ∨ lk with the
 // Łukasiewicz t-conorm: distance to satisfaction
 //
 //	max(0, 1 - Σ_pos x_i - Σ_neg (1 - x_j))
 //
 // which in linear form is max(0, cᵀx + d) with c_i = -1 for positive
-// literals, +1 for negated ones, and d = 1 - #negated.
-func clauseToHinge(c ground.Clause, opts Options) hinge {
-	h := hinge{
-		vars: make([]int32, len(c.Lits)),
-		coef: make([]float64, len(c.Lits)),
-		rule: c.Rule,
-	}
+// literals, +1 for negated ones, and d = 1 - #negated. vars and coef
+// are the potential's storage, one entry per literal.
+func clauseToHinge(c ground.Clause, opts Options, vars []int32, coef []float64) hinge {
+	h := hinge{vars: vars, coef: coef, rule: c.Rule}
 	negs := 0
 	for i, l := range c.Lits {
 		h.vars[i] = int32(l.Atom)
@@ -207,43 +233,60 @@ func clauseToHinge(c ground.Clause, opts Options) hinge {
 // pool parallelises across components — and every floating-point
 // reduction keeps a fixed order (per-variable gathers in potential
 // order), so the iterates depend only on the inputs.
+//
+// Every potential's local copy and scaled dual live in one flat block,
+// potential after potential; the returned per-potential slices are views
+// into it. The consensus gather reads the block through a CSR index: the
+// flat positions touching variable v are gather[start[v]:start[v+1]], in
+// potential order.
 func runADMM(n int, target, priorW []float64, potentials []hinge, opts Options, warm *admmInit) (res *Result, zOut, uOut [][]float64) {
+	m := 0
+	for k := range potentials {
+		m += len(potentials[k].vars)
+	}
 	x := make([]float64, n)
 	if warm != nil {
 		copy(x, warm.x)
 	} else {
 		copy(x, target)
 	}
-
-	// Local copies and duals per potential, warm-seeded when available.
-	z := make([][]float64, len(potentials))
-	u := make([][]float64, len(potentials))
-	deg := make([]float64, n)
-	for k, h := range potentials {
-		z[k] = make([]float64, len(h.vars))
-		u[k] = make([]float64, len(h.vars))
+	zu := make([]float64, 2*m)
+	z, u := zu[:m:m], zu[m:]
+	views := make([][]float64, 2*len(potentials))
+	zOut, uOut = views[:len(potentials):len(potentials)], views[len(potentials):]
+	idx := make([]int32, 2*n+1+m)
+	start, fill, gather := idx[:n+1:n+1], idx[n+1:2*n+1:2*n+1], idx[2*n+1:]
+	off := 0
+	for k := range potentials {
+		h := &potentials[k]
+		end := off + len(h.vars)
+		zk, uk := z[off:end:end], u[off:end:end]
+		zOut[k], uOut[k] = zk, uk
 		if warm != nil && warm.z[k] != nil {
-			copy(z[k], warm.z[k])
+			copy(zk, warm.z[k])
 		} else {
 			for i, v := range h.vars {
-				z[k][i] = x[v]
+				zk[i] = x[v]
 			}
 		}
 		if warm != nil && warm.u[k] != nil {
-			copy(u[k], warm.u[k])
+			copy(uk, warm.u[k])
 		}
 		for _, v := range h.vars {
-			deg[v]++
+			start[v+1]++
 		}
+		off = end
 	}
-	// Reverse adjacency for the consensus gather: the (potential, slot)
-	// pairs touching each variable, in potential order — the same
-	// accumulation order as a sequential scatter.
-	type slot struct{ k, i int32 }
-	varPot := make([][]slot, n)
-	for k, h := range potentials {
-		for i, v := range h.vars {
-			varPot[v] = append(varPot[v], slot{k: int32(k), i: int32(i)})
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	copy(fill, start[:n])
+	off = 0
+	for k := range potentials {
+		for _, v := range potentials[k].vars {
+			gather[fill[v]] = int32(off)
+			fill[v]++
+			off++
 		}
 	}
 	rho := opts.Rho
@@ -251,14 +294,17 @@ func runADMM(n int, target, priorW []float64, potentials []hinge, opts Options, 
 	res = &Result{}
 
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		// z-step: proximal update per potential.
+		// z-step: proximal update per potential, in place of v = x - u.
+		off = 0
 		for k := range potentials {
 			h := &potentials[k]
-			vloc := z[k] // reuse storage for v = x - u
+			end := off + len(h.vars)
+			zk, uk := z[off:end:end], u[off:end:end]
 			for i, vi := range h.vars {
-				vloc[i] = x[vi] - u[k][i]
+				zk[i] = x[vi] - uk[i]
 			}
-			proxHinge(h, vloc, rho)
+			proxHinge(h, zk, rho)
+			off = end
 		}
 
 		// x-step: average local copies + duals, fold in the quadratic
@@ -267,13 +313,14 @@ func runADMM(n int, target, priorW []float64, potentials []hinge, opts Options, 
 		for v := 0; v < n; v++ {
 			// argmin_x priorW (x-target)² + (ρ/2) Σ_k (x - (z+u))² =
 			// (2·priorW·target + ρ·Σ(z+u)) / (2·priorW + ρ·deg)
-			den := 2*priorW[v] + rho*deg[v]
+			lo, hi := start[v], start[v+1]
+			den := 2*priorW[v] + rho*float64(hi-lo)
 			if den == 0 {
 				continue
 			}
 			sum := 0.0
-			for _, s := range varPot[v] {
-				sum += z[s.k][s.i] + u[s.k][s.i]
+			for _, p := range gather[lo:hi] {
+				sum += z[p] + u[p]
 			}
 			xv := (2*priorW[v]*target[v] + rho*sum) / den
 			x[v] = clamp01(xv)
@@ -282,19 +329,23 @@ func runADMM(n int, target, priorW []float64, potentials []hinge, opts Options, 
 		// u-step: per-potential dual updates, accumulating the primal
 		// residual one per-potential partial at a time.
 		var primal, dual float64
+		off = 0
 		for k := range potentials {
 			h := &potentials[k]
+			end := off + len(h.vars)
+			zk, uk := z[off:end:end], u[off:end:end]
 			pk := 0.0
 			for i, vi := range h.vars {
-				diff := z[k][i] - x[vi]
-				u[k][i] += diff
+				diff := zk[i] - x[vi]
+				uk[i] += diff
 				pk += diff * diff
 			}
 			primal += pk
+			off = end
 		}
 		for v := 0; v < n; v++ {
 			d := x[v] - xPrev[v]
-			dual += d * d * deg[v]
+			dual += d * d * float64(start[v+1]-start[v])
 		}
 		res.Iterations = iter
 		res.PrimalResidual = math.Sqrt(primal)
@@ -305,7 +356,7 @@ func runADMM(n int, target, priorW []float64, potentials []hinge, opts Options, 
 		}
 	}
 	res.Values = x
-	return res, z, u
+	return res, zOut, uOut
 }
 
 // proxHinge computes argmin_z w·hinge(cᵀz+d) + (ρ/2)||z-v||² in place.
@@ -342,19 +393,39 @@ func proxHinge(h *hinge, v []float64, rho float64) {
 	}
 }
 
-func discretize(values []float64, threshold float64) []bool {
+// discretize rounds the soft values: an atom is true at or above the
+// threshold, where anything within tieBand·eps below it counts as at it.
+func discretize(values []float64, threshold, eps float64) []bool {
+	cut := threshold - tieBand*eps
 	out := make([]bool, len(values))
 	for i, v := range values {
-		out[i] = v >= threshold
+		out[i] = v >= cut
 	}
 	return out
 }
+
+// tieBand is how far, in multiples of the convergence tolerance, two
+// soft values may sit apart and still be the same optimum for rounding.
+// ADMM stops within about one tolerance of the unique optimum, and where
+// inside that ball depends on where it started (cold, or warm from the
+// previous solve's iterates); a band ten times wider makes the discrete
+// answer a function of the optimum alone, except for optima that fall
+// on a band's edge.
+const tieBand = 10
 
 // repairHard restores violated hard potentials after rounding: while a
 // hard ground clause is violated, flip the literal whose soft value sits
 // closest to satisfying it (for a disjointness constraint this drops the
 // atom PSL was least sure about). Returns the number of flips.
-func repairHard(truth []bool, values []float64, potentials []hinge) int {
+//
+// Gaps are compared on a grid of 2·tieBand·eps, with cells centred on
+// gap 0.5 — where a clique of equally confident exclusive facts puts
+// every member — so gaps that differ by stopping noise compare equal.
+// Equal gaps flip the literal whose flip costs its prior least: the
+// less confident fact is dropped (target is the prior target), the more
+// confident one asserted. Literal order breaks any remaining tie.
+func repairHard(truth []bool, values, target []float64, potentials []hinge, eps float64) int {
+	grid := 2 * tieBand * eps
 	flips := 0
 	maxPasses := 4 * len(potentials)
 	for pass := 0; pass < maxPasses; pass++ {
@@ -365,16 +436,15 @@ func repairHard(truth []bool, values []float64, potentials []hinge) int {
 				continue
 			}
 			// Violated: every literal false. Flip the one closest to true.
-			bestI, bestGap := -1, math.Inf(1)
+			bestI, bestGap, bestCost := -1, math.Inf(1), math.Inf(1)
 			for i, vi := range h.vars {
-				var gap float64
+				gap, cost := values[vi], target[vi] // needs atom false
 				if h.coef[i] < 0 {
-					gap = 1 - values[vi] // needs atom true
-				} else {
-					gap = values[vi] // needs atom false
+					gap, cost = 1-values[vi], 1-target[vi] // needs atom true
 				}
-				if gap < bestGap {
-					bestI, bestGap = i, gap
+				gap = math.Round((gap - 0.5) / grid)
+				if gap < bestGap || gap == bestGap && cost < bestCost {
+					bestI, bestGap, bestCost = i, gap, cost
 				}
 			}
 			vi := h.vars[bestI]

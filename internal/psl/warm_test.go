@@ -138,7 +138,7 @@ func TestWarmIteratesMatchRebuild(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		maxIter int
-	}{{"converged", 0}, {"starved", 40}} {
+	}{{"converged", 0}, {"starved", 8}} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{MaxIter: tc.maxIter, Parallelism: 1}
 			pool := componentPool(8, 3, 29)
