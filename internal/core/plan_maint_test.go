@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -15,10 +16,10 @@ import (
 )
 
 // The maintained solve plan's contract: after every incremental solve,
-// the session planner's delta-patched plan must be byte-identical —
-// same component partition including generations, each component's
-// atoms in canonical order, same local numbering — to a fresh
-// engine.NewPlan over the same engine state, and the Resolution
+// the session planner's delta-patched plan must hold the same set of
+// listings — each component's key, generation and atoms in canonical
+// order, with the same local numbering, in whatever list order — as a
+// fresh engine.NewPlan over the same engine state, and the Resolution
 // produced through it must equal
 // the one a fresh session loaded to the same store state (whose first
 // solve builds its plan from scratch) produces. These tests drive
@@ -28,17 +29,20 @@ import (
 // properties at every step.
 
 // checkPlanMatchesFresh compares the session's maintained plan against
-// a from-scratch NewPlan over the same engine state.
+// a from-scratch NewPlan over the same engine state: the same listings
+// by component key, the same local numbering, and a partition of the
+// live atoms (see checkPartition).
 func checkPlanMatchesFresh(t *testing.T, s *Session, step int) {
 	t.Helper()
 	eng := s.engine
 	if eng == nil || eng.planner == nil {
 		t.Fatalf("step %d: session kept no maintained planner", step)
 	}
+	checkPartition(t, eng.planner, eng.g.Atoms(), step)
 	plan := eng.planner.Plan()
 	fresh := engine.NewPlan(eng.g.Atoms(), eng.cs)
-	if !reflect.DeepEqual(plan.Comps, fresh.Comps) {
-		t.Fatalf("step %d: maintained Comps diverged\nmaintained: %+v\nfresh:      %+v", step, plan.Comps, fresh.Comps)
+	if got, want := listings(plan.Comps), listings(fresh.Comps); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: maintained Comps diverged\nmaintained: %+v\nfresh:      %+v", step, got, want)
 	}
 	for _, c := range plan.Comps {
 		for li, a := range c.Atoms {
@@ -46,6 +50,132 @@ func checkPlanMatchesFresh(t *testing.T, s *Session, step int) {
 				t.Fatalf("step %d: Local(%d) = %d, fresh %d, position %d", step, a, got, want, li)
 			}
 		}
+	}
+}
+
+// listings keys a component list by component key.
+func listings(comps []ground.Component) map[ground.AtomID]ground.Component {
+	m := make(map[ground.AtomID]ground.Component, len(comps))
+	for _, c := range comps {
+		m[c.Key] = c
+	}
+	return m
+}
+
+// sameListing reports whether two listings agree on key, generation
+// and atoms.
+func sameListing(a, b ground.Component) bool {
+	return a.Key == b.Key && a.Gen == b.Gen && slices.Equal(a.Atoms, b.Atoms)
+}
+
+// checkPartition asserts that the planner's plan lists every live atom
+// exactly once and no retracted one, and that each listed key's slot
+// maps back to where it is listed.
+func checkPartition(t *testing.T, pl *engine.Planner, atoms *ground.AtomTable, step int) {
+	t.Helper()
+	listed := make([]int, atoms.Len())
+	for i, c := range pl.Plan().Comps {
+		if got := pl.Slot(c.Key); got != i {
+			t.Fatalf("step %d: component %d listed at slot %d, its slot says %d", step, c.Key, i, got)
+		}
+		for _, a := range c.Atoms {
+			listed[a]++
+		}
+	}
+	for a, n := range listed {
+		want := 1
+		if atoms.IsRetracted(ground.AtomID(a)) {
+			want = 0
+		}
+		if n != want {
+			t.Fatalf("step %d: atom %d listed %d times, want %d", step, a, n, want)
+		}
+	}
+}
+
+// TestPlannerSyncTouchesOnlyChurn is the maintained plan's O(churn)
+// gate. Random toggles over a bridged pool merge, split, retract and
+// revive components; after every maintained sync the slots of Comps
+// whose listing changed number at most the components the sync replaced
+// plus those it re-listed, and after every sync each listed key's slot
+// maps back to it and every live atom is listed exactly once. A splice
+// that keeps the list sorted shifts every slot after its first
+// insertion and fails here.
+func TestPlannerSyncTouchesOnlyChurn(t *testing.T) {
+	s := NewSession()
+	if err := s.LoadProgramText(equivProgram); err != nil {
+		t.Fatal(err)
+	}
+	pool := equivPool(24, 3)
+	rng := rand.New(rand.NewSource(5))
+	live := make([]bool, len(pool))
+	toggle := func(i int) {
+		t.Helper()
+		if live[i] = !live[i]; !live[i] {
+			if !s.RemoveFact(pool[i]) {
+				t.Fatalf("RemoveFact: %v was not live", pool[i])
+			}
+		} else if err := s.AddFact(pool[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range pool {
+		if rng.Intn(3) > 0 {
+			toggle(i)
+		}
+	}
+	if _, err := s.Solve(SolveOptions{Solver: translate.SolverMLN, Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	eng := s.engine
+	pl := eng.planner
+	var shrank, grew, retired, maintained int
+	for step := 0; step < 300; step++ {
+		for m := rng.Intn(3) + 1; m > 0; m-- {
+			toggle(rng.Intn(len(pool)))
+		}
+		if err := s.syncEngine(eng, 1, s.st.DeltaSince(eng.epoch)); err != nil {
+			t.Fatal(err)
+		}
+		before := slices.Clone(pl.Plan().Comps)
+		p, ps := pl.Sync(eng.g.Atoms(), eng.cs)
+		checkPartition(t, pl, eng.g.Atoms(), step)
+		if ps.Mode != "maintained" {
+			continue
+		}
+		maintained++
+		old, now := listings(before), listings(p.Comps)
+		churn := 0
+		for key, c := range old {
+			if n, ok := now[key]; !ok || !sameListing(c, n) {
+				churn++ // replaced
+			}
+		}
+		for key, c := range now {
+			if o, ok := old[key]; !ok || !sameListing(c, o) {
+				churn++ // re-listed
+			}
+		}
+		changed := 0
+		for i := range p.Comps {
+			if i >= len(before) || !sameListing(before[i], p.Comps[i]) {
+				changed++
+			}
+		}
+		if changed > churn {
+			t.Fatalf("step %d: %d slots changed for %d replaced and re-listed components (%+v)", step, changed, churn, ps)
+		}
+		switch {
+		case len(p.Comps) < len(before):
+			shrank++
+		case len(p.Comps) > len(before):
+			grew++
+		}
+		retired += ps.DroppedComponents
+	}
+	t.Logf("%d maintained syncs: %d shrank the partition, %d grew it, %d keys retired", maintained, shrank, grew, retired)
+	if maintained < 250 || shrank == 0 || grew == 0 || retired == 0 {
+		t.Fatalf("schedule lost its churn: %d maintained syncs, %d shrank, %d grew, %d keys retired", maintained, shrank, grew, retired)
 	}
 }
 
@@ -266,13 +396,14 @@ func TestPlanMaintenanceMergeSplitOneDelta(t *testing.T) {
 }
 
 // TestPlanMaintenancePatchOutOfKeyOrder patches two components whose
-// key order (smallest atom id) is the reverse of their canonical list
-// order in one delta. Retracting a fact before the first solve and
-// reviving it afterwards gives it the earliest fact id but the latest
-// atom id, so its component lists first under the larger key; growing
-// both components then takes the partition-merge path, which must drop
-// both old listings (it used to keep the first one stale, leaving its
-// atom in two components).
+// key order (smallest atom id) is the reverse of their canonical order
+// in one delta. Retracting a fact before the first solve and reviving it
+// afterwards gives it the earliest fact id but the latest atom id, so
+// its component ranks first canonically under the larger key; growing
+// both components then re-lists both in one splice, which must drop
+// both old listings (a sorted-list merge once kept the first one stale,
+// leaving its atom listed in two components — checkPartition's
+// exactly-once assertion catches that).
 func TestPlanMaintenancePatchOutOfKeyOrder(t *testing.T) {
 	s := NewSession()
 	if err := s.LoadProgramText(equivProgram); err != nil {
@@ -305,10 +436,6 @@ func TestPlanMaintenancePatchOutOfKeyOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlanMatchesFresh(t, s, 0)
-	comps := s.engine.planner.Plan().Comps
-	if len(comps) < 2 || comps[0].Key < comps[1].Key {
-		t.Fatalf("fixture lost its key/list-order inversion: %+v", comps[:2])
-	}
 
 	add(coach("P0", "C", 2001, 2003))
 	add(coach("P1", "D", 2001, 2003))

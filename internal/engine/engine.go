@@ -8,11 +8,11 @@
 // per-component kernel and the aggregate it keeps over its records:
 //
 //   - Plan: the decomposition of one solve — the component partition,
-//     each component's atoms in canonical order
-//     (ground.AtomTable.CompareCanonical), the multiset of component
-//     sizes every kernel's statistics read (FillStats), and
-//     per-component clause gathering in dense local numbering, driven by
-//     the clause set's atom index;
+//     a set of components in no particular list order, each listing its
+//     atoms in canonical order (ground.AtomTable.CompareCanonical), the
+//     multiset of component sizes every kernel's statistics read
+//     (FillStats), and per-component clause gathering in dense local
+//     numbering, driven by the clause set's atom index;
 //   - Cache: a generic per-component record cache keyed by (component
 //     key, generation, membership), the invariant under which a
 //     component's subproblem is provably unchanged, plus the plan
@@ -22,7 +22,7 @@
 //     delta-patching sync behind, every component otherwise; there is
 //     no separate full pass — splits the scope into reusable and dirty
 //     components, processes the dirty ones concurrently on the shared
-//     worker pool, installs their records in component order, retires
+//     worker pool, installs their records in scope order, retires
 //     the records of components that left the partition, and settles
 //     the cache's generation. Every record it replaces, installs or
 //     retires goes through the consumer's swap exactly once, so an
@@ -45,9 +45,11 @@ import (
 // so all stages see the identical partition. A Plan is read-only after
 // construction and safe for concurrent use.
 type Plan struct {
-	// Comps is the conflict-component partition of the live atoms,
-	// ordered by each component's first atom, each component listing
-	// its atoms in canonical order.
+	// Comps is the conflict-component partition of the live atoms, each
+	// component listing its atoms in canonical order. It is a set: a
+	// NewPlan lists the components by their first atoms, a Planner sync
+	// writes re-listed components over the slots of those they replace,
+	// and no consumer's answer depends on the list order.
 	Comps []ground.Component
 
 	cs *ground.ClauseSet
@@ -316,12 +318,12 @@ type Pass[V any] struct {
 // parallelises across components). reuse and solve take the component's
 // index into p.Comps.
 //
-// Then, sequentially: each solved record is installed in component
-// order, and the records of components that left the partition are
-// retired. swap sees each of these changes exactly once — (old, new)
-// for a replaced record, (nil, new) for a new key, (old, nil) for a
-// retired one — before the cache holds new, so it may rewrite new in
-// place; old is only valid during the call. On a solve error nothing is
+// Then, sequentially: each solved record is installed in scope order
+// (ascending slots), and the records of components that left the
+// partition are retired. swap sees each of these changes exactly once
+// — (old, new) for a replaced record, (nil, new) for a new key, (old,
+// nil) for a retired one — before the cache holds new, so it may
+// rewrite new in place; old is only valid during the call. On a solve error nothing is
 // installed and the cache is left as it was.
 func Run[V any](p *Plan, chained bool, parallelism int, cache *Cache[V],
 	reuse func(i int, v *V) bool,

@@ -23,16 +23,18 @@ import (
 //   - the clause set's changed-root log names every component the
 //     union-find moved;
 //   - only the components those two name are re-grouped, their atoms
-//     sorted with ground.AtomTable.CompareCanonical, and merged back
-//     into the list by the canonical rank of their first atoms; the
-//     rest of the partition (and the Atoms slices the caches hold) is
-//     reused as-is.
+//     sorted with ground.AtomTable.CompareCanonical, and written over
+//     the slots of the components they replace; the rest of the
+//     partition (and the Atoms slices the caches hold) stays where it
+//     is.
 //
-// Consumers read only the partition, so no global atom order is kept: a
-// component's atoms and its list position both follow from the one
-// comparator. The maintained Plan is byte-identical — same
-// Comps and local numbering — to what a fresh NewPlan over the same
-// state returns; the differential suites assert exactly that.
+// Consumers read only the partition, as a set: no global atom order
+// and no list order is kept, so a sync costs what the delta changed,
+// not what the partition holds. The maintained Plan lists the same
+// components — key, generation, atoms in canonical order, local
+// numbering — as a fresh NewPlan over the same state returns, in
+// whatever order its syncs left them; the differential suites assert
+// exactly that.
 
 // PlanStats reports how one solve obtained its decomposition plan.
 type PlanStats struct {
@@ -71,13 +73,10 @@ type Planner struct {
 	// key, and every other atom to -1: the live set as of the last sync.
 	compKeyOf []ground.AtomID
 	// slotOf maps a component key to its index in Comps. Entries of
-	// keys no longer listed go stale; slot validates them.
+	// keys no longer listed go stale; Slot validates them.
 	slotOf []int32
 	// live counts the atoms the partition lists.
 	live int
-
-	// Double buffer for the comps list, swapped on a merge.
-	spareComps []ground.Component
 
 	// Per-sync scratch, reused so the steady-state single-fact path
 	// stays allocation-free.
@@ -163,9 +162,9 @@ func (pl *Planner) rebuild() {
 	pl.plan = p
 }
 
-// slot returns the index in Comps of the component listed under key, or
-// -1 when no listed component has that key.
-func (pl *Planner) slot(key ground.AtomID) int {
+// Slot returns the index in Plan().Comps of the component listed under
+// key, or -1 when no listed component has that key.
+func (pl *Planner) Slot(key ground.AtomID) int {
 	s := int(pl.slotOf[key])
 	if s >= 0 && s < len(pl.plan.Comps) && pl.plan.Comps[s].Key == key {
 		return s
@@ -174,8 +173,8 @@ func (pl *Planner) slot(key ground.AtomID) int {
 }
 
 // sync patches the plan from the deltas accumulated since the last
-// sync. The resulting Comps and local numbering are byte-identical to a
-// fresh NewPlan over the same state.
+// sync. Afterwards Comps holds the listings a fresh NewPlan over the
+// same state would, in any order, with the same local numbering.
 func (pl *Planner) sync() {
 	atoms, cs, p := pl.atoms, pl.cs, pl.plan
 	p.maintained = true
@@ -228,7 +227,7 @@ func (pl *Planner) sync() {
 	// Changed roots that key a listed component touch it too; the live
 	// atoms of every touched component join the candidates.
 	for _, r := range pl.roots {
-		if pl.slot(r) >= 0 {
+		if pl.Slot(r) >= 0 {
 			affected = append(affected, r)
 		}
 	}
@@ -236,7 +235,7 @@ func (pl *Planner) sync() {
 	affected = slices.Compact(affected)
 	pl.remIdx = pl.remIdx[:0]
 	for _, key := range affected {
-		idx := pl.slot(key)
+		idx := pl.Slot(key)
 		if idx < 0 {
 			panic(fmt.Sprintf("engine: planner lost component %d", key))
 		}
@@ -259,7 +258,7 @@ func (pl *Planner) sync() {
 // re-lists the changed components and patches them into the partition,
 // leaving every untouched component's listing (and Atoms slice) alone.
 // affected holds the old keys of every component the delta touched,
-// sorted; their list indexes are in pl.remIdx.
+// sorted; their slots are in pl.remIdx.
 func (pl *Planner) spliceComps(affected []ground.AtomID) {
 	atoms, cs, p := pl.atoms, pl.cs, pl.plan
 
@@ -269,8 +268,7 @@ func (pl *Planner) spliceComps(affected []ground.AtomID) {
 	cs.DrainChangedRoots(func(ground.AtomID) {})
 
 	// Group the candidates by their (now final) roots, in canonical
-	// order, so each group lists its atoms exactly as Components would
-	// and the groups come in the order of their first atoms.
+	// order, so each group lists its atoms exactly as Components would.
 	slices.SortFunc(pl.cands, atoms.CompareCanonical)
 	if pl.groupIdx == nil {
 		pl.groupIdx = make(map[ground.AtomID]int32)
@@ -304,7 +302,7 @@ func (pl *Planner) spliceComps(affected []ground.AtomID) {
 		g := &groups[gi]
 		buf := pl.groupBufs[gi]
 		if _, ok := slices.BinarySearch(affected, g.Key); ok {
-			if old := &p.Comps[pl.slot(g.Key)]; slices.Equal(old.Atoms, buf) {
+			if old := &p.Comps[pl.Slot(g.Key)]; slices.Equal(old.Atoms, buf) {
 				g.Atoms = old.Atoms
 				if old.Gen != g.Gen {
 					patched++
@@ -342,63 +340,30 @@ func (pl *Planner) spliceComps(affected []ground.AtomID) {
 		}
 	}
 
-	// Patch the partition list. In-place when each re-listed group
-	// keeps its slot (same leading atom as the component it replaces);
-	// otherwise merge old list and groups into the spare buffer by the
-	// canonical rank of each component's first atom. Both walk the
-	// replaced slots in list order, like the groups; up to here remIdx
-	// paralleled affected, which is in key order — and a component's key
-	// (its smallest atom id) need not follow its list position.
+	// Patch the partition, which is a set: each group takes a replaced
+	// slot, lowest first, and extra groups are appended; the leftover
+	// replaced slots — the highest — are filled from the tail. Only the
+	// slots written move in slotOf, and dirty stays ascending.
 	slices.Sort(pl.remIdx)
-	if len(groups) == len(pl.remIdx) {
-		inPlace := true
-		for k := range groups {
-			if groups[k].Atoms[0] != p.Comps[pl.remIdx[k]].Atoms[0] {
-				inPlace = false
-				break
-			}
+	for gi := range groups {
+		s := len(p.Comps)
+		if gi < len(pl.remIdx) {
+			s = pl.remIdx[gi]
+			p.Comps[s] = groups[gi]
+		} else {
+			p.Comps = append(p.Comps, groups[gi])
 		}
-		if inPlace {
-			for k := range groups {
-				p.Comps[pl.remIdx[k]] = groups[k]
-				pl.slotOf[groups[k].Key] = int32(pl.remIdx[k])
-				pl.dirty = append(pl.dirty, int32(pl.remIdx[k]))
-			}
-			slices.Sort(pl.dirty)
-			return
+		pl.slotOf[groups[gi].Key] = int32(s)
+		pl.dirty = append(pl.dirty, int32(s))
+	}
+	for ri := len(pl.remIdx) - 1; ri >= len(groups); ri-- {
+		s, last := pl.remIdx[ri], len(p.Comps)-1
+		if s != last {
+			p.Comps[s] = p.Comps[last]
+			pl.slotOf[p.Comps[s].Key] = int32(s)
 		}
-	}
-	dst := pl.spareComps[:0]
-	gi, ri := 0, 0
-	for i := range p.Comps {
-		if ri < len(pl.remIdx) && i == pl.remIdx[ri] {
-			ri++
-			continue
-		}
-		for gi < len(groups) && atoms.CompareCanonical(groups[gi].Atoms[0], p.Comps[i].Atoms[0]) < 0 {
-			pl.dirty = append(pl.dirty, int32(len(dst)))
-			dst = append(dst, groups[gi])
-			gi++
-		}
-		dst = append(dst, p.Comps[i])
-	}
-	for ; gi < len(groups); gi++ {
-		pl.dirty = append(pl.dirty, int32(len(dst)))
-		dst = append(dst, groups[gi])
-	}
-	pl.spareComps = p.Comps
-	p.Comps = dst
-
-	// Slots before the first removed or inserted one did not move.
-	from := len(dst)
-	if len(pl.remIdx) > 0 {
-		from = pl.remIdx[0]
-	}
-	if len(pl.dirty) > 0 && int(pl.dirty[0]) < from {
-		from = int(pl.dirty[0])
-	}
-	for i := from; i < len(dst); i++ {
-		pl.slotOf[dst[i].Key] = int32(i)
+		p.Comps[last] = ground.Component{}
+		p.Comps = p.Comps[:last]
 	}
 }
 

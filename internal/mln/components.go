@@ -141,15 +141,16 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 // are required. The read-out — cost, feasibility, violation counts —
 // scores the state under opts' priors whichever kernel ran.
 //
-// The components in the plan's scope are solved and the assignments
-// merged in deterministic component order. Under a change-set scope
-// (previous state in hand, cache exactly one sync behind a maintained
-// plan) the planner bounds everything that can differ from the previous
-// solve: components outside the scope have the same generation,
-// membership and clause subproblem, so the previous truth is carried
-// forward and retracted atoms are pinned false. Otherwise every
-// component is visited. Either way the totals move only by the records
-// replaced, installed or retired.
+// The components in the plan's scope are solved and their assignments
+// written over the atoms each component owns, so no list order enters
+// the merged state. Under a change-set scope (previous state in hand,
+// cache exactly one sync behind a maintained plan) the planner bounds
+// everything that can differ from the previous solve: components
+// outside the scope have the same generation, membership and clause
+// subproblem, so the previous truth is carried forward and retracted
+// atoms are pinned false. Otherwise every component is visited. Either
+// way the totals move only by the records replaced, installed or
+// retired.
 func SolveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm []bool, cache *ComponentCache, plan *engine.Plan, kernel Kernel) (*Result, error) {
 	opts = opts.withDefaults()
 	if kernel == nil {
