@@ -225,7 +225,27 @@ func runInfer(args []string) error {
 		ComponentExactLimit: *componentExact,
 	}
 	if *incremental {
-		return runIncrementalREPL(s, opts, *verbose, os.Stdin, os.Stdout)
+		res, err := runIncrementalREPL(s, opts, *verbose, os.Stdin, os.Stdout)
+		if err != nil {
+			return err
+		}
+		if res != nil {
+			return writeResolution(res, *explain, *outPath, *removedPath)
+		}
+		var unmet []string
+		if *explain {
+			unmet = append(unmet, "-explain")
+		}
+		if *outPath != "" {
+			unmet = append(unmet, "-out")
+		}
+		if *removedPath != "" {
+			unmet = append(unmet, "-removed")
+		}
+		if len(unmet) > 0 {
+			return fmt.Errorf("infer: the session ran no solve, so %s cannot be honoured", strings.Join(unmet, ", "))
+		}
+		return nil
 	}
 	res, err := s.Solve(opts)
 	if err != nil {
@@ -265,7 +285,14 @@ func runInfer(args []string) error {
 		}
 	}
 
-	if *explain {
+	return writeResolution(res, *explain, *outPath, *removedPath)
+}
+
+// writeResolution serves infer's output flags from a solve: -explain
+// prints each removed fact with the constraints it violates, -out and
+// -removed write the consistent expanded KG and the removed facts.
+func writeResolution(res *tecore.Resolution, explain bool, outPath, removedPath string) error {
+	if explain {
 		fmt.Println("removed facts:")
 		res.Removed.Each(func(f tecore.Fact) bool {
 			fmt.Printf("  %s\n", f.Quad.Compact())
@@ -275,19 +302,18 @@ func runInfer(args []string) error {
 			return true
 		})
 	}
-
-	if *outPath != "" {
-		if err := writeGraphFile(*outPath, res.ConsistentGraph()); err != nil {
+	if outPath != "" {
+		if err := writeGraphFile(outPath, res.ConsistentGraph()); err != nil {
 			return err
 		}
 	}
-	if *removedPath != "" {
+	if removedPath != "" {
 		var rg tecore.Graph
 		res.Removed.Each(func(f tecore.Fact) bool {
 			rg = append(rg, f.Quad)
 			return true
 		})
-		if err := writeGraphFile(*removedPath, rg); err != nil {
+		if err := writeGraphFile(removedPath, rg); err != nil {
 			return err
 		}
 	}

@@ -146,3 +146,59 @@ func TestRunInferExplain(t *testing.T) {
 		t.Fatalf("runInfer -explain: %v", err)
 	}
 }
+
+// TestRunInferIncrementalOutputs runs infer -incremental on a script
+// read from stdin: -out and -removed are written from the session's last
+// solve, byte-identical to the one-shot run's, and a script that never
+// solves is an error naming the flags it could not honour.
+func TestRunInferIncrementalOutputs(t *testing.T) {
+	dir := t.TempDir()
+	data := writeFile(t, dir, "g.tq", figure1)
+	rules := writeFile(t, dir, "r.tcr", program)
+	withStdin := func(script string, args ...string) error {
+		t.Helper()
+		f, err := os.Open(writeFile(t, dir, "script", script))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		stdin := os.Stdin
+		os.Stdin = f
+		defer func() { os.Stdin = stdin }()
+		return runInfer(append([]string{"-data", data, "-rules", rules, "-incremental"}, args...))
+	}
+	for _, solver := range []string{"mln", "psl", "greedy"} {
+		files := map[string]string{}
+		for _, mode := range []string{"oneshot", "incremental"} {
+			out := filepath.Join(dir, mode+"-"+solver+"-out.tq")
+			removed := filepath.Join(dir, mode+"-"+solver+"-removed.tq")
+			args := []string{"-solver", solver, "-out", out, "-removed", removed}
+			var err error
+			if mode == "oneshot" {
+				err = runInfer(append([]string{"-data", data, "-rules", rules}, args...))
+			} else {
+				err = withStdin("solve\nquit\n", args...)
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", solver, mode, err)
+			}
+			for kind, path := range map[string]string{"out": out, "removed": removed} {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%s %s: %v", solver, mode, err)
+				}
+				if prev, ok := files[kind]; ok && prev != string(b) {
+					t.Errorf("%s: incremental -%s differs from the one-shot run's\n%s\nwant\n%s", solver, kind, b, prev)
+				}
+				files[kind] = string(b)
+			}
+		}
+		if !strings.Contains(files["removed"], "Napoli") {
+			t.Errorf("%s: removed output = %q", solver, files["removed"])
+		}
+	}
+	err := withStdin("stats\nquit\n", "-out", filepath.Join(dir, "none.tq"), "-explain")
+	if err == nil || !strings.Contains(err.Error(), "-explain, -out") {
+		t.Errorf("a script with no solve returned %v, want an error naming -explain and -out", err)
+	}
+}

@@ -28,8 +28,9 @@ import (
 //
 // With verbose set (tecore infer -v), each solve also prints the
 // component summary — count, largest, engine tallies and the cache-hit
-// split that shows how much of the graph the re-solve skipped.
-func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose bool, in io.Reader, out io.Writer) error {
+// split that shows how much of the graph the re-solve skipped. It
+// returns the last successful solve's resolution, nil if none ran.
+func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose bool, in io.Reader, out io.Writer) (*tecore.Resolution, error) {
 	commands := "add/remove/batch/solve/stats/quit"
 	if s.Durable() {
 		commands = "add/remove/batch/solve/stats/checkpoint/quit"
@@ -38,6 +39,7 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 		s.Store().Len(), commands)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	var last *tecore.Resolution
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -45,30 +47,22 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 		}
 		cmd, rest, _ := strings.Cut(line, " ")
 		switch strings.ToLower(cmd) {
-		case "add":
+		case "add", "remove":
 			g, err := tecore.ParseGraphString(rest)
 			if err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 				continue
 			}
-			if err := s.LoadGraph(g); err != nil {
-				fmt.Fprintf(out, "error: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(out, "ok: %d fact(s) asserted, %d live\n", len(g), s.Store().Len())
-		case "remove":
-			g, err := tecore.ParseGraphString(rest)
-			if err != nil {
-				fmt.Fprintf(out, "error: %v\n", err)
-				continue
-			}
-			removed := 0
-			for _, q := range g {
-				if s.RemoveFact(q) {
-					removed++
+			if strings.EqualFold(cmd, "add") {
+				if _, err := s.ApplyBatch(g, nil); err != nil {
+					fmt.Fprintf(out, "error: %v\n", err)
+					continue
 				}
+				fmt.Fprintf(out, "ok: %d fact(s) asserted, %d live\n", len(g), s.Store().Len())
+			} else {
+				br, _ := s.ApplyBatch(nil, g) // a removal cannot fail validation
+				fmt.Fprintf(out, "ok: %d fact(s) removed, %d live\n", br.Removed, s.Store().Len())
 			}
-			fmt.Fprintf(out, "ok: %d fact(s) removed, %d live\n", removed, s.Store().Len())
 		case "batch":
 			add, remove, err := parseBatchOps(rest)
 			if err != nil {
@@ -88,6 +82,7 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 				fmt.Fprintf(out, "error: %v\n", err)
 				continue
 			}
+			last = res
 			mode := "full"
 			if res.Incremental {
 				mode = "incremental"
@@ -132,12 +127,12 @@ func runIncrementalREPL(s *tecore.Session, opts tecore.SolveOptions, verbose boo
 			fmt.Fprintf(out, "ok: checkpointed %d fact(s) at epoch %d in %s\n",
 				s.Store().Len(), s.Store().Epoch(), s.DataDir())
 		case "quit", "exit":
-			return nil
+			return last, nil
 		default:
 			fmt.Fprintf(out, "error: unknown command %q (%s)\n", cmd, commands)
 		}
 	}
-	return sc.Err()
+	return last, sc.Err()
 }
 
 // parseBatchOps splits a batch command's ";"-separated operations into

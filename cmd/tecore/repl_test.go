@@ -28,7 +28,7 @@ bogus
 quit
 `)
 	var out strings.Builder
-	err := runIncrementalREPL(s, tecore.SolveOptions{Solver: tecore.SolverMLN}, false, in, &out)
+	_, err := runIncrementalREPL(s, tecore.SolveOptions{Solver: tecore.SolverMLN}, false, in, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ stats
 quit
 `)
 	var out strings.Builder
-	err := runIncrementalREPL(s, tecore.SolveOptions{Solver: tecore.SolverMLN}, false, in, &out)
+	_, err := runIncrementalREPL(s, tecore.SolveOptions{Solver: tecore.SolverMLN}, false, in, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ solve
 quit
 `)
 	var out strings.Builder
-	err := runIncrementalREPL(s,
+	_, err := runIncrementalREPL(s,
 		tecore.SolveOptions{Solver: tecore.SolverMLN}, true, in, &out)
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func (s *Session) Predicates() []store.PredicateStat {
 
 // MissingPredicates lists rule predicates with no facts in the data.
 func (s *Session) MissingPredicates() []string {
-	return translate.CheckPredicates(s.st, s.prog)
+	return translate.CheckPredicates(s.Predicates(), s.prog)
 }
 
 // SolveOptions tunes a Solve call.
@@ -141,19 +141,20 @@ type SolveOptions struct {
 	// the exact MaxSAT engine; larger components use local search
 	// (default 48; MLN backend only).
 	ComponentExactLimit int
-	// ColdStart disables warm-starting the solver from the previous
-	// solution on the incremental path and drops the per-component
-	// solution caches and the read-out cache (repair records and live
-	// outcome) for this solve. Grounding still reuses the cached delta
-	// state; only the solver starts from scratch. With ColdStart the
-	// incremental result is byte-identical to a fresh from-scratch solve
-	// by construction. With warm starts the exact MaxSAT engine still
-	// guarantees it, and large local-search instances may settle on
-	// equally-valid near-identical states. Warm-started PSL reaches a
-	// fresh solve's kept and removed facts and removed weight, since its
-	// rounding ignores where ADMM stopped (an optimum on the edge of a
-	// rounding band excepted); its soft values, and so the confidences
-	// of inferred facts, agree only to within ADMM's tolerance.
+	// ColdStart starts the solver kernel from nothing for this solve: no
+	// warm start from the previous solution, empty per-component solution
+	// caches and an empty read-out cache (repair records and live
+	// outcome). Grounding and the component plan still reuse the cached
+	// delta state. A solve under another solver or another tuning
+	// (Advanced, ComponentExactLimit) is a cold start too. A cold start
+	// answers exactly as a fresh session over the same facts does. With
+	// warm starts the exact MaxSAT engine still guarantees it, and large
+	// local-search instances may settle on equally-valid near-identical
+	// states. Warm-started PSL reaches a fresh solve's kept and removed
+	// facts and removed weight, since its rounding ignores where ADMM
+	// stopped (an optimum on the edge of a rounding band excepted); its
+	// soft values, and so the confidences of inferred facts, agree only
+	// to within ADMM's tolerance.
 	ColdStart bool
 	// Advanced exposes full backend tuning.
 	Advanced translate.Options

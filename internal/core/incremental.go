@@ -39,55 +39,48 @@ func attachGroundStats(oc *repair.Outcome, g *ground.Grounder) {
 
 // solveEngine is the session's cached incremental solve state: a
 // grounder and clause set kept alive across solves, the store epoch they
-// reflect, and the previous solve's state for warm-starting the kernel
-// and chaining its change-set scope. The grounder and clause set depend
-// only on the store and program — switching solvers reuses them and only
-// resets the warm data.
+// reflect, the maintained component plan, and the solver kernel's own
+// state. The grounder, clause set and plan depend only on the store and
+// program, so every solver shares them; the kernel state belongs to one
+// solver under one tuning.
 type solveEngine struct {
 	g           *ground.Grounder
 	cs          *ground.ClauseSet
 	epoch       store.Epoch
 	progVersion int
 
-	warmSolver translate.Solver
-	warmTruth  []bool // previous MAP state by atom id
-	// warmPSL is the previous PSL solve's state (values, truth, iterate
-	// tables by clause slot); each PSL solve updates it in place and
-	// hands the same Warm back.
-	warmPSL *psl.Warm
-
-	// Per-component solution caches, one per kernel, keyed by (component
-	// key, generation, membership); entries survive solver switches
-	// because they are only consulted — and only valid — for components
-	// whose generation is unchanged.
-	compMLN    *mln.ComponentCache
-	compGreedy *mln.ComponentCache
-	compPSL    *psl.ComponentCache
-	// compOptsKey fingerprints the backend options the component caches
-	// were built under: a cached solution computed under different
-	// engine tuning (exact limit, weights, seeds, ...) is not the
-	// solution the requested options would produce, so an options
-	// change drops all three caches. Parallelism is excluded — results are
-	// identical at every worker count.
-	compOptsKey string
-
-	// compRepair is the session's read-out record per component — the
-	// cached repair read-out — and the live outcome those records sum to,
-	// so a solve re-repairs and re-splices only the components whose
-	// subproblem or truth moved. Unlike the solver caches it is keyed per
-	// (solver kernel, read-out options): a read-out computed from PSL soft
-	// values or under a different threshold is not the one the requested
-	// solve would produce, so repairKey changes drop it (the per-entry
-	// truth check in repair covers solver-side divergence within one
-	// key).
-	compRepair *repair.ComponentCache
-	repairKey  string
-
 	// planner maintains the component solve plan (canonical order +
 	// partition) across solves, patching it from the grounder's atom
 	// journal and the union-find's change log instead of rebuilding it
 	// per solve.
 	planner *engine.Planner
+
+	kernel *kernelState
+}
+
+// kernelState is what one solver kernel carries from solve to solve:
+// its per-component solution cache (MLN and greedy share the MaxSAT
+// record type, PSL keeps ADMM iterates), its previous answer for warm
+// starts and change-set passes, and the read-out cache — the repair
+// record per component and the live outcome they sum to — built from
+// those answers. A solve under another key (solver or tuning), or with
+// ColdStart, replaces the whole record, so it answers as a fresh
+// session would. A solve under another threshold replaces only the
+// read-out cache: the kernel's answer does not depend on it.
+type kernelState struct {
+	// key is the solver and its tuning, Parallelism excluded (results
+	// are identical at every worker count).
+	key string
+
+	mlnCache *mln.ComponentCache
+	truth    []bool // previous MLN or greedy MAP state by atom id
+	pslCache *psl.ComponentCache
+	// pslWarm is the previous PSL state (values, truth, iterate tables
+	// by clause slot); each PSL solve updates it in place.
+	pslWarm *psl.Warm
+
+	readout   *repair.ComponentCache
+	threshold float64 // the threshold readout was built under
 }
 
 // AddFact inserts a single quad; the next Solve consumes it through the
@@ -180,17 +173,15 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	// (DeltaSince falls back to a full scan for older epochs).
 	s.st.CompactLog(eng.epoch)
 
-	var warmTruth []bool
-	var warmPSL *psl.Warm
-	if !opts.ColdStart && eng.warmSolver == solver {
-		warmTruth, warmPSL = eng.warmTruth, eng.warmPSL
-	}
-
 	mlnOpts, pslOpts := topts.MLN, topts.PSL
 	mlnOpts.Parallelism, pslOpts.Parallelism = 0, 0
-	if key := fmt.Sprintf("%+v|%+v", mlnOpts, pslOpts); key != eng.compOptsKey {
-		eng.compMLN, eng.compGreedy, eng.compPSL = nil, nil, nil
-		eng.compOptsKey = key
+	k := eng.kernel
+	if key := fmt.Sprintf("%v|%+v|%+v", solver, mlnOpts, pslOpts); opts.ColdStart || k == nil || k.key != key {
+		k = &kernelState{key: key, mlnCache: mln.NewComponentCache(), pslCache: psl.NewComponentCache()}
+		eng.kernel = k
+	}
+	if k.readout == nil || k.threshold != opts.Threshold {
+		k.readout, k.threshold = repair.NewComponentCache(), opts.Threshold
 	}
 
 	// One shared decomposition per solve: the solver stage and the repair
@@ -204,34 +195,28 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	plan, planStats := eng.planner.Sync(eng.g.Atoms(), eng.cs)
 
 	out := &translate.Output{Solver: solver, Grounder: eng.g, Clauses: eng.cs}
-	var nextPSL *psl.Warm
 	solveErr := withStage("solve", func() error {
 		switch solver {
 		case translate.SolverMLN, translate.SolverGreedy:
-			cache, kernel := &eng.compMLN, mln.Kernel(nil)
+			kernel := mln.Kernel(nil)
 			if solver == translate.SolverGreedy {
-				cache, kernel = &eng.compGreedy, baseline.SolveComponent
+				kernel = baseline.SolveComponent
 			}
-			if opts.ColdStart || *cache == nil {
-				*cache = mln.NewComponentCache()
-			}
-			res, err := mln.SolveComponents(eng.g, eng.cs, topts.MLN, warmTruth, *cache, plan, kernel)
+			res, err := mln.SolveComponents(eng.g, eng.cs, topts.MLN, k.truth, k.mlnCache, plan, kernel)
 			if err != nil {
 				return err
 			}
-			out.MLN, out.Truth = res, res.Truth
+			// The cache has settled on this state even if it is infeasible.
+			out.MLN, out.Truth, k.truth = res, res.Truth, res.Truth
 			if solver == translate.SolverMLN && !res.HardSatisfied {
 				return fmt.Errorf("core: MLN solver found no assignment satisfying the hard constraints")
 			}
 		case translate.SolverPSL:
-			if opts.ColdStart || eng.compPSL == nil {
-				eng.compPSL = psl.NewComponentCache()
-			}
-			res, next, err := psl.MAPGroundComponents(eng.g, eng.cs, topts.PSL, warmPSL, eng.compPSL, plan)
+			res, next, err := psl.MAPGroundComponents(eng.g, eng.cs, topts.PSL, k.pslWarm, k.pslCache, plan)
 			if err != nil {
 				return err
 			}
-			out.PSL, out.Truth, out.SoftValues, nextPSL = res, res.Truth, res.Values, next
+			out.PSL, out.Truth, out.SoftValues, k.pslWarm = res, res.Truth, res.Values, next
 		default:
 			return fmt.Errorf("core: unknown solver %v", solver)
 		}
@@ -241,25 +226,15 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 		return nil, solveErr
 	}
 	out.Runtime = time.Since(start)
-	eng.warmSolver, eng.warmTruth, eng.warmPSL = solver, out.Truth, nextPSL
 
-	// The read-out decomposes along the same plan onto the session's
+	// The read-out decomposes along the same plan onto the kernel's
 	// read-out cache: a delta re-repairs only the components whose
 	// subproblem or truth moved, and the live outcome splices only their
-	// contributions. The cache is dropped on ColdStart and whenever the
-	// solver kernel, its tuning, or the read-out options change — a cached
-	// unit embeds threshold-filtered facts and solver-specific confidences
-	// (PSL soft values can shift under new engine tuning without the
-	// discrete truth, which the per-entry check covers, moving at all).
+	// contributions.
 	ropts := repair.Options{Threshold: opts.Threshold, Parallelism: opts.Parallelism}
-	rkey := fmt.Sprintf("%v|%v|%s", solver, ropts.Threshold, eng.compOptsKey)
-	if opts.ColdStart || eng.compRepair == nil || rkey != eng.repairKey {
-		eng.compRepair = repair.NewComponentCache()
-		eng.repairKey = rkey
-	}
 	var run *repair.ComponentRun
 	err := withStage("repair", func() (err error) {
-		run, err = repair.BeginComponents(out, ropts, plan, eng.compRepair)
+		run, err = repair.BeginComponents(out, ropts, plan, k.readout)
 		return err
 	})
 	if err != nil {

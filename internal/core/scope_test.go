@@ -55,12 +55,12 @@ func checkComponentsMatchFresh(t *testing.T, s *Session, res *Resolution, opts S
 }
 
 // TestSolverAlternationKeepsAggregates interleaves PSL and greedy solves
-// between MLN solves on one session, so each kernel's cache repeatedly
-// finds itself more than one plan generation behind. Component keys the
-// skipped syncs retired must not survive in it: a later split re-creates
-// such a key, and a stale entry under it would be subtracted from totals
-// it was never added to. Greedy answers must match a fresh session's
-// too.
+// between MLN solves on one session while bridges merge and split
+// components. Each switch starts the kernel's state afresh on a plan
+// that kept moving under the other kernels, and the chained passes that
+// follow must keep aggregates equal to a fresh session's: a component key
+// a merge retired and a later split re-creates must be counted exactly
+// once. Greedy answers must match a fresh session's too.
 func TestSolverAlternationKeepsAggregates(t *testing.T) {
 	mlnOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverMLN, Parallelism: par} }
 	pslOpts := func(par int) SolveOptions { return SolveOptions{Solver: translate.SolverPSL, Parallelism: par} }

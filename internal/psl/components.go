@@ -75,8 +75,12 @@ type compEntry struct {
 // already-closed grounder and its full clause set by running ADMM per
 // conflict component; forward chaining and grounding are the caller's
 // responsibility (Close/GroundProgram, or CloseDelta/GroundDelta on a
-// session engine). warm, when non-nil, is the previous solve's state
-// (dirty components are warm-started from it; nil is a cold start).
+// session engine). warm, when non-nil, is the state the previous solve
+// returned with this cache (dirty components are warm-started from it;
+// nil is a cold start). Its iterate tables then hold exactly the slots
+// of the cache's records, and each pass keeps them so: it clears the
+// slots of every record it replaces or retires and writes those of the
+// records it installs.
 // plan is the shared decomposition built by the caller (engine.NewPlan
 // or a Planner sync); cache is consulted for unchanged components and
 // updated with this solve's iterates (NewComponentCache for a one-off
@@ -90,8 +94,8 @@ type compEntry struct {
 // previous values and truth are carried forward, retracted atoms are
 // pinned to zero, and the iterate tables lose the slots of every record
 // replaced or retired and gain those of the scoped components.
-// Otherwise every component is visited and the tables are rebuilt from
-// the records.
+// Otherwise every component is visited. Either way the tables change
+// only by the records the pass replaces, installs or retires.
 func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm, cache *ComponentCache, plan *engine.Plan) (*Result, *Warm, error) {
 	opts = opts.withDefaults()
 	g.Parallelism = opts.Parallelism
@@ -141,12 +145,6 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 		})
 	if err != nil {
 		return nil, nil, err
-	}
-	if !pass.Delta {
-		// A warm state this cache was not settled with may hold slots no
-		// record owns: an all-component pass rebuilds the tables.
-		clear(next.Z)
-		clear(next.U)
 	}
 	for k := range pass.Records {
 		next.setSlots(&pass.Records[k])

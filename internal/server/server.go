@@ -459,10 +459,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if d, ok := s.dataset(req.Dataset); ok {
-		st := store.New()
-		if err := st.AddGraph(d.graph); err == nil {
-			resp["missingPredicates"] = translate.CheckPredicates(st, prog)
-		}
+		resp["missingPredicates"] = translate.CheckPredicates(d.stats.Predicates, prog)
 	}
 	writeJSON(w, resp)
 }

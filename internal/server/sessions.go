@@ -337,6 +337,8 @@ type FactsResponse struct {
 	Epoch   uint64 `json:"epoch"`
 }
 
+// handleSessionFacts adds (POST) or retracts (DELETE) TQuads as one
+// batch.
 func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 	ss, ok := s.session(w, r)
 	if !ok {
@@ -351,34 +353,43 @@ func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "parsing tquads: %v", err)
 		return
 	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	st := ss.sess.Store()
-	resp := FactsResponse{}
+	var add, remove rdf.Graph
 	if r.Method == http.MethodDelete {
-		for _, q := range g {
-			if ss.sess.RemoveFact(q) {
-				resp.Removed++
-			}
-		}
+		remove = g
 	} else {
-		before := st.Epoch()
-		if err := ss.sess.LoadGraph(g); err != nil {
-			httpError(w, http.StatusBadRequest, "adding facts: %v", err)
-			return
-		}
-		d := st.DeltaSince(before)
-		resp.Added = len(d.Added)
-		resp.Updated = len(d.Updated)
+		add = g
+	}
+	ss.mu.Lock()
+	resp, ok := applyLocked(w, ss, add, remove)
+	ss.mu.Unlock()
+	if ok {
+		writeJSON(w, resp)
+	}
+}
+
+// applyLocked applies one batch to the session, makes it durable and
+// only then publishes the new epoch, so readers never see a state a
+// crash could lose. The caller holds ss.mu. On failure it writes the
+// error response and reports false.
+func applyLocked(w http.ResponseWriter, ss *session, add, remove rdf.Graph) (FactsResponse, bool) {
+	br, err := ss.sess.ApplyBatch(add, remove)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "applying batch: %v", err)
+		return FactsResponse{}, false
+	}
+	if err := ss.sess.Sync(); err != nil {
+		httpError(w, http.StatusInternalServerError, "persisting batch: %v", err)
+		return FactsResponse{}, false
 	}
 	ss.publish(nil, "")
-	if err := ss.sess.Sync(); err != nil {
-		httpError(w, http.StatusInternalServerError, "persisting facts: %v", err)
-		return
-	}
-	resp.Facts = st.Len()
-	resp.Epoch = uint64(st.Epoch())
-	writeJSON(w, resp)
+	st := ss.sess.Store()
+	return FactsResponse{
+		Added:   br.Added,
+		Removed: br.Removed,
+		Updated: br.Updated,
+		Facts:   st.Len(),
+		Epoch:   uint64(st.Epoch()),
+	}, true
 }
 
 // BatchRequest carries a combined update: TQuads to retract and to
@@ -436,25 +447,12 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ss.mu.Lock()
-	br, err := ss.sess.ApplyBatch(add, remove)
-	if err != nil {
+	facts, ok := applyLocked(w, ss, add, remove)
+	if !ok {
 		ss.mu.Unlock()
-		httpError(w, http.StatusBadRequest, "applying batch: %v", err)
 		return
 	}
-	if err := ss.sess.Sync(); err != nil {
-		ss.mu.Unlock()
-		httpError(w, http.StatusInternalServerError, "persisting batch: %v", err)
-		return
-	}
-	ss.publish(nil, "")
-	resp := BatchResponse{FactsResponse: FactsResponse{
-		Added:   br.Added,
-		Removed: br.Removed,
-		Updated: br.Updated,
-		Facts:   ss.sess.Store().Len(),
-		Epoch:   uint64(ss.sess.Store().Epoch()),
-	}}
+	resp := BatchResponse{FactsResponse: facts}
 	var res *core.Resolution
 	var epoch uint64
 	if req.Solve != nil {

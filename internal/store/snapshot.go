@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -107,10 +106,7 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 				return fmt.Errorf("store: snapshot: %w", err)
 			}
 		}
-		b = append(b, byte(t.Kind))
-		b = appendString(b, t.Value)
-		b = appendString(b, t.Datatype)
-		b = appendString(b, t.Lang)
+		b = AppendTerm(b, t)
 	}
 	b = binary.AppendUvarint(b, uint64(len(sn.facts)))
 	for i := range sn.facts {
@@ -137,11 +133,6 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 	return nil
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // Save writes a binary snapshot of the store in the current (TQS2)
 // format. The store is pinned for one brief read-locked copy; the
 // serialization itself runs without blocking writers.
@@ -149,91 +140,25 @@ func (st *Store) Save(w io.Writer) error {
 	return st.Checkpoint().Encode(w)
 }
 
-var errVarintOverflow = errors.New("varint overflows 64 bits")
-
-// snapCursor decodes a snapshot held in memory. The first truncated or
-// malformed field sets err and empties the input, so every later read
-// returns zero and callers check err once per record.
-type snapCursor struct {
-	b   []byte // unread input
-	err error
-}
-
-func (c *snapCursor) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
-	c.b = nil
-}
-
-func (c *snapCursor) uvarint() uint64 {
-	v, n := binary.Uvarint(c.b)
-	switch {
-	case n == 0:
-		c.fail(io.ErrUnexpectedEOF)
-	case n < 0:
-		c.fail(errVarintOverflow)
-	default:
-		c.b = c.b[n:]
-	}
-	return v
-}
-
-// varint reads a zig-zag varint, as binary.AppendVarint writes it.
-func (c *snapCursor) varint() int64 {
-	u := c.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (c *snapCursor) take(n uint64) []byte {
-	if n > uint64(len(c.b)) {
-		c.fail(io.ErrUnexpectedEOF)
-		return nil
-	}
-	p := c.b[:n]
-	c.b = c.b[n:]
-	return p
-}
-
-func (c *snapCursor) str() string { return string(c.take(c.uvarint())) }
-
-func (c *snapCursor) term() (rdf.Term, error) {
-	var t rdf.Term
-	kind := c.take(1)
-	if c.err != nil {
-		return t, c.err
-	}
-	if kind[0] > byte(rdf.Blank) {
-		return t, fmt.Errorf("invalid term kind %d", kind[0])
-	}
-	t.Kind = rdf.TermKind(kind[0])
-	t.Value = c.str()
-	t.Datatype = c.str()
-	t.Lang = c.str()
-	return t, c.err
-}
-
 // termID reads a term reference, validated against the dictionary size.
-func (c *snapCursor) termID(dictLen int) TermID {
-	v := c.uvarint()
+func (c *Cursor) termID(dictLen int) TermID {
+	v := c.Uvarint()
 	if c.err == nil && (v == 0 || v > uint64(dictLen)) {
 		c.fail(fmt.Errorf("term id %d out of range", v))
 	}
 	return TermID(v)
 }
 
-func (c *snapCursor) fact(dictLen int) (fact, error) {
+func (c *Cursor) fact(dictLen int) (fact, error) {
 	var f fact
 	f.s = c.termID(dictLen)
 	f.p = c.termID(dictLen)
 	f.o = c.termID(dictLen)
-	f.iv.Start = c.varint()
-	f.iv.End = c.varint()
-	if conf := c.take(8); conf != nil {
-		f.conf = math.Float64frombits(binary.LittleEndian.Uint64(conf))
-	}
-	f.addedAt = Epoch(c.uvarint())
-	f.removedAt = Epoch(c.uvarint())
+	f.iv.Start = c.Varint()
+	f.iv.End = c.Varint()
+	f.conf = c.Float64()
+	f.addedAt = Epoch(c.Uvarint())
+	f.removedAt = Epoch(c.Uvarint())
 	return f, c.err
 }
 
@@ -296,24 +221,24 @@ func decodeSnapshot(data []byte) (*Store, error) {
 	if magic := [4]byte(data); magic != snapshotMagicV2 {
 		return nil, fmt.Errorf("unsupported snapshot version or bad magic %q", magic[:])
 	}
-	c := snapCursor{b: data[len(snapshotMagicV2):]}
+	c := NewCursor(data[len(snapshotMagicV2):])
 	st := New()
-	st.epoch = Epoch(c.uvarint())
+	st.epoch = Epoch(c.Uvarint())
 	st.compacted = st.epoch
-	termCount := c.uvarint()
+	termCount := c.Uvarint()
 	if c.err != nil {
 		return nil, c.err
 	}
 	n := preallocCap(termCount, len(c.b)/minTermRecord)
 	st.dict.byHash = make(map[uint64]TermID, n)
 	st.dict.toT = make([]rdf.Term, 1, 1+n)
-	// term() converts every string afresh, so the dictionary need not
+	// Term converts every string afresh, so the dictionary need not
 	// copy them again.
 	st.dict.own = false
 	for i := uint64(0); i < termCount; i++ {
-		t, err := c.term()
-		if err != nil {
-			return nil, fmt.Errorf("term %d: %w", i, err)
+		t := c.Term()
+		if c.err != nil {
+			return nil, fmt.Errorf("term %d: %w", i, c.err)
 		}
 		if id := st.dict.Encode(t); uint64(id) != i+1 {
 			// A duplicate term collapsed to an earlier code: the snapshot
@@ -322,7 +247,7 @@ func decodeSnapshot(data []byte) (*Store, error) {
 		}
 	}
 	st.dict.own = true
-	factCount := c.uvarint()
+	factCount := c.Uvarint()
 	if c.err != nil {
 		return nil, c.err
 	}

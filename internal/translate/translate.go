@@ -94,12 +94,12 @@ func displayName(r *logic.Rule) string {
 }
 
 // CheckPredicates cross-checks the constant predicates mentioned by the
-// program against those present in the data, returning the rule
-// predicates with no matching facts. The Web UI surfaces these as likely
-// typos.
-func CheckPredicates(st *store.Store, prog *logic.Program) []string {
-	present := make(map[string]bool)
-	for _, ps := range st.Stats().Predicates {
+// program against the data's predicate statistics (Store.Stats),
+// returning the rule predicates with no matching facts. The Web UI
+// surfaces these as likely typos.
+func CheckPredicates(preds []store.PredicateStat, prog *logic.Program) []string {
+	present := make(map[string]bool, len(preds))
+	for _, ps := range preds {
 		present[ps.Predicate] = true
 	}
 	var missing []string

@@ -73,7 +73,7 @@ func TestCheckPredicates(t *testing.T) {
 f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5
 c9: quad(x, spouse, y, t) ^ quad(x, spouse, z, t') ^ y != z -> disjoint(t, t') w = inf
 `)
-	missing := CheckPredicates(st, prog)
+	missing := CheckPredicates(st.Stats().Predicates, prog)
 	// playsFor present; worksFor (head-only), spouse absent.
 	want := map[string]bool{"worksFor": true, "spouse": true}
 	if len(missing) != len(want) {

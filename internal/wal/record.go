@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 
-	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -21,7 +20,7 @@ import (
 //	 zig-zag varint start, end | confidence 8B LE]
 //
 // and each term encoded as kind(1B) + 3 length-prefixed strings (value,
-// datatype, lang). Add records carry the full quad — a fresh insert, a
+// datatype, lang) by the store's term codec, as in the snapshot. Add records carry the full quad — a fresh insert, a
 // revival and a confidence raise all replay through store.Add with that
 // payload — so the log is self-contained: no dictionary state is needed
 // to read it. Remove records carry only the fact id.
@@ -36,37 +35,19 @@ var recordCRC = crc32.MakeTable(crc32.Castagnoli)
 // framing, not data.
 const maxRecordPayload = 1 << 28
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendTerm(b []byte, t rdf.Term) []byte {
-	b = append(b, byte(t.Kind))
-	b = appendString(b, t.Value)
-	b = appendString(b, t.Datatype)
-	return appendString(b, t.Lang)
-}
-
 // appendRecordPayload appends the unframed payload encoding of rec.
 func appendRecordPayload(b []byte, rec store.JournalRecord) []byte {
 	b = append(b, byte(rec.Change.Op))
-	b = appendUvarint(b, uint64(rec.Change.Epoch))
-	b = appendUvarint(b, uint64(rec.Change.ID))
+	b = binary.AppendUvarint(b, uint64(rec.Change.Epoch))
+	b = binary.AppendUvarint(b, uint64(rec.Change.ID))
 	if rec.Change.Op == store.OpAdd {
 		q := rec.Quad
-		b = appendTerm(b, q.Subject)
-		b = appendTerm(b, q.Predicate)
-		b = appendTerm(b, q.Object)
+		b = store.AppendTerm(b, q.Subject)
+		b = store.AppendTerm(b, q.Predicate)
+		b = store.AppendTerm(b, q.Object)
 		b = binary.AppendVarint(b, q.Interval.Start)
 		b = binary.AppendVarint(b, q.Interval.End)
-		var cb [8]byte
-		binary.LittleEndian.PutUint64(cb[:], math.Float64bits(q.Confidence))
-		b = append(b, cb[:]...)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(q.Confidence))
 	}
 	return b
 }
@@ -89,77 +70,6 @@ func appendRecord(b []byte, rec store.JournalRecord) []byte {
 // the durable log ends just before it.
 var errTorn = fmt.Errorf("wal: torn record")
 
-type payloadReader struct {
-	b   []byte
-	off int
-}
-
-func (r *payloadReader) ReadByte() (byte, error) {
-	if r.off >= len(r.b) {
-		return 0, errTorn
-	}
-	b := r.b[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *payloadReader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.b)-r.off < n {
-		return nil, errTorn
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *payloadReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, errTorn
-	}
-	return v, nil
-}
-
-func (r *payloadReader) varint() (int64, error) {
-	v, err := binary.ReadVarint(r)
-	if err != nil {
-		return 0, errTorn
-	}
-	return v, nil
-}
-
-func (r *payloadReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(r.b)-r.off) {
-		return "", errTorn
-	}
-	b, err := r.take(int(n))
-	return string(b), err
-}
-
-func (r *payloadReader) term() (rdf.Term, error) {
-	var t rdf.Term
-	kindB, err := r.ReadByte()
-	if err != nil {
-		return t, err
-	}
-	if kindB > byte(rdf.Blank) {
-		return t, errTorn
-	}
-	t.Kind = rdf.TermKind(kindB)
-	if t.Value, err = r.str(); err != nil {
-		return t, err
-	}
-	if t.Datatype, err = r.str(); err != nil {
-		return t, err
-	}
-	t.Lang, err = r.str()
-	return t, err
-}
-
 // decodeRecord parses the first framed record in data, returning the
 // record and the number of bytes consumed. errTorn means the data ends
 // in (or is corrupted at) this record: everything before it is the
@@ -179,47 +89,22 @@ func decodeRecord(data []byte) (store.JournalRecord, int, error) {
 	if crc32.Checksum(payload, recordCRC) != want {
 		return rec, 0, errTorn
 	}
-	r := &payloadReader{b: payload}
-	opB, err := r.ReadByte()
-	if err != nil || opB > byte(store.OpRemove) {
+	c := store.NewCursor(payload)
+	op, epoch, id := c.Byte(), c.Uvarint(), c.Uvarint()
+	if c.Err() != nil || op > byte(store.OpRemove) || id > math.MaxInt32 {
 		return rec, 0, errTorn
 	}
-	rec.Change.Op = store.Op(opB)
-	epoch, err := r.uvarint()
-	if err != nil {
-		return rec, 0, errTorn
-	}
-	rec.Change.Epoch = store.Epoch(epoch)
-	id, err := r.uvarint()
-	if err != nil || id > math.MaxInt32 {
-		return rec, 0, errTorn
-	}
-	rec.Change.ID = store.FactID(id)
+	rec.Change = store.Change{Epoch: store.Epoch(epoch), Op: store.Op(op), ID: store.FactID(id)}
 	if rec.Change.Op == store.OpAdd {
 		q := &rec.Quad
-		if q.Subject, err = r.term(); err != nil {
-			return rec, 0, errTorn
-		}
-		if q.Predicate, err = r.term(); err != nil {
-			return rec, 0, errTorn
-		}
-		if q.Object, err = r.term(); err != nil {
-			return rec, 0, errTorn
-		}
-		if q.Interval.Start, err = r.varint(); err != nil {
-			return rec, 0, errTorn
-		}
-		if q.Interval.End, err = r.varint(); err != nil {
-			return rec, 0, errTorn
-		}
-		cb, err := r.take(8)
-		if err != nil {
-			return rec, 0, errTorn
-		}
-		q.Confidence = math.Float64frombits(binary.LittleEndian.Uint64(cb))
+		q.Subject, q.Predicate, q.Object = c.Term(), c.Term(), c.Term()
+		q.Interval.Start, q.Interval.End = c.Varint(), c.Varint()
+		q.Confidence = c.Float64()
 	}
-	if r.off != len(payload) {
-		return rec, 0, errTorn // trailing garbage inside a "valid" frame
+	// A cursor error is a truncated or malformed field; bytes left over
+	// are trailing garbage inside a "valid" frame.
+	if c.Err() != nil || c.Len() != 0 {
+		return rec, 0, errTorn
 	}
 	return rec, total, nil
 }
