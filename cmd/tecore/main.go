@@ -321,7 +321,8 @@ func writeResolution(res *tecore.Resolution, explain bool, outPath, removedPath 
 }
 
 // printPlanSummary renders the solve-plan stage: whether the component
-// partition was patched in place from the delta or rebuilt from scratch,
+// partition was patched in place from the delta ("maintained") or built
+// from scratch ("rebuilt", the engine's first solve only),
 // the atoms that entered and left the live set, the components
 // re-listed and retired, and the sync time.
 func printPlanSummary(w io.Writer, ps *tecore.PlanStats) {

@@ -49,10 +49,9 @@ type solveEngine struct {
 	epoch       store.Epoch
 	progVersion int
 
-	// planner maintains the component solve plan (canonical order +
-	// partition) across solves, patching it from the grounder's atom
-	// journal and the union-find's change log instead of rebuilding it
-	// per solve.
+	// planner maintains the component solve plan across solves,
+	// patching it from the clause set's change log instead of rebuilding
+	// it per solve.
 	planner *engine.Planner
 
 	kernel *kernelState
@@ -107,15 +106,9 @@ func (s *Session) syncEngine(eng *solveEngine, parallelism int, d store.Delta) e
 		return err
 	}
 	delta := eng.g.ApplyUpdates(eng.cs, d.Added, d.Updated)
-	derived, err := eng.g.CloseDelta(s.prog, delta)
+	derived, err := eng.g.CloseDelta(s.prog, eng.cs, delta)
 	if err != nil {
 		return err
-	}
-	// Revived derived atoms may hold stale component links from before
-	// their retraction; touching them forces the lazy resplit to regroup
-	// their components from live clauses.
-	for _, a := range derived {
-		eng.cs.TouchAtom(a)
 	}
 	if err := eng.g.GroundDelta(s.prog, eng.cs, append(delta, derived...)); err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ground"
+	"repro/internal/kgen"
 	"repro/internal/rdf"
 	"repro/internal/repair"
 	"repro/internal/temporal"
@@ -221,13 +222,15 @@ func collect[T any](each func(func(T) bool)) []T {
 	return out
 }
 
-// freshResolution solves a brand-new session loaded to s's current
-// store state: nothing maintained, every stage from scratch.
+// freshResolution solves a brand-new session loaded with s's program
+// and current store state: nothing maintained, every stage from scratch.
 func freshResolution(t *testing.T, s *Session, opts SolveOptions) *Resolution {
 	t.Helper()
 	fresh := NewSession()
-	if err := fresh.LoadProgramText(equivProgram); err != nil {
-		t.Fatal(err)
+	for _, r := range s.Program().Rules {
+		if err := fresh.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fresh.LoadGraph(s.Store().Graph()); err != nil {
 		t.Fatal(err)
@@ -314,26 +317,96 @@ func testPlanMaintenanceDifferential(t *testing.T, solver translate.Solver, para
 			}
 		}
 		checkPlanMatchesFresh(t, maint, step)
+		checkResolutionMatchesFresh(t, maint, res, opts, step)
+	}
+}
 
-		// A fresh session numbers its atoms differently, so compare as
-		// the restart suite does: keyed by statement, not by atom id.
-		fresh := freshResolution(t, maint, opts)
-		a, b := canonDurable(res), canonDurable(fresh)
-		if solver == translate.SolverPSL {
-			// Warm-started ADMM reaches the same optimum only to within
-			// its residual tolerance; everything discrete must still match.
-			var ca, cb map[rdf.FactKey]float64
-			a, ca = takeConfidences(a)
-			b, cb = takeConfidences(b)
-			for k, v := range ca {
-				if d := v - cb[k]; d > 5e-3 || d < -5e-3 {
-					t.Fatalf("step %d: %v confidence %g, fresh session %g", step, k, v, cb[k])
-				}
+// checkResolutionMatchesFresh compares res, a solve of s, with a fresh
+// session's solve of the same state. A fresh session numbers its atoms
+// differently, so the comparison is the restart suite's: keyed by
+// statement, not by atom id.
+func checkResolutionMatchesFresh(t *testing.T, s *Session, res *Resolution, opts SolveOptions, step int) {
+	t.Helper()
+	fresh := freshResolution(t, s, opts)
+	a, b := canonDurable(res), canonDurable(fresh)
+	if opts.Solver == translate.SolverPSL {
+		// Warm-started ADMM reaches the same optimum only to within
+		// its residual tolerance; everything discrete must still match.
+		var ca, cb map[rdf.FactKey]float64
+		a, ca = takeConfidences(a)
+		b, cb = takeConfidences(b)
+		for k, v := range ca {
+			if d := v - cb[k]; d > 5e-3 || d < -5e-3 {
+				t.Fatalf("step %d: %v confidence %g, fresh session %g", step, k, v, cb[k])
 			}
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d: maintained-plan Resolution diverged from a fresh session\nmaintained: %+v\nfresh:      %+v",
-				step, a, b)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("step %d: maintained-plan Resolution diverged from a fresh session\nmaintained: %+v\nfresh:      %+v",
+			step, a, b)
+	}
+}
+
+// TestPlanMaintenanceLargeDelta: one batch retracts over 30 % of a
+// clustered session's facts, a second re-adds them, and the planner
+// patches both like any other delta. After each batch's solve the
+// maintained plan equals a fresh NewPlan, the solve ran under the
+// change set, and its answers equal a fresh session's — under MLN, PSL
+// and greedy at Parallelism 1 and 2. equivProgram's inference rule
+// (playsFor ⇒ worksFor) makes the re-add revive derived atoms as well
+// as evidence.
+func TestPlanMaintenanceLargeDelta(t *testing.T) {
+	ds := kgen.Clustered(kgen.ClusteredConfig{Clusters: 60, ClusterSize: 5, BridgeRate: 0.2, Seed: 3})
+	var batch []rdf.Quad
+	for i, q := range ds.Graph {
+		if i%3 == 0 {
+			batch = append(batch, q)
+		}
+	}
+	if len(batch)*10 < len(ds.Graph)*3 {
+		t.Fatalf("batch of %d facts is under 30 %% of %d", len(batch), len(ds.Graph))
+	}
+	for _, solver := range []translate.Solver{translate.SolverMLN, translate.SolverPSL, translate.SolverGreedy} {
+		for _, par := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/par%d", solver, par), func(t *testing.T) {
+				s := NewSession()
+				if err := s.LoadProgramText(kgen.ClusteredProgram + equivProgram); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.LoadGraph(ds.Graph); err != nil {
+					t.Fatal(err)
+				}
+				opts := SolveOptions{Solver: solver, Parallelism: par}
+				if _, err := s.Solve(opts); err != nil {
+					t.Fatal(err)
+				}
+				for step, apply := range []func(rdf.Quad){
+					func(q rdf.Quad) {
+						if !s.RemoveFact(q) {
+							t.Fatalf("%v was not live", q)
+						}
+					},
+					func(q rdf.Quad) {
+						if err := s.AddFact(q); err != nil {
+							t.Fatal(err)
+						}
+					},
+				} {
+					for _, q := range batch {
+						apply(q)
+					}
+					res, err := s.Solve(opts)
+					if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if ps := res.Stats.Plan; ps.Mode != "maintained" || !res.Output.TruthDelta() {
+						t.Fatalf("step %d: plan %+v, TruthDelta %v; want a maintained plan and a change-set solve",
+							step, ps, res.Output.TruthDelta())
+					}
+					checkPlanMatchesFresh(t, s, step)
+					checkResolutionMatchesFresh(t, s, res, opts, step)
+				}
+			})
 		}
 	}
 }

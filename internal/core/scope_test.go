@@ -191,8 +191,8 @@ func scopeSession(t *testing.T) (s *Session, update func(), retractQuarter func(
 		}
 		updates++
 	}
-	// Retracting more than a quarter of the atoms in one delta makes the
-	// planner rebuild instead of patching.
+	// retractQuarter retracts more than a quarter of the atoms in one
+	// delta, which the planner patches like any other.
 	retractQuarter = func() {
 		for c := 0; c < clusters; c++ {
 			s.RemoveFact(ds.Graph[c*size+size-1])
@@ -208,8 +208,9 @@ func scopeSession(t *testing.T) (s *Session, update func(), retractQuarter func(
 // every stage under the planner's change set, on every kernel — a
 // regression that silently scoped every component would pass every
 // equivalence suite — solving exactly the components the plan patched,
-// and that each event breaking the chain (another kernel's solve, a
-// ColdStart, a planner rebuild) costs exactly one all-component solve.
+// that each event breaking the chain (another kernel's solve, a
+// ColdStart) costs exactly one all-component solve, and that a delta
+// over a quarter of the atoms stays chained.
 func TestDeltaScopeEngages(t *testing.T) {
 	for _, tc := range []struct{ kernel, other translate.Solver }{
 		{translate.SolverMLN, translate.SolverPSL},
@@ -260,11 +261,16 @@ func TestDeltaScopeEngages(t *testing.T) {
 			solve("update after cold start", opts, true)
 
 			retractQuarter()
-			if res := solve("planner rebuild", opts, false); res.Stats.Plan.Mode != "rebuilt" {
-				t.Fatalf("a delta over a quarter of the atoms was patched, not rebuilt: %+v", res.Stats.Plan)
+			res, err := s.Solve(opts)
+			if err != nil {
+				t.Fatalf("large delta: %v", err)
+			}
+			if ps, c := res.Stats.Plan, res.Stats.Components; ps.Mode != "maintained" || !res.Output.TruthDelta() || c.Solved != ps.PatchedComponents {
+				t.Fatalf("large delta: TruthDelta %v, solved %d components (plan %+v); want the plan's patched components, chained",
+					res.Output.TruthDelta(), c.Solved, ps)
 			}
 			update()
-			solve("update after rebuild", opts, true)
+			solve("update after the large delta", opts, true)
 		})
 	}
 }

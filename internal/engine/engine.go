@@ -61,17 +61,15 @@ type Plan struct {
 	// sizes is the multiset of the components' sizes, which the planner
 	// moves by the components it re-lists.
 	sizes sizeAgg
-	// maintained marks a plan delta-patched by a Planner sync (as
-	// opposed to built from scratch). gen is the planner's sync
-	// generation — bumped on every Planner.Sync, including empty-delta
-	// and rebuild syncs (generation 1 is always a from-scratch build), and
-	// 0 for a NewPlan. dirty, retired and dead are that sync's change set
-	// (see scope, Cache.settle, Merge).
-	maintained bool
-	gen        uint64
-	dirty      []int32
-	retired    []ground.AtomID
-	dead       []ground.AtomID
+	// gen is the planner's sync generation: 1 for its one from-scratch
+	// build, bumped by every later Planner.Sync — each a delta-patching
+	// sync, empty-delta ones included — and 0 for a NewPlan. dirty,
+	// retired and dead are that sync's change set (see scope,
+	// Cache.settle, Merge).
+	gen     uint64
+	dirty   []int32
+	retired []ground.AtomID
+	dead    []ground.AtomID
 }
 
 // NewPlan partitions the clause set's ground network into conflict
@@ -102,8 +100,9 @@ func (p *Plan) Local(a ground.AtomID) int32 { return p.localOfAtom[a] }
 // chained reports whether state derived from generation have is exactly
 // one delta-patching sync behind this plan, so that the sync's change
 // set (dirty, retired, dead) is everything that differs. Any gap means
-// intervening syncs whose change sets were never observed.
-func (p *Plan) chained(have uint64) bool { return p.maintained && have+1 == p.gen }
+// intervening syncs whose change sets were never observed, and no state
+// (have 0) is chained on nothing, the first build included.
+func (p *Plan) chained(have uint64) bool { return have > 0 && have+1 == p.gen }
 
 // scope returns the components (ascending indexes into Comps) a
 // consumer holding state settled against generation have must visit,
@@ -113,7 +112,7 @@ func (p *Plan) chained(have uint64) bool { return p.maintained && have+1 == p.ge
 // retired keys and the retracted atoms a superset of every change, so a
 // component outside it has the same key, generation, membership, atom
 // truth domain and clause subproblem it had under the previous plan.
-// Otherwise — no state (have 0), a gap, a rebuilt plan, a NewPlan — it
+// Otherwise — no state (have 0), a gap, the first build, a NewPlan — it
 // is every component: a full pass is a pass in which every component is
 // dirty.
 func (p *Plan) scope(have uint64) (scope []int32, delta bool) {

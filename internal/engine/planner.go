@@ -13,20 +13,21 @@ import (
 // NewPlan rebuilds the whole decomposition on every call: a full scan
 // and canonical sort of the live atoms plus a full partition listing.
 // On a session engine those are the last whole-graph passes left on the
-// single-fact update path. The Planner below keeps one Plan alive
-// across solves and patches its partition from the deltas the lower
-// layers already track:
+// single-fact update path. The Planner below builds one Plan on its
+// first sync and from then on only patches its partition, from the one
+// change feed the lower layers keep:
 //
-//   - the AtomTable's mutation journal names every atom that entered or
-//     left the live set or changed state; the component-key mirror says
-//     which component each listed atom sat in;
-//   - the clause set's changed-root log names every component the
-//     union-find moved;
-//   - only the components those two name are re-grouped, their atoms
-//     sorted with ground.AtomTable.CompareCanonical, and written over
-//     the slots of the components they replace; the rest of the
-//     partition (and the Atoms slices the caches hold) stays where it
-//     is.
+//   - the clause set's change log names every atom the incremental
+//     grounder made live or changed and every root the union-find
+//     moved;
+//   - the component-key mirror says which listed component each logged
+//     atom sits in: that component is touched, and a logged atom the
+//     partition does not list yet enters it;
+//   - only the touched components are re-grouped (their retracted atoms
+//     leave the partition), their atoms sorted with
+//     ground.AtomTable.CompareCanonical, and written over the slots of
+//     the components they replace; the rest of the partition (and the
+//     Atoms slices the caches hold) stays where it is.
 //
 // Consumers read only the partition, as a set: no global atom order
 // and no list order is kept, so a sync costs what the delta changed,
@@ -39,7 +40,8 @@ import (
 // PlanStats reports how one solve obtained its decomposition plan.
 type PlanStats struct {
 	// Mode is "maintained" (delta-patched persistent plan) or
-	// "rebuilt" (from-scratch NewPlan, or the planner's first build).
+	// "rebuilt" (the planner's first sync, built from scratch; every
+	// later sync patches, however large its delta).
 	Mode string
 	// Atoms and Components describe the plan: live atoms and conflict
 	// components in the partition.
@@ -80,8 +82,7 @@ type Planner struct {
 
 	// Per-sync scratch, reused so the steady-state single-fact path
 	// stays allocation-free.
-	journal     []ground.AtomID
-	roots       []ground.AtomID
+	logged      []ground.AtomID
 	remIdx      []int
 	cands       []ground.AtomID
 	groupIdx    map[ground.AtomID]int32
@@ -109,44 +110,43 @@ func NewPlanner() *Planner { return &Planner{} }
 // a fresh NewPlan over the same state.
 func (pl *Planner) Plan() *Plan { return pl.plan }
 
-// Sync returns the plan for the current engine state, patched from the
-// atom journal and component change log accumulated since the last
-// call (or built from scratch on the first). The returned stats
-// describe what the sync did.
+// Sync returns the plan for the current engine state. The first call
+// builds it from scratch and binds the planner to atoms and cs; every
+// later call must pass the same pair and patches the plan from the
+// clause set's change log accumulated since the last call. The returned
+// stats describe what the sync did.
 func (pl *Planner) Sync(atoms *ground.AtomTable, cs *ground.ClauseSet) (*Plan, PlanStats) {
 	start := time.Now()
 	pl.stats = PlanStats{}
 	pl.gen++
-	if pl.plan == nil || pl.atoms != atoms || pl.cs != cs {
+	switch {
+	case pl.plan == nil:
 		pl.atoms, pl.cs = atoms, cs
 		pl.rebuild()
-	} else {
+		pl.stats.Mode = "rebuilt"
+	case pl.atoms != atoms || pl.cs != cs:
+		panic("engine: a Planner syncs the engine it was first synced with")
+	default:
 		pl.sync()
+		pl.stats.Mode = "maintained"
 	}
 	pl.plan.gen = pl.gen
-	if pl.plan.maintained {
-		pl.stats.Mode = "maintained"
-	} else {
-		pl.stats.Mode = "rebuilt"
-	}
 	pl.stats.Atoms = pl.live
 	pl.stats.Components = len(pl.plan.Comps)
 	pl.stats.Sync = time.Since(start)
 	return pl.plan, pl.stats
 }
 
-// rebuild constructs the plan from scratch and resets every mirror and
-// delta source to that snapshot.
+// rebuild constructs the first plan from scratch, starts the change
+// log from that snapshot and fills the mirrors.
 func (pl *Planner) rebuild() {
 	atoms, cs := pl.atoms, pl.cs
-	atoms.EnableJournal()
-	cs.EnableChangeLog()
 	p := NewPlan(atoms, cs)
+	cs.EnableChangeLog()
 
 	n := atoms.Len()
-	pl.compKeyOf = grow(pl.compKeyOf[:0], n, ground.AtomID(-1))
+	pl.compKeyOf = grow(pl.compKeyOf, n, ground.AtomID(-1))
 	pl.slotOf = grow(pl.slotOf, n, -1)
-	pl.live = 0
 	for ci := range p.Comps {
 		c := &p.Comps[ci]
 		pl.slotOf[c.Key] = int32(ci)
@@ -156,9 +156,6 @@ func (pl *Planner) rebuild() {
 		}
 	}
 
-	// The snapshot consumed everything the journal and change log held.
-	atoms.DrainJournal(func(ground.AtomID) {})
-	cs.DrainChangedRoots(func(ground.AtomID) {})
 	pl.plan = p
 }
 
@@ -172,27 +169,19 @@ func (pl *Planner) Slot(key ground.AtomID) int {
 	return -1
 }
 
-// sync patches the plan from the deltas accumulated since the last
-// sync. Afterwards Comps holds the listings a fresh NewPlan over the
-// same state would, in any order, with the same local numbering.
+// sync patches the plan from the change log accumulated since the
+// last sync. Afterwards Comps holds the listings a fresh NewPlan over
+// the same state would, in any order, with the same local numbering.
 func (pl *Planner) sync() {
 	atoms, cs, p := pl.atoms, pl.cs, pl.plan
-	p.maintained = true
 	p.retired = nil
 	pl.dirty, pl.dead = pl.dirty[:0], pl.dead[:0]
 	p.dirty, p.dead = pl.dirty, pl.dead
 
-	pl.journal = pl.journal[:0]
-	atoms.DrainJournal(func(a ground.AtomID) { pl.journal = append(pl.journal, a) })
-	pl.roots = pl.roots[:0]
-	cs.DrainChangedRoots(func(r ground.AtomID) { pl.roots = append(pl.roots, r) })
-	if len(pl.journal) == 0 && len(pl.roots) == 0 {
+	pl.logged = pl.logged[:0]
+	cs.DrainChangedRoots(func(a ground.AtomID) { pl.logged = append(pl.logged, a) })
+	if len(pl.logged) == 0 {
 		return // empty delta: the plan stands
-	}
-	// A delta comparable to the table is no longer a delta: rebuild.
-	if len(pl.journal)*4 > atoms.Len() {
-		pl.rebuild()
-		return
 	}
 
 	n := atoms.Len()
@@ -200,37 +189,23 @@ func (pl *Planner) sync() {
 	pl.compKeyOf = grow(pl.compKeyOf, n, ground.AtomID(-1))
 	pl.slotOf = grow(pl.slotOf, n, -1)
 
-	// Classify the journal against the live mirror. A listed atom's old
-	// component is touched; a listed atom now retracted is dead — out of
-	// the partition, its truth pinned false. Every journal atom still
-	// live is a candidate for re-grouping.
+	// A logged atom the partition lists touches its component; a logged
+	// live atom it does not list enters the partition as a candidate
+	// for re-grouping.
 	affected := pl.affectedBuf[:0] // old component keys touched
 	pl.cands = pl.cands[:0]
-	for _, a := range pl.journal {
-		nowLive := !atoms.IsRetracted(a)
+	for _, a := range pl.logged {
 		if key := pl.compKeyOf[a]; key >= 0 {
 			affected = append(affected, key)
-			if !nowLive {
-				pl.compKeyOf[a] = -1
-				pl.dead = append(pl.dead, a)
-			}
-		} else if nowLive {
-			pl.stats.InsertedAtoms++
-		}
-		if nowLive {
+		} else if !atoms.IsRetracted(a) {
 			pl.cands = append(pl.cands, a)
 		}
 	}
-	pl.stats.RemovedAtoms = len(pl.dead)
-	pl.live += pl.stats.InsertedAtoms - pl.stats.RemovedAtoms
+	pl.stats.InsertedAtoms = len(pl.cands)
 
-	// Changed roots that key a listed component touch it too; the live
-	// atoms of every touched component join the candidates.
-	for _, r := range pl.roots {
-		if pl.Slot(r) >= 0 {
-			affected = append(affected, r)
-		}
-	}
+	// The live atoms of every touched component join the candidates;
+	// its retracted ones are dead — out of the partition, their truth
+	// pinned false.
 	slices.Sort(affected)
 	affected = slices.Compact(affected)
 	pl.remIdx = pl.remIdx[:0]
@@ -241,13 +216,16 @@ func (pl *Planner) sync() {
 		}
 		pl.remIdx = append(pl.remIdx, idx)
 		for _, a := range p.Comps[idx].Atoms {
-			if !atoms.IsRetracted(a) {
+			if atoms.IsRetracted(a) {
+				pl.compKeyOf[a] = -1
+				pl.dead = append(pl.dead, a)
+			} else {
 				pl.cands = append(pl.cands, a)
 			}
 		}
 	}
-	slices.Sort(pl.cands)
-	pl.cands = slices.Compact(pl.cands)
+	pl.stats.RemovedAtoms = len(pl.dead)
+	pl.live += pl.stats.InsertedAtoms - pl.stats.RemovedAtoms
 
 	pl.spliceComps(affected)
 	pl.affectedBuf = affected

@@ -122,17 +122,6 @@ type AtomTable struct {
 	flags []uint8
 	confs []float64
 	fids  []store.FactID
-
-	// Mutation journal for the maintained solve plan: when enabled,
-	// every write that can change an atom's canonical position or
-	// subproblem (intern, evidence rebind, retraction, revival) records
-	// the atom id, deduplicated per drain window by a generation stamp.
-	// The planner drains it at each sync, so per-update planning walks
-	// the touched atoms instead of the table.
-	journalOn bool
-	jgen      uint32
-	jmark     []uint32
-	jatoms    []AtomID
 }
 
 // AtomInfo describes one ground atom.
@@ -210,7 +199,6 @@ func (t *AtomTable) intern(k atomKey) AtomID {
 	t.flags = append(t.flags, 0)
 	t.confs = append(t.confs, 0)
 	t.fids = append(t.fids, -1)
-	t.note(id)
 	return id
 }
 
@@ -228,10 +216,8 @@ func (t *AtomTable) internEvidence(k atomKey, conf float64, fid store.FactID) At
 		t.flags[id] |= atomEvidence
 		t.confs[id] = conf
 		t.fids[id] = fid
-		t.note(id)
 	} else if conf > t.confs[id] {
 		t.confs[id] = conf
-		t.note(id)
 	}
 	return id
 }
@@ -242,7 +228,6 @@ func (t *AtomTable) Retract(id AtomID) {
 	t.flags[id] = atomRetracted
 	t.confs[id] = 0
 	t.fids[id] = -1
-	t.note(id)
 }
 
 // SetEvidence (re)binds the atom to a live input fact, reviving it if
@@ -253,7 +238,6 @@ func (t *AtomTable) SetEvidence(id AtomID, conf float64, fid store.FactID) {
 	t.flags[id] = atomEvidence
 	t.confs[id] = conf
 	t.fids[id] = fid
-	t.note(id)
 }
 
 // SetDerived demotes the atom to a plain derived atom (no evidence
@@ -264,7 +248,6 @@ func (t *AtomTable) SetDerived(id AtomID) {
 	t.flags[id] = 0
 	t.confs[id] = 0
 	t.fids[id] = -1
-	t.note(id)
 }
 
 // Lookup returns the id of a statement without interning. Safe for
@@ -394,51 +377,6 @@ func (t *AtomTable) KeyView() KeyView {
 func (v KeyView) Key(id AtomID) rdf.FactKey {
 	k := &v.keys[id]
 	return rdf.FactKey{S: v.terms[k.s], P: v.terms[k.p], O: v.terms[k.o], Interval: k.iv}
-}
-
-// EnableJournal switches on the mutation journal. Atoms interned or
-// mutated from this point on are reported by DrainJournal; state
-// present before enablement is not (the planner's first build scans the
-// table instead).
-func (t *AtomTable) EnableJournal() {
-	if t.journalOn {
-		return
-	}
-	t.journalOn = true
-	t.jgen = 1
-	t.jmark = make([]uint32, len(t.keys))
-}
-
-// DrainJournal invokes fn for every atom touched since the previous
-// drain (each once, in touch order) and resets the journal window.
-// Write-side: see the type comment.
-func (t *AtomTable) DrainJournal(fn func(AtomID)) {
-	for _, a := range t.jatoms {
-		fn(a)
-	}
-	t.jatoms = t.jatoms[:0]
-	t.jgen++
-	if t.jgen == 0 { // stamp wrap: stale marks would alias the new window
-		for i := range t.jmark {
-			t.jmark[i] = 0
-		}
-		t.jgen = 1
-	}
-}
-
-// note records a state change of atom id in the journal.
-func (t *AtomTable) note(id AtomID) {
-	if !t.journalOn {
-		return
-	}
-	for len(t.jmark) <= int(id) {
-		t.jmark = append(t.jmark, 0)
-	}
-	if t.jmark[id] == t.jgen {
-		return
-	}
-	t.jmark[id] = t.jgen
-	t.jatoms = append(t.jatoms, id)
 }
 
 // EvidenceAtoms returns the ids of all evidence atoms.

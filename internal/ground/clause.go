@@ -306,7 +306,7 @@ func (cs *ClauseSet) RemoveAtoms(atoms []AtomID) int {
 		}
 		// The atom's component lost clauses and may have split; it is
 		// re-derived lazily at the next Components call.
-		cs.comps.noteRemoval(a)
+		cs.comps.touch(a)
 	}
 	return removed
 }

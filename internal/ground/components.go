@@ -107,10 +107,11 @@ type componentIndex struct {
 	dirty   map[AtomID]bool
 	nextGen uint32
 
-	// changed, once EnableChangeLog made it, accumulates every root
-	// whose component was touched since the last drain — generation
-	// bumps, merged-away roots, resplit pieces. The maintained solve plan
-	// drains it to re-list only the components that moved.
+	// changed, once EnableChangeLog made it, accumulates every atom
+	// touched and every root whose component moved since the last drain
+	// — generation bumps, merged-away roots, resplit pieces. The
+	// maintained solve plan drains it to re-list only the components that
+	// moved.
 	changed map[AtomID]bool
 
 	// resplit scratch, reused across calls so the steady-state
@@ -125,10 +126,10 @@ func newComponentIndex() *componentIndex {
 	return &componentIndex{dirty: make(map[AtomID]bool)}
 }
 
-// note records a changed root for the maintained plan's drain.
-func (ci *componentIndex) note(root AtomID) {
+// note records a changed atom or root for the maintained plan's drain.
+func (ci *componentIndex) note(a AtomID) {
 	if ci.changed != nil {
-		ci.changed[root] = true
+		ci.changed[a] = true
 	}
 }
 
@@ -189,25 +190,19 @@ func (ci *componentIndex) noteClause(lits []Lit) {
 	ci.bump(root)
 }
 
-// noteRemoval records that clauses mentioning atom a were tombstoned:
-// the component may have split, so it is re-derived lazily at the next
-// Components call.
-func (ci *componentIndex) noteRemoval(a AtomID) {
-	root := ci.find(a)
-	ci.bump(root)
-	ci.dirty[root] = true
-}
-
-// touch bumps the generation of a's component and schedules it for
-// re-derivation — for evidence/confidence changes and atom revivals that
-// alter the subproblem without touching any clause. Marking the
-// component dirty also dissolves stale union links a revived atom may
-// still hold from before its retraction: the lazy resplit regroups the
-// component purely from live clauses.
+// touch bumps the generation of a's component, schedules it for
+// re-derivation and logs a itself as well as the root — for atoms whose
+// clauses were tombstoned (the component may have split), and for
+// evidence/confidence changes and atom revivals that alter the
+// subproblem without touching any clause. Marking the component dirty
+// also dissolves stale union links a revived atom may still hold from
+// before its retraction: the lazy resplit regroups the component purely
+// from live clauses.
 func (ci *componentIndex) touch(a AtomID) {
 	root := ci.find(a)
 	ci.bump(root)
 	ci.dirty[root] = true
+	ci.note(a)
 }
 
 // EnableComponentIndex does nothing: every clause set keeps its
@@ -216,36 +211,37 @@ func (ci *componentIndex) touch(a AtomID) {
 // Deprecated: kept only until bench/ can be edited.
 func (cs *ClauseSet) EnableComponentIndex() {}
 
-// TouchAtom bumps the generation of the component containing atom a and
-// schedules it for lazy re-derivation. The incremental grounder calls it
-// whenever an atom's evidence state or confidence changes (including
-// retraction and revival), so component solution caches see the
-// subproblem change even though no clause did.
+// TouchAtom bumps the generation of the component containing atom a,
+// schedules it for lazy re-derivation and names a in the change log.
+// The incremental grounder calls it whenever an atom is made live or
+// its evidence state or confidence changes (including retraction and
+// revival), so component solution caches and the maintained plan see
+// the change even though no clause did.
 func (cs *ClauseSet) TouchAtom(a AtomID) { cs.comps.touch(a) }
 
-// EnableChangeLog switches on changed-root tracking for the maintained
-// solve plan: from now on every component mutation (merge, removal,
-// touch, resplit) records the affected roots, and DrainChangedRoots
-// hands them to the planner. It stays off until the planner's first
-// build because logging every root of a cold ground costs more than
-// the one rebuild that consumes the log.
+// EnableChangeLog switches on change tracking for the maintained solve
+// plan: from now on every touched atom (TouchAtom, RemoveAtoms) and
+// every root a component mutation (merge, removal, touch, resplit)
+// moved is recorded, and DrainChangedRoots hands them to the planner.
+// Together they name every atom the incremental grounder interns or
+// changes: each phase touches the atoms it changes, and an atom interned
+// for a new clause's head is a root that clause moved. It stays off
+// until the planner's first build because logging every root of a cold
+// ground costs more than the one build that consumes the log.
 func (cs *ClauseSet) EnableChangeLog() {
 	if cs.comps.changed == nil {
 		cs.comps.changed = make(map[AtomID]bool)
 	}
 }
 
-// DrainChangedRoots invokes fn for every root logged since the last
-// drain (in no particular order — callers re-sort by canonical
-// position) and clears the log. Returns the number of roots drained.
-func (cs *ClauseSet) DrainChangedRoots(fn func(AtomID)) int {
-	ci := cs.comps
-	n := len(ci.changed)
-	for r := range ci.changed {
-		fn(r)
-		delete(ci.changed, r)
+// DrainChangedRoots invokes fn for every atom and root logged since the
+// last drain, each once and in no particular order (callers re-sort by
+// canonical position), and clears the log.
+func (cs *ClauseSet) DrainChangedRoots(fn func(AtomID)) {
+	for a := range cs.comps.changed {
+		fn(a)
+		delete(cs.comps.changed, a)
 	}
-	return n
 }
 
 // ResolveSplits resolves pending component splits against the given

@@ -350,8 +350,8 @@ func (g *Grounder) derive(tasks []joinTask) ([]AtomID, error) {
 // atoms added. Clauses are not emitted here; call GroundProgram after.
 //
 // One full join pass over the store derives the first cascade depth;
-// CloseDelta, seeded with what that pass derived, runs the seminaive
-// rounds for the rest.
+// CloseDelta's seminaive rounds (chain), seeded with what that pass
+// derived, run the rest.
 func (g *Grounder) Close(prog *logic.Program) (int, error) {
 	rules := prog.InferenceRules()
 	if len(rules) == 0 {
@@ -363,11 +363,11 @@ func (g *Grounder) Close(prog *logic.Program) (int, error) {
 	if err == nil {
 		derived, err = g.derive(tasks)
 	}
-	g.statTotal += time.Since(start) // CloseDelta accounts for itself
+	g.statTotal += time.Since(start) // chain accounts for itself
 	if err != nil {
 		return len(derived), err
 	}
-	more, err := g.CloseDelta(prog, derived)
+	more, err := g.chain(prog, derived)
 	return len(derived) + len(more), err
 }
 

@@ -25,6 +25,10 @@ import (
 //     every backing are retracted and their clauses tombstoned; atoms
 //     still derivable are demoted to derived.
 //
+// Each phase reports every atom it makes live or changes to the clause
+// set's component index (TouchAtom, RemoveAtoms, or a new clause), so
+// the index's change log is the one record of what a sync moved.
+//
 // The maintained invariant, property-tested in the repository root: the
 // live atom set and live clause set always equal what a from-scratch
 // Close + GroundProgram over the current store state would produce, so
@@ -88,10 +92,22 @@ func evidenceKey(v store.View, id store.FactID) (atomKey, float64) {
 // CloseDelta seminaively forward-chains the inference rules starting
 // from the delta atoms, interning every newly derivable head. It returns
 // the atoms that became live (fresh or revived), excluding the input
-// delta. Only rules whose body can match a delta atom's predicate run,
-// and each pass pins one body position to the delta, so work scales with
-// the delta rather than the knowledge graph.
-func (g *Grounder) CloseDelta(prog *logic.Program, delta []AtomID) ([]AtomID, error) {
+// delta, and touches each in cs once: a revived atom may hold stale
+// component links from before its retraction, which the touch's lazy
+// resplit dissolves. Only rules whose body can match a delta atom's
+// predicate run, and each pass pins one body position to the delta, so
+// work scales with the delta rather than the knowledge graph.
+func (g *Grounder) CloseDelta(prog *logic.Program, cs *ClauseSet, delta []AtomID) ([]AtomID, error) {
+	derived, err := g.chain(prog, delta)
+	for _, a := range derived {
+		cs.TouchAtom(a)
+	}
+	return derived, err
+}
+
+// chain runs the seminaive rounds of CloseDelta (and of Close, whose
+// clause set does not exist yet) without touching any clause set.
+func (g *Grounder) chain(prog *logic.Program, delta []AtomID) ([]AtomID, error) {
 	rules := prog.InferenceRules()
 	if len(rules) == 0 || len(delta) == 0 {
 		return nil, nil

@@ -24,7 +24,7 @@ func syncStore(t *testing.T, g *Grounder, cs *ClauseSet, prog *logic.Program, ep
 		t.Fatal(err)
 	}
 	delta := g.ApplyUpdates(cs, d.Added, d.Updated)
-	derived, err := g.CloseDelta(prog, delta)
+	derived, err := g.CloseDelta(prog, cs, delta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -391,11 +391,10 @@ func Wikidata(cfg WikidataConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ds := &Dataset{Profile: "wikidata", Noise: make(map[rdf.FactKey]bool)}
 
-	gen := func(relation string, count int, objects int, genFact func(subj string, i int)) {
+	gen := func(relation string, count int, genFact func(subj string, i int)) {
 		for i := 0; i < count; i++ {
 			genFact(fmt.Sprintf("entity/%s/%06d", relation, i), i)
 		}
-		_ = objects
 	}
 
 	scale := func(n int) int {
@@ -439,7 +438,7 @@ func Wikidata(cfg WikidataConfig) *Dataset {
 	}
 
 	// spouse: marriage intervals; noise = overlapping second marriage.
-	gen("spouse", scale(wikidataSpouse), 0, func(subj string, i int) {
+	gen("spouse", scale(wikidataSpouse), func(subj string, i int) {
 		start := int64(1960 + rng.Intn(50))
 		dur := int64(1 + rng.Intn(30))
 		end := start + dur
@@ -469,7 +468,7 @@ func Wikidata(cfg WikidataConfig) *Dataset {
 	// are legal, so noise is instead a membership that starts before the
 	// member's founding-style lower bound — modelled as a fact whose
 	// interval precedes 1900 (violating a range constraint).
-	gen("memberOf", scale(wikidataMemberOf), 0, func(subj string, i int) {
+	gen("memberOf", scale(wikidataMemberOf), func(subj string, i int) {
 		start := int64(1950 + rng.Intn(60))
 		ds.add(rdf.Quad{
 			Subject:    rdf.NewIRI(subj),
@@ -491,7 +490,7 @@ func Wikidata(cfg WikidataConfig) *Dataset {
 	})
 
 	// occupation: one or two occupations with long validity.
-	gen("occupation", scale(wikidataOccupation), 0, func(subj string, i int) {
+	gen("occupation", scale(wikidataOccupation), func(subj string, i int) {
 		start := int64(1960 + rng.Intn(50))
 		ds.add(rdf.Quad{
 			Subject:    rdf.NewIRI(subj),
@@ -504,7 +503,7 @@ func Wikidata(cfg WikidataConfig) *Dataset {
 
 	// educatedAt: study periods; noise = overlapping enrolment at a
 	// second institution (constraint-violating for the demo's purposes).
-	gen("educatedAt", scale(wikidataEducatedAt), 0, func(subj string, i int) {
+	gen("educatedAt", scale(wikidataEducatedAt), func(subj string, i int) {
 		start := int64(1960 + rng.Intn(50))
 		end := start + int64(2+rng.Intn(5))
 		ds.add(rdf.Quad{

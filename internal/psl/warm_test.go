@@ -57,12 +57,9 @@ func (p *pipeline) solve(t *testing.T, opts Options, warm *Warm) (*Result, *Warm
 			t.Fatal(err)
 		}
 		delta := p.g.ApplyUpdates(p.cs, d.Added, d.Updated)
-		derived, err := p.g.CloseDelta(p.prog, delta)
+		derived, err := p.g.CloseDelta(p.prog, p.cs, delta)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, a := range derived {
-			p.cs.TouchAtom(a)
 		}
 		if err := p.g.GroundDelta(p.prog, p.cs, append(delta, derived...)); err != nil {
 			t.Fatal(err)

@@ -169,10 +169,10 @@ type Stats struct {
 	// split and the index/merge timings.
 	Outcome *OutcomeStats
 	// Plan summarises how the solve obtained its component decomposition
-	// plan: delta-maintained on the session engine or rebuilt from
-	// scratch, with splice/patch counts and the sync timing. Set on every
-	// session solve; nil only from the read-out entry points called
-	// outside a session (Resolve, ResolveComponents).
+	// plan: delta-maintained on the session engine or built from scratch
+	// on its first solve, with splice/patch counts and the sync timing.
+	// Set on every session solve; nil only from the read-out entry
+	// points called outside a session (Resolve, ResolveComponents).
 	Plan *engine.PlanStats
 }
 

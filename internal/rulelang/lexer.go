@@ -277,7 +277,6 @@ func (lx *lexer) next() (token, error) {
 				break
 			}
 			lx.advance(cw)
-			_ = cw
 		}
 		if lx.pos == start {
 			return token{}, lx.errorf(line, col, "empty variable name after '?'")

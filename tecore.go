@@ -170,14 +170,14 @@ type ComponentStats = ground.ComponentStats
 
 // PlanStats summarises the solve-plan stage of a solve: whether the
 // plan was patched in place ("maintained") or built from scratch
-// ("rebuilt", a session's first solve or a delta too large to patch),
+// ("rebuilt", only the first solve of a session engine),
 // the atoms that entered and left the live set, the partition-patch
 // counts, and the sync wall time;
 // available as Stats.Plan on every solve. PatchedComponents and
 // DroppedComponents are the change set
 // the solver stage and the read-out (repair plus live outcome, one pass
 // over one cache) scope their one pass to when their caches are exactly
-// one maintained sync behind; after a rebuilt plan — or any sync a stage
+// one maintained sync behind; after the first build — or any sync a stage
 // did not see — that stage visits every component.
 type PlanStats = engine.PlanStats
 
