@@ -69,6 +69,21 @@ func componentPool(subjects, spells int, seed int64) []tecore.Quad {
 	return pool
 }
 
+// localClique is n coach spells of one subject at distinct clubs, every
+// two overlapping: c2 grounds them into one clique of n atoms. From 18
+// atoms its elimination tables exceed the bucket-elimination engine's
+// budget, so whenever the clique is over ComponentExactLimit (48 by
+// default) the MLN kernel solves it by local search.
+func localClique(subject string, n int, seed int64) []tecore.Quad {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]tecore.Quad, n)
+	for k := range out {
+		out[k] = tecore.NewQuad(subject, "coach", fmt.Sprintf("Clique_%s_%d", subject, k),
+			tecore.MustInterval(2000+int64(k%3), 2010), 0.55+0.4*rng.Float64())
+	}
+	return out
+}
+
 // exactEverywhere forces both the whole-network cutting-plane oracle
 // and the per-component path onto the exact branch-and-bound engine,
 // where the unique MAP optimum makes results provably byte-identical.
@@ -119,11 +134,13 @@ func TestComponentIncrementalMatchesFreshComponent(t *testing.T) {
 	}
 	// Through the local-search engine, cold: the canonical per-component
 	// subproblems are byte-identical on both sides, so even the random
-	// walk reproduces exactly.
+	// walk reproduces exactly. ComponentExactLimit 1 keeps branch and
+	// bound out; the pool's components then go to bucket elimination,
+	// and a 24-atom clique, live throughout, to local search.
 	t.Run("mln-local-cold", func(t *testing.T) {
 		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ColdStart: true}
-		opts.Advanced.MLN.ComponentExactLimit = 1 // everything through local search
-		runTwoWaysProgram(t, componentProgram, componentPool(4, 4, 83), opts, opts, 89, 8, 17)
+		opts.Advanced.MLN.ComponentExactLimit = 1
+		runTwoWaysWithBase(t, componentProgram, localClique("Q", 24, 83), componentPool(4, 4, 83), opts, opts, 89, 8, 17, requireLocal)
 	})
 	t.Run("psl-cold", func(t *testing.T) {
 		opts := tecore.SolveOptions{Solver: tecore.SolverPSL, ColdStart: true}
@@ -134,8 +151,10 @@ func TestComponentIncrementalMatchesFreshComponent(t *testing.T) {
 // TestComponentParallelismDeterminism drives two component-decomposed
 // incremental sessions through the same mutation stream at parallelism
 // 1 and N: Resolutions and raw truth vectors must be identical at every
-// step, cached components included, for both backends and the default
-// engine mix (exact for small components, local search for large).
+// step, cached components included, for both backends and every MLN
+// engine (branch and bound for components within the exact limit,
+// elimination above it, local search for a clique too wide for
+// elimination, live throughout).
 func TestComponentParallelismDeterminism(t *testing.T) {
 	for _, solver := range []tecore.Solver{tecore.SolverMLN, tecore.SolverPSL} {
 		t.Run(solver.String(), func(t *testing.T) {
@@ -145,8 +164,12 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 				if err := s.LoadProgramText(componentProgram); err != nil {
 					t.Fatal(err)
 				}
+				if err := s.LoadGraph(localClique("Q", 20, 103)); err != nil {
+					t.Fatal(err)
+				}
 				return s
 			}
+			engines := map[string]int{}
 			seq, par := mkSession(), mkSession()
 			rng := rand.New(rand.NewSource(107))
 			live := make(map[int]bool)
@@ -174,8 +197,8 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 					apply(par, i, add)
 					live[i] = add
 				}
-				// Exercise both engines: tiny exact limit shunts larger
-				// components to local search.
+				// Exercise every engine: a tiny exact limit shunts larger
+				// components to elimination, and the clique to local search.
 				mk := func(parallelism int) tecore.SolveOptions {
 					o := tecore.SolveOptions{Solver: solver, Parallelism: parallelism}
 					o.ComponentExactLimit = 4
@@ -192,6 +215,9 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 				if ca, cb := canonResolution(a, 17), canonResolution(b, 17); ca != cb {
 					t.Fatalf("step %d: resolution differs between parallelism 1 and 8\n1:\n%s\n8:\n%s", step, ca, cb)
 				}
+				for e, n := range a.Stats.Components.Engines {
+					engines[e] += n
+				}
 				if len(a.Output.Truth) != len(b.Output.Truth) {
 					t.Fatalf("step %d: truth lengths differ", step)
 				}
@@ -200,6 +226,9 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 						t.Fatalf("step %d: truth[%d] differs between parallelism 1 and 8", step, i)
 					}
 				}
+			}
+			if solver == tecore.SolverMLN && (engines["exact"] == 0 || engines["local"] == 0) {
+				t.Fatalf("MLN engine tallies over the run: %v, want exact and local components", engines)
 			}
 		})
 	}

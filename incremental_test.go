@@ -159,7 +159,16 @@ func runIncrementalVsFreshProgram(t *testing.T, program string, pool []tecore.Qu
 // incremental-vs-fresh contract.
 func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts, freshOpts tecore.SolveOptions, seed int64, nSteps int, confDigits int) {
 	t.Helper()
-	runAgainstReference(t, program, pool, incOpts, func(t *testing.T, g tecore.Graph) *tecore.Resolution {
+	runTwoWaysWithBase(t, program, nil, pool, incOpts, freshOpts, seed, nSteps, confDigits, nil)
+}
+
+// runTwoWaysWithBase is runTwoWaysProgram over a session that also holds
+// the base facts, loaded first and never mutated, handing each
+// incremental Resolution to check when it is non-nil.
+func runTwoWaysWithBase(t *testing.T, program string, base, pool []tecore.Quad, incOpts, freshOpts tecore.SolveOptions, seed int64, nSteps int, confDigits int,
+	check func(t *testing.T, step int, res *tecore.Resolution)) {
+	t.Helper()
+	runAgainstReference(t, program, base, pool, incOpts, check, func(t *testing.T, g tecore.Graph) *tecore.Resolution {
 		fresh := tecore.NewSession()
 		if err := fresh.LoadGraph(g); err != nil {
 			t.Fatal(err)
@@ -181,20 +190,25 @@ func runTwoWaysProgram(t *testing.T, program string, pool []tecore.Quad, incOpts
 // the greedy kernel the session-vs-oracle contract.
 func runVsOracle(t *testing.T, program string, pool []tecore.Quad, incOpts, oracleOpts tecore.SolveOptions, seed int64, nSteps int, confDigits int) {
 	t.Helper()
-	runAgainstReference(t, program, pool, incOpts, func(t *testing.T, g tecore.Graph) *tecore.Resolution {
+	runAgainstReference(t, program, nil, pool, incOpts, nil, func(t *testing.T, g tecore.Graph) *tecore.Resolution {
 		return wholeNetworkReference(t, program, g, oracleOpts)
 	}, seed, nSteps, confDigits)
 }
 
-// runAgainstReference drives nSteps random mutations against a
-// long-lived incremental session solved with incOpts and compares it at
-// every step with reference over the same live graph.
-func runAgainstReference(t *testing.T, program string, pool []tecore.Quad, incOpts tecore.SolveOptions,
+// runAgainstReference drives nSteps random mutations of pool against a
+// long-lived incremental session holding the base facts, solved with
+// incOpts, and compares it at every step with reference over the same
+// live graph. check, when non-nil, sees each incremental Resolution.
+func runAgainstReference(t *testing.T, program string, base, pool []tecore.Quad, incOpts tecore.SolveOptions,
+	check func(t *testing.T, step int, res *tecore.Resolution),
 	reference func(t *testing.T, g tecore.Graph) *tecore.Resolution, seed int64, nSteps int, confDigits int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	inc := tecore.NewSession()
 	if err := inc.LoadProgramText(program); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.LoadGraph(base); err != nil {
 		t.Fatal(err)
 	}
 	live := make(map[int]bool)
@@ -240,6 +254,9 @@ func runAgainstReference(t *testing.T, program string, pool []tecore.Quad, incOp
 		}
 		if step > 0 && !incRes.Incremental {
 			t.Fatalf("step %d: solve did not take the delta path", step)
+		}
+		if check != nil {
+			check(t, step, incRes)
 		}
 
 		freshRes := reference(t, inc.Store().Graph())
@@ -340,15 +357,25 @@ func TestIncrementalMatchesFreshMLNExact(t *testing.T) {
 }
 
 func TestIncrementalMatchesFreshMLNLocalSearchCold(t *testing.T) {
-	// Larger pool: the solver takes the stochastic local-search path.
+	// A 50-atom clique, above ComponentExactLimit and too wide for
+	// bucket elimination, takes the stochastic local-search path.
 	// With ColdStart the incremental side must hand it a byte-identical
 	// canonical problem, making even the random walk reproduce exactly.
 	pool := factPool(4, 6)
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
-			runIncrementalVsFresh(t, pool,
-				tecore.SolveOptions{Solver: tecore.SolverMLN, Parallelism: par, ColdStart: true}, 11, 8)
+			opts := tecore.SolveOptions{Solver: tecore.SolverMLN, Parallelism: par, ColdStart: true}
+			runTwoWaysWithBase(t, incrementalProgram, localClique("Q", 50, 11), pool, opts, opts, 11, 8, 17, requireLocal)
 		})
+	}
+}
+
+// requireLocal fails a step whose solve ran no component by local
+// search.
+func requireLocal(t *testing.T, step int, res *tecore.Resolution) {
+	t.Helper()
+	if cs := res.Stats.Components; cs.Engines["local"] == 0 {
+		t.Fatalf("step %d: no component went to local search: %+v", step, cs.Engines)
 	}
 }
 
@@ -374,10 +401,11 @@ func TestIncrementalMatchesFreshCascade(t *testing.T) {
 				tecore.SolveOptions{Solver: tecore.SolverMLN, Parallelism: par}, 23, 12, 17)
 		})
 	}
-	// Larger cascade through the stochastic local-search path, cold.
+	// Larger cascade beside a 50-atom clique that goes to the stochastic
+	// local-search path, cold.
 	t.Run("mln/local-cold", func(t *testing.T) {
-		runIncrementalVsFreshProgram(t, cascadeProgram, cascadePool(4, 5),
-			tecore.SolveOptions{Solver: tecore.SolverMLN, ColdStart: true}, 29, 8, 17)
+		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ColdStart: true}
+		runTwoWaysWithBase(t, cascadeProgram, localClique("Q", 50, 29), cascadePool(4, 5), opts, opts, 29, 8, 17, requireLocal)
 	})
 	t.Run("psl/cold", func(t *testing.T) {
 		runIncrementalVsFreshProgram(t, cascadeProgram, cascadePool(3, 3),

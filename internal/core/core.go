@@ -120,9 +120,10 @@ func (s *Session) MissingPredicates() []string {
 // component plan, run the solver kernel, repair per conflict component,
 // patch the live outcome — so a re-solve costs in proportion to the
 // conflict a delta actually dirtied. Every kernel solves per component:
-// each component gets the engine its solver and size call for (exact
-// branch-and-bound for small ones and local search for large ones under
-// MLN, ADMM under PSL, the greedy sweep), components solve concurrently
+// each component gets the engine its solver and shape call for (under
+// MLN exact branch-and-bound for small ones, exact bucket elimination
+// for large ones of low induced width and local search for the rest;
+// ADMM under PSL; the greedy sweep), components solve concurrently
 // on the worker pool, and per-component solution caches skip the clean
 // ones.
 type SolveOptions struct {
@@ -138,8 +139,9 @@ type SolveOptions struct {
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
 	// ComponentExactLimit is the largest component (in atoms) handed to
-	// the exact MaxSAT engine; larger components use local search
-	// (default 48; MLN backend only).
+	// the exact branch-and-bound; larger components use exact bucket
+	// elimination when their induced width allows, local search
+	// otherwise (default 48; MLN backend only).
 	ComponentExactLimit int
 	// ColdStart starts the solver kernel from nothing for this solve: no
 	// warm start from the previous solution, empty per-component solution
@@ -148,9 +150,10 @@ type SolveOptions struct {
 	// delta state. A solve under another solver or another tuning
 	// (Advanced, ComponentExactLimit) is a cold start too. A cold start
 	// answers exactly as a fresh session over the same facts does. With
-	// warm starts the exact MaxSAT engine still guarantees it, and large
-	// local-search instances may settle on equally-valid near-identical
-	// states. Warm-started PSL reaches a fresh solve's kept and removed
+	// warm starts the exact MaxSAT engines still guarantee it (bucket
+	// elimination ignores the warm start), and local-search instances —
+	// components too wide for elimination — may settle on equally-valid
+	// near-identical states. Warm-started PSL reaches a fresh solve's kept and removed
 	// facts and removed weight, since its rounding ignores where ADMM
 	// stopped (an optimum on the edge of a rounding band excepted); its
 	// soft values, and so the confidences of inferred facts, agree only

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/repair"
+	"repro/internal/temporal"
 	"repro/internal/translate"
 )
 
@@ -154,17 +156,19 @@ func TestDurableRecoveryByteIdentical(t *testing.T) {
 // the reopened session's first solve must equal a fresh session loaded
 // with the recovered graph and the same program. It covers the exact and
 // the local-search MaxSAT engines (ComponentExactLimit 1 sends every
-// component to local search, whose trajectory depends on its start),
-// PSL and greedy, at parallelism 1 and 2.
+// component past branch and bound, and a 24-atom clique of coach spells
+// past bucket elimination to local search, whose trajectory depends on
+// its start), PSL and greedy, at parallelism 1 and 2.
 func TestDurableRecoveredMatchesFresh(t *testing.T) {
 	configs := []struct {
-		name string
-		opts SolveOptions
+		name   string
+		opts   SolveOptions
+		clique int // spells of one extra subject, every two overlapping
 	}{
-		{"mln", SolveOptions{Solver: translate.SolverMLN}},
-		{"mln-local", SolveOptions{Solver: translate.SolverMLN, ComponentExactLimit: 1}},
-		{"psl", SolveOptions{Solver: translate.SolverPSL}},
-		{"greedy", SolveOptions{Solver: translate.SolverGreedy}},
+		{"mln", SolveOptions{Solver: translate.SolverMLN}, 0},
+		{"mln-local", SolveOptions{Solver: translate.SolverMLN, ComponentExactLimit: 1}, 24},
+		{"psl", SolveOptions{Solver: translate.SolverPSL}, 0},
+		{"greedy", SolveOptions{Solver: translate.SolverGreedy}, 0},
 	}
 	for _, cfg := range configs {
 		for _, par := range []int{1, 2} {
@@ -172,22 +176,38 @@ func TestDurableRecoveredMatchesFresh(t *testing.T) {
 			opts.Parallelism = par
 			for seed := int64(1); seed <= 8; seed++ {
 				name := fmt.Sprintf("%s/p%d/seed%d", cfg.name, par, seed)
-				got, want := recoveredAndFresh(t, opts, seed)
+				pool := append(equivPool(6, 4), coachClique("Q", cfg.clique)...)
+				got, want, engines := recoveredAndFresh(t, opts, seed, pool)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: recovered first solve differs from a fresh session\nrecovered: %+v\nfresh:     %+v",
 						name, got, want)
+				}
+				if cfg.clique > 0 && engines["local"] == 0 {
+					t.Errorf("%s: no component went to local search: %v", name, engines)
 				}
 			}
 		}
 	}
 }
 
+// coachClique is n coach spells of one subject at distinct clubs, every
+// two overlapping, so c2 grounds them into one clique of n atoms: from
+// 18 atoms too wide for bucket elimination's table budget.
+func coachClique(subject string, n int) []rdf.Quad {
+	out := make([]rdf.Quad, n)
+	for k := range out {
+		out[k] = rdf.NewQuad(subject, "coach", fmt.Sprintf("Clique_%s_%d", subject, k),
+			temporal.MustNew(2000+int64(k%3), 2010), 0.55+0.4*float64(k*7%n)/float64(n))
+	}
+	return out
+}
+
 // recoveredAndFresh runs one TestDurableRecoveredMatchesFresh schedule
-// and returns the reopened session's first solve and the fresh
-// session's, both canonicalised.
-func recoveredAndFresh(t *testing.T, opts SolveOptions, seed int64) (recovered, fresh canonResolution) {
+// over pool and returns the reopened session's first solve and the
+// fresh session's, both canonicalised, and the reopened solve's engine
+// tallies.
+func recoveredAndFresh(t *testing.T, opts SolveOptions, seed int64, pool []rdf.Quad) (recovered, fresh canonResolution, engines map[string]int) {
 	t.Helper()
-	pool := equivPool(6, 4)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	first, second := pool[:len(pool)/2], pool[len(pool)/2:]
@@ -248,7 +268,7 @@ func recoveredAndFresh(t *testing.T, opts SolveOptions, seed int64) (recovered, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return canonDurable(r), canonDurable(w)
+	return canonDurable(r), canonDurable(w), r.Stats.Components.Engines
 }
 
 // TestEnableDurability checks the volatile-to-durable upgrade: the

@@ -52,10 +52,11 @@ type ComponentStats struct {
 	// counts cache hits whose previous solution was kept.
 	Solved int
 	Reused int
-	// Fallbacks counts components where the exact engine exhausted its
-	// node limit and the orchestrator fell back to local search.
+	// Fallbacks counts components where the branch-and-bound exhausted
+	// its node limit and the orchestrator fell back to local search.
 	Fallbacks int
-	// Engines tallies components per engine ("exact", "local",
+	// Engines tallies components per engine ("exact" for a proved
+	// optimum, by branch-and-bound or bucket elimination; "local",
 	// "exact→local", "admm", "cached").
 	Engines map[string]int
 }

@@ -5,10 +5,14 @@
 // MAP inference in a Markov logic network is exactly weighted partial
 // MaxSAT over the ground network, so this package plays the role the
 // Gurobi ILP backend plays inside RockIt: the encodings differ, the
-// optimum is the same. Two engines are provided — an exact
-// branch-and-bound with unit propagation for small ground networks, and
-// a WalkSAT-style stochastic local search with greedy initialisation for
-// large ones — behind a single Solve entry point that picks by size.
+// optimum is the same. Three engines sit behind one Solve entry point,
+// tried in order: an exact branch-and-bound with unit propagation for
+// problems of at most ExactVarLimit variables; exact bucket elimination
+// (elim.go) for larger problems whose primal graph has low induced
+// width, as the interval-overlap conflict components of temporal
+// constraints have when few facts overlap at once; and a WalkSAT-style stochastic local search with
+// greedy initialisation for the rest. Both exact engines report
+// Engine "exact" and Optimal.
 //
 // Local-search restarts run in sequence, each with its own RNG (seeded
 // from Options.Seed and the restart index) and its own working state,
@@ -77,18 +81,21 @@ type Solution struct {
 	// feasible assignment was found (the hard clauses may be
 	// unsatisfiable).
 	HardSatisfied bool
-	// Optimal reports whether the exact engine proved optimality.
+	// Optimal reports an optimum proved by an exact engine: the
+	// branch-and-bound, or bucket elimination.
 	Optimal bool
 	// Flips counts local-search steps across the restarts that ran (0
-	// for the exact engine): every iteration of the walk, the moves it
+	// for the exact engines): every iteration of the walk, the moves it
 	// declined included. Restarts after the first perfect one do not
 	// run.
 	Flips int
-	// Nodes counts branch-and-bound nodes (0 for local search).
+	// Nodes counts branch-and-bound nodes (0 for bucket elimination and
+	// local search).
 	Nodes int
-	// Engine names the engine that produced the assignment: "exact",
-	// "local", or "exact→local" when the exact engine exhausted its node
-	// limit and Solve fell back to local search.
+	// Engine names the guarantee behind the assignment: "exact" for a
+	// proved optimum (branch-and-bound or bucket elimination), "local"
+	// for local search, or "exact→local" when the branch-and-bound
+	// exhausted its node limit and Solve fell back to local search.
 	Engine string
 }
 
@@ -101,8 +108,10 @@ const (
 
 // Options tunes Solve.
 type Options struct {
-	// ExactVarLimit is the largest variable count handed to the exact
-	// engine (default 30).
+	// ExactVarLimit is the largest variable count handed to the
+	// branch-and-bound (default 30). Larger problems go to bucket
+	// elimination when its tables fit a fixed budget (elimCellBudget),
+	// to local search otherwise.
 	ExactVarLimit int
 	// NodeLimit bounds branch-and-bound nodes before falling back to
 	// local search (default 1<<21).
@@ -114,15 +123,18 @@ type Options struct {
 	Noise float64
 	// Restarts is the number of local-search restarts (default 3).
 	Restarts int
-	// Seed seeds the local-search RNG (default 1).
+	// Seed seeds the local-search RNG (default 1). Bucket elimination
+	// ignores it.
 	Seed int64
 	// Warm, when it has exactly NumVars entries, warm-starts the solver
-	// from a previous solution of a closely related instance. The exact
-	// engine uses it purely as an initial upper bound: pruning is strict,
-	// so the returned assignment is provably identical to a cold solve —
-	// only faster. The local-search engine initialises restart 0 from it
-	// instead of the greedy heuristic, which speeds convergence but may
-	// settle on a different (equally valid) assignment than a cold run.
+	// from a previous solution of a closely related instance. The
+	// branch-and-bound uses it purely as an initial upper bound: pruning
+	// is strict, so the returned assignment is provably identical to a
+	// cold solve — only faster. Bucket elimination ignores it, so its
+	// answer is the same warm or cold. The local-search engine
+	// initialises restart 0 from it instead of the greedy heuristic,
+	// which speeds convergence but may settle on a different (equally
+	// valid) assignment than a cold run.
 	Warm []bool
 }
 
@@ -174,9 +186,11 @@ func Evaluate(p *Problem, assign []bool) (hardViolations int, cost float64) {
 	return hardViolations, cost
 }
 
-// Solve picks an engine by instance size: exact branch-and-bound when the
-// variable count is within ExactVarLimit, stochastic local search
-// otherwise (or when the node limit is exhausted).
+// Solve picks an engine: exact branch-and-bound when the variable count
+// is within ExactVarLimit (local search when it exhausts its node
+// limit); otherwise bucket elimination when its tables fit the budget
+// and the hard clauses are satisfiable; stochastic local search
+// otherwise.
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -192,6 +206,10 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		}
 		sol := solveLocal(p, opts)
 		sol.Engine = EngineFallback
+		return sol, nil
+	}
+	if sol, ok := solveElim(p); ok {
+		sol.Engine = EngineExact
 		return sol, nil
 	}
 	sol := solveLocal(p, opts)

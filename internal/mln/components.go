@@ -26,13 +26,15 @@ import (
 // plugs its sweep in as another Kernel. The MaxSAT kernel adds:
 //
 //   - engine specialisation: small components go to the exact
-//     branch-and-bound (provably optimal), large ones to local search;
-//     a component whose exact search exhausts its node limit falls back
-//     to local search rather than keeping the partial result;
+//     branch-and-bound, large ones to exact bucket elimination when
+//     their induced width allows (both provably optimal) and to local
+//     search otherwise; a component whose branch-and-bound exhausts its
+//     node limit falls back to local search rather than keeping the
+//     partial result;
 //   - per-component subproblems built in canonical atom and clause
 //     order, so any two grounder states with equal live atoms and
 //     clauses produce byte-identical subproblems regardless of interning
-//     history, and wherever the exact engine runs — where the optimum is
+//     history, and wherever an exact engine runs — where the optimum is
 //     unique — the MAP state is that of the whole network solved at once.
 //
 // The solve-level read-out (violated soft weight, hard feasibility,
@@ -127,8 +129,9 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 }
 
 // SolveComponents runs kernel — the MaxSAT kernel when nil: exact
-// branch-and-bound for components within ComponentExactLimit, local
-// search otherwise — once per conflict component of an already-closed
+// branch-and-bound for components within ComponentExactLimit, exact
+// bucket elimination or local search above it — once per conflict
+// component of an already-closed
 // grounder and its full clause set, and merges the assignments into one
 // state; forward chaining and grounding are the caller's responsibility (Close/GroundProgram, or CloseDelta/GroundDelta
 // on a session engine). warm, when non-nil, is the previous state this
@@ -220,8 +223,9 @@ func resultFromAgg(agg *stateAgg, cs *ground.ClauseSet, stats *ground.ComponentS
 // solveComponent is the MaxSAT kernel: it builds the component's
 // weighted MaxSAT subproblem from its priors and clauses and solves it
 // with exact branch-and-bound for components within ComponentExactLimit
-// (falling back to local search when the node limit is exhausted), local
-// search otherwise.
+// (falling back to local search when the node limit is exhausted), and
+// above it with exact bucket elimination when the component's width
+// allows, local search otherwise.
 func solveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []ground.Clause, opts Options, warm []bool) ([]bool, string, error) {
 	n := len(vars)
 	problem := &maxsat.Problem{NumVars: n}

@@ -6,7 +6,11 @@
 // constraint groundings contribute weighted clauses. MAP — the most
 // probable world — is computed as weighted partial MaxSAT over the fully
 // grounded network, one subproblem per independent conflict component
-// (see components.go). The component loop also runs the greedy baseline
+// (see components.go), each solved exactly whenever the maxsat package
+// can: branch-and-bound up to ComponentExactLimit atoms, bucket
+// elimination above it when the component's induced width is low (the
+// interval-overlap components temporal constraints ground are), local
+// search otherwise. The component loop also runs the greedy baseline
 // as its kernel (SolveComponents).
 //
 // CuttingPlane is the whole-network counterpart, kept as a test oracle:
@@ -48,9 +52,11 @@ type Options struct {
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
 	// ComponentExactLimit is the largest conflict component (in atoms)
-	// handed to the exact branch-and-bound engine; larger components use
-	// local search (default 48). Unused by CuttingPlane, which solves the
-	// whole network as one MaxSAT problem.
+	// handed to the exact branch-and-bound engine (default 48). Larger
+	// components go to exact bucket elimination when its tables fit
+	// the maxsat package's fixed budget, and to local search otherwise.
+	// Unused by CuttingPlane, which solves the whole network as one
+	// MaxSAT problem.
 	ComponentExactLimit int
 	// MaxSAT tunes the underlying solver.
 	MaxSAT maxsat.Options

@@ -476,7 +476,8 @@ type SolveRequest struct {
 	// at it.
 	Parallelism int `json:"parallelism,omitempty"`
 	// ComponentExactLimit is the largest conflict component handed to
-	// the exact MaxSAT engine (0 = default 48); stats.Components reports
+	// the exact branch-and-bound (0 = default 48); larger ones go to
+	// exact bucket elimination or local search. stats.Components reports
 	// the decomposition.
 	ComponentExactLimit int `json:"componentExactLimit,omitempty"`
 }

@@ -481,7 +481,8 @@ type SessionSolveRequest struct {
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool `json:"componentSolve,omitempty"`
 	// ComponentExactLimit is the largest conflict component handed to
-	// the exact MaxSAT engine (0 = default 48).
+	// the exact branch-and-bound (0 = default 48); larger ones go to
+	// exact bucket elimination or local search.
 	ComponentExactLimit int `json:"componentExactLimit,omitempty"`
 	// ColdStart disables warm-starting from the previous solution (and
 	// drops the per-component caches for this solve).
