@@ -23,9 +23,11 @@
 // Every join phase — Close's full pass, each seminaive round of
 // CloseDelta, and the clause emission of GroundProgram and GroundDelta —
 // runs through one runner (runPhase) over a task list: one task per
-// rule, or per rule and delta position on the seminaive passes; a rule's
-// depth-0 candidates are additionally split into contiguous chunks when
-// the program has fewer rules than workers. A phase is two functions:
+// rule, or per rule and delta position on the seminaive passes; on a
+// full pass with several workers a rule's depth-0 candidates are
+// additionally split into contiguous chunks of at most about
+// total/(2·workers), so a heavy rule does not run on one core. A phase
+// is two functions:
 //
 //   - emit resolves one grounding against read-only store views and the
 //     atom table (lookups only) and decides what to keep: a head

@@ -31,6 +31,21 @@ type cquad struct {
 	s, p, o cterm
 	tSlot   int32 // time-variable slot; -1 when the atom time is constant
 	tConst  temporal.Interval
+	// rel, when on, is the Allen condition pushed into this depth's store
+	// match; set only where this depth first binds tSlot.
+	rel timeRel
+}
+
+// timeRel is an Allen condition lowered to a store-side time filter at
+// the join depth that first binds one of its time variables: a candidate
+// interval iv is kept iff rels.Has(RelationBetween(other, iv)), where
+// other is the time slot bound at an earlier depth or, when slot < 0,
+// the constant iv.
+type timeRel struct {
+	on   bool
+	slot int32
+	iv   temporal.Interval
+	rels temporal.RelationSet
 }
 
 // chead is a compiled HeadAtom. Its constants are interned into the
@@ -106,6 +121,7 @@ func (g *Grounder) compileRule(r *logic.Rule, first int) (*compiledRule, error) 
 		}
 		cr.quads[d] = cq
 	}
+	pushAllen(r, sm, order, cr.quads)
 	condAt, err := scheduleConds(r, order)
 	if err != nil {
 		return nil, err
@@ -144,6 +160,89 @@ func (g *Grounder) compileRule(r *logic.Rule, first int) (*compiledRule, error) 
 		cr.headCond = cc
 	}
 	return cr, nil
+}
+
+// pushAllen gives each join depth at most one Allen filter (see timeRel)
+// from the rule's conditions: a body condition keeps its relations, a
+// constraint head keeps their complement — a grounding whose head holds
+// emits nothing — and a condition whose left operand binds at the later
+// depth is turned round, each relation mapped to its converse. Of several
+// conditions on one depth the one admitting fewest relations wins.
+// Operands that are interval expressions, or the same variable twice,
+// give no filter. A filter drops only candidates under which the
+// condition is false, and every condition is still evaluated in the
+// join, so the groundings that emit are exactly those of an unfiltered
+// join, in the same order.
+//
+// A rule with a condition that can fail to evaluate (arithmetic, an
+// interval expression, a time variable the body does not bind) gets no
+// filter: pruning could skip the grounding that reports the error.
+func pushAllen(r *logic.Rule, sm *logic.SlotMap, order []int, quads []cquad) {
+	firstT := make(map[string]int, len(order))
+	for d, idx := range order {
+		if t := r.Body[idx].T; t.Kind == logic.TimeVar {
+			if _, seen := firstT[t.Var]; !seen {
+				firstT[t.Var] = d
+			}
+		}
+	}
+	// depthOf is the depth at which a plain operand is known: -1 for a
+	// constant. ok is false for anything else.
+	depthOf := func(t logic.TimeTerm) (int, bool) {
+		switch t.Kind {
+		case logic.TimeConst:
+			return -1, true
+		case logic.TimeVar:
+			d, ok := firstT[t.Var]
+			return d, ok
+		}
+		return 0, false
+	}
+	conds := r.Conds
+	if r.Head.Kind == logic.HeadCond {
+		conds = append(conds[:len(conds):len(conds)], r.Head.Cond)
+	}
+	best := make([]timeRel, len(quads))
+	for i, c := range conds {
+		var ac logic.AllenCond
+		switch c := c.(type) {
+		case logic.CompareCond:
+			continue
+		case logic.AllenCond:
+			ac = c
+		default:
+			return
+		}
+		ld, lok := depthOf(ac.L)
+		rd, rok := depthOf(ac.R)
+		if !lok || !rok {
+			return
+		}
+		if ld == rd {
+			continue // rel(t, t) or two constants: nothing to filter
+		}
+		rels := ac.Rels
+		if i == len(r.Conds) { // the constraint head
+			rels = temporal.FullSet &^ rels
+		}
+		other, d := ac.L, rd
+		if ld > rd {
+			other, d, rels = ac.R, ld, rels.Inverse()
+		}
+		f := timeRel{on: true, slot: -1, rels: rels}
+		if other.Kind == logic.TimeVar {
+			slot, _ := sm.TimeSlot(other.Var)
+			f.slot = int32(slot)
+		} else {
+			f.iv = other.Const
+		}
+		if b := &best[d]; !b.on || rels.Len() < b.rels.Len() {
+			*b = f
+		}
+	}
+	for d := range quads {
+		quads[d].rel = best[d]
+	}
 }
 
 // planJoin chooses a join order greedily from the rule and the posting

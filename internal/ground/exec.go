@@ -71,10 +71,12 @@ func (g *Grounder) atomOf(fc store.FactCodes) (acodes, bool) {
 }
 
 // codePatternAt builds the code pattern for the join depth's body atom
-// under the current frame; one pattern serves both store views. ok=false
-// means no fact can match: a body constant is absent from the dictionary
-// (NoTerm must never leak into a pattern as "unknown term" — it would
-// read as a wildcard).
+// under the current frame; one pattern serves both store views. A time
+// variable already bound matches its interval exactly; one this depth
+// binds first carries the depth's Allen filter, if any, against the
+// other operand's interval. ok=false means no fact can match: a body
+// constant is absent from the dictionary (NoTerm must never leak into a
+// pattern as "unknown term" — it would read as a wildcard).
 func codePatternAt(cq *cquad, fr *logic.Frame) (store.CodePattern, bool) {
 	var cp store.CodePattern
 	fill := func(ct *cterm, dst *store.TermID) bool {
@@ -91,8 +93,15 @@ func codePatternAt(cq *cquad, fr *logic.Frame) (store.CodePattern, bool) {
 		return cp, false
 	}
 	if cq.tSlot >= 0 {
-		if fr.TimeSet[cq.tSlot] {
+		switch rel := &cq.rel; {
+		case fr.TimeSet[cq.tSlot]:
 			cp.Time = store.TimeFilter{Kind: store.TimeEquals, Interval: fr.Times[cq.tSlot]}
+		case rel.on:
+			iv := rel.iv
+			if rel.slot >= 0 {
+				iv = fr.Times[rel.slot]
+			}
+			cp.Time = store.TimeFilter{Kind: store.TimeAllen, Interval: iv, Rels: rel.rels}
 		}
 	} else {
 		cp.Time = store.TimeFilter{Kind: store.TimeEquals, Interval: cq.tConst}

@@ -84,8 +84,8 @@ func (g *Grounder) DerivedStore() *store.Store { return g.derived }
 
 // joinTask is one unit of parallel grounding work: a compiled rule
 // restricted to a contiguous chunk of the depth-0 candidate facts.
-// Splitting at depth 0 lets a program with fewer rules than workers
-// still saturate the pool;
+// Splitting at depth 0 by candidate count spreads a heavy rule over the
+// pool whatever the rule count;
 // because chunks are contiguous and committed in order, chunk boundaries
 // never affect output. Candidates are carried as compact fact ids —
 // main-store ids first, then derived — and decoded by the worker, so a
@@ -145,13 +145,8 @@ func (m *deltaMode) admits(bodyPos int, id AtomID) bool {
 // either store until the phase's commits begin.
 func (g *Grounder) joinTasks(rules []*logic.Rule) ([]joinTask, error) {
 	g.refreshViews()
-	chunksPer := 1
-	if workers := par.Workers(g.Parallelism); workers > 1 && len(rules) > 0 && len(rules) < workers {
-		// Oversplit to roughly two tasks per worker so one heavy rule
-		// cannot strand the pool.
-		chunksPer = (2*workers + len(rules) - 1) / len(rules)
-	}
-	tasks := make([]joinTask, 0, len(rules)*chunksPer)
+	whole := make([]joinTask, 0, len(rules))
+	total := 0
 	for _, r := range rules {
 		cr, err := g.compileRule(r, -1)
 		if err != nil {
@@ -168,25 +163,34 @@ func (g *Grounder) joinTasks(rules []*logic.Rule) ([]joinTask, error) {
 				t.derivedIDs = g.derivedView.MatchCodeIDs(cp)
 			}
 		}
-		tasks = splitTask(tasks, t, chunksPer)
+		total += len(t.mainIDs) + len(t.derivedIDs)
+		whole = append(whole, t)
+	}
+	// Cut every rule's candidates into chunks of at most about
+	// total/(2·workers), so one heavy rule is spread over the pool
+	// whatever the rule count.
+	chunk := total
+	if workers := par.Workers(g.Parallelism); workers > 1 {
+		chunk = (total + 2*workers - 1) / (2 * workers)
+	}
+	tasks := make([]joinTask, 0, len(whole))
+	for _, t := range whole {
+		tasks = splitTask(tasks, t, chunk)
 	}
 	return tasks, nil
 }
 
-// splitTask appends t to tasks, cut into up to chunksPer contiguous
-// windows over its main++derived depth-0 candidates. Because chunks are
-// contiguous and committed in order, chunk boundaries never affect
-// output.
-func splitTask(tasks []joinTask, t joinTask, chunksPer int) []joinTask {
+// splitTask appends t to tasks, cut into as few contiguous windows over
+// its main++derived depth-0 candidates as hold at most chunk each.
+// Because chunks are contiguous and committed in order, chunk boundaries
+// never affect output.
+func splitTask(tasks []joinTask, t joinTask, chunk int) []joinTask {
 	mainIDs, derivedIDs := t.mainIDs, t.derivedIDs
 	total := len(mainIDs) + len(derivedIDs)
-	chunks := chunksPer
-	if chunks > total {
-		chunks = total
-	}
-	if chunks <= 1 {
+	if chunk <= 0 || total <= chunk {
 		return append(tasks, t)
 	}
+	chunks := (total + chunk - 1) / chunk
 	for c := 0; c < chunks; c++ {
 		lo := c * total / chunks
 		hi := (c + 1) * total / chunks

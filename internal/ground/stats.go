@@ -29,7 +29,10 @@ type RuleGroundStats struct {
 	// joins across all phases.
 	Candidates int64
 	// Emitted counts groundings that reached emission: derived-head
-	// candidates during closure, clause candidates during grounding.
+	// candidates during closure, clause candidates during grounding. A
+	// grounding pruned by an Allen filter in the store match (a body
+	// condition that fails, a constraint head that holds) never reaches
+	// emission and is not counted.
 	Emitted int64
 	// Time is join wall time summed over this rule's tasks.
 	Time time.Duration

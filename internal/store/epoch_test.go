@@ -258,6 +258,13 @@ func TestTimeFilterEdgeIntervals(t *testing.T) {
 		{"any", TimeFilter{}, 1},
 		{"equals-exact", TimeFilter{Kind: TimeEquals, Interval: temporal.MustNew(10, 20)}, 1},
 		{"equals-off-by-one", TimeFilter{Kind: TimeEquals, Interval: temporal.MustNew(10, 19)}, 0},
+		// TimeAllen relates the reference interval to the candidate's:
+		// [5,9] meets [10,20], [21,30] is met by it.
+		{"allen-meets", TimeFilter{Kind: TimeAllen, Interval: temporal.MustNew(5, 9), Rels: temporal.NewRelationSet(temporal.Meets)}, 1},
+		{"allen-metBy", TimeFilter{Kind: TimeAllen, Interval: temporal.MustNew(21, 30), Rels: temporal.NewRelationSet(temporal.MetBy)}, 1},
+		{"allen-before-misses", TimeFilter{Kind: TimeAllen, Interval: temporal.MustNew(5, 9), Rels: temporal.NewRelationSet(temporal.Before)}, 0},
+		{"allen-disjoint-point", TimeFilter{Kind: TimeAllen, Interval: temporal.MustNew(20, 20), Rels: temporal.DisjointSet}, 0},
+		{"allen-empty-set", TimeFilter{Kind: TimeAllen, Interval: temporal.MustNew(10, 20)}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -633,13 +633,17 @@ func (st *Store) Graph() rdf.Graph {
 	return g
 }
 
-// TimeFilter restricts pattern matches temporally: either every interval
-// (the zero value) or exactly one.
+// TimeFilter restricts pattern matches temporally: every interval (the
+// zero value), exactly one, or those in a set of Allen relations to a
+// reference interval.
 type TimeFilter struct {
 	// Kind selects the temporal predicate; TimeAny matches everything.
 	Kind TimeFilterKind
-	// Interval is the interval TimeEquals matches.
+	// Interval is the interval TimeEquals matches, and the reference
+	// interval TimeAllen relates each candidate to.
 	Interval temporal.Interval
+	// Rels is the relation set TimeAllen admits.
+	Rels temporal.RelationSet
 }
 
 // TimeFilterKind enumerates the temporal filters the grounder issues.
@@ -650,6 +654,11 @@ const (
 	TimeAny TimeFilterKind = iota
 	// TimeEquals matches facts whose interval equals the query interval.
 	TimeEquals
+	// TimeAllen matches facts whose interval iv stands in one of Rels to
+	// the query interval: Rels.Has(RelationBetween(Interval, iv)). The
+	// grounder pushes a rule's Allen condition into the match this way,
+	// so a candidate that cannot satisfy it is never buffered.
+	TimeAllen
 )
 
 func (tf TimeFilter) admits(iv temporal.Interval) bool {
@@ -658,6 +667,8 @@ func (tf TimeFilter) admits(iv temporal.Interval) bool {
 		return true
 	case TimeEquals:
 		return iv == tf.Interval
+	case TimeAllen:
+		return tf.Rels.Has(temporal.RelationBetween(tf.Interval, iv))
 	default:
 		return false
 	}
@@ -689,8 +700,10 @@ func (r residual) admits(f fact) bool {
 }
 
 // forCandidatesCodesLocked drives fn over the facts matching cp that were
-// live at epoch e, using the most selective index. Callers must hold at
-// least a read lock; fn must not call back into the store.
+// live at epoch e, using the most selective index. The time filter is
+// tested here, before fn sees the fact, so MatchCodes buffers only facts
+// it admits. Callers must hold at least a read lock; fn must not call
+// back into the store.
 func (st *Store) forCandidatesCodesLocked(cp CodePattern, e Epoch, fn func(FactID, fact) bool) {
 	ids, res, scanAll := st.candidatesCodes(cp)
 	visit := func(id FactID) bool {

@@ -193,6 +193,18 @@ func (s RelationSet) Len() int {
 	return n
 }
 
+// Inverse returns the set of the members' converses: i and j stand in a
+// relation of s exactly when j and i stand in one of s.Inverse().
+func (s RelationSet) Inverse() RelationSet {
+	var out RelationSet
+	for r := Relation(0); r < NumRelations; r++ {
+		if s.Has(r) {
+			out |= 1 << r.Inverse()
+		}
+	}
+	return out
+}
+
 // Relations returns the members of the set in canonical order.
 func (s RelationSet) Relations() []Relation {
 	out := make([]Relation, 0, s.Len())

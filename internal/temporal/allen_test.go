@@ -86,6 +86,38 @@ func TestInverseProperty(t *testing.T) {
 	}
 }
 
+// TestRelationInverseSymmetric pins, exhaustively on a small chronon
+// grid (point intervals included), the identity the grounder's Allen
+// filters rely on to test a condition from either operand:
+// RelationBetween(j, i) is the converse of RelationBetween(i, j), and a
+// set's Inverse holds of (j, i) exactly when the set holds of (i, j).
+func TestRelationInverseSymmetric(t *testing.T) {
+	var ivs []Interval
+	for s := Chronon(0); s <= 5; s++ {
+		for e := s; e <= 5; e++ {
+			ivs = append(ivs, MustNew(s, e))
+		}
+	}
+	sets := []RelationSet{DisjointSet, IntersectsSet, FullSet, 0}
+	for r := Relation(0); r < NumRelations; r++ {
+		sets = append(sets, NewRelationSet(r))
+	}
+	for _, i := range ivs {
+		for _, j := range ivs {
+			ij, ji := RelationBetween(i, j), RelationBetween(j, i)
+			if ji != ij.Inverse() {
+				t.Fatalf("RelationBetween(%v, %v) = %v, want %v, the converse of RelationBetween(%v, %v)", j, i, ji, ij.Inverse(), i, j)
+			}
+			for _, s := range sets {
+				if s.Has(ij) != s.Inverse().Has(ji) {
+					t.Fatalf("set %v holds of (%v, %v) = %v but its inverse %v of (%v, %v) = %v",
+						s, i, j, s.Has(ij), s.Inverse(), j, i, !s.Has(ij))
+				}
+			}
+		}
+	}
+}
+
 func TestInverseIsInvolution(t *testing.T) {
 	for r := Relation(0); r < NumRelations; r++ {
 		if r.Inverse().Inverse() != r {
