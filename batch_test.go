@@ -102,8 +102,8 @@ func runBatchVsPerFact(t *testing.T, opts tecore.SolveOptions, seed int64, nStep
 func TestBatchMatchesPerFactMLNExact(t *testing.T) {
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
-			opts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par})
+			opts := tecore.SolveOptions{
+				Solver: tecore.SolverMLN, Parallelism: par}
 			runBatchVsPerFact(t, opts, 211, 10)
 		})
 	}

@@ -49,8 +49,7 @@ func main() {
 		}()
 	}
 
-	srv := server.NewWithConfig(server.Config{DataDir: *dataDir})
-	srv.Parallelism = *parallel
+	srv := server.NewWithConfig(server.Config{Parallelism: *parallel, DataDir: *dataDir})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -8,7 +8,7 @@
 //	tecore validate -rules r.tcr [-solver mln|psl]
 //	tecore infer    -data g.tq -rules r.tcr [-solver mln|psl|greedy]
 //	                [-threshold 0.3] [-parallel N]
-//	                [-component-exact N] [-v] [-explain-plan] [-incremental]
+//	                [-v] [-explain-plan] [-incremental]
 //	                [-out consistent.tq] [-removed removed.tq]
 //
 // With -incremental, infer enters a REPL that accepts add/remove/solve
@@ -64,8 +64,7 @@ func usage() {
   tecore validate -rules <rules file> [-solver mln|psl]
   tecore infer    -data <tquads file> -rules <rules file>
                   [-solver mln|psl|greedy] [-threshold t] [-parallel N]
-                  [-component-exact N] [-v] [-explain-plan]
-                  [-incremental] [-data-dir DIR]
+                  [-v] [-explain-plan] [-incremental] [-data-dir DIR]
                   [-out consistent.tq] [-removed removed.tq]
 
   infer -incremental reads add/remove/solve commands from stdin and
@@ -162,7 +161,6 @@ func runInfer(args []string) error {
 	solverName := fs.String("solver", "mln", "solver: mln (nRockIt), psl (nPSL) or greedy (baseline)")
 	threshold := fs.Float64("threshold", 0, "drop derived facts below this confidence")
 	parallel := fs.Int("parallel", 0, "worker pool size for the solve pipeline (0 = all cores, 1 = sequential)")
-	componentExact := fs.Int("component-exact", 0, "largest conflict component handed to the exact MaxSAT engine (0 = default 48)")
 	verbose := fs.Bool("v", false, "print the plan, component (count, sizes, engines, cache hits), repair and outcome stage summaries")
 	explain := fs.Bool("explain", false, "print each removed fact with the constraint grounding that removed it")
 	explainPlan := fs.Bool("explain-plan", false, "print the grounding stage's join plans: per rule, the chosen atom order and its candidate/emitted counts")
@@ -219,10 +217,9 @@ func runInfer(args []string) error {
 		return err
 	}
 	opts := tecore.SolveOptions{
-		Solver:              solver,
-		Threshold:           *threshold,
-		Parallelism:         *parallel,
-		ComponentExactLimit: *componentExact,
+		Solver:      solver,
+		Threshold:   *threshold,
+		Parallelism: *parallel,
 	}
 	if *incremental {
 		res, err := runIncrementalREPL(s, opts, *verbose, os.Stdin, os.Stdout)

@@ -72,8 +72,8 @@ func componentPool(subjects, spells int, seed int64) []tecore.Quad {
 // localClique is n coach spells of one subject at distinct clubs, every
 // two overlapping: c2 grounds them into one clique of n atoms. From 18
 // atoms its elimination tables exceed the bucket-elimination engine's
-// budget, so whenever the clique is over ComponentExactLimit (48 by
-// default) the MLN kernel solves it by local search.
+// budget, so the MLN kernel solves a clique of 18 to 48 atoms by
+// branch-and-bound and a larger one by local search.
 func localClique(subject string, n int, seed int64) []tecore.Quad {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]tecore.Quad, n)
@@ -82,15 +82,6 @@ func localClique(subject string, n int, seed int64) []tecore.Quad {
 			tecore.MustInterval(2000+int64(k%3), 2010), 0.55+0.4*rng.Float64())
 	}
 	return out
-}
-
-// exactEverywhere forces both the whole-network cutting-plane oracle
-// and the per-component path onto the exact branch-and-bound engine,
-// where the unique MAP optimum makes results provably byte-identical.
-func exactEverywhere(opts tecore.SolveOptions) tecore.SolveOptions {
-	opts.Advanced.MLN.MaxSAT.ExactVarLimit = 4096
-	opts.ComponentExactLimit = 4096
-	return opts
 }
 
 // TestComponentMatchesMonolithicMLNExact: randomized add/remove/solve
@@ -102,8 +93,8 @@ func TestComponentMatchesMonolithicMLNExact(t *testing.T) {
 	pool := componentPool(4, 3, 41)
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
-			incOpts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par})
+			incOpts := tecore.SolveOptions{
+				Solver: tecore.SolverMLN, Parallelism: par}
 			runVsOracle(t, componentProgram, pool, incOpts, incOpts, 43, 12, 17)
 		})
 	}
@@ -114,8 +105,8 @@ func TestComponentMatchesMonolithicMLNExact(t *testing.T) {
 // cutting-plane oracle across the same mutation stream.
 func TestComponentMatchesMonolithicMLNCold(t *testing.T) {
 	pool := componentPool(3, 3, 59)
-	incOpts := exactEverywhere(tecore.SolveOptions{
-		Solver: tecore.SolverMLN, ColdStart: true})
+	incOpts := tecore.SolveOptions{
+		Solver: tecore.SolverMLN, ColdStart: true}
 	runVsOracle(t, componentProgram, pool, incOpts, incOpts, 61, 10, 17)
 }
 
@@ -127,20 +118,19 @@ func TestComponentIncrementalMatchesFreshComponent(t *testing.T) {
 	pool := componentPool(4, 3, 73)
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("mln-exact/parallel=%d", par), func(t *testing.T) {
-			opts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par})
+			opts := tecore.SolveOptions{
+				Solver: tecore.SolverMLN, Parallelism: par}
 			runTwoWaysProgram(t, componentProgram, pool, opts, opts, 79, 12, 17)
 		})
 	}
 	// Through the local-search engine, cold: the canonical per-component
 	// subproblems are byte-identical on both sides, so even the random
-	// walk reproduces exactly. ComponentExactLimit 1 keeps branch and
-	// bound out; the pool's components then go to bucket elimination,
-	// and a 24-atom clique, live throughout, to local search.
+	// walk reproduces exactly. The pool's components go to bucket
+	// elimination, and a 50-atom clique, live throughout, to local
+	// search.
 	t.Run("mln-local-cold", func(t *testing.T) {
 		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ColdStart: true}
-		opts.Advanced.MLN.ComponentExactLimit = 1
-		runTwoWaysWithBase(t, componentProgram, localClique("Q", 24, 83), componentPool(4, 4, 83), opts, opts, 89, 8, 17, requireLocal)
+		runTwoWaysWithBase(t, componentProgram, localClique("Q", 50, 83), componentPool(4, 4, 83), opts, opts, 89, 8, 17, requireLocal)
 	})
 	t.Run("psl-cold", func(t *testing.T) {
 		opts := tecore.SolveOptions{Solver: tecore.SolverPSL, ColdStart: true}
@@ -152,9 +142,9 @@ func TestComponentIncrementalMatchesFreshComponent(t *testing.T) {
 // incremental sessions through the same mutation stream at parallelism
 // 1 and N: Resolutions and raw truth vectors must be identical at every
 // step, cached components included, for both backends and every MLN
-// engine (branch and bound for components within the exact limit,
-// elimination above it, local search for a clique too wide for
-// elimination, live throughout).
+// engine (elimination for the pool's components, branch-and-bound for a
+// 20-atom clique too wide for elimination and local search for a
+// 50-atom one, both live throughout).
 func TestComponentParallelismDeterminism(t *testing.T) {
 	for _, solver := range []tecore.Solver{tecore.SolverMLN, tecore.SolverPSL} {
 		t.Run(solver.String(), func(t *testing.T) {
@@ -164,7 +154,7 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 				if err := s.LoadProgramText(componentProgram); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.LoadGraph(localClique("Q", 20, 103)); err != nil {
+				if err := s.LoadGraph(append(localClique("Q", 50, 103), localClique("R", 20, 103)...)); err != nil {
 					t.Fatal(err)
 				}
 				return s
@@ -197,12 +187,8 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 					apply(par, i, add)
 					live[i] = add
 				}
-				// Exercise every engine: a tiny exact limit shunts larger
-				// components to elimination, and the clique to local search.
 				mk := func(parallelism int) tecore.SolveOptions {
-					o := tecore.SolveOptions{Solver: solver, Parallelism: parallelism}
-					o.ComponentExactLimit = 4
-					return o
+					return tecore.SolveOptions{Solver: solver, Parallelism: parallelism}
 				}
 				a, err := seq.Solve(mk(1))
 				if err != nil {
@@ -234,20 +220,20 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestComponentEngineFallback starves the exact engine's node budget so
-// a component within ComponentExactLimit cannot finish branch-and-bound:
-// the orchestrator must fall back to local search for that component,
-// record the fallback in the stats, and still return a feasible state.
+// TestComponentEngineFallback starves the branch-and-bound's node budget
+// so a 20-atom clique, too wide for elimination and small enough for the
+// branch-and-bound, cannot finish: the orchestrator must fall back to
+// local search for that component, record the fallback in the stats,
+// and still return a feasible state.
 func TestComponentEngineFallback(t *testing.T) {
 	s := tecore.NewSession()
-	if err := s.LoadGraph(componentPool(2, 5, 109)); err != nil {
+	if err := s.LoadGraph(append(componentPool(2, 5, 109), localClique("Q", 20, 109)...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LoadProgramText(componentProgram); err != nil {
 		t.Fatal(err)
 	}
 	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
-	opts.ComponentExactLimit = 4096
 	opts.Advanced.MLN.MaxSAT.NodeLimit = 2
 	res, err := s.Solve(opts)
 	if err != nil {
@@ -307,7 +293,7 @@ func TestComponentStatsShape(t *testing.T) {
 }
 
 // TestComponentCacheInvalidatedByOptions re-solves an unchanged graph
-// with different engine tuning: cached solutions were computed under
+// with different solver tuning: cached solutions were computed under
 // the old options and must not be reused, while a same-options re-solve
 // reuses everything.
 func TestComponentCacheInvalidatedByOptions(t *testing.T) {
@@ -319,10 +305,12 @@ func TestComponentCacheInvalidatedByOptions(t *testing.T) {
 	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
-	mk := func(limit int) tecore.SolveOptions {
-		return tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentExactLimit: limit}
+	mk := func(seed int64) tecore.SolveOptions {
+		opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
+		opts.Advanced.MLN.MaxSAT.Seed = seed
+		return opts
 	}
-	if _, err := s.Solve(mk(1)); err != nil { // everything via local search
+	if _, err := s.Solve(mk(1)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Solve(mk(1)) // same options, no delta: full reuse
@@ -332,7 +320,7 @@ func TestComponentCacheInvalidatedByOptions(t *testing.T) {
 	if cs := res.Stats.Components; cs.Reused != cs.Count {
 		t.Fatalf("same-options re-solve should reuse everything: %+v", cs)
 	}
-	res, err = s.Solve(mk(64)) // new exact limit: caches must drop
+	res, err = s.Solve(mk(2)) // new local-search seed: caches must drop
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +329,7 @@ func TestComponentCacheInvalidatedByOptions(t *testing.T) {
 		t.Fatalf("options change must invalidate the component cache: %+v", cs)
 	}
 	if cs.Engines["exact"] == 0 {
-		t.Fatalf("re-solve did not run the requested exact engine: %+v", cs)
+		t.Fatalf("re-solve did not run the exact engine: %+v", cs)
 	}
 }
 

@@ -274,7 +274,8 @@ func runAgainstReference(t *testing.T, program string, base, pool []tecore.Quad,
 
 // wholeNetworkReference is the independent whole-network oracle: a
 // fresh store and grounder closed under the program and fully grounded,
-// one cutting-plane MaxSAT (mln.CuttingPlane, the MLN solver) or one
+// one cutting-plane MaxSAT (mln.CuttingPlane, the MLN solver, which must
+// prove its optimum) or one
 // greedy sweep (baseline.Solve, the greedy solver) over that clause set,
 // and the whole-graph repair.Resolve read-out. It shares no engine, plan, cache, kernel
 // state or live outcome with Session.Solve.
@@ -306,6 +307,9 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 		}
 		if !out.MLN.HardSatisfied {
 			t.Fatal("reference: no assignment satisfies the hard constraints")
+		}
+		if !out.MLN.Optimal {
+			t.Fatal("reference: the whole-network MaxSAT was not solved exactly")
 		}
 		out.Truth = out.MLN.Truth
 	default:
@@ -357,8 +361,8 @@ func TestIncrementalMatchesFreshMLNExact(t *testing.T) {
 }
 
 func TestIncrementalMatchesFreshMLNLocalSearchCold(t *testing.T) {
-	// A 50-atom clique, above ComponentExactLimit and too wide for
-	// bucket elimination, takes the stochastic local-search path.
+	// A 50-atom clique, too wide for bucket elimination and too large
+	// for the branch-and-bound, takes the stochastic local-search path.
 	// With ColdStart the incremental side must hand it a byte-identical
 	// canonical problem, making even the random walk reproduce exactly.
 	pool := factPool(4, 6)

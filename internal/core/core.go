@@ -121,9 +121,10 @@ func (s *Session) MissingPredicates() []string {
 // patch the live outcome — so a re-solve costs in proportion to the
 // conflict a delta actually dirtied. Every kernel solves per component:
 // each component gets the engine its solver and shape call for (under
-// MLN exact branch-and-bound for small ones, exact bucket elimination
-// for large ones of low induced width and local search for the rest;
-// ADMM under PSL; the greedy sweep), components solve concurrently
+// MLN exact bucket elimination for components of low induced width,
+// exact branch-and-bound for the small dense ones elimination refuses
+// and local search for the rest, as maxsat.Solve picks; ADMM under PSL;
+// the greedy sweep), components solve concurrently
 // on the worker pool, and per-component solution caches skip the clean
 // ones.
 type SolveOptions struct {
@@ -138,17 +139,12 @@ type SolveOptions struct {
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
-	// ComponentExactLimit is the largest component (in atoms) handed to
-	// the exact branch-and-bound; larger components use exact bucket
-	// elimination when their induced width allows, local search
-	// otherwise (default 48; MLN backend only).
-	ComponentExactLimit int
 	// ColdStart starts the solver kernel from nothing for this solve: no
 	// warm start from the previous solution, empty per-component solution
 	// caches and an empty read-out cache (repair records and live
 	// outcome). Grounding and the component plan still reuse the cached
 	// delta state. A solve under another solver or another tuning
-	// (Advanced, ComponentExactLimit) is a cold start too. A cold start
+	// (Advanced) is a cold start too. A cold start
 	// answers exactly as a fresh session over the same facts does. With
 	// warm starts the exact MaxSAT engines still guarantee it (bucket
 	// elimination ignores the warm start), and local-search instances —
@@ -200,9 +196,6 @@ func (s *Session) Solve(opts SolveOptions) (*Resolution, error) {
 	}
 	if adv.PSL.Parallelism == 0 {
 		adv.PSL.Parallelism = opts.Parallelism
-	}
-	if adv.MLN.ComponentExactLimit == 0 {
-		adv.MLN.ComponentExactLimit = opts.ComponentExactLimit
 	}
 	return s.solve(opts)
 }

@@ -155,10 +155,10 @@ func TestDurableRecoveryByteIdentical(t *testing.T) {
 // checkpoint and a close, so its atoms were interned in update order;
 // the reopened session's first solve must equal a fresh session loaded
 // with the recovered graph and the same program. It covers the exact and
-// the local-search MaxSAT engines (ComponentExactLimit 1 sends every
-// component past branch and bound, and a 24-atom clique of coach spells
-// past bucket elimination to local search, whose trajectory depends on
-// its start), PSL and greedy, at parallelism 1 and 2.
+// the local-search MaxSAT engines (a 50-atom clique of coach spells is
+// too wide for bucket elimination and too large for the branch-and-bound,
+// so it goes to local search, whose trajectory depends on its start),
+// PSL and greedy, at parallelism 1 and 2.
 func TestDurableRecoveredMatchesFresh(t *testing.T) {
 	configs := []struct {
 		name   string
@@ -166,7 +166,7 @@ func TestDurableRecoveredMatchesFresh(t *testing.T) {
 		clique int // spells of one extra subject, every two overlapping
 	}{
 		{"mln", SolveOptions{Solver: translate.SolverMLN}, 0},
-		{"mln-local", SolveOptions{Solver: translate.SolverMLN, ComponentExactLimit: 1}, 24},
+		{"mln-local", SolveOptions{Solver: translate.SolverMLN}, 50},
 		{"psl", SolveOptions{Solver: translate.SolverPSL}, 0},
 		{"greedy", SolveOptions{Solver: translate.SolverGreedy}, 0},
 	}
@@ -192,7 +192,8 @@ func TestDurableRecoveredMatchesFresh(t *testing.T) {
 
 // coachClique is n coach spells of one subject at distinct clubs, every
 // two overlapping, so c2 grounds them into one clique of n atoms: from
-// 18 atoms too wide for bucket elimination's table budget.
+// 18 atoms too wide for bucket elimination's table budget, and from 49
+// too large for the branch-and-bound.
 func coachClique(subject string, n int) []rdf.Quad {
 	out := make([]rdf.Quad, n)
 	for k := range out {

@@ -21,8 +21,8 @@ import (
 // assignment of its variable (bit 0 of the cell index) and its scope
 // (bit k+1 for scope[k]), 2^(|scope|+1) cells. When
 // the tables would need more than elimCellBudget cells in total, the
-// pass gives up before allocating any, and the problem goes to local
-// search.
+// pass gives up before allocating any, and Solve hands the problem to
+// the branch-and-bound or local search.
 //
 // The numeric pass runs min-sum over the buckets in order. Each clause
 // is a factor over its sorted distinct variables that costs its weight
@@ -33,7 +33,8 @@ import (
 // into a message over its scope, added into the table of the scope's
 // first-eliminated variable (or its unary factor, or the optimum when
 // the scope is empty). An infinite optimum means the hard clauses are
-// unsatisfiable, and the problem goes to local search. Otherwise
+// unsatisfiable, and Solve hands the problem on as for an over-budget
+// one. Otherwise
 // backtracking in reverse order sets each variable to the lower cost of
 // its bucket's two cells given the later variables' values — true on a
 // tie. Nothing depends on Options: Seed and Warm are ignored.

@@ -160,10 +160,23 @@ func TestElimNoWorseThanLocal(t *testing.T) {
 	t.Logf("elimination strictly below local search on %d of %d components", better, len(cases))
 }
 
+// padded returns p with free facts added, each with a unit prior, up to
+// n variables: the same optimum cost, past exactVarLimit when n is.
+func padded(p *Problem, n int) *Problem {
+	for v := p.NumVars; v < n; v++ {
+		p.Clauses = append(p.Clauses, unit(int32(v), 1))
+	}
+	p.NumVars = n
+	return p
+}
+
 // TestElimBudgetGate pins the cell budget at its boundary: a clique of
 // 17 facts needs 2^18 - 2 cells and is eliminated; one of 18 needs
-// 2^19 - 2, and so does a single clause over 18 variables, and Solve
-// hands them to local search. A 20-clique falls through the same way.
+// 2^19 - 2, and so does a single clause over 18 variables. Padded past
+// exactVarLimit with free facts, so that the branch-and-bound does not
+// take them, Solve hands the over-budget problems to local search, and
+// a 20-clique falls through the same way; the 17-clique it eliminates,
+// without a branch-and-bound node.
 func TestElimBudgetGate(t *testing.T) {
 	if _, ok := planElim(clique(17)); !ok {
 		t.Fatal("17-clique: symbolic pass refused a problem within budget")
@@ -179,7 +192,7 @@ func TestElimBudgetGate(t *testing.T) {
 		if _, ok := planElim(p); ok {
 			t.Fatalf("%s: symbolic pass accepted a problem over budget", name)
 		}
-		sol, err := Solve(p, Options{ExactVarLimit: 1})
+		sol, err := Solve(padded(p, exactVarLimit+1), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,12 +200,66 @@ func TestElimBudgetGate(t *testing.T) {
 			t.Fatalf("%s: engine %q with %d flips, want local search", name, sol.Engine, sol.Flips)
 		}
 	}
-	sol, err := Solve(clique(17), Options{ExactVarLimit: 1})
+	sol, err := Solve(clique(17), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Engine != EngineExact || !sol.Optimal || math.Abs(sol.Cost-17.2) > 1e-9 {
+	if sol.Engine != EngineExact || !sol.Optimal || sol.Nodes != 0 || math.Abs(sol.Cost-17.2) > 1e-9 {
 		t.Fatalf("17-clique: %+v", sol)
+	}
+}
+
+// chain builds n variables with distinct positive unit priors and a hard
+// ¬a ∨ ¬b between neighbours: n facts each overlapping the next, of
+// induced width 1.
+func chain(n int) *Problem {
+	p := &Problem{NumVars: n}
+	for i := 0; i < n; i++ {
+		p.Clauses = append(p.Clauses, unit(int32(i), 1+0.01*float64(i%7)))
+	}
+	for i := 0; i+1 < n; i++ {
+		p.Clauses = append(p.Clauses, notBoth(int32(i), int32(i+1)))
+	}
+	return p
+}
+
+// TestElimFirstEngineRule pins Solve's engine rule, which reads only
+// the problem: elimination whenever its tables fit, at any size; the
+// branch-and-bound for what it refuses up to exactVarLimit variables;
+// local search past that. An eliminable problem never reaches the
+// branch-and-bound, so a starved node limit cannot make it fall back.
+func TestElimFirstEngineRule(t *testing.T) {
+	cases := []struct {
+		name   string
+		p      *Problem
+		opts   Options
+		engine string
+		nodes  bool // the branch-and-bound ran
+	}{
+		{"200-chain", chain(200), Options{}, EngineExact, false},
+		{"20-clique", clique(20), Options{}, EngineExact, true},
+		{"48-clique", clique(exactVarLimit), Options{}, EngineExact, true},
+		{"49-clique", clique(exactVarLimit + 1), Options{}, EngineLocal, false},
+		{"30-chain/NodeLimit=1", chain(30), Options{NodeLimit: 1}, EngineExact, false},
+		{"48-chain/NodeLimit=1", chain(exactVarLimit), Options{NodeLimit: 1}, EngineExact, false},
+	}
+	for _, c := range cases {
+		sol, err := Solve(c.p, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Engine != c.engine || (sol.Nodes > 0) != c.nodes {
+			t.Fatalf("%s: engine %q with %d nodes, want %q (branch-and-bound %v)", c.name, sol.Engine, sol.Nodes, c.engine, c.nodes)
+		}
+		if c.engine == EngineExact && !sol.Optimal {
+			t.Fatalf("%s: exact answer not marked optimal: %+v", c.name, sol)
+		}
+		if c.engine == EngineLocal && sol.Flips == 0 {
+			t.Fatalf("%s: local search took no steps", c.name)
+		}
+		if !sol.HardSatisfied {
+			t.Fatalf("%s: hard clauses violated", c.name)
+		}
 	}
 }
 

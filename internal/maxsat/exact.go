@@ -4,8 +4,9 @@ import "math"
 
 // Exact engine: depth-first branch and bound over the variables with unit
 // propagation on hard clauses and incremental violated-cost accounting.
-// Intended for ground networks up to a few dozen variables — the running
-// example and the per-component subproblems the repair layer produces.
+// Solve runs it on the problems bucket elimination refuses that have at
+// most exactVarLimit variables: cliques of facts too wide for the
+// elimination tables, and problems whose hard clauses are unsatisfiable.
 
 type exactState struct {
 	p        *Problem

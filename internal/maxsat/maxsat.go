@@ -6,13 +6,14 @@
 // MaxSAT over the ground network, so this package plays the role the
 // Gurobi ILP backend plays inside RockIt: the encodings differ, the
 // optimum is the same. Three engines sit behind one Solve entry point,
-// tried in order: an exact branch-and-bound with unit propagation for
-// problems of at most ExactVarLimit variables; exact bucket elimination
-// (elim.go) for larger problems whose primal graph has low induced
-// width, as the interval-overlap conflict components of temporal
-// constraints have when few facts overlap at once; and a WalkSAT-style stochastic local search with
-// greedy initialisation for the rest. Both exact engines report
-// Engine "exact" and Optimal.
+// which picks one from the problem alone: exact bucket elimination
+// (elim.go) whenever its tables fit a fixed budget, whatever the
+// variable count, as they do for the interval-overlap conflict
+// components of temporal constraints when few facts overlap at once;
+// an exact branch-and-bound with unit propagation for the problems of
+// at most exactVarLimit variables that elimination refuses; and a
+// WalkSAT-style stochastic local search with greedy initialisation for
+// the rest. Both exact engines report Engine "exact" and Optimal.
 //
 // Local-search restarts run in sequence, each with its own RNG (seeded
 // from Options.Seed and the restart index) and its own working state,
@@ -106,13 +107,14 @@ const (
 	EngineFallback = "exact→local"
 )
 
-// Options tunes Solve.
+// exactVarLimit is the largest problem the branch-and-bound takes once
+// bucket elimination has refused it: a clique of 48 mutually exclusive
+// facts, too wide for elimination, solves in about 2n nodes.
+const exactVarLimit = 48
+
+// Options tunes Solve. The engine is not an option: Solve picks it from
+// the problem.
 type Options struct {
-	// ExactVarLimit is the largest variable count handed to the
-	// branch-and-bound (default 30). Larger problems go to bucket
-	// elimination when its tables fit a fixed budget (elimCellBudget),
-	// to local search otherwise.
-	ExactVarLimit int
 	// NodeLimit bounds branch-and-bound nodes before falling back to
 	// local search (default 1<<21).
 	NodeLimit int
@@ -139,9 +141,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults(nvars int) Options {
-	if o.ExactVarLimit == 0 {
-		o.ExactVarLimit = 30
-	}
 	if o.NodeLimit == 0 {
 		o.NodeLimit = 1 << 21
 	}
@@ -186,11 +185,11 @@ func Evaluate(p *Problem, assign []bool) (hardViolations int, cost float64) {
 	return hardViolations, cost
 }
 
-// Solve picks an engine: exact branch-and-bound when the variable count
-// is within ExactVarLimit (local search when it exhausts its node
-// limit); otherwise bucket elimination when its tables fit the budget
-// and the hard clauses are satisfiable; stochastic local search
-// otherwise.
+// Solve picks an engine from the problem: bucket elimination when its
+// tables fit the budget (elimCellBudget) and the hard clauses are
+// satisfiable; otherwise the branch-and-bound when the variable count is
+// within exactVarLimit (local search when it exhausts its node limit);
+// stochastic local search otherwise.
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -199,17 +198,17 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if p.NumVars == 0 {
 		return &Solution{HardSatisfied: true, Optimal: true, Engine: EngineExact}, nil
 	}
-	if p.NumVars <= opts.ExactVarLimit {
+	if sol, ok := solveElim(p); ok {
+		sol.Engine = EngineExact
+		return sol, nil
+	}
+	if p.NumVars <= exactVarLimit {
 		if sol, complete := solveExact(p, opts); complete {
 			sol.Engine = EngineExact
 			return sol, nil
 		}
 		sol := solveLocal(p, opts)
 		sol.Engine = EngineFallback
-		return sol, nil
-	}
-	if sol, ok := solveElim(p); ok {
-		sol.Engine = EngineExact
 		return sol, nil
 	}
 	sol := solveLocal(p, opts)

@@ -25,12 +25,12 @@ import (
 // totals) and the MaxSAT kernel; the greedy baseline
 // plugs its sweep in as another Kernel. The MaxSAT kernel adds:
 //
-//   - engine specialisation: small components go to the exact
-//     branch-and-bound, large ones to exact bucket elimination when
-//     their induced width allows (both provably optimal) and to local
-//     search otherwise; a component whose branch-and-bound exhausts its
-//     node limit falls back to local search rather than keeping the
-//     partial result;
+//   - engine specialisation, which maxsat.Solve decides from each
+//     subproblem: exact bucket elimination when the component's induced
+//     width allows, the exact branch-and-bound for a small component it
+//     refuses, local search otherwise; a component whose
+//     branch-and-bound exhausts its node limit falls back to local
+//     search rather than keeping the partial result;
 //   - per-component subproblems built in canonical atom and clause
 //     order, so any two grounder states with equal live atoms and
 //     clauses produce byte-identical subproblems regardless of interning
@@ -128,10 +128,8 @@ func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options,
 	return SolveComponents(g, cs, opts, warm, cache, plan, nil)
 }
 
-// SolveComponents runs kernel — the MaxSAT kernel when nil: exact
-// branch-and-bound for components within ComponentExactLimit, exact
-// bucket elimination or local search above it — once per conflict
-// component of an already-closed
+// SolveComponents runs kernel — the MaxSAT kernel when nil — once per
+// conflict component of an already-closed
 // grounder and its full clause set, and merges the assignments into one
 // state; forward chaining and grounding are the caller's responsibility (Close/GroundProgram, or CloseDelta/GroundDelta
 // on a session engine). warm, when non-nil, is the previous state this
@@ -161,7 +159,6 @@ func SolveComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, war
 			return solveComponent(atoms, vars, clauses, opts, warm)
 		}
 	}
-	g.Parallelism = opts.Parallelism
 	start := time.Now()
 	atoms := g.Atoms()
 	stats := &ground.ComponentStats{}
@@ -221,16 +218,13 @@ func resultFromAgg(agg *stateAgg, cs *ground.ClauseSet, stats *ground.ComponentS
 }
 
 // solveComponent is the MaxSAT kernel: it builds the component's
-// weighted MaxSAT subproblem from its priors and clauses and solves it
-// with exact branch-and-bound for components within ComponentExactLimit
-// (falling back to local search when the node limit is exhausted), and
-// above it with exact bucket elimination when the component's width
-// allows, local search otherwise.
+// weighted MaxSAT subproblem from its priors and clauses and hands it to
+// maxsat.Solve, which picks the engine from the subproblem.
 func solveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []ground.Clause, opts Options, warm []bool) ([]bool, string, error) {
 	n := len(vars)
 	problem := &maxsat.Problem{NumVars: n}
 	for li, a := range vars {
-		if c, ok := priorClause(atoms.Info(a), int32(li), opts); ok {
+		if c, ok := priorClause(atoms, a, int32(li), opts); ok {
 			problem.Clauses = append(problem.Clauses, c)
 		}
 	}
@@ -248,8 +242,6 @@ func solveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []gro
 		}
 		mopts.Warm = w
 	}
-
-	mopts.ExactVarLimit = opts.ComponentExactLimit
 	sol, err := maxsat.Solve(problem, mopts)
 	if err != nil {
 		return nil, "", err
@@ -263,17 +255,10 @@ func solveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []gro
 func evalComponent(atoms *ground.AtomTable, comp *ground.Component, clauses []ground.Clause, truth []bool, opts Options) compEval {
 	ev := compEval{hardOK: true}
 	for li, a := range comp.Atoms {
-		if atoms.IsEvidence(a) {
-			w := Logit(atoms.Confidence(a), opts.EvidenceClamp) + opts.KeepBias
-			if w > 0 && !truth[li] {
-				ev.cost += w
-			} else if w < 0 && truth[li] {
-				ev.cost += -w
-			}
-			continue
-		}
-		if opts.DerivedPrior > 0 && truth[li] {
-			ev.cost += opts.DerivedPrior
+		if w := priorWeight(atoms, a, opts); w > 0 && !truth[li] {
+			ev.cost += w
+		} else if w < 0 && truth[li] {
+			ev.cost += -w
 		}
 	}
 	for i := range clauses {

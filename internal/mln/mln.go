@@ -7,11 +7,12 @@
 // probable world — is computed as weighted partial MaxSAT over the fully
 // grounded network, one subproblem per independent conflict component
 // (see components.go), each solved exactly whenever the maxsat package
-// can: branch-and-bound up to ComponentExactLimit atoms, bucket
-// elimination above it when the component's induced width is low (the
-// interval-overlap components temporal constraints ground are), local
-// search otherwise. The component loop also runs the greedy baseline
-// as its kernel (SolveComponents).
+// can: bucket elimination when the component's induced width is low
+// (the interval-overlap components temporal constraints ground are),
+// branch-and-bound for the small dense ones it refuses, local search
+// otherwise; maxsat.Solve picks the engine from the component alone.
+// The component loop also runs the greedy baseline as its kernel
+// (SolveComponents).
 //
 // CuttingPlane is the whole-network counterpart, kept as a test oracle:
 // cutting-plane inference (CPI) solves with evidence priors only, adds
@@ -44,20 +45,13 @@ type Options struct {
 	// DerivedPrior is the closed-world penalty against deriving atoms
 	// with no rule support (default 0.01).
 	DerivedPrior float64
-	// Parallelism bounds the worker pools used for grounding and for
-	// solving conflict components concurrently: 0 means GOMAXPROCS, 1
-	// forces the sequential path. The MAP state is identical at every
-	// setting.
+	// Parallelism bounds the worker pool solving conflict components
+	// concurrently: 0 means GOMAXPROCS, 1 forces the sequential path.
+	// The grounder's own width is its caller's (Grounder.Parallelism).
+	// The MAP state is identical at every setting.
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
-	// ComponentExactLimit is the largest conflict component (in atoms)
-	// handed to the exact branch-and-bound engine (default 48). Larger
-	// components go to exact bucket elimination when its tables fit
-	// the maxsat package's fixed budget, and to local search otherwise.
-	// Unused by CuttingPlane, which solves the whole network as one
-	// MaxSAT problem.
-	ComponentExactLimit int
 	// MaxSAT tunes the underlying solver.
 	MaxSAT maxsat.Options
 }
@@ -71,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DerivedPrior == 0 {
 		o.DerivedPrior = 0.01
-	}
-	if o.ComponentExactLimit == 0 {
-		o.ComponentExactLimit = 48
 	}
 	return o
 }
@@ -129,17 +120,24 @@ type Result struct {
 // TrueAtom reports the truth of atom id in the MAP state.
 func (r *Result) TrueAtom(id ground.AtomID) bool { return r.Truth[id] }
 
-// priorClause is the prior unit clause of an atom solved as variable v:
-// a log-odds unit for an evidence atom, the closed-world penalty for a
-// derived one. ok is false when the prior is zero.
-func priorClause(info ground.AtomInfo, v int32, opts Options) (c maxsat.Clause, ok bool) {
-	var w float64
-	if info.Evidence {
-		w = Logit(info.Conf, opts.EvidenceClamp) + opts.KeepBias
-	} else if opts.DerivedPrior > 0 {
-		w = -opts.DerivedPrior
+// priorWeight is atom a's prior as a signed weight on its truth: the
+// log-odds of its confidence plus KeepBias for an evidence atom, the
+// closed-world penalty -DerivedPrior for a derived one. A positive
+// weight is lost when the atom is false, a negative one when it is true.
+func priorWeight(atoms *ground.AtomTable, a ground.AtomID, opts Options) float64 {
+	if atoms.IsEvidence(a) {
+		return Logit(atoms.Confidence(a), opts.EvidenceClamp) + opts.KeepBias
 	}
-	switch {
+	if opts.DerivedPrior > 0 {
+		return -opts.DerivedPrior
+	}
+	return 0
+}
+
+// priorClause is the prior unit clause of atom a solved as variable v.
+// ok is false when the prior is zero.
+func priorClause(atoms *ground.AtomTable, a ground.AtomID, v int32, opts Options) (c maxsat.Clause, ok bool) {
+	switch w := priorWeight(atoms, a, opts); {
 	case w > 0:
 		return maxsat.Clause{Lits: []maxsat.Lit{{Var: v}}, Weight: w}, true
 	case w < 0:
@@ -185,7 +183,7 @@ func CuttingPlane(atoms *ground.AtomTable, cs *ground.ClauseSet, opts Options) (
 	varOf := ground.CanonicalVarMap(atoms, order)
 	var base []maxsat.Clause
 	for v, a := range order {
-		if c, ok := priorClause(atoms.Info(a), int32(v), opts); ok {
+		if c, ok := priorClause(atoms, a, int32(v), opts); ok {
 			base = append(base, c)
 		}
 	}

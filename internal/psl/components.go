@@ -98,7 +98,6 @@ type compEntry struct {
 // only by the records the pass replaces, installs or retires.
 func MAPGroundComponents(g *ground.Grounder, cs *ground.ClauseSet, opts Options, warm *Warm, cache *ComponentCache, plan *engine.Plan) (*Result, *Warm, error) {
 	opts = opts.withDefaults()
-	g.Parallelism = opts.Parallelism
 	start := time.Now()
 	atoms := g.Atoms()
 	next := warm

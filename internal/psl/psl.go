@@ -68,10 +68,10 @@ type Options struct {
 	Squared bool
 	// Threshold discretises the soft truth values (default 0.5).
 	Threshold float64
-	// Parallelism bounds the worker pools used for grounding and for
-	// running the per-component ADMM problems concurrently: 0 means
-	// GOMAXPROCS, 1 forces the sequential path. The MAP state is
-	// identical at every setting.
+	// Parallelism bounds the worker pool running the per-component ADMM
+	// problems concurrently: 0 means GOMAXPROCS, 1 forces the sequential
+	// path. The grounder's own width is its caller's (Grounder.
+	// Parallelism). The MAP state is identical at every setting.
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool

@@ -38,10 +38,8 @@ type Server struct {
 	mux      *http.ServeMux
 	// MaxFactsInResponse caps the fact lists returned by /api/solve.
 	MaxFactsInResponse int
-	// Parallelism bounds each solve's worker pools (0 = GOMAXPROCS,
-	// 1 = sequential). A per-request parallelism may lower it, never
-	// raise it. Results are identical at every setting.
-	Parallelism int
+	// parallelism bounds each solve's worker pools (Config.Parallelism).
+	parallelism int
 	// sessions holds the stateful incremental solving sessions (LRU).
 	sessions *sessionTable
 	// dataDir, when non-empty, roots the durable session directories
@@ -75,8 +73,9 @@ type Config struct {
 	// DefaultMaxSessions); the least recently used session is evicted
 	// past it.
 	MaxSessions int
-	// Parallelism is the default solve parallelism (see
-	// Server.Parallelism).
+	// Parallelism bounds each solve's worker pools (0 = GOMAXPROCS,
+	// 1 = sequential). A per-request parallelism may lower it, never
+	// raise it. Results are identical at every setting.
 	Parallelism int
 	// MaxConcurrentSolves bounds how many solves run at once across
 	// all endpoints and sessions (0 = GOMAXPROCS). Solves past it wait
@@ -98,7 +97,7 @@ func NewWithConfig(cfg Config) *Server {
 	s := &Server{
 		datasets:           make(map[string]*dataset),
 		MaxFactsInResponse: 200,
-		Parallelism:        cfg.Parallelism,
+		parallelism:        cfg.Parallelism,
 		sessions:           newSessionTable(cfg.MaxSessions),
 		adm:                newAdmission(cfg.MaxConcurrentSolves, cfg.MaxQueuedSolves),
 		dataDir:            cfg.DataDir,
@@ -117,9 +116,9 @@ func NewWithConfig(cfg Config) *Server {
 // it K-fold. Worker counts never change results, only wall clock.
 func (s *Server) solveParallelism(req int) int {
 	if req > 0 {
-		return min(req, par.Workers(s.Parallelism))
+		return min(req, par.Workers(s.parallelism))
 	}
-	return par.Share(s.Parallelism, s.adm.inflight())
+	return par.Share(s.parallelism, s.adm.inflight())
 }
 
 // Handler returns the HTTP handler.
@@ -475,11 +474,6 @@ type SolveRequest struct {
 	// (0 = server default); a value above the server's width is capped
 	// at it.
 	Parallelism int `json:"parallelism,omitempty"`
-	// ComponentExactLimit is the largest conflict component handed to
-	// the exact branch-and-bound (0 = default 48); larger ones go to
-	// exact bucket elimination or local search. stats.Components reports
-	// the decomposition.
-	ComponentExactLimit int `json:"componentExactLimit,omitempty"`
 }
 
 // SolveResponse mirrors the statistics display of Figure 8 plus
@@ -531,10 +525,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := sess.Solve(core.SolveOptions{
-		Solver:              solver,
-		Threshold:           req.Threshold,
-		Parallelism:         s.solveParallelism(req.Parallelism),
-		ComponentExactLimit: req.ComponentExactLimit,
+		Solver:      solver,
+		Threshold:   req.Threshold,
+		Parallelism: s.solveParallelism(req.Parallelism),
 	})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "solving: %v", err)

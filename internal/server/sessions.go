@@ -29,8 +29,7 @@ import (
 //	POST   /api/sessions/{id}/batch   {add?, remove?, solve?} → batched
 //	                                   adds+removes (+solve) in one request
 //	POST   /api/sessions/{id}/solve   {solver, threshold, parallelism,
-//	                                   componentExactLimit, coldStart,
-//	                                   delta} → SolveResponse
+//	                                   coldStart, delta} → SolveResponse
 //	DELETE /api/sessions/{id}         → drops the session
 //
 // Sessions live in a bounded LRU table; creating one past the capacity
@@ -480,10 +479,6 @@ type SessionSolveRequest struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool `json:"componentSolve,omitempty"`
-	// ComponentExactLimit is the largest conflict component handed to
-	// the exact branch-and-bound (0 = default 48); larger ones go to
-	// exact bucket elimination or local search.
-	ComponentExactLimit int `json:"componentExactLimit,omitempty"`
 	// ColdStart disables warm-starting from the previous solution (and
 	// drops the per-component caches for this solve).
 	ColdStart bool `json:"coldStart,omitempty"`
@@ -572,11 +567,10 @@ func (s *Server) solveLocked(ss *session, solver translate.Solver, req SessionSo
 		s.solveGate(ss.id)
 	}
 	res, err := ss.sess.Solve(core.SolveOptions{
-		Solver:              solver,
-		Threshold:           req.Threshold,
-		Parallelism:         s.solveParallelism(req.Parallelism),
-		ComponentExactLimit: req.ComponentExactLimit,
-		ColdStart:           req.ColdStart,
+		Solver:      solver,
+		Threshold:   req.Threshold,
+		Parallelism: s.solveParallelism(req.Parallelism),
+		ColdStart:   req.ColdStart,
 	})
 	if err != nil {
 		return nil, 0, err

@@ -445,7 +445,7 @@ func TestLiveOutcomeMatchesAssembly(t *testing.T) {
 			}
 		}
 	}
-	opts := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN})
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
 	for step := 0; step < 3; step++ {
 		switch step {
 		case 1:

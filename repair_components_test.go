@@ -28,8 +28,8 @@ func TestRepairComponentMatchesWholeGraphMLNExact(t *testing.T) {
 	pool := componentPool(4, 3, 113)
 	for _, par := range []int{1, 0} {
 		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
-			incOpts := exactEverywhere(tecore.SolveOptions{
-				Solver: tecore.SolverMLN, Parallelism: par})
+			incOpts := tecore.SolveOptions{
+				Solver: tecore.SolverMLN, Parallelism: par}
 			runVsOracle(t, componentProgram, pool, incOpts, incOpts, 127, 12, 17)
 		})
 	}
@@ -42,8 +42,8 @@ func TestRepairComponentMatchesWholeGraphMLNExact(t *testing.T) {
 // threshold.
 func TestRepairComponentMatchesWholeGraphMLNThreshold(t *testing.T) {
 	pool := componentPool(4, 3, 131)
-	incOpts := exactEverywhere(tecore.SolveOptions{
-		Solver: tecore.SolverMLN, Threshold: 0.55})
+	incOpts := tecore.SolveOptions{
+		Solver: tecore.SolverMLN, Threshold: 0.55}
 	runVsOracle(t, componentProgram, pool, incOpts, incOpts, 137, 10, 17)
 }
 

@@ -71,7 +71,7 @@ func OpenSession(dir string) (*Session, error) { return core.OpenSession(dir) }
 type RecoveryStats = wal.RecoveryStats
 
 // SolveOptions tunes a Solve call: backend, derived-fact threshold,
-// parallelism, exact-engine limit.
+// parallelism, cold start and backend tuning.
 type SolveOptions = core.SolveOptions
 
 // Resolution is the outcome of conflict resolution: kept, removed and
