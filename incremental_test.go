@@ -302,7 +302,7 @@ func wholeNetworkReference(t *testing.T, program string, g tecore.Graph, opts te
 	case translate.SolverGreedy:
 		out.Truth = baseline.Solve(gr.Atoms(), out.Clauses).Truth
 	case translate.SolverMLN:
-		if out.MLN, err = mln.CuttingPlane(gr.Atoms(), out.Clauses, opts.Advanced.MLN); err != nil {
+		if out.MLN, err = mln.CuttingPlane(gr.Atoms(), out.Clauses, mln.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if !out.MLN.HardSatisfied {

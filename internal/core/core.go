@@ -43,6 +43,13 @@ type Session struct {
 	// Checkpoint/Sync/Close control when it reaches stable storage.
 	wal     *wal.Log
 	dataDir string
+
+	// budget caps the kernels' search for tests that need a starved
+	// kernel: ADMM sweeps under PSL, branch-and-bound nodes under MLN.
+	// It is zero (the kernels' defaults) in production, set only by
+	// this package's tests before a session's first solve, and not part
+	// of the kernel key.
+	budget struct{ pslMaxIter, nodeLimit int }
 }
 
 // NewSession returns an empty session.
@@ -133,9 +140,8 @@ type SolveOptions struct {
 	// Threshold drops derived facts below this propagated confidence.
 	Threshold float64
 	// Parallelism bounds the solve pipeline's worker pools (grounding,
-	// per-component solves and read-outs) and is the default of the
-	// backends' own Parallelism: 0 uses GOMAXPROCS, 1 forces the
-	// sequential path. Results are identical at every setting.
+	// per-component solves and read-outs): 0 uses GOMAXPROCS, 1 forces
+	// the sequential path. Results are identical at every setting.
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
@@ -143,20 +149,17 @@ type SolveOptions struct {
 	// warm start from the previous solution, empty per-component solution
 	// caches and an empty read-out cache (repair records and live
 	// outcome). Grounding and the component plan still reuse the cached
-	// delta state. A solve under another solver or another tuning
-	// (Advanced) is a cold start too. A cold start
-	// answers exactly as a fresh session over the same facts does. With
-	// warm starts the exact MaxSAT engines still guarantee it (bucket
-	// elimination ignores the warm start), and local-search instances —
-	// components too wide for elimination — may settle on equally-valid
-	// near-identical states. Warm-started PSL reaches a fresh solve's kept and removed
-	// facts and removed weight, since its rounding ignores where ADMM
-	// stopped (an optimum on the edge of a rounding band excepted); its
-	// soft values, and so the confidences of inferred facts, agree only
-	// to within ADMM's tolerance.
+	// delta state. A solve under another solver is a cold start too. A
+	// cold start answers exactly as a fresh session over the same facts
+	// does. With warm starts the exact MaxSAT engines still guarantee it
+	// (bucket elimination ignores the warm start), and local-search
+	// instances — components too wide for elimination — may settle on
+	// equally-valid near-identical states. Warm-started PSL reaches a
+	// fresh solve's kept and removed facts and removed weight, since its
+	// rounding ignores where ADMM stopped (an optimum on the edge of a
+	// rounding band excepted); its soft values, and so the confidences of
+	// inferred facts, agree only to within ADMM's tolerance.
 	ColdStart bool
-	// Advanced exposes full backend tuning.
-	Advanced translate.Options
 }
 
 // Resolution is the outcome of a Solve call.
@@ -170,34 +173,12 @@ type Resolution struct {
 	// Delta is the Outcome's changelog relative to the session's
 	// previous solve: the facts and conflict clusters that entered or
 	// left each list. Set on every solve; on the first solve and after a
-	// read-out cache invalidation — ColdStart, threshold, solver, kernel
-	// or solver-tuning change — it reports the full outcome as added.
+	// read-out cache invalidation — ColdStart, threshold, solver or
+	// kernel change — it reports the full outcome as added.
 	// Its lists hold the churn's atom records and decode an entry only
 	// when Each visits it, so an unread changelog costs no decoding and
 	// a capped read of a full-state one decodes only the cap.
 	Delta *repair.OutcomeDelta
-}
-
-// Solve runs MAP inference and conflict resolution over the session.
-//
-// Every solver runs one pipeline on the session's cached engine —
-// ground, sync the component plan, run the solver kernel, repair per
-// conflict component, patch the live outcome: the first call grounds
-// and solves everything, later calls consume only the store delta. The
-// kernel is the one choice: MaxSAT (MLN), ADMM (PSL) or the greedy
-// sweep, each run per component. Every kernel keeps the prior solution,
-// warm-starts from it where it can, and touches only the components the
-// delta dirtied. Stats.Plan, Stats.Components and Resolution.Delta are
-// set on every solve.
-func (s *Session) Solve(opts SolveOptions) (*Resolution, error) {
-	adv := &opts.Advanced
-	if adv.MLN.Parallelism == 0 {
-		adv.MLN.Parallelism = opts.Parallelism
-	}
-	if adv.PSL.Parallelism == 0 {
-		adv.PSL.Parallelism = opts.Parallelism
-	}
-	return s.solve(opts)
 }
 
 // AllenConstraint builds the hard constraint the Web UI's editor

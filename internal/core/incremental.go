@@ -42,7 +42,7 @@ func attachGroundStats(oc *repair.Outcome, g *ground.Grounder) {
 // reflect, the maintained component plan, and the solver kernel's own
 // state. The grounder, clause set and plan depend only on the store and
 // program, so every solver shares them; the kernel state belongs to one
-// solver under one tuning.
+// solver.
 type solveEngine struct {
 	g           *ground.Grounder
 	cs          *ground.ClauseSet
@@ -62,15 +62,14 @@ type solveEngine struct {
 // record type, PSL keeps ADMM iterates), its previous answer for warm
 // starts and change-set passes, and the read-out cache — the repair
 // record per component and the live outcome they sum to — built from
-// those answers. A solve under another key (solver or tuning), or with
-// ColdStart, replaces the whole record, so it answers as a fresh
-// session would. A solve under another threshold replaces only the
-// read-out cache: the kernel's answer does not depend on it.
+// those answers. A solve under another solver, or with ColdStart,
+// replaces the whole record, so it answers as a fresh session would. A
+// solve under another threshold replaces only the read-out cache: the
+// kernel's answer does not depend on it.
 type kernelState struct {
-	// key is the solver and its tuning, Parallelism excluded (results
-	// are identical at every worker count).
-	key string
+	solver translate.Solver
 
+	// mlnCache is set under MLN and greedy, pslCache under PSL.
 	mlnCache *mln.ComponentCache
 	truth    []bool // previous MLN or greedy MAP state by atom id
 	pslCache *psl.ComponentCache
@@ -117,14 +116,21 @@ func (s *Session) syncEngine(eng *solveEngine, parallelism int, d store.Delta) e
 	return nil
 }
 
-// solve is Solve after option defaulting. On the first solve (or after
-// a program change) it grounds from scratch and caches the engine;
-// afterwards it reconciles the store delta with
-// RetractFacts/ApplyUpdates/CloseDelta/GroundDelta. Either way it syncs
-// the component plan, runs the solver kernel over the maintained clause
-// set and reads the result out per component onto the live outcome.
-func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
-	solver, topts := opts.Solver, opts.Advanced
+// Solve runs MAP inference and conflict resolution over the session.
+//
+// Every solver runs one pipeline on the session's cached engine —
+// ground, sync the component plan, run the solver kernel, repair per
+// conflict component, patch the live outcome. On the first solve (or
+// after a program change) it grounds from scratch and caches the
+// engine; afterwards it reconciles the store delta with
+// RetractFacts/ApplyUpdates/CloseDelta/GroundDelta. The kernel is the
+// one choice: MaxSAT (MLN), ADMM (PSL) or the greedy sweep, each run
+// per component at its package defaults. Every kernel keeps the prior
+// solution, warm-starts from it where it can, and touches only the
+// components the delta dirtied. Stats.Plan, Stats.Components and
+// Resolution.Delta are set on every solve.
+func (s *Session) Solve(opts SolveOptions) (*Resolution, error) {
+	solver := opts.Solver
 	if err := translate.ValidateFor(solver, s.prog); err != nil {
 		return nil, err
 	}
@@ -166,11 +172,14 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 	// (DeltaSince falls back to a full scan for older epochs).
 	s.st.CompactLog(eng.epoch)
 
-	mlnOpts, pslOpts := topts.MLN, topts.PSL
-	mlnOpts.Parallelism, pslOpts.Parallelism = 0, 0
 	k := eng.kernel
-	if key := fmt.Sprintf("%v|%+v|%+v", solver, mlnOpts, pslOpts); opts.ColdStart || k == nil || k.key != key {
-		k = &kernelState{key: key, mlnCache: mln.NewComponentCache(), pslCache: psl.NewComponentCache()}
+	if opts.ColdStart || k == nil || k.solver != solver {
+		k = &kernelState{solver: solver}
+		if solver == translate.SolverPSL {
+			k.pslCache = psl.NewComponentCache()
+		} else {
+			k.mlnCache = mln.NewComponentCache()
+		}
 		eng.kernel = k
 	}
 	if k.readout == nil || k.threshold != opts.Threshold {
@@ -195,7 +204,9 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 			if solver == translate.SolverGreedy {
 				kernel = baseline.SolveComponent
 			}
-			res, err := mln.SolveComponents(eng.g, eng.cs, topts.MLN, k.truth, k.mlnCache, plan, kernel)
+			mopts := mln.Options{Parallelism: opts.Parallelism}
+			mopts.MaxSAT.NodeLimit = s.budget.nodeLimit
+			res, err := mln.SolveComponents(eng.g, eng.cs, mopts, k.truth, k.mlnCache, plan, kernel)
 			if err != nil {
 				return err
 			}
@@ -205,7 +216,8 @@ func (s *Session) solve(opts SolveOptions) (*Resolution, error) {
 				return fmt.Errorf("core: MLN solver found no assignment satisfying the hard constraints")
 			}
 		case translate.SolverPSL:
-			res, next, err := psl.MAPGroundComponents(eng.g, eng.cs, topts.PSL, k.pslWarm, k.pslCache, plan)
+			popts := psl.Options{Parallelism: opts.Parallelism, MaxIter: s.budget.pslMaxIter}
+			res, next, err := psl.MAPGroundComponents(eng.g, eng.cs, popts, k.pslWarm, k.pslCache, plan)
 			if err != nil {
 				return err
 			}

@@ -146,7 +146,7 @@ func TestComponentRepairUnconvergedPSL(t *testing.T) {
 	// but close enough that the discretised truth is stable — the exact
 	// combination where a truth-only cache check would replay stale
 	// confidences.
-	opts.Advanced.PSL.MaxIter = 10
+	s.budget.pslMaxIter = 10
 	for step := 0; step < 3; step++ {
 		res, err := s.Solve(opts)
 		if err != nil {

@@ -284,7 +284,7 @@ func TestDeltaScopeEngages(t *testing.T) {
 func TestDeltaScopeUnconvergedPSL(t *testing.T) {
 	s, update, _ := scopeSession(t)
 	opts := SolveOptions{Solver: translate.SolverPSL}
-	opts.Advanced.PSL.MaxIter = 20
+	s.budget.pslMaxIter = 20
 	converged := false
 	for i := 0; i < 60 && !converged; i++ {
 		if i > 0 {

@@ -232,7 +232,10 @@ func solveComponent(atoms *ground.AtomTable, vars []ground.AtomID, clauses []gro
 		problem.Clauses = append(problem.Clauses, toMaxsatClause(c))
 	}
 
+	// The warm start comes from warm alone: on a cold solve a caller's
+	// MaxSAT.Warm would steer every component of its size.
 	mopts := opts.MaxSAT
+	mopts.Warm = nil
 	if warm != nil {
 		w := make([]bool, n)
 		for li, a := range vars {

@@ -52,7 +52,9 @@ type Options struct {
 	Parallelism int
 	// Deprecated: ignored — every MLN/PSL solve is component-decomposed; kept only until bench/ can be edited
 	ComponentSolve bool
-	// MaxSAT tunes the underlying solver.
+	// MaxSAT tunes the underlying solver. The component loop ignores
+	// its Warm: a component warm-starts only from SolveComponents' warm
+	// argument.
 	MaxSAT maxsat.Options
 }
 

@@ -1,11 +1,15 @@
 package mln
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/ground"
+	"repro/internal/kgen"
 	"repro/internal/logic"
 	"repro/internal/rdf"
 	"repro/internal/rulelang"
@@ -319,5 +323,49 @@ func TestMAPRuntimeRecorded(t *testing.T) {
 	}
 	if res.Runtime <= 0 {
 		t.Error("runtime not recorded")
+	}
+}
+
+// TestColdSolveIgnoresOptionsWarm pins where a component's MaxSAT warm
+// start comes from: the warm argument alone. A cold solve handed an
+// Options.MaxSAT.Warm sized like one of its components must answer as a
+// cold solve without it. The fixture is 300 playsFor spells of one
+// player crowded into 80 years: one component too wide for bucket
+// elimination, so local search — whose trajectory depends on its
+// start — solves it.
+func TestColdSolveIgnoresOptionsWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	crowd := make(rdf.Graph, 300)
+	for k := range crowd {
+		start := 2000 + rng.Int63n(80)
+		crowd[k] = rdf.NewQuad("player/crowd", "playsFor", fmt.Sprintf("club/crowd%03d", k),
+			temporal.MustNew(start, start+1+rng.Int63n(5)), 0.55+0.4*rng.Float64())
+	}
+	prog := rulelang.MustParse(kgen.ClusteredProgram)
+	solve := func(opts Options) *Result {
+		t.Helper()
+		st := store.New()
+		if err := st.AddGraph(crowd); err != nil {
+			t.Fatal(err)
+		}
+		res, err := mapFull(ground.New(st), prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := solve(Options{})
+	if cold.Components.Engines["local"] != 1 {
+		t.Fatalf("engines %v, want the crowd solved by local search", cold.Components.Engines)
+	}
+	for _, fill := range []bool{false, true} {
+		var opts Options
+		opts.MaxSAT.Warm = make([]bool, len(crowd))
+		for i := range opts.MaxSAT.Warm {
+			opts.MaxSAT.Warm[i] = fill
+		}
+		if got := solve(opts); !reflect.DeepEqual(got.Truth, cold.Truth) || got.Cost != cold.Cost {
+			t.Errorf("Options.MaxSAT.Warm all %v moved a cold solve: cost %v, without it %v", fill, got.Cost, cold.Cost)
+		}
 	}
 }

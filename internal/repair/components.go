@@ -39,8 +39,8 @@ import (
 // read-out hot path shows up directly in repair-stage latency).
 // Construct with NewComponentCache. Not safe for concurrent use. The
 // cache must be dropped when anything outside the (generation, truth)
-// invariant changes the read-out: a threshold, solver kernel or tuning
-// change, or a ColdStart (core.Session does this).
+// invariant changes the read-out: a threshold or solver kernel change,
+// or a ColdStart (core.Session does this).
 type ComponentCache struct {
 	units *engine.Cache[compUnit]
 	conf  []float64 // scratch, indexed by atom id

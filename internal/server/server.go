@@ -533,12 +533,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "solving: %v", err)
 		return
 	}
-	writeJSON(w, s.solveResponse(res))
-}
-
-// solveResponse renders a Resolution with the server's fact cap applied.
-func (s *Server) solveResponse(res *core.Resolution) SolveResponse {
-	return s.outcomeResponse(res.Outcome)
+	writeJSON(w, s.outcomeResponse(res.Outcome))
 }
 
 // outcomeResponse renders an Outcome with the server's fact cap

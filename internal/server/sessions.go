@@ -588,7 +588,7 @@ func (s *Server) renderSessionSolve(res *core.Resolution, epoch uint64, delta bo
 		resp.SolveResponse = SolveResponse{Stats: res.Stats}
 		resp.Delta = s.deltaResponse(res.Delta)
 	} else {
-		resp.SolveResponse = s.solveResponse(res)
+		resp.SolveResponse = s.outcomeResponse(res.Outcome)
 	}
 	return resp
 }

@@ -2,10 +2,9 @@
 // backends: the solver choice (the MLN engine standing in for nRockIt,
 // the HL-MRF engine standing in for the nPSL solver, or the greedy
 // baseline), the check that a program adheres to the chosen solver's
-// expressivity, per-backend tuning, and the unified MAP output every
-// backend produces. The session pipeline (internal/core) grounds the
-// program and runs the chosen backend as a kernel over the ground
-// network.
+// expressivity, and the unified MAP output every backend produces. The
+// session pipeline (internal/core) grounds the program and runs the
+// chosen backend as a kernel over the ground network.
 package translate
 
 import (
@@ -109,12 +108,6 @@ func CheckPredicates(preds []store.PredicateStat, prog *logic.Program) []string 
 		}
 	}
 	return missing
-}
-
-// Options bundles per-backend tuning.
-type Options struct {
-	MLN mln.Options
-	PSL psl.Options
 }
 
 // Output is the unified MAP result of every backend.

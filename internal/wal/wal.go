@@ -42,13 +42,12 @@ const SnapshotFile = "snapshot.tqs"
 
 const segPrefix = "wal-"
 
-// Options tunes the log; the zero value is ready to use.
-type Options struct {
-	// FlushBytes is the buffered-append threshold: once the in-memory
-	// tail reaches it, the buffer is written (not fsynced) to the
-	// segment. Defaults to 1 MiB.
-	FlushBytes int
-}
+// flushBytes is the buffered-append threshold: once the in-memory tail
+// reaches it, the buffer is written (not fsynced) to the segment.
+const flushBytes = 1 << 20
+
+// Options configures nothing; kept only until bench/ can be edited.
+type Options struct{}
 
 // RecoveryStats reports what Open found and did.
 type RecoveryStats struct {
@@ -83,12 +82,11 @@ type Log struct {
 	st    *store.Store
 	stats RecoveryStats
 
-	mu         sync.Mutex
-	f          *os.File
-	seq        uint64
-	buf        []byte
-	scratch    []byte
-	flushBytes int
+	mu      sync.Mutex
+	f       *os.File
+	seq     uint64
+	buf     []byte
+	scratch []byte
 	// lastEpoch is the newest buffered record; writtenEpoch the newest
 	// written to the OS; durableEpoch the newest fsynced; snapEpoch the
 	// durable snapshot's watermark.
@@ -107,14 +105,11 @@ type Log struct {
 // first use — and returns the attached log. The returned store has the
 // log installed as its journal and its compaction floor, so the caller
 // mutates the store normally and calls Sync/Checkpoint for durability.
-func Open(dir string, opts Options) (*Log, *store.Store, error) {
+func Open(dir string, _ Options) (*Log, *store.Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, flushBytes: opts.FlushBytes}
-	if l.flushBytes <= 0 {
-		l.flushBytes = 1 << 20
-	}
+	l := &Log{dir: dir}
 	// A crash between snapshot write and rename leaves a .tmp; it is
 	// unreferenced, drop it.
 	os.Remove(filepath.Join(dir, SnapshotFile+".tmp"))
@@ -163,7 +158,7 @@ func Open(dir string, opts Options) (*Log, *store.Store, error) {
 // (recover that with Open instead), and the caller must not mutate the
 // store concurrently with Attach — changes made before the journal is
 // installed exist only in the snapshot.
-func Attach(dir string, st *store.Store, opts Options) (*Log, error) {
+func Attach(dir string, st *store.Store, _ Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -175,10 +170,7 @@ func Attach(dir string, st *store.Store, opts Options) (*Log, error) {
 	} else if len(seqs) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds log segments", dir)
 	}
-	l := &Log{dir: dir, st: st, flushBytes: opts.FlushBytes, seq: 1}
-	if l.flushBytes <= 0 {
-		l.flushBytes = 1 << 20
-	}
+	l := &Log{dir: dir, st: st, seq: 1}
 	f, err := os.OpenFile(l.segPath(l.seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -337,7 +329,7 @@ func (l *Log) Append(rec store.JournalRecord) {
 	l.scratch = appendRecordPayload(l.scratch[:0], rec)
 	l.buf = appendFrame(l.buf, l.scratch)
 	l.lastEpoch = rec.Change.Epoch
-	if len(l.buf) >= l.flushBytes {
+	if len(l.buf) >= flushBytes {
 		l.flushLocked()
 	}
 }

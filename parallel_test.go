@@ -84,28 +84,3 @@ pf1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5
 		})
 	}
 }
-
-// TestParallelFlagOnAdvancedOptions: parallelism set through the
-// advanced (backend-level) options must behave like the top-level
-// field, which it overrides for the MLN kernel.
-func TestParallelFlagOnAdvancedOptions(t *testing.T) {
-	ds := tecore.GenerateFootball(tecore.FootballConfig{Players: 80, NoiseRatio: 0.5, Seed: 9})
-	s := tecore.NewSession()
-	if err := s.LoadGraph(ds.Graph); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgramText(tecore.FootballProgram); err != nil {
-		t.Fatal(err)
-	}
-	opts := tecore.SolveOptions{Solver: tecore.SolverMLN}
-	opts.Advanced.MLN.Parallelism = 2
-	res, err := s.Solve(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := solveAt(t, ds, tecore.FootballProgram, tecore.SolverMLN, 1)
-	if res.Stats.RemovedFacts != ref.Stats.RemovedFacts || res.Stats.KeptFacts != ref.Stats.KeptFacts {
-		t.Errorf("advanced parallelism: kept/removed %d/%d, sequential %d/%d",
-			res.Stats.KeptFacts, res.Stats.RemovedFacts, ref.Stats.KeptFacts, ref.Stats.RemovedFacts)
-	}
-}

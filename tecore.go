@@ -71,7 +71,8 @@ func OpenSession(dir string) (*Session, error) { return core.OpenSession(dir) }
 type RecoveryStats = wal.RecoveryStats
 
 // SolveOptions tunes a Solve call: backend, derived-fact threshold,
-// parallelism, cold start and backend tuning.
+// parallelism and cold start. Every backend runs at its package
+// defaults.
 type SolveOptions = core.SolveOptions
 
 // Resolution is the outcome of conflict resolution: kept, removed and
